@@ -20,7 +20,7 @@ from fractions import Fraction
 import mpmath
 
 from . import closedform, limits, moments, oracle, simulate, weights
-from .numerics import DEFAULT_PRECISION_BITS, RATIONAL, precision_bits
+from .numerics import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, RATIONAL, precision_bits
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -301,7 +301,12 @@ def _cmd_limit(args) -> int:
     elif law == "w-cdf":
         mode = "bigfloat"
         if args.grid is not None:
-            start, stop, step = (_fraction(p, "--grid") for p in args.grid.split(":"))
+            parts = args.grid.split(":")
+            if len(parts) != 3:
+                raise CliError("--grid: expected START:STOP:STEP")
+            start, stop, step = (_fraction(p, "--grid") for p in parts)
+            if step <= 0:
+                raise CliError("--grid: STEP must be positive")
             rows = []
             x = start
             while x <= stop:
@@ -480,6 +485,20 @@ def _params(args, *names) -> dict:
     return out
 
 
+def _check_common(args):
+    """Range checks on flags shared by several subcommands; resolves the
+    default precision, so a bad URNLAB_PRECISION_BITS also exits 2."""
+    if args.precision_bits is None:
+        args.precision_bits = precision_bits()
+    elif args.precision_bits < MIN_PRECISION_BITS:
+        raise CliError(f"--precision-bits: must be at least {MIN_PRECISION_BITS}")
+    if args.decimals is not None and args.decimals < 0:
+        raise CliError("--decimals: must be nonnegative")
+    # `not > 0` also rejects nan, which no truncation loop would ever reach
+    if getattr(args, "tol", None) is not None and not args.tol > 0:
+        raise CliError("--tol: must be positive")
+
+
 def _need(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
@@ -623,8 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "precision_bits", None) is None:
-        args.precision_bits = precision_bits()
     if hasattr(args, "model"):
         try:
             args.model_canonical = weights.canonical_model(args.model)
@@ -632,6 +649,7 @@ def main(argv=None) -> int:
             print(f"--model: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
     try:
+        _check_common(args)
         return args.handler(args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)

@@ -22,6 +22,7 @@ FLOAT = "float"
 _MODES = (RATIONAL, BIGFLOAT, FLOAT)
 
 DEFAULT_PRECISION_BITS = 256
+MIN_PRECISION_BITS = 8
 
 
 class ScalarModeError(TypeError):
@@ -34,8 +35,8 @@ def precision_bits() -> int:
     if not raw:
         return DEFAULT_PRECISION_BITS
     bits = int(raw)
-    if bits < 8:
-        raise ValueError("URNLAB_PRECISION_BITS must be at least 8")
+    if bits < MIN_PRECISION_BITS:
+        raise ValueError(f"URNLAB_PRECISION_BITS must be at least {MIN_PRECISION_BITS}")
     return bits
 
 

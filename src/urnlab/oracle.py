@@ -1,9 +1,10 @@
 """Ground-truth absorption distributions.
 
-Two independent routes: exact dynamic programming on the transition
-recurrences (any size), and exhaustive weighted-path enumeration (tiny
-instances only).  Both run in exact rational arithmetic for rational weight
-sequences, so closed forms can be checked for literal equality.
+Three routes, all exact rational for rational weights, so closed forms can
+be checked for literal equality: forward reach from one start for any r >= 2
+colors (`absorption_pmf`, `absorption_pmf_multi`), the backward two-color
+lattice over every start at once (`absorption_pmf_lattice`), and exhaustive
+path enumeration on tiny instances (`enumerate_pmf`).
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .numerics import FLOAT, RATIONAL, falling_factorial
-from .weights import MODEL_OKCORRAL, MODEL_SAMPLING, UrnSpec
+from .numerics import RATIONAL, falling_factorial
+from .weights import MODEL_SAMPLING, UrnSpec
 
 ENUMERATION_LIMIT = 16
 
@@ -86,7 +87,8 @@ def absorption_pmf_lattice(spec: UrnSpec) -> list:
 
     Returns rows[mp][j] = tuple of P{k survivors | start (j, mp)} for
     k = 0..n, so one fill serves every smaller instance of the same weights.
-    Memory is two rows of k-vectors (the DP frontier).
+    Every row is kept: (m+1) x (n+1) cells of (n+1)-vectors.  For one start,
+    `absorption_pmf` is cheaper.
     """
     if not spec.is_two_color:
         raise ValueError("two-color spec required")
@@ -120,15 +122,6 @@ def absorption_pmf_lattice(spec: UrnSpec) -> list:
     return rows
 
 
-def absorption_pmf(spec: UrnSpec) -> ExactDistribution:
-    """Distribution of surviving first-color balls for a two-color spec,
-    by exact DP on the drawing recurrence."""
-    lattice = absorption_pmf_lattice(spec)
-    vec = lattice[spec.m][spec.n]
-    support = tuple(range(spec.n + 1))
-    return ExactDistribution(support, dict(zip(support, vec)), spec.mode)
-
-
 def _drawing_weights(model, tables, state):
     r = len(state)
     if model == MODEL_SAMPLING:
@@ -158,55 +151,66 @@ def _outcome(state):
     return (0,) * (len(state) - 1)
 
 
-def absorption_pmf_multi(spec: UrnSpec) -> ExactDistribution:
-    """Joint distribution of surviving type-1..r-1 balls when the last color
-    runs out, for r >= 2 colors.  DP proceeds by total ball count so only
-    one frontier layer of state distributions is alive at a time."""
-    counts = spec.counts
-    if counts[-1] < 1:
-        raise ValueError("the last color needs at least one ball")
-    tables = [seq.table(c) for seq, c in zip(spec.sequences, counts)]
+def _forward_reach(spec: UrnSpec) -> dict:
+    """{outcome: probability} from the start `spec.counts`, for any r >= 2.
+
+    Each draw removes one ball, so reach probabilities move down one
+    total-ball-count layer at a time and only one layer is alive.  Absorbing
+    states add their probability to their outcome.
+    """
+    tables = [seq.table(c) for seq, c in zip(spec.sequences, spec.counts)]
     zero = Fraction(0) if spec.mode == RATIONAL else 0.0
-
-    by_total = defaultdict(list)
-    for state in product(*[range(c + 1) for c in counts]):
-        by_total[sum(state)].append(state)
-
-    prev_layer: dict = {}
-    layer: dict = {}
-    for total in range(sum(counts) + 1):
-        layer = {}
-        for state in by_total[total]:
+    out: dict = defaultdict(lambda: zero)
+    layer = {spec.counts: zero + 1}
+    while layer:
+        below: dict = defaultdict(lambda: zero)
+        for state, p in layer.items():
             if _absorbed(state):
-                layer[state] = {_outcome(state): zero + 1}
+                out[_outcome(state)] += p
                 continue
             weights = _drawing_weights(spec.model, tables, state)
             den = sum(weights)
-            dist: dict = defaultdict(lambda: zero)
             for ell, w in enumerate(weights):
                 if w == 0:
                     continue
-                child = tuple(
-                    c - 1 if j == ell else c for j, c in enumerate(state)
-                )
-                child_dist = prev_layer[child]
-                coeff = w / den
-                for k, p in child_dist.items():
-                    dist[k] += coeff * p
-            layer[state] = dict(dist)
-        prev_layer = layer
+                child = state[:ell] + (state[ell] - 1,) + state[ell + 1 :]
+                below[child] += p * (w / den)
+        layer = below
+    return out
 
-    final = prev_layer[counts]
-    support = tuple(product(*[range(c + 1) for c in counts[:-1]]))
-    probs = {k: final.get(k, zero) for k in support}
-    return ExactDistribution(support, probs, spec.mode)
+
+def _as_distribution(spec: UrnSpec, out: dict, flat: bool) -> ExactDistribution:
+    """Outcome masses as a distribution over the full survivor support:
+    0..n keyed by int when `flat`, else the grid of survivor vectors."""
+    zero = Fraction(0) if spec.mode == RATIONAL else 0.0
+    grid = product(*[range(c + 1) for c in spec.counts[:-1]])
+    probs = {k: out.get(k, zero) for k in grid}
+    if flat:
+        probs = {k: p for (k,), p in probs.items()}
+    return ExactDistribution(tuple(probs), probs, spec.mode)
+
+
+def absorption_pmf(spec: UrnSpec) -> ExactDistribution:
+    """Distribution of surviving first-color balls for a two-color spec,
+    over 0..n, by forward reach from the start (n, m)."""
+    if not spec.is_two_color:
+        raise ValueError("two-color spec required")
+    return _as_distribution(spec, _forward_reach(spec), flat=True)
+
+
+def absorption_pmf_multi(spec: UrnSpec) -> ExactDistribution:
+    """Joint distribution of surviving type-1..r-1 balls when the last color
+    runs out, for r >= 2 colors, by forward reach from the start."""
+    if spec.counts[-1] < 1:
+        raise ValueError("the last color needs at least one ball")
+    return _as_distribution(spec, _forward_reach(spec), flat=False)
 
 
 def enumerate_pmf(spec: UrnSpec) -> ExactDistribution:
     """Sum weighted lattice paths by depth-first traversal.
 
     Exponential in the ball count; refused above ENUMERATION_LIMIT balls.
-    Must agree exactly with the DP route wherever both run.
+    Must agree exactly with the recurrence routes wherever both run.
     """
     counts = spec.counts
     if sum(counts) > ENUMERATION_LIMIT:
@@ -233,11 +237,4 @@ def enumerate_pmf(spec: UrnSpec) -> ExactDistribution:
             walk(child, weight * w / den)
 
     walk(counts, zero + 1)
-
-    if spec.is_two_color:
-        support = tuple(range(counts[0] + 1))
-        probs = {k: out.get((k,), zero) for k in support}
-    else:
-        support = tuple(product(*[range(c + 1) for c in counts[:-1]]))
-        probs = {k: out.get(k, zero) for k in support}
-    return ExactDistribution(support, probs, spec.mode)
+    return _as_distribution(spec, out, flat=spec.is_two_color)

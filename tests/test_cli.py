@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -87,6 +89,32 @@ class TestPmf:
         with pytest.raises(SystemExit) as exc:
             cli.main(["pmf", "--bogus", "1"])
         assert exc.value.code == 2
+
+
+    @pytest.mark.parametrize("bits", ["4", "-40"])
+    def test_precision_bits_below_schema_minimum(self, capsys, bits):
+        code, out, err = run_cli(
+            capsys, "pmf", "--A", "linear:1", "--B", "square", "--n", "2", "--m", "2",
+            "--mode", "bigfloat", "--precision-bits", bits,
+        )
+        assert code == 2
+        assert "--precision-bits" in err
+        assert out == ""
+
+    def test_precision_env_below_minimum(self, capsys, monkeypatch):
+        monkeypatch.setenv("URNLAB_PRECISION_BITS", "4")
+        code, _, err = run_cli(capsys, "theta", "--q", "0.5")
+        assert code == 2
+        assert "URNLAB_PRECISION_BITS" in err
+
+    def test_negative_decimals(self, capsys):
+        code, out, err = run_cli(
+            capsys, "pmf", "--A", "linear:1", "--B", "linear:1", "--n", "2", "--m", "2",
+            "--format", "csv", "--decimals", "-2",
+        )
+        assert code == 2
+        assert "--decimals" in err
+        assert out == ""
 
 
 class TestOracleCommand:
@@ -207,6 +235,33 @@ class TestTheta:
         assert code == 0
         payload = check_json(out)
         assert float(payload["difference"]) < 1e-12
+
+
+class TestBoundedTime:
+    """Inputs that once never terminated now exit 2 naming the flag; each
+    runs in a fresh process under a timeout, so a hang fails the test."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["theta", "--q", "0.5", "--tol", "0"], "--tol"),
+            (["theta", "--q", "0.5", "--tol", "-1e-9"], "--tol"),
+            (["theta", "--q", "0.5", "--tol", "nan"], "--tol"),
+            (["limit", "--law", "w-cdf", "--q", "1/2", "--tol", "0"], "--tol"),
+            (["limit", "--law", "fixed-whites-pmf", "--n", "1", "--k", "1",
+              "--method", "series", "--tol", "0"], "--tol"),
+            (["limit", "--law", "w-cdf", "--family", "square", "--grid", "0:1:0"], "--grid"),
+            (["limit", "--law", "w-cdf", "--family", "square", "--grid", "0:1:-1/4"], "--grid"),
+        ],
+    )
+    def test_rejected_within_timeout(self, argv, flag):
+        proc = subprocess.run(
+            [sys.executable, "-m", "urnlab.cli", *argv],
+            capture_output=True, text=True, timeout=60, check=False,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert flag in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestDuality:

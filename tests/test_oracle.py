@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from urnlab.oracle import (
     ExactDistribution,
     absorption_pmf,
+    absorption_pmf_lattice,
     absorption_pmf_multi,
     enumerate_pmf,
 )
@@ -13,6 +16,7 @@ from urnlab.weights import (
     UrnSpec,
     custom,
     linear,
+    power,
     reciprocal,
     shifted_square,
     square,
@@ -59,6 +63,20 @@ class TestTwoColor:
         assert dist[3] == 1
         dist = absorption_pmf(two_color("II", linear(1), square(), 0, 4))
         assert dist[0] == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(("I", "II")),
+        st.sampled_from(FAMILIES + [power(1, 3), reciprocal(square())]),
+        st.sampled_from(FAMILIES + [power(1, 3), reciprocal(square())]),
+        st.integers(0, 8),
+        st.integers(0, 8),
+    )
+    def test_forward_reach_matches_lattice(self, model, A, B, n, m):
+        # the single-start engine against the all-starts backward lattice,
+        # including the m = 0 and n = 0 edges
+        spec = two_color(model, A, B, n, m)
+        assert absorption_pmf(spec).probs == dict(enumerate(absorption_pmf_lattice(spec)[m][n]))
 
     def test_normalization_and_range(self):
         for model in ("I", "II"):
@@ -137,6 +155,26 @@ class TestMulti:
             assert dict(absorption_pmf_multi(spec).items()) == dict(
                 enumerate_pmf(spec).items()
             )
+
+    @pytest.mark.parametrize(
+        "seqs",
+        [
+            (linear(1), square(), triangular()),
+            (linear(1), linear(2), square(), shifted_square()),
+        ],
+        ids=["r3", "r4"],
+    )
+    def test_matches_enumeration_up_to_10_balls(self, seqs):
+        # every count vector with at most 10 balls; the models alternate
+        # from vector to vector so both are covered at half the cost
+        vectors = [
+            counts
+            for counts in product(range(11), repeat=len(seqs))
+            if counts[-1] >= 1 and sum(counts) <= 10
+        ]
+        for i, counts in enumerate(vectors):
+            spec = UrnSpec(("I", "II")[i % 2], seqs, counts)
+            assert absorption_pmf_multi(spec).probs == enumerate_pmf(spec).probs, spec
 
     def test_normalization_r4(self):
         spec = UrnSpec("II", (linear(1), square(), triangular(), linear(2)), (2, 2, 1, 2))
