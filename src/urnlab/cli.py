@@ -93,6 +93,30 @@ def _fraction(arg_value: str, flag: str) -> Fraction:
         raise CliError(f"{flag}: expected a rational like 1/2 or 0.25") from None
 
 
+def _multi_spec(args, model) -> weights.UrnSpec:
+    seqs = _seq_list(args.weights, "--weights")
+    counts = _int_list(args.counts, "--counts")
+    if len(seqs) != len(counts):
+        raise CliError("--counts: need one count per weight descriptor")
+    return weights.UrnSpec(model, seqs, counts)
+
+
+def _spec(args, model) -> weights.UrnSpec:
+    """The urn the flags describe: --weights/--counts when --weights is
+    given, else the two-color urn of --A/--B/--n/--m."""
+    if getattr(args, "weights", None):
+        return _multi_spec(args, model)
+    return weights.two_color(model, _seq(args.A, "--A"), _seq(args.B, "--B"), args.n, args.m)
+
+
+def _oracle(args, spec):
+    """Exact pmf keyed as the flags ask: survivor vectors for --weights,
+    first-color survivor counts for --A/--B."""
+    if getattr(args, "weights", None):
+        return oracle.absorption_pmf_multi(spec)
+    return oracle.absorption_pmf(spec)
+
+
 def _emit(args, payload: dict, pmf_like=None) -> None:
     if args.format == "json":
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
@@ -120,22 +144,18 @@ def _k_out(k):
     return list(k) if isinstance(k, tuple) else k
 
 
+def _pmf_table(entries):
+    return ("k", "p"), [(json.dumps(e["k"]), e["p"]) for e in entries]
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
 
 def _cmd_pmf(args) -> int:
-    A = _seq(args.A, "--A")
-    B = _seq(args.B, "--B")
-    if args.model_canonical == weights.MODEL_SAMPLING:
-        dist = closedform.sampling_distribution(
-            A, B, args.n, args.m, args.representation, args.mode
-        )
-    else:
-        dist = closedform.okcorral_distribution(
-            A, B, args.n, args.m, args.representation, args.mode
-        )
+    spec = _spec(args, args.model)
+    dist = closedform.two_color_distribution(spec, args.representation, args.mode)
     render = _prob_renderer(args, dist.mode)
     entries = dist.to_jsonable(render)
     if args.k is not None:
@@ -150,12 +170,12 @@ def _cmd_pmf(args) -> int:
     }
     if dist.mode == "bigfloat":
         payload["precision_bits"] = args.precision_bits
-    _emit(args, payload, pmf_like=(("k", "p"), [(e["k"], e["p"]) for e in entries]))
+    _emit(args, payload, pmf_like=_pmf_table(entries))
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
-    spec = weights.two_color(args.model, _seq(args.A, "--A"), _seq(args.B, "--B"), args.n, args.m)
+    spec = _spec(args, args.model)
     if args.method == "recurrence":
         dist = oracle.absorption_pmf(spec)
     else:
@@ -168,30 +188,18 @@ def _cmd_oracle(args) -> int:
         "mode": dist.mode,
         "pmf": entries,
     }
-    _emit(args, payload, pmf_like=(("k", "p"), [(e["k"], e["p"]) for e in entries]))
+    _emit(args, payload, pmf_like=_pmf_table(entries))
     return EXIT_OK
 
 
 def _cmd_pmf_multi(args) -> int:
-    seqs = _seq_list(args.weights, "--weights")
-    counts = _int_list(args.counts, "--counts")
-    if len(seqs) != len(counts):
-        raise CliError("--counts: need one count per weight descriptor")
-    spec = weights.UrnSpec(args.model, seqs, counts)
+    spec = _multi_spec(args, args.model)
     reference = oracle.absorption_pmf_multi(spec)
     render = _prob_renderer(args)
     if args.engine == "oracle":
         dist = reference
     else:
-        probs = {}
-        for kvec in reference.support:
-            if spec.model == weights.MODEL_SAMPLING:
-                probs[kvec] = closedform.sampling_pmf_multi(seqs, counts, kvec)
-            elif all(k >= 1 for k in kvec):
-                probs[kvec] = closedform.okcorral_pmf_multi(seqs, counts, kvec)
-            else:
-                probs[kvec] = reference[kvec]  # no closed form at zero survivors
-        dist = oracle.ExactDistribution(reference.support, probs, reference.mode)
+        dist = closedform.multi_distribution(spec, reference)
     if args.k is not None:
         kvec = _int_list(args.k, "--k")
         if kvec not in reference.support:
@@ -205,12 +213,25 @@ def _cmd_pmf_multi(args) -> int:
         "mode": dist.mode,
         "pmf": entries,
     }
-    _emit(args, payload, pmf_like=(("k", "p"), [(json.dumps(e["k"]), e["p"]) for e in entries]))
+    _emit(args, payload, pmf_like=_pmf_table(entries))
+    return EXIT_OK
+
+
+def _emit_moment_check(args, payload: dict, order, closed, direct) -> int:
+    """Emit the closed-form and direct-summation values side by side; a
+    mismatch is a formula discrepancy."""
+    reports = [
+        {"order": order, "value": render_exact(closed), "method": "closed-form"},
+        {"order": order, "value": render_exact(direct), "method": "direct-summation"},
+    ]
+    payload["reports"] = reports
+    _emit(args, payload, pmf_like=(("method", "value"), [(r["method"], r["value"]) for r in reports]))
+    if closed != direct:
+        raise Discrepancy("closed-form moment differs from direct summation")
     return EXIT_OK
 
 
 def _cmd_moments(args) -> int:
-    reports = []
     if args.mixed:
         avec = _int_list(args.avec, "--avec")
         nvec = _int_list(args.nvec, "--nvec")
@@ -228,18 +249,12 @@ def _cmd_moments(args) -> int:
         dist = oracle.absorption_pmf(spec)
         direct = dist.factorial_moment(args.s) if args.kind == "factorial" else dist.moment(args.s)
         order = args.s
-    reports.append({"order": order, "value": render_exact(closed), "method": "closed-form"})
-    reports.append({"order": order, "value": render_exact(direct), "method": "direct-summation"})
     payload = {
         "command": "moments",
         "params": _params(args, "a", "d", "n", "m", "s", "kind", "mixed", "avec", "nvec", "svec"),
         "mode": RATIONAL,
-        "reports": reports,
     }
-    _emit(args, payload, pmf_like=(("method", "value"), [(r["method"], r["value"]) for r in reports]))
-    if closed != direct:
-        raise Discrepancy("closed-form moment differs from direct summation")
-    return EXIT_OK
+    return _emit_moment_check(args, payload, order, closed, direct)
 
 
 def _cmd_okc_moments(args) -> int:
@@ -258,18 +273,7 @@ def _cmd_okc_moments(args) -> int:
     else:
         closed = moments.okcorral_raw_moment(args.b, args.c, args.n, args.m, args.s)
         direct = dist.moment(args.s)
-    payload["reports"] = [
-        {"order": args.s, "value": render_exact(closed), "method": "closed-form"},
-        {"order": args.s, "value": render_exact(direct), "method": "direct-summation"},
-    ]
-    _emit(
-        args,
-        payload,
-        pmf_like=(("method", "value"), [(r["method"], r["value"]) for r in payload["reports"]]),
-    )
-    if closed != direct:
-        raise Discrepancy("closed-form moment differs from direct summation")
-    return EXIT_OK
+    return _emit_moment_check(args, payload, args.s, closed, direct)
 
 
 def _cmd_limit(args) -> int:
@@ -362,23 +366,11 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_duality(args) -> int:
-    if args.weights:
-        seqs = _seq_list(args.weights, "--weights")
-        counts = _int_list(args.counts, "--counts")
-        lhs = oracle.absorption_pmf_multi(weights.UrnSpec("I", seqs, counts))
-        rhs = oracle.absorption_pmf_multi(
-            weights.UrnSpec("II", tuple(weights.reciprocal(s) for s in seqs), counts)
-        )
-        points = lhs.support
-    else:
-        A = _seq(args.A, "--A")
-        B = _seq(args.B, "--B")
-        lhs = oracle.absorption_pmf(weights.two_color("I", A, B, args.n, args.m))
-        rhs = oracle.absorption_pmf(
-            weights.two_color("II", weights.reciprocal(A), weights.reciprocal(B), args.n, args.m)
-        )
-        points = lhs.support
-    exact = all(lhs[p] == rhs[p] for p in points)
+    spec = _spec(args, "I")
+    dual = weights.UrnSpec("II", tuple(weights.reciprocal(s) for s in spec.sequences), spec.counts)
+    lhs = _oracle(args, spec)
+    rhs = _oracle(args, dual)
+    exact = all(lhs[p] == rhs[p] for p in lhs.support)
     payload = {
         "command": "duality-check",
         "params": _params(args, "A", "B", "n", "m", "weights", "counts"),
@@ -392,16 +384,8 @@ def _cmd_duality(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.weights:
-        seqs = _seq_list(args.weights, "--weights")
-        counts = _int_list(args.counts, "--counts")
-        spec = weights.UrnSpec(args.model, seqs, counts)
-        exact = oracle.absorption_pmf_multi(spec)
-    else:
-        spec = weights.two_color(
-            args.model, _seq(args.A, "--A"), _seq(args.B, "--B"), args.n, args.m
-        )
-        exact = oracle.absorption_pmf(spec)
+    spec = _spec(args, args.model)
+    exact = _oracle(args, spec)
     config = simulate.SimConfig(spec, args.trials, args.seed, args.workers)
     report = simulate.empirical_pmf(config, exact)
     counts_out = [
@@ -429,16 +413,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    A = _seq(args.A, "--A")
-    B = _seq(args.B, "--B")
-    spec = weights.two_color(args.model, A, B, args.n, args.m)
+    spec = _spec(args, args.model)
     reference = oracle.absorption_pmf(spec)
     dists = {
-        rep: (
-            closedform.sampling_distribution(A, B, args.n, args.m, rep)
-            if spec.model == weights.MODEL_SAMPLING
-            else closedform.okcorral_distribution(A, B, args.n, args.m, rep)
-        )
+        rep: closedform.two_color_distribution(spec, rep)
         for rep in (closedform.BETA_POLES, closedform.ALPHA_POLES)
     }
     reps_agree = all(
@@ -644,7 +622,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if hasattr(args, "model"):
         try:
-            args.model_canonical = weights.canonical_model(args.model)
+            weights.canonical_model(args.model)
         except ValueError as exc:
             print(f"--model: {exc}", file=sys.stderr)
             return EXIT_VALIDATION

@@ -592,6 +592,31 @@ def multi_okcorral_reading_report(seqs, nvec) -> DiscrepancyReport:
     return DiscrepancyReport("r-color contested-fire inner product", matches, detail)
 
 
+def two_color_distribution(spec, representation=BETA_POLES, mode=None):
+    """The two-color closed form of the spec's model, over k = 0..n."""
+    if spec.model == MODEL_SAMPLING:
+        closed = sampling_distribution
+    else:
+        closed = okcorral_distribution
+    return closed(spec.A, spec.B, spec.n, spec.m, representation, mode)
+
+
+def multi_distribution(spec, reference):
+    """The r-color closed form of the spec's model on the support of its
+    oracle distribution `reference`.  Contested-fire points where some color
+    has no survivor have no published closed form and keep the oracle's
+    value."""
+    probs = {}
+    for kvec in reference.support:
+        if spec.model == MODEL_SAMPLING:
+            probs[kvec] = sampling_pmf_multi(spec.sequences, spec.counts, kvec)
+        elif all(k >= 1 for k in kvec):
+            probs[kvec] = okcorral_pmf_multi(spec.sequences, spec.counts, kvec)
+        else:
+            probs[kvec] = reference[kvec]
+    return ExactDistribution(reference.support, probs, reference.mode)
+
+
 def closed_vs_oracle(spec, representation=BETA_POLES):
     """Exact comparison of the closed form with the DP oracle for one spec.
 
@@ -599,26 +624,11 @@ def closed_vs_oracle(spec, representation=BETA_POLES):
     acceptance requirement in rational mode.
     """
     if spec.is_two_color:
-        if spec.model == MODEL_SAMPLING:
-            closed = sampling_distribution(
-                spec.A, spec.B, spec.n, spec.m, representation
-            )
-        else:
-            closed = okcorral_distribution(
-                spec.A, spec.B, spec.n, spec.m, representation
-            )
+        closed = two_color_distribution(spec, representation)
         reference = absorption_pmf(spec)
     else:
         reference = absorption_pmf_multi(spec)
-        probs = {}
-        for kvec in reference.support:
-            if spec.model == MODEL_SAMPLING:
-                probs[kvec] = sampling_pmf_multi(spec.sequences, spec.counts, kvec)
-            elif all(k >= 1 for k in kvec):
-                probs[kvec] = okcorral_pmf_multi(spec.sequences, spec.counts, kvec)
-            else:
-                probs[kvec] = reference[kvec]  # no published closed form
-        closed = ExactDistribution(reference.support, probs, reference.mode)
+        closed = multi_distribution(spec, reference)
     diff = max(
         abs(closed[k] - reference[k]) for k in reference.support
     )

@@ -12,6 +12,10 @@ products, densities at rational points); everything transcendental runs in
 big-float arithmetic at a configurable precision so that alternating sums
 keep far more correct bits than the tolerances demand.
 
+Every truncated series and product runs through one loop, `_sum_until`: it
+rejects a tol that is not > 0 (nan included) and gives up with a ValueError
+after MAX_SERIES_TERMS terms, so no call runs unbounded.
+
 Returned big-floats carry their full internal precision, but mpmath rounds
 at operation time using the global context: combine results under
 `mpmath.workprec(...)` when you need better than double accuracy.
@@ -19,15 +23,18 @@ at operation time using the global context: combine results under
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import mpmath
 
 from .numerics import (
+    BIGFLOAT,
     FLOAT,
     RATIONAL,
+    cast_value,
     precision_bits,
     stirling_first_unsigned,
     stirling_second,
@@ -37,6 +44,8 @@ from .weights import WeightSequence, shifted_square, square, triangular
 SQUARE = "square"
 TRIANGULAR = "triangular"
 SHIFTED_SQUARE = "shifted-square"
+
+MAX_SERIES_TERMS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -70,6 +79,36 @@ def _family(family) -> LimitFamily:
 
 def _bits(bits):
     return bits if bits is not None else precision_bits()
+
+
+def _check_tol(tol):
+    # `not > 0` also rejects nan, which no stopping rule would ever reach
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
+
+
+def _sum_until(
+    term, tol, acc, start=1, combine=operator.add, max_terms=MAX_SERIES_TERMS, hint=""
+):
+    """Fold term(i) = (value, bound) into acc for i = start, start + 1, ...,
+    stopping after the first term whose bound is below tol.
+
+    combine is + for series and * for products; bound is the quantity the
+    routine's truncation rule compares with tol.  Raises ValueError when tol
+    is not > 0 and when max_terms terms pass without reaching tol (hint is
+    appended to that message).
+    """
+    _check_tol(tol)
+    for i in range(start, start + max_terms):
+        value, bound = term(i)
+        acc = combine(acc, value)
+        if bound < tol:
+            return acc
+    raise _budget_error(tol, max_terms, hint)
+
+
+def _budget_error(tol, max_terms, hint):
+    return ValueError(f"series did not reach tol={tol} within {max_terms} terms{hint}")
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +194,7 @@ def fixed_whites_pmf(
     method: str = FINITE_SUM,
     tol=1e-12,
     bits=None,
-    max_terms: int = 2_000_000,
+    max_terms: int = MAX_SERIES_TERMS,
 ):
     """P{k survivors} in the limit of ever-heavier second-color weights.
 
@@ -169,6 +208,7 @@ def fixed_whites_pmf(
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
+    _check_tol(tol)
     with mpmath.workprec(_bits(bits) + 32):
         if method == FINITE_SUM:
             total = mpmath.mpf(0)
@@ -183,20 +223,21 @@ def fixed_whites_pmf(
                 "series representation certified only for k = 0; its terms "
                 "do not tend to zero for k >= 1, use finite-sum instead"
             )
-        total = mpmath.mpf(0)
         nfact = factorial(n)
-        for ell in range(1, max_terms + 1):
-            denom = 1
-            for i in range(1, n + 1):
-                denom *= ell * ell + i
-            term = mpmath.mpf(nfact) / denom  # 1 / C(n + ell^2, n), exact denom
-            total += term if (ell - 1) % 2 == 0 else -term
-            if term < tol:  # alternating series, truncation below tol
-                return +(2 * total)
-        raise ValueError(
-            f"series did not reach tol={tol} within {max_terms} terms; "
-            f"terms decay like ell^(-{2 * n}), loosen tol for small n"
-        )
+
+        def term(ell):
+            # 1 / C(n + ell^2, n) with an exact integer denominator
+            t = mpmath.mpf(nfact) / prod(ell * ell + i for i in range(1, n + 1))
+            return (t if (ell - 1) % 2 == 0 else -t), t
+
+        hint = f"; terms decay like ell^(-{2 * n}), loosen tol for small n"
+        # the terms fall with ell: if the last one allowed is not below tol,
+        # none is, so fail now rather than after max_terms evaluations
+        if not term(max_terms)[1] < tol:
+            raise _budget_error(tol, max_terms, hint)
+        # alternating series: stopping below tol bounds the truncation by tol
+        total = _sum_until(term, tol, mpmath.mpf(0), max_terms=max_terms, hint=hint)
+        return +(2 * total)
 
 
 def fixed_whites_moment(n: int, s: int, bits=None):
@@ -250,13 +291,18 @@ def limit_moment_product(s: int, family=SQUARE, tol=1e-12, bits=None):
     if s < 1:
         raise ValueError("need s >= 1")
     fam = _family(family)
+    _check_tol(tol)
     # second-order truncation error ~ s^2/2 * sum 1/beta^2 ~ s^2/(6 M^3)
     cutoff = max(64, int((s * s / max(tol, 1e-30)) ** (1.0 / 3)) + 8)
+    if cutoff > MAX_SERIES_TERMS:
+        raise ValueError(
+            f"tol={tol} needs {cutoff} factors, more than {MAX_SERIES_TERMS}; "
+            "loosen tol"
+        )
     with mpmath.workprec(_bits(bits) + 32):
         acc = mpmath.mpf(1)
         for ell in range(1, cutoff + 1):
-            beta = fam.weight(ell)
-            b = mpmath.mpf(beta.numerator) / beta.denominator
+            b = cast_value(fam.weight(ell), BIGFLOAT)
             acc *= b / (b + s)
         if fam.tag == SQUARE:
             tail = mpmath.polygamma(1, cutoff + 1)
@@ -276,16 +322,13 @@ def theta(q, tol=1e-30, bits=None):
     if q < 0 or q >= 1:
         raise ValueError("theta series needs 0 <= q < 1")
     with mpmath.workprec(_bits(bits) + 32):
-        qq = mpmath.mpf(q.numerator) / q.denominator if isinstance(q, Fraction) else mpmath.mpf(q)
-        total = mpmath.mpf(1)
-        n = 1
-        while True:
-            term = qq ** (n * n)
-            total += 2 * term if n % 2 == 0 else -2 * term
-            if term < tol:
-                break
-            n += 1
-        return +total
+        qq = cast_value(q, BIGFLOAT)
+
+        def term(n):
+            t = qq ** (n * n)
+            return (2 * t if n % 2 == 0 else -2 * t), t
+
+        return +_sum_until(term, tol, mpmath.mpf(1))
 
 
 def jacobi_triple_product(q, tol=1e-30, bits=None):
@@ -294,18 +337,14 @@ def jacobi_triple_product(q, tol=1e-30, bits=None):
     if q < 0 or q >= 1:
         raise ValueError("triple product needs 0 <= q < 1")
     with mpmath.workprec(_bits(bits) + 32):
-        qq = mpmath.mpf(q.numerator) / q.denominator if isinstance(q, Fraction) else mpmath.mpf(q)
-        acc = mpmath.mpf(1)
-        j = 1
-        while True:
-            even = qq ** (2 * j)
-            odd = qq ** (2 * j - 1)
-            acc *= (1 - even) * (1 - odd) ** 2
+        qq = cast_value(q, BIGFLOAT)
+
+        def factor(j):
+            even, odd = qq ** (2 * j), qq ** (2 * j - 1)
             # remaining log-product magnitude is below 3 q^(2j+1)/(1-q)
-            if 3 * odd * qq**2 / (1 - qq) < tol:
-                break
-            j += 1
-        return +acc
+            return (1 - even) * (1 - odd) ** 2, 3 * odd * qq**2 / (1 - qq)
+
+        return +_sum_until(factor, tol, mpmath.mpf(1), combine=operator.mul)
 
 
 def euler_phi_cubed(q, tol=1e-30, bits=None):
@@ -314,16 +353,13 @@ def euler_phi_cubed(q, tol=1e-30, bits=None):
     if q < 0 or q >= 1:
         raise ValueError("Euler product needs 0 <= q < 1")
     with mpmath.workprec(_bits(bits) + 32):
-        qq = mpmath.mpf(q.numerator) / q.denominator if isinstance(q, Fraction) else mpmath.mpf(q)
-        acc = mpmath.mpf(1)
-        n = 1
-        while True:
-            term = qq**n
-            acc *= 1 - term
-            if 3 * term * qq / (1 - qq) < tol:
-                break
-            n += 1
-        return +(acc**3)
+        qq = cast_value(q, BIGFLOAT)
+
+        def factor(n):
+            t = qq**n
+            return 1 - t, 3 * t * qq / (1 - qq)
+
+        return +(_sum_until(factor, tol, mpmath.mpf(1), combine=operator.mul) ** 3)
 
 
 def limit_cdf(q, family=SQUARE, tol=1e-30, bits=None):
@@ -337,32 +373,27 @@ def limit_cdf(q, family=SQUARE, tol=1e-30, bits=None):
     fam = _family(family)
     if q < 0 or q > 1:
         raise ValueError("q must lie in [0, 1]")
+    _check_tol(tol)
     if q == 1:
         return mpmath.mpf(1)
     with mpmath.workprec(_bits(bits) + 32):
-        qq = mpmath.mpf(q.numerator) / q.denominator if isinstance(q, Fraction) else mpmath.mpf(q)
+        qq = cast_value(q, BIGFLOAT)
         if fam.tag == SQUARE:
             value = 1 - theta(qq, tol, bits)
         elif fam.tag == TRIANGULAR:
-            total = mpmath.mpf(0)
-            ell = 0
-            while True:
-                term = (2 * ell + 1) * qq ** (ell * (ell + 1) // 2)
-                total += term if ell % 2 == 0 else -term
-                if term < tol and ell >= 1:
-                    break
-                ell += 1
-            value = 1 - total
+
+            def term(ell):
+                t = (2 * ell + 1) * qq ** (ell * (ell + 1) // 2)
+                # the l = 0 term is 1 whatever q is; never stop on it
+                return (t if ell % 2 == 0 else -t), (t if ell >= 1 else mpmath.inf)
+
+            value = 1 - _sum_until(term, tol, mpmath.mpf(0), start=0)
         else:
-            total = mpmath.mpf(0)
-            ell = 1
-            while True:
-                expo = (mpmath.mpf(2 * ell - 1) / 2) ** 2
-                term = qq**expo / (2 * ell - 1)
-                total += term if ell % 2 == 1 else -term
-                if term < tol:
-                    break
-                ell += 1
-            value = 4 / mpmath.pi * total
+
+            def term(ell):
+                t = qq ** ((mpmath.mpf(2 * ell - 1) / 2) ** 2) / (2 * ell - 1)
+                return (t if ell % 2 == 1 else -t), t
+
+            value = 4 / mpmath.pi * _sum_until(term, tol, mpmath.mpf(0))
         # truncation noise can poke past the boundary by less than tol
         return +min(max(value, mpmath.mpf(0)), mpmath.mpf(1))

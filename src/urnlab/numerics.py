@@ -1,9 +1,11 @@
-"""Arbitrary-precision scalar tower and combinatorial special functions.
+"""Scalar modes, exact polynomials and combinatorial special functions.
 
 Everything downstream computes in one of three scalar modes: exact rationals
 (`fractions.Fraction`), big-floats (`mpmath.mpf` at a configurable bit
-precision), or machine floats.  Modes are never mixed silently: combining a
-rational Scalar with a float Scalar raises instead of coercing.
+precision), or machine floats.  Values are plain Python numbers of the
+mode's type; `cast_value` is the one way an exact rational enters another
+mode, and the closed forms raise `ScalarModeError` rather than silently
+promote float weights to rationals.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import os
 import threading
 from fractions import Fraction
-from math import floor, log10
 
 import mpmath
 
@@ -19,14 +20,13 @@ RATIONAL = "rational"
 BIGFLOAT = "bigfloat"
 FLOAT = "float"
 
-_MODES = (RATIONAL, BIGFLOAT, FLOAT)
-
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 8
 
 
 class ScalarModeError(TypeError):
-    """Raised when an arithmetic expression mixes incompatible scalar modes."""
+    """Raised when a computation is asked for a scalar mode its inputs cannot
+    enter exactly, such as float-valued weights in rational mode."""
 
 
 def precision_bits() -> int:
@@ -40,175 +40,6 @@ def precision_bits() -> int:
     return bits
 
 
-def _mode_of(value):
-    if isinstance(value, bool):
-        raise TypeError("bool is not a Scalar value")
-    if isinstance(value, (int, Fraction)):
-        return RATIONAL
-    if isinstance(value, float):
-        return FLOAT
-    if isinstance(value, mpmath.mpf):
-        return BIGFLOAT
-    raise TypeError(f"unsupported scalar value type {type(value).__name__}")
-
-
-class Scalar:
-    """A number tagged with its arithmetic mode.
-
-    Plain ints combine with every mode (integers embed exactly everywhere);
-    raw Fractions only with rational mode, raw floats only with float mode,
-    and raw mpmath values only with bigfloat mode.  Scalar-Scalar arithmetic
-    requires equal modes.  Instances are immutable.
-    """
-
-    __slots__ = ("mode", "value", "bits")
-
-    def __init__(self, value, mode=None, bits=None):
-        if isinstance(value, Scalar):
-            mode = mode or value.mode
-            bits = bits or value.bits
-            value = value.value
-        inferred = _mode_of(value)
-        mode = mode or inferred
-        if mode not in _MODES:
-            raise ValueError(f"unknown scalar mode {mode!r}")
-        if mode != inferred:
-            # ints may be promoted into any mode on request
-            if inferred == RATIONAL and isinstance(value, int):
-                if mode == FLOAT:
-                    value = float(value)
-                else:
-                    value = mpmath.mpf(value)
-            else:
-                raise ScalarModeError(
-                    f"cannot tag a {inferred} value as {mode}"
-                )
-        if mode == RATIONAL and isinstance(value, int):
-            value = Fraction(value)
-        if mode == BIGFLOAT and bits is None:
-            bits = precision_bits()
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "bits", bits if mode == BIGFLOAT else None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
-
-    def _coerce(self, other):
-        """Return other's raw value if it may combine with self's mode."""
-        if isinstance(other, Scalar):
-            if other.mode != self.mode:
-                raise ScalarModeError(
-                    f"cannot mix {self.mode} and {other.mode} scalars"
-                )
-            return other.value
-        if isinstance(other, bool):
-            raise ScalarModeError("bool operand rejected")
-        if isinstance(other, int):
-            return other
-        if _mode_of(other) != self.mode:
-            raise ScalarModeError(
-                f"cannot mix {self.mode} scalar with raw {type(other).__name__}"
-            )
-        return other
-
-    def _wrap(self, value):
-        return Scalar(value, self.mode, self.bits)
-
-    def __add__(self, other):
-        return self._wrap(self.value + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._wrap(self.value - self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._wrap(self._coerce(other) - self.value)
-
-    def __mul__(self, other):
-        return self._wrap(self.value * self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if self.mode == RATIONAL:
-            return self._wrap(Fraction(self.value) / v)
-        return self._wrap(self.value / v)
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if self.mode == RATIONAL:
-            return self._wrap(Fraction(v) / self.value)
-        return self._wrap(v / self.value)
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int):
-            raise TypeError("Scalar exponent must be an int")
-        return self._wrap(self.value**exponent)
-
-    def __neg__(self):
-        return self._wrap(-self.value)
-
-    def __abs__(self):
-        return self._wrap(abs(self.value))
-
-    def __eq__(self, other):
-        try:
-            return self.value == self._coerce(other)
-        except ScalarModeError:
-            return NotImplemented
-
-    def __lt__(self, other):
-        return self.value < self._coerce(other)
-
-    def __le__(self, other):
-        return self.value <= self._coerce(other)
-
-    def __gt__(self, other):
-        return self.value > self._coerce(other)
-
-    def __ge__(self, other):
-        return self.value >= self._coerce(other)
-
-    def __hash__(self):
-        return hash((self.mode, self.value))
-
-    def __float__(self):
-        return float(self.value)
-
-    def __repr__(self):
-        return f"Scalar({self.value!r}, mode={self.mode!r})"
-
-    def serialize(self) -> str:
-        """Render per the wire contract: 'p/q' for rationals, decimal
-        string with a trailing '@bits' precision annotation for big-floats."""
-        if self.mode == RATIONAL:
-            f = self.value
-            return f"{f.numerator}/{f.denominator}"
-        if self.mode == BIGFLOAT:
-            dps = max(1, floor(self.bits * log10(2)))
-            return f"{mpmath.nstr(self.value, dps)}@{self.bits}"
-        return repr(self.value)
-
-
-def parse_scalar(text: str) -> Scalar:
-    """Inverse of Scalar.serialize."""
-    if "@" in text:
-        dec, bits = text.rsplit("@", 1)
-        with mpmath.workprec(int(bits)):
-            return Scalar(mpmath.mpf(dec), BIGFLOAT, int(bits))
-    if "/" in text:
-        return Scalar(Fraction(text))
-    return Scalar(float(text))
-
-
-def as_raw(x):
-    """Unwrap a Scalar to its underlying numeric value; pass others through."""
-    return x.value if isinstance(x, Scalar) else x
-
-
 class Polynomial:
     """Dense univariate polynomial with exact rational coefficients.
 
@@ -219,7 +50,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(as_raw(c)) for c in coeffs]
+        cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -314,7 +145,6 @@ def binom_general(x, n: int):
     """
     if n < 0:
         raise ValueError("lower index must be nonnegative")
-    x = as_raw(x)
     if isinstance(x, int):
         x = Fraction(x)
     acc = None
@@ -330,7 +160,6 @@ def falling_factorial(x, s: int):
     """x (x-1) ... (x-s+1); the empty product for s = 0 is 1."""
     if s < 0:
         raise ValueError("order must be nonnegative")
-    x = as_raw(x)
     acc = Fraction(1) if isinstance(x, (int, Fraction)) else x**0
     for j in range(s):
         acc = acc * (x - j)
@@ -430,7 +259,6 @@ def _zero_for(mode: str):
 
 def cast_value(x, mode: str):
     """Convert an exact rational (or int) into the requested mode."""
-    x = as_raw(x)
     if mode == RATIONAL:
         return Fraction(x)
     if mode == FLOAT:

@@ -14,6 +14,7 @@ Monte Carlo noise at desk-scale trial counts.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -163,8 +164,11 @@ def simulate_counts(config: SimConfig) -> dict:
             )
 
     jobs = list(enumerate(sizes))
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+    # more threads than chunks or CPUs cannot help; the counts do not depend
+    # on the worker count either way
+    workers = min(config.workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, jobs))
     else:
         results = [run(job) for job in jobs]

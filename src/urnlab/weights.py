@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .numerics import FLOAT, RATIONAL, as_raw
+from .numerics import FLOAT, RATIONAL
 
 MODEL_SAMPLING = "sampling"
 MODEL_OKCORRAL = "okcorral"
@@ -137,11 +137,11 @@ class WeightSequence:
 
 
 def linear(a=1) -> WeightSequence:
-    return WeightSequence("linear", a=Fraction(as_raw(a)))
+    return WeightSequence("linear", a=Fraction(a))
 
 
 def power(c, r: int) -> WeightSequence:
-    return WeightSequence("power", c=Fraction(as_raw(c)), r=r)
+    return WeightSequence("power", c=Fraction(c), r=r)
 
 
 def square() -> WeightSequence:
@@ -158,7 +158,7 @@ def shifted_square() -> WeightSequence:
 
 def custom(values) -> WeightSequence:
     vals = tuple(
-        v if isinstance(v, float) else Fraction(as_raw(v)) for v in values
+        v if isinstance(v, float) else Fraction(v) for v in values
     )
     return WeightSequence("custom", values=vals)
 

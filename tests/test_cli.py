@@ -165,6 +165,17 @@ class TestPmfMulti:
         assert code == 2
         assert "--counts" in err
 
+    @pytest.mark.parametrize("engine", ["closed", "oracle"])
+    def test_two_colors_keep_vector_keys(self, capsys, engine):
+        # two colors through --weights stay an r-color query: one-element
+        # survivor vectors, not the int keys of `pmf`
+        code, out, _ = run_cli(
+            capsys, "pmf-multi", "--model", "II", "--weights", "linear:1;square",
+            "--counts", "2,2", "--engine", engine,
+        )
+        assert code == 0
+        assert [e["k"] for e in check_json(out)["pmf"]] == [[0], [1], [2]]
+
 
 class TestMoments:
     def test_reports_match(self, capsys):
@@ -279,6 +290,27 @@ class TestDuality:
         )
         assert code == 0
         assert check_json(out)["verdict"] == "exact match"
+
+    def test_weights_form_needs_a_ball_of_the_last_color(self, capsys):
+        code, _, err = run_cli(
+            capsys, "duality-check", "--weights", "square;linear:1", "--counts", "3,0"
+        )
+        assert code == 2
+        assert "the last color needs at least one ball" in err
+
+    def test_two_color_form_accepts_no_second_color_balls(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "duality-check", "--A", "square", "--B", "linear:1", "--n", "3", "--m", "0"
+        )
+        assert code == 0
+        assert check_json(out)["verdict"] == "exact match"
+
+    def test_count_mismatch_names_flag(self, capsys):
+        code, _, err = run_cli(
+            capsys, "duality-check", "--weights", "square;linear:1", "--counts", "3,2,1"
+        )
+        assert code == 2
+        assert "--counts" in err
 
 
 class TestSimulateAndCompare:

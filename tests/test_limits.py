@@ -1,11 +1,12 @@
 from fractions import Fraction
-from math import comb
+from math import comb, nan
 
 import mpmath
 import pytest
 
 from urnlab.limits import (
     FINITE_SUM,
+    MAX_SERIES_TERMS,
     SERIES,
     SHIFTED_SQUARE,
     SQUARE,
@@ -251,3 +252,41 @@ class TestLimitCdf:
         for tenths in range(1, 10):
             q = Fraction(tenths, 10)
             assert mpf_close(limit_cdf(q, TRIANGULAR), 1 - euler_phi_cubed(q), 1e-12)
+
+
+HALF = Fraction(1, 2)
+
+# every routine that truncates a series or product, called with a given tol
+TRUNCATING = {
+    "theta": lambda tol: theta(HALF, tol),
+    "jacobi_triple_product": lambda tol: jacobi_triple_product(HALF, tol),
+    "euler_phi_cubed": lambda tol: euler_phi_cubed(HALF, tol),
+    "limit_cdf-square": lambda tol: limit_cdf(HALF, SQUARE, tol),
+    "limit_cdf-triangular": lambda tol: limit_cdf(HALF, TRIANGULAR, tol),
+    "limit_cdf-shifted-square": lambda tol: limit_cdf(HALF, SHIFTED_SQUARE, tol),
+    "limit_cdf-at-one": lambda tol: limit_cdf(1, SQUARE, tol),
+    "fixed_whites_pmf-series": lambda tol: fixed_whites_pmf(2, 0, SERIES, tol),
+    "limit_moment_product": lambda tol: limit_moment_product(2, SQUARE, tol),
+}
+
+
+class TestTruncationBounds:
+    @pytest.mark.parametrize("tol", [0, -1, nan], ids=["zero", "negative", "nan"])
+    @pytest.mark.parametrize("routine", sorted(TRUNCATING))
+    def test_tol_not_positive_rejected(self, routine, tol):
+        # each of these used to loop forever (or for 1.6e10 factors)
+        with pytest.raises(ValueError, match="tol"):
+            TRUNCATING[routine](tol)
+
+    def test_series_budget_message_at_default_budget(self):
+        # terms fall like ell^-2 for n = 1, so 1e-25 is out of reach of the
+        # default budget; the call fails at once with the hint to loosen tol
+        with pytest.raises(ValueError, match=r"ell\^\(-2\).*loosen tol") as info:
+            fixed_whites_pmf(1, 0, SERIES, 1e-25)
+        assert f"within {MAX_SERIES_TERMS} terms" in str(info.value)
+
+    def test_product_cutoff_beyond_budget_rejected(self):
+        # tol near the 1e-30 clamp would need ~1e10 factors
+        for tol in (1e-30, 1e-20):
+            with pytest.raises(ValueError, match="loosen tol"):
+                limit_moment_product(1, SQUARE, tol)

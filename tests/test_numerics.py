@@ -4,20 +4,16 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
 
 from urnlab.numerics import (
     BIGFLOAT,
     FLOAT,
     RATIONAL,
     Polynomial,
-    Scalar,
-    ScalarModeError,
     binom_general,
     compensated_sum,
     falling_factorial,
     kahan_sum,
-    parse_scalar,
     ramanujan_q,
     stirling_first_unsigned,
     stirling_second,
@@ -161,73 +157,6 @@ class TestRamanujanQ:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             ramanujan_q(0)
-
-
-class TestScalar:
-    def test_rational_default(self):
-        s = Scalar(Fraction(2, 4))
-        assert s.mode == RATIONAL
-        assert s.value == Fraction(1, 2)
-
-    def test_mode_mixing_rejected(self):
-        r = Scalar(Fraction(1, 2))
-        f = Scalar(0.5)
-        with pytest.raises(ScalarModeError):
-            r + f
-        with pytest.raises(ScalarModeError):
-            r * 0.5
-        with pytest.raises(ScalarModeError):
-            f - Fraction(1, 2)
-
-    def test_int_combines_with_every_mode(self):
-        assert (Scalar(Fraction(1, 2)) + 1).value == Fraction(3, 2)
-        assert (Scalar(0.5) + 1).value == 1.5
-        b = Scalar(mpmath.mpf(2)) + 1
-        assert b.mode == BIGFLOAT and b.value == 3
-
-    def test_arithmetic(self):
-        a = Scalar(Fraction(1, 3))
-        b = Scalar(Fraction(1, 6))
-        assert (a + b).value == Fraction(1, 2)
-        assert (a - b).value == Fraction(1, 6)
-        assert (a * b).value == Fraction(1, 18)
-        assert (a / b).value == 2
-        assert (1 / b).value == 6
-        assert (a**2).value == Fraction(1, 9)
-        assert (-a).value == Fraction(-1, 3)
-        assert a > b
-
-    def test_division_of_int_scalars_stays_exact(self):
-        assert (Scalar(1) / Scalar(3)).value == Fraction(1, 3)
-
-    def test_serialize_rational(self):
-        assert Scalar(Fraction(1, 2)).serialize() == "1/2"
-        assert Scalar(3).serialize() == "3/1"
-        assert parse_scalar("1/2").value == Fraction(1, 2)
-
-    def test_serialize_bigfloat_carries_precision(self):
-        s = Scalar(mpmath.mpf(0.5), bits=128)
-        text = s.serialize()
-        assert text.endswith("@128")
-        back = parse_scalar(text)
-        assert back.mode == BIGFLOAT
-        assert back.value == 0.5
-
-    def test_immutability(self):
-        s = Scalar(1)
-        with pytest.raises(AttributeError):
-            s.value = 2
-
-    @given(
-        st.fractions(max_denominator=50),
-        st.fractions(max_denominator=50),
-    )
-    def test_rational_arithmetic_matches_fraction(self, a, b):
-        sa, sb = Scalar(a), Scalar(b)
-        assert (sa + sb).value == a + b
-        assert (sa * sb).value == a * b
-        if b != 0:
-            assert (sa / sb).value == a / b
 
 
 class TestPolynomial:

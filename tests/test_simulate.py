@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from urnlab import simulate
 from urnlab.limits import limit_moment
 from urnlab.oracle import absorption_pmf, absorption_pmf_multi
 from urnlab.simulate import (
+    CHUNK_TRIALS,
     SimConfig,
     empirical_pmf,
     sample_fixed_blacks,
@@ -38,6 +40,35 @@ class TestDeterminism:
         a = simulate_counts(SimConfig(spec, 50_000, seed=1))
         b = simulate_counts(SimConfig(spec, 50_000, seed=2))
         assert a != b
+
+    @pytest.mark.parametrize(
+        "workers, cpus, expected", [(10_000, 64, 3), (10_000, 2, 2), (3, 1, None)]
+    )
+    def test_thread_count_capped_by_chunks_and_cpus(self, monkeypatch, workers, cpus, expected):
+        # a recording stand-in: no thread is started, whatever workers asks for
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+        spec = two_color("I", linear(1), linear(1), 1, 1)
+        trials = 2 * CHUNK_TRIALS + 5  # three chunks
+        base = simulate_counts(SimConfig(spec, trials, seed=3, workers=1))
+        counts = simulate_counts(SimConfig(spec, trials, seed=3, workers=workers))
+        assert counts == base
+        assert started == ([] if expected is None else [expected])
 
 
 class TestSimulateOnce:
