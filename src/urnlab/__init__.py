@@ -52,14 +52,6 @@ from .oracle import (
     absorption_pmf_multi,
     enumerate_pmf,
 )
-from .simulate import (
-    SimConfig,
-    empirical_pmf,
-    sample_fixed_blacks,
-    sample_limit_fraction,
-    simulate_counts,
-    simulate_once,
-)
 from .weights import (
     MODEL_OKCORRAL,
     MODEL_SAMPLING,
@@ -77,3 +69,24 @@ from .weights import (
 )
 
 __version__ = "0.1.0"
+
+# The simulator is the only numpy user; its names load it on first access
+# (PEP 562), so the exact routes start without numpy.
+_SIMULATE_NAMES = frozenset(
+    {
+        "SimConfig",
+        "empirical_pmf",
+        "sample_fixed_blacks",
+        "sample_limit_fraction",
+        "simulate_counts",
+        "simulate_once",
+    }
+)
+
+
+def __getattr__(name):
+    if name in _SIMULATE_NAMES:
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

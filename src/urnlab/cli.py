@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import mpmath
 
-from . import closedform, limits, moments, oracle, simulate, weights
+from . import closedform, limits, moments, oracle, weights
 from .numerics import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, RATIONAL, precision_bits
 
 EXIT_OK = 0
@@ -94,6 +94,7 @@ def _fraction(arg_value: str, flag: str) -> Fraction:
 
 
 def _multi_spec(args, model) -> weights.UrnSpec:
+    _need(args, "with --weights", "counts")
     seqs = _seq_list(args.weights, "--weights")
     counts = _int_list(args.counts, "--counts")
     if len(seqs) != len(counts):
@@ -106,6 +107,7 @@ def _spec(args, model) -> weights.UrnSpec:
     given, else the two-color urn of --A/--B/--n/--m."""
     if getattr(args, "weights", None):
         return _multi_spec(args, model)
+    _need(args, "for a two-color urn", "A", "B", "n", "m")
     return weights.two_color(model, _seq(args.A, "--A"), _seq(args.B, "--B"), args.n, args.m)
 
 
@@ -233,6 +235,7 @@ def _emit_moment_check(args, payload: dict, order, closed, direct) -> int:
 
 def _cmd_moments(args) -> int:
     if args.mixed:
+        _need(args, "with --mixed", "avec", "nvec", "svec")
         avec = _int_list(args.avec, "--avec")
         nvec = _int_list(args.nvec, "--nvec")
         svec = _int_list(args.svec, "--svec")
@@ -241,6 +244,7 @@ def _cmd_moments(args) -> int:
         direct = oracle.absorption_pmf_multi(spec).mixed_factorial_moment(svec)
         order = list(svec)
     else:
+        _need(args, "without --mixed", "n", "m")
         if args.kind == "factorial":
             closed = moments.sampling_factorial_moment(args.a, args.d, args.n, args.m, args.s)
         else:
@@ -279,27 +283,28 @@ def _cmd_okc_moments(args) -> int:
 def _cmd_limit(args) -> int:
     bits = args.precision_bits
     law = args.law
+    need_law = f"for --law {law}"
     value = None
     grid_rows = None
     if law == "fixed-blacks-moment":
-        _need(args, "m", "s")
+        _need(args, need_law, "m", "s")
         value = render_exact(limits.fixed_blacks_moment(args.m, args.s))
         mode = RATIONAL
     elif law == "fixed-blacks-density":
-        _need(args, "m", "q")
+        _need(args, need_law, "m", "q")
         value = render_exact(limits.fixed_blacks_density(args.m, _fraction(args.q, "--q")))
         mode = RATIONAL
     elif law == "fixed-whites-pmf":
-        _need(args, "n", "k")
+        _need(args, need_law, "n", "k")
         v = limits.fixed_whites_pmf(args.n, args.k, args.method, args.tol, bits)
         value = render_bigfloat(v, bits)
         mode = "bigfloat"
     elif law == "fixed-whites-moment":
-        _need(args, "n", "s")
+        _need(args, need_law, "n", "s")
         value = render_bigfloat(limits.fixed_whites_moment(args.n, args.s, bits), bits)
         mode = "bigfloat"
     elif law == "w-moment":
-        _need(args, "s")
+        _need(args, need_law, "s")
         value = render_bigfloat(limits.limit_moment(args.s, args.family, bits), bits)
         mode = "bigfloat"
     elif law == "w-cdf":
@@ -319,7 +324,7 @@ def _cmd_limit(args) -> int:
                 x += step
             grid_rows = rows
         else:
-            _need(args, "q")
+            _need(args, need_law, "q")
             q = _fraction(args.q, "--q")
             value = render_bigfloat(limits.limit_cdf(q, args.family, args.tol, bits), bits)
     else:  # pragma: no cover - argparse restricts choices
@@ -384,6 +389,8 @@ def _cmd_duality(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import simulate  # numpy loads only for the commands that simulate
+
     spec = _spec(args, args.model)
     exact = _oracle(args, spec)
     config = simulate.SimConfig(spec, args.trials, args.seed, args.workers)
@@ -413,6 +420,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from . import simulate
+
     spec = _spec(args, args.model)
     reference = oracle.absorption_pmf(spec)
     dists = {
@@ -477,10 +486,11 @@ def _check_common(args):
         raise CliError("--tol: must be positive")
 
 
-def _need(args, *names):
+def _need(args, context, *names):
+    """Exit 2 naming the first of the flags `names` left unset."""
     for name in names:
         if getattr(args, name, None) is None:
-            raise CliError(f"--{name}: required for --law {args.law}")
+            raise CliError(f"--{name}: required {context}")
 
 
 def _add_common(p, model=True, two_color=True):

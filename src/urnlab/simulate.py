@@ -19,8 +19,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import mpmath
 import numpy as np
-from scipy import stats as _scipy_stats
+import numpy.random  # numpy loads it lazily; every sampler here needs it
 
 from .limits import FAMILIES, LimitFamily
 from .oracle import ExactDistribution
@@ -196,8 +197,12 @@ def simulate_once(spec: UrnSpec, rng: np.random.Generator):
 
 def empirical_pmf(config: SimConfig, exact: ExactDistribution) -> SimulationReport:
     """Simulate, then score the counts against an exact distribution with
-    Pearson's chi-square (zero-probability cells must stay empty)."""
+    Pearson's chi-square (zero-probability cells must stay empty).  The
+    counts are keyed as `exact` is: a two-color law from
+    absorption_pmf_multi keys its outcomes by one-element vector."""
     counts = simulate_counts(config)
+    if config.spec.is_two_color and isinstance(exact.support[0], tuple):
+        counts = {(k,): c for k, c in counts.items()}
     support = set(exact.support)
     stray = [k for k in counts if k not in support]
     if stray:
@@ -218,8 +223,16 @@ def empirical_pmf(config: SimConfig, exact: ExactDistribution) -> SimulationRepo
         stat += (observed - expected) ** 2 / expected
         cells += 1
     dof = cells - 1
-    p_value = float(_scipy_stats.chi2.sf(stat, dof)) if dof > 0 else 1.0
+    p_value = _chi2_sf(stat, dof) if dof > 0 else 1.0
     return SimulationReport(counts, config.trials, stat, dof, p_value)
+
+
+def _chi2_sf(stat: float, dof: int) -> float:
+    """Upper tail P{chi2_dof >= stat} as the regularized upper incomplete
+    gamma Q(dof/2, stat/2), rounded once to a double: 32 guard bits keep
+    mpmath's error far below that rounding."""
+    with mpmath.workprec(53 + 32):
+        return float(mpmath.gammainc(dof / 2, stat / 2, regularized=True))
 
 
 # ---------------------------------------------------------------------------

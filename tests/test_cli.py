@@ -337,6 +337,83 @@ class TestSimulateAndCompare:
         assert payload["representations_agree"] is True
         assert payload["max_discrepancy"] == "0/1"
 
+    def test_two_colors_through_weights(self, capsys):
+        common = ["--model", "I", "--trials", "20000", "--seed", "7"]
+        code, out, err = run_cli(
+            capsys, "simulate", "--weights", "linear:1;square", "--counts", "2,2", *common
+        )
+        assert code == 0, err
+        vec = check_json(out)
+        _, out, _ = run_cli(
+            capsys, "simulate", "--A", "linear:1", "--B", "square", "--n", "2", "--m", "2",
+            *common,
+        )
+        flat = check_json(out)
+        assert vec["counts"] == [{"k": [c["k"]], "count": c["count"]} for c in flat["counts"]]
+        for key in ("chi_square", "dof", "p_value"):
+            assert vec[key] == flat[key]
+
+
+class TestMissingFlags:
+    """A required flag left out exits 2 naming it, not with a traceback."""
+
+    TWO = ["--A", "linear:1", "--B", "square"]
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["pmf", *TWO, "--m", "2"], "--n"),
+            (["pmf", *TWO, "--n", "2"], "--m"),
+            (["pmf", "--B", "square", "--n", "2", "--m", "2"], "--A"),
+            (["oracle", *TWO, "--m", "2"], "--n"),
+            (["oracle", *TWO, "--n", "2"], "--m"),
+            (["compare", *TWO, "--n", "2"], "--m"),
+            (["simulate", *TWO, "--m", "2"], "--n"),
+            (["duality-check", *TWO, "--n", "2"], "--m"),
+            (["duality-check", "--weights", "square;linear:1"], "--counts"),
+            (["simulate", "--weights", "square;linear:1"], "--counts"),
+            (["moments", "--m", "2"], "--n"),
+            (["moments", "--mixed", "--avec", "1,1", "--nvec", "2,2"], "--svec"),
+        ],
+    )
+    def test_exits_2_naming_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"{flag}: required")
+        assert out == ""
+
+
+class TestImportBudget:
+    """Only simulation loads numpy, and nothing loads scipy; each case runs
+    in a fresh interpreter so earlier imports cannot hide a regression."""
+
+    @pytest.mark.parametrize(
+        "body, loaded",
+        [
+            ("assert cli.main(['pmf', '--A', 'linear:1', '--B', 'square', "
+             "'--n', '3', '--m', '3']) == 0", []),
+            ("assert cli.main(['theta', '--q', '1/2']) == 0", []),
+            ("assert cli.main(['simulate', '--A', 'linear:1', '--B', 'square', "
+             "'--n', '2', '--m', '2', '--trials', '1000']) == 0", ["numpy"]),
+            ("from urnlab import SimConfig, simulate_counts, linear, two_color\n"
+             "spec = two_color('I', linear(1), linear(1), 1, 1)\n"
+             "assert sum(simulate_counts(SimConfig(spec, 10, 0)).values()) == 10", ["numpy"]),
+        ],
+        ids=["pmf", "theta", "simulate", "library"],
+    )
+    def test_modules_loaded(self, body, loaded):
+        script = (
+            "import sys\nfrom urnlab import cli\n"
+            f"{body}\n"
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=60, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == repr(loaded)
+
 
 class TestEmitPlotData:
     def test_empty_grid_header_only(self):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -112,11 +113,57 @@ class TestEmpiricalPmf:
         with pytest.raises(ValueError):
             SimConfig(spec, 0, seed=1)
 
+    def test_vector_keyed_two_color_law(self):
+        """A two-color law from the r-color oracle keys outcomes by
+        one-element vector; the fit matches the int-keyed one exactly."""
+        spec = two_color("I", linear(1), square(), 2, 2)
+        cfg = SimConfig(spec, 20_000, seed=7)
+        flat = empirical_pmf(cfg, absorption_pmf(spec))
+        vec = empirical_pmf(cfg, absorption_pmf_multi(spec))
+        assert vec.counts == {(k,): c for k, c in flat.counts.items()}
+        assert (vec.chi_square, vec.dof, vec.p_value) == (
+            flat.chi_square, flat.dof, flat.p_value
+        )
+
     def test_support_mismatch_detected(self):
         spec = two_color("I", linear(1), linear(1), 2, 2)
         wrong = absorption_pmf(two_color("I", linear(1), linear(1), 1, 1))
         with pytest.raises(ValueError):
             empirical_pmf(SimConfig(spec, 1_000, seed=0), wrong)
+
+
+# (stat, dof) from next to zero to the far tail
+CHI2_GRID = [
+    (stat, dof)
+    for dof in (1, 2, 3, 7, 30, 150)
+    for stat in (1e-300, 1e-8, 0.5, 1.0, 3.84, 10.0, 37.5, 120.0, 200.0, 900.0)
+]
+
+
+def chi2_sf_reference(stat, dof):
+    with mpmath.workprec(300):
+        return float(mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(stat) / 2, regularized=True))
+
+
+class TestChiSquarePValue:
+    def test_correctly_rounded(self):
+        for stat, dof in CHI2_GRID:
+            ref = chi2_sf_reference(stat, dof)
+            assert ref > 0
+            got = simulate._chi2_sf(stat, dof)
+            assert abs(got - ref) <= 2e-16 * ref, (stat, dof, got, ref)
+
+    def test_empirical_pmf_reports_it(self):
+        spec = two_color("II", linear(1), square(), 3, 2)
+        report = empirical_pmf(SimConfig(spec, 20_000, seed=2), absorption_pmf(spec))
+        assert report.dof == 3
+        assert report.p_value == chi2_sf_reference(report.chi_square, report.dof)
+
+    def test_agrees_with_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        for stat, dof in CHI2_GRID:
+            got = simulate._chi2_sf(stat, dof)
+            assert abs(got - stats.chi2.sf(stat, dof)) <= 1e-12 * got, (stat, dof)
 
 
 class TestLimitSamplers:
