@@ -233,10 +233,18 @@ def _emit_moment_check(args, payload: dict, order, closed, direct) -> int:
     return EXIT_OK
 
 
+def _block_sizes(flag, *values):
+    """Exit 2 naming `flag` if a block size is below 1; the moment closed
+    forms divide by block sizes, so this runs before any of them."""
+    if any(v < 1 for v in values):
+        raise CliError(f"{flag}: block sizes must be positive integers")
+
+
 def _cmd_moments(args) -> int:
     if args.mixed:
         _need(args, "with --mixed", "avec", "nvec", "svec")
         avec = _int_list(args.avec, "--avec")
+        _block_sizes("--avec", *avec)
         nvec = _int_list(args.nvec, "--nvec")
         svec = _int_list(args.svec, "--svec")
         closed = moments.mixed_factorial_moment(avec, nvec, svec)
@@ -245,6 +253,8 @@ def _cmd_moments(args) -> int:
         order = list(svec)
     else:
         _need(args, "without --mixed", "n", "m")
+        _block_sizes("--a", args.a)
+        _block_sizes("--d", args.d)
         if args.kind == "factorial":
             closed = moments.sampling_factorial_moment(args.a, args.d, args.n, args.m, args.s)
         else:
@@ -262,6 +272,8 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_okc_moments(args) -> int:
+    _block_sizes("--b", args.b)
+    _block_sizes("--c", args.c)
     spec = weights.two_color("II", weights.linear(args.c), weights.linear(args.b), args.n, args.m)
     dist = oracle.absorption_pmf(spec)
     payload = {

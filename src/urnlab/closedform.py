@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import factorial
 
@@ -110,39 +111,24 @@ def _mode_context(mode):
 
 
 def sampling_pmf(A, B, n, m, k, representation=BETA_POLES, mode=None):
-    """P{k first-color balls survive} for the sampling urn.
+    """P{k first-color balls survive} for the sampling urn, 0 <= k <= n.
 
-    Valid for 0 <= k <= n; the k = 0 case is covered by the same sums with
-    the index-0 weight 0 entering the products (and, in the alpha-poles
-    form, an extra pole term at 0).
+    Entry k of `sampling_distribution`, so one call costs one whole-law
+    evaluation; take the distribution once when several k are wanted.
     """
     _require_representation(representation)
     _check_two_color_args(A, B, n, m, k)
-    alpha, beta, mode = _resolve_tables(A, B, n, m, mode)
-    with _mode_context(mode):
-        pref = _prod(beta[1:]) * _prod(alpha[k + 1 :])
-        terms = []
-        if representation == BETA_POLES:
-            for ell in range(1, m + 1):
-                den = _prod(alpha[j] + beta[ell] for j in range(k, n + 1))
-                den = den * _prod(
-                    beta[i] - beta[ell] for i in range(1, m + 1) if i != ell
-                )
-                terms.append(1 / den)
-        else:
-            for ell in range(k, n + 1):
-                den = _prod(
-                    alpha[j] - alpha[ell] for j in range(k, n + 1) if j != ell
-                )
-                den = den * _prod(beta[i] + alpha[ell] for i in range(1, m + 1))
-                terms.append(1 / den)
-        return pref * compensated_sum(terms, mode)
+    return sampling_distribution(A, B, n, m, representation, mode)[k]
 
 
 def sampling_distribution(
     A, B, n, m, representation=BETA_POLES, mode=None
 ) -> ExactDistribution:
-    """All of P{0..n survive} at once, sharing the pole products across k."""
+    """All of P{0..n survive} at once, sharing the pole products across k.
+
+    k = 0 uses the same sums, with the index-0 weight 0 entering the
+    products (and, in the alpha-poles form, an extra pole term at 0).
+    """
     _require_representation(representation)
     _check_two_color_args(A, B, n, m, None)
     alpha, beta, mode = _resolve_tables(A, B, n, m, mode)
@@ -188,54 +174,24 @@ def sampling_distribution(
 
 
 def okcorral_pmf(A, B, n, m, k, representation=BETA_POLES, mode=None):
-    """P{k first-color balls survive} for the contested-fire urn.
+    """P{k first-color balls survive} for the contested-fire urn, 0 <= k <= n.
 
-    k >= 1 and k = 0 have separate displays; both representations of each
-    agree exactly in rational mode.
+    Entry k of `okcorral_distribution`, so one call costs one whole-law
+    evaluation; take the distribution once when several k are wanted.
     """
     _require_representation(representation)
     _check_two_color_args(A, B, n, m, k)
-    alpha, beta, mode = _resolve_tables(A, B, n, m, mode)
-    with _mode_context(mode):
-        terms = []
-        if k >= 1:
-            if representation == ALPHA_POLES:
-                for j in range(k, n + 1):
-                    den = _prod(
-                        alpha[j] - alpha[ell] for ell in range(k, n + 1) if ell != j
-                    )
-                    den = den * _prod(alpha[j] + beta[h] for h in range(1, m + 1))
-                    terms.append(alpha[j] ** (m + n - k - 1) / den)
-            else:
-                for ell in range(1, m + 1):
-                    den = _prod(beta[ell] + alpha[j] for j in range(k, n + 1))
-                    den = den * _prod(
-                        beta[ell] - beta[h] for h in range(1, m + 1) if h != ell
-                    )
-                    terms.append(beta[ell] ** (n + m - 1 - k) / den)
-            return alpha[k] * compensated_sum(terms, mode)
-        # k = 0
-        if representation == ALPHA_POLES:
-            for j in range(1, n + 1):
-                den = _prod(
-                    alpha[j] - alpha[ell] for ell in range(1, n + 1) if ell != j
-                )
-                den = den * _prod(alpha[j] + beta[h] for h in range(1, m + 1))
-                terms.append(alpha[j] ** (n + m - 1) / den)
-            return 1 - compensated_sum(terms, mode)
-        for ell in range(1, m + 1):
-            den = _prod(beta[ell] + alpha[j] for j in range(1, n + 1))
-            den = den * _prod(
-                beta[ell] - beta[h] for h in range(1, m + 1) if h != ell
-            )
-            terms.append(beta[ell] ** (n + m - 1) / den)
-        return compensated_sum(terms, mode)
+    return okcorral_distribution(A, B, n, m, representation, mode)[k]
 
 
 def okcorral_distribution(
     A, B, n, m, representation=BETA_POLES, mode=None
 ) -> ExactDistribution:
-    """All of P{0..n survive} at once for the contested-fire urn."""
+    """All of P{0..n survive} at once for the contested-fire urn.
+
+    k >= 1 and k = 0 have separate displays; both representations of each
+    agree exactly in rational mode.
+    """
     _require_representation(representation)
     _check_two_color_args(A, B, n, m, None)
     alpha, beta, mode = _resolve_tables(A, B, n, m, mode)
@@ -540,34 +496,38 @@ class DiscrepancyReport:
     detail: str
 
 
+def _specialization_report(subject, display, general, A, B, n, m) -> DiscrepancyReport:
+    """Compare display(n, m, k, representation) with entry k of the general
+    law, computed once per representation, over every k."""
+    bad = []
+    for representation in _REPRESENTATIONS:
+        special = [display(n, m, k, representation) for k in range(n + 1)]
+        law = general(A, B, n, m, representation)
+        for k, lhs in enumerate(special):
+            if lhs != law[k]:
+                bad.append((representation, k, lhs - law[k]))
+    detail = "exact match" if not bad else f"mismatches: {bad[:3]}"
+    return DiscrepancyReport(subject, not bad, detail)
+
+
 def polya_sampling_consistency(a, d, n, m) -> DiscrepancyReport:
     """Compare both linear-specialized sampling displays against the general
     closed form with linear weights, over every k."""
-    A, B = linear(a), linear(d)
-    bad = []
-    for representation in _REPRESENTATIONS:
-        for k in range(n + 1):
-            lhs = polya_sampling_pmf(a, d, n, m, k, representation)
-            rhs = sampling_pmf(A, B, n, m, k, representation)
-            if lhs != rhs:
-                bad.append((representation, k, lhs - rhs))
-    detail = "exact match" if not bad else f"mismatches: {bad[:3]}"
-    return DiscrepancyReport("sampling specialization", not bad, detail)
+    return _specialization_report(
+        "sampling specialization",
+        partial(polya_sampling_pmf, a, d),
+        sampling_distribution, linear(a), linear(d), n, m,
+    )
 
 
 def polya_okcorral_consistency(b, c, n, m) -> DiscrepancyReport:
     """Compare both contested-fire specialized displays (and the k = 0
     display) against the general closed form with linear weights."""
-    A, B = linear(c), linear(b)
-    bad = []
-    for representation in _REPRESENTATIONS:
-        for k in range(n + 1):
-            lhs = polya_okcorral_pmf(b, c, n, m, k, representation)
-            rhs = okcorral_pmf(A, B, n, m, k, representation)
-            if lhs != rhs:
-                bad.append((representation, k, lhs - rhs))
-    detail = "exact match" if not bad else f"mismatches: {bad[:3]}"
-    return DiscrepancyReport("contested-fire specialization", not bad, detail)
+    return _specialization_report(
+        "contested-fire specialization",
+        partial(polya_okcorral_pmf, b, c),
+        okcorral_distribution, linear(c), linear(b), n, m,
+    )
 
 
 def multi_okcorral_reading_report(seqs, nvec) -> DiscrepancyReport:

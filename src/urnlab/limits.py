@@ -24,7 +24,6 @@ at operation time using the global context: combine results under
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -39,7 +38,7 @@ from .numerics import (
     stirling_first_unsigned,
     stirling_second,
 )
-from .weights import WeightSequence, shifted_square, square, triangular
+from .weights import shifted_square, square, triangular
 
 SQUARE = "square"
 TRIANGULAR = "triangular"
@@ -48,33 +47,20 @@ SHIFTED_SQUARE = "shifted-square"
 MAX_SERIES_TERMS = 2_000_000
 
 
-@dataclass(frozen=True)
-class LimitFamily:
-    """A named fast-growing second-color weight choice with its sequence."""
-
-    tag: str
-    black_weights: WeightSequence
-
-    def weight(self, ell: int) -> Fraction:
-        return self.black_weights.eval(ell)
-
-
 FAMILIES = {
-    SQUARE: LimitFamily(SQUARE, square()),
-    TRIANGULAR: LimitFamily(TRIANGULAR, triangular()),
-    SHIFTED_SQUARE: LimitFamily(SHIFTED_SQUARE, shifted_square()),
+    SQUARE: square(),
+    TRIANGULAR: triangular(),
+    SHIFTED_SQUARE: shifted_square(),
 }
 
 
-def _family(family) -> LimitFamily:
-    if isinstance(family, LimitFamily):
-        return family
-    try:
-        return FAMILIES[family]
-    except KeyError:
+def _family(family) -> str:
+    """The limit-family tag `family`, checked against FAMILIES."""
+    if family not in FAMILIES:
         raise ValueError(
             f"unknown limit family {family!r}; choose from {sorted(FAMILIES)}"
-        ) from None
+        )
+    return family
 
 
 def _bits(bits):
@@ -269,12 +255,12 @@ def limit_moment(s: int, family=SQUARE, bits=None):
     """s-th moment of the limiting survivor fraction, closed form per family."""
     if s < 1:
         raise ValueError("need s >= 1")
-    fam = _family(family)
+    tag = _family(family)
     with mpmath.workprec(_bits(bits) + 32):
-        if fam.tag == SQUARE:
+        if tag == SQUARE:
             x = mpmath.pi * mpmath.sqrt(s)
             return +(x / mpmath.sinh(x))
-        if fam.tag == TRIANGULAR:
+        if tag == TRIANGULAR:
             return +(
                 2
                 * s
@@ -290,7 +276,7 @@ def limit_moment_product(s: int, family=SQUARE, tol=1e-12, bits=None):
     ground-truth route the closed forms are compared against."""
     if s < 1:
         raise ValueError("need s >= 1")
-    fam = _family(family)
+    tag = _family(family)
     _check_tol(tol)
     # second-order truncation error ~ s^2/2 * sum 1/beta^2 ~ s^2/(6 M^3)
     cutoff = max(64, int((s * s / max(tol, 1e-30)) ** (1.0 / 3)) + 8)
@@ -302,11 +288,11 @@ def limit_moment_product(s: int, family=SQUARE, tol=1e-12, bits=None):
     with mpmath.workprec(_bits(bits) + 32):
         acc = mpmath.mpf(1)
         for ell in range(1, cutoff + 1):
-            b = cast_value(fam.weight(ell), BIGFLOAT)
+            b = cast_value(FAMILIES[tag].eval(ell), BIGFLOAT)
             acc *= b / (b + s)
-        if fam.tag == SQUARE:
+        if tag == SQUARE:
             tail = mpmath.polygamma(1, cutoff + 1)
-        elif fam.tag == TRIANGULAR:
+        elif tag == TRIANGULAR:
             tail = mpmath.mpf(2) / (cutoff + 1)  # telescoping sum of 2/(l(l+1))
         else:
             tail = mpmath.polygamma(1, cutoff + mpmath.mpf(1) / 2)
@@ -370,7 +356,7 @@ def limit_cdf(q, family=SQUARE, tol=1e-30, bits=None):
     (-1)^(l-1) q^((l-1/2)^2) / (2l-1); the sign is fixed so the CDF
     increases to 1 (the alternative parity renders it negative).
     """
-    fam = _family(family)
+    tag = _family(family)
     if q < 0 or q > 1:
         raise ValueError("q must lie in [0, 1]")
     _check_tol(tol)
@@ -378,9 +364,9 @@ def limit_cdf(q, family=SQUARE, tol=1e-30, bits=None):
         return mpmath.mpf(1)
     with mpmath.workprec(_bits(bits) + 32):
         qq = cast_value(q, BIGFLOAT)
-        if fam.tag == SQUARE:
+        if tag == SQUARE:
             value = 1 - theta(qq, tol, bits)
-        elif fam.tag == TRIANGULAR:
+        elif tag == TRIANGULAR:
 
             def term(ell):
                 t = (2 * ell + 1) * qq ** (ell * (ell + 1) // 2)

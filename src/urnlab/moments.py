@@ -10,7 +10,6 @@ that is exact rational series arithmetic, no floating point anywhere.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -21,20 +20,6 @@ from .numerics import (
     ramanujan_q,
     stirling_second,
 )
-
-CLOSED_FORM = "closed-form"
-DIRECT_SUMMATION = "direct-summation"
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """One moment value with the route that produced it; closed-form and
-    direct-summation routes must agree exactly in rational mode."""
-
-    order: object  # int, or tuple of ints for mixed moments
-    value: object
-    method: str
-
 
 class InconsistentMomentSystem(RuntimeError):
     """The triangular system defining a moment polynomial failed to close.

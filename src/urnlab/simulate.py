@@ -23,7 +23,7 @@ import mpmath
 import numpy as np
 import numpy.random  # numpy loads it lazily; every sampler here needs it
 
-from .limits import FAMILIES, LimitFamily
+from .limits import FAMILIES, _family
 from .oracle import ExactDistribution
 from .weights import MODEL_SAMPLING, UrnSpec
 
@@ -261,11 +261,11 @@ def sample_limit_fraction(
     Truncation drops positive exponent contributions, so samples are biased
     upward by at most the factor from truncation_bias_bound.
     """
-    fam = family if isinstance(family, LimitFamily) else FAMILIES[family]
+    seq = FAMILIES[_family(family)]
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
     inv = np.array(
-        [1.0 / float(fam.weight(ell)) for ell in range(1, truncation + 1)]
+        [1.0 / float(seq.eval(ell)) for ell in range(1, truncation + 1)]
     )
     if size is None:
         return float(np.exp(-(rng.standard_exponential(truncation) * inv).sum()))
@@ -280,10 +280,10 @@ def sample_limit_fraction(
 def truncation_bias_bound(family, truncation: int, s: int = 1) -> float:
     """Multiplicative upper bound on E[truncated sample^s] / E[limit^s]:
     exp(s * tail sum of reciprocal weights)."""
-    fam = family if isinstance(family, LimitFamily) else FAMILIES[family]
-    if fam.tag == "square":
+    tag = _family(family)
+    if tag == "square":
         tail = 1.0 / truncation
-    elif fam.tag == "triangular":
+    elif tag == "triangular":
         tail = 2.0 / (truncation + 1)
     else:
         tail = 1.0 / (truncation - 0.5)

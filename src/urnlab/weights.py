@@ -113,17 +113,6 @@ class WeightSequence:
         """Weights at indices 0..upper as a list."""
         return [self.eval(j) for j in range(upper + 1)]
 
-    def label(self) -> str:
-        if self.family == "linear":
-            return f"linear:{self.a}"
-        if self.family == "power":
-            return f"power:{self.c}:{self.r}"
-        if self.family == "custom":
-            return "custom:" + ",".join(str(v) for v in self.values)
-        if self.family == "reciprocal":
-            return f"reciprocal({self.base.label()})"
-        return self.family
-
     def to_json(self) -> dict:
         if self.family == "linear":
             return {"family": "linear", "a": str(self.a)}
@@ -265,13 +254,6 @@ class UrnSpec:
     @property
     def m(self) -> int:
         return self.counts[-1]
-
-    def to_json(self) -> dict:
-        return {
-            "model": "I" if self.model == MODEL_SAMPLING else "II",
-            "weights": [s.to_json() for s in self.sequences],
-            "counts": list(self.counts),
-        }
 
 
 def two_color(model: str, A: WeightSequence, B: WeightSequence, n: int, m: int) -> UrnSpec:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +7,8 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urnlab import cli
 
@@ -206,6 +210,27 @@ class TestMoments:
         assert payload["polynomial"] == ["0", "1", "1"]
         values = {r["method"]: r["value"] for r in payload["reports"]}
         assert values["closed-form"] == "1/1"
+
+
+class TestBlockSizes:
+    """A block size below 1 exits 2 naming its flag before any moment
+    closed form divides by it."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["moments", "--a", "-1", "--n", "2", "--m", "2"], "--a"),
+            (["moments", "--a", "1", "--d", "0", "--n", "2", "--m", "2"], "--d"),
+            (["moments", "--mixed", "--avec", "1,0", "--nvec", "2,2", "--svec", "1"], "--avec"),
+            (["okc-moments", "--b", "0", "--n", "2", "--m", "2"], "--b"),
+            (["okc-moments", "--c", "-2", "--n", "2", "--m", "2"], "--c"),
+        ],
+    )
+    def test_exits_2_naming_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"{flag}: block sizes must be positive integers")
+        assert out == ""
 
 
 class TestLimit:
@@ -434,3 +459,115 @@ class TestEmitPlotData:
         assert cli.render_decimal(Fraction(2, 3), 4) == "0.6667"
         assert cli.render_decimal(Fraction(-1, 8), 3) == "-0.125"
         assert cli.render_decimal(Fraction(5), 0) == "5"
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every argument vector ends in exit 0, 2 or 3 with schema-valid JSON
+# ---------------------------------------------------------------------------
+
+def flag(valid, invalid=()):
+    """Values of one flag: only valid ones in a clean vector, valid and
+    invalid ones otherwise."""
+    def values(r, clean):
+        return st.sampled_from(list(valid) if clean else list(valid) * 2 + list(invalid))
+    return values
+
+
+def vector(element, sep=",", drop=0):
+    """A list-valued flag for r colors: r - drop entries, and in a vector
+    that is not clean sometimes one more."""
+    def values(r, clean):
+        size = r - drop
+        sizes = st.just(size) if clean else st.sampled_from([size, size, size + 1])
+        entries = element(r, clean)
+        return sizes.flatmap(lambda k: st.lists(entries, min_size=k, max_size=k)).map(sep.join)
+    return values
+
+
+COUNT = flag(["1", "2", "3", "4", "5"], ["0", "-1", "-2"])
+DESCRIPTOR = flag(
+    ["linear:1", "linear:2", "linear:1/2", "square", "triangular", "shifted-square",
+     "power:1:2", "custom:1/2,3/2,5/2,7/2,9/2", "custom:0.5,1.5,2.5,3.5,4.5"],
+    # malformed, out of range, repeated weights, a table too short
+    ["linear:0", "linear:-1", "linear:x", "power:1:0", "power:1", "custom:",
+     "custom:1,1,2,3,4", "custom:1,2", "nope", ""],
+)
+TOL = flag(["1e-6", "1e-12", "1e-20"], ["0", "-1", "nan"])
+Q = flag(["0", "1/3", "1/2", "0.9", "1"], ["-1", "2", "x", "1/0"])
+GRID = flag(["0:1:1/4", "0:1/2:1/8", "1:0:1/4", "1/3:1:1/3"],
+            ["0:1:0", "0:1:-1/4", "-1:1:1/2", "0:1", "a:b:c"])
+COMMON = {
+    "format": flag(["json", "json", "json", "csv"]),
+    "decimals": flag(["0", "3", "6"], ["-2"]),
+    "precision_bits": flag(["8", "64", "256"], ["4", "-1"]),
+}
+MODEL = {"model": flag(["I", "II"], ["Z"])}
+TWO_COLOR = {"A": DESCRIPTOR, "B": DESCRIPTOR, "n": COUNT, "m": COUNT}
+MULTI = {"weights": vector(DESCRIPTOR, sep=";"), "counts": vector(COUNT)}
+SIMULATION = {
+    "trials": lambda r, clean: st.integers(1 if clean else -2, 500).map(str),
+    "seed": flag(["0", "1", "2"]),
+    "workers": flag(["1", "2"], ["0", "-1"]),
+}
+
+SUBCOMMANDS = {
+    "pmf": {**MODEL, **TWO_COLOR, "k": COUNT,
+            "representation": flag(["beta-poles", "alpha-poles"]),
+            "mode": flag(["rational", "float", "bigfloat"])},
+    "oracle": {**MODEL, **TWO_COLOR, "method": flag(["recurrence", "enumerate"])},
+    "pmf-multi": {**MODEL, **MULTI, "k": vector(COUNT, drop=1),
+                  "engine": flag(["closed", "oracle"])},
+    "moments": {"a": COUNT, "d": COUNT, "n": COUNT, "m": COUNT, "s": COUNT,
+                "kind": flag(["factorial", "raw"]), "mixed": flag([True, False]),
+                "avec": vector(COUNT), "nvec": vector(COUNT), "svec": vector(COUNT, drop=1)},
+    "okc-moments": {"b": COUNT, "c": COUNT, "n": COUNT, "m": COUNT, "s": COUNT,
+                    "kind": flag(["raw", "polynomial"])},
+    "limit": {"law": flag(["fixed-blacks-moment", "fixed-blacks-density", "fixed-whites-pmf",
+                           "fixed-whites-moment", "w-moment", "w-cdf"]),
+              "m": COUNT, "n": COUNT, "s": COUNT, "k": COUNT, "q": Q,
+              "family": flag(["square", "triangular", "shifted-square"]),
+              "method": flag(["finite-sum", "series"]), "tol": TOL, "grid": GRID},
+    "theta": {"q": Q, "tol": TOL},
+    "duality-check": {**TWO_COLOR, **MULTI},
+    "simulate": {**MODEL, **TWO_COLOR, **MULTI, **SIMULATION},
+    "compare": {**MODEL, **TWO_COLOR, **SIMULATION},
+}
+
+
+@st.composite
+def argument_vectors(draw, command):
+    """argv for `command`: all flags but at most two, about half the
+    vectors clean, and one color count r for the list-valued flags."""
+    flags = {**SUBCOMMANDS[command], **COMMON}
+    omit = draw(st.lists(st.sampled_from(sorted(flags)), max_size=2))
+    r = draw(st.sampled_from([2, 3]))
+    clean = draw(st.booleans())
+    argv = [command]
+    for name, values in sorted(flags.items()):
+        if name in omit:
+            continue
+        value = draw(values(r, clean))
+        option = "--" + name.replace("_", "-")
+        if value is True:
+            argv.append(option)
+        elif value is not False:
+            argv += [option, value]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@settings(max_examples=30, derandomize=True, deadline=20_000)
+@given(data=st.data())
+def test_fuzz_exit_code_and_schema(command, data):
+    """About 300 generated vectors over the 10 subcommands end in exit 0, 2
+    or 3, never a traceback, and any JSON on stdout fits the schema."""
+    argv = data.draw(argument_vectors(command), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the vector
+            code = exc.code
+    assert code in (0, 2, 3), (code, err.getvalue())
+    if out.getvalue() and "csv" not in argv:
+        check_json(out.getvalue())

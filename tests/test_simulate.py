@@ -198,3 +198,15 @@ class TestLimitSamplers:
         for family in ("square", "triangular", "shifted-square"):
             bound = truncation_bias_bound(family, 1000)
             assert 1 < bound < 1.01
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sample_limit_fraction("bogus", np.random.default_rng(0), 10),
+            lambda: truncation_bias_bound("bogus", 10),
+        ],
+        ids=["sampler", "bias-bound"],
+    )
+    def test_unknown_family_lists_the_families(self, call):
+        with pytest.raises(ValueError, match="shifted-square.*square.*triangular"):
+            call()
