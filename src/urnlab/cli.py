@@ -357,9 +357,21 @@ def _cmd_limit(args) -> int:
     return EXIT_OK
 
 
+# the theta routes work at bits + 32 and agree there to within 6 units in
+# the last place (q = k/200, 8 to 48 bits); a tol below 64 such units would
+# ask the check to resolve their rounding noise
+THETA_MIN_TOL_ULPS = 64
+
+
 def _cmd_theta(args) -> int:
     bits = args.precision_bits
     q = _fraction(args.q, "--q")
+    finest = THETA_MIN_TOL_ULPS * 2.0 ** -(bits + 32)
+    if args.tol < finest:
+        raise CliError(
+            f"--tol: {args.tol:g} is finer than --precision-bits {bits} can resolve; "
+            f"use a tol of at least {finest:.3g} or more precision bits"
+        )
     # evaluate well below the agreement tolerance so truncation noise from
     # the two routes cannot straddle the check
     inner_tol = args.tol / 100
@@ -400,10 +412,22 @@ def _cmd_duality(args) -> int:
     return EXIT_OK
 
 
+def _sim_spec(args, simulate) -> weights.UrnSpec:
+    """The urn the flags describe, refused (exit 2 naming the weight flag)
+    when a clock scale of the simulator would leave the normal doubles."""
+    spec = _spec(args, args.model)
+    try:
+        simulate.clock_scales(spec)
+    except simulate.ClockScaleError as exc:
+        flag = "--weights" if getattr(args, "weights", None) else ("--A", "--B")[exc.color]
+        raise CliError(f"{flag}: {exc}") from None
+    return spec
+
+
 def _cmd_simulate(args) -> int:
     from . import simulate  # numpy loads only for the commands that simulate
 
-    spec = _spec(args, args.model)
+    spec = _sim_spec(args, simulate)
     exact = _oracle(args, spec)
     config = simulate.SimConfig(spec, args.trials, args.seed, args.workers)
     report = simulate.empirical_pmf(config, exact)
@@ -434,7 +458,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     from . import simulate
 
-    spec = _spec(args, args.model)
+    spec = _sim_spec(args, simulate)
     reference = oracle.absorption_pmf(spec)
     dists = {
         rep: closedform.two_color_distribution(spec, rep)

@@ -1,22 +1,38 @@
 """Monte Carlo simulation of the urn processes and the limit-law samplers.
 
+Exponential clocks (Rubin's embedding): in the sampling urn (model I),
+color h holding c balls waits Exp(1) * s_h(c) before it loses one, with
+s_h(c) = 1 / alpha_h(c).  The waits are independent and memoryless, so the
+next color to lose a ball is j with probability alpha_j / sum_h alpha_h, the
+drawing rule.  The contested-fire urn (model II) is the sampling urn with
+reciprocal weights -- for r colors, its weight prod_{h != j} alpha_h over
+the nonempty colors is proportional to 1 / alpha_j -- so it runs the same
+clocks with s_h(c) = alpha_h(c).  A trial sums the last color's clocks to
+its exhaustion time T; every other color keeps its start count minus its
+running clocks below T (an empty last color gives T = 0 and the start).
+
 Determinism contract: a (spec, trials, seed) triple produces identical
 aggregate counts for any worker count.  Trials are split into fixed-size
-chunks, each chunk draws from its own PCG64 stream derived from
-(seed, chunk index), and aggregation is an order-independent sum, so the
-schedule cannot leak into the result.
+chunks, each drawing from its own PCG64 stream derived from (seed, chunk
+index).  A chunk draws the last color's clocks, then colors 0..r-2, each
+term-major (one row per ball in leaving order, one column per trial) in
+blocks of at most BLOCK_DOUBLES doubles; running sums cross blocks as one
+row-by-row pass would add them, so counts do not depend on the block size.
+The limit samplers draw their exponential series the same way.
 
-Transition probabilities are converted from exact rationals to floats once
-per state (two-color) or assembled from per-color float tables (r-color);
-the resulting per-draw bias is below one part in 2^52, invisible next to
-Monte Carlo noise at desk-scale trial counts.
+Float bias: scales are exact rationals rounded once and a running clock
+rounds once per term, so a comparison with T near a tie can flip with
+probability on the order of (n+m) * 2^-52 per trial.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -28,6 +44,8 @@ from .oracle import ExactDistribution
 from .weights import MODEL_SAMPLING, UrnSpec
 
 CHUNK_TRIALS = 1 << 16
+BLOCK_DOUBLES = 1 << 20  # one drawn block of clocks: at most 8 MB
+BINCOUNT_CELLS = 1 << 20  # larger survivor spaces aggregate by sorting
 
 
 @dataclass(frozen=True)
@@ -57,28 +75,41 @@ class SimulationReport:
     p_value: float
 
 
-def _float_tables(spec: UrnSpec):
-    return [
-        np.array([float(Fraction(v)) for v in seq.table(c)])
-        for seq, c in zip(spec.sequences, spec.counts)
-    ]
+class ClockScaleError(ValueError):
+    """A clock scale the sampler cannot run in doubles; `color` is its index."""
+
+    def __init__(self, color: int, message: str):
+        super().__init__(message)
+        self.color = color
 
 
-def _two_color_white_prob(spec: UrnSpec) -> np.ndarray:
-    """P{draw first color} per (first count, second count) state, exact
-    rationals rounded once."""
-    n, m = spec.counts
-    alpha = spec.A.table(n)
-    beta = spec.B.table(m)
-    probs = np.zeros((n + 1, m + 1))
-    for w in range(1, n + 1):
-        for b in range(1, m + 1):
-            a_w, b_b = Fraction(alpha[w]), Fraction(beta[b])
-            if spec.model == MODEL_SAMPLING:
-                probs[w, b] = float(a_w / (a_w + b_b))
-            else:
-                probs[w, b] = float(b_b / (a_w + b_b))
-    return probs
+def clock_scales(spec: UrnSpec) -> list:
+    """Per color, the clock scales s_h(c) for c = n_h, ..., 1 (the order its
+    balls leave): 1/alpha_h(c) in model I, alpha_h(c) in model II, each an
+    exact rational rounded once.
+
+    A scale, checked as the exact rational, must be a normal double at most
+    2^1000 / (n+m), so no running clock can overflow (an Exp(1) draw in
+    doubles is below 745); any other raises ClockScaleError.  More survivor
+    vectors than an int64 code indexes raise ValueError."""
+    top = 2.0**1000 / max(1, sum(spec.counts))
+    kind = "1/weight" if spec.model == MODEL_SAMPLING else "weight"
+    scales = []
+    for color, (seq, count) in enumerate(zip(spec.sequences, spec.counts)):
+        table = seq.table(count)
+        column = []
+        for c in range(count, 0, -1):
+            weight = Fraction(table[c])
+            exact = 1 / weight if spec.model == MODEL_SAMPLING else weight
+            if not sys.float_info.min <= exact <= top:
+                raise ClockScaleError(color, (
+                    f"color {color} at count {c}: clock scale {kind} is not "
+                    f"a double in [{sys.float_info.min:.4g}, {top:.4g}]"))
+            column.append(float(exact))
+        scales.append(np.array(column))
+    if math.prod(c + 1 for c in spec.counts[:-1]) > np.iinfo(np.int64).max:
+        raise ValueError("more survivor vectors than a 64-bit code can index")
+    return scales
 
 
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
@@ -86,85 +117,66 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _simulate_chunk_two_color(spec, white_prob, size, rng):
-    n, m = spec.counts
-    w = np.full(size, n, dtype=np.int64)
-    b = np.full(size, m, dtype=np.int64)
-    for _ in range(n + m):
-        active = (w > 0) & (b > 0)
-        if not active.any():
-            break
-        u = rng.random(size)
-        draw_white = active & (u < white_prob[w, b])
-        draw_black = active & ~draw_white
-        w[draw_white] -= 1
-        b[draw_black] -= 1
-    return np.bincount(w, minlength=n + 1)
+def _clock_blocks(rng, scales: np.ndarray, cols: int):
+    """Running clocks, term-major: yield blocks (one shared buffer) whose
+    row i holds, per column, the sum of the scaled Exp(1) waits up to its
+    term; a block continues the one before as a row-by-row pass would."""
+    rows = max(1, min(len(scales), BLOCK_DOUBLES // max(1, cols)))
+    buf = np.empty((rows, cols))
+    clock = np.zeros(cols)
+    for start in range(0, len(scales), rows):
+        part = scales[start : start + rows]
+        block = rng.standard_exponential(out=buf[: len(part)])
+        block *= part[:, None]
+        block[0] += clock
+        for prev, row in zip(block, block[1:]):  # np.cumsum down axis 0 is ~20x slower
+            row += prev
+        clock[:] = block[-1]
+        yield block
 
 
-def _simulate_chunk_multi(spec, tables, size, rng):
-    r = spec.r
-    counts = [np.full(size, c, dtype=np.int64) for c in spec.counts]
-    for _ in range(sum(spec.counts)):
-        others = np.zeros(size, dtype=bool)
-        for j in range(r - 1):
-            others |= counts[j] > 0
-        active = (counts[-1] > 0) & others
-        if not active.any():
-            break
-        weights = np.empty((size, r))
-        if spec.model == MODEL_SAMPLING:
-            for j in range(r):
-                weights[:, j] = tables[j][counts[j]]
-        else:
-            vals = [tables[j][counts[j]] for j in range(r)]
-            for j in range(r):
-                acc = np.ones(size)
-                for h in range(r):
-                    if h != j:
-                        # empty colors contribute factor 1, per the drawing rule
-                        acc *= np.where(counts[h] > 0, vals[h], 1.0)
-                weights[:, j] = np.where(counts[j] > 0, acc, 0.0)
-        cum = np.cumsum(weights, axis=1)
-        u = rng.random(size) * cum[:, -1]
-        chosen = (u[:, None] >= cum).sum(axis=1)
-        for j in range(r):
-            hit = active & (chosen == j)
-            counts[j][hit] -= 1
-    outcomes = np.stack(counts[:-1], axis=1)
-    uniq, freq = np.unique(outcomes, axis=0, return_counts=True)
-    return {tuple(int(v) for v in row): int(c) for row, c in zip(uniq, freq)}
+def _clock_sums(rng, scales: np.ndarray, cols: int) -> np.ndarray:
+    """Per column, the sum of every scaled wait: when the clocks run out."""
+    total = np.zeros(cols)
+    for block in _clock_blocks(rng, scales, cols):
+        total = block[-1]
+    return total.copy()
+
+
+def _chunk_counts(scales: list, size: int, rng) -> dict:
+    """Outcome counts of one chunk of trials.  Survivor vectors are folded
+    into one mixed-radix code (color 0 most significant) for np.bincount."""
+    *others, last = scales
+    radices = [len(column) + 1 for column in others]
+    exhausted = _clock_sums(rng, last, size)
+    code = np.zeros(size, dtype=np.int64)
+    for column, radix in zip(others, radices):
+        survivors = np.full(size, len(column), dtype=np.int64)
+        for block in _clock_blocks(rng, column, size):
+            survivors -= (block < exhausted).sum(axis=0)
+        code = code * radix + survivors
+    if math.prod(radices) <= BINCOUNT_CELLS:
+        freq = np.bincount(code)
+        codes = np.flatnonzero(freq)
+        freq = freq[codes]
+    else:
+        codes, freq = np.unique(code, return_counts=True)
+    digits = [d.tolist() for d in np.unravel_index(codes, radices)]
+    keys = digits[0] if len(digits) == 1 else zip(*digits)
+    return dict(zip(keys, freq.tolist()))
 
 
 def simulate_counts(config: SimConfig) -> dict:
-    """Deterministic aggregate outcome counts for a simulation request."""
-    spec = config.spec
-    sizes = []
-    remaining = config.trials
-    while remaining > 0:
-        take = min(CHUNK_TRIALS, remaining)
-        sizes.append(take)
-        remaining -= take
+    """Deterministic aggregate outcome counts for a simulation request, in
+    increasing order of outcome."""
+    scales = clock_scales(config.spec)
+    starts = range(0, config.trials, CHUNK_TRIALS)
+    jobs = [(i, min(CHUNK_TRIALS, config.trials - s)) for i, s in enumerate(starts)]
 
-    if spec.is_two_color:
-        white_prob = _two_color_white_prob(spec)
+    def run(job):
+        index, size = job
+        return _chunk_counts(scales, size, _chunk_rng(config.seed, index))
 
-        def run(args):
-            index, size = args
-            return _simulate_chunk_two_color(
-                spec, white_prob, size, _chunk_rng(config.seed, index)
-            )
-
-    else:
-        tables = _float_tables(spec)
-
-        def run(args):
-            index, size = args
-            return _simulate_chunk_multi(
-                spec, tables, size, _chunk_rng(config.seed, index)
-            )
-
-    jobs = list(enumerate(sizes))
     # more threads than chunks or CPUs cannot help; the counts do not depend
     # on the worker count either way
     workers = min(config.workers, len(jobs), os.cpu_count() or 1)
@@ -174,25 +186,16 @@ def simulate_counts(config: SimConfig) -> dict:
     else:
         results = [run(job) for job in jobs]
 
-    if spec.is_two_color:
-        total = np.sum(results, axis=0)
-        return {k: int(c) for k, c in enumerate(total) if c > 0}
-    merged: dict = {}
+    merged = Counter()
     for partial in results:
-        for key, cnt in partial.items():
-            merged[key] = merged.get(key, 0) + cnt
-    return merged
+        merged.update(partial)
+    return dict(sorted(merged.items()))
 
 
 def simulate_once(spec: UrnSpec, rng: np.random.Generator):
     """One sampled absorption outcome: int for two colors, tuple otherwise."""
-    if spec.is_two_color:
-        counts = _simulate_chunk_two_color(
-            spec, _two_color_white_prob(spec), 1, rng
-        )
-        return int(np.nonzero(counts)[0][0])
-    result = _simulate_chunk_multi(spec, _float_tables(spec), 1, rng)
-    return next(iter(result))
+    (outcome,) = _chunk_counts(clock_scales(spec), 1, rng)
+    return outcome
 
 
 def empirical_pmf(config: SimConfig, exact: ExactDistribution) -> SimulationReport:
@@ -240,16 +243,19 @@ def _chi2_sf(stat: float, dof: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _exp_of_minus_sum(inv: np.ndarray, rng: np.random.Generator, size):
+    """exp(-sum_l eps_l * inv_l), eps_l iid Exp(1): a float, or `size` draws."""
+    draws = np.exp(-_clock_sums(rng, inv, 1 if size is None else size))
+    return float(draws[0]) if size is None else draws
+
+
 def sample_fixed_blacks(m: int, rng: np.random.Generator, size=None):
     """Draw from the fixed-second-color limit fraction:
     exp(-sum_{l<=m} eps_l / l^2) with iid unit exponentials."""
     if m < 1:
         raise ValueError("need m >= 1")
     inv = np.array([1.0 / (ell * ell) for ell in range(1, m + 1)])
-    if size is None:
-        return float(np.exp(-(rng.standard_exponential(m) * inv).sum()))
-    eps = rng.standard_exponential((size, m))
-    return np.exp(-(eps @ inv))
+    return _exp_of_minus_sum(inv, rng, size)
 
 
 def sample_limit_fraction(
@@ -267,14 +273,7 @@ def sample_limit_fraction(
     inv = np.array(
         [1.0 / float(seq.eval(ell)) for ell in range(1, truncation + 1)]
     )
-    if size is None:
-        return float(np.exp(-(rng.standard_exponential(truncation) * inv).sum()))
-    acc = np.zeros(size)
-    step = 4096
-    for start in range(0, truncation, step):  # bounded memory per block
-        block = inv[start : start + step]
-        acc += rng.standard_exponential((size, len(block))) @ block
-    return np.exp(-acc)
+    return _exp_of_minus_sum(inv, rng, size)
 
 
 def truncation_bias_bound(family, truncation: int, s: int = 1) -> float:

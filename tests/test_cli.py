@@ -272,6 +272,24 @@ class TestTheta:
         payload = check_json(out)
         assert float(payload["difference"]) < 1e-12
 
+    @pytest.mark.parametrize("bits, tol", [("8", "1e-12"), ("16", "1e-15")])
+    def test_tol_finer_than_precision_refused(self, capsys, bits, tol):
+        """A tol below what the working precision (bits plus 32 guard bits)
+        resolves is a flag error, not a formula discrepancy (exit 3)."""
+        code, out, err = run_cli(
+            capsys, "theta", "--q", "1/3", "--precision-bits", bits, "--tol", tol
+        )
+        assert code == 2, err
+        assert "--tol" in err and "--precision-bits" in err
+        assert out == ""
+
+    def test_coarse_tol_at_low_precision(self, capsys):
+        code, out, err = run_cli(
+            capsys, "theta", "--q", "1/3", "--precision-bits", "8", "--tol", "1e-9"
+        )
+        assert code == 0, err
+        assert float(check_json(out)["difference"]) < 1e-9
+
 
 class TestBoundedTime:
     """Inputs that once never terminated now exit 2 naming the flag; each
@@ -361,6 +379,29 @@ class TestSimulateAndCompare:
         assert payload["closed_equals_oracle"] is True
         assert payload["representations_agree"] is True
         assert payload["max_discrepancy"] == "0/1"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            # a weight beyond the doubles: OverflowError at the parent
+            (["simulate", "--model", "I", "--weights", "custom:10e400;linear:1;linear:1",
+              "--counts", "1,1,1"], "--weights"),
+            (["simulate", "--model", "II", "--weights", "linear:1;custom:10e400;linear:1",
+              "--counts", "1,1,1"], "--weights"),
+            # a subnormal weight: its model-I clock scale 1e320 overflows
+            (["simulate", "--model", "I", "--A", "custom:1e-320,1", "--B", "linear:1",
+              "--n", "2", "--m", "2"], "--A"),
+            (["simulate", "--model", "II", "--A", "linear:1", "--B", "custom:1e-320,1",
+              "--n", "2", "--m", "2"], "--B"),
+            (["compare", "--model", "I", "--A", "linear:1", "--B", "custom:1e-320,1",
+              "--n", "2", "--m", "2"], "--B"),
+        ],
+    )
+    def test_out_of_range_weights_name_the_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv, "--trials", "1000")
+        assert code == 2, err
+        assert err.startswith(flag + ":") and "clock scale" in err
+        assert out == ""
 
     def test_two_colors_through_weights(self, capsys):
         common = ["--model", "I", "--trials", "20000", "--seed", "7"]

@@ -15,7 +15,16 @@ from urnlab.simulate import (
     simulate_once,
     truncation_bias_bound,
 )
-from urnlab.weights import UrnSpec, linear, square, triangular, two_color
+from urnlab.weights import UrnSpec, custom, linear, square, triangular, two_color
+
+# both models run every spec; some start a color at 0 balls
+CHI_SQUARE_SPECS = [
+    ((linear(1), square()), (4, 3)),
+    ((linear(1), linear(2), square()), (2, 2, 2)),
+    ((linear(1), square(), triangular()), (2, 0, 3)),
+    ((linear(1), square(), triangular(), linear(2)), (2, 0, 2, 3)),
+    ((linear(2), square(), triangular(), linear(1)), (1, 2, 1, 2)),
+]
 
 
 class TestDeterminism:
@@ -130,6 +139,90 @@ class TestEmpiricalPmf:
         wrong = absorption_pmf(two_color("I", linear(1), linear(1), 1, 1))
         with pytest.raises(ValueError):
             empirical_pmf(SimConfig(spec, 1_000, seed=0), wrong)
+
+
+class TestClockSampler:
+    @pytest.mark.parametrize("model", ["I", "II"])
+    @pytest.mark.parametrize(
+        "seqs, counts", CHI_SQUARE_SPECS, ids=[str(c) for _, c in CHI_SQUARE_SPECS]
+    )
+    def test_chi_square_against_exact_law(self, model, seqs, counts):
+        spec = UrnSpec(model, seqs, counts)
+        exact = absorption_pmf(spec) if spec.is_two_color else absorption_pmf_multi(spec)
+        report = empirical_pmf(SimConfig(spec, 40_000, seed=2026), exact)
+        assert report.p_value > 1e-3, (report.chi_square, report.dof)
+
+    @pytest.mark.parametrize("model", ["I", "II"])
+    def test_empty_last_color_keeps_the_start(self, model):
+        two = two_color(model, linear(1), square(), 3, 0)
+        assert simulate_counts(SimConfig(two, 500, seed=1)) == {3: 500}
+        exact = absorption_pmf(two)
+        assert empirical_pmf(SimConfig(two, 500, seed=1), exact).counts == {3: 500}
+        multi = UrnSpec(model, (linear(1), square(), triangular()), (2, 3, 0))
+        assert simulate_counts(SimConfig(multi, 500, seed=1)) == {(2, 3): 500}
+
+    @pytest.mark.parametrize("rows_cap", [1, 2 * 3_000 + 1])
+    def test_counts_do_not_depend_on_block_size(self, monkeypatch, rows_cap):
+        spec = UrnSpec("I", (linear(1), square(), triangular()), (5, 0, 4))
+        cfg = SimConfig(spec, CHUNK_TRIALS + 3_000, seed=8)
+        base = simulate_counts(cfg)
+        # one row per block, then two rows per block of the 3000-trial chunk
+        monkeypatch.setattr(simulate, "BLOCK_DOUBLES", rows_cap)
+        assert simulate_counts(cfg) == base
+
+    def test_sorting_aggregation_matches_bincount(self, monkeypatch):
+        spec = UrnSpec("II", (linear(1), square(), triangular(), linear(2)), (3, 0, 2, 2))
+        cfg = SimConfig(spec, 5_000, seed=12)
+        base = simulate_counts(cfg)
+        monkeypatch.setattr(simulate, "BINCOUNT_CELLS", 1)
+        assert simulate_counts(cfg) == base
+
+    def test_survivor_space_beyond_int64_is_refused(self):
+        spec = UrnSpec("I", (linear(1),) * 12, (100,) * 12)
+        with pytest.raises(ValueError, match="64-bit"):
+            simulate_counts(SimConfig(spec, 10, seed=0))
+
+    @pytest.mark.parametrize("rows_cap", [1, 7 * 300])
+    def test_limit_draws_do_not_depend_on_block_size(self, monkeypatch, rows_cap):
+        def draws():
+            return (
+                sample_limit_fraction("triangular", np.random.default_rng(5), 500, size=300),
+                sample_fixed_blacks(9, np.random.default_rng(6), size=300),
+                sample_limit_fraction("square", np.random.default_rng(7), 40),
+            )
+
+        base = draws()
+        monkeypatch.setattr(simulate, "BLOCK_DOUBLES", rows_cap)
+        for got, want in zip(draws(), base):
+            assert np.array_equal(got, want)
+
+    def test_clock_blocks_match_row_by_row_sums(self, monkeypatch):
+        monkeypatch.setattr(simulate, "BLOCK_DOUBLES", 3 * 50)
+        scales = np.array([0.5, 2.0, 1e-3, 7.0, 3.0, 0.25, 1.5])
+        rows = np.concatenate(
+            [b.copy() for b in simulate._clock_blocks(np.random.default_rng(3), scales, 50)]
+        )
+        eps = np.random.default_rng(3).standard_exponential((len(scales), 50))
+        clock = np.zeros(50)
+        for i, s in enumerate(scales):
+            clock = clock + eps[i] * s
+            assert np.array_equal(rows[i], clock)
+
+    @pytest.mark.parametrize(
+        "model, values",
+        [("I", ["10e400"]), ("II", ["10e400"]), ("I", ["1e-320", 1]), ("II", ["1e-320", 1])],
+    )
+    def test_out_of_range_scale_is_refused(self, model, values):
+        spec = UrnSpec(model, (linear(1), custom(values), linear(1)), (1, len(values), 1))
+        with pytest.raises(simulate.ClockScaleError) as info:
+            simulate_counts(SimConfig(spec, 10, seed=0))
+        assert info.value.color == 1
+
+    def test_scales_follow_the_duality(self):
+        spec_i = two_color("I", linear(2), square(), 2, 3)
+        spec_ii = two_color("II", linear(2), square(), 2, 3)
+        assert [list(s) for s in simulate.clock_scales(spec_i)] == [[0.25, 0.5], [1 / 9, 0.25, 1.0]]
+        assert [list(s) for s in simulate.clock_scales(spec_ii)] == [[4.0, 2.0], [9.0, 4.0, 1.0]]
 
 
 # (stat, dof) from next to zero to the far tail
