@@ -357,9 +357,10 @@ def _cmd_limit(args) -> int:
     return EXIT_OK
 
 
-# the theta routes work at bits + 32 and agree there to within 6 units in
-# the last place (q = k/200, 8 to 48 bits); a tol below 64 such units would
-# ask the check to resolve their rounding noise
+# the theta routes work at bits + 32 and agree there to within 21 units in
+# the last place, measured for q up to 49999/50000 at 8 to 16 bits (the
+# series' rounding noise grows like the square root of its term count);
+# a tol below 64 such units would ask the check to resolve that noise
 THETA_MIN_TOL_ULPS = 64
 
 

@@ -170,13 +170,6 @@ class TestClockSampler:
         monkeypatch.setattr(simulate, "BLOCK_DOUBLES", rows_cap)
         assert simulate_counts(cfg) == base
 
-    def test_sorting_aggregation_matches_bincount(self, monkeypatch):
-        spec = UrnSpec("II", (linear(1), square(), triangular(), linear(2)), (3, 0, 2, 2))
-        cfg = SimConfig(spec, 5_000, seed=12)
-        base = simulate_counts(cfg)
-        monkeypatch.setattr(simulate, "BINCOUNT_CELLS", 1)
-        assert simulate_counts(cfg) == base
-
     def test_survivor_space_beyond_int64_is_refused(self):
         spec = UrnSpec("I", (linear(1),) * 12, (100,) * 12)
         with pytest.raises(ValueError, match="64-bit"):
@@ -196,14 +189,16 @@ class TestClockSampler:
         for got, want in zip(draws(), base):
             assert np.array_equal(got, want)
 
-    def test_clock_blocks_match_row_by_row_sums(self, monkeypatch):
-        monkeypatch.setattr(simulate, "BLOCK_DOUBLES", 3 * 50)
+    # narrow blocks take np.cumsum, wide ones a pass per row
+    @pytest.mark.parametrize("cols", [1, 50, simulate.CUMSUM_COLS, 200])
+    def test_clock_blocks_match_row_by_row_sums(self, monkeypatch, cols):
+        monkeypatch.setattr(simulate, "BLOCK_DOUBLES", 3 * cols)
         scales = np.array([0.5, 2.0, 1e-3, 7.0, 3.0, 0.25, 1.5])
         rows = np.concatenate(
-            [b.copy() for b in simulate._clock_blocks(np.random.default_rng(3), scales, 50)]
+            [b.copy() for b in simulate._clock_blocks(np.random.default_rng(3), scales, cols)]
         )
-        eps = np.random.default_rng(3).standard_exponential((len(scales), 50))
-        clock = np.zeros(50)
+        eps = np.random.default_rng(3).standard_exponential((len(scales), cols))
+        clock = np.zeros(cols)
         for i, s in enumerate(scales):
             clock = clock + eps[i] * s
             assert np.array_equal(rows[i], clock)
