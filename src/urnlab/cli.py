@@ -196,6 +196,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_pmf_multi(args) -> int:
     spec = _multi_spec(args, args.model)
+    if args.engine == "closed" and min(spec.counts) < 1:
+        raise CliError("--counts: the closed forms need every count >= 1; use --engine oracle")
     reference = oracle.absorption_pmf_multi(spec)
     render = _prob_renderer(args)
     if args.engine == "oracle":
@@ -358,9 +360,10 @@ def _cmd_limit(args) -> int:
 
 
 # the theta routes work at bits + 32 and agree there to within 21 units in
-# the last place, measured for q up to 49999/50000 at 8 to 16 bits (the
-# series' rounding noise grows like the square root of its term count);
-# a tol below 64 such units would ask the check to resolve that noise
+# the last place, measured for q up to 49999/50000 at 8 to 16 bits (worst
+# 20.8 at q = 19999/20000, 8 bits); the series' rounding noise grows like
+# the square root of its term count, and a tol below 64 such units would
+# ask the check to resolve that noise
 THETA_MIN_TOL_ULPS = 64
 
 

@@ -36,7 +36,6 @@ from .weights import (
     MODEL_SAMPLING,
     UrnSpec,
     WeightSequence,
-    check_distinct,
     linear,
 )
 
@@ -49,11 +48,15 @@ class DistinctWeightsError(ValueError):
     """Closed forms divide by weight differences; repeated weights are refused."""
 
 
-def _require_distinct(seq: WeightSequence, upper: int, name: str):
-    if upper >= 2 and not check_distinct(seq, upper):
+def _distinct_table(seq: WeightSequence, upper: int, name: str) -> list:
+    """`seq.table(upper)`; closed forms divide by weight differences, so
+    repeated weights at 1..upper are refused."""
+    table = seq.table(upper)
+    if len(set(table[1:])) < upper:
         raise DistinctWeightsError(
             f"{name} weights must be pairwise distinct up to index {upper}"
         )
+    return table
 
 
 def _require_representation(representation: str):
@@ -63,13 +66,11 @@ def _require_representation(representation: str):
         )
 
 
-def _check_two_color_args(A, B, n, m, k):
+def _check_two_color_args(n, m, k):
     if n < 1 or m < 1:
         raise ValueError("closed forms need n >= 1 and m >= 1")
     if k is not None and not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}")
-    _require_distinct(A, n, "first-color")
-    _require_distinct(B, m, "second-color")
 
 
 def _prod(values, start=Fraction(1)):
@@ -80,13 +81,14 @@ def _prod(values, start=Fraction(1)):
 
 
 def _resolve_tables(A, B, n, m, mode):
-    """Weight tables cast into the requested scalar mode.
+    """Weight tables, checked distinct and cast into the requested scalar
+    mode.
 
     The natural mode is rational unless a custom table holds floats; floats
     are never silently promoted back to rationals.
     """
-    alpha = A.table(n)
-    beta = B.table(m)
+    alpha = _distinct_table(A, n, "first-color")
+    beta = _distinct_table(B, m, "second-color")
     natural = FLOAT if isinstance(alpha[1] + beta[1], float) else RATIONAL
     if mode is None:
         mode = natural
@@ -117,7 +119,7 @@ def sampling_pmf(A, B, n, m, k, representation=BETA_POLES, mode=None):
     evaluation; take the distribution once when several k are wanted.
     """
     _require_representation(representation)
-    _check_two_color_args(A, B, n, m, k)
+    _check_two_color_args(n, m, k)
     return sampling_distribution(A, B, n, m, representation, mode)[k]
 
 
@@ -130,7 +132,7 @@ def sampling_distribution(
     products (and, in the alpha-poles form, an extra pole term at 0).
     """
     _require_representation(representation)
-    _check_two_color_args(A, B, n, m, None)
+    _check_two_color_args(n, m, None)
     alpha, beta, mode = _resolve_tables(A, B, n, m, mode)
     with _mode_context(mode):
         terms = [[] for _ in range(n + 1)]
@@ -180,7 +182,7 @@ def okcorral_pmf(A, B, n, m, k, representation=BETA_POLES, mode=None):
     evaluation; take the distribution once when several k are wanted.
     """
     _require_representation(representation)
-    _check_two_color_args(A, B, n, m, k)
+    _check_two_color_args(n, m, k)
     return okcorral_distribution(A, B, n, m, representation, mode)[k]
 
 
@@ -193,7 +195,7 @@ def okcorral_distribution(
     agree exactly in rational mode.
     """
     _require_representation(representation)
-    _check_two_color_args(A, B, n, m, None)
+    _check_two_color_args(n, m, None)
     alpha, beta, mode = _resolve_tables(A, B, n, m, mode)
     with _mode_context(mode):
         terms = [[] for _ in range(n + 1)]
@@ -334,6 +336,8 @@ def polya_okcorral_pmf(b, c, n, m, k, representation=BETA_POLES, mode=RATIONAL):
 
 
 def _check_multi_args(seqs, nvec, kvec):
+    """Validated counts, survivor counts and the weight table of each
+    color, refused when any table repeats a weight."""
     seqs = tuple(seqs)
     nvec = tuple(int(x) for x in nvec)
     kvec = tuple(int(x) for x in kvec)
@@ -346,17 +350,18 @@ def _check_multi_args(seqs, nvec, kvec):
         raise ValueError("all initial counts must be >= 1 for the closed forms")
     if any(not 0 <= k <= n for k, n in zip(kvec, nvec)):
         raise ValueError("survivor counts must lie in 0..n_j")
-    for idx, (seq, n) in enumerate(zip(seqs, nvec)):
-        _require_distinct(seq, n, f"color-{idx + 1}")
-    return seqs, nvec, kvec
+    tables = [
+        _distinct_table(seq, n, f"color-{idx + 1}")
+        for idx, (seq, n) in enumerate(zip(seqs, nvec))
+    ]
+    return nvec, kvec, tables
 
 
 def sampling_pmf_multi(seqs, nvec, kvec):
     """Joint survivor pmf for the r-color sampling urn: the (r-1)-fold
     nested pole sum.  Reduces to sampling_pmf at r = 2."""
-    seqs, nvec, kvec = _check_multi_args(seqs, nvec, kvec)
+    nvec, kvec, tables = _check_multi_args(seqs, nvec, kvec)
     r = len(nvec)
-    tables = [seq.table(n) for seq, n in zip(seqs, nvec)]
     last = tables[-1][1:]
     num = _prod(last)
     for j in range(r - 1):
@@ -421,7 +426,7 @@ def okcorral_pmf_multi(seqs, nvec, kvec, reading=READING_PRODUCT):
     Survivor vectors with any k_j = 0 have no published closed form; ask
     the recurrence oracle for those.
     """
-    seqs, nvec, kvec = _check_multi_args(seqs, nvec, kvec)
+    nvec, kvec, tables = _check_multi_args(seqs, nvec, kvec)
     if any(k < 1 for k in kvec):
         raise ValueError(
             "closed form needs every k_j >= 1; use the recurrence oracle "
@@ -430,7 +435,6 @@ def okcorral_pmf_multi(seqs, nvec, kvec, reading=READING_PRODUCT):
     if reading not in (READING_PRODUCT, READING_PRINTED):
         raise ValueError(f"unknown reading {reading!r}")
     r = len(nvec)
-    tables = [seq.table(n) for seq, n in zip(seqs, nvec)]
     last = tables[-1][1:]
     n_r = nvec[-1]
     k_pref = _prod(tables[j][kvec[j]] for j in range(r - 1))

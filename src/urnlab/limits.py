@@ -28,6 +28,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 import mpmath
+from mpmath.libmp import mpf_mul, round_nearest
 
 from .numerics import (
     BIGFLOAT,
@@ -45,6 +46,13 @@ TRIANGULAR = "triangular"
 SHIFTED_SQUARE = "shifted-square"
 
 MAX_SERIES_TERMS = 2_000_000
+
+# factors multiplied as exact integers before one fold into a big-float
+PRODUCT_BLOCK = 64
+
+# bits carried beyond the working precision by the running powers of q in
+# the q-products; see jacobi_triple_product
+POWER_GUARD_BITS = 48
 
 
 FAMILIES = {
@@ -102,15 +110,29 @@ def _budget_error(tol, max_terms, hint):
 # ---------------------------------------------------------------------------
 
 
+def _ratio_blocks(weights, s):
+    """Yield the product of b / (b + s) over each run of PRODUCT_BLOCK
+    consecutive rational weights b = p/q, as an exact pair of integers
+    (prod p, prod (p + s q))."""
+    for start in range(0, len(weights), PRODUCT_BLOCK):
+        num = den = 1
+        for b in weights[start : start + PRODUCT_BLOCK]:
+            p, q = b.numerator, b.denominator
+            num *= p
+            den *= p + s * q
+        yield num, den
+
+
 def fixed_blacks_moment(m: int, s: int, mode: str = RATIONAL):
     """s-th moment of the limiting survivor fraction: the finite product of
-    ell^2 / (ell^2 + s).  Exact rational by default."""
+    ell^2 / (ell^2 + s).  Exact rational by default, folded one block of
+    exact integer factors at a time."""
     if m < 1 or s < 1:
         raise ValueError("need m >= 1 and s >= 1")
     if mode == RATIONAL:
         acc = Fraction(1)
-        for ell in range(1, m + 1):
-            acc *= Fraction(ell * ell, ell * ell + s)
+        for num, den in _ratio_blocks([ell * ell for ell in range(1, m + 1)], s):
+            acc *= Fraction(num, den)
         return acc
     if mode == FLOAT:
         acc = 1.0
@@ -273,7 +295,15 @@ def limit_moment(s: int, family=SQUARE, bits=None):
 def limit_moment_product(s: int, family=SQUARE, tol=1e-12, bits=None):
     """The same moment as the truncated weight product, with the tail folded
     in as exp(-s * sum of reciprocal weights beyond the cutoff).  This is the
-    ground-truth route the closed forms are compared against."""
+    ground-truth route the closed forms are compared against.
+
+    Each factor b/(b+s), b = p/q, is the exact ratio p/(p + s q); blocks of
+    PRODUCT_BLOCK of them are multiplied as integers and folded into the
+    big-float product with one multiply and one divide, each rounded once at
+    bits + 32.  Over M factors that is at most 2 ceil(M/64) + O(1) roundings,
+    so the relative rounding error is at most that many units of
+    2^-(bits+32); the tail and the final product add the O(1).
+    """
     if s < 1:
         raise ValueError("need s >= 1")
     tag = _family(family)
@@ -287,9 +317,8 @@ def limit_moment_product(s: int, family=SQUARE, tol=1e-12, bits=None):
         )
     with mpmath.workprec(_bits(bits) + 32):
         acc = mpmath.mpf(1)
-        for ell in range(1, cutoff + 1):
-            b = cast_value(FAMILIES[tag].eval(ell), BIGFLOAT)
-            acc *= b / (b + s)
+        for num, den in _ratio_blocks(FAMILIES[tag].table(cutoff)[1:], s):
+            acc = acc * num / den
         if tag == SQUARE:
             tail = mpmath.polygamma(1, cutoff + 1)
         elif tag == TRIANGULAR:
@@ -319,31 +348,63 @@ def theta(q, tol=1e-30, bits=None):
 
 def jacobi_triple_product(q, tol=1e-30, bits=None):
     """The triple product (1-q^2j)(1-q^(2j-1))^2 over j >= 1; equal to the
-    theta series, which is how the series is certified to be a CDF tail."""
+    theta series, which is how the series is certified to be a CDF tail.
+
+    Rounding: with p = bits + 32 the working precision, q^(2j-1) is carried
+    from factor to factor as a raw big-float at p + POWER_GUARD_BITS bits,
+    one multiply by the exact q^2 per factor, and q^(2j) is one multiply
+    more.  Each multiply rounds with relative error at most 2^-(p+48), and
+    at most MAX_SERIES_TERMS < 2^21 of them stand behind any power, so
+    every guarded power is within 2^-(p+27) of q^k relatively.  Each power
+    is rounded once per factor to p bits, which gives the correctly rounded
+    q^k unless q^k lies within 2^-27 units of a rounding boundary; the
+    factor is then formed at p bits from the rounded powers.
+    """
     if q < 0 or q >= 1:
         raise ValueError("triple product needs 0 <= q < 1")
-    with mpmath.workprec(_bits(bits) + 32):
+    prec = _bits(bits) + 32
+    wp = prec + POWER_GUARD_BITS
+    with mpmath.workprec(prec):
         qq = cast_value(q, BIGFLOAT)
+        q1 = qq._mpf_
+        q2 = mpf_mul(q1, q1)  # exact
+        # remaining log-product magnitude is below 3 q^(2j+1)/(1-q)
+        scale = 3 * qq**2 / (1 - qq)
+        power = q1  # q^(2j-1) at p + 48 bits
 
         def factor(j):
-            even, odd = qq ** (2 * j), qq ** (2 * j - 1)
-            # remaining log-product magnitude is below 3 q^(2j+1)/(1-q)
-            return (1 - even) * (1 - odd) ** 2, 3 * odd * qq**2 / (1 - qq)
+            nonlocal power
+            odd = mpmath.mpf(power)  # rounds to p bits
+            even = mpmath.mpf(mpf_mul(power, q1, wp, round_nearest))
+            power = mpf_mul(power, q2, wp, round_nearest)
+            return (1 - even) * (1 - odd) ** 2, odd * scale
 
         return +_sum_until(factor, tol, mpmath.mpf(1), combine=operator.mul)
 
 
 def euler_phi_cubed(q, tol=1e-30, bits=None):
     """Cube of the Euler product (1-q^n); the triangular-family analogue of
-    the triple product."""
+    the triple product.
+
+    Rounding as in jacobi_triple_product: q^n is carried at
+    p + POWER_GUARD_BITS bits, one multiply by q per factor, and rounded
+    once per factor to the working precision p = bits + 32.
+    """
     if q < 0 or q >= 1:
         raise ValueError("Euler product needs 0 <= q < 1")
-    with mpmath.workprec(_bits(bits) + 32):
+    prec = _bits(bits) + 32
+    wp = prec + POWER_GUARD_BITS
+    with mpmath.workprec(prec):
         qq = cast_value(q, BIGFLOAT)
+        q1 = qq._mpf_
+        scale = 3 * qq / (1 - qq)
+        power = q1  # q^n at p + 48 bits
 
         def factor(n):
-            t = qq**n
-            return 1 - t, 3 * t * qq / (1 - qq)
+            nonlocal power
+            t = mpmath.mpf(power)  # rounds to p bits
+            power = mpf_mul(power, q1, wp, round_nearest)
+            return 1 - t, t * scale
 
         return +(_sum_until(factor, tol, mpmath.mpf(1), combine=operator.mul) ** 3)
 

@@ -200,9 +200,8 @@ def absorption_pmf(spec: UrnSpec) -> ExactDistribution:
 
 def absorption_pmf_multi(spec: UrnSpec) -> ExactDistribution:
     """Joint distribution of surviving type-1..r-1 balls when the last color
-    runs out, for r >= 2 colors, by forward reach from the start."""
-    if spec.counts[-1] < 1:
-        raise ValueError("the last color needs at least one ball")
+    runs out, for r >= 2 colors, by forward reach from the start.  An empty
+    last color is absorbed at the start: every other count survives."""
     return _as_distribution(spec, _forward_reach(spec), flat=False)
 
 
@@ -218,8 +217,6 @@ def enumerate_pmf(spec: UrnSpec) -> ExactDistribution:
             f"instance too large: {sum(counts)} balls exceeds the "
             f"enumeration limit of {ENUMERATION_LIMIT}"
         )
-    if counts[-1] < 1 and not spec.is_two_color:
-        raise ValueError("the last color needs at least one ball")
     tables = [seq.table(c) for seq, c in zip(spec.sequences, counts)]
     zero = Fraction(0) if spec.mode == RATIONAL else 0.0
     out: dict = defaultdict(lambda: zero)

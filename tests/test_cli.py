@@ -180,6 +180,17 @@ class TestPmfMulti:
         assert code == 0
         assert [e["k"] for e in check_json(out)["pmf"]] == [[0], [1], [2]]
 
+    @pytest.mark.parametrize("counts", ["3,0", "0,2", "2,0,1"])
+    def test_closed_form_refusal_names_counts(self, capsys, counts):
+        weights_arg = ";".join(["square", "linear:1", "triangular"][: counts.count(",") + 1])
+        argv = ["pmf-multi", "--weights", weights_arg, "--counts", counts]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("--counts:")
+        code, out, _ = run_cli(capsys, *argv, "--engine", "oracle")
+        assert code == 0
+        assert check_json(out)["command"] == "pmf-multi"
+
 
 class TestMoments:
     def test_reports_match(self, capsys):
@@ -334,12 +345,12 @@ class TestDuality:
         assert code == 0
         assert check_json(out)["verdict"] == "exact match"
 
-    def test_weights_form_needs_a_ball_of_the_last_color(self, capsys):
-        code, _, err = run_cli(
+    def test_weights_form_accepts_no_last_color_balls(self, capsys):
+        code, out, _ = run_cli(
             capsys, "duality-check", "--weights", "square;linear:1", "--counts", "3,0"
         )
-        assert code == 2
-        assert "the last color needs at least one ball" in err
+        assert code == 0
+        assert check_json(out)["verdict"] == "exact match"
 
     def test_two_color_form_accepts_no_second_color_balls(self, capsys):
         code, out, _ = run_cli(
@@ -357,6 +368,20 @@ class TestDuality:
 
 
 class TestSimulateAndCompare:
+    @pytest.mark.parametrize("model", ["I", "II"])
+    def test_empty_last_color_same_in_both_forms(self, capsys, model):
+        tail = ["--model", model, "--trials", "2000", "--seed", "3"]
+        code, multi, _ = run_cli(
+            capsys, "simulate", "--weights", "linear:1;square", "--counts", "2,0", *tail
+        )
+        assert code == 0
+        code, two, _ = run_cli(
+            capsys, "simulate", "--A", "linear:1", "--B", "square", "--n", "2", "--m", "0", *tail
+        )
+        assert code == 0
+        assert check_json(multi)["counts"] == [{"k": [2], "count": 2000}]
+        assert check_json(two)["counts"] == [{"k": 2, "count": 2000}]
+
     def test_simulate_deterministic_across_workers(self, capsys):
         base = [
             "simulate", "--model", "I", "--A", "linear:1", "--B", "linear:1",

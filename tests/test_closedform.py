@@ -27,10 +27,12 @@ from urnlab.closedform import (
     sampling_pmf,
     sampling_pmf_multi,
 )
-from urnlab.numerics import FLOAT
+from urnlab.numerics import FLOAT, ScalarModeError
 from urnlab.oracle import absorption_pmf, absorption_pmf_multi, enumerate_pmf
 from urnlab.weights import (
     UrnSpec,
+    WeightRangeError,
+    WeightSequence,
     custom,
     linear,
     reciprocal,
@@ -308,3 +310,64 @@ class TestClosedVsOracle:
             lhs = sampling_pmf(A, B, n, m, k)
             rhs = okcorral_pmf(reciprocal(A), reciprocal(B), n, m, k)
             assert lhs == rhs
+
+
+class TestInputChecks:
+    """Each closed-form call evaluates every weight table once, and checks
+    its arguments in a fixed order: counts, survivor counts, then each
+    color's table (range, then distinctness), then the scalar mode."""
+
+    REP = custom([1, 1, 2])
+    SHORT = custom([1, 2])
+    FLOATS = custom([1.0, 2.5, 3.0])
+
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            ((linear(1), square(), 3, 3, 5), ValueError, "k must lie in 0..3"),
+            ((REP, SHORT, 0, 3, 0), ValueError, "closed forms need n >= 1 and m >= 1"),
+            ((REP, square(), 3, 3, 9), ValueError, "k must lie in 0..3"),
+            ((REP, SHORT, 3, 3, 1), DistinctWeightsError, "first-color weights must"),
+            ((SHORT, REP, 3, 3, 1), WeightRangeError, "custom table covers 1..2"),
+            ((SHORT, REP, 1, 3, 1), DistinctWeightsError, "second-color weights must"),
+            ((FLOATS, SHORT, 3, 3, 1, BETA_POLES, "rational"), WeightRangeError, "covers"),
+            ((FLOATS, square(), 3, 3, 1, BETA_POLES, "rational"), ScalarModeError,
+             "float-valued weights cannot run in rational mode"),
+        ],
+    )
+    def test_two_color_refusals_in_order(self, args, error, message):
+        for pmf in (sampling_pmf, okcorral_pmf):
+            with pytest.raises(error, match=message):
+                pmf(*args)
+
+    @pytest.mark.parametrize(
+        "seqs, nvec, kvec, error, message",
+        [
+            ((linear(1), square(), linear(1)), (2, 2, 0), (1, 1), ValueError,
+             "all initial counts must be >= 1"),
+            ((linear(1), square(), linear(1)), (2, 2, 2), (3, 1), ValueError,
+             "survivor counts must lie in"),
+            ((REP, SHORT, square()), (3, 3, 2), (1, 1), DistinctWeightsError, "color-1"),
+            ((linear(1), SHORT, square()), (2, 3, 2), (1, 1), WeightRangeError, "covers"),
+            ((linear(1), square(), REP), (2, 2, 3), (1, 1), DistinctWeightsError, "color-3"),
+        ],
+    )
+    def test_multi_refusals(self, seqs, nvec, kvec, error, message):
+        for pmf in (sampling_pmf_multi, okcorral_pmf_multi):
+            with pytest.raises(error, match=message):
+                pmf(seqs, nvec, kvec)
+
+    def test_each_table_evaluated_once(self, monkeypatch):
+        calls = []
+        real = WeightSequence.eval
+        monkeypatch.setattr(
+            WeightSequence, "eval", lambda self, j: calls.append(j) or real(self, j)
+        )
+        for dist in (sampling_distribution, okcorral_distribution):
+            calls.clear()
+            dist(triangular(), square(), 4, 3)
+            assert sorted(calls) == sorted([*range(5), *range(4)])
+        for pmf in (sampling_pmf_multi, okcorral_pmf_multi):
+            calls.clear()
+            pmf((linear(1), square(), triangular()), (2, 3, 2), (1, 1))
+            assert sorted(calls) == sorted([*range(3), *range(4), *range(3)])

@@ -180,9 +180,16 @@ class TestMulti:
         spec = UrnSpec("II", (linear(1), square(), triangular(), linear(2)), (2, 2, 1, 2))
         assert absorption_pmf_multi(spec).total() == 1
 
-    def test_last_color_guard(self):
-        with pytest.raises(ValueError):
-            absorption_pmf_multi(UrnSpec("I", (linear(1),) * 3, (1, 1, 0)))
+    def test_empty_last_color_is_absorbed_at_the_start(self):
+        for model in ("I", "II"):
+            spec = UrnSpec(model, (linear(1), square(), triangular()), (1, 2, 0))
+            dist = absorption_pmf_multi(spec)
+            assert dist.support == tuple(product(range(2), range(3)))
+            assert dist.probs == {k: Fraction(k == (1, 2)) for k in dist.support}
+            assert enumerate_pmf(spec).probs == dist.probs
+            two = absorption_pmf(two_color(model, linear(1), square(), 2, 0))
+            flat = absorption_pmf_multi(UrnSpec(model, (linear(1), square()), (2, 0)))
+            assert {(k,): p for k, p in two.items()} == flat.probs
 
 
 class TestDuality:
