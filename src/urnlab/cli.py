@@ -111,6 +111,18 @@ def _spec(args, model) -> weights.UrnSpec:
     return weights.two_color(model, _seq(args.A, "--A"), _seq(args.B, "--B"), args.n, args.m)
 
 
+def _closed_form_spec(spec) -> weights.UrnSpec:
+    """The two-color urn, refused (exit 2 naming --n or --m) when a color
+    is empty: the closed forms need a ball of each, the oracle does not."""
+    for flag, count in (("--n", spec.n), ("--m", spec.m)):
+        if count < 1:
+            raise CliError(
+                f"{flag}: the closed forms need at least one ball of each color; "
+                "use urnlab oracle"
+            )
+    return spec
+
+
 def _oracle(args, spec):
     """Exact pmf keyed as the flags ask: survivor vectors for --weights,
     first-color survivor counts for --A/--B."""
@@ -156,7 +168,7 @@ def _pmf_table(entries):
 
 
 def _cmd_pmf(args) -> int:
-    spec = _spec(args, args.model)
+    spec = _closed_form_spec(_spec(args, args.model))
     dist = closedform.two_color_distribution(spec, args.representation, args.mode)
     render = _prob_renderer(args, dist.mode)
     entries = dist.to_jsonable(render)
@@ -462,7 +474,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     from . import simulate
 
-    spec = _sim_spec(args, simulate)
+    spec = _closed_form_spec(_sim_spec(args, simulate))
     reference = oracle.absorption_pmf(spec)
     dists = {
         rep: closedform.two_color_distribution(spec, rep)

@@ -7,6 +7,14 @@ here is cross-validated against the recurrence oracle, and the specialized
 linear-weight (Polya) forms are additionally implemented from their own
 displays so that any typographical slip in those displays is detected
 rather than inherited.
+
+The r-color laws are (r-1)-fold nested sums over pole vectors whose
+summands factor color by color apart from one shared denominator.
+`_multi_law` uses that: one denominator per pole vector, then one
+triangular contraction per color, so `multi_distribution` gets the whole
+survivor grid for prod_j (n_j + 1) denominators plus r - 1 passes.  The
+as-printed contested-fire reading (`READING_PRINTED`) does not factor and
+stays a literal per-vector sum, kept only as a diagnostic.
 """
 
 from __future__ import annotations
@@ -335,20 +343,22 @@ def polya_okcorral_pmf(b, c, n, m, k, representation=BETA_POLES, mode=RATIONAL):
 # ---------------------------------------------------------------------------
 
 
-def _check_multi_args(seqs, nvec, kvec):
+def _check_multi_args(seqs, nvec, kvec=None):
     """Validated counts, survivor counts and the weight table of each
-    color, refused when any table repeats a weight."""
+    color, refused when any table repeats a weight.  `kvec` None checks
+    the urn alone, for laws over the whole survivor grid."""
     seqs = tuple(seqs)
     nvec = tuple(int(x) for x in nvec)
-    kvec = tuple(int(x) for x in kvec)
     r = len(nvec)
     if r < 2:
         raise ValueError("need at least two colors")
-    if len(seqs) != r or len(kvec) != r - 1:
+    if kvec is not None:
+        kvec = tuple(int(x) for x in kvec)
+    if len(seqs) != r or (kvec is not None and len(kvec) != r - 1):
         raise ValueError("need r sequences, r counts and r-1 survivor counts")
     if any(n < 1 for n in nvec):
         raise ValueError("all initial counts must be >= 1 for the closed forms")
-    if any(not 0 <= k <= n for k, n in zip(kvec, nvec)):
+    if kvec is not None and any(not 0 <= k <= n for k, n in zip(kvec, nvec)):
         raise ValueError("survivor counts must lie in 0..n_j")
     tables = [
         _distinct_table(seq, n, f"color-{idx + 1}")
@@ -357,33 +367,91 @@ def _check_multi_args(seqs, nvec, kvec):
     return nvec, kvec, tables
 
 
-def sampling_pmf_multi(seqs, nvec, kvec):
-    """Joint survivor pmf for the r-color sampling urn: the (r-1)-fold
-    nested pole sum.  Reduces to sampling_pmf at r = 2."""
-    nvec, kvec, tables = _check_multi_args(seqs, nvec, kvec)
+def _pole_columns(t, n, rows, sampling, n_r, scale):
+    """Color j's triangular matrix M[k, ell], ell >= k, by pole column:
+    {ell: [(k, M[k, ell]) for survivor rows k <= ell]}.
+
+    With D(k, ell) = prod over h in k..n, h != ell, of (t[h] - t[ell]):
+    sampling M[k, ell] = scale * prod_{h>k} t[h] / D(k, ell); contested
+    fire M[k, ell] = t[k] t[ell]^(n-k+n_r-1) / ((-1)^(n-k) D(k, ell)).
+    D is built down from k = ell by D(k, ell) = D(k+1, ell) * (t[k] -
+    t[ell]), one factor per row.
+    """
+    low = min(rows)
+    wanted = set(rows)
+    suffix = {}  # scale * prod_{h>k} t[h]
+    acc = scale
+    for k in range(n, low - 1, -1):
+        suffix[k] = acc
+        acc = acc * t[k]
+    columns = {}
+    for ell in range(low, n + 1):
+        pole = t[ell]
+        diff = _prod(t[h] - pole for h in range(ell + 1, n + 1))
+        if not sampling:
+            power = pole ** (n - ell + n_r - 1)
+        entries = []
+        for k in range(ell, low - 1, -1):
+            if k < ell:
+                diff = diff * (t[k] - pole)
+                if not sampling:
+                    power = power * pole
+            if k in wanted:
+                if sampling:
+                    num = suffix[k]
+                else:
+                    num = t[k] * power if (n - k) % 2 == 0 else -t[k] * power
+                entries.append((k, num / diff))
+        columns[ell] = entries
+    return columns
+
+
+def _multi_law(tables, nvec, rows, sampling):
+    """The r-color closed form (pole-index reading in model II) at every
+    survivor vector of the box rows[0] x ... x rows[r-2], as {kvec: p}.
+
+    Apart from one shared denominator, each pole summand factors by color:
+    P(k) = sum_ell g(ell) prod_j M_j[k_j, ell_j], with g(ell) =
+    1/prod_{w in last}(w + sum_j t_j[ell_j]) in model I and
+    1/prod_{w in last}(pole_prod + w * cross) in model II.  So g is taken
+    once per pole vector and the color axes are contracted one at a time
+    with the triangular matrices of `_pole_columns`: prod_j (n_j + 1 -
+    min rows_j) denominators plus r - 1 passes, in place of one nested
+    pole sum per survivor vector.  Exact for rational tables; sampling rows
+    may hold k_j = 0, contested-fire rows need k_j >= 1.
+    """
     r = len(nvec)
     last = tables[-1][1:]
-    num = _prod(last)
+    n_r = nvec[-1]
+    law = {}
+    for ells in product(*[range(min(rows[j]), nvec[j] + 1) for j in range(r - 1)]):
+        pole = [tables[j][ell] for j, ell in enumerate(ells)]
+        if sampling:
+            s = sum(pole)
+            den = _prod(w + s for w in last)
+        else:
+            pole_prod = _prod(pole)
+            cross = sum(pole_prod / p for p in pole)
+            den = _prod(pole_prod + w * cross for w in last)
+        law[ells] = 1 / den
     for j in range(r - 1):
-        num = num * _prod(tables[j][kvec[j] + 1 :])
-    diff_factors = []
-    for j in range(r - 1):
-        col = {}
-        for ell in range(kvec[j], nvec[j] + 1):
-            col[ell] = _prod(
-                tables[j][h] - tables[j][ell]
-                for h in range(kvec[j], nvec[j] + 1)
-                if h != ell
-            )
-        diff_factors.append(col)
-    total = Fraction(0)
-    for ells in product(*[range(kvec[j], nvec[j] + 1) for j in range(r - 1)]):
-        s = sum(tables[j][ells[j]] for j in range(r - 1))
-        den = _prod(w + s for w in last)
-        for j in range(r - 1):
-            den = den * diff_factors[j][ells[j]]
-        total += num / den
-    return total
+        scale = _prod(last) if sampling and j == 0 else Fraction(1)
+        columns = _pole_columns(tables[j], nvec[j], rows[j], sampling, n_r, scale)
+        contracted = {}
+        for ells, value in law.items():
+            for k, coeff in columns[ells[j]]:
+                point = ells[:j] + (k,) + ells[j + 1 :]
+                contracted[point] = contracted.get(point, 0) + coeff * value
+        law = contracted
+    return law
+
+
+def sampling_pmf_multi(seqs, nvec, kvec):
+    """Joint survivor pmf for the r-color sampling urn: the (r-1)-fold
+    nested pole sum, contracted color by color (`_multi_law`).  Reduces to
+    sampling_pmf at r = 2."""
+    nvec, kvec, tables = _check_multi_args(seqs, nvec, kvec)
+    return _multi_law(tables, nvec, [(k,) for k in kvec], sampling=True)[kvec]
 
 
 def polya_sampling_pmf_multi(avec, nvec, kvec):
@@ -432,8 +500,16 @@ def okcorral_pmf_multi(seqs, nvec, kvec, reading=READING_PRODUCT):
             "closed form needs every k_j >= 1; use the recurrence oracle "
             "for survivor vectors containing zeros"
         )
-    if reading not in (READING_PRODUCT, READING_PRINTED):
+    if reading == READING_PRODUCT:
+        return _multi_law(tables, nvec, [(k,) for k in kvec], sampling=False)[kvec]
+    if reading != READING_PRINTED:
         raise ValueError(f"unknown reading {reading!r}")
+    return _okcorral_as_printed(tables, nvec, kvec)
+
+
+def _okcorral_as_printed(tables, nvec, kvec):
+    """The literal transcription, term by term: its cross term holds the
+    survivor weights, so the summand does not factor by color."""
     r = len(nvec)
     last = tables[-1][1:]
     n_r = nvec[-1]
@@ -455,10 +531,7 @@ def okcorral_pmf_multi(seqs, nvec, kvec, reading=READING_PRODUCT):
         num = k_pref
         for j in range(r - 1):
             num = num * pole[j] ** (nvec[j] - kvec[j] + n_r - 1)
-        if reading == READING_PRODUCT:
-            cross = sum(pole_prod / pole[g] for g in range(r - 1))
-        else:
-            cross = sum(k_pref / pole[g] for g in range(r - 1))
+        cross = sum(k_pref / pole[g] for g in range(r - 1))
         den = _prod(pole_prod + w * cross for w in last)
         for j in range(r - 1):
             den = den * diff_factors[j][ells[j]]
@@ -567,17 +640,15 @@ def two_color_distribution(spec, representation=BETA_POLES, mode=None):
 
 def multi_distribution(spec, reference):
     """The r-color closed form of the spec's model on the support of its
-    oracle distribution `reference`.  Contested-fire points where some color
+    oracle distribution `reference`, from one contraction over the whole
+    survivor grid (`_multi_law`).  Contested-fire points where some color
     has no survivor have no published closed form and keep the oracle's
     value."""
-    probs = {}
-    for kvec in reference.support:
-        if spec.model == MODEL_SAMPLING:
-            probs[kvec] = sampling_pmf_multi(spec.sequences, spec.counts, kvec)
-        elif all(k >= 1 for k in kvec):
-            probs[kvec] = okcorral_pmf_multi(spec.sequences, spec.counts, kvec)
-        else:
-            probs[kvec] = reference[kvec]
+    sampling = spec.model == MODEL_SAMPLING
+    nvec, _, tables = _check_multi_args(spec.sequences, spec.counts)
+    low = 0 if sampling else 1
+    law = _multi_law(tables, nvec, [range(low, n + 1) for n in nvec[:-1]], sampling)
+    probs = {kvec: law.get(kvec, reference[kvec]) for kvec in reference.support}
     return ExactDistribution(reference.support, probs, reference.mode)
 
 

@@ -96,7 +96,7 @@ class WeightSequence:
         if self.family == "triangular":
             return Fraction(j * (j + 1), 2)
         if self.family == "shifted-square":
-            return (Fraction(2 * j - 1, 2)) ** 2
+            return Fraction((2 * j - 1) ** 2, 4)
         if self.family == "custom":
             if j > len(self.values):
                 raise WeightRangeError(

@@ -428,6 +428,19 @@ class TestSimulateAndCompare:
         assert err.startswith(flag + ":") and "clock scale" in err
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["pmf", "compare"])
+    @pytest.mark.parametrize("n, m, flag", [("2", "0", "--m"), ("0", "2", "--n")])
+    def test_empty_color_names_the_flag(self, capsys, command, n, m, flag):
+        argv = [command, "--A", "linear:1", "--B", "square", "--n", n, "--m", m]
+        code, out, err = run_cli(capsys, *argv, *(["--trials", "100"] * (command == "compare")))
+        assert code == 2, err
+        assert err.startswith(flag + ":") and "urnlab oracle" in err
+        assert out == ""
+        # the oracle the message points to answers the same urn
+        code, out, err = run_cli(capsys, "oracle", *argv[1:])
+        assert code == 0, err
+        check_json(out)
+
     def test_two_colors_through_weights(self, capsys):
         common = ["--model", "I", "--trials", "20000", "--seed", "7"]
         code, out, err = run_cli(

@@ -13,6 +13,7 @@ from urnlab.closedform import (
     READING_PRODUCT,
     DistinctWeightsError,
     closed_vs_oracle,
+    multi_distribution,
     multi_okcorral_reading_report,
     okcorral_distribution,
     okcorral_pmf,
@@ -259,6 +260,80 @@ class TestMultiOkcorral:
         lit = okcorral_pmf_multi(seqs, (2, 2, 2), (1, 1), READING_PRINTED)
         good = okcorral_pmf_multi(seqs, (2, 2, 2), (1, 1), READING_PRODUCT)
         assert lit != good
+
+
+def nested_pole_sum(model, seqs, nvec, kvec):
+    """The r-color closed form at one survivor vector as the published
+    (r-1)-fold nested pole sum, term by term (pole-index reading in model
+    II); the reference the separable contraction must reproduce."""
+    tables = [seq.table(n) for seq, n in zip(seqs, nvec)]
+    r, last, n_r = len(nvec), tables[-1][1:], nvec[-1]
+    total = Fraction(0)
+    for ells in product(*[range(kvec[j], nvec[j] + 1) for j in range(r - 1)]):
+        pole = [tables[j][ells[j]] for j in range(r - 1)]
+        if model == "I":
+            num = math.prod(last, start=Fraction(1))
+            for j in range(r - 1):
+                num *= math.prod(tables[j][kvec[j] + 1 :], start=Fraction(1))
+            s = sum(pole)
+            den = math.prod((w + s for w in last), start=Fraction(1))
+        else:
+            num = math.prod((tables[j][kvec[j]] for j in range(r - 1)), start=Fraction(1))
+            for j in range(r - 1):
+                num *= pole[j] ** (nvec[j] - kvec[j] + n_r - 1)
+            pole_prod = math.prod(pole, start=Fraction(1))
+            cross = sum(pole_prod / p for p in pole)
+            den = math.prod((pole_prod + w * cross for w in last), start=Fraction(1))
+        for j in range(r - 1):
+            t, ell = tables[j], ells[j]
+            sign = 1 if model == "I" else -1
+            den *= math.prod(
+                (sign * (t[h] - t[ell]) for h in range(kvec[j], nvec[j] + 1) if h != ell),
+                start=Fraction(1),
+            )
+        total += num / den
+    return total
+
+
+class TestMultiDistribution:
+    """`multi_distribution` contracts the whole survivor grid at once; it
+    must equal the nested pole sum at every point it computes, and the
+    oracle at the contested-fire points that have no closed form."""
+
+    SPECS = [
+        ((square(), linear(1)), (6, 5)),
+        ((reciprocal(triangular()), custom([3, 1, 4, 15, 9, 2])), (6, 4)),
+        ((linear(1), square(), triangular()), (4, 4, 3)),
+        ((custom([5, 2, 7, 1]), reciprocal(square()), linear(2)), (4, 3, 3)),
+        ((triangular(), linear(1), shifted_square()), (2, 5, 4)),
+        ((linear(1), linear(2), square(), triangular()), (3, 2, 3, 3)),
+        ((reciprocal(linear(1)), custom([2, 9, 4]), square(), linear(3)), (3, 3, 2, 2)),
+    ]
+
+    @pytest.mark.parametrize("model", ["I", "II"])
+    @pytest.mark.parametrize("seqs, nvec", SPECS)
+    def test_equals_nested_pole_sum_and_oracle(self, model, seqs, nvec):
+        reference = absorption_pmf_multi(UrnSpec(model, seqs, nvec))
+        law = multi_distribution(UrnSpec(model, seqs, nvec), reference)
+        assert law.support == reference.support
+        pmf = sampling_pmf_multi if model == "I" else okcorral_pmf_multi
+        for kvec in reference.support:
+            if model == "I" or min(kvec) >= 1:
+                want = nested_pole_sum(model, seqs, nvec, kvec)
+                assert law[kvec] == want, kvec
+                assert pmf(seqs, nvec, kvec) == want, kvec
+            assert law[kvec] == reference[kvec], kvec
+
+    def test_one_table_evaluation_per_color(self, monkeypatch):
+        spec = UrnSpec("I", (linear(1), square(), triangular()), (4, 4, 3))
+        reference = absorption_pmf_multi(spec)
+        calls = []
+        real = WeightSequence.eval
+        monkeypatch.setattr(
+            WeightSequence, "eval", lambda self, j: calls.append(j) or real(self, j)
+        )
+        multi_distribution(spec, reference)
+        assert len(calls) == 14
 
 
 class TestPartialFractions:

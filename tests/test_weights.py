@@ -47,6 +47,10 @@ class TestEval:
     def test_shifted_square(self):
         assert shifted_square().eval(3) == Fraction(25, 4)
 
+    def test_shifted_square_equals_the_squared_half_integer(self):
+        seq = shifted_square()
+        assert all(seq.eval(j) == Fraction(2 * j - 1, 2) ** 2 for j in range(1, 2001))
+
     def test_power(self):
         assert power(Fraction(1, 2), 3).eval(2) == 4
 
