@@ -99,7 +99,15 @@ def _multi_spec(args, model) -> weights.UrnSpec:
     counts = _int_list(args.counts, "--counts")
     if len(seqs) != len(counts):
         raise CliError("--counts: need one count per weight descriptor")
+    _counts("--counts", *counts)
     return weights.UrnSpec(model, seqs, counts)
+
+
+def _counts(flag, *values):
+    """Exit 2 naming `flag` if a ball count is negative, before `UrnSpec`
+    refuses it with a message that names no flag."""
+    if any(v < 0 for v in values):
+        raise CliError(f"{flag}: initial counts must be nonnegative")
 
 
 def _spec(args, model) -> weights.UrnSpec:
@@ -108,6 +116,8 @@ def _spec(args, model) -> weights.UrnSpec:
     if getattr(args, "weights", None):
         return _multi_spec(args, model)
     _need(args, "for a two-color urn", "A", "B", "n", "m")
+    _counts("--n", args.n)
+    _counts("--m", args.m)
     return weights.two_color(model, _seq(args.A, "--A"), _seq(args.B, "--B"), args.n, args.m)
 
 

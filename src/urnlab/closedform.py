@@ -8,6 +8,14 @@ linear-weight (Polya) forms are additionally implemented from their own
 displays so that any typographical slip in those displays is detected
 rather than inherited.
 
+The rational two-color laws run on integer-scaled tables: both weight
+tables times the lcm of their denominators, which leaves the law unchanged
+because both models draw with ratios of weights.  Each pole term is then an
+integer pair (num, den), and each survivor count's probability is one
+`Fraction` over the lcm of its terms' denominators, reduced once.  Float
+and big-float modes cast the unscaled tables and divide and sum term by
+term as before, so their bits do not change.
+
 The r-color laws are (r-1)-fold nested sums over pole vectors whose
 summands factor color by color apart from one shared denominator.
 `_multi_law` uses that: one denominator per pole vector, then one
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import factorial
+from math import factorial, lcm, prod
 
 import contextlib
 
@@ -56,15 +64,28 @@ class DistinctWeightsError(ValueError):
     """Closed forms divide by weight differences; repeated weights are refused."""
 
 
-def _distinct_table(seq: WeightSequence, upper: int, name: str) -> list:
-    """`seq.table(upper)`; closed forms divide by weight differences, so
-    repeated weights at 1..upper are refused."""
-    table = seq.table(upper)
+def _refuse_repeats(table: list, upper: int, name: str) -> list:
+    """The table, unless it repeats a weight at 1..upper: closed forms
+    divide by weight differences."""
     if len(set(table[1:])) < upper:
         raise DistinctWeightsError(
             f"{name} weights must be pairwise distinct up to index {upper}"
         )
     return table
+
+
+def _distinct_table(seq: WeightSequence, upper: int, name: str) -> list:
+    """`seq.table(upper)`, refused when it repeats a weight."""
+    return _refuse_repeats(seq.table(upper), upper, name)
+
+
+def _integer_table(seq: WeightSequence, upper: int, name: str):
+    """A rational `seq.table(upper)` times c, the lcm of its denominators,
+    as ints, and c; refused when it repeats a weight."""
+    table = seq.table(upper)
+    scale = lcm(*[v.denominator for v in table])
+    ints = [v.numerator * (scale // v.denominator) for v in table]
+    return _refuse_repeats(ints, upper, name), scale
 
 
 def _require_representation(representation: str):
@@ -89,15 +110,26 @@ def _prod(values, start=Fraction(1)):
 
 
 def _resolve_tables(A, B, n, m, mode):
-    """Weight tables, checked distinct and cast into the requested scalar
+    """Weight tables, checked distinct and put into the requested scalar
     mode.
 
     The natural mode is rational unless a custom table holds floats; floats
-    are never silently promoted back to rationals.
+    are never silently promoted back to rationals.  Rational tables come
+    back as ints, both multiplied by the lcm of all their denominators:
+    both models draw with ratios of weights, so one common factor leaves
+    the law unchanged, and the closed forms run in integer arithmetic.
+    Float and big-float modes cast the tables as they are.
     """
+    natural = FLOAT if FLOAT in (A.mode, B.mode) else RATIONAL
+    if natural == RATIONAL and mode in (None, RATIONAL):
+        alpha, a_scale = _integer_table(A, n, "first-color")
+        beta, b_scale = _integer_table(B, m, "second-color")
+        scale = lcm(a_scale, b_scale)
+        alpha = [v * (scale // a_scale) for v in alpha]
+        beta = [v * (scale // b_scale) for v in beta]
+        return alpha, beta, RATIONAL
     alpha = _distinct_table(A, n, "first-color")
     beta = _distinct_table(B, m, "second-color")
-    natural = FLOAT if isinstance(alpha[1] + beta[1], float) else RATIONAL
     if mode is None:
         mode = natural
     if natural == FLOAT and mode == RATIONAL:
@@ -113,6 +145,21 @@ def _mode_context(mode):
     if mode == BIGFLOAT:
         return mpmath.workprec(precision_bits() + 32)
     return contextlib.nullcontext()
+
+
+def _pole_sum(terms, mode, scale=1):
+    """scale times the sum of the pole terms num / den of one survivor
+    count.
+
+    Rational terms are (num, den) int pairs, put over one common
+    denominator, their lcm, so the sum is one `Fraction` reduced once.
+    Float and big-float terms arrive already divided (one value per term,
+    half the memory of a pair) and are summed by `compensated_sum`.
+    """
+    if mode == RATIONAL:
+        common = lcm(*[abs(den) for _, den in terms])
+        return Fraction(scale * sum(num * (common // den) for num, den in terms), common)
+    return scale * compensated_sum(terms, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +190,17 @@ def sampling_distribution(
     _check_two_color_args(n, m, None)
     alpha, beta, mode = _resolve_tables(A, B, n, m, mode)
     with _mode_context(mode):
-        terms = [[] for _ in range(n + 1)]
+        terms = [[] for _ in range(n + 1)]  # pole terms per k, see _pole_sum
+        exact = mode == RATIONAL
         if representation == BETA_POLES:
             for ell in range(1, m + 1):
-                dfix = _prod(beta[i] - beta[ell] for i in range(1, m + 1) if i != ell)
-                tail = dfix
+                tail = prod(beta[i] - beta[ell] for i in range(1, m + 1) if i != ell)
                 for k in range(n, -1, -1):
                     tail = tail * (alpha[k] + beta[ell])
-                    terms[k].append(1 / tail)
+                    terms[k].append((1, tail) if exact else 1 / tail)
         else:
             ubase = [
-                _prod(beta[i] + alpha[ell] for i in range(1, m + 1))
+                prod(beta[i] + alpha[ell] for i in range(1, m + 1))
                 for ell in range(n + 1)
             ]
             for ell in range(0, n + 1):
@@ -163,17 +210,16 @@ def sampling_distribution(
                 for k in range(ell, -1, -1):
                     if k < ell:
                         tail = tail * (alpha[k] - alpha[ell])
-                    terms[k].append(1 / tail)
-        pref_alpha = Fraction(1)
+                    terms[k].append((1, tail) if exact else 1 / tail)
+        pref_alpha = 1
         prefs = [None] * (n + 1)
         for k in range(n, -1, -1):
             prefs[k] = pref_alpha
             if k >= 1:
                 pref_alpha = pref_alpha * alpha[k]
-        beta_prod = _prod(beta[1:])
+        beta_prod = prod(beta[1:])
         probs = {
-            k: beta_prod * prefs[k] * compensated_sum(terms[k], mode)
-            for k in range(n + 1)
+            k: _pole_sum(terms[k], mode, beta_prod * prefs[k]) for k in range(n + 1)
         }
         return ExactDistribution(tuple(range(n + 1)), probs, mode)
 
@@ -206,41 +252,37 @@ def okcorral_distribution(
     _check_two_color_args(n, m, None)
     alpha, beta, mode = _resolve_tables(A, B, n, m, mode)
     with _mode_context(mode):
-        terms = [[] for _ in range(n + 1)]
+        terms = [[] for _ in range(n + 1)]  # pole terms per k, see _pole_sum
+        exact = mode == RATIONAL
         if representation == BETA_POLES:
             for ell in range(1, m + 1):
-                dfix = _prod(beta[ell] - beta[h] for h in range(1, m + 1) if h != ell)
-                tail = dfix
+                tail = prod(beta[ell] - beta[h] for h in range(1, m + 1) if h != ell)
                 power = beta[ell] ** (m - 1)
                 for k in range(n, 0, -1):
                     tail = tail * (beta[ell] + alpha[k])
-                    terms[k].append(power / tail)
+                    terms[k].append((power, tail) if exact else power / tail)
                     power = power * beta[ell]
-                terms[0].append(power / tail)
+                terms[0].append((power, tail) if exact else power / tail)
             probs = {
-                k: (alpha[k] if k >= 1 else 1) * compensated_sum(terms[k], mode)
+                k: _pole_sum(terms[k], mode, alpha[k] if k >= 1 else 1)
                 for k in range(n + 1)
             }
         else:
             zero_terms = []
             for j in range(1, n + 1):
-                wfix = _prod(alpha[j] + beta[h] for h in range(1, m + 1))
-                tail = wfix
+                tail = prod(alpha[j] + beta[h] for h in range(1, m + 1))
                 for ell in range(j + 1, n + 1):
                     tail = tail * (alpha[j] - alpha[ell])
                 power = alpha[j] ** (m + n - j - 1)
                 for k in range(j, 0, -1):
                     if k < j:
                         tail = tail * (alpha[j] - alpha[k])
-                    terms[k].append(power / tail)
+                    terms[k].append((power, tail) if exact else power / tail)
                     power = power * alpha[j]
                 # the k=0 display sums the same poles and subtracts from 1
-                zero_terms.append(power / tail)
-            probs = {
-                k: alpha[k] * compensated_sum(terms[k], mode)
-                for k in range(1, n + 1)
-            }
-            probs[0] = 1 - compensated_sum(zero_terms, mode)
+                zero_terms.append((power, tail) if exact else power / tail)
+            probs = {k: _pole_sum(terms[k], mode, alpha[k]) for k in range(1, n + 1)}
+            probs[0] = 1 - _pole_sum(zero_terms, mode)
         return ExactDistribution(tuple(range(n + 1)), probs, mode)
 
 

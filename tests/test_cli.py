@@ -487,6 +487,31 @@ class TestMissingFlags:
         assert out == ""
 
 
+NEGATIVE_COUNTS = [
+    *[
+        ([command, "--A", "linear:1", "--B", "square", "--n", n, "--m", m], flag)
+        for command in ("pmf", "oracle", "compare", "simulate", "duality-check")
+        for n, m, flag in (("-1", "3", "--n"), ("2", "-3", "--m"))
+    ],
+    *[
+        ([command, "--weights", "linear:1;square", "--counts", "2,-1"], "--counts")
+        for command in ("pmf-multi", "simulate", "duality-check")
+    ],
+]
+
+
+class TestNegativeCounts:
+    """A negative count exits 2 naming its flag, not the library's message
+    alone."""
+
+    @pytest.mark.parametrize("argv, flag", NEGATIVE_COUNTS)
+    def test_exits_2_naming_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == f"{flag}: initial counts must be nonnegative\n"
+        assert out == ""
+
+
 class TestImportBudget:
     """Only simulation loads numpy, and nothing loads scipy; each case runs
     in a fresh interpreter so earlier imports cannot hide a regression."""

@@ -1,8 +1,10 @@
+import contextlib
 import math
 import random
 from fractions import Fraction
 from itertools import product
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,7 +30,15 @@ from urnlab.closedform import (
     sampling_pmf,
     sampling_pmf_multi,
 )
-from urnlab.numerics import FLOAT, ScalarModeError
+from urnlab.numerics import (
+    BIGFLOAT,
+    FLOAT,
+    RATIONAL,
+    ScalarModeError,
+    cast_value,
+    compensated_sum,
+    precision_bits,
+)
 from urnlab.oracle import absorption_pmf, absorption_pmf_multi, enumerate_pmf
 from urnlab.weights import (
     UrnSpec,
@@ -36,6 +46,7 @@ from urnlab.weights import (
     WeightSequence,
     custom,
     linear,
+    power,
     reciprocal,
     shifted_square,
     square,
@@ -128,6 +139,164 @@ class TestOkcorralPmf:
             dist = okcorral_distribution(square(), linear(2), 5, 3, rep)
             for k in range(6):
                 assert dist[k] == okcorral_pmf(square(), linear(2), 5, 3, k, rep)
+
+
+def fraction_per_term_law(model, A, B, n, m, representation, mode=None):
+    """The two-color closed form the term-by-term way: tables as given (or
+    cast into `mode`), one `Fraction` (or float, or mpf) per pole term and
+    per running product, summed by `compensated_sum`.  The reference the
+    integer-scaled rational route and the untouched float and big-float
+    routes must reproduce exactly."""
+    alpha, beta = A.table(n), B.table(m)
+    mode = mode or (FLOAT if isinstance(alpha[1] + beta[1], float) else RATIONAL)
+    context = mpmath.workprec(precision_bits() + 32) if mode == BIGFLOAT else None
+    with context or contextlib.nullcontext():
+        if mode != RATIONAL:
+            alpha = [cast_value(v, mode) for v in alpha]
+            beta = [cast_value(v, mode) for v in beta]
+        one = Fraction(1)
+        terms = [[] for _ in range(n + 1)]
+        if model == "I":
+            if representation == BETA_POLES:
+                for ell in range(1, m + 1):
+                    tail = math.prod((beta[i] - beta[ell] for i in range(1, m + 1)
+                                      if i != ell), start=one)
+                    for k in range(n, -1, -1):
+                        tail = tail * (alpha[k] + beta[ell])
+                        terms[k].append(1 / tail)
+            else:
+                for ell in range(n + 1):
+                    tail = math.prod((beta[i] + alpha[ell] for i in range(1, m + 1)),
+                                     start=one)
+                    for j in range(ell + 1, n + 1):
+                        tail = tail * (alpha[j] - alpha[ell])
+                    for k in range(ell, -1, -1):
+                        if k < ell:
+                            tail = tail * (alpha[k] - alpha[ell])
+                        terms[k].append(1 / tail)
+            beta_prod = math.prod(beta[1:], start=one)
+            return [
+                beta_prod * math.prod(reversed(alpha[k + 1 :]), start=one)
+                * compensated_sum(terms[k], mode)
+                for k in range(n + 1)
+            ]
+        if representation == BETA_POLES:
+            for ell in range(1, m + 1):
+                tail = math.prod((beta[ell] - beta[h] for h in range(1, m + 1)
+                                  if h != ell), start=one)
+                power = beta[ell] ** (m - 1)
+                for k in range(n, 0, -1):
+                    tail = tail * (beta[ell] + alpha[k])
+                    terms[k].append(power / tail)
+                    power = power * beta[ell]
+                terms[0].append(power / tail)
+            return [(alpha[k] if k else 1) * compensated_sum(terms[k], mode)
+                    for k in range(n + 1)]
+        for j in range(1, n + 1):
+            tail = math.prod((alpha[j] + beta[h] for h in range(1, m + 1)), start=one)
+            for ell in range(j + 1, n + 1):
+                tail = tail * (alpha[j] - alpha[ell])
+            power = alpha[j] ** (m + n - j - 1)
+            for k in range(j, 0, -1):
+                if k < j:
+                    tail = tail * (alpha[j] - alpha[k])
+                terms[k].append(power / tail)
+                power = power * alpha[j]
+            terms[0].append(power / tail)
+        return [1 - compensated_sum(terms[0], mode)] + [
+            alpha[k] * compensated_sum(terms[k], mode) for k in range(1, n + 1)
+        ]
+
+
+# the ten families of the benchmark's validate sweep, plus a rational table
+TEN_FAMILIES = [
+    linear(1), linear(3), power(2, 3), square(), triangular(), shifted_square(),
+    custom([17, 4, 42, 9, 33, 1, 58, 25, 12, 40]),
+    reciprocal(square()), reciprocal(linear(1)), reciprocal(triangular()),
+    custom(["1/3", "5/2", "7/4", "11/6", "13/5", "17/9", "3", "29/7", "41/8", "53/11"]),
+]
+SIZES = [(1, 1), (8, 8), (1, 8), (8, 1), (3, 5), (6, 2), (2, 7), (5, 4), (7, 6), (4, 3)]
+CLOSED = {"I": sampling_distribution, "II": okcorral_distribution}
+
+
+def law_of(model, A, B, n, m, representation, mode=None):
+    dist = CLOSED[model](A, B, n, m, representation, mode)
+    return [dist[k] for k in range(n + 1)]
+
+
+class TestIntegerScaledLaw:
+    """Rational two-color laws run on integer-scaled tables with one lcm
+    denominator per survivor count; they must equal the term-by-term
+    `Fraction` route exactly, and the float and big-float routes must keep
+    their bits."""
+
+    @pytest.mark.parametrize("model", ["I", "II"])
+    @pytest.mark.parametrize("ia", range(len(TEN_FAMILIES)))
+    def test_equals_fraction_per_term(self, model, ia):
+        A = TEN_FAMILIES[ia]
+        for ib, B in enumerate(TEN_FAMILIES):
+            for n, m in (SIZES[(ia + ib) % len(SIZES)], (8, 8)):
+                for rep in REPS:
+                    law = law_of(model, A, B, n, m, rep)
+                    assert all(type(p) is Fraction for p in law)
+                    assert law == fraction_per_term_law(model, A, B, n, m, rep), (ib, n, m)
+
+    @pytest.mark.parametrize("n", [20, 40, 60])
+    def test_equals_fraction_per_term_large(self, n):
+        for model in CLOSED:
+            for rep in REPS:
+                law = law_of(model, linear(1), square(), n, n, rep)
+                assert law == fraction_per_term_law(model, linear(1), square(), n, n, rep)
+
+    @pytest.mark.parametrize("c", [Fraction(7, 3), Fraction(1, 6), Fraction(12)])
+    def test_common_scale_leaves_law_unchanged(self, c):
+        n, m = 5, 4
+        for A, B in [(triangular(), square()), (reciprocal(linear(1)), shifted_square()),
+                     (TEN_FAMILIES[-1], reciprocal(triangular()))]:
+            cA = custom([c * w for w in A.table(n)[1:]])
+            cB = custom([c * w for w in B.table(m)[1:]])
+            for model in CLOSED:
+                truth = absorption_pmf(two_color(model, A, B, n, m))
+                for rep in REPS:
+                    law = law_of(model, cA, cB, n, m, rep)
+                    assert law == law_of(model, A, B, n, m, rep)
+                    assert law == [truth[k] for k in range(n + 1)]
+
+    @pytest.mark.parametrize("mode", [FLOAT, BIGFLOAT])
+    @pytest.mark.parametrize("model", ["I", "II"])
+    def test_float_and_bigfloat_bits_unchanged(self, model, mode):
+        bits = float.hex if mode == FLOAT else (lambda v: v._mpf_)
+        for ia, A in enumerate(TEN_FAMILIES):
+            B = TEN_FAMILIES[(3 * ia + 1) % len(TEN_FAMILIES)]
+            for n, m in (SIZES[ia % len(SIZES)], (8, 8)):
+                for rep in REPS:
+                    law = law_of(model, A, B, n, m, rep, mode)
+                    want = fraction_per_term_law(model, A, B, n, m, rep, mode)
+                    assert [bits(p) for p in law] == [bits(p) for p in want], (ia, n, m)
+
+    def test_float_anywhere_in_a_table_means_float_mode(self):
+        # the natural mode comes from the whole table, not its first entry
+        for model in CLOSED:
+            dist = CLOSED[model](custom([1, 2.5, 3]), square(), 3, 3)
+            assert dist.mode == FLOAT
+            assert all(type(dist[k]) is float for k in range(4))
+
+    @pytest.mark.parametrize("mode", [None, FLOAT, BIGFLOAT])
+    @pytest.mark.parametrize(
+        "A, B, message",
+        [
+            (custom([1, 2, 2]), square(), "first-color weights must be pairwise distinct "
+             "up to index 3"),
+            (square(), custom(["1/3", "2/3", "1/3"]), "second-color weights must be "
+             "pairwise distinct up to index 3"),
+        ],
+    )
+    def test_repeated_weights_refused(self, A, B, message, mode):
+        for closed in CLOSED.values():
+            for rep in REPS:
+                with pytest.raises(DistinctWeightsError) as err:
+                    closed(A, B, 3, 3, rep, mode)
+                assert str(err.value) == message
 
 
 class TestPolyaSampling:
