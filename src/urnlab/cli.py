@@ -5,7 +5,8 @@ urnlab/schema/output.schema.json) or CSV with LF line endings.  Exact
 rationals always print as "p/q" strings unless CSV with --decimals asks for
 decimal rendering.  Exit codes: 0 success, 2 validation error, 3 a
 formula-discrepancy was detected (closed form vs oracle, duality violation,
-or moment-route mismatch).
+moment-route mismatch, or a `pmf` probability that is nan, infinite or
+negative).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -179,13 +181,23 @@ def _pmf_table(entries):
 
 def _cmd_pmf(args) -> int:
     spec = _closed_form_spec(_spec(args, args.model))
-    dist = closedform.two_color_distribution(spec, args.representation, args.mode)
+    dist = closedform.two_color_distribution(
+        spec, args.representation, args.mode, args.precision_bits
+    )
     render = _prob_renderer(args, dist.mode)
     entries = dist.to_jsonable(render)
     if args.k is not None:
         if not 0 <= args.k <= args.n:
             raise CliError(f"--k: must lie in 0..{args.n}")
         entries = [entries[args.k]]
+    # a float or big-float closed form that lost its precision to
+    # cancellation or overflow; garbage inside [0, inf) still passes
+    for k, p in dist.items():
+        if not 0 <= p < math.inf:
+            raise Discrepancy(
+                f"P{{{k}}} = {p} in {dist.mode} mode is not a probability; "
+                "the closed form lost its precision (try --mode rational)"
+            )
     payload = {
         "command": "pmf",
         "params": _params(args, "model", "A", "B", "n", "m", "k", "representation", "mode"),
@@ -264,13 +276,26 @@ def _block_sizes(flag, *values):
         raise CliError(f"{flag}: block sizes must be positive integers")
 
 
+def _orders(flag, least, *values):
+    """Exit 2 naming `flag` if a moment order is below `least`, before the
+    moment closed forms refuse it with a message that names no flag."""
+    if any(v < least for v in values):
+        raise CliError(f"{flag}: moment orders must be at least {least}")
+
+
 def _cmd_moments(args) -> int:
     if args.mixed:
         _need(args, "with --mixed", "avec", "nvec", "svec")
         avec = _int_list(args.avec, "--avec")
         _block_sizes("--avec", *avec)
         nvec = _int_list(args.nvec, "--nvec")
+        if len(nvec) != len(avec):
+            raise CliError("--nvec: need one count per block size in --avec")
+        _counts("--nvec", *nvec)
         svec = _int_list(args.svec, "--svec")
+        if len(svec) != len(nvec) - 1:
+            raise CliError("--svec: need one order per color but the last")
+        _orders("--svec", 0, *svec)
         closed = moments.mixed_factorial_moment(avec, nvec, svec)
         spec = weights.UrnSpec("I", tuple(weights.linear(a) for a in avec), nvec)
         direct = oracle.absorption_pmf_multi(spec).mixed_factorial_moment(svec)
@@ -279,6 +304,9 @@ def _cmd_moments(args) -> int:
         _need(args, "without --mixed", "n", "m")
         _block_sizes("--a", args.a)
         _block_sizes("--d", args.d)
+        _counts("--n", args.n)
+        _counts("--m", args.m)
+        _orders("--s", 0, args.s)
         if args.kind == "factorial":
             closed = moments.sampling_factorial_moment(args.a, args.d, args.n, args.m, args.s)
         else:
@@ -298,6 +326,15 @@ def _cmd_moments(args) -> int:
 def _cmd_okc_moments(args) -> int:
     _block_sizes("--b", args.b)
     _block_sizes("--c", args.c)
+    _counts("--n", args.n)
+    _counts("--m", args.m)
+    if args.kind == "raw":
+        # the raw-moment sum has no display for an empty color; the
+        # polynomial moment does, and answers
+        for flag, count in (("--n", args.n), ("--m", args.m)):
+            if count < 1:
+                raise CliError(f"{flag}: the raw moment needs at least one ball of each color")
+    _orders("--s", 1, args.s)
     spec = weights.two_color("II", weights.linear(args.c), weights.linear(args.b), args.n, args.m)
     dist = oracle.absorption_pmf(spec)
     payload = {

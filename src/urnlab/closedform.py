@@ -102,14 +102,7 @@ def _check_two_color_args(n, m, k):
         raise ValueError(f"k must lie in 0..{n}")
 
 
-def _prod(values, start=Fraction(1)):
-    acc = start
-    for v in values:
-        acc = acc * v
-    return acc
-
-
-def _resolve_tables(A, B, n, m, mode):
+def _resolve_tables(A, B, n, m, mode, bits):
     """Weight tables, checked distinct and put into the requested scalar
     mode.
 
@@ -135,15 +128,17 @@ def _resolve_tables(A, B, n, m, mode):
     if natural == FLOAT and mode == RATIONAL:
         raise ScalarModeError("float-valued weights cannot run in rational mode")
     if mode != natural:
-        with _mode_context(mode):  # big-float casts round at creation time
+        with _mode_context(mode, bits):  # big-float casts round at creation time
             alpha = [cast_value(v, mode) for v in alpha]
             beta = [cast_value(v, mode) for v in beta]
     return alpha, beta, mode
 
 
-def _mode_context(mode):
+def _mode_context(mode, bits):
+    """Big-float work runs at `bits` plus 32 guard bits; `bits=None` means
+    `precision_bits()`, as in `limits`."""
     if mode == BIGFLOAT:
-        return mpmath.workprec(precision_bits() + 32)
+        return mpmath.workprec((bits if bits is not None else precision_bits()) + 32)
     return contextlib.nullcontext()
 
 
@@ -179,7 +174,7 @@ def sampling_pmf(A, B, n, m, k, representation=BETA_POLES, mode=None):
 
 
 def sampling_distribution(
-    A, B, n, m, representation=BETA_POLES, mode=None
+    A, B, n, m, representation=BETA_POLES, mode=None, bits=None
 ) -> ExactDistribution:
     """All of P{0..n survive} at once, sharing the pole products across k.
 
@@ -188,8 +183,8 @@ def sampling_distribution(
     """
     _require_representation(representation)
     _check_two_color_args(n, m, None)
-    alpha, beta, mode = _resolve_tables(A, B, n, m, mode)
-    with _mode_context(mode):
+    alpha, beta, mode = _resolve_tables(A, B, n, m, mode, bits)
+    with _mode_context(mode, bits):
         terms = [[] for _ in range(n + 1)]  # pole terms per k, see _pole_sum
         exact = mode == RATIONAL
         if representation == BETA_POLES:
@@ -241,7 +236,7 @@ def okcorral_pmf(A, B, n, m, k, representation=BETA_POLES, mode=None):
 
 
 def okcorral_distribution(
-    A, B, n, m, representation=BETA_POLES, mode=None
+    A, B, n, m, representation=BETA_POLES, mode=None, bits=None
 ) -> ExactDistribution:
     """All of P{0..n survive} at once for the contested-fire urn.
 
@@ -250,8 +245,8 @@ def okcorral_distribution(
     """
     _require_representation(representation)
     _check_two_color_args(n, m, None)
-    alpha, beta, mode = _resolve_tables(A, B, n, m, mode)
-    with _mode_context(mode):
+    alpha, beta, mode = _resolve_tables(A, B, n, m, mode, bits)
+    with _mode_context(mode, bits):
         terms = [[] for _ in range(n + 1)]  # pole terms per k, see _pole_sum
         exact = mode == RATIONAL
         if representation == BETA_POLES:
@@ -429,7 +424,7 @@ def _pole_columns(t, n, rows, sampling, n_r, scale):
     columns = {}
     for ell in range(low, n + 1):
         pole = t[ell]
-        diff = _prod(t[h] - pole for h in range(ell + 1, n + 1))
+        diff = prod((t[h] - pole for h in range(ell + 1, n + 1)), start=Fraction(1))
         if not sampling:
             power = pole ** (n - ell + n_r - 1)
         entries = []
@@ -470,14 +465,14 @@ def _multi_law(tables, nvec, rows, sampling):
         pole = [tables[j][ell] for j, ell in enumerate(ells)]
         if sampling:
             s = sum(pole)
-            den = _prod(w + s for w in last)
+            den = prod((w + s for w in last), start=Fraction(1))
         else:
-            pole_prod = _prod(pole)
+            pole_prod = prod(pole, start=Fraction(1))
             cross = sum(pole_prod / p for p in pole)
-            den = _prod(pole_prod + w * cross for w in last)
+            den = prod((pole_prod + w * cross for w in last), start=Fraction(1))
         law[ells] = 1 / den
     for j in range(r - 1):
-        scale = _prod(last) if sampling and j == 0 else Fraction(1)
+        scale = prod(last, start=Fraction(1)) if sampling and j == 0 else Fraction(1)
         columns = _pole_columns(tables[j], nvec[j], rows[j], sampling, n_r, scale)
         contracted = {}
         for ells, value in law.items():
@@ -555,26 +550,29 @@ def _okcorral_as_printed(tables, nvec, kvec):
     r = len(nvec)
     last = tables[-1][1:]
     n_r = nvec[-1]
-    k_pref = _prod(tables[j][kvec[j]] for j in range(r - 1))
+    k_pref = prod((tables[j][kvec[j]] for j in range(r - 1)), start=Fraction(1))
     diff_factors = []
     for j in range(r - 1):
         col = {}
         for ell in range(kvec[j], nvec[j] + 1):
-            col[ell] = _prod(
-                tables[j][ell] - tables[j][h]
-                for h in range(kvec[j], nvec[j] + 1)
-                if h != ell
+            col[ell] = prod(
+                (
+                    tables[j][ell] - tables[j][h]
+                    for h in range(kvec[j], nvec[j] + 1)
+                    if h != ell
+                ),
+                start=Fraction(1),
             )
         diff_factors.append(col)
     total = Fraction(0)
     for ells in product(*[range(kvec[j], nvec[j] + 1) for j in range(r - 1)]):
         pole = [tables[j][ells[j]] for j in range(r - 1)]
-        pole_prod = _prod(pole)
+        pole_prod = prod(pole, start=Fraction(1))
         num = k_pref
         for j in range(r - 1):
             num = num * pole[j] ** (nvec[j] - kvec[j] + n_r - 1)
         cross = sum(k_pref / pole[g] for g in range(r - 1))
-        den = _prod(pole_prod + w * cross for w in last)
+        den = prod((pole_prod + w * cross for w in last), start=Fraction(1))
         for j in range(r - 1):
             den = den * diff_factors[j][ells[j]]
         total += num / den
@@ -594,12 +592,15 @@ def partial_fraction_sides(nodes, x):
         raise ValueError("nodes must be pairwise distinct")
     if any(x + v == 0 for v in nodes):
         raise ValueError("x must avoid the poles at -node")
-    lhs = 1 / _prod(node + x for node in nodes)
+    lhs = 1 / prod((node + x for node in nodes), start=Fraction(1))
     rhs = sum(
         1
         / (
             (x + nodes[h])
-            * _prod(nodes[j] - nodes[h] for j in range(len(nodes)) if j != h)
+            * prod(
+                (nodes[j] - nodes[h] for j in range(len(nodes)) if j != h),
+                start=Fraction(1),
+            )
         )
         for h in range(len(nodes))
     )
@@ -671,13 +672,14 @@ def multi_okcorral_reading_report(seqs, nvec) -> DiscrepancyReport:
     return DiscrepancyReport("r-color contested-fire inner product", matches, detail)
 
 
-def two_color_distribution(spec, representation=BETA_POLES, mode=None):
-    """The two-color closed form of the spec's model, over k = 0..n."""
+def two_color_distribution(spec, representation=BETA_POLES, mode=None, bits=None):
+    """The two-color closed form of the spec's model, over k = 0..n;
+    big-float mode works at `bits` (default: `precision_bits()`)."""
     if spec.model == MODEL_SAMPLING:
         closed = sampling_distribution
     else:
         closed = okcorral_distribution
-    return closed(spec.A, spec.B, spec.n, spec.m, representation, mode)
+    return closed(spec.A, spec.B, spec.n, spec.m, representation, mode, bits)
 
 
 def multi_distribution(spec, reference):

@@ -2,16 +2,20 @@
 
 The sampling moments are one-line ratios of falling factorials and
 generalized binomials.  The contested-fire moments run through the
-polynomial pair (f_n, g_n) extracted from two exact generating functions
-(Puyhaubert's construction) together with Ramanujan's Q-function; all of
-that is exact rational series arithmetic, no floating point anywhere.
+polynomial pair (f_n, g_n) of Puyhaubert's construction, n! times the z^n
+coefficients of two generating functions F and G, together with
+Ramanujan's Q-function.  F and G solve the first-order ODEs
+F' = u (1 - e^-z) F and G' = u (1 - e^-z) G + u e^-z, so f_{n+1} and
+g_{n+1} follow from the earlier ones by an integer recurrence (see the
+comment block above `_bump_caches`); everything is exact, no floating
+point anywhere.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .numerics import (
     Polynomial,
@@ -68,78 +72,52 @@ def mixed_factorial_moment(avec, nvec, svec) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# exact series expansion of the two generating functions
+# the two generating functions, coefficient by coefficient
 #
 # F(z, u) = exp(u (e^-z + z - 1))
-# G(z, u) = F(z, u) * integral_0^z u e^-t exp(-u (e^-t + t - 1)) dt
+# G(z, u) = F(z, u) * integral_0^z u e^-t / F(t, u) dt
 #
-# A series is a list of Polynomials in u, indexed by the power of z.
+# satisfy F' = u (1 - e^-z) F and G' = u (1 - e^-z) G + u e^-z.  With
+# F = sum f_n z^n / n! and G = sum g_n z^n / n!, and 1 - e^-z having
+# coefficients (-1)^(j+1) at z^j / j! for j >= 1, that reads
+#
+#   f_{n+1} = u * sum_{j=1..n} (-1)^(j+1) C(n, j) f_{n-j},             f_0 = 1
+#   g_{n+1} = u * ((-1)^n + sum_{j=1..n} (-1)^(j+1) C(n, j) g_{n-j}),  g_0 = 0
+#
+# so every f_n and g_n is an integer polynomial in u.  The caches hold them
+# as int coefficient lists, ascending in u, and only ever grow: an entry a
+# reader already has stays valid.
 # ---------------------------------------------------------------------------
 
-_ZERO = Polynomial()
 _series_lock = threading.Lock()
-_f_cache: list[Polynomial] = []
-_g_cache: list[Polynomial] = []
+_f_cache: list[list[int]] = [[1]]
+_g_cache: list[list[int]] = [[]]
 
 
-def _series_mul(a, b, order):
-    out = [_ZERO] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        if ai.degree < 0:
-            continue
-        for j, bj in enumerate(b[: order + 1 - i]):
-            if bj.degree < 0:
-                continue
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _series_exp(s, order):
-    # exp of a series with zero constant term: E' = s' E
-    if s[0].degree >= 0:
-        raise ValueError("series exponential needs zero constant term")
-    out = [Polynomial([1])] + [_ZERO] * order
-    for nn in range(1, order + 1):
-        acc = _ZERO
-        for k in range(1, nn + 1):
-            if k < len(s) and s[k].degree >= 0:
-                acc = acc + (s[k] * k) * out[nn - k]
-        out[nn] = acc * Fraction(1, nn)
-    return out
-
-
-def _series_integrate(s, order):
-    out = [_ZERO] * (order + 1)
-    for i in range(min(len(s), order)):
-        out[i + 1] = s[i] * Fraction(1, i + 1)
-    return out
+def _next_polynomial(cache, n, constant):
+    """u * (constant + sum_{j=1..n} (-1)^(j+1) C(n, j) cache[n-j])."""
+    acc = [constant]
+    for j in range(1, n + 1):
+        c = comb(n, j) if j % 2 else -comb(n, j)
+        prev = cache[n - j]
+        acc.extend([0] * (len(prev) - len(acc)))
+        for i, a in enumerate(prev):
+            acc[i] += c * a
+    while acc and acc[-1] == 0:
+        acc.pop()
+    return [0] + acc if acc else []
 
 
 def _bump_caches(order):
-    # kernel of e^-z + z - 1: z^j coefficient is (-1)^j / j! for j >= 2
-    kernel = [Fraction(0), Fraction(0)] + [
-        Fraction((-1) ** j, factorial(j)) for j in range(2, order + 1)
-    ]
-    u_kernel = [Polynomial([0, c]) for c in kernel]
-    big_f = _series_exp(u_kernel, order)
-    neg_u_kernel = [Polynomial([0, -c]) for c in kernel]
-    exp_neg = _series_exp(neg_u_kernel, order)
-    e_minus = [
-        Polynomial([Fraction((-1) ** j, factorial(j))]) for j in range(order + 1)
-    ]
-    integrand = _series_mul(exp_neg, e_minus, order)
-    integrand = [p * Polynomial([0, 1]) for p in integrand]  # times u
-    big_g = _series_mul(big_f, _series_integrate(integrand, order), order)
-    fs = [poly * factorial(i) for i, poly in enumerate(big_f)]
-    gs = [poly * factorial(i) for i, poly in enumerate(big_g)]
-    _f_cache[:] = fs
-    _g_cache[:] = gs
+    for n in range(len(_f_cache) - 1, order):
+        _f_cache.append(_next_polynomial(_f_cache, n, 0))
+        _g_cache.append(_next_polynomial(_g_cache, n, (-1) ** n))
 
 
 def _ensure_order(n):
     with _series_lock:
         if len(_f_cache) <= n:
-            _bump_caches(max(2 * n, 8))
+            _bump_caches(n)
 
 
 def puyhaubert_f(n: int) -> Polynomial:
@@ -147,7 +125,7 @@ def puyhaubert_f(n: int) -> Polynomial:
     if n < 0:
         raise ValueError("order must be nonnegative")
     _ensure_order(n)
-    return _f_cache[n]
+    return Polynomial(_f_cache[n])
 
 
 def puyhaubert_g(n: int) -> Polynomial:
@@ -155,7 +133,7 @@ def puyhaubert_g(n: int) -> Polynomial:
     if n < 0:
         raise ValueError("order must be nonnegative")
     _ensure_order(n)
-    return _g_cache[n]
+    return Polynomial(_g_cache[n])
 
 
 def puyhaubert_sum_identity(ell: int, s: int):
@@ -206,11 +184,10 @@ def okcorral_raw_moment(b, c, n, m, s, ell_exponent_shift=0) -> Fraction:
     if b < 1 or c < 1 or n < 1 or m < 1:
         raise ValueError("need positive block sizes and counts")
     scale = Fraction(c, b) ** m / factorial(n + m)
+    f, g = puyhaubert_f(s + 1), puyhaubert_g(s + 1)
     total = Fraction(0)
     for ell in range(1, n + 1):  # ell = 0 contributes 0 through ell^(m+n-1)
-        bracket = puyhaubert_f(s + 1)(Fraction(ell)) * ramanujan_q(ell) + (
-            puyhaubert_g(s + 1)(Fraction(ell))
-        )
+        bracket = f(Fraction(ell)) * ramanujan_q(ell) + g(Fraction(ell))
         total += (
             _okcorral_weight(b, c, n, m, ell)
             * Fraction(ell) ** (m + n - 1 + ell_exponent_shift)
@@ -255,17 +232,18 @@ def moment_polynomial(s: int) -> Polynomial:
     overdetermined system fails to close or the result is not monic."""
     if s < 1:
         raise ValueError("order must be at least 1")
-    unknowns = 2 * s
+    fs = [puyhaubert_f(i + 1) for i in range(1, 2 * s + 1)]
+    gs = [puyhaubert_g(i + 1) for i in range(1, 2 * s + 1)]
     rows = []
     rhs = []
     # f-identity: powers 1..s of X must cancel
     for p in range(1, s + 1):
-        rows.append([puyhaubert_f(i + 1).coefficient(p) for i in range(1, unknowns + 1)])
+        rows.append([f.coefficient(p) for f in fs])
         rhs.append(Fraction(0))
     # g-identity: powers 1..s+1 with a single target coefficient
     target = Fraction(factorial(s) * 2**s)
     for p in range(1, s + 2):
-        rows.append([puyhaubert_g(i + 1).coefficient(p) for i in range(1, unknowns + 1)])
+        rows.append([g.coefficient(p) for g in gs])
         rhs.append(target if p == s + 1 else Fraction(0))
 
     solution = _solve_exact(rows, rhs)

@@ -105,6 +105,33 @@ class TestPmf:
         assert "--precision-bits" in err
         assert out == ""
 
+    def test_precision_bits_flag_reaches_closed_form(self, capsys, monkeypatch):
+        argv = ["pmf", "--model", "II", "--A", "linear:1", "--B", "square",
+                "--n", "20", "--m", "20", "--mode", "bigfloat"]
+        code, flag_out, _ = run_cli(capsys, *argv, "--precision-bits", "53")
+        assert code == 0
+        monkeypatch.setenv("URNLAB_PRECISION_BITS", "53")
+        code, env_out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert flag_out == env_out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "60", "--m", "60", "--mode", "float"],  # nan for every k
+            # negative P{14}, P{26} and P{27}
+            ["--n", "30", "--m", "30", "--mode", "bigfloat", "--precision-bits", "53"],
+        ],
+        ids=["float-nan", "bigfloat-negative"],
+    )
+    def test_non_probability_exits_3(self, capsys, argv):
+        code, out, err = run_cli(
+            capsys, "pmf", "--model", "II", "--A", "linear:1", "--B", "square", *argv
+        )
+        assert code == 3
+        assert out == ""
+        assert "is not a probability" in err
+
     def test_precision_env_below_minimum(self, capsys, monkeypatch):
         monkeypatch.setenv("URNLAB_PRECISION_BITS", "4")
         code, _, err = run_cli(capsys, "theta", "--q", "0.5")
@@ -497,6 +524,12 @@ NEGATIVE_COUNTS = [
         ([command, "--weights", "linear:1;square", "--counts", "2,-1"], "--counts")
         for command in ("pmf-multi", "simulate", "duality-check")
     ],
+    *[
+        ([command, "--n", n, "--m", m], flag)
+        for command in ("moments", "okc-moments")
+        for n, m, flag in (("-1", "2", "--n"), ("3", "-1", "--m"))
+    ],
+    (["moments", "--mixed", "--avec", "1,1,1", "--nvec", "2,-1,2", "--svec", "1,1"], "--nvec"),
 ]
 
 
@@ -510,6 +543,59 @@ class TestNegativeCounts:
         assert code == 2
         assert err == f"{flag}: initial counts must be nonnegative\n"
         assert out == ""
+
+
+class TestMomentFlags:
+    """A bad moment order, vector length or empty color exits 2 naming its
+    flag, not with the library's message alone; empty colors that the
+    moment routes handle still answer."""
+
+    MIXED = ["moments", "--mixed", "--avec", "1,1,1"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["moments", "--n", "2", "--m", "2", "--s", "-1"],
+             "--s: moment orders must be at least 0"),
+            (["moments", "--n", "2", "--m", "2", "--s", "-1", "--kind", "factorial"],
+             "--s: moment orders must be at least 0"),
+            ([*MIXED, "--nvec", "2,1,2", "--svec", "1,-1"],
+             "--svec: moment orders must be at least 0"),
+            ([*MIXED, "--nvec", "2,1", "--svec", "1,1"],
+             "--nvec: need one count per block size in --avec"),
+            ([*MIXED, "--nvec", "2,1,2", "--svec", "1"],
+             "--svec: need one order per color but the last"),
+            (["okc-moments", "--n", "2", "--m", "2", "--s", "0"],
+             "--s: moment orders must be at least 1"),
+            (["okc-moments", "--n", "2", "--m", "2", "--s", "0", "--kind", "polynomial"],
+             "--s: moment orders must be at least 1"),
+            (["okc-moments", "--n", "2", "--m", "0"],
+             "--m: the raw moment needs at least one ball of each color"),
+            (["okc-moments", "--n", "0", "--m", "2"],
+             "--n: the raw moment needs at least one ball of each color"),
+        ],
+    )
+    def test_exits_2_naming_flag(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == message + "\n"
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--n", "0", "--m", "2"],
+            ["moments", "--n", "2", "--m", "0"],
+            [*MIXED, "--nvec", "2,0,2", "--svec", "1,1"],
+            ["okc-moments", "--n", "2", "--m", "0", "--kind", "polynomial"],
+            ["okc-moments", "--n", "0", "--m", "2", "--kind", "polynomial"],
+        ],
+    )
+    def test_empty_color_still_answers(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        values = {r["method"]: r["value"] for r in check_json(out)["reports"]}
+        assert values["closed-form"] == values["direct-summation"]
 
 
 class TestImportBudget:

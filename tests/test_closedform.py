@@ -29,6 +29,7 @@ from urnlab.closedform import (
     sampling_distribution,
     sampling_pmf,
     sampling_pmf_multi,
+    two_color_distribution,
 )
 from urnlab.numerics import (
     BIGFLOAT,
@@ -273,6 +274,24 @@ class TestIntegerScaledLaw:
                     law = law_of(model, A, B, n, m, rep, mode)
                     want = fraction_per_term_law(model, A, B, n, m, rep, mode)
                     assert [bits(p) for p in law] == [bits(p) for p in want], (ia, n, m)
+
+    @pytest.mark.parametrize("model", ["I", "II"])
+    def test_bits_argument_equals_environment(self, model, monkeypatch):
+        # bits=53 works at the precision URNLAB_PRECISION_BITS=53 gives, and
+        # both differ from the default 256 bits at this size
+        spec = two_color(model, linear(1), square(), 20, 20)
+        for rep in REPS:
+            by_arg = two_color_distribution(spec, rep, BIGFLOAT, 53)
+            assert [by_arg[k]._mpf_ for k in range(21)] == [
+                CLOSED[model](linear(1), square(), 20, 20, rep, BIGFLOAT, bits=53)[k]._mpf_
+                for k in range(21)
+            ]
+            default = two_color_distribution(spec, rep, BIGFLOAT)
+            monkeypatch.setenv("URNLAB_PRECISION_BITS", "53")
+            by_env = two_color_distribution(spec, rep, BIGFLOAT)
+            monkeypatch.delenv("URNLAB_PRECISION_BITS")
+            assert [by_env[k]._mpf_ for k in range(21)] == [by_arg[k]._mpf_ for k in range(21)]
+            assert [default[k]._mpf_ for k in range(21)] != [by_arg[k]._mpf_ for k in range(21)]
 
     def test_float_anywhere_in_a_table_means_float_mode(self):
         # the natural mode comes from the whole table, not its first entry

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
+from urnlab import moments
 from urnlab.closedform import polya_okcorral_pmf, polya_sampling_pmf
 from urnlab.moments import (
     PAIRED_BINOMIALS,
@@ -21,7 +22,7 @@ from urnlab.moments import (
     sampling_factorial_moment,
     sampling_raw_moment,
 )
-from urnlab.numerics import Polynomial, falling_factorial
+from urnlab.numerics import Polynomial, falling_factorial, stirling_second
 from urnlab.oracle import absorption_pmf, absorption_pmf_multi
 from urnlab.weights import UrnSpec, linear, two_color
 
@@ -131,10 +132,36 @@ class TestGeneratingPolynomials:
         assert lhs == rhs
 
     def test_sum_identity_sweep(self):
-        for ell in range(1, 21):
-            for s in range(9):
-                lhs, rhs = puyhaubert_sum_identity(ell, s)
-                assert lhs == rhs, (ell, s)
+        # s up to 24 checks g_n to n = 25 against a direct finite sum
+        cases = [(ell, s) for ell in range(1, 21) for s in range(9)]
+        cases += [(ell, s) for ell in range(1, 7) for s in range(9, 25)]
+        for ell, s in cases:
+            lhs, rhs = puyhaubert_sum_identity(ell, s)
+            assert lhs == rhs, (ell, s)
+
+    def test_f_is_signed_associated_stirling(self):
+        # f_n = (-1)^n sum_k S2>=2(n, k) u^k, where S2>=2(n, k) counts
+        # partitions of n into k blocks of size at least 2
+        def associated(n, k):
+            return sum(
+                (-1) ** j * comb(n, j) * stirling_second(n - j, k - j)
+                for j in range(k + 1)
+            )
+
+        for n in range(31):
+            expected = Polynomial([(-1) ** n * associated(n, k) for k in range(n + 1)])
+            assert puyhaubert_f(n) == expected, n
+
+    def test_stepwise_fill_equals_one_fill(self, monkeypatch):
+        def fill(orders):
+            monkeypatch.setattr(moments, "_f_cache", [[1]])
+            monkeypatch.setattr(moments, "_g_cache", [[]])
+            for order in orders:
+                moments._ensure_order(order)
+                assert len(moments._f_cache) == len(moments._g_cache) == order + 1
+            return [puyhaubert_f(n) for n in range(41)], [puyhaubert_g(n) for n in range(41)]
+
+        assert fill([40]) == fill([5, 17, 40])
 
 
 class TestMomentPolynomial:
