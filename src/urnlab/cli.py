@@ -105,11 +105,21 @@ def _multi_spec(args, model) -> weights.UrnSpec:
     return weights.UrnSpec(model, seqs, counts)
 
 
-def _counts(flag, *values):
-    """Exit 2 naming `flag` if a ball count is negative, before `UrnSpec`
-    refuses it with a message that names no flag."""
-    if any(v < 0 for v in values):
-        raise CliError(f"{flag}: initial counts must be nonnegative")
+def _counts(flag, *values, least=0):
+    """Exit 2 naming `flag` if a ball count is below `least` (negative, by
+    default), before `UrnSpec` or a limit law refuses it with a message
+    that names no flag."""
+    if any(v < least for v in values):
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise CliError(f"{flag}: initial counts must be {bound}")
+
+
+def _unit_point(flag, q, top_open=False):
+    """`q`, unless it lies outside [0, 1] (or [0, 1) with `top_open`): exit
+    2 naming `flag`, before the series refuse it naming no flag."""
+    if q < 0 or q > 1 or (top_open and q == 1):
+        raise CliError(f"{flag}: must lie in [0, 1{')' if top_open else ']'}, got {q}")
+    return q
 
 
 def _spec(args, model) -> weights.UrnSpec:
@@ -190,8 +200,8 @@ def _cmd_pmf(args) -> int:
         if not 0 <= args.k <= args.n:
             raise CliError(f"--k: must lie in 0..{args.n}")
         entries = [entries[args.k]]
-    # a float or big-float closed form that lost its precision to
-    # cancellation or overflow; garbage inside [0, inf) still passes
+    # float and big-float laws are the exact law rounded once, so this
+    # guard against a lost precision can no longer fire
     for k, p in dist.items():
         if not 0 <= p < math.inf:
             raise Discrepancy(
@@ -361,23 +371,33 @@ def _cmd_limit(args) -> int:
     grid_rows = None
     if law == "fixed-blacks-moment":
         _need(args, need_law, "m", "s")
+        _counts("--m", args.m, least=1)
+        _orders("--s", 1, args.s)
         value = render_exact(limits.fixed_blacks_moment(args.m, args.s))
         mode = RATIONAL
     elif law == "fixed-blacks-density":
         _need(args, need_law, "m", "q")
-        value = render_exact(limits.fixed_blacks_density(args.m, _fraction(args.q, "--q")))
+        _counts("--m", args.m, least=1)
+        q = _unit_point("--q", _fraction(args.q, "--q"))
+        value = render_exact(limits.fixed_blacks_density(args.m, q))
         mode = RATIONAL
     elif law == "fixed-whites-pmf":
         _need(args, need_law, "n", "k")
+        _counts("--n", args.n)
+        if not 0 <= args.k <= args.n:
+            raise CliError(f"--k: must lie in 0..{args.n}")
         v = limits.fixed_whites_pmf(args.n, args.k, args.method, args.tol, bits)
         value = render_bigfloat(v, bits)
         mode = "bigfloat"
     elif law == "fixed-whites-moment":
         _need(args, need_law, "n", "s")
+        _counts("--n", args.n, least=1)
+        _orders("--s", 1, args.s)
         value = render_bigfloat(limits.fixed_whites_moment(args.n, args.s, bits), bits)
         mode = "bigfloat"
     elif law == "w-moment":
         _need(args, need_law, "s")
+        _orders("--s", 1, args.s)
         value = render_bigfloat(limits.limit_moment(args.s, args.family, bits), bits)
         mode = "bigfloat"
     elif law == "w-cdf":
@@ -392,13 +412,13 @@ def _cmd_limit(args) -> int:
             rows = []
             x = start
             while x <= stop:
-                v = limits.limit_cdf(x, args.family, args.tol, bits)
+                v = limits.limit_cdf(_unit_point("--grid", x), args.family, args.tol, bits)
                 rows.append((render_exact(x), render_bigfloat(v, bits)))
                 x += step
             grid_rows = rows
         else:
             _need(args, need_law, "q")
-            q = _fraction(args.q, "--q")
+            q = _unit_point("--q", _fraction(args.q, "--q"))
             value = render_bigfloat(limits.limit_cdf(q, args.family, args.tol, bits), bits)
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"--law: unknown law {law!r}")
@@ -428,7 +448,7 @@ THETA_MIN_TOL_ULPS = 64
 
 def _cmd_theta(args) -> int:
     bits = args.precision_bits
-    q = _fraction(args.q, "--q")
+    q = _unit_point("--q", _fraction(args.q, "--q"), top_open=True)
     finest = THETA_MIN_TOL_ULPS * 2.0 ** -(bits + 32)
     if args.tol < finest:
         raise CliError(
@@ -487,12 +507,21 @@ def _sim_spec(args, simulate) -> weights.UrnSpec:
     return spec
 
 
+def _sim_config(args, spec, simulate):
+    """The simulation the flags ask for, refused (exit 2 naming the flag)
+    when --trials or --workers is below 1."""
+    for flag, value in (("--trials", args.trials), ("--workers", args.workers)):
+        if value < 1:
+            raise CliError(f"{flag}: must be at least 1")
+    return simulate.SimConfig(spec, args.trials, args.seed, args.workers)
+
+
 def _cmd_simulate(args) -> int:
     from . import simulate  # numpy loads only for the commands that simulate
 
     spec = _sim_spec(args, simulate)
+    config = _sim_config(args, spec, simulate)
     exact = _oracle(args, spec)
-    config = simulate.SimConfig(spec, args.trials, args.seed, args.workers)
     report = simulate.empirical_pmf(config, exact)
     counts_out = [
         {"k": _k_out(k), "count": report.counts[k]}
@@ -522,6 +551,7 @@ def _cmd_compare(args) -> int:
     from . import simulate
 
     spec = _closed_form_spec(_sim_spec(args, simulate))
+    config = _sim_config(args, spec, simulate)
     reference = oracle.absorption_pmf(spec)
     dists = {
         rep: closedform.two_color_distribution(spec, rep)
@@ -536,7 +566,6 @@ def _cmd_compare(args) -> int:
         for rep in dists
         for k in reference.support
     )
-    config = simulate.SimConfig(spec, args.trials, args.seed, args.workers)
     sim_report = simulate.empirical_pmf(config, reference)
     payload = {
         "command": "compare",

@@ -8,13 +8,16 @@ linear-weight (Polya) forms are additionally implemented from their own
 displays so that any typographical slip in those displays is detected
 rather than inherited.
 
-The rational two-color laws run on integer-scaled tables: both weight
-tables times the lcm of their denominators, which leaves the law unchanged
-because both models draw with ratios of weights.  Each pole term is then an
-integer pair (num, den), and each survivor count's probability is one
-`Fraction` over the lcm of its terms' denominators, reduced once.  Float
-and big-float modes cast the unscaled tables and divide and sum term by
-term as before, so their bits do not change.
+The two-color laws run on integer-scaled tables: both weight tables times
+the lcm of their denominators, which leaves the law unchanged because both
+models draw with ratios of weights.  Each pole term is then an integer pair
+(num, den), and each survivor count's probability is one `Fraction` over
+the lcm of its terms' denominators, reduced once.  That exact law is the
+only evaluation: float and big-float modes are output formats, each
+probability rounded once at the end (`float(p)`, or `cast_value` at the
+big-float working precision), so they are within half a unit in the last
+place of the exact law and cost what rational mode costs.  Float-valued
+custom weights enter as their exact `Fraction(v)`.
 
 The r-color laws are (r-1)-fold nested sums over pole vectors whose
 summands factor color by color apart from one shared denominator.
@@ -32,8 +35,6 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import factorial, lcm, prod
-
-import contextlib
 
 import mpmath
 
@@ -80,11 +81,12 @@ def _distinct_table(seq: WeightSequence, upper: int, name: str) -> list:
 
 
 def _integer_table(seq: WeightSequence, upper: int, name: str):
-    """A rational `seq.table(upper)` times c, the lcm of its denominators,
-    as ints, and c; refused when it repeats a weight."""
-    table = seq.table(upper)
-    scale = lcm(*[v.denominator for v in table])
-    ints = [v.numerator * (scale // v.denominator) for v in table]
+    """`seq.table(upper)`, each weight taken exactly (`Fraction(v)` for a
+    float), times c, the lcm of its denominators, as ints, and c; refused
+    when it repeats a weight."""
+    ratios = [v.as_integer_ratio() for v in seq.table(upper)]
+    scale = lcm(*[den for _, den in ratios])
+    ints = [num * (scale // den) for num, den in ratios]
     return _refuse_repeats(ints, upper, name), scale
 
 
@@ -102,59 +104,49 @@ def _check_two_color_args(n, m, k):
         raise ValueError(f"k must lie in 0..{n}")
 
 
-def _resolve_tables(A, B, n, m, mode, bits):
-    """Weight tables, checked distinct and put into the requested scalar
-    mode.
+def _resolve_tables(A, B, n, m, mode):
+    """Both weight tables as ints, checked distinct, and the mode the law
+    is rounded into.
 
-    The natural mode is rational unless a custom table holds floats; floats
-    are never silently promoted back to rationals.  Rational tables come
-    back as ints, both multiplied by the lcm of all their denominators:
-    both models draw with ratios of weights, so one common factor leaves
-    the law unchanged, and the closed forms run in integer arithmetic.
-    Float and big-float modes cast the tables as they are.
+    Both tables are multiplied by the lcm of all their denominators: both
+    models draw with ratios of weights, so one common factor leaves the law
+    unchanged, and the closed forms run in integer arithmetic.  The natural
+    mode is rational unless a custom table holds floats; floats are never
+    silently promoted back to rationals.
     """
+    alpha, a_scale = _integer_table(A, n, "first-color")
+    beta, b_scale = _integer_table(B, m, "second-color")
     natural = FLOAT if FLOAT in (A.mode, B.mode) else RATIONAL
-    if natural == RATIONAL and mode in (None, RATIONAL):
-        alpha, a_scale = _integer_table(A, n, "first-color")
-        beta, b_scale = _integer_table(B, m, "second-color")
-        scale = lcm(a_scale, b_scale)
-        alpha = [v * (scale // a_scale) for v in alpha]
-        beta = [v * (scale // b_scale) for v in beta]
-        return alpha, beta, RATIONAL
-    alpha = _distinct_table(A, n, "first-color")
-    beta = _distinct_table(B, m, "second-color")
-    if mode is None:
-        mode = natural
     if natural == FLOAT and mode == RATIONAL:
         raise ScalarModeError("float-valued weights cannot run in rational mode")
-    if mode != natural:
-        with _mode_context(mode, bits):  # big-float casts round at creation time
-            alpha = [cast_value(v, mode) for v in alpha]
-            beta = [cast_value(v, mode) for v in beta]
-    return alpha, beta, mode
+    scale = lcm(a_scale, b_scale)
+    alpha = [v * (scale // a_scale) for v in alpha]
+    beta = [v * (scale // b_scale) for v in beta]
+    return alpha, beta, mode or natural
 
 
-def _mode_context(mode, bits):
-    """Big-float work runs at `bits` plus 32 guard bits; `bits=None` means
-    `precision_bits()`, as in `limits`."""
-    if mode == BIGFLOAT:
-        return mpmath.workprec((bits if bits is not None else precision_bits()) + 32)
-    return contextlib.nullcontext()
-
-
-def _pole_sum(terms, mode, scale=1):
+def _pole_sum(terms, scale=1):
     """scale times the sum of the pole terms num / den of one survivor
-    count.
+    count: (num, den) int pairs put over one common denominator, their lcm,
+    so the sum is one `Fraction` reduced once."""
+    common = lcm(*[abs(den) for _, den in terms])
+    return Fraction(scale * sum(num * (common // den) for num, den in terms), common)
 
-    Rational terms are (num, den) int pairs, put over one common
-    denominator, their lcm, so the sum is one `Fraction` reduced once.
-    Float and big-float terms arrive already divided (one value per term,
-    half the memory of a pair) and are summed by `compensated_sum`.
-    """
+
+def _rounded(law: dict, mode, bits) -> ExactDistribution:
+    """The exact law {k: p} as an `ExactDistribution` in `mode`, each
+    probability rounded once: a float is `float(p)`, correctly rounded; a
+    big-float is p rounded at `bits` plus 32 guard bits, `bits=None` meaning
+    `precision_bits()` as in `limits`."""
+    support = tuple(range(len(law)))
     if mode == RATIONAL:
-        common = lcm(*[abs(den) for _, den in terms])
-        return Fraction(scale * sum(num * (common // den) for num, den in terms), common)
-    return scale * compensated_sum(terms, mode)
+        return ExactDistribution(support, law, mode)
+    if mode == BIGFLOAT:
+        with mpmath.workprec((bits if bits is not None else precision_bits()) + 32):
+            probs = {k: cast_value(p, mode) for k, p in law.items()}
+    else:
+        probs = {k: cast_value(p, mode) for k, p in law.items()}
+    return ExactDistribution(support, probs, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -180,43 +172,44 @@ def sampling_distribution(
 
     k = 0 uses the same sums, with the index-0 weight 0 entering the
     products (and, in the alpha-poles form, an extra pole term at 0).
+    Float and big-float modes round the exact law once (`_rounded`).
     """
     _require_representation(representation)
     _check_two_color_args(n, m, None)
-    alpha, beta, mode = _resolve_tables(A, B, n, m, mode, bits)
-    with _mode_context(mode, bits):
-        terms = [[] for _ in range(n + 1)]  # pole terms per k, see _pole_sum
-        exact = mode == RATIONAL
-        if representation == BETA_POLES:
-            for ell in range(1, m + 1):
-                tail = prod(beta[i] - beta[ell] for i in range(1, m + 1) if i != ell)
-                for k in range(n, -1, -1):
-                    tail = tail * (alpha[k] + beta[ell])
-                    terms[k].append((1, tail) if exact else 1 / tail)
-        else:
-            ubase = [
-                prod(beta[i] + alpha[ell] for i in range(1, m + 1))
-                for ell in range(n + 1)
-            ]
-            for ell in range(0, n + 1):
-                tail = ubase[ell]
-                for j in range(ell + 1, n + 1):
-                    tail = tail * (alpha[j] - alpha[ell])
-                for k in range(ell, -1, -1):
-                    if k < ell:
-                        tail = tail * (alpha[k] - alpha[ell])
-                    terms[k].append((1, tail) if exact else 1 / tail)
-        pref_alpha = 1
-        prefs = [None] * (n + 1)
-        for k in range(n, -1, -1):
-            prefs[k] = pref_alpha
-            if k >= 1:
-                pref_alpha = pref_alpha * alpha[k]
-        beta_prod = prod(beta[1:])
-        probs = {
-            k: _pole_sum(terms[k], mode, beta_prod * prefs[k]) for k in range(n + 1)
-        }
-        return ExactDistribution(tuple(range(n + 1)), probs, mode)
+    alpha, beta, mode = _resolve_tables(A, B, n, m, mode)
+    return _rounded(_sampling_law(alpha, beta, n, m, representation), mode, bits)
+
+
+def _sampling_law(alpha, beta, n, m, representation) -> dict:
+    """The exact sampling law {k: P{k}} from the int tables."""
+    terms = [[] for _ in range(n + 1)]  # (num, den) pole terms per k
+    if representation == BETA_POLES:
+        for ell in range(1, m + 1):
+            tail = prod(beta[i] - beta[ell] for i in range(1, m + 1) if i != ell)
+            for k in range(n, -1, -1):
+                tail = tail * (alpha[k] + beta[ell])
+                terms[k].append((1, tail))
+    else:
+        ubase = [
+            prod(beta[i] + alpha[ell] for i in range(1, m + 1))
+            for ell in range(n + 1)
+        ]
+        for ell in range(0, n + 1):
+            tail = ubase[ell]
+            for j in range(ell + 1, n + 1):
+                tail = tail * (alpha[j] - alpha[ell])
+            for k in range(ell, -1, -1):
+                if k < ell:
+                    tail = tail * (alpha[k] - alpha[ell])
+                terms[k].append((1, tail))
+    pref_alpha = 1
+    prefs = [None] * (n + 1)
+    for k in range(n, -1, -1):
+        prefs[k] = pref_alpha
+        if k >= 1:
+            pref_alpha = pref_alpha * alpha[k]
+    beta_prod = prod(beta[1:])
+    return {k: _pole_sum(terms[k], beta_prod * prefs[k]) for k in range(n + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -241,44 +234,44 @@ def okcorral_distribution(
     """All of P{0..n survive} at once for the contested-fire urn.
 
     k >= 1 and k = 0 have separate displays; both representations of each
-    agree exactly in rational mode.
+    agree exactly.  Float and big-float modes round the exact law once
+    (`_rounded`).
     """
     _require_representation(representation)
     _check_two_color_args(n, m, None)
-    alpha, beta, mode = _resolve_tables(A, B, n, m, mode, bits)
-    with _mode_context(mode, bits):
-        terms = [[] for _ in range(n + 1)]  # pole terms per k, see _pole_sum
-        exact = mode == RATIONAL
-        if representation == BETA_POLES:
-            for ell in range(1, m + 1):
-                tail = prod(beta[ell] - beta[h] for h in range(1, m + 1) if h != ell)
-                power = beta[ell] ** (m - 1)
-                for k in range(n, 0, -1):
-                    tail = tail * (beta[ell] + alpha[k])
-                    terms[k].append((power, tail) if exact else power / tail)
-                    power = power * beta[ell]
-                terms[0].append((power, tail) if exact else power / tail)
-            probs = {
-                k: _pole_sum(terms[k], mode, alpha[k] if k >= 1 else 1)
-                for k in range(n + 1)
-            }
-        else:
-            zero_terms = []
-            for j in range(1, n + 1):
-                tail = prod(alpha[j] + beta[h] for h in range(1, m + 1))
-                for ell in range(j + 1, n + 1):
-                    tail = tail * (alpha[j] - alpha[ell])
-                power = alpha[j] ** (m + n - j - 1)
-                for k in range(j, 0, -1):
-                    if k < j:
-                        tail = tail * (alpha[j] - alpha[k])
-                    terms[k].append((power, tail) if exact else power / tail)
-                    power = power * alpha[j]
-                # the k=0 display sums the same poles and subtracts from 1
-                zero_terms.append((power, tail) if exact else power / tail)
-            probs = {k: _pole_sum(terms[k], mode, alpha[k]) for k in range(1, n + 1)}
-            probs[0] = 1 - _pole_sum(zero_terms, mode)
-        return ExactDistribution(tuple(range(n + 1)), probs, mode)
+    alpha, beta, mode = _resolve_tables(A, B, n, m, mode)
+    return _rounded(_okcorral_law(alpha, beta, n, m, representation), mode, bits)
+
+
+def _okcorral_law(alpha, beta, n, m, representation) -> dict:
+    """The exact contested-fire law {k: P{k}} from the int tables."""
+    terms = [[] for _ in range(n + 1)]  # (num, den) pole terms per k
+    if representation == BETA_POLES:
+        for ell in range(1, m + 1):
+            tail = prod(beta[ell] - beta[h] for h in range(1, m + 1) if h != ell)
+            power = beta[ell] ** (m - 1)
+            for k in range(n, 0, -1):
+                tail = tail * (beta[ell] + alpha[k])
+                terms[k].append((power, tail))
+                power = power * beta[ell]
+            terms[0].append((power, tail))
+        return {k: _pole_sum(terms[k], alpha[k] if k >= 1 else 1) for k in range(n + 1)}
+    zero_terms = []
+    for j in range(1, n + 1):
+        tail = prod(alpha[j] + beta[h] for h in range(1, m + 1))
+        for ell in range(j + 1, n + 1):
+            tail = tail * (alpha[j] - alpha[ell])
+        power = alpha[j] ** (m + n - j - 1)
+        for k in range(j, 0, -1):
+            if k < j:
+                tail = tail * (alpha[j] - alpha[k])
+            terms[k].append((power, tail))
+            power = power * alpha[j]
+        # the k=0 display sums the same poles and subtracts from 1
+        zero_terms.append((power, tail))
+    probs = {k: _pole_sum(terms[k], alpha[k]) for k in range(1, n + 1)}
+    probs[0] = 1 - _pole_sum(zero_terms)
+    return probs
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +279,7 @@ def okcorral_distribution(
 # ---------------------------------------------------------------------------
 
 
-def polya_sampling_pmf(a, d, n, m, k, representation=BETA_POLES, mode=RATIONAL):
+def polya_sampling_pmf(a, d, n, m, k, representation=BETA_POLES):
     """Survivor pmf for removal in blocks of a (first color) and d (second),
     P{an-urn leaves a*k}; alternating-sum displays over either pole family.
 
@@ -300,7 +293,7 @@ def polya_sampling_pmf(a, d, n, m, k, representation=BETA_POLES, mode=RATIONAL):
     terms = []
     if representation == BETA_POLES:
         for ell in range(1, m + 1):
-            x = cast_value(Fraction(ell * d, a), mode)
+            x = Fraction(ell * d, a)
             term = (
                 binom_general(m, ell)
                 * binom_general(x + k - 1, k)
@@ -309,17 +302,17 @@ def polya_sampling_pmf(a, d, n, m, k, representation=BETA_POLES, mode=RATIONAL):
             terms.append(term if (ell - 1) % 2 == 0 else -term)
     else:
         for ell in range(k, n + 1):
-            x = cast_value(Fraction(ell * a, d), mode)
+            x = Fraction(ell * a, d)
             term = (
                 binom_general(n, ell)
                 * binom_general(ell, k)
                 / binom_general(x + m, m)
             )
             terms.append(term if (ell - k) % 2 == 0 else -term)
-    return compensated_sum(terms, mode)
+    return compensated_sum(terms)
 
 
-def polya_okcorral_pmf(b, c, n, m, k, representation=BETA_POLES, mode=RATIONAL):
+def polya_okcorral_pmf(b, c, n, m, k, representation=BETA_POLES):
     """Survivor pmf for the contested-fire urn shooting in blocks of b and c,
     P{cn-urn leaves c*k}.
 
@@ -337,42 +330,38 @@ def polya_okcorral_pmf(b, c, n, m, k, representation=BETA_POLES, mode=RATIONAL):
     if k == 0:
         terms = []
         for ell in range(1, m + 1):
-            x = cast_value(ell * bc, mode)
+            x = ell * bc
             term = (
                 binom_general(m - 1, ell - 1)
-                * cast_value(ell, mode) ** (n + m - 1)
+                * Fraction(ell) ** (n + m - 1)
                 / binom_general(x + n, n)
             )
             terms.append(term if (m - ell) % 2 == 0 else -term)
-        scale = cast_value(
-            bc**n / (factorial(n) * factorial(m - 1)), mode
-        )
-        return scale * compensated_sum(terms, mode)
+        scale = bc**n / (factorial(n) * factorial(m - 1))
+        return scale * compensated_sum(terms)
     if representation == BETA_POLES:
         terms = []
         for ell in range(1, m + 1):
-            x = cast_value(ell * bc, mode)
+            x = ell * bc
             term = (
                 binom_general(m - 1, ell - 1)
-                * cast_value(ell, mode) ** (n + m - 1 - k)
+                * Fraction(ell) ** (n + m - 1 - k)
                 / binom_general(x + n, n - k + 1)
             )
             terms.append(term if (m - ell) % 2 == 0 else -term)
-        scale = cast_value(
-            k * bc ** (n - k) / (factorial(n - k + 1) * factorial(m - 1)), mode
-        )
-        return scale * compensated_sum(terms, mode)
+        scale = k * bc ** (n - k) / (factorial(n - k + 1) * factorial(m - 1))
+        return scale * compensated_sum(terms)
     terms = []
     for ell in range(k, n + 1):  # lower summands vanish: binom(n-k, ell-k) = 0
-        x = cast_value(ell * cb, mode)
+        x = ell * cb
         term = (
             binom_general(n - k, ell - k)
-            * cast_value(ell, mode) ** (m + n - 1 - k)
+            * Fraction(ell) ** (m + n - 1 - k)
             / binom_general(x + m, m)
         )
         terms.append(term if (n - ell) % 2 == 0 else -term)
-    scale = cast_value(k * cb**m / (factorial(n - k) * factorial(m)), mode)
-    return scale * compensated_sum(terms, mode)
+    scale = k * cb**m / (factorial(n - k) * factorial(m))
+    return scale * compensated_sum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +663,8 @@ def multi_okcorral_reading_report(seqs, nvec) -> DiscrepancyReport:
 
 def two_color_distribution(spec, representation=BETA_POLES, mode=None, bits=None):
     """The two-color closed form of the spec's model, over k = 0..n;
-    big-float mode works at `bits` (default: `precision_bits()`)."""
+    big-float mode rounds at `bits` (default: `precision_bits()`) plus 32
+    guard bits."""
     if spec.model == MODEL_SAMPLING:
         closed = sampling_distribution
     else:

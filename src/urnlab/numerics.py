@@ -218,53 +218,23 @@ def ramanujan_q(n: int) -> Fraction:
     return total
 
 
-def kahan_sum(values) -> float:
-    """Neumaier-compensated float summation."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        v = float(v)
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
-
-
-def compensated_sum(terms, mode: str):
-    """Sum a sequence of same-mode terms.
-
-    Rational and bigfloat sums are exact / correctly tracked by their types;
-    float mode sorts by magnitude and compensates, which is what keeps the
-    alternating closed-form sums usable at machine precision.
-    """
-    terms = list(terms)
-    if not terms:
-        return Fraction(0) if mode == RATIONAL else _zero_for(mode)
-    if mode == FLOAT:
-        return kahan_sum(sorted(terms, key=abs))
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    return acc
-
-
-def _zero_for(mode: str):
-    if mode == BIGFLOAT:
-        return mpmath.mpf(0)
-    return 0.0
+def compensated_sum(terms):
+    """The exact sum of a sequence of rationals; `Fraction(0)` when empty.
+    The name outlives its float branch: `bench/tracer.py` wraps it by name."""
+    return sum(terms, Fraction(0))
 
 
 def cast_value(x, mode: str):
-    """Convert an exact rational (or int) into the requested mode."""
+    """Convert an exact rational (or int) into the requested mode, rounded
+    once: `float` rounds correctly, and so does big-float mode at the
+    working precision."""
     if mode == RATIONAL:
         return Fraction(x)
     if mode == FLOAT:
         return float(x)
     if mode == BIGFLOAT:
         if isinstance(x, Fraction):
-            return mpmath.mpf(x.numerator) / x.denominator
+            # fdiv takes both ints exactly, so the quotient rounds once
+            return mpmath.fdiv(x.numerator, x.denominator)
         return mpmath.mpf(x)
     raise ValueError(f"unknown scalar mode {mode!r}")

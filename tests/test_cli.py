@@ -6,11 +6,14 @@ import sys
 from importlib import resources
 
 import jsonschema
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urnlab import cli
+from urnlab.oracle import absorption_pmf
+from urnlab.weights import linear, square, two_color
 
 
 def run_cli(capsys, *argv):
@@ -116,21 +119,30 @@ class TestPmf:
         assert flag_out == env_out
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, n, bits",
         [
-            ["--n", "60", "--m", "60", "--mode", "float"],  # nan for every k
-            # negative P{14}, P{26} and P{27}
-            ["--n", "30", "--m", "30", "--mode", "bigfloat", "--precision-bits", "53"],
+            (["--n", "60", "--m", "60", "--mode", "float"], 60, None),
+            (["--n", "30", "--m", "30", "--mode", "bigfloat", "--precision-bits", "53"],
+             30, 53),
         ],
-        ids=["float-nan", "bigfloat-negative"],
+        # per-term float sums gave nan for every k here, and 53-bit
+        # big-float sums a negative P{14}, P{26} and P{27}
+        ids=["float-60", "bigfloat-30-53"],
     )
-    def test_non_probability_exits_3(self, capsys, argv):
+    def test_cancellation_cases_print_rounded_oracle(self, capsys, argv, n, bits):
         code, out, err = run_cli(
             capsys, "pmf", "--model", "II", "--A", "linear:1", "--B", "square", *argv
         )
-        assert code == 3
-        assert out == ""
-        assert "is not a probability" in err
+        assert code == 0, err
+        exact = absorption_pmf(two_color("II", linear(1), square(), n, n))
+        if bits is None:
+            want = [repr(float(exact[k])) for k in range(n + 1)]
+        else:
+            with mpmath.workprec(bits + 32):
+                rounded = [mpmath.fdiv(exact[k].numerator, exact[k].denominator)
+                           for k in range(n + 1)]
+            want = [cli.render_bigfloat(p, bits) for p in rounded]
+        assert [e["p"] for e in check_json(out)["pmf"]] == want
 
     def test_precision_env_below_minimum(self, capsys, monkeypatch):
         monkeypatch.setenv("URNLAB_PRECISION_BITS", "4")
@@ -542,6 +554,50 @@ class TestNegativeCounts:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert err == f"{flag}: initial counts must be nonnegative\n"
+        assert out == ""
+
+
+SIM = ["--A", "linear:1", "--B", "square", "--n", "2", "--m", "2"]
+
+
+class TestRangeFlags:
+    """An out-of-range count, order, point or simulation size exits 2
+    naming its flag, before the library refuses it naming none."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["limit", "--law", "fixed-blacks-moment", "--m", "-1", "--s", "1"],
+             "--m: initial counts must be at least 1"),
+            (["limit", "--law", "w-moment", "--s", "-1"],
+             "--s: moment orders must be at least 1"),
+            (["limit", "--law", "fixed-whites-pmf", "--n", "-1", "--k", "0"],
+             "--n: initial counts must be nonnegative"),
+            (["limit", "--law", "fixed-whites-moment", "--n", "0", "--s", "1"],
+             "--n: initial counts must be at least 1"),
+            (["limit", "--law", "fixed-blacks-density", "--m", "0", "--q", "1/2"],
+             "--m: initial counts must be at least 1"),
+            (["limit", "--law", "fixed-blacks-density", "--m", "2", "--q", "3/2"],
+             "--q: must lie in [0, 1], got 3/2"),
+            (["limit", "--law", "w-cdf", "--q", "3/2"], "--q: must lie in [0, 1], got 3/2"),
+            (["theta", "--q", "2"], "--q: must lie in [0, 1), got 2"),
+            (["simulate", *SIM, "--trials", "0"], "--trials: must be at least 1"),
+            (["simulate", *SIM, "--workers", "0"], "--workers: must be at least 1"),
+            (["compare", *SIM, "--trials", "0"], "--trials: must be at least 1"),
+            (["limit", "--law", "fixed-whites-pmf", "--n", "2", "--k", "3"],
+             "--k: must lie in 0..2"),
+            (["limit", "--law", "w-cdf", "--grid", "1/2:3/2:1/2"],
+             "--grid: must lie in [0, 1], got 3/2"),
+        ],
+        ids=["blacks-moment-m", "w-moment-s", "whites-pmf-n", "whites-moment-n",
+             "blacks-density-m", "blacks-density-q", "w-cdf-q", "theta-q",
+             "simulate-trials", "simulate-workers", "compare-trials", "whites-pmf-k",
+             "w-cdf-grid"],
+    )
+    def test_exits_2_naming_flag(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == message + "\n"
         assert out == ""
 
 

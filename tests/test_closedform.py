@@ -1,12 +1,11 @@
-import contextlib
 import math
 import random
 from fractions import Fraction
 from itertools import product
 
-import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import from_rational, round_nearest
 
 from urnlab.closedform import (
     ALPHA_POLES,
@@ -34,9 +33,7 @@ from urnlab.closedform import (
 from urnlab.numerics import (
     BIGFLOAT,
     FLOAT,
-    RATIONAL,
     ScalarModeError,
-    cast_value,
     compensated_sum,
     precision_bits,
 )
@@ -142,71 +139,64 @@ class TestOkcorralPmf:
                 assert dist[k] == okcorral_pmf(square(), linear(2), 5, 3, k, rep)
 
 
-def fraction_per_term_law(model, A, B, n, m, representation, mode=None):
-    """The two-color closed form the term-by-term way: tables as given (or
-    cast into `mode`), one `Fraction` (or float, or mpf) per pole term and
-    per running product, summed by `compensated_sum`.  The reference the
-    integer-scaled rational route and the untouched float and big-float
-    routes must reproduce exactly."""
+def fraction_per_term_law(model, A, B, n, m, representation):
+    """The rational two-color closed form the term-by-term way: tables as
+    given, one `Fraction` per pole term and per running product, summed by
+    `compensated_sum`.  The reference the integer-scaled route must
+    reproduce exactly."""
     alpha, beta = A.table(n), B.table(m)
-    mode = mode or (FLOAT if isinstance(alpha[1] + beta[1], float) else RATIONAL)
-    context = mpmath.workprec(precision_bits() + 32) if mode == BIGFLOAT else None
-    with context or contextlib.nullcontext():
-        if mode != RATIONAL:
-            alpha = [cast_value(v, mode) for v in alpha]
-            beta = [cast_value(v, mode) for v in beta]
-        one = Fraction(1)
-        terms = [[] for _ in range(n + 1)]
-        if model == "I":
-            if representation == BETA_POLES:
-                for ell in range(1, m + 1):
-                    tail = math.prod((beta[i] - beta[ell] for i in range(1, m + 1)
-                                      if i != ell), start=one)
-                    for k in range(n, -1, -1):
-                        tail = tail * (alpha[k] + beta[ell])
-                        terms[k].append(1 / tail)
-            else:
-                for ell in range(n + 1):
-                    tail = math.prod((beta[i] + alpha[ell] for i in range(1, m + 1)),
-                                     start=one)
-                    for j in range(ell + 1, n + 1):
-                        tail = tail * (alpha[j] - alpha[ell])
-                    for k in range(ell, -1, -1):
-                        if k < ell:
-                            tail = tail * (alpha[k] - alpha[ell])
-                        terms[k].append(1 / tail)
-            beta_prod = math.prod(beta[1:], start=one)
-            return [
-                beta_prod * math.prod(reversed(alpha[k + 1 :]), start=one)
-                * compensated_sum(terms[k], mode)
-                for k in range(n + 1)
-            ]
+    one = Fraction(1)
+    terms = [[] for _ in range(n + 1)]
+    if model == "I":
         if representation == BETA_POLES:
             for ell in range(1, m + 1):
-                tail = math.prod((beta[ell] - beta[h] for h in range(1, m + 1)
-                                  if h != ell), start=one)
-                power = beta[ell] ** (m - 1)
-                for k in range(n, 0, -1):
-                    tail = tail * (beta[ell] + alpha[k])
-                    terms[k].append(power / tail)
-                    power = power * beta[ell]
-                terms[0].append(power / tail)
-            return [(alpha[k] if k else 1) * compensated_sum(terms[k], mode)
-                    for k in range(n + 1)]
-        for j in range(1, n + 1):
-            tail = math.prod((alpha[j] + beta[h] for h in range(1, m + 1)), start=one)
-            for ell in range(j + 1, n + 1):
-                tail = tail * (alpha[j] - alpha[ell])
-            power = alpha[j] ** (m + n - j - 1)
-            for k in range(j, 0, -1):
-                if k < j:
-                    tail = tail * (alpha[j] - alpha[k])
-                terms[k].append(power / tail)
-                power = power * alpha[j]
-            terms[0].append(power / tail)
-        return [1 - compensated_sum(terms[0], mode)] + [
-            alpha[k] * compensated_sum(terms[k], mode) for k in range(1, n + 1)
+                tail = math.prod((beta[i] - beta[ell] for i in range(1, m + 1)
+                                  if i != ell), start=one)
+                for k in range(n, -1, -1):
+                    tail = tail * (alpha[k] + beta[ell])
+                    terms[k].append(1 / tail)
+        else:
+            for ell in range(n + 1):
+                tail = math.prod((beta[i] + alpha[ell] for i in range(1, m + 1)),
+                                 start=one)
+                for j in range(ell + 1, n + 1):
+                    tail = tail * (alpha[j] - alpha[ell])
+                for k in range(ell, -1, -1):
+                    if k < ell:
+                        tail = tail * (alpha[k] - alpha[ell])
+                    terms[k].append(1 / tail)
+        beta_prod = math.prod(beta[1:], start=one)
+        return [
+            beta_prod * math.prod(reversed(alpha[k + 1 :]), start=one)
+            * compensated_sum(terms[k])
+            for k in range(n + 1)
         ]
+    if representation == BETA_POLES:
+        for ell in range(1, m + 1):
+            tail = math.prod((beta[ell] - beta[h] for h in range(1, m + 1)
+                              if h != ell), start=one)
+            power = beta[ell] ** (m - 1)
+            for k in range(n, 0, -1):
+                tail = tail * (beta[ell] + alpha[k])
+                terms[k].append(power / tail)
+                power = power * beta[ell]
+            terms[0].append(power / tail)
+        return [(alpha[k] if k else 1) * compensated_sum(terms[k])
+                for k in range(n + 1)]
+    for j in range(1, n + 1):
+        tail = math.prod((alpha[j] + beta[h] for h in range(1, m + 1)), start=one)
+        for ell in range(j + 1, n + 1):
+            tail = tail * (alpha[j] - alpha[ell])
+        power = alpha[j] ** (m + n - j - 1)
+        for k in range(j, 0, -1):
+            if k < j:
+                tail = tail * (alpha[j] - alpha[k])
+            terms[k].append(power / tail)
+            power = power * alpha[j]
+        terms[0].append(power / tail)
+    return [1 - compensated_sum(terms[0])] + [
+        alpha[k] * compensated_sum(terms[k]) for k in range(1, n + 1)
+    ]
 
 
 # the ten families of the benchmark's validate sweep, plus a rational table
@@ -216,6 +206,26 @@ TEN_FAMILIES = [
     reciprocal(square()), reciprocal(linear(1)), reciprocal(triangular()),
     custom(["1/3", "5/2", "7/4", "11/6", "13/5", "17/9", "3", "29/7", "41/8", "53/11"]),
 ]
+# a float-valued custom table, and its exact rational twin
+FLOAT_TABLE = custom([0.1 * j + 0.01 * j * j for j in range(1, 41)])
+
+
+def exact_twin(seq):
+    """`seq` with each float weight replaced by its exact `Fraction`."""
+    if seq.mode == FLOAT:
+        return custom([Fraction(v) for v in seq.values])
+    return seq
+
+
+@st.composite
+def urns_up_to_40(draw):
+    """(A, B, n, m) over TEN_FAMILIES and FLOAT_TABLE, n and m up to 40
+    within each table's declared range."""
+    A, B = (draw(st.sampled_from(TEN_FAMILIES + [FLOAT_TABLE])) for _ in range(2))
+    cap = [min(40, len(s.values)) if s.family == "custom" else 40 for s in (A, B)]
+    return A, B, draw(st.integers(1, cap[0])), draw(st.integers(1, cap[1]))
+
+
 SIZES = [(1, 1), (8, 8), (1, 8), (8, 1), (3, 5), (6, 2), (2, 7), (5, 4), (7, 6), (4, 3)]
 CLOSED = {"I": sampling_distribution, "II": okcorral_distribution}
 
@@ -226,10 +236,9 @@ def law_of(model, A, B, n, m, representation, mode=None):
 
 
 class TestIntegerScaledLaw:
-    """Rational two-color laws run on integer-scaled tables with one lcm
-    denominator per survivor count; they must equal the term-by-term
-    `Fraction` route exactly, and the float and big-float routes must keep
-    their bits."""
+    """Two-color laws run on integer-scaled tables with one lcm denominator
+    per survivor count; they must equal the term-by-term `Fraction` route
+    exactly, and float and big-float modes must be that law rounded once."""
 
     @pytest.mark.parametrize("model", ["I", "II"])
     @pytest.mark.parametrize("ia", range(len(TEN_FAMILIES)))
@@ -263,17 +272,25 @@ class TestIntegerScaledLaw:
                     assert law == law_of(model, A, B, n, m, rep)
                     assert law == [truth[k] for k in range(n + 1)]
 
-    @pytest.mark.parametrize("mode", [FLOAT, BIGFLOAT])
-    @pytest.mark.parametrize("model", ["I", "II"])
-    def test_float_and_bigfloat_bits_unchanged(self, model, mode):
-        bits = float.hex if mode == FLOAT else (lambda v: v._mpf_)
-        for ia, A in enumerate(TEN_FAMILIES):
-            B = TEN_FAMILIES[(3 * ia + 1) % len(TEN_FAMILIES)]
-            for n, m in (SIZES[ia % len(SIZES)], (8, 8)):
-                for rep in REPS:
-                    law = law_of(model, A, B, n, m, rep, mode)
-                    want = fraction_per_term_law(model, A, B, n, m, rep, mode)
-                    assert [bits(p) for p in law] == [bits(p) for p in want], (ia, n, m)
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(urns_up_to_40(), st.sampled_from(["I", "II"]), st.sampled_from(REPS),
+           st.sampled_from([None, 53, 113]))
+    def test_float_and_bigfloat_round_the_exact_law_once(self, urn, model, rep, bits):
+        A, B, n, m = urn
+        exact = law_of(model, exact_twin(A), exact_twin(B), n, m, rep)
+        assert all(type(p) is Fraction for p in exact)
+        assert law_of(model, A, B, n, m, rep, FLOAT) == [float(p) for p in exact]
+        prec = (bits or precision_bits()) + 32
+        big = CLOSED[model](A, B, n, m, rep, BIGFLOAT, bits)
+        assert [big[k]._mpf_ for k in range(n + 1)] == [
+            from_rational(p.numerator, p.denominator, prec, round_nearest) for p in exact
+        ]
+
+    @pytest.mark.parametrize("rep", REPS)
+    def test_one_ball_urn_in_float_mode(self, rep):
+        # alpha-poles summed 1/4 - ... in floats to 0.24999999999999994
+        assert sampling_distribution(linear(1), linear(3), 1, 1, rep, FLOAT)[0] == 0.25
+        assert okcorral_distribution(linear(1), linear(3), 1, 1, rep, FLOAT)[0] == 0.75
 
     @pytest.mark.parametrize("model", ["I", "II"])
     def test_bits_argument_equals_environment(self, model, monkeypatch):
@@ -338,12 +355,6 @@ class TestPolyaSampling:
             assert polya_sampling_pmf(3, 2, 3, 4, k, BETA_POLES) == polya_sampling_pmf(
                 3, 2, 3, 4, k, ALPHA_POLES
             )
-
-    def test_float_mode_close_to_exact(self):
-        exact = polya_sampling_pmf(1, 1, 6, 6, 2)
-        approx = polya_sampling_pmf(1, 1, 6, 6, 2, mode=FLOAT)
-        assert isinstance(approx, float)
-        assert abs(approx - float(exact)) < 1e-12
 
 
 class TestPolyaOkcorral:
