@@ -272,6 +272,25 @@ class TestIntegerScaledLaw:
                     assert law == law_of(model, A, B, n, m, rep)
                     assert law == [truth[k] for k in range(n + 1)]
 
+    @pytest.mark.parametrize("mode", [FLOAT, BIGFLOAT])
+    @pytest.mark.parametrize("model", ["I", "II"])
+    def test_float_and_bigfloat_bits_unchanged(self, model, mode):
+        # over the ten families, each float or big-float carries the bits of
+        # the exact law rounded once, whichever representation computed it
+        if mode == FLOAT:
+            bits, rounded = float.hex, lambda p: float(p).hex()
+        else:
+            prec = precision_bits() + 32
+            bits = lambda v: v._mpf_
+            rounded = lambda p: from_rational(p.numerator, p.denominator, prec, round_nearest)
+        for ia, A in enumerate(TEN_FAMILIES):
+            B = TEN_FAMILIES[(3 * ia + 1) % len(TEN_FAMILIES)]
+            for n, m in (SIZES[ia % len(SIZES)], (8, 8)):
+                want = [rounded(p) for p in law_of(model, A, B, n, m, ALPHA_POLES)]
+                for rep in REPS:
+                    law = law_of(model, A, B, n, m, rep, mode)
+                    assert [bits(p) for p in law] == want, (ia, n, m, rep)
+
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(urns_up_to_40(), st.sampled_from(["I", "II"]), st.sampled_from(REPS),
            st.sampled_from([None, 53, 113]))
