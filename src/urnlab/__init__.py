@@ -39,7 +39,6 @@ from .moments import (
 )
 from .numerics import (
     Polynomial,
-    ScalarModeError,
     binom_general,
     falling_factorial,
     ramanujan_q,

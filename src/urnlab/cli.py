@@ -2,11 +2,11 @@
 
 Output is machine-readable JSON (validating against the shipped schema in
 urnlab/schema/output.schema.json) or CSV with LF line endings.  Exact
-rationals always print as "p/q" strings unless CSV with --decimals asks for
-decimal rendering.  Exit codes: 0 success, 2 validation error, 3 a
-formula-discrepancy was detected (closed form vs oracle, duality violation,
-moment-route mismatch, or a `pmf` probability that is nan, infinite or
-negative).
+rationals always print as "p/q" strings, with any number of digits, unless
+CSV with --decimals asks for decimal rendering.  Exit codes: 0 success, 2
+validation error, 3 a formula-discrepancy was detected (closed form vs
+oracle, duality violation, moment-route mismatch, or a `pmf` probability
+that is nan, infinite or negative).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import io
 import json
 import math
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath
@@ -37,9 +38,24 @@ class Discrepancy(Exception):
     """A formula discrepancy that must surface as exit code 3."""
 
 
+@contextmanager
+def _any_digits():
+    """Lift Python's limit on the digits of an int turned into a string
+    while an exact result prints (a law at n = m = 120 has terms past 4,300
+    digits), and restore it after: flag parsing keeps the guard, and so do
+    in-process callers of `main`."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def render_exact(value) -> str:
     f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    with _any_digits():
+        return f"{f.numerator}/{f.denominator}"
 
 
 def render_decimal(value, decimals: int) -> str:
@@ -47,7 +63,8 @@ def render_decimal(value, decimals: int) -> str:
     f = Fraction(value)
     scaled = round(f * 10**decimals)  # round-half-even, deterministic
     sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(decimals + 1, "0")
+    with _any_digits():
+        digits = str(abs(scaled)).rjust(decimals + 1, "0")
     whole, frac = digits[: len(digits) - decimals], digits[len(digits) - decimals :]
     return f"{sign}{whole}.{frac}" if decimals else f"{sign}{whole}"
 
@@ -102,6 +119,8 @@ def _multi_spec(args, model) -> weights.UrnSpec:
     if len(seqs) != len(counts):
         raise CliError("--counts: need one count per weight descriptor")
     _counts("--counts", *counts)
+    for seq, count in zip(seqs, counts):
+        _covered(seq, count, "--weights")
     return weights.UrnSpec(model, seqs, counts)
 
 
@@ -112,6 +131,26 @@ def _counts(flag, *values, least=0):
     if any(v < least for v in values):
         bound = "nonnegative" if least == 0 else f"at least {least}"
         raise CliError(f"{flag}: initial counts must be {bound}")
+
+
+def _covered(seq, count, flag):
+    """`seq`, unless it is a custom table shorter than `count`: exit 2
+    naming `flag`, before an engine looks the missing weight up."""
+    try:
+        seq.eval(count)
+    except weights.WeightRangeError as exc:
+        raise CliError(f"{flag}: {exc}") from None
+    return seq
+
+
+def _distinct(seq, count, flag, instead):
+    """Exit 2 naming `flag` if `seq` repeats a weight at 1..`count`: the
+    closed forms divide by weight differences; `instead` says what runs."""
+    if not weights.check_distinct(seq, count):
+        raise CliError(
+            f"{flag}: the closed forms need pairwise distinct weights up to "
+            f"index {count}; {instead}"
+        )
 
 
 def _unit_point(flag, q, top_open=False):
@@ -130,18 +169,23 @@ def _spec(args, model) -> weights.UrnSpec:
     _need(args, "for a two-color urn", "A", "B", "n", "m")
     _counts("--n", args.n)
     _counts("--m", args.m)
-    return weights.two_color(model, _seq(args.A, "--A"), _seq(args.B, "--B"), args.n, args.m)
+    A = _covered(_seq(args.A, "--A"), args.n, "--A")
+    B = _covered(_seq(args.B, "--B"), args.m, "--B")
+    return weights.two_color(model, A, B, args.n, args.m)
 
 
 def _closed_form_spec(spec) -> weights.UrnSpec:
-    """The two-color urn, refused (exit 2 naming --n or --m) when a color
-    is empty: the closed forms need a ball of each, the oracle does not."""
+    """The two-color urn, refused (exit 2 naming the flag) when a color is
+    empty or repeats a weight: the closed forms need a ball of each and
+    distinct weights, the oracle does not."""
     for flag, count in (("--n", spec.n), ("--m", spec.m)):
         if count < 1:
             raise CliError(
                 f"{flag}: the closed forms need at least one ball of each color; "
                 "use urnlab oracle"
             )
+    _distinct(spec.A, spec.n, "--A", "use urnlab oracle")
+    _distinct(spec.B, spec.m, "--B", "use urnlab oracle")
     return spec
 
 
@@ -191,14 +235,14 @@ def _pmf_table(entries):
 
 def _cmd_pmf(args) -> int:
     spec = _closed_form_spec(_spec(args, args.model))
+    if args.k is not None and not 0 <= args.k <= args.n:
+        raise CliError(f"--k: must lie in 0..{args.n}")
     dist = closedform.two_color_distribution(
         spec, args.representation, args.mode, args.precision_bits
     )
     render = _prob_renderer(args, dist.mode)
     entries = dist.to_jsonable(render)
     if args.k is not None:
-        if not 0 <= args.k <= args.n:
-            raise CliError(f"--k: must lie in 0..{args.n}")
         entries = [entries[args.k]]
     # float and big-float laws are the exact law rounded once, so this
     # guard against a lost precision can no longer fire
@@ -225,6 +269,12 @@ def _cmd_oracle(args) -> int:
     if args.method == "recurrence":
         dist = oracle.absorption_pmf(spec)
     else:
+        balls = sum(spec.counts)
+        if balls > oracle.ENUMERATION_LIMIT:
+            raise CliError(
+                f"--method: enumerate takes at most {oracle.ENUMERATION_LIMIT} balls, "
+                f"got {balls}; use recurrence"
+            )
         dist = oracle.enumerate_pmf(spec)
     render = _prob_renderer(args)
     entries = dist.to_jsonable(render)
@@ -240,8 +290,11 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_pmf_multi(args) -> int:
     spec = _multi_spec(args, args.model)
-    if args.engine == "closed" and min(spec.counts) < 1:
-        raise CliError("--counts: the closed forms need every count >= 1; use --engine oracle")
+    if args.engine == "closed":
+        if min(spec.counts) < 1:
+            raise CliError("--counts: the closed forms need every count >= 1; use --engine oracle")
+        for seq, count in zip(spec.sequences, spec.counts):
+            _distinct(seq, count, "--weights", "use --engine oracle")
     reference = oracle.absorption_pmf_multi(spec)
     render = _prob_renderer(args)
     if args.engine == "oracle":
@@ -268,9 +321,10 @@ def _cmd_pmf_multi(args) -> int:
 def _emit_moment_check(args, payload: dict, order, closed, direct) -> int:
     """Emit the closed-form and direct-summation values side by side; a
     mismatch is a formula discrepancy."""
+    render = _prob_renderer(args)
     reports = [
-        {"order": order, "value": render_exact(closed), "method": "closed-form"},
-        {"order": order, "value": render_exact(direct), "method": "direct-summation"},
+        {"order": order, "value": render(closed), "method": "closed-form"},
+        {"order": order, "value": render(direct), "method": "direct-summation"},
     ]
     payload["reports"] = reports
     _emit(args, payload, pmf_like=(("method", "value"), [(r["method"], r["value"]) for r in reports]))
@@ -365,6 +419,7 @@ def _cmd_okc_moments(args) -> int:
 
 def _cmd_limit(args) -> int:
     bits = args.precision_bits
+    render = _prob_renderer(args)
     law = args.law
     need_law = f"for --law {law}"
     value = None
@@ -373,19 +428,21 @@ def _cmd_limit(args) -> int:
         _need(args, need_law, "m", "s")
         _counts("--m", args.m, least=1)
         _orders("--s", 1, args.s)
-        value = render_exact(limits.fixed_blacks_moment(args.m, args.s))
+        value = render(limits.fixed_blacks_moment(args.m, args.s))
         mode = RATIONAL
     elif law == "fixed-blacks-density":
         _need(args, need_law, "m", "q")
         _counts("--m", args.m, least=1)
         q = _unit_point("--q", _fraction(args.q, "--q"))
-        value = render_exact(limits.fixed_blacks_density(args.m, q))
+        value = render(limits.fixed_blacks_density(args.m, q))
         mode = RATIONAL
     elif law == "fixed-whites-pmf":
         _need(args, need_law, "n", "k")
         _counts("--n", args.n)
         if not 0 <= args.k <= args.n:
             raise CliError(f"--k: must lie in 0..{args.n}")
+        if args.method == limits.SERIES and args.k >= 1:
+            raise CliError("--method: the series is certified only for --k 0; use finite-sum")
         v = limits.fixed_whites_pmf(args.n, args.k, args.method, args.tol, bits)
         value = render_bigfloat(v, bits)
         mode = "bigfloat"
@@ -413,7 +470,7 @@ def _cmd_limit(args) -> int:
             x = start
             while x <= stop:
                 v = limits.limit_cdf(_unit_point("--grid", x), args.family, args.tol, bits)
-                rows.append((render_exact(x), render_bigfloat(v, bits)))
+                rows.append((render(x), render_bigfloat(v, bits)))
                 x += step
             grid_rows = rows
         else:
@@ -573,7 +630,7 @@ def _cmd_compare(args) -> int:
         "mode": reference.mode,
         "representations_agree": reps_agree,
         "closed_equals_oracle": max_diff == 0,
-        "max_discrepancy": render_exact(max_diff),
+        "max_discrepancy": _prob_renderer(args)(max_diff),
         "chi_square": sim_report.chi_square,
         "dof": sim_report.dof,
         "p_value": sim_report.p_value,
@@ -658,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=("rational", "float", "bigfloat"),
         default=None,
-        help="scalar mode (default: rational for rational weights)",
+        help="output mode (default: rational)",
     )
     p.set_defaults(handler=_cmd_pmf)
 

@@ -2,7 +2,7 @@
 
 Each probability is available as a sum over the poles contributed by the
 second-color weights ("beta-poles") or by the first-color weights
-("alpha-poles"); the two must agree exactly in rational mode.  Everything
+("alpha-poles"); the two must agree exactly.  Everything
 here is cross-validated against the recurrence oracle, and the specialized
 linear-weight (Polya) forms are additionally implemented from their own
 displays so that any typographical slip in those displays is detected
@@ -16,8 +16,8 @@ the lcm of its terms' denominators, reduced once.  That exact law is the
 only evaluation: float and big-float modes are output formats, each
 probability rounded once at the end (`float(p)`, or `cast_value` at the
 big-float working precision), so they are within half a unit in the last
-place of the exact law and cost what rational mode costs.  Float-valued
-custom weights enter as their exact `Fraction(v)`.
+place of the exact law and cost what rational mode costs.  Every weight
+is an exact `Fraction`, so the default mode is rational for every table.
 
 The r-color laws are (r-1)-fold nested sums over pole vectors whose
 summands factor color by color apart from one shared denominator.
@@ -40,9 +40,7 @@ import mpmath
 
 from .numerics import (
     BIGFLOAT,
-    FLOAT,
     RATIONAL,
-    ScalarModeError,
     binom_general,
     cast_value,
     compensated_sum,
@@ -81,9 +79,8 @@ def _distinct_table(seq: WeightSequence, upper: int, name: str) -> list:
 
 
 def _integer_table(seq: WeightSequence, upper: int, name: str):
-    """`seq.table(upper)`, each weight taken exactly (`Fraction(v)` for a
-    float), times c, the lcm of its denominators, as ints, and c; refused
-    when it repeats a weight."""
+    """`seq.table(upper)` times c, the lcm of its denominators, as ints,
+    and c; refused when it repeats a weight."""
     ratios = [v.as_integer_ratio() for v in seq.table(upper)]
     scale = lcm(*[den for _, den in ratios])
     ints = [num * (scale // den) for num, den in ratios]
@@ -104,25 +101,19 @@ def _check_two_color_args(n, m, k):
         raise ValueError(f"k must lie in 0..{n}")
 
 
-def _resolve_tables(A, B, n, m, mode):
-    """Both weight tables as ints, checked distinct, and the mode the law
-    is rounded into.
+def _resolve_tables(A, B, n, m):
+    """Both weight tables as ints, checked distinct.
 
     Both tables are multiplied by the lcm of all their denominators: both
     models draw with ratios of weights, so one common factor leaves the law
-    unchanged, and the closed forms run in integer arithmetic.  The natural
-    mode is rational unless a custom table holds floats; floats are never
-    silently promoted back to rationals.
+    unchanged, and the closed forms run in integer arithmetic.
     """
     alpha, a_scale = _integer_table(A, n, "first-color")
     beta, b_scale = _integer_table(B, m, "second-color")
-    natural = FLOAT if FLOAT in (A.mode, B.mode) else RATIONAL
-    if natural == FLOAT and mode == RATIONAL:
-        raise ScalarModeError("float-valued weights cannot run in rational mode")
     scale = lcm(a_scale, b_scale)
     alpha = [v * (scale // a_scale) for v in alpha]
     beta = [v * (scale // b_scale) for v in beta]
-    return alpha, beta, mode or natural
+    return alpha, beta
 
 
 def _pole_sum(terms, scale=1):
@@ -134,13 +125,13 @@ def _pole_sum(terms, scale=1):
 
 
 def _rounded(law: dict, mode, bits) -> ExactDistribution:
-    """The exact law {k: p} as an `ExactDistribution` in `mode`, each
-    probability rounded once: a float is `float(p)`, correctly rounded; a
-    big-float is p rounded at `bits` plus 32 guard bits, `bits=None` meaning
-    `precision_bits()` as in `limits`."""
+    """The exact law {k: p} as an `ExactDistribution` in `mode` (rational
+    when None), each probability rounded once: a float is `float(p)`,
+    correctly rounded; a big-float is p rounded at `bits` plus 32 guard
+    bits, `bits=None` meaning `precision_bits()` as in `limits`."""
     support = tuple(range(len(law)))
-    if mode == RATIONAL:
-        return ExactDistribution(support, law, mode)
+    if mode in (None, RATIONAL):
+        return ExactDistribution(support, law)
     if mode == BIGFLOAT:
         with mpmath.workprec((bits if bits is not None else precision_bits()) + 32):
             probs = {k: cast_value(p, mode) for k, p in law.items()}
@@ -176,7 +167,7 @@ def sampling_distribution(
     """
     _require_representation(representation)
     _check_two_color_args(n, m, None)
-    alpha, beta, mode = _resolve_tables(A, B, n, m, mode)
+    alpha, beta = _resolve_tables(A, B, n, m)
     return _rounded(_sampling_law(alpha, beta, n, m, representation), mode, bits)
 
 
@@ -239,7 +230,7 @@ def okcorral_distribution(
     """
     _require_representation(representation)
     _check_two_color_args(n, m, None)
-    alpha, beta, mode = _resolve_tables(A, B, n, m, mode)
+    alpha, beta = _resolve_tables(A, B, n, m)
     return _rounded(_okcorral_law(alpha, beta, n, m, representation), mode, bits)
 
 
@@ -443,7 +434,7 @@ def _multi_law(tables, nvec, rows, sampling):
     once per pole vector and the color axes are contracted one at a time
     with the triangular matrices of `_pole_columns`: prod_j (n_j + 1 -
     min rows_j) denominators plus r - 1 passes, in place of one nested
-    pole sum per survivor vector.  Exact for rational tables; sampling rows
+    pole sum per survivor vector.  Exact, as the tables are; sampling rows
     may hold k_j = 0, contested-fire rows need k_j >= 1.
     """
     r = len(nvec)
@@ -683,14 +674,14 @@ def multi_distribution(spec, reference):
     low = 0 if sampling else 1
     law = _multi_law(tables, nvec, [range(low, n + 1) for n in nvec[:-1]], sampling)
     probs = {kvec: law.get(kvec, reference[kvec]) for kvec in reference.support}
-    return ExactDistribution(reference.support, probs, reference.mode)
+    return ExactDistribution(reference.support, probs)
 
 
 def closed_vs_oracle(spec, representation=BETA_POLES):
     """Exact comparison of the closed form with the DP oracle for one spec.
 
     Returns (closed, oracle, max_abs_diff).  Zero difference is the
-    acceptance requirement in rational mode.
+    acceptance requirement.
     """
     if spec.is_two_color:
         closed = two_color_distribution(spec, representation)

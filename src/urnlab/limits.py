@@ -32,7 +32,6 @@ from mpmath.libmp import mpf_mul, round_nearest
 
 from .numerics import (
     BIGFLOAT,
-    FLOAT,
     RATIONAL,
     cast_value,
     precision_bits,
@@ -125,21 +124,14 @@ def _ratio_blocks(weights, s):
 
 def fixed_blacks_moment(m: int, s: int, mode: str = RATIONAL):
     """s-th moment of the limiting survivor fraction: the finite product of
-    ell^2 / (ell^2 + s).  Exact rational by default, folded one block of
-    exact integer factors at a time."""
+    ell^2 / (ell^2 + s), folded one block of exact integer factors at a
+    time.  Exact rational by default; other modes round it once."""
     if m < 1 or s < 1:
         raise ValueError("need m >= 1 and s >= 1")
-    if mode == RATIONAL:
-        acc = Fraction(1)
-        for num, den in _ratio_blocks([ell * ell for ell in range(1, m + 1)], s):
-            acc *= Fraction(num, den)
-        return acc
-    if mode == FLOAT:
-        acc = 1.0
-        for ell in range(1, m + 1):
-            acc *= ell * ell / (ell * ell + s)
-        return acc
-    raise ValueError("mode must be rational or float")
+    acc = Fraction(1)
+    for num, den in _ratio_blocks([ell * ell for ell in range(1, m + 1)], s):
+        acc *= Fraction(num, den)
+    return cast_value(acc, mode)
 
 
 def fixed_blacks_moment_gammaform(m: int, s: int, bits=None):

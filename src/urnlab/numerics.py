@@ -1,11 +1,11 @@
-"""Scalar modes, exact polynomials and combinatorial special functions.
+"""Output modes, exact polynomials and combinatorial special functions.
 
-Everything downstream computes in one of three scalar modes: exact rationals
-(`fractions.Fraction`), big-floats (`mpmath.mpf` at a configurable bit
-precision), or machine floats.  Values are plain Python numbers of the
-mode's type; `cast_value` is the one way an exact rational enters another
-mode, and the closed forms raise `ScalarModeError` rather than silently
-promote float weights to rationals.
+Every weight is an exact rational, and every finite law is computed in
+exact rationals (`fractions.Fraction`).  A result is then given in one of
+three output modes: the exact rational itself, a big-float (`mpmath.mpf`
+at a configurable bit precision) or a machine float.  `cast_value` is the
+one way an exact rational enters another mode, rounded once.  The limit
+laws that are transcendental compute in big-floats throughout.
 """
 
 from __future__ import annotations
@@ -22,11 +22,6 @@ FLOAT = "float"
 
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 8
-
-
-class ScalarModeError(TypeError):
-    """Raised when a computation is asked for a scalar mode its inputs cannot
-    enter exactly, such as float-valued weights in rational mode."""
 
 
 def precision_bits() -> int:

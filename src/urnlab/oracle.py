@@ -1,10 +1,11 @@
 """Ground-truth absorption distributions.
 
-Three routes, all exact rational for rational weights, so closed forms can
-be checked for literal equality: forward reach from one start for any r >= 2
-colors (`absorption_pmf`, `absorption_pmf_multi`), the backward two-color
-lattice over every start at once (`absorption_pmf_lattice`), and exhaustive
-path enumeration on tiny instances (`enumerate_pmf`).
+Three routes, all in exact rational arithmetic (every weight is a
+`Fraction`), so closed forms can be checked for literal equality: forward
+reach from one start for any r >= 2 colors (`absorption_pmf`,
+`absorption_pmf_multi`), the backward two-color lattice over every start at
+once (`absorption_pmf_lattice`), and exhaustive path enumeration on tiny
+instances (`enumerate_pmf`).
 """
 
 from __future__ import annotations
@@ -95,12 +96,10 @@ def absorption_pmf_lattice(spec: UrnSpec) -> list:
     n, m = spec.counts
     alpha = spec.A.table(n)
     beta = spec.B.table(m)
-    zero = Fraction(0) if spec.mode == RATIONAL else 0.0
-    one = Fraction(1) if spec.mode == RATIONAL else 1.0
 
     def unit(k):
-        row = [zero] * (n + 1)
-        row[k] = one
+        row = [Fraction(0)] * (n + 1)
+        row[k] = Fraction(1)
         return tuple(row)
 
     rows = [[unit(j) for j in range(n + 1)]]  # m' = 0: all whites survive
@@ -159,11 +158,10 @@ def _forward_reach(spec: UrnSpec) -> dict:
     states add their probability to their outcome.
     """
     tables = [seq.table(c) for seq, c in zip(spec.sequences, spec.counts)]
-    zero = Fraction(0) if spec.mode == RATIONAL else 0.0
-    out: dict = defaultdict(lambda: zero)
-    layer = {spec.counts: zero + 1}
+    out: dict = defaultdict(Fraction)
+    layer = {spec.counts: Fraction(1)}
     while layer:
-        below: dict = defaultdict(lambda: zero)
+        below: dict = defaultdict(Fraction)
         for state, p in layer.items():
             if _absorbed(state):
                 out[_outcome(state)] += p
@@ -182,12 +180,11 @@ def _forward_reach(spec: UrnSpec) -> dict:
 def _as_distribution(spec: UrnSpec, out: dict, flat: bool) -> ExactDistribution:
     """Outcome masses as a distribution over the full survivor support:
     0..n keyed by int when `flat`, else the grid of survivor vectors."""
-    zero = Fraction(0) if spec.mode == RATIONAL else 0.0
     grid = product(*[range(c + 1) for c in spec.counts[:-1]])
-    probs = {k: out.get(k, zero) for k in grid}
+    probs = {k: out.get(k, Fraction(0)) for k in grid}
     if flat:
         probs = {k: p for (k,), p in probs.items()}
-    return ExactDistribution(tuple(probs), probs, spec.mode)
+    return ExactDistribution(tuple(probs), probs)
 
 
 def absorption_pmf(spec: UrnSpec) -> ExactDistribution:
@@ -218,8 +215,7 @@ def enumerate_pmf(spec: UrnSpec) -> ExactDistribution:
             f"enumeration limit of {ENUMERATION_LIMIT}"
         )
     tables = [seq.table(c) for seq, c in zip(spec.sequences, counts)]
-    zero = Fraction(0) if spec.mode == RATIONAL else 0.0
-    out: dict = defaultdict(lambda: zero)
+    out: dict = defaultdict(Fraction)
 
     def walk(state, weight):
         if _absorbed(state):
@@ -233,5 +229,5 @@ def enumerate_pmf(spec: UrnSpec) -> ExactDistribution:
             child = tuple(c - 1 if j == ell else c for j, c in enumerate(state))
             walk(child, weight * w / den)
 
-    walk(counts, zero + 1)
+    walk(counts, Fraction(1))
     return _as_distribution(spec, out, flat=spec.is_two_color)

@@ -2,17 +2,15 @@
 
 A weight sequence assigns a positive rational weight to every ball count
 j >= 1; index 0 always evaluates to 0, which is what makes empty colors
-drop out of the drawing rules.  Custom tables may also hold machine floats,
-in which case everything downstream runs in float mode.
+drop out of the drawing rules.  Every weight is an exact `Fraction`: a
+custom table entry given as a float is stored as its exact value, so every
+engine downstream computes exactly and duality holds with `==`.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-
-from .numerics import FLOAT, RATIONAL
 
 MODEL_SAMPLING = "sampling"
 MODEL_OKCORRAL = "okcorral"
@@ -63,30 +61,20 @@ class WeightSequence:
         elif self.family == "custom":
             if not self.values:
                 raise ValueError("custom family needs a nonempty value table")
-            if any(v <= 0 for v in self.values):
-                raise ValueError("custom weights must be positive")
+            values = tuple(_exact_weight(v) for v in self.values)
+            object.__setattr__(self, "values", values)
         elif self.family == "reciprocal":
             if self.base is None:
                 raise ValueError("reciprocal family needs a base sequence")
         elif self.family not in ("square", "triangular", "shifted-square"):
             raise ValueError(f"unknown weight family {self.family!r}")
 
-    @property
-    def mode(self) -> str:
-        if self.family == "custom" and any(
-            isinstance(v, float) for v in self.values
-        ):
-            return FLOAT
-        if self.family == "reciprocal":
-            return self.base.mode
-        return RATIONAL
-
     def eval(self, j: int):
         """Weight at ball count j; 0 at j = 0 by convention."""
         if j < 0:
             raise ValueError("index must be nonnegative")
         if j == 0:
-            return Fraction(0) if self.mode == RATIONAL else 0.0
+            return Fraction(0)
         if self.family == "linear":
             return self.a * j
         if self.family == "power":
@@ -103,26 +91,11 @@ class WeightSequence:
                     f"custom table covers 1..{len(self.values)}, index {j} requested"
                 )
             return self.values[j - 1]
-        # reciprocal
-        base = self.base.eval(j)
-        if isinstance(base, float):
-            return 1.0 / base
-        return 1 / Fraction(base)
+        return 1 / self.base.eval(j)  # reciprocal
 
     def table(self, upper: int) -> list:
         """Weights at indices 0..upper as a list."""
         return [self.eval(j) for j in range(upper + 1)]
-
-    def to_json(self) -> dict:
-        if self.family == "linear":
-            return {"family": "linear", "a": str(self.a)}
-        if self.family == "power":
-            return {"family": "power", "c": str(self.c), "r": str(self.r)}
-        if self.family == "custom":
-            return {"family": "custom", "values": [str(v) for v in self.values]}
-        if self.family == "reciprocal":
-            return {"family": "reciprocal", "base": self.base.to_json()}
-        return {"family": self.family}
 
 
 def linear(a=1) -> WeightSequence:
@@ -145,11 +118,20 @@ def shifted_square() -> WeightSequence:
     return WeightSequence("shifted-square")
 
 
+def _exact_weight(v) -> Fraction:
+    """A custom table entry as an exact `Fraction` (a float's exact value),
+    refused unless it is finite and positive."""
+    try:
+        w = Fraction(v)
+    except (ValueError, OverflowError):  # nan, inf or a malformed string
+        raise ValueError(f"custom weights must be finite numbers, got {v!r}") from None
+    if w <= 0:
+        raise ValueError("custom weights must be positive")
+    return w
+
+
 def custom(values) -> WeightSequence:
-    vals = tuple(
-        v if isinstance(v, float) else Fraction(v) for v in values
-    )
-    return WeightSequence("custom", values=vals)
+    return WeightSequence("custom", values=tuple(values))
 
 
 def reciprocal(seq: WeightSequence) -> WeightSequence:
@@ -161,28 +143,11 @@ def reciprocal(seq: WeightSequence) -> WeightSequence:
 
 def check_distinct(seq: WeightSequence, upper: int) -> bool:
     """True iff the weights at 1..upper are pairwise distinct (exact
-    comparison in rational mode)."""
+    comparison)."""
     if upper < 1:
         raise ValueError("upper must be at least 1")
     vals = [seq.eval(j) for j in range(1, upper + 1)]
     return len(set(vals)) == len(vals)
-
-
-def from_json(obj) -> WeightSequence:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    family = obj.get("family")
-    if family == "linear":
-        return linear(Fraction(obj["a"]))
-    if family == "power":
-        return power(Fraction(obj["c"]), int(obj["r"]))
-    if family == "custom":
-        return custom([Fraction(v) for v in obj["values"]])
-    if family == "reciprocal":
-        return reciprocal(from_json(obj["base"]))
-    if family in ("square", "triangular", "shifted-square"):
-        return WeightSequence(family)
-    raise ValueError(f"unknown weight family {family!r}")
 
 
 def from_cli(text: str) -> WeightSequence:
@@ -232,11 +197,6 @@ class UrnSpec:
     @property
     def is_two_color(self) -> bool:
         return self.r == 2
-
-    @property
-    def mode(self) -> str:
-        modes = {s.mode for s in self.sequences}
-        return FLOAT if FLOAT in modes else RATIONAL
 
     # two-color accessors
     @property

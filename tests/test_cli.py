@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urnlab import cli
+from urnlab import cli, limits
 from urnlab.oracle import absorption_pmf
 from urnlab.weights import linear, square, two_color
 
@@ -558,11 +558,15 @@ class TestNegativeCounts:
 
 
 SIM = ["--A", "linear:1", "--B", "square", "--n", "2", "--m", "2"]
+SHORT = "custom table covers 1..2, index 3 requested"
+REPEATS = "the closed forms need pairwise distinct weights up to index"
 
 
 class TestRangeFlags:
-    """An out-of-range count, order, point or simulation size exits 2
-    naming its flag, before the library refuses it naming none."""
+    """An out-of-range count, order, point or simulation size, a custom
+    table shorter than its count, a repeated weight under the closed forms
+    and a method outside its range exit 2 naming the flag, before the
+    library refuses them naming none."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -588,17 +592,91 @@ class TestRangeFlags:
              "--k: must lie in 0..2"),
             (["limit", "--law", "w-cdf", "--grid", "1/2:3/2:1/2"],
              "--grid: must lie in [0, 1], got 3/2"),
+            (["pmf", "--A", "custom:1,2", "--B", "square", "--n", "3", "--m", "2"],
+             f"--A: {SHORT}"),
+            (["oracle", "--A", "square", "--B", "custom:1,2", "--n", "3", "--m", "3"],
+             f"--B: {SHORT}"),
+            (["pmf-multi", "--weights", "linear:1;custom:1,2;square", "--counts", "2,3,2"],
+             f"--weights: {SHORT}"),
+            (["simulate", "--A", "custom:1,2", "--B", "square", "--n", "3", "--m", "2"],
+             f"--A: {SHORT}"),
+            (["duality-check", "--weights", "linear:1;custom:1,2", "--counts", "2,3"],
+             f"--weights: {SHORT}"),
+            (["pmf", "--A", "custom:1,1,2", "--B", "square", "--n", "3", "--m", "2"],
+             f"--A: {REPEATS} 3; use urnlab oracle"),
+            (["compare", "--A", "square", "--B", "custom:2,2", "--n", "3", "--m", "2"],
+             f"--B: {REPEATS} 2; use urnlab oracle"),
+            (["pmf-multi", "--weights", "linear:1;custom:1,1;square", "--counts", "2,2,2"],
+             f"--weights: {REPEATS} 2; use --engine oracle"),
+            (["oracle", "--method", "enumerate", *SIM[:4], "--n", "9", "--m", "8"],
+             "--method: enumerate takes at most 16 balls, got 17; use recurrence"),
+            (["limit", "--law", "fixed-whites-pmf", "--method", "series", "--n", "3",
+              "--k", "1"],
+             "--method: the series is certified only for --k 0; use finite-sum"),
         ],
         ids=["blacks-moment-m", "w-moment-s", "whites-pmf-n", "whites-moment-n",
              "blacks-density-m", "blacks-density-q", "w-cdf-q", "theta-q",
              "simulate-trials", "simulate-workers", "compare-trials", "whites-pmf-k",
-             "w-cdf-grid"],
+             "w-cdf-grid", "pmf-short-table", "oracle-short-table",
+             "pmf-multi-short-table", "simulate-short-table", "duality-short-table",
+             "pmf-repeats", "compare-repeats", "pmf-multi-repeats",
+             "enumerate-size", "whites-pmf-series-k"],
     )
     def test_exits_2_naming_flag(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert err == message + "\n"
         assert out == ""
+
+
+class TestRefusalBeforeWork:
+    def test_pmf_k_checked_before_the_law(self, capsys, monkeypatch):
+        # the law at n = m = 120 takes seconds; an out-of-range --k must not wait for it
+        def law(*args):
+            raise AssertionError("the law was computed before --k was checked")
+
+        monkeypatch.setattr(cli.closedform, "two_color_distribution", law)
+        code, out, err = run_cli(capsys, "pmf", "--A", "linear:1", "--B", "square",
+                                 "--n", "120", "--m", "120", "--k", "500")
+        assert (code, out, err) == (2, "", "--k: must lie in 0..120\n")
+
+
+class TestLongResults:
+    def test_result_past_the_int_digit_limit_prints(self, capsys):
+        # both the numerator and the denominator have more than 4,300 digits
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(capsys, "limit", "--law", "fixed-blacks-moment",
+                               "--m", "3000", "--s", "1")
+        assert code == 0
+        assert check_json(out)["value"] == cli.render_exact(limits.fixed_blacks_moment(3000, 1))
+        assert sys.get_int_max_str_digits() == limit
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            str(10**5000)
+
+
+class TestDecimals:
+    """CSV with --decimals renders every exact rational as a decimal."""
+
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            (["limit", "--law", "fixed-blacks-moment", "--m", "3", "--s", "1"],
+             {"value": "0.36000"}),
+            (["moments", "--a", "1", "--d", "2", "--n", "3", "--m", "2", "--s", "1"],
+             {"closed-form": "1.60000", "direct-summation": "1.60000"}),
+            (["okc-moments", "--b", "1", "--c", "1", "--n", "2", "--m", "1", "--s", "1"],
+             {"closed-form": "1.50000", "direct-summation": "1.50000"}),
+            (["compare", "--A", "square", "--B", "linear:1", "--n", "3", "--m", "2",
+              "--trials", "1000"],
+             {"max_discrepancy": "0.00000"}),
+        ],
+        ids=["limit", "moments", "okc-moments", "compare"],
+    )
+    def test_csv_decimals(self, capsys, argv, rows):
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv", "--decimals", "5")
+        assert code == 0
+        printed = dict(line.split(",", 1) for line in out.splitlines()[1:])
+        assert {key: printed[key] for key in rows} == rows
 
 
 class TestMomentFlags:

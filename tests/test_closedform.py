@@ -33,11 +33,16 @@ from urnlab.closedform import (
 from urnlab.numerics import (
     BIGFLOAT,
     FLOAT,
-    ScalarModeError,
+    RATIONAL,
     compensated_sum,
     precision_bits,
 )
-from urnlab.oracle import absorption_pmf, absorption_pmf_multi, enumerate_pmf
+from urnlab.oracle import (
+    absorption_pmf,
+    absorption_pmf_lattice,
+    absorption_pmf_multi,
+    enumerate_pmf,
+)
 from urnlab.weights import (
     UrnSpec,
     WeightRangeError,
@@ -206,15 +211,8 @@ TEN_FAMILIES = [
     reciprocal(square()), reciprocal(linear(1)), reciprocal(triangular()),
     custom(["1/3", "5/2", "7/4", "11/6", "13/5", "17/9", "3", "29/7", "41/8", "53/11"]),
 ]
-# a float-valued custom table, and its exact rational twin
+# a custom table given as floats, stored as their exact values
 FLOAT_TABLE = custom([0.1 * j + 0.01 * j * j for j in range(1, 41)])
-
-
-def exact_twin(seq):
-    """`seq` with each float weight replaced by its exact `Fraction`."""
-    if seq.mode == FLOAT:
-        return custom([Fraction(v) for v in seq.values])
-    return seq
 
 
 @st.composite
@@ -296,7 +294,7 @@ class TestIntegerScaledLaw:
            st.sampled_from([None, 53, 113]))
     def test_float_and_bigfloat_round_the_exact_law_once(self, urn, model, rep, bits):
         A, B, n, m = urn
-        exact = law_of(model, exact_twin(A), exact_twin(B), n, m, rep)
+        exact = law_of(model, A, B, n, m, rep)
         assert all(type(p) is Fraction for p in exact)
         assert law_of(model, A, B, n, m, rep, FLOAT) == [float(p) for p in exact]
         prec = (bits or precision_bits()) + 32
@@ -329,12 +327,14 @@ class TestIntegerScaledLaw:
             assert [by_env[k]._mpf_ for k in range(21)] == [by_arg[k]._mpf_ for k in range(21)]
             assert [default[k]._mpf_ for k in range(21)] != [by_arg[k]._mpf_ for k in range(21)]
 
-    def test_float_anywhere_in_a_table_means_float_mode(self):
-        # the natural mode comes from the whole table, not its first entry
+    def test_float_table_gives_the_exact_law(self):
+        # a float entry is its exact value, so the default mode is rational
         for model in CLOSED:
             dist = CLOSED[model](custom([1, 2.5, 3]), square(), 3, 3)
-            assert dist.mode == FLOAT
-            assert all(type(dist[k]) is float for k in range(4))
+            assert dist.mode == RATIONAL
+            exact = CLOSED[model](custom([1, Fraction(5, 2), 3]), square(), 3, 3)
+            assert dist.probs == exact.probs
+            assert all(type(dist[k]) is Fraction for k in range(4))
 
     @pytest.mark.parametrize("mode", [None, FLOAT, BIGFLOAT])
     @pytest.mark.parametrize(
@@ -352,6 +352,56 @@ class TestIntegerScaledLaw:
                 with pytest.raises(DistinctWeightsError) as err:
                     closed(A, B, 3, 3, rep, mode)
                 assert str(err.value) == message
+
+
+@st.composite
+def float_urns(draw, colors):
+    """Weight tables and counts for a `colors`-color urn: float-valued
+    custom tables, their reciprocals and two built-in families, at most 8
+    balls per color (3 when there are three colors)."""
+    seqs = []
+    for _ in range(colors):
+        table = custom(draw(st.lists(st.floats(1e-3, 1e3), min_size=8, max_size=8, unique=True)))
+        seqs.append(draw(st.sampled_from([table, reciprocal(table), square(), reciprocal(linear(1))])))
+    cap = 8 if colors == 2 else 3
+    return tuple(seqs), tuple(draw(st.integers(1, cap)) for _ in range(colors))
+
+
+DUAL = {"I": "II", "II": "I"}
+
+
+class TestFloatTables:
+    """A float table entry is an exact weight: every route is exact on it,
+    the routes and the duality agree with `==`, and float mode is the exact
+    law rounded once."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(float_urns(2), st.sampled_from(["I", "II"]))
+    def test_two_color_routes_duality_and_float_mode(self, urn, model):
+        (A, B), (n, m) = urn
+        spec = two_color(model, A, B, n, m)
+        law = absorption_pmf(spec)
+        assert all(type(p) is Fraction for p in law.probs.values())
+        assert law.probs == dict(enumerate(absorption_pmf_lattice(spec)[m][n]))
+        assert law.probs == {k: p for (k,), p in absorption_pmf_multi(spec).items()}
+        if n + m <= 12:
+            assert law.probs == enumerate_pmf(spec).probs
+        dual = two_color(DUAL[model], reciprocal(A), reciprocal(B), n, m)
+        assert absorption_pmf(dual).probs == law.probs
+        for rep in REPS:
+            assert closed_vs_oracle(spec, rep)[2] == 0
+            floats = law_of(model, A, B, n, m, rep, FLOAT)
+            assert floats == [float(law[k]) for k in range(n + 1)]
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(float_urns(3), st.sampled_from(["I", "II"]))
+    def test_three_color_closed_form_and_duality(self, urn, model):
+        seqs, counts = urn
+        _, law, diff = closed_vs_oracle(UrnSpec(model, seqs, counts))
+        assert diff == 0
+        assert all(type(p) is Fraction for p in law.probs.values())
+        dual = UrnSpec(DUAL[model], tuple(reciprocal(s) for s in seqs), counts)
+        assert absorption_pmf_multi(dual).probs == law.probs
 
 
 class TestPolyaSampling:
@@ -608,7 +658,7 @@ class TestClosedVsOracle:
 class TestInputChecks:
     """Each closed-form call evaluates every weight table once, and checks
     its arguments in a fixed order: counts, survivor counts, then each
-    color's table (range, then distinctness), then the scalar mode."""
+    color's table (range, then distinctness)."""
 
     REP = custom([1, 1, 2])
     SHORT = custom([1, 2])
@@ -624,8 +674,6 @@ class TestInputChecks:
             ((SHORT, REP, 3, 3, 1), WeightRangeError, "custom table covers 1..2"),
             ((SHORT, REP, 1, 3, 1), DistinctWeightsError, "second-color weights must"),
             ((FLOATS, SHORT, 3, 3, 1, BETA_POLES, "rational"), WeightRangeError, "covers"),
-            ((FLOATS, square(), 3, 3, 1, BETA_POLES, "rational"), ScalarModeError,
-             "float-valued weights cannot run in rational mode"),
         ],
     )
     def test_two_color_refusals_in_order(self, args, error, message):

@@ -55,6 +55,10 @@ class TestFixedBlacksMoment:
             target = mpmath.mpf(exact.numerator) / exact.denominator
             assert mpf_close(viag, target, 1e-10)
 
+    @pytest.mark.parametrize("m, s", [(1, 1), (7, 3), (1000, 1), (1000, 5)])
+    def test_float_mode_rounds_the_exact_product_once(self, m, s):
+        assert fixed_blacks_moment(m, s, mode=FLOAT) == float(fixed_blacks_moment(m, s))
+
     def test_approaches_sinh_limit(self):
         w1 = float(limit_moment(1, SQUARE))
         gap = abs(fixed_blacks_moment(1000, 1, mode=FLOAT) - w1)

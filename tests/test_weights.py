@@ -10,7 +10,6 @@ from urnlab.weights import (
     check_distinct,
     custom,
     from_cli,
-    from_json,
     linear,
     power,
     reciprocal,
@@ -38,8 +37,9 @@ class TestEval:
         assert square().eval(4) == 16
 
     def test_index_zero_is_zero_for_every_family(self):
-        for seq in ALL_FAMILIES + [custom([1, 4, 9]), reciprocal(square())]:
+        for seq in ALL_FAMILIES + [custom([1, 4, 9]), custom([0.5]), reciprocal(square())]:
             assert seq.eval(0) == 0
+            assert type(seq.eval(0)) is Fraction
 
     def test_triangular(self):
         assert triangular().eval(4) == 10
@@ -67,6 +67,18 @@ class TestEval:
             custom([1, 0, 2])
         with pytest.raises(ValueError):
             power(1, 0)
+        with pytest.raises(ValueError, match="must be positive"):
+            custom([1.0, -2.0])
+
+    def test_float_entries_are_stored_exactly(self):
+        seq = custom([0.1, 2.5])
+        assert seq.values == (Fraction(0.1), Fraction(5, 2))
+        assert all(type(v) is Fraction for v in seq.values)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_entries_refused(self, bad):
+        with pytest.raises(ValueError, match="custom weights must be finite numbers"):
+            custom([bad, 2.0, 3.0])
 
 
 class TestReciprocal:
@@ -81,6 +93,11 @@ class TestReciprocal:
         for seq in ALL_FAMILIES:
             back = reciprocal(reciprocal(seq))
             assert all(back.eval(j) == seq.eval(j) for j in range(1, 101))
+
+    def test_float_table_is_inverted_exactly(self):
+        # 1 / Fraction(0.1), not the rounded float 1.0 / 0.1 == 10.0
+        seq = custom([0.1, 0.3])
+        assert [reciprocal(seq).eval(j) for j in (1, 2)] == [1 / Fraction(0.1), 1 / Fraction(0.3)]
 
     @given(st.integers(min_value=1, max_value=500))
     def test_reciprocal_inverts_pointwise(self, j):
@@ -112,16 +129,6 @@ class TestDistinct:
 
 
 class TestSerialization:
-    def test_json_round_trip(self):
-        for seq in ALL_FAMILIES + [custom([1, 4, 9]), reciprocal(triangular())]:
-            back = from_json(seq.to_json())
-            upper = 3 if seq.family == "custom" else 30
-            assert all(back.eval(j) == seq.eval(j) for j in range(0, upper + 1))
-
-    def test_documented_forms(self):
-        assert from_json({"family": "power", "c": "1", "r": "2"}).eval(3) == 9
-        assert from_json({"family": "custom", "values": ["1", "4", "9"]}).eval(2) == 4
-
     def test_cli_descriptors(self):
         assert from_cli("linear:2").eval(2) == 4
         assert from_cli("linear").eval(5) == 5
