@@ -54,6 +54,7 @@ from .oracle import (
 from .weights import (
     MODEL_OKCORRAL,
     MODEL_SAMPLING,
+    ParameterError,
     UrnSpec,
     WeightSequence,
     check_distinct,

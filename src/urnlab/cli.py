@@ -7,6 +7,11 @@ CSV with --decimals asks for decimal rendering.  Exit codes: 0 success, 2
 validation error, 3 a formula-discrepancy was detected (closed form vs
 oracle, duality violation, moment-route mismatch, or a `pmf` probability
 that is nan, infinite or negative).
+
+The library owns the range rules: its `weights.ParameterError` names an
+argument, and `main` prints it after that argument's flag (`_flag`).  The
+CLI checks only flag syntax and presence, the lengths and `--k` selections
+that compare flags, `--decimals`, `--precision-bits` and the theta floor.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ EXIT_DISCREPANCY = 3
 
 
 class CliError(Exception):
-    """Validation failure; the message names the offending flag."""
+    """Validation failure the CLI detects itself; the message names the flag."""
 
 
 class Discrepancy(Exception):
@@ -118,47 +123,7 @@ def _multi_spec(args, model) -> weights.UrnSpec:
     counts = _int_list(args.counts, "--counts")
     if len(seqs) != len(counts):
         raise CliError("--counts: need one count per weight descriptor")
-    _counts("--counts", *counts)
-    for seq, count in zip(seqs, counts):
-        _covered(seq, count, "--weights")
     return weights.UrnSpec(model, seqs, counts)
-
-
-def _counts(flag, *values, least=0):
-    """Exit 2 naming `flag` if a ball count is below `least` (negative, by
-    default), before `UrnSpec` or a limit law refuses it with a message
-    that names no flag."""
-    if any(v < least for v in values):
-        bound = "nonnegative" if least == 0 else f"at least {least}"
-        raise CliError(f"{flag}: initial counts must be {bound}")
-
-
-def _covered(seq, count, flag):
-    """`seq`, unless it is a custom table shorter than `count`: exit 2
-    naming `flag`, before an engine looks the missing weight up."""
-    try:
-        seq.eval(count)
-    except weights.WeightRangeError as exc:
-        raise CliError(f"{flag}: {exc}") from None
-    return seq
-
-
-def _distinct(seq, count, flag, instead):
-    """Exit 2 naming `flag` if `seq` repeats a weight at 1..`count`: the
-    closed forms divide by weight differences; `instead` says what runs."""
-    if not weights.check_distinct(seq, count):
-        raise CliError(
-            f"{flag}: the closed forms need pairwise distinct weights up to "
-            f"index {count}; {instead}"
-        )
-
-
-def _unit_point(flag, q, top_open=False):
-    """`q`, unless it lies outside [0, 1] (or [0, 1) with `top_open`): exit
-    2 naming `flag`, before the series refuse it naming no flag."""
-    if q < 0 or q > 1 or (top_open and q == 1):
-        raise CliError(f"{flag}: must lie in [0, 1{')' if top_open else ']'}, got {q}")
-    return q
 
 
 def _spec(args, model) -> weights.UrnSpec:
@@ -167,26 +132,38 @@ def _spec(args, model) -> weights.UrnSpec:
     if getattr(args, "weights", None):
         return _multi_spec(args, model)
     _need(args, "for a two-color urn", "A", "B", "n", "m")
-    _counts("--n", args.n)
-    _counts("--m", args.m)
-    A = _covered(_seq(args.A, "--A"), args.n, "--A")
-    B = _covered(_seq(args.B, "--B"), args.m, "--B")
-    return weights.two_color(model, A, B, args.n, args.m)
+    return weights.two_color(model, _seq(args.A, "--A"), _seq(args.B, "--B"), args.n, args.m)
 
 
-def _closed_form_spec(spec) -> weights.UrnSpec:
-    """The two-color urn, refused (exit 2 naming the flag) when a color is
-    empty or repeats a weight: the closed forms need a ball of each and
-    distinct weights, the oracle does not."""
-    for flag, count in (("--n", spec.n), ("--m", spec.m)):
-        if count < 1:
-            raise CliError(
-                f"{flag}: the closed forms need at least one ball of each color; "
-                "use urnlab oracle"
-            )
-    _distinct(spec.A, spec.n, "--A", "use urnlab oracle")
-    _distinct(spec.B, spec.m, "--B", "use urnlab oracle")
-    return spec
+# a spec's sequences and counts by the flags that give them: the --weights
+# form, then the two-color form by color
+_SPEC_FLAGS = {"sequences": ("--weights", "--A", "--B"), "counts": ("--counts", "--n", "--m")}
+
+
+def _flag(args, exc: weights.ParameterError) -> str:
+    """The flag of the argument a library refusal names: --<param>, but a
+    spec's sequences and counts go by the flags of the form the urn came
+    in, and a `w-cdf` grid point by --grid."""
+    if exc.param in _SPEC_FLAGS:
+        weights_flag, *by_color = _SPEC_FLAGS[exc.param]
+        if getattr(args, "weights", None):
+            return weights_flag
+        if exc.color is not None:
+            return by_color[exc.color]
+    if exc.param == "q" and getattr(args, "law", None) == "w-cdf" and args.grid is not None:
+        return "--grid"
+    return f"--{exc.param}"
+
+
+@contextmanager
+def _remedy(text, param=None):
+    """Re-raise a library refusal from the block with `text`, what to run
+    instead, appended; `param` names the flag when the library's argument
+    has none."""
+    try:
+        yield
+    except weights.ParameterError as exc:
+        raise weights.ParameterError(f"{exc}; {text}", param or exc.param, exc.color) from None
 
 
 def _oracle(args, spec):
@@ -234,12 +211,13 @@ def _pmf_table(entries):
 
 
 def _cmd_pmf(args) -> int:
-    spec = _closed_form_spec(_spec(args, args.model))
+    spec = _spec(args, args.model)
     if args.k is not None and not 0 <= args.k <= args.n:
         raise CliError(f"--k: must lie in 0..{args.n}")
-    dist = closedform.two_color_distribution(
-        spec, args.representation, args.mode, args.precision_bits
-    )
+    with _remedy("use urnlab oracle"):
+        dist = closedform.two_color_distribution(
+            spec, args.representation, args.mode, args.precision_bits
+        )
     render = _prob_renderer(args, dist.mode)
     entries = dist.to_jsonable(render)
     if args.k is not None:
@@ -269,13 +247,8 @@ def _cmd_oracle(args) -> int:
     if args.method == "recurrence":
         dist = oracle.absorption_pmf(spec)
     else:
-        balls = sum(spec.counts)
-        if balls > oracle.ENUMERATION_LIMIT:
-            raise CliError(
-                f"--method: enumerate takes at most {oracle.ENUMERATION_LIMIT} balls, "
-                f"got {balls}; use recurrence"
-            )
-        dist = oracle.enumerate_pmf(spec)
+        with _remedy("use recurrence", "method"):
+            dist = oracle.enumerate_pmf(spec)
     render = _prob_renderer(args)
     entries = dist.to_jsonable(render)
     payload = {
@@ -290,17 +263,13 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_pmf_multi(args) -> int:
     spec = _multi_spec(args, args.model)
-    if args.engine == "closed":
-        if min(spec.counts) < 1:
-            raise CliError("--counts: the closed forms need every count >= 1; use --engine oracle")
-        for seq, count in zip(spec.sequences, spec.counts):
-            _distinct(seq, count, "--weights", "use --engine oracle")
     reference = oracle.absorption_pmf_multi(spec)
     render = _prob_renderer(args)
     if args.engine == "oracle":
         dist = reference
     else:
-        dist = closedform.multi_distribution(spec, reference)
+        with _remedy("use --engine oracle"):
+            dist = closedform.multi_distribution(spec, reference)
     if args.k is not None:
         kvec = _int_list(args.k, "--k")
         if kvec not in reference.support:
@@ -333,44 +302,22 @@ def _emit_moment_check(args, payload: dict, order, closed, direct) -> int:
     return EXIT_OK
 
 
-def _block_sizes(flag, *values):
-    """Exit 2 naming `flag` if a block size is below 1; the moment closed
-    forms divide by block sizes, so this runs before any of them."""
-    if any(v < 1 for v in values):
-        raise CliError(f"{flag}: block sizes must be positive integers")
-
-
-def _orders(flag, least, *values):
-    """Exit 2 naming `flag` if a moment order is below `least`, before the
-    moment closed forms refuse it with a message that names no flag."""
-    if any(v < least for v in values):
-        raise CliError(f"{flag}: moment orders must be at least {least}")
-
-
 def _cmd_moments(args) -> int:
     if args.mixed:
         _need(args, "with --mixed", "avec", "nvec", "svec")
         avec = _int_list(args.avec, "--avec")
-        _block_sizes("--avec", *avec)
         nvec = _int_list(args.nvec, "--nvec")
         if len(nvec) != len(avec):
             raise CliError("--nvec: need one count per block size in --avec")
-        _counts("--nvec", *nvec)
         svec = _int_list(args.svec, "--svec")
         if len(svec) != len(nvec) - 1:
             raise CliError("--svec: need one order per color but the last")
-        _orders("--svec", 0, *svec)
         closed = moments.mixed_factorial_moment(avec, nvec, svec)
         spec = weights.UrnSpec("I", tuple(weights.linear(a) for a in avec), nvec)
         direct = oracle.absorption_pmf_multi(spec).mixed_factorial_moment(svec)
         order = list(svec)
     else:
         _need(args, "without --mixed", "n", "m")
-        _block_sizes("--a", args.a)
-        _block_sizes("--d", args.d)
-        _counts("--n", args.n)
-        _counts("--m", args.m)
-        _orders("--s", 0, args.s)
         if args.kind == "factorial":
             closed = moments.sampling_factorial_moment(args.a, args.d, args.n, args.m, args.s)
         else:
@@ -388,17 +335,9 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_okc_moments(args) -> int:
-    _block_sizes("--b", args.b)
-    _block_sizes("--c", args.c)
-    _counts("--n", args.n)
-    _counts("--m", args.m)
-    if args.kind == "raw":
-        # the raw-moment sum has no display for an empty color; the
-        # polynomial moment does, and answers
-        for flag, count in (("--n", args.n), ("--m", args.m)):
-            if count < 1:
-                raise CliError(f"{flag}: the raw moment needs at least one ball of each color")
-    _orders("--s", 1, args.s)
+    polynomial = args.kind == "polynomial"
+    moment = moments.okcorral_polynomial_moment if polynomial else moments.okcorral_raw_moment
+    closed = moment(args.b, args.c, args.n, args.m, args.s)
     spec = weights.two_color("II", weights.linear(args.c), weights.linear(args.b), args.n, args.m)
     dist = oracle.absorption_pmf(spec)
     payload = {
@@ -406,13 +345,11 @@ def _cmd_okc_moments(args) -> int:
         "params": _params(args, "b", "c", "n", "m", "s", "kind"),
         "mode": RATIONAL,
     }
-    if args.kind == "polynomial":
+    if polynomial:
         poly = moments.moment_polynomial(args.s)
-        closed = moments.okcorral_polynomial_moment(args.b, args.c, args.n, args.m, args.s)
         direct = sum(poly(Fraction(k)) * p for k, p in dist.items())
-        payload["polynomial"] = [str(c) for c in poly.coeffs]
+        payload["polynomial"] = [_prob_renderer(args)(c) for c in poly.coeffs]
     else:
-        closed = moments.okcorral_raw_moment(args.b, args.c, args.n, args.m, args.s)
         direct = dist.moment(args.s)
     return _emit_moment_check(args, payload, args.s, closed, direct)
 
@@ -426,35 +363,29 @@ def _cmd_limit(args) -> int:
     grid_rows = None
     if law == "fixed-blacks-moment":
         _need(args, need_law, "m", "s")
-        _counts("--m", args.m, least=1)
-        _orders("--s", 1, args.s)
         value = render(limits.fixed_blacks_moment(args.m, args.s))
         mode = RATIONAL
     elif law == "fixed-blacks-density":
         _need(args, need_law, "m", "q")
-        _counts("--m", args.m, least=1)
-        q = _unit_point("--q", _fraction(args.q, "--q"))
-        value = render(limits.fixed_blacks_density(args.m, q))
+        value = render(limits.fixed_blacks_density(args.m, _fraction(args.q, "--q")))
         mode = RATIONAL
     elif law == "fixed-whites-pmf":
         _need(args, need_law, "n", "k")
-        _counts("--n", args.n)
-        if not 0 <= args.k <= args.n:
-            raise CliError(f"--k: must lie in 0..{args.n}")
-        if args.method == limits.SERIES and args.k >= 1:
-            raise CliError("--method: the series is certified only for --k 0; use finite-sum")
-        v = limits.fixed_whites_pmf(args.n, args.k, args.method, args.tol, bits)
+        try:
+            v = limits.fixed_whites_pmf(args.n, args.k, args.method, args.tol, bits)
+        except weights.ParameterError as exc:
+            if exc.param != "method":
+                raise
+            # the library's rule ties --method to --k; name both flags
+            raise CliError("--method: the series is certified only for --k 0; use finite-sum") from None
         value = render_bigfloat(v, bits)
         mode = "bigfloat"
     elif law == "fixed-whites-moment":
         _need(args, need_law, "n", "s")
-        _counts("--n", args.n, least=1)
-        _orders("--s", 1, args.s)
         value = render_bigfloat(limits.fixed_whites_moment(args.n, args.s, bits), bits)
         mode = "bigfloat"
     elif law == "w-moment":
         _need(args, need_law, "s")
-        _orders("--s", 1, args.s)
         value = render_bigfloat(limits.limit_moment(args.s, args.family, bits), bits)
         mode = "bigfloat"
     elif law == "w-cdf":
@@ -469,13 +400,13 @@ def _cmd_limit(args) -> int:
             rows = []
             x = start
             while x <= stop:
-                v = limits.limit_cdf(_unit_point("--grid", x), args.family, args.tol, bits)
+                v = limits.limit_cdf(x, args.family, args.tol, bits)
                 rows.append((render(x), render_bigfloat(v, bits)))
                 x += step
             grid_rows = rows
         else:
             _need(args, need_law, "q")
-            q = _unit_point("--q", _fraction(args.q, "--q"))
+            q = _fraction(args.q, "--q")
             value = render_bigfloat(limits.limit_cdf(q, args.family, args.tol, bits), bits)
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"--law: unknown law {law!r}")
@@ -505,9 +436,10 @@ THETA_MIN_TOL_ULPS = 64
 
 def _cmd_theta(args) -> int:
     bits = args.precision_bits
-    q = _unit_point("--q", _fraction(args.q, "--q"), top_open=True)
+    q = _fraction(args.q, "--q")
     finest = THETA_MIN_TOL_ULPS * 2.0 ** -(bits + 32)
-    if args.tol < finest:
+    # a tol that is not positive is the library's to refuse
+    if 0 < args.tol < finest:
         raise CliError(
             f"--tol: {args.tol:g} is finer than --precision-bits {bits} can resolve; "
             f"use a tol of at least {finest:.3g} or more precision bits"
@@ -552,32 +484,11 @@ def _cmd_duality(args) -> int:
     return EXIT_OK
 
 
-def _sim_spec(args, simulate) -> weights.UrnSpec:
-    """The urn the flags describe, refused (exit 2 naming the weight flag)
-    when a clock scale of the simulator would leave the normal doubles."""
-    spec = _spec(args, args.model)
-    try:
-        simulate.clock_scales(spec)
-    except simulate.ClockScaleError as exc:
-        flag = "--weights" if getattr(args, "weights", None) else ("--A", "--B")[exc.color]
-        raise CliError(f"{flag}: {exc}") from None
-    return spec
-
-
-def _sim_config(args, spec, simulate):
-    """The simulation the flags ask for, refused (exit 2 naming the flag)
-    when --trials or --workers is below 1."""
-    for flag, value in (("--trials", args.trials), ("--workers", args.workers)):
-        if value < 1:
-            raise CliError(f"{flag}: must be at least 1")
-    return simulate.SimConfig(spec, args.trials, args.seed, args.workers)
-
-
 def _cmd_simulate(args) -> int:
     from . import simulate  # numpy loads only for the commands that simulate
 
-    spec = _sim_spec(args, simulate)
-    config = _sim_config(args, spec, simulate)
+    spec = _spec(args, args.model)
+    config = simulate.SimConfig(spec, args.trials, args.seed, args.workers)
     exact = _oracle(args, spec)
     report = simulate.empirical_pmf(config, exact)
     counts_out = [
@@ -607,13 +518,14 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     from . import simulate
 
-    spec = _closed_form_spec(_sim_spec(args, simulate))
-    config = _sim_config(args, spec, simulate)
+    spec = _spec(args, args.model)
+    config = simulate.SimConfig(spec, args.trials, args.seed, args.workers)
+    with _remedy("use urnlab oracle"):
+        dists = {
+            rep: closedform.two_color_distribution(spec, rep)
+            for rep in (closedform.BETA_POLES, closedform.ALPHA_POLES)
+        }
     reference = oracle.absorption_pmf(spec)
-    dists = {
-        rep: closedform.two_color_distribution(spec, rep)
-        for rep in (closedform.BETA_POLES, closedform.ALPHA_POLES)
-    }
     reps_agree = all(
         dists[closedform.BETA_POLES][k] == dists[closedform.ALPHA_POLES][k]
         for k in reference.support
@@ -658,7 +570,7 @@ def _params(args, *names) -> dict:
 
 
 def _check_common(args):
-    """Range checks on flags shared by several subcommands; resolves the
+    """Range checks on the flags every subcommand shares; resolves the
     default precision, so a bad URNLAB_PRECISION_BITS also exits 2."""
     if args.precision_bits is None:
         args.precision_bits = precision_bits()
@@ -666,9 +578,6 @@ def _check_common(args):
         raise CliError(f"--precision-bits: must be at least {MIN_PRECISION_BITS}")
     if args.decimals is not None and args.decimals < 0:
         raise CliError("--decimals: must be nonnegative")
-    # `not > 0` also rejects nan, which no truncation loop would ever reach
-    if getattr(args, "tol", None) is not None and not args.tol > 0:
-        raise CliError("--tol: must be positive")
 
 
 def _need(args, context, *names):
@@ -813,19 +722,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "model"):
-        try:
-            weights.canonical_model(args.model)
-        except ValueError as exc:
-            print(f"--model: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+    args = build_parser().parse_args(argv)
     try:
         _check_common(args)
         return args.handler(args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_VALIDATION
+    except weights.ParameterError as exc:
+        print(f"{_flag(args, exc)}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Discrepancy as exc:
         print(f"formula discrepancy: {exc}", file=sys.stderr)

@@ -49,8 +49,11 @@ from .numerics import (
 from .oracle import ExactDistribution, absorption_pmf, absorption_pmf_multi
 from .weights import (
     MODEL_SAMPLING,
+    ParameterError,
     UrnSpec,
+    WeightRangeError,
     WeightSequence,
+    check_block_size,
     linear,
 )
 
@@ -59,46 +62,53 @@ ALPHA_POLES = "alpha-poles"
 _REPRESENTATIONS = (BETA_POLES, ALPHA_POLES)
 
 
-class DistinctWeightsError(ValueError):
+class DistinctWeightsError(ParameterError):
     """Closed forms divide by weight differences; repeated weights are refused."""
 
 
-def _refuse_repeats(table: list, upper: int, name: str) -> list:
-    """The table, unless it repeats a weight at 1..upper: closed forms
-    divide by weight differences."""
+def _table(seq: WeightSequence, upper: int, param: str, color=None) -> list:
+    """`seq.table(upper)`, refused naming `param` when it repeats a weight
+    at 1..upper (closed forms divide by weight differences) or is a custom
+    table shorter than upper."""
+    try:
+        table = seq.table(upper)
+    except WeightRangeError as exc:
+        raise exc.naming(param, color) from None
     if len(set(table[1:])) < upper:
         raise DistinctWeightsError(
-            f"{name} weights must be pairwise distinct up to index {upper}"
+            f"the closed forms need pairwise distinct weights up to index {upper}",
+            param,
+            color,
         )
     return table
 
 
-def _distinct_table(seq: WeightSequence, upper: int, name: str) -> list:
-    """`seq.table(upper)`, refused when it repeats a weight."""
-    return _refuse_repeats(seq.table(upper), upper, name)
-
-
-def _integer_table(seq: WeightSequence, upper: int, name: str):
-    """`seq.table(upper)` times c, the lcm of its denominators, as ints,
-    and c; refused when it repeats a weight."""
-    ratios = [v.as_integer_ratio() for v in seq.table(upper)]
+def _integer_table(seq: WeightSequence, upper: int, param: str):
+    """`_table(seq, upper, param)` times c, the lcm of its denominators, as
+    ints, and c."""
+    ratios = [v.as_integer_ratio() for v in _table(seq, upper, param)]
     scale = lcm(*[den for _, den in ratios])
-    ints = [num * (scale // den) for num, den in ratios]
-    return _refuse_repeats(ints, upper, name), scale
+    return [num * (scale // den) for num, den in ratios], scale
 
 
 def _require_representation(representation: str):
     if representation not in _REPRESENTATIONS:
-        raise ValueError(
-            f"representation must be one of {_REPRESENTATIONS}, got {representation!r}"
+        raise ParameterError(
+            f"must be one of {_REPRESENTATIONS}, got {representation!r}", "representation"
         )
 
 
-def _check_two_color_args(n, m, k):
-    if n < 1 or m < 1:
-        raise ValueError("closed forms need n >= 1 and m >= 1")
-    if k is not None and not 0 <= k <= n:
-        raise ValueError(f"k must lie in 0..{n}")
+def _check_two_color_counts(n, m):
+    for param, count in (("n", n), ("m", m)):
+        if count < 1:
+            raise ParameterError(
+                "the closed forms need at least one ball of each color", param
+            )
+
+
+def _check_survivors(k, n):
+    if not 0 <= k <= n:
+        raise ParameterError(f"must lie in 0..{n}", "k")
 
 
 def _resolve_tables(A, B, n, m):
@@ -108,8 +118,8 @@ def _resolve_tables(A, B, n, m):
     models draw with ratios of weights, so one common factor leaves the law
     unchanged, and the closed forms run in integer arithmetic.
     """
-    alpha, a_scale = _integer_table(A, n, "first-color")
-    beta, b_scale = _integer_table(B, m, "second-color")
+    alpha, a_scale = _integer_table(A, n, "A")
+    beta, b_scale = _integer_table(B, m, "B")
     scale = lcm(a_scale, b_scale)
     alpha = [v * (scale // a_scale) for v in alpha]
     beta = [v * (scale // b_scale) for v in beta]
@@ -151,8 +161,7 @@ def sampling_pmf(A, B, n, m, k, representation=BETA_POLES, mode=None):
     Entry k of `sampling_distribution`, so one call costs one whole-law
     evaluation; take the distribution once when several k are wanted.
     """
-    _require_representation(representation)
-    _check_two_color_args(n, m, k)
+    _check_survivors(k, n)
     return sampling_distribution(A, B, n, m, representation, mode)[k]
 
 
@@ -166,7 +175,7 @@ def sampling_distribution(
     Float and big-float modes round the exact law once (`_rounded`).
     """
     _require_representation(representation)
-    _check_two_color_args(n, m, None)
+    _check_two_color_counts(n, m)
     alpha, beta = _resolve_tables(A, B, n, m)
     return _rounded(_sampling_law(alpha, beta, n, m, representation), mode, bits)
 
@@ -214,8 +223,7 @@ def okcorral_pmf(A, B, n, m, k, representation=BETA_POLES, mode=None):
     Entry k of `okcorral_distribution`, so one call costs one whole-law
     evaluation; take the distribution once when several k are wanted.
     """
-    _require_representation(representation)
-    _check_two_color_args(n, m, k)
+    _check_survivors(k, n)
     return okcorral_distribution(A, B, n, m, representation, mode)[k]
 
 
@@ -229,7 +237,7 @@ def okcorral_distribution(
     (`_rounded`).
     """
     _require_representation(representation)
-    _check_two_color_args(n, m, None)
+    _check_two_color_counts(n, m)
     alpha, beta = _resolve_tables(A, B, n, m)
     return _rounded(_okcorral_law(alpha, beta, n, m, representation), mode, bits)
 
@@ -277,10 +285,10 @@ def polya_sampling_pmf(a, d, n, m, k, representation=BETA_POLES):
     Must equal sampling_pmf with linear(a), linear(d) weights exactly.
     """
     _require_representation(representation)
-    if a < 1 or d < 1:
-        raise ValueError("block sizes must be positive integers")
-    if n < 1 or m < 1 or not 0 <= k <= n:
-        raise ValueError("need n, m >= 1 and 0 <= k <= n")
+    check_block_size("a", a)
+    check_block_size("d", d)
+    _check_two_color_counts(n, m)
+    _check_survivors(k, n)
     terms = []
     if representation == BETA_POLES:
         for ell in range(1, m + 1):
@@ -312,10 +320,10 @@ def polya_okcorral_pmf(b, c, n, m, k, representation=BETA_POLES):
     Must equal okcorral_pmf with linear(c), linear(b) weights exactly.
     """
     _require_representation(representation)
-    if b < 1 or c < 1:
-        raise ValueError("block sizes must be positive integers")
-    if n < 1 or m < 1 or not 0 <= k <= n:
-        raise ValueError("need n, m >= 1 and 0 <= k <= n")
+    check_block_size("b", b)
+    check_block_size("c", c)
+    _check_two_color_counts(n, m)
+    _check_survivors(k, n)
     bc = Fraction(b, c)
     cb = Fraction(c, b)
     if k == 0:
@@ -360,26 +368,29 @@ def polya_okcorral_pmf(b, c, n, m, k, representation=BETA_POLES):
 # ---------------------------------------------------------------------------
 
 
-def _check_multi_args(seqs, nvec, kvec=None):
+def _check_multi_args(seqs, nvec, kvec=None, names=("seqs", "nvec")):
     """Validated counts, survivor counts and the weight table of each
     color, refused when any table repeats a weight.  `kvec` None checks
-    the urn alone, for laws over the whole survivor grid."""
+    the urn alone, for laws over the whole survivor grid; `names` are the
+    caller's names for the sequences and the counts."""
     seqs = tuple(seqs)
     nvec = tuple(int(x) for x in nvec)
     r = len(nvec)
+    seq_name, count_name = names
     if r < 2:
-        raise ValueError("need at least two colors")
+        raise ParameterError("need at least two colors", count_name)
     if kvec is not None:
         kvec = tuple(int(x) for x in kvec)
     if len(seqs) != r or (kvec is not None and len(kvec) != r - 1):
-        raise ValueError("need r sequences, r counts and r-1 survivor counts")
-    if any(n < 1 for n in nvec):
-        raise ValueError("all initial counts must be >= 1 for the closed forms")
+        param = seq_name if len(seqs) != r else "kvec"
+        raise ParameterError("need r sequences, r counts and r-1 survivor counts", param)
+    for color, n in enumerate(nvec):
+        if n < 1:
+            raise ParameterError("the closed forms need every count >= 1", count_name, color)
     if kvec is not None and any(not 0 <= k <= n for k, n in zip(kvec, nvec)):
-        raise ValueError("survivor counts must lie in 0..n_j")
+        raise ParameterError("survivor counts must lie in 0..n_j", "kvec")
     tables = [
-        _distinct_table(seq, n, f"color-{idx + 1}")
-        for idx, (seq, n) in enumerate(zip(seqs, nvec))
+        _table(seq, n, seq_name, color) for color, (seq, n) in enumerate(zip(seqs, nvec))
     ]
     return nvec, kvec, tables
 
@@ -474,13 +485,14 @@ def sampling_pmf_multi(seqs, nvec, kvec):
 def polya_sampling_pmf_multi(avec, nvec, kvec):
     """Corollary form of sampling_pmf_multi for linear weights a_j * count."""
     avec = tuple(int(a) for a in avec)
-    if any(a < 1 for a in avec):
-        raise ValueError("block sizes must be positive integers")
+    for color, a in enumerate(avec):
+        check_block_size("avec", a, color)
     nvec = tuple(int(x) for x in nvec)
     kvec = tuple(int(x) for x in kvec)
     r = len(nvec)
     if len(avec) != r or len(kvec) != r - 1:
-        raise ValueError("need r block sizes, r counts and r-1 survivor counts")
+        param = "avec" if len(avec) != r else "kvec"
+        raise ParameterError("need r block sizes, r counts and r-1 survivor counts", param)
     total = Fraction(0)
     for ells in product(*[range(kvec[j], nvec[j] + 1) for j in range(r - 1)]):
         num = Fraction(1)
@@ -513,14 +525,15 @@ def okcorral_pmf_multi(seqs, nvec, kvec, reading=READING_PRODUCT):
     """
     nvec, kvec, tables = _check_multi_args(seqs, nvec, kvec)
     if any(k < 1 for k in kvec):
-        raise ValueError(
+        raise ParameterError(
             "closed form needs every k_j >= 1; use the recurrence oracle "
-            "for survivor vectors containing zeros"
+            "for survivor vectors containing zeros",
+            "kvec",
         )
     if reading == READING_PRODUCT:
         return _multi_law(tables, nvec, [(k,) for k in kvec], sampling=False)[kvec]
     if reading != READING_PRINTED:
-        raise ValueError(f"unknown reading {reading!r}")
+        raise ParameterError(f"unknown reading {reading!r}", "reading")
     return _okcorral_as_printed(tables, nvec, kvec)
 
 
@@ -569,9 +582,9 @@ def partial_fraction_sides(nodes, x):
     (node_j - node_h)); a self-test primitive for the pole expansions."""
     nodes = [Fraction(v) if isinstance(v, int) else v for v in nodes]
     if len(set(nodes)) != len(nodes):
-        raise ValueError("nodes must be pairwise distinct")
+        raise ParameterError("nodes must be pairwise distinct", "nodes")
     if any(x + v == 0 for v in nodes):
-        raise ValueError("x must avoid the poles at -node")
+        raise ParameterError("x must avoid the poles at -node", "x")
     lhs = 1 / prod((node + x for node in nodes), start=Fraction(1))
     rhs = sum(
         1
@@ -670,7 +683,9 @@ def multi_distribution(spec, reference):
     has no survivor have no published closed form and keep the oracle's
     value."""
     sampling = spec.model == MODEL_SAMPLING
-    nvec, _, tables = _check_multi_args(spec.sequences, spec.counts)
+    nvec, _, tables = _check_multi_args(
+        spec.sequences, spec.counts, names=("sequences", "counts")
+    )
     low = 0 if sampling else 1
     law = _multi_law(tables, nvec, [range(low, n + 1) for n in nvec[:-1]], sampling)
     probs = {kvec: law.get(kvec, reference[kvec]) for kvec in reference.support}

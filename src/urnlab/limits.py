@@ -13,8 +13,9 @@ big-float arithmetic at a configurable precision so that alternating sums
 keep far more correct bits than the tolerances demand.
 
 Every truncated series and product runs through one loop, `_sum_until`: it
-rejects a tol that is not > 0 (nan included) and gives up with a ValueError
-after MAX_SERIES_TERMS terms, so no call runs unbounded.
+rejects a tol that is not > 0 (nan included) and gives up after
+MAX_SERIES_TERMS terms, so no call runs unbounded.  These refusals and the
+range rules on counts, orders and points raise `ParameterError`.
 
 Returned big-floats carry their full internal precision, but mpmath rounds
 at operation time using the global context: combine results under
@@ -38,7 +39,7 @@ from .numerics import (
     stirling_first_unsigned,
     stirling_second,
 )
-from .weights import shifted_square, square, triangular
+from .weights import ParameterError, check_count, check_order, shifted_square, square, triangular
 
 SQUARE = "square"
 TRIANGULAR = "triangular"
@@ -64,8 +65,8 @@ FAMILIES = {
 def _family(family) -> str:
     """The limit-family tag `family`, checked against FAMILIES."""
     if family not in FAMILIES:
-        raise ValueError(
-            f"unknown limit family {family!r}; choose from {sorted(FAMILIES)}"
+        raise ParameterError(
+            f"unknown limit family {family!r}; choose from {sorted(FAMILIES)}", "family"
         )
     return family
 
@@ -77,7 +78,13 @@ def _bits(bits):
 def _check_tol(tol):
     # `not > 0` also rejects nan, which no stopping rule would ever reach
     if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+        raise ParameterError("must be positive", "tol")
+
+
+def _check_point(q, top_open=False):
+    """Refuse q outside [0, 1], or outside [0, 1) with `top_open`."""
+    if q < 0 or q > 1 or (top_open and q == 1):
+        raise ParameterError(f"must lie in [0, 1{')' if top_open else ']'}, got {q}", "q")
 
 
 def _sum_until(
@@ -87,9 +94,9 @@ def _sum_until(
     stopping after the first term whose bound is below tol.
 
     combine is + for series and * for products; bound is the quantity the
-    routine's truncation rule compares with tol.  Raises ValueError when tol
-    is not > 0 and when max_terms terms pass without reaching tol (hint is
-    appended to that message).
+    routine's truncation rule compares with tol.  Raises ParameterError
+    naming tol when it is not > 0 and when max_terms terms pass without
+    reaching it (hint is appended to that message).
     """
     _check_tol(tol)
     for i in range(start, start + max_terms):
@@ -101,7 +108,9 @@ def _sum_until(
 
 
 def _budget_error(tol, max_terms, hint):
-    return ValueError(f"series did not reach tol={tol} within {max_terms} terms{hint}")
+    return ParameterError(
+        f"series did not reach tol={tol} within {max_terms} terms{hint}", "tol"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +135,8 @@ def fixed_blacks_moment(m: int, s: int, mode: str = RATIONAL):
     """s-th moment of the limiting survivor fraction: the finite product of
     ell^2 / (ell^2 + s), folded one block of exact integer factors at a
     time.  Exact rational by default; other modes round it once."""
-    if m < 1 or s < 1:
-        raise ValueError("need m >= 1 and s >= 1")
+    check_count("m", m, 1)
+    check_order("s", s, 1)
     acc = Fraction(1)
     for num, den in _ratio_blocks([ell * ell for ell in range(1, m + 1)], s):
         acc *= Fraction(num, den)
@@ -137,8 +146,8 @@ def fixed_blacks_moment(m: int, s: int, mode: str = RATIONAL):
 def fixed_blacks_moment_gammaform(m: int, s: int, bits=None):
     """The same moment through the complex-gamma/sinh form; a redundant
     big-float cross-check of the product."""
-    if m < 1 or s < 1:
-        raise ValueError("need m >= 1 and s >= 1")
+    check_count("m", m, 1)
+    check_order("s", s, 1)
     with mpmath.workprec(_bits(bits) + 32):
         rs = mpmath.sqrt(s)
         gammas = mpmath.gamma(m + 1 - 1j * rs) * mpmath.gamma(m + 1 + 1j * rs)
@@ -156,12 +165,10 @@ def fixed_blacks_density(m: int, q):
     """Density of the limiting survivor fraction at q in [0, 1]:
     2 sum (-1)^(ell-1) C(m,ell)/C(m+ell,m) ell^2 q^(ell^2 - 1).
     Exact when q is rational."""
-    if m < 1:
-        raise ValueError("need m >= 1")
+    check_count("m", m, 1)
     if isinstance(q, int):
         q = Fraction(q)
-    if q < 0 or q > 1:
-        raise ValueError("q must lie in [0, 1]")
+    _check_point(q)
     total = 0 * q
     for ell in range(1, m + 1):
         term = (
@@ -206,8 +213,9 @@ def fixed_whites_pmf(
     factor 2 to reproduce it.  Terms decay like ell^(-2n), so small n needs
     a loose tol; the alternating bound makes tol the truncation error.
     """
+    check_count("n", n)
     if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
+        raise ParameterError(f"must lie in 0..{n}", "k")
     _check_tol(tol)
     with mpmath.workprec(_bits(bits) + 32):
         if method == FINITE_SUM:
@@ -217,11 +225,12 @@ def fixed_whites_pmf(
                 total += term if (ell - k) % 2 == 0 else -term
             return +total
         if method != SERIES:
-            raise ValueError(f"unknown method {method!r}")
+            raise ParameterError(f"unknown method {method!r}", "method")
         if k >= 1:
-            raise ValueError(
+            raise ParameterError(
                 "series representation certified only for k = 0; its terms "
-                "do not tend to zero for k >= 1, use finite-sum instead"
+                "do not tend to zero for k >= 1, use finite-sum instead",
+                "method",
             )
         nfact = factorial(n)
 
@@ -243,8 +252,8 @@ def fixed_whites_pmf(
 def fixed_whites_moment(n: int, s: int, bits=None):
     """s-th raw moment of the limiting survivor count: the double sum over
     Stirling numbers of both kinds with sinh weights."""
-    if n < 1 or s < 1:
-        raise ValueError("need n >= 1 and s >= 1")
+    check_count("n", n, 1)
+    check_order("s", s, 1)
     with mpmath.workprec(_bits(bits) + 32):
         total = mpmath.mpf(0)
         for ell in range(1, s + 1):
@@ -267,8 +276,7 @@ def fixed_whites_moment(n: int, s: int, bits=None):
 
 def limit_moment(s: int, family=SQUARE, bits=None):
     """s-th moment of the limiting survivor fraction, closed form per family."""
-    if s < 1:
-        raise ValueError("need s >= 1")
+    check_order("s", s, 1)
     tag = _family(family)
     with mpmath.workprec(_bits(bits) + 32):
         if tag == SQUARE:
@@ -296,16 +304,16 @@ def limit_moment_product(s: int, family=SQUARE, tol=1e-12, bits=None):
     so the relative rounding error is at most that many units of
     2^-(bits+32); the tail and the final product add the O(1).
     """
-    if s < 1:
-        raise ValueError("need s >= 1")
+    check_order("s", s, 1)
     tag = _family(family)
     _check_tol(tol)
     # second-order truncation error ~ s^2/2 * sum 1/beta^2 ~ s^2/(6 M^3)
     cutoff = max(64, int((s * s / max(tol, 1e-30)) ** (1.0 / 3)) + 8)
     if cutoff > MAX_SERIES_TERMS:
-        raise ValueError(
+        raise ParameterError(
             f"tol={tol} needs {cutoff} factors, more than {MAX_SERIES_TERMS}; "
-            "loosen tol"
+            "loosen tol",
+            "tol",
         )
     with mpmath.workprec(_bits(bits) + 32):
         acc = mpmath.mpf(1)
@@ -326,8 +334,7 @@ def theta(q, tol=1e-30, bits=None):
     Terms are added until the next one drops below tol; the alternating
     truncation bound makes that the error bound as well.
     """
-    if q < 0 or q >= 1:
-        raise ValueError("theta series needs 0 <= q < 1")
+    _check_point(q, top_open=True)
     with mpmath.workprec(_bits(bits) + 32):
         qq = cast_value(q, BIGFLOAT)
 
@@ -352,8 +359,7 @@ def jacobi_triple_product(q, tol=1e-30, bits=None):
     q^k unless q^k lies within 2^-27 units of a rounding boundary; the
     factor is then formed at p bits from the rounded powers.
     """
-    if q < 0 or q >= 1:
-        raise ValueError("triple product needs 0 <= q < 1")
+    _check_point(q, top_open=True)
     prec = _bits(bits) + 32
     wp = prec + POWER_GUARD_BITS
     with mpmath.workprec(prec):
@@ -382,8 +388,7 @@ def euler_phi_cubed(q, tol=1e-30, bits=None):
     p + POWER_GUARD_BITS bits, one multiply by q per factor, and rounded
     once per factor to the working precision p = bits + 32.
     """
-    if q < 0 or q >= 1:
-        raise ValueError("Euler product needs 0 <= q < 1")
+    _check_point(q, top_open=True)
     prec = _bits(bits) + 32
     wp = prec + POWER_GUARD_BITS
     with mpmath.workprec(prec):
@@ -410,8 +415,7 @@ def limit_cdf(q, family=SQUARE, tol=1e-30, bits=None):
     increases to 1 (the alternative parity renders it negative).
     """
     tag = _family(family)
-    if q < 0 or q > 1:
-        raise ValueError("q must lie in [0, 1]")
+    _check_point(q)
     _check_tol(tol)
     if q == 1:
         return mpmath.mpf(1)

@@ -8,7 +8,8 @@ Ramanujan's Q-function.  F and G solve the first-order ODEs
 F' = u (1 - e^-z) F and G' = u (1 - e^-z) G + u e^-z, so f_{n+1} and
 g_{n+1} follow from the earlier ones by an integer recurrence (see the
 comment block above `_bump_caches`); everything is exact, no floating
-point anywhere.
+point anywhere.  A block size below 1, a negative count or an order below
+its least value raises `ParameterError` naming the argument.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .numerics import (
     ramanujan_q,
     stirling_second,
 )
+from .weights import ParameterError, check_block_size, check_count, check_order
 
 class InconsistentMomentSystem(RuntimeError):
     """The triangular system defining a moment polynomial failed to close.
@@ -38,19 +40,23 @@ class InconsistentMomentSystem(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+# the two-color names of mixed_factorial_moment's arguments, by color
+_TWO_COLOR_NAMES = {"avec": ("a", "d"), "nvec": ("n", "m"), "svec": ("s",)}
+
+
 def sampling_factorial_moment(a, d, n, m, s) -> Fraction:
-    """E of the s-th falling factorial of the block-normalized survivor count."""
-    if s < 0:
-        raise ValueError("order must be nonnegative")
-    return falling_factorial(n, s) / binom_general(
-        Fraction(m) + Fraction(a * s, d), m
-    )
+    """E of the s-th falling factorial of the block-normalized survivor
+    count: `mixed_factorial_moment` at r = 2, refusals named a, d, n, m, s."""
+    try:
+        return mixed_factorial_moment((a, d), (n, m), (s,))
+    except ParameterError as exc:
+        raise exc.naming(_TWO_COLOR_NAMES[exc.param][exc.color]) from None
 
 
 def sampling_raw_moment(a, d, n, m, s) -> Fraction:
     """Raw moment via the Stirling-number expansion over factorial moments."""
-    if s < 0:
-        raise ValueError("order must be nonnegative")
+    if s < 0:  # refused by the factorial moment, naming the first bad argument
+        sampling_factorial_moment(a, d, n, m, s)
     return sum(
         stirling_second(s, j) * sampling_factorial_moment(a, d, n, m, j)
         for j in range(s + 1)
@@ -58,12 +64,19 @@ def sampling_raw_moment(a, d, n, m, s) -> Fraction:
 
 
 def mixed_factorial_moment(avec, nvec, svec) -> Fraction:
-    """Mixed falling-factorial moment of the r-color sampling survivors."""
+    """Mixed falling-factorial moment of the r-color sampling survivors:
+    block sizes avec, counts nvec, orders svec of colors 1..r-1."""
     avec, nvec, svec = tuple(avec), tuple(nvec), tuple(svec)
-    if len(nvec) != len(avec) or len(svec) != len(nvec) - 1:
-        raise ValueError("need r block sizes, r counts, r-1 orders")
-    if any(s < 0 for s in svec):
-        raise ValueError("orders must be nonnegative")
+    if len(nvec) != len(avec):
+        raise ParameterError("need one count per block size", "nvec")
+    if len(svec) != len(nvec) - 1:
+        raise ParameterError("need one order per color but the last", "svec")
+    for color, a in enumerate(avec):
+        check_block_size("avec", a, color)
+    for color, n in enumerate(nvec):
+        check_count("nvec", n, color=color)
+    for color, s in enumerate(svec):
+        check_order("svec", s, 0, color)
     num = Fraction(1)
     for n_j, s_j in zip(nvec, svec):
         num *= falling_factorial(n_j, s_j)
@@ -123,7 +136,7 @@ def _ensure_order(n):
 def puyhaubert_f(n: int) -> Polynomial:
     """n! times the z^n coefficient of F(z, u); degree floor(n/2)."""
     if n < 0:
-        raise ValueError("order must be nonnegative")
+        raise ParameterError("order must be nonnegative", "n")
     _ensure_order(n)
     return Polynomial(_f_cache[n])
 
@@ -131,7 +144,7 @@ def puyhaubert_f(n: int) -> Polynomial:
 def puyhaubert_g(n: int) -> Polynomial:
     """n! times the z^n coefficient of G(z, u); degree floor((n+1)/2)."""
     if n < 0:
-        raise ValueError("order must be nonnegative")
+        raise ParameterError("order must be nonnegative", "n")
     _ensure_order(n)
     return Polynomial(_g_cache[n])
 
@@ -140,8 +153,9 @@ def puyhaubert_sum_identity(ell: int, s: int):
     """Both sides of
     sum_{k=1..ell} C(ell-1, k-1) k! ell^-k k^s = (f_{s+1}(ell) Q(ell) + g_{s+1}(ell)) / ell
     as exact rationals."""
-    if ell < 1 or s < 0:
-        raise ValueError("need ell >= 1 and s >= 0")
+    if ell < 1:
+        raise ParameterError("must be at least 1", "ell")
+    check_order("s", s, 0)
     lhs = sum(
         binom_general(ell - 1, k - 1)
         * factorial(k)
@@ -173,16 +187,26 @@ def _okcorral_weight(b, c, n, m, ell):
     )
 
 
+def _check_okcorral(b, c, n, m):
+    check_block_size("b", b)
+    check_block_size("c", c)
+    check_count("n", n)
+    check_count("m", m)
+
+
 def okcorral_raw_moment(b, c, n, m, s, ell_exponent_shift=0) -> Fraction:
     """E(survivors/c)^s for the block gunfight urn, exact.
 
     `ell_exponent_shift` exists only for the misprint diagnostic below; the
     published exponent m+n-1 corresponds to shift 0.
     """
-    if s < 1:
-        raise ValueError("order must be at least 1")
-    if b < 1 or c < 1 or n < 1 or m < 1:
-        raise ValueError("need positive block sizes and counts")
+    _check_okcorral(b, c, n, m)
+    for param, count in (("n", n), ("m", m)):
+        if count < 1:  # the sum has no display for an empty color
+            raise ParameterError(
+                "the raw moment needs at least one ball of each color", param
+            )
+    check_order("s", s, 1)
     scale = Fraction(c, b) ** m / factorial(n + m)
     f, g = puyhaubert_f(s + 1), puyhaubert_g(s + 1)
     total = Fraction(0)
@@ -202,8 +226,8 @@ SINGLE_BINOMIAL = "single-binomial"  # n! m!-normalized display
 
 def okcorral_polynomial_moment(b, c, n, m, s, form=PAIRED_BINOMIALS) -> Fraction:
     """E(M_s(survivors/c)) by either of the two equivalent displays."""
-    if s < 1:
-        raise ValueError("order must be at least 1")
+    _check_okcorral(b, c, n, m)
+    check_order("s", s, 1)
     scale = factorial(s) * 2**s * Fraction(c, b) ** m
     total = Fraction(0)
     if form == PAIRED_BINOMIALS:
@@ -211,7 +235,7 @@ def okcorral_polynomial_moment(b, c, n, m, s, form=PAIRED_BINOMIALS) -> Fraction
             total += _okcorral_weight(b, c, n, m, ell) * Fraction(ell) ** (m + n + s)
         return scale / factorial(n + m) * total
     if form != SINGLE_BINOMIAL:
-        raise ValueError(f"unknown form {form!r}")
+        raise ParameterError(f"unknown form {form!r}", "form")
     for ell in range(1, n + 1):
         sign = 1 if (n - ell) % 2 == 0 else -1
         total += (
@@ -230,8 +254,7 @@ def moment_polynomial(s: int) -> Polynomial:
 
     by exact elimination.  Raises InconsistentMomentSystem if the
     overdetermined system fails to close or the result is not monic."""
-    if s < 1:
-        raise ValueError("order must be at least 1")
+    check_order("s", s, 1)
     fs = [puyhaubert_f(i + 1) for i in range(1, 2 * s + 1)]
     gs = [puyhaubert_g(i + 1) for i in range(1, 2 * s + 1)]
     rows = []

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 
 from .numerics import RATIONAL, falling_factorial
-from .weights import MODEL_SAMPLING, UrnSpec
+from .weights import MODEL_SAMPLING, ParameterError, UrnSpec
 
 ENUMERATION_LIMIT = 16
 
@@ -92,7 +92,7 @@ def absorption_pmf_lattice(spec: UrnSpec) -> list:
     `absorption_pmf` is cheaper.
     """
     if not spec.is_two_color:
-        raise ValueError("two-color spec required")
+        raise ParameterError("two-color spec required", "spec")
     n, m = spec.counts
     alpha = spec.A.table(n)
     beta = spec.B.table(m)
@@ -191,7 +191,7 @@ def absorption_pmf(spec: UrnSpec) -> ExactDistribution:
     """Distribution of surviving first-color balls for a two-color spec,
     over 0..n, by forward reach from the start (n, m)."""
     if not spec.is_two_color:
-        raise ValueError("two-color spec required")
+        raise ParameterError("two-color spec required", "spec")
     return _as_distribution(spec, _forward_reach(spec), flat=True)
 
 
@@ -210,9 +210,8 @@ def enumerate_pmf(spec: UrnSpec) -> ExactDistribution:
     """
     counts = spec.counts
     if sum(counts) > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"instance too large: {sum(counts)} balls exceeds the "
-            f"enumeration limit of {ENUMERATION_LIMIT}"
+        raise ParameterError(
+            f"enumerate takes at most {ENUMERATION_LIMIT} balls, got {sum(counts)}", "counts"
         )
     tables = [seq.table(c) for seq, c in zip(spec.sequences, counts)]
     out: dict = defaultdict(Fraction)

@@ -32,7 +32,7 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
@@ -41,7 +41,7 @@ import numpy.random  # numpy loads it lazily; every sampler here needs it
 
 from .limits import FAMILIES, _family
 from .oracle import ExactDistribution
-from .weights import MODEL_SAMPLING, UrnSpec
+from .weights import MODEL_SAMPLING, ParameterError, UrnSpec, check_count
 
 CHUNK_TRIALS = 1 << 16
 BLOCK_DOUBLES = 1 << 20  # one drawn block of clocks: at most 8 MB
@@ -50,18 +50,21 @@ CUMSUM_COLS = 128  # narrower blocks: np.cumsum down axis 0 beats a row loop
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One reproducible simulation request."""
+    """One reproducible simulation request, refused before any trial runs
+    when trials or workers is below 1 or a clock scale of the spec is out
+    of range (`clock_scales`, whose result it keeps as `scales`)."""
 
     spec: UrnSpec
     trials: int
     seed: int
     workers: int = 1
+    scales: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        for param in ("trials", "workers"):
+            if getattr(self, param) < 1:
+                raise ParameterError("must be at least 1", param)
+        object.__setattr__(self, "scales", clock_scales(self.spec))
 
 
 @dataclass(frozen=True)
@@ -75,12 +78,8 @@ class SimulationReport:
     p_value: float
 
 
-class ClockScaleError(ValueError):
+class ClockScaleError(ParameterError):
     """A clock scale the sampler cannot run in doubles; `color` is its index."""
-
-    def __init__(self, color: int, message: str):
-        super().__init__(message)
-        self.color = color
 
 
 def clock_scales(spec: UrnSpec) -> list:
@@ -90,8 +89,9 @@ def clock_scales(spec: UrnSpec) -> list:
 
     A scale, checked as the exact rational, must be a normal double at most
     2^1000 / (n+m), so no running clock can overflow (an Exp(1) draw in
-    doubles is below 745); any other raises ClockScaleError.  More survivor
-    vectors than an int64 code indexes raise ValueError."""
+    doubles is below 745); any other raises ClockScaleError naming the
+    spec's sequences and the color.  More survivor vectors than an int64
+    code indexes raise ParameterError naming the counts."""
     top = 2.0**1000 / max(1, sum(spec.counts))
     kind = "1/weight" if spec.model == MODEL_SAMPLING else "weight"
     scales = []
@@ -102,13 +102,16 @@ def clock_scales(spec: UrnSpec) -> list:
             weight = Fraction(table[c])
             exact = 1 / weight if spec.model == MODEL_SAMPLING else weight
             if not sys.float_info.min <= exact <= top:
-                raise ClockScaleError(color, (
+                raise ClockScaleError(
                     f"color {color} at count {c}: clock scale {kind} is not "
-                    f"a double in [{sys.float_info.min:.4g}, {top:.4g}]"))
+                    f"a double in [{sys.float_info.min:.4g}, {top:.4g}]",
+                    "sequences",
+                    color,
+                )
             column.append(float(exact))
         scales.append(np.array(column))
     if math.prod(c + 1 for c in spec.counts[:-1]) > np.iinfo(np.int64).max:
-        raise ValueError("more survivor vectors than a 64-bit code can index")
+        raise ParameterError("more survivor vectors than a 64-bit code can index", "counts")
     return scales
 
 
@@ -169,7 +172,7 @@ def _chunk_counts(scales: list, size: int, rng) -> dict:
 def simulate_counts(config: SimConfig) -> dict:
     """Deterministic aggregate outcome counts for a simulation request, in
     increasing order of outcome."""
-    scales = clock_scales(config.spec)
+    scales = config.scales
     starts = range(0, config.trials, CHUNK_TRIALS)
     jobs = [(i, min(CHUNK_TRIALS, config.trials - s)) for i, s in enumerate(starts)]
 
@@ -252,8 +255,7 @@ def _exp_of_minus_sum(inv: np.ndarray, rng: np.random.Generator, size):
 def sample_fixed_blacks(m: int, rng: np.random.Generator, size=None):
     """Draw from the fixed-second-color limit fraction:
     exp(-sum_{l<=m} eps_l / l^2) with iid unit exponentials."""
-    if m < 1:
-        raise ValueError("need m >= 1")
+    check_count("m", m, 1)
     inv = np.array([1.0 / (ell * ell) for ell in range(1, m + 1)])
     return _exp_of_minus_sum(inv, rng, size)
 
@@ -269,7 +271,7 @@ def sample_limit_fraction(
     """
     seq = FAMILIES[_family(family)]
     if truncation < 1:
-        raise ValueError("truncation must be at least 1")
+        raise ParameterError("must be at least 1", "truncation")
     inv = np.array(
         [1.0 / float(seq.eval(ell)) for ell in range(1, truncation + 1)]
     )

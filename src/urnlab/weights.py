@@ -3,8 +3,10 @@
 A weight sequence assigns a positive rational weight to every ball count
 j >= 1; index 0 always evaluates to 0, which is what makes empty colors
 drop out of the drawing rules.  Every weight is an exact `Fraction`: a
-custom table entry given as a float is stored as its exact value, so every
-engine downstream computes exactly and duality holds with `==`.
+slope, prefactor or custom table entry given as a float is stored as its
+exact value, so every engine downstream computes exactly and duality holds
+with `==`.  `ParameterError`, which every module raises for an argument
+out of range, and the range checks they share live here too.
 """
 
 from __future__ import annotations
@@ -27,15 +29,50 @@ _MODEL_ALIASES = {
 FAMILIES = ("linear", "power", "square", "triangular", "shifted-square", "custom")
 
 
-class WeightRangeError(LookupError):
+class ParameterError(ValueError):
+    """An argument outside the range its rule allows.  `param` names the
+    argument of the function that refused it; `color` is a color index, set
+    only for rules about one color of a spec's sequences or counts.  The
+    message leaves the name out, so a front end can put its own name first."""
+
+    def __init__(self, message: str, param: str, color: int | None = None):
+        super().__init__(message)
+        self.param = param
+        self.color = color
+
+    def naming(self, param: str, color: int | None = None) -> "ParameterError":
+        """The same refusal, addressed to the caller's argument `param`."""
+        return type(self)(str(self), param, color)
+
+
+class WeightRangeError(ParameterError, LookupError):
     """A custom table was queried beyond its declared range."""
 
 
-def canonical_model(tag: str) -> str:
+def check_count(param: str, value: int, least: int = 0, color: int | None = None):
+    """Refuse a ball count below `least`."""
+    if value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ParameterError(f"initial counts must be {bound}", param, color)
+
+
+def check_order(param: str, value: int, least: int, color: int | None = None):
+    """Refuse a moment order below `least`."""
+    if value < least:
+        raise ParameterError(f"moment orders must be at least {least}", param, color)
+
+
+def check_block_size(param: str, value: int, color: int | None = None):
+    """Refuse a block size below 1: the linear-weight forms divide by it."""
+    if value < 1:
+        raise ParameterError("block sizes must be positive integers", param, color)
+
+
+def canonical_model(model: str) -> str:
     try:
-        return _MODEL_ALIASES[tag]
+        return _MODEL_ALIASES[model]
     except KeyError:
-        raise ValueError(f"unknown urn model {tag!r}; use I/II") from None
+        raise ParameterError(f"unknown urn model {model!r}; use I/II", "model") from None
 
 
 @dataclass(frozen=True)
@@ -51,28 +88,26 @@ class WeightSequence:
 
     def __post_init__(self):
         if self.family == "linear":
-            if self.a is None or self.a <= 0:
-                raise ValueError("linear family needs slope a > 0")
+            object.__setattr__(self, "a", _exact_weight(self.a, "linear slopes", "a"))
         elif self.family == "power":
-            if self.c is None or self.c <= 0:
-                raise ValueError("power family needs prefactor c > 0")
+            object.__setattr__(self, "c", _exact_weight(self.c, "power prefactors", "c"))
             if not isinstance(self.r, int) or self.r < 1:
-                raise ValueError("power family needs integer exponent r >= 1")
+                raise ParameterError("power family needs integer exponent r >= 1", "r")
         elif self.family == "custom":
             if not self.values:
-                raise ValueError("custom family needs a nonempty value table")
-            values = tuple(_exact_weight(v) for v in self.values)
+                raise ParameterError("custom family needs a nonempty value table", "values")
+            values = tuple(_exact_weight(v, "custom weights", "values") for v in self.values)
             object.__setattr__(self, "values", values)
         elif self.family == "reciprocal":
             if self.base is None:
-                raise ValueError("reciprocal family needs a base sequence")
+                raise ParameterError("reciprocal family needs a base sequence", "base")
         elif self.family not in ("square", "triangular", "shifted-square"):
-            raise ValueError(f"unknown weight family {self.family!r}")
+            raise ParameterError(f"unknown weight family {self.family!r}", "family")
 
     def eval(self, j: int):
         """Weight at ball count j; 0 at j = 0 by convention."""
         if j < 0:
-            raise ValueError("index must be nonnegative")
+            raise ParameterError("index must be nonnegative", "j")
         if j == 0:
             return Fraction(0)
         if self.family == "linear":
@@ -88,7 +123,7 @@ class WeightSequence:
         if self.family == "custom":
             if j > len(self.values):
                 raise WeightRangeError(
-                    f"custom table covers 1..{len(self.values)}, index {j} requested"
+                    f"custom table covers 1..{len(self.values)}, index {j} requested", "j"
                 )
             return self.values[j - 1]
         return 1 / self.base.eval(j)  # reciprocal
@@ -99,11 +134,11 @@ class WeightSequence:
 
 
 def linear(a=1) -> WeightSequence:
-    return WeightSequence("linear", a=Fraction(a))
+    return WeightSequence("linear", a=a)
 
 
 def power(c, r: int) -> WeightSequence:
-    return WeightSequence("power", c=Fraction(c), r=r)
+    return WeightSequence("power", c=c, r=r)
 
 
 def square() -> WeightSequence:
@@ -118,15 +153,15 @@ def shifted_square() -> WeightSequence:
     return WeightSequence("shifted-square")
 
 
-def _exact_weight(v) -> Fraction:
-    """A custom table entry as an exact `Fraction` (a float's exact value),
-    refused unless it is finite and positive."""
+def _exact_weight(v, what: str, param: str) -> Fraction:
+    """A weight or weight factor `v` as an exact `Fraction` (a float's exact
+    value), refused unless it is finite and positive; `what` names it."""
     try:
         w = Fraction(v)
-    except (ValueError, OverflowError):  # nan, inf or a malformed string
-        raise ValueError(f"custom weights must be finite numbers, got {v!r}") from None
+    except (TypeError, ValueError, OverflowError):  # None, nan, inf or a malformed string
+        raise ParameterError(f"{what} must be finite numbers, got {v!r}", param) from None
     if w <= 0:
-        raise ValueError("custom weights must be positive")
+        raise ParameterError(f"{what} must be positive", param)
     return w
 
 
@@ -145,7 +180,7 @@ def check_distinct(seq: WeightSequence, upper: int) -> bool:
     """True iff the weights at 1..upper are pairwise distinct (exact
     comparison)."""
     if upper < 1:
-        raise ValueError("upper must be at least 1")
+        raise ParameterError("must be at least 1", "upper")
     vals = [seq.eval(j) for j in range(1, upper + 1)]
     return len(set(vals)) == len(vals)
 
@@ -173,7 +208,8 @@ def from_cli(text: str) -> WeightSequence:
 class UrnSpec:
     """Complete description of one urn instance: model, one weight sequence
     per color, and the initial counts.  The last color is the one that must
-    be exhausted for absorption."""
+    be exhausted for absorption.  Refused unless every count is
+    nonnegative and every custom table covers its count."""
 
     model: str
     sequences: tuple[WeightSequence, ...]
@@ -184,11 +220,16 @@ class UrnSpec:
         object.__setattr__(self, "sequences", tuple(self.sequences))
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
         if len(self.sequences) != len(self.counts):
-            raise ValueError("one weight sequence per color is required")
+            raise ParameterError("one weight sequence per color is required", "counts")
         if len(self.counts) < 2:
-            raise ValueError("an urn needs at least two colors")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("initial counts must be nonnegative")
+            raise ParameterError("an urn needs at least two colors", "sequences")
+        for color, count in enumerate(self.counts):
+            check_count("counts", count, color=color)
+        for color, (seq, count) in enumerate(zip(self.sequences, self.counts)):
+            try:
+                seq.eval(count)
+            except WeightRangeError as exc:
+                raise exc.naming("sequences", color) from None
 
     @property
     def r(self) -> int:

@@ -338,20 +338,21 @@ class TestIntegerScaledLaw:
 
     @pytest.mark.parametrize("mode", [None, FLOAT, BIGFLOAT])
     @pytest.mark.parametrize(
-        "A, B, message",
+        "A, B, param",
         [
-            (custom([1, 2, 2]), square(), "first-color weights must be pairwise distinct "
-             "up to index 3"),
-            (square(), custom(["1/3", "2/3", "1/3"]), "second-color weights must be "
-             "pairwise distinct up to index 3"),
+            (custom([1, 2, 2]), square(), "A"),
+            (square(), custom(["1/3", "2/3", "1/3"]), "B"),
         ],
     )
-    def test_repeated_weights_refused(self, A, B, message, mode):
+    def test_repeated_weights_refused(self, A, B, param, mode):
         for closed in CLOSED.values():
             for rep in REPS:
                 with pytest.raises(DistinctWeightsError) as err:
                     closed(A, B, 3, 3, rep, mode)
-                assert str(err.value) == message
+                assert str(err.value) == (
+                    "the closed forms need pairwise distinct weights up to index 3"
+                )
+                assert err.value.param == param
 
 
 @st.composite
@@ -657,7 +658,7 @@ class TestClosedVsOracle:
 
 class TestInputChecks:
     """Each closed-form call evaluates every weight table once, and checks
-    its arguments in a fixed order: counts, survivor counts, then each
+    its arguments in a fixed order: survivor counts, counts, then each
     color's table (range, then distinctness)."""
 
     REP = custom([1, 1, 2])
@@ -667,12 +668,12 @@ class TestInputChecks:
     @pytest.mark.parametrize(
         "args, error, message",
         [
-            ((linear(1), square(), 3, 3, 5), ValueError, "k must lie in 0..3"),
-            ((REP, SHORT, 0, 3, 0), ValueError, "closed forms need n >= 1 and m >= 1"),
-            ((REP, square(), 3, 3, 9), ValueError, "k must lie in 0..3"),
-            ((REP, SHORT, 3, 3, 1), DistinctWeightsError, "first-color weights must"),
+            ((linear(1), square(), 3, 3, 5), ValueError, "must lie in 0..3"),
+            ((REP, SHORT, 0, 3, 0), ValueError, "closed forms need at least one ball"),
+            ((REP, square(), 3, 3, 9), ValueError, "must lie in 0..3"),
+            ((REP, SHORT, 3, 3, 1), DistinctWeightsError, "distinct weights up to index 3"),
             ((SHORT, REP, 3, 3, 1), WeightRangeError, "custom table covers 1..2"),
-            ((SHORT, REP, 1, 3, 1), DistinctWeightsError, "second-color weights must"),
+            ((SHORT, REP, 1, 3, 1), DistinctWeightsError, "distinct weights up to index 3"),
             ((FLOATS, SHORT, 3, 3, 1, BETA_POLES, "rational"), WeightRangeError, "covers"),
         ],
     )
@@ -685,12 +686,12 @@ class TestInputChecks:
         "seqs, nvec, kvec, error, message",
         [
             ((linear(1), square(), linear(1)), (2, 2, 0), (1, 1), ValueError,
-             "all initial counts must be >= 1"),
+             "the closed forms need every count >= 1"),
             ((linear(1), square(), linear(1)), (2, 2, 2), (3, 1), ValueError,
              "survivor counts must lie in"),
-            ((REP, SHORT, square()), (3, 3, 2), (1, 1), DistinctWeightsError, "color-1"),
+            ((REP, SHORT, square()), (3, 3, 2), (1, 1), DistinctWeightsError, "index 3"),
             ((linear(1), SHORT, square()), (2, 3, 2), (1, 1), WeightRangeError, "covers"),
-            ((linear(1), square(), REP), (2, 2, 3), (1, 1), DistinctWeightsError, "color-3"),
+            ((linear(1), square(), REP), (2, 2, 3), (1, 1), DistinctWeightsError, "index 3"),
         ],
     )
     def test_multi_refusals(self, seqs, nvec, kvec, error, message):

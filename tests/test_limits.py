@@ -25,7 +25,7 @@ from urnlab.limits import (
 )
 from urnlab.numerics import FLOAT
 from urnlab.oracle import absorption_pmf
-from urnlab.weights import linear, square, two_color
+from urnlab.weights import ParameterError, linear, square, two_color
 
 ALL_FAMILIES = (SQUARE, TRIANGULAR, SHIFTED_SQUARE)
 
@@ -279,8 +279,9 @@ class TestTruncationBounds:
     @pytest.mark.parametrize("routine", sorted(TRUNCATING))
     def test_tol_not_positive_rejected(self, routine, tol):
         # each of these used to loop forever (or for 1.6e10 factors)
-        with pytest.raises(ValueError, match="tol"):
+        with pytest.raises(ParameterError, match="must be positive") as info:
             TRUNCATING[routine](tol)
+        assert info.value.param == "tol"
 
     def test_series_budget_message_at_default_budget(self):
         # terms fall like ell^-2 for n = 1, so 1e-25 is out of reach of the

@@ -1,0 +1,141 @@
+"""Every public function with a range rule refuses a bad argument with
+`ParameterError` naming that argument (and, for a rule about one color of
+an urn, the color), which is what lets the CLI name the flag."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from urnlab import closedform, limits, moments, oracle, simulate
+from urnlab.weights import (
+    ParameterError,
+    UrnSpec,
+    canonical_model,
+    check_distinct,
+    custom,
+    linear,
+    power,
+    square,
+    two_color,
+)
+
+PAIR = (linear(1), square())
+TRIPLE = (linear(1), square(), linear(2))
+
+
+def case(call, param, color=None, *, id):
+    return pytest.param(call, param, color, id=id)
+
+
+CASES = [
+    # weights
+    case(lambda: canonical_model("Z"), "model", id="canonical_model"),
+    case(lambda: linear(0), "a", id="linear"),
+    case(lambda: power(1, 0), "r", id="power"),
+    case(lambda: custom([]), "values", id="custom"),
+    case(lambda: square().eval(-1), "j", id="eval"),
+    case(lambda: custom([1, 2]).eval(3), "j", id="eval-short-table"),
+    case(lambda: check_distinct(square(), 0), "upper", id="check_distinct"),
+    case(lambda: UrnSpec("I", PAIR, (2, -1)), "counts", 1, id="UrnSpec-count"),
+    case(lambda: UrnSpec("I", (custom([1, 2]), square()), (3, 2)), "sequences", 0,
+         id="UrnSpec-short-table"),
+    case(lambda: UrnSpec("I", (square(),), (1,)), "sequences", id="UrnSpec-one-color"),
+    # two-color and r-color closed forms
+    case(lambda: closedform.sampling_pmf(*PAIR, 2, 2, 3), "k", id="sampling_pmf"),
+    case(lambda: closedform.okcorral_pmf(*PAIR, 2, 2, -1), "k", id="okcorral_pmf"),
+    case(lambda: closedform.sampling_distribution(*PAIR, 0, 2), "n",
+         id="sampling_distribution"),
+    case(lambda: closedform.okcorral_distribution(*PAIR, 2, 0), "m",
+         id="okcorral_distribution"),
+    case(lambda: closedform.sampling_distribution(custom([1, 1]), square(), 2, 2), "A",
+         id="sampling_distribution-repeats"),
+    case(lambda: closedform.okcorral_distribution(square(), custom([1]), 2, 2), "B",
+         id="okcorral_distribution-short-table"),
+    case(lambda: closedform.sampling_distribution(*PAIR, 2, 2, "poles"), "representation",
+         id="sampling_distribution-representation"),
+    case(lambda: closedform.two_color_distribution(
+        two_color("II", square(), custom([2, 2]), 2, 2)), "B", id="two_color_distribution"),
+    case(lambda: closedform.polya_sampling_pmf(1, 0, 2, 2, 1), "d", id="polya_sampling_pmf"),
+    case(lambda: closedform.polya_okcorral_pmf(0, 1, 2, 2, 1), "b", id="polya_okcorral_pmf"),
+    case(lambda: closedform.sampling_pmf_multi(TRIPLE, (2, 0, 2), (1, 1)), "nvec", 1,
+         id="sampling_pmf_multi"),
+    case(lambda: closedform.okcorral_pmf_multi(
+        (linear(1), custom([1, 1]), square()), (2, 2, 2), (1, 1)), "seqs", 1,
+         id="okcorral_pmf_multi"),
+    case(lambda: closedform.okcorral_pmf_multi(TRIPLE, (2, 2, 2), (0, 1)), "kvec",
+         id="okcorral_pmf_multi-zero-survivors"),
+    case(lambda: closedform.polya_sampling_pmf_multi((1, 0, 1), (2, 2, 2), (1, 1)), "avec", 1,
+         id="polya_sampling_pmf_multi"),
+    case(lambda: closedform.multi_distribution(
+        UrnSpec("I", TRIPLE, (2, 0, 2)),
+        oracle.absorption_pmf_multi(UrnSpec("I", TRIPLE, (2, 0, 2)))), "counts", 1,
+         id="multi_distribution"),
+    case(lambda: closedform.partial_fraction_sides([1, 1], 0), "nodes",
+         id="partial_fraction_sides"),
+    # moments: the first five once returned -1/3, -1/3, 0, 2 and 2
+    case(lambda: moments.sampling_factorial_moment(1, 1, -1, 2, 1), "n",
+         id="sampling_factorial_moment-n"),
+    case(lambda: moments.mixed_factorial_moment((1, 1, 1), (2, -1, 2), (1, 1)), "nvec", 1,
+         id="mixed_factorial_moment-nvec"),
+    case(lambda: moments.okcorral_polynomial_moment(1, 1, -1, 2, 1), "n",
+         id="okcorral_polynomial_moment-n"),
+    case(lambda: moments.sampling_factorial_moment(0, 1, 2, 2, 1), "a",
+         id="sampling_factorial_moment-a"),
+    case(lambda: moments.mixed_factorial_moment((0, 1), (2, 2), (1,)), "avec", 0,
+         id="mixed_factorial_moment-avec"),
+    # ... and these two raised ZeroDivisionError
+    case(lambda: moments.sampling_factorial_moment(1, 0, 2, 2, 1), "d",
+         id="sampling_factorial_moment-d"),
+    case(lambda: moments.okcorral_polynomial_moment(0, 1, 2, 2, 1), "b",
+         id="okcorral_polynomial_moment-b"),
+    case(lambda: moments.sampling_raw_moment(1, 1, 2, 2, -1), "s", id="sampling_raw_moment"),
+    case(lambda: moments.okcorral_raw_moment(1, 1, 0, 2, 1), "n", id="okcorral_raw_moment"),
+    case(lambda: moments.moment_polynomial(0), "s", id="moment_polynomial"),
+    case(lambda: moments.puyhaubert_f(-1), "n", id="puyhaubert_f"),
+    case(lambda: moments.puyhaubert_g(-1), "n", id="puyhaubert_g"),
+    case(lambda: moments.puyhaubert_sum_identity(0, 1), "ell", id="puyhaubert_sum_identity"),
+    # limit laws
+    case(lambda: limits.fixed_blacks_moment(0, 1), "m", id="fixed_blacks_moment"),
+    case(lambda: limits.fixed_blacks_moment_gammaform(1, 0), "s",
+         id="fixed_blacks_moment_gammaform"),
+    case(lambda: limits.fixed_blacks_density(2, Fraction(3, 2)), "q",
+         id="fixed_blacks_density"),
+    case(lambda: limits.fixed_whites_pmf(-1, 0), "n", id="fixed_whites_pmf-n"),
+    case(lambda: limits.fixed_whites_pmf(2, 3), "k", id="fixed_whites_pmf-k"),
+    case(lambda: limits.fixed_whites_pmf(2, 1, limits.SERIES), "method",
+         id="fixed_whites_pmf-method"),
+    case(lambda: limits.fixed_whites_moment(0, 1), "n", id="fixed_whites_moment"),
+    case(lambda: limits.limit_moment(0), "s", id="limit_moment"),
+    case(lambda: limits.limit_moment(1, "cubic"), "family", id="limit_moment-family"),
+    case(lambda: limits.limit_moment_product(1, limits.SQUARE, 1e-30), "tol",
+         id="limit_moment_product"),
+    case(lambda: limits.theta(1), "q", id="theta"),
+    case(lambda: limits.jacobi_triple_product(Fraction(-1, 2)), "q",
+         id="jacobi_triple_product"),
+    case(lambda: limits.euler_phi_cubed(2), "q", id="euler_phi_cubed"),
+    case(lambda: limits.limit_cdf(Fraction(3, 2)), "q", id="limit_cdf"),
+    # oracle and simulator
+    case(lambda: oracle.enumerate_pmf(two_color("I", *PAIR, 9, 8)), "counts",
+         id="enumerate_pmf"),
+    case(lambda: oracle.absorption_pmf(UrnSpec("I", TRIPLE, (1, 1, 1))), "spec",
+         id="absorption_pmf"),
+    case(lambda: simulate.SimConfig(two_color("I", *PAIR, 1, 1), 0, 0), "trials",
+         id="SimConfig-trials"),
+    case(lambda: simulate.SimConfig(two_color("I", *PAIR, 1, 1), 10, 0, 0), "workers",
+         id="SimConfig-workers"),
+    case(lambda: simulate.SimConfig(
+        UrnSpec("I", (linear(1), custom(["1e-320", 1]), linear(1)), (1, 2, 1)), 10, 0),
+         "sequences", 1, id="SimConfig-clock-scale"),
+    case(lambda: simulate.sample_fixed_blacks(0, np.random.default_rng(0)), "m",
+         id="sample_fixed_blacks"),
+    case(lambda: simulate.sample_limit_fraction("square", np.random.default_rng(0), 0),
+         "truncation", id="sample_limit_fraction"),
+]
+
+
+@pytest.mark.parametrize("call, param, color", CASES)
+def test_refusal_names_the_argument(call, param, color):
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert (info.value.param, info.value.color) == (param, color)

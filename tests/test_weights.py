@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from urnlab import weights
 from urnlab.weights import (
+    ParameterError,
     UrnSpec,
     WeightRangeError,
     check_distinct,
@@ -79,6 +80,19 @@ class TestEval:
     def test_nonfinite_entries_refused(self, bad):
         with pytest.raises(ValueError, match="custom weights must be finite numbers"):
             custom([bad, 2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "family, param, what",
+        [(linear, "a", "linear slopes"), (lambda c: power(c, 2), "c", "power prefactors")],
+        ids=["linear", "power"],
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0])
+    def test_bad_slope_or_prefactor_refused(self, family, param, what, bad):
+        # inf once raised OverflowError, and nan a message about integer ratios
+        rule = "must be positive" if bad == 0 else "must be finite numbers"
+        with pytest.raises(ParameterError, match=f"{what} {rule}") as info:
+            family(bad)
+        assert info.value.param == param
 
 
 class TestReciprocal:
