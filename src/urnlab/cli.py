@@ -263,16 +263,15 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_pmf_multi(args) -> int:
     spec = _multi_spec(args, args.model)
-    reference = oracle.absorption_pmf_multi(spec)
     render = _prob_renderer(args)
     if args.engine == "oracle":
-        dist = reference
+        dist = oracle.absorption_pmf_multi(spec)
     else:
         with _remedy("use --engine oracle"):
-            dist = closedform.multi_distribution(spec, reference)
+            dist = closedform.multi_distribution(spec)
     if args.k is not None:
         kvec = _int_list(args.k, "--k")
-        if kvec not in reference.support:
+        if kvec not in dist.support:
             raise CliError("--k: outside the survivor grid")
         entries = [{"k": _k_out(kvec), "p": render(dist[kvec])}]
     else:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import factorial, lcm, prod
+from math import factorial, prod
 
 import mpmath
 
@@ -45,6 +45,7 @@ from .numerics import (
     cast_value,
     compensated_sum,
     precision_bits,
+    ratio_sum,
 )
 from .oracle import ExactDistribution, absorption_pmf, absorption_pmf_multi
 from .weights import (
@@ -54,6 +55,7 @@ from .weights import (
     WeightRangeError,
     WeightSequence,
     check_block_size,
+    integer_tables,
     linear,
 )
 
@@ -83,14 +85,6 @@ def _table(seq: WeightSequence, upper: int, param: str, color=None) -> list:
     return table
 
 
-def _integer_table(seq: WeightSequence, upper: int, param: str):
-    """`_table(seq, upper, param)` times c, the lcm of its denominators, as
-    ints, and c."""
-    ratios = [v.as_integer_ratio() for v in _table(seq, upper, param)]
-    scale = lcm(*[den for _, den in ratios])
-    return [num * (scale // den) for num, den in ratios], scale
-
-
 def _require_representation(representation: str):
     if representation not in _REPRESENTATIONS:
         raise ParameterError(
@@ -112,26 +106,10 @@ def _check_survivors(k, n):
 
 
 def _resolve_tables(A, B, n, m):
-    """Both weight tables as ints, checked distinct.
-
-    Both tables are multiplied by the lcm of all their denominators: both
-    models draw with ratios of weights, so one common factor leaves the law
-    unchanged, and the closed forms run in integer arithmetic.
-    """
-    alpha, a_scale = _integer_table(A, n, "A")
-    beta, b_scale = _integer_table(B, m, "B")
-    scale = lcm(a_scale, b_scale)
-    alpha = [v * (scale // a_scale) for v in alpha]
-    beta = [v * (scale // b_scale) for v in beta]
-    return alpha, beta
-
-
-def _pole_sum(terms, scale=1):
-    """scale times the sum of the pole terms num / den of one survivor
-    count: (num, den) int pairs put over one common denominator, their lcm,
-    so the sum is one `Fraction` reduced once."""
-    common = lcm(*[abs(den) for _, den in terms])
-    return Fraction(scale * sum(num * (common // den) for num, den in terms), common)
+    """Both weight tables, checked distinct, as ints scaled by one common
+    factor (`integer_tables`), so the closed forms run in integer
+    arithmetic."""
+    return integer_tables(_table(A, n, "A"), _table(B, m, "B"))
 
 
 def _rounded(law: dict, mode, bits) -> ExactDistribution:
@@ -161,6 +139,7 @@ def sampling_pmf(A, B, n, m, k, representation=BETA_POLES, mode=None):
     Entry k of `sampling_distribution`, so one call costs one whole-law
     evaluation; take the distribution once when several k are wanted.
     """
+    _check_two_color_counts(n, m)
     _check_survivors(k, n)
     return sampling_distribution(A, B, n, m, representation, mode)[k]
 
@@ -209,7 +188,7 @@ def _sampling_law(alpha, beta, n, m, representation) -> dict:
         if k >= 1:
             pref_alpha = pref_alpha * alpha[k]
     beta_prod = prod(beta[1:])
-    return {k: _pole_sum(terms[k], beta_prod * prefs[k]) for k in range(n + 1)}
+    return {k: ratio_sum(terms[k], beta_prod * prefs[k]) for k in range(n + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +202,7 @@ def okcorral_pmf(A, B, n, m, k, representation=BETA_POLES, mode=None):
     Entry k of `okcorral_distribution`, so one call costs one whole-law
     evaluation; take the distribution once when several k are wanted.
     """
+    _check_two_color_counts(n, m)
     _check_survivors(k, n)
     return okcorral_distribution(A, B, n, m, representation, mode)[k]
 
@@ -254,7 +234,7 @@ def _okcorral_law(alpha, beta, n, m, representation) -> dict:
                 terms[k].append((power, tail))
                 power = power * beta[ell]
             terms[0].append((power, tail))
-        return {k: _pole_sum(terms[k], alpha[k] if k >= 1 else 1) for k in range(n + 1)}
+        return {k: ratio_sum(terms[k], alpha[k] if k >= 1 else 1) for k in range(n + 1)}
     zero_terms = []
     for j in range(1, n + 1):
         tail = prod(alpha[j] + beta[h] for h in range(1, m + 1))
@@ -268,8 +248,8 @@ def _okcorral_law(alpha, beta, n, m, representation) -> dict:
             power = power * alpha[j]
         # the k=0 display sums the same poles and subtracts from 1
         zero_terms.append((power, tail))
-    probs = {k: _pole_sum(terms[k], alpha[k]) for k in range(1, n + 1)}
-    probs[0] = 1 - _pole_sum(zero_terms)
+    probs = {k: ratio_sum(terms[k], alpha[k]) for k in range(1, n + 1)}
+    probs[0] = 1 - ratio_sum(zero_terms)
     return probs
 
 
@@ -676,16 +656,19 @@ def two_color_distribution(spec, representation=BETA_POLES, mode=None, bits=None
     return closed(spec.A, spec.B, spec.n, spec.m, representation, mode, bits)
 
 
-def multi_distribution(spec, reference):
+def multi_distribution(spec, reference=None):
     """The r-color closed form of the spec's model on the support of its
     oracle distribution `reference`, from one contraction over the whole
     survivor grid (`_multi_law`).  Contested-fire points where some color
     has no survivor have no published closed form and keep the oracle's
-    value."""
+    value.  The spec is checked first; `reference` None means the oracle
+    is run after the checks pass."""
     sampling = spec.model == MODEL_SAMPLING
     nvec, _, tables = _check_multi_args(
         spec.sequences, spec.counts, names=("sequences", "counts")
     )
+    if reference is None:
+        reference = absorption_pmf_multi(spec)
     low = 0 if sampling else 1
     law = _multi_law(tables, nvec, [range(low, n + 1) for n in nvec[:-1]], sampling)
     probs = {kvec: law.get(kvec, reference[kvec]) for kvec in reference.support}

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import threading
 from fractions import Fraction
+from math import lcm
 
 import mpmath
 
@@ -217,6 +218,14 @@ def compensated_sum(terms):
     """The exact sum of a sequence of rationals; `Fraction(0)` when empty.
     The name outlives its float branch: `bench/tracer.py` wraps it by name."""
     return sum(terms, Fraction(0))
+
+
+def ratio_sum(terms, scale=1) -> Fraction:
+    """scale times the sum of `terms`, (num, den) int pairs, as one
+    `Fraction`: the terms go over one common denominator, their lcm, and
+    the sum is reduced once."""
+    common = lcm(*[abs(den) for _, den in terms])
+    return Fraction(scale * sum(num * (common // den) for num, den in terms), common)
 
 
 def cast_value(x, mode: str):

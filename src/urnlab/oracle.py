@@ -1,11 +1,15 @@
 """Ground-truth absorption distributions.
 
-Three routes, all in exact rational arithmetic (every weight is a
-`Fraction`), so closed forms can be checked for literal equality: forward
-reach from one start for any r >= 2 colors (`absorption_pmf`,
-`absorption_pmf_multi`), the backward two-color lattice over every start at
-once (`absorption_pmf_lattice`), and exhaustive path enumeration on tiny
-instances (`enumerate_pmf`).
+Three routes, all exact, so closed forms can be checked for literal
+equality: forward reach from one start for any r >= 2 colors
+(`absorption_pmf`, `absorption_pmf_multi`), the backward two-color lattice
+over every start at once (`absorption_pmf_lattice`), and exhaustive path
+enumeration on tiny instances (`enumerate_pmf`).  Every weight is a
+`Fraction`.  The lattice computes in `Fraction`s and is the independent
+route the others are checked against; forward reach and enumeration scale
+the weight tables to ints by one common factor (`weights.integer_tables`),
+which leaves the law unchanged, and build a `Fraction` only for an
+outcome's probability.
 """
 
 from __future__ import annotations
@@ -14,9 +18,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
-from .numerics import RATIONAL, falling_factorial
-from .weights import MODEL_SAMPLING, ParameterError, UrnSpec
+from .numerics import RATIONAL, falling_factorial, ratio_sum
+from .weights import MODEL_SAMPLING, ParameterError, UrnSpec, integer_tables
 
 ENUMERATION_LIMIT = 16
 
@@ -154,26 +159,36 @@ def _forward_reach(spec: UrnSpec) -> dict:
     """{outcome: probability} from the start `spec.counts`, for any r >= 2.
 
     Each draw removes one ball, so reach probabilities move down one
-    total-ball-count layer at a time and only one layer is alive.  Absorbing
-    states add their probability to their outcome.
+    total-ball-count layer at a time and only one layer is alive.  The
+    tables are scaled to ints (`integer_tables`) and a layer's masses are
+    int numerators over one layer denominator D: the next layer's is D * L,
+    L the lcm of the live states' drawing sums, and the gcd of D and every
+    numerator is divided out once per layer.  Absorbing states add
+    `Fraction(p, D)` to their outcome.
     """
-    tables = [seq.table(c) for seq, c in zip(spec.sequences, spec.counts)]
+    tables = integer_tables(*[seq.table(c) for seq, c in zip(spec.sequences, spec.counts)])
     out: dict = defaultdict(Fraction)
-    layer = {spec.counts: Fraction(1)}
+    layer = {spec.counts: 1}
+    D = 1
     while layer:
-        below: dict = defaultdict(Fraction)
+        live = []
         for state, p in layer.items():
             if _absorbed(state):
-                out[_outcome(state)] += p
-                continue
-            weights = _drawing_weights(spec.model, tables, state)
-            den = sum(weights)
+                out[_outcome(state)] += Fraction(p, D)
+            else:
+                weights = _drawing_weights(spec.model, tables, state)
+                live.append((state, p, weights, sum(weights)))
+        L = lcm(*[den for *_, den in live])
+        D *= L
+        below: dict = defaultdict(int)
+        for state, p, weights, den in live:
+            p *= L // den
             for ell, w in enumerate(weights):
-                if w == 0:
-                    continue
-                child = state[:ell] + (state[ell] - 1,) + state[ell + 1 :]
-                below[child] += p * (w / den)
-        layer = below
+                if w:
+                    below[state[:ell] + (state[ell] - 1,) + state[ell + 1 :]] += p * w
+        g = gcd(D, *below.values())
+        D //= g
+        layer = {state: p // g for state, p in below.items()}
     return out
 
 
@@ -206,27 +221,29 @@ def enumerate_pmf(spec: UrnSpec) -> ExactDistribution:
     """Sum weighted lattice paths by depth-first traversal.
 
     Exponential in the ball count; refused above ENUMERATION_LIMIT balls.
-    Must agree exactly with the recurrence routes wherever both run.
+    Each path carries an int numerator and denominator over the scaled
+    tables (`integer_tables`); each outcome sums its path terms once over
+    their lcm.  No state is memoised, so the walk stays independent of the
+    recurrence routes, and must agree with them exactly wherever both run.
     """
     counts = spec.counts
     if sum(counts) > ENUMERATION_LIMIT:
         raise ParameterError(
             f"enumerate takes at most {ENUMERATION_LIMIT} balls, got {sum(counts)}", "counts"
         )
-    tables = [seq.table(c) for seq, c in zip(spec.sequences, counts)]
-    out: dict = defaultdict(Fraction)
+    tables = integer_tables(*[seq.table(c) for seq, c in zip(spec.sequences, counts)])
+    paths: dict = defaultdict(list)  # outcome: [(num, den) per path]
 
-    def walk(state, weight):
+    def walk(state, num, den):
         if _absorbed(state):
-            out[_outcome(state)] += weight
+            paths[_outcome(state)].append((num, den))
             return
         weights = _drawing_weights(spec.model, tables, state)
-        den = sum(weights)
+        total = den * sum(weights)
         for ell, w in enumerate(weights):
-            if w == 0:
-                continue
-            child = tuple(c - 1 if j == ell else c for j, c in enumerate(state))
-            walk(child, weight * w / den)
+            if w:
+                walk(state[:ell] + (state[ell] - 1,) + state[ell + 1 :], num * w, total)
 
-    walk(counts, Fraction(1))
+    walk(counts, 1, 1)
+    out = {outcome: ratio_sum(terms) for outcome, terms in paths.items()}
     return _as_distribution(spec, out, flat=spec.is_two_color)

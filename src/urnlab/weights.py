@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 MODEL_SAMPLING = "sampling"
 MODEL_OKCORRAL = "okcorral"
@@ -174,6 +175,16 @@ def reciprocal(seq: WeightSequence) -> WeightSequence:
     if seq.family == "reciprocal":
         return seq.base
     return WeightSequence("reciprocal", base=seq)
+
+
+def integer_tables(*tables) -> list:
+    """The weight tables times one common factor, the lcm of all their
+    denominators, as lists of ints.  Both models draw with ratios of
+    weights, and in model II the drawing weights of one state are products
+    with the same number of factors, so one common factor leaves every law
+    unchanged while the engines run in integer arithmetic."""
+    scale = lcm(*[v.denominator for table in tables for v in table])
+    return [[v.numerator * (scale // v.denominator) for v in table] for table in tables]
 
 
 def check_distinct(seq: WeightSequence, upper: int) -> bool:

@@ -649,6 +649,29 @@ class TestRefusalBeforeWork:
                                  "--n", "120", "--m", "120", "--k", "500")
         assert (code, out, err) == (2, "", "--k: must lie in 0..120\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--weights", "square;linear:1;triangular", "--counts", "2,0,3"],
+             "--counts: the closed forms need every count >= 1; use --engine oracle"),
+            (["--weights", "linear:1;custom:1,1;square", "--counts", "2,2,2"],
+             f"--weights: {REPEATS} 2; use --engine oracle"),
+        ],
+        ids=["zero-count", "repeats"],
+    )
+    def test_pmf_multi_closed_refused_before_the_oracle(self, capsys, monkeypatch,
+                                                        argv, message):
+        calls = []
+        real = cli.oracle._forward_reach
+        monkeypatch.setattr(cli.oracle, "_forward_reach",
+                            lambda spec: calls.append(spec) or real(spec))
+        code, out, err = run_cli(capsys, "pmf-multi", *argv)
+        assert (code, out, err) == (2, "", message + "\n")
+        assert calls == []
+        code, _, _ = run_cli(capsys, "pmf-multi", *argv, "--engine", "oracle")
+        assert code == 0
+        assert len(calls) == 1
+
 
 class TestLongResults:
     def test_result_past_the_int_digit_limit_prints(self, capsys):

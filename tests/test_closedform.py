@@ -44,6 +44,7 @@ from urnlab.oracle import (
     enumerate_pmf,
 )
 from urnlab.weights import (
+    ParameterError,
     UrnSpec,
     WeightRangeError,
     WeightSequence,
@@ -658,7 +659,7 @@ class TestClosedVsOracle:
 
 class TestInputChecks:
     """Each closed-form call evaluates every weight table once, and checks
-    its arguments in a fixed order: survivor counts, counts, then each
+    its arguments in a fixed order: counts, survivor counts, then each
     color's table (range, then distinctness)."""
 
     REP = custom([1, 1, 2])
@@ -681,6 +682,13 @@ class TestInputChecks:
         for pmf in (sampling_pmf, okcorral_pmf):
             with pytest.raises(error, match=message):
                 pmf(*args)
+
+    def test_counts_checked_before_survivor_count(self):
+        # k = 0 lies outside 0..n only because n itself is bad
+        for pmf in (sampling_pmf, okcorral_pmf):
+            with pytest.raises(ParameterError, match="at least one ball") as info:
+                pmf(linear(1), square(), -1, 2, 0)
+            assert info.value.param == "n"
 
     @pytest.mark.parametrize(
         "seqs, nvec, kvec, error, message",

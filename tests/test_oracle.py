@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from urnlab.oracle import (
     ExactDistribution,
@@ -190,6 +190,55 @@ class TestMulti:
             two = absorption_pmf(two_color(model, linear(1), square(), 2, 0))
             flat = absorption_pmf_multi(UrnSpec(model, (linear(1), square()), (2, 0)))
             assert {(k,): p for k, p in two.items()} == flat.probs
+
+
+# weight tables long enough for any count of a <= 10-ball urn
+RATIONAL_TABLES = st.lists(
+    st.fractions(min_value=Fraction(1, 40), max_value=40, max_denominator=40),
+    min_size=10, max_size=10,
+).map(custom)
+FLOAT_TABLES = st.lists(  # 53-bit denominators once made exact
+    st.floats(min_value=0.01, max_value=50.0), min_size=10, max_size=10
+).map(custom)
+BUILT_IN = st.sampled_from(FAMILIES + [power(1, 3), power(Fraction(1, 3), 2)])
+SEQUENCES = st.one_of(
+    BUILT_IN, RATIONAL_TABLES, FLOAT_TABLES, st.one_of(BUILT_IN, RATIONAL_TABLES).map(reciprocal)
+)
+
+
+@st.composite
+def small_specs(draw):
+    """A random urn with 2 to 4 colors and at most 10 balls; any count,
+    the last one included, may be 0."""
+    r = draw(st.sampled_from((2, 3, 4)))
+    counts, left = [], 10
+    for _ in range(r):
+        counts.append(draw(st.integers(0, min(left, 6))))
+        left -= counts[-1]
+    seqs = tuple(draw(SEQUENCES) for _ in range(r))
+    return UrnSpec(draw(st.sampled_from(("I", "II"))), seqs, tuple(counts))
+
+
+class TestRandomSpecs:
+    """The forward reach against the exhaustive path walk and, at two
+    colors, the backward lattice: three routes that share only the drawing
+    rule."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(small_specs())
+    @example(UrnSpec("I", (linear(1), square(), triangular()), (3, 2, 0)))
+    @example(UrnSpec("II", (linear(1), square(), triangular()), (0, 0, 4)))
+    @example(UrnSpec("II", (custom([0.1, 0.7]), reciprocal(square()), linear(2)), (0, 2, 3)))
+    @example(UrnSpec("I", (square(), custom([0.25, 1.5, 3.0])), (0, 3)))
+    def test_multi_matches_enumeration_and_lattice(self, spec):
+        dist = absorption_pmf_multi(spec)
+        assert all(type(p) is Fraction for p in dist.probs.values())
+        walked = enumerate_pmf(spec).probs
+        if spec.is_two_color:  # two-color routes key survivors by int
+            n, m = spec.counts
+            assert walked == dict(enumerate(absorption_pmf_lattice(spec)[m][n]))
+            walked = {(k,): p for k, p in walked.items()}
+        assert dist.probs == walked
 
 
 class TestDuality:
