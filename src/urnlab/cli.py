@@ -12,6 +12,11 @@ The library owns the range rules: its `weights.ParameterError` names an
 argument, and `main` prints it after that argument's flag (`_flag`).  The
 CLI checks only flag syntax and presence, the lengths and `--k` selections
 that compare flags, `--decimals`, `--precision-bits` and the theta floor.
+
+A call pays only for the imports its subcommand uses: `limits` loads in
+`limit` and `theta`, mpmath where a big-float is made or printed (big-float
+mode, `limit`, `theta`, and the simulator's p-value), numpy in `simulate`
+and `compare`.  The exact subcommands start with none of them.
 """
 
 from __future__ import annotations
@@ -25,9 +30,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-import mpmath
-
-from . import closedform, limits, moments, oracle, weights
+from . import closedform, moments, oracle, weights
 from .numerics import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, RATIONAL, precision_bits
 
 EXIT_OK = 0
@@ -75,6 +78,8 @@ def render_decimal(value, decimals: int) -> str:
 
 
 def render_bigfloat(value, bits: int) -> str:
+    import mpmath
+
     dps = max(1, int(bits * 0.30103))
     return mpmath.nstr(value, dps)
 
@@ -354,6 +359,8 @@ def _cmd_okc_moments(args) -> int:
 
 
 def _cmd_limit(args) -> int:
+    from . import limits
+
     bits = args.precision_bits
     render = _prob_renderer(args)
     law = args.law
@@ -434,6 +441,10 @@ THETA_MIN_TOL_ULPS = 64
 
 
 def _cmd_theta(args) -> int:
+    import mpmath
+
+    from . import limits
+
     bits = args.precision_bits
     q = _fraction(args.q, "--q")
     finest = THETA_MIN_TOL_ULPS * 2.0 ** -(bits + 32)
@@ -683,8 +694,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--q", help="evaluation point in [0,1], rational syntax")
-    p.add_argument("--family", choices=tuple(sorted(limits.FAMILIES)), default="square")
-    p.add_argument("--method", choices=(limits.FINITE_SUM, limits.SERIES), default=limits.FINITE_SUM)
+    p.add_argument("--family", choices=tuple(sorted(weights.LIMIT_FAMILIES)), default=weights.SQUARE)
+    p.add_argument("--method", choices=(weights.FINITE_SUM, weights.SERIES), default=weights.FINITE_SUM)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--grid", help="START:STOP:STEP rational grid for w-cdf")
     p.set_defaults(handler=_cmd_limit)

@@ -36,8 +36,6 @@ from functools import partial
 from itertools import product
 from math import factorial, prod
 
-import mpmath
-
 from .numerics import (
     BIGFLOAT,
     RATIONAL,
@@ -121,6 +119,8 @@ def _rounded(law: dict, mode, bits) -> ExactDistribution:
     if mode in (None, RATIONAL):
         return ExactDistribution(support, law)
     if mode == BIGFLOAT:
+        import mpmath  # the exact routes start without it
+
         with mpmath.workprec((bits if bits is not None else precision_bits()) + 32):
             probs = {k: cast_value(p, mode) for k, p in law.items()}
     else:
@@ -656,6 +656,11 @@ def two_color_distribution(spec, representation=BETA_POLES, mode=None, bits=None
     return closed(spec.A, spec.B, spec.n, spec.m, representation, mode, bits)
 
 
+def _check_multi_spec(spec):
+    """`_check_multi_args` on an `UrnSpec`, naming its fields."""
+    return _check_multi_args(spec.sequences, spec.counts, names=("sequences", "counts"))
+
+
 def multi_distribution(spec, reference=None):
     """The r-color closed form of the spec's model on the support of its
     oracle distribution `reference`, from one contraction over the whole
@@ -664,9 +669,7 @@ def multi_distribution(spec, reference=None):
     value.  The spec is checked first; `reference` None means the oracle
     is run after the checks pass."""
     sampling = spec.model == MODEL_SAMPLING
-    nvec, _, tables = _check_multi_args(
-        spec.sequences, spec.counts, names=("sequences", "counts")
-    )
+    nvec, _, tables = _check_multi_spec(spec)
     if reference is None:
         reference = absorption_pmf_multi(spec)
     low = 0 if sampling else 1
@@ -679,12 +682,13 @@ def closed_vs_oracle(spec, representation=BETA_POLES):
     """Exact comparison of the closed form with the DP oracle for one spec.
 
     Returns (closed, oracle, max_abs_diff).  Zero difference is the
-    acceptance requirement.
+    acceptance requirement.  The spec is checked before the oracle runs.
     """
     if spec.is_two_color:
         closed = two_color_distribution(spec, representation)
         reference = absorption_pmf(spec)
     else:
+        _check_multi_spec(spec)
         reference = absorption_pmf_multi(spec)
         closed = multi_distribution(spec, reference)
     diff = max(

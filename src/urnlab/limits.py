@@ -39,11 +39,18 @@ from .numerics import (
     stirling_first_unsigned,
     stirling_second,
 )
-from .weights import ParameterError, check_count, check_order, shifted_square, square, triangular
-
-SQUARE = "square"
-TRIANGULAR = "triangular"
-SHIFTED_SQUARE = "shifted-square"
+from .weights import (
+    FINITE_SUM,
+    LIMIT_FAMILIES,
+    SERIES,
+    SHIFTED_SQUARE,
+    SQUARE,
+    TRIANGULAR,
+    ParameterError,
+    WeightSequence,
+    check_count,
+    check_order,
+)
 
 MAX_SERIES_TERMS = 2_000_000
 
@@ -55,11 +62,8 @@ PRODUCT_BLOCK = 64
 POWER_GUARD_BITS = 48
 
 
-FAMILIES = {
-    SQUARE: square(),
-    TRIANGULAR: triangular(),
-    SHIFTED_SQUARE: shifted_square(),
-}
+# each limit family's weight sequence, by its tag (`weights.LIMIT_FAMILIES`)
+FAMILIES = {tag: WeightSequence(tag) for tag in LIMIT_FAMILIES}
 
 
 def _family(family) -> str:
@@ -189,10 +193,6 @@ def _sinh_weight(ell):
         return mpmath.mpf(1)
     x = mpmath.pi * mpmath.sqrt(ell)
     return x / mpmath.sinh(x)
-
-
-FINITE_SUM = "finite-sum"
-SERIES = "series"
 
 
 def fixed_whites_pmf(

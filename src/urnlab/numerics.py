@@ -6,6 +6,10 @@ three output modes: the exact rational itself, a big-float (`mpmath.mpf`
 at a configurable bit precision) or a machine float.  `cast_value` is the
 one way an exact rational enters another mode, rounded once.  The limit
 laws that are transcendental compute in big-floats throughout.
+
+mpmath is imported where a big-float is made (the big-float branch of
+`cast_value`), not at module top: the rational routes never make one, so
+a process that stays rational never loads it.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ import os
 import threading
 from fractions import Fraction
 from math import lcm
-
-import mpmath
 
 RATIONAL = "rational"
 BIGFLOAT = "bigfloat"
@@ -237,6 +239,8 @@ def cast_value(x, mode: str):
     if mode == FLOAT:
         return float(x)
     if mode == BIGFLOAT:
+        import mpmath  # the exact routes start without it
+
         if isinstance(x, Fraction):
             # fdiv takes both ints exactly, so the quotient rounds once
             return mpmath.fdiv(x.numerator, x.denominator)

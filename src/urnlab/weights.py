@@ -154,6 +154,17 @@ def shifted_square() -> WeightSequence:
     return WeightSequence("shifted-square")
 
 
+# The limit laws' families, each tagged by its weight family's name, and
+# the two methods of the fixed-whites pmf.  `limits` computes with them;
+# the CLI's parser offers them without importing `limits` and its mpmath.
+SQUARE = "square"
+TRIANGULAR = "triangular"
+SHIFTED_SQUARE = "shifted-square"
+LIMIT_FAMILIES = (SQUARE, TRIANGULAR, SHIFTED_SQUARE)
+FINITE_SUM = "finite-sum"
+SERIES = "series"
+
+
 def _exact_weight(v, what: str, param: str) -> Fraction:
     """A weight or weight factor `v` as an exact `Fraction` (a float's exact
     value), refused unless it is finite and positive; `what` names it."""

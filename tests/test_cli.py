@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -10,6 +11,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import DETERMINISM_COMMANDS
 
 from urnlab import cli, limits
 from urnlab.oracle import absorption_pmf
@@ -764,29 +766,46 @@ class TestMomentFlags:
         assert values["closed-form"] == values["direct-summation"]
 
 
+# the watched modules a cold call of each subcommand loads
+EXPECTED_LOADS = {
+    "pmf": [], "pmf-multi": [], "moments": [], "okc-moments": [], "duality-check": [],
+    "oracle": [], "limit": ["mpmath", "urnlab.limits"], "theta": ["mpmath", "urnlab.limits"],
+    "simulate": ["mpmath", "numpy", "urnlab.limits"],
+    "compare": ["mpmath", "numpy", "urnlab.limits"],
+}
+
+
+def _cli_call(argv):
+    return f"assert cli.main({argv!r}) == 0"
+
+
 class TestImportBudget:
-    """Only simulation loads numpy, and nothing loads scipy; each case runs
-    in a fresh interpreter so earlier imports cannot hide a regression."""
+    """Only simulation loads numpy, only big-floats and the limit laws load
+    mpmath, only `limit` and `theta` (and the simulator) load `limits`, and
+    nothing loads scipy; each case runs in a fresh interpreter so earlier
+    imports cannot hide a regression."""
 
     @pytest.mark.parametrize(
         "body, loaded",
-        [
-            ("assert cli.main(['pmf', '--A', 'linear:1', '--B', 'square', "
-             "'--n', '3', '--m', '3']) == 0", []),
-            ("assert cli.main(['theta', '--q', '1/2']) == 0", []),
-            ("assert cli.main(['simulate', '--A', 'linear:1', '--B', 'square', "
-             "'--n', '2', '--m', '2', '--trials', '1000']) == 0", ["numpy"]),
+        [(_cli_call(argv), EXPECTED_LOADS[argv[0]]) for argv in DETERMINISM_COMMANDS]
+        + [
+            (_cli_call([*DETERMINISM_COMMANDS[0], "--mode", "bigfloat"]), ["mpmath"]),
+            ("import urnlab\n"
+             "law = urnlab.sampling_distribution(urnlab.linear(1), urnlab.square(), 4, 3)\n"
+             "assert sum(law.probs.values()) == 1", []),
             ("from urnlab import SimConfig, simulate_counts, linear, two_color\n"
              "spec = two_color('I', linear(1), linear(1), 1, 1)\n"
-             "assert sum(simulate_counts(SimConfig(spec, 10, 0)).values()) == 10", ["numpy"]),
+             "assert sum(simulate_counts(SimConfig(spec, 10, 0)).values()) == 10",
+             EXPECTED_LOADS["simulate"]),
         ],
-        ids=["pmf", "theta", "simulate", "library"],
+        ids=[argv[0] for argv in DETERMINISM_COMMANDS] + ["pmf-bigfloat", "rational-library", "library"],
     )
     def test_modules_loaded(self, body, loaded):
+        watched = ("mpmath", "numpy", "scipy", "urnlab.limits")
         script = (
             "import sys\nfrom urnlab import cli\n"
             f"{body}\n"
-            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+            f"print(sorted(m for m in {watched!r} if m in sys.modules))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script],
@@ -794,6 +813,58 @@ class TestImportBudget:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == repr(loaded)
+
+
+class TestBigfloatFreshProcess:
+    """A fresh process loads mpmath only when `pmf --mode bigfloat` rounds
+    the law; what it prints must not depend on that, nor on a global
+    `mpmath.mp.prec` a caller set before."""
+
+    FRESH = (
+        "import sys\nfrom urnlab import cli\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    PRIMED = (
+        "import sys\nimport mpmath\nmpmath.mp.prec = 20\nfrom urnlab import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+
+    @pytest.mark.parametrize(
+        "flags, env_bits, bits",
+        [([], None, 256), (["--precision-bits", "80"], None, 80), ([], "100", 100)],
+        ids=["default", "flag-80", "env-100"],
+    )
+    @pytest.mark.parametrize("representation", ["beta-poles", "alpha-poles"])
+    @pytest.mark.parametrize("model", ["I", "II"])
+    def test_same_bytes_as_a_primed_process(self, model, representation, flags, env_bits, bits):
+        argv = ["pmf", "--model", model, "--A", "linear:1", "--B", "square", "--n", "4",
+                "--m", "3", "--representation", representation, "--mode", "bigfloat", *flags]
+        env = {k: v for k, v in os.environ.items() if k != "URNLAB_PRECISION_BITS"}
+        if env_bits is not None:
+            env["URNLAB_PRECISION_BITS"] = env_bits
+        fresh, primed = (
+            subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                           env=env, timeout=60, check=False)
+            for script in (self.FRESH, self.PRIMED)
+        )
+        assert (fresh.returncode, fresh.stderr) == (0, b"")
+        assert (fresh.stdout, fresh.stderr, fresh.returncode) == (
+            primed.stdout, primed.stderr, primed.returncode
+        )
+        assert json.loads(fresh.stdout)["precision_bits"] == bits
+
+
+class TestParserTags:
+    """The parser offers the limit families and methods without importing
+    `limits`; they must stay the ones `limits` accepts."""
+
+    def test_limit_choices_match_limits(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        actions = {a.dest: a for a in sub.choices["limit"]._actions}
+        assert actions["family"].choices == tuple(sorted(limits.FAMILIES))
+        assert actions["method"].choices == (limits.FINITE_SUM, limits.SERIES)
+        assert actions["method"].default == "finite-sum"
 
 
 class TestEmitPlotData:

@@ -649,6 +649,27 @@ class TestClosedVsOracle:
         _, _, diff = closed_vs_oracle(spec)
         assert diff == 0
 
+    @pytest.mark.parametrize(
+        "seqs, counts, param",
+        [
+            ((square(), linear(1), triangular()), (2, 0, 3), "counts"),
+            ((linear(1), custom([1, 1]), square()), (2, 2, 2), "sequences"),
+        ],
+        ids=["zero-count", "repeats"],
+    )
+    def test_multi_refused_before_the_oracle(self, monkeypatch, seqs, counts, param):
+        import urnlab.oracle
+
+        calls = []
+        real = urnlab.oracle._forward_reach
+        monkeypatch.setattr(urnlab.oracle, "_forward_reach",
+                            lambda spec: calls.append(spec) or real(spec))
+        with pytest.raises(ParameterError) as refusal:
+            closed_vs_oracle(UrnSpec("I", seqs, counts))
+        assert (refusal.value.param, calls) == (param, [])
+        closed_vs_oracle(UrnSpec("I", (square(), linear(1), triangular()), (2, 1, 3)))
+        assert len(calls) == 1
+
     def test_duality_through_closed_forms(self):
         A, B, n, m = square(), linear(1), 4, 3
         for k in range(n + 1):
