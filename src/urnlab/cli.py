@@ -269,18 +269,22 @@ def _cmd_oracle(args) -> int:
 def _cmd_pmf_multi(args) -> int:
     spec = _multi_spec(args, args.model)
     render = _prob_renderer(args)
+    if args.k is not None:
+        kvec = _int_list(args.k, "--k")
+        if len(kvec) != spec.r - 1:
+            raise CliError("--k: need one survivor count per color but the last "
+                           f"(r-1 = {spec.r - 1} entries)")
+        if any(not 0 <= k <= n for k, n in zip(kvec, spec.counts)):
+            raise CliError("--k: outside the survivor grid")
     if args.engine == "oracle":
         dist = oracle.absorption_pmf_multi(spec)
     else:
         with _remedy("use --engine oracle"):
             dist = closedform.multi_distribution(spec)
-    if args.k is not None:
-        kvec = _int_list(args.k, "--k")
-        if kvec not in dist.support:
-            raise CliError("--k: outside the survivor grid")
-        entries = [{"k": _k_out(kvec), "p": render(dist[kvec])}]
-    else:
+    if args.k is None:
         entries = dist.to_jsonable(render)
+    else:
+        entries = [{"k": _k_out(kvec), "p": render(dist[kvec])}]
     payload = {
         "command": "pmf-multi",
         "params": _params(args, "model", "weights", "counts", "k", "engine"),

@@ -19,13 +19,17 @@ big-float working precision), so they are within half a unit in the last
 place of the exact law and cost what rational mode costs.  Every weight
 is an exact `Fraction`, so the default mode is rational for every table.
 
-The r-color laws are (r-1)-fold nested sums over pole vectors whose
-summands factor color by color apart from one shared denominator.
+The r-color sampling law is an (r-1)-fold nested sum over pole vectors
+whose summands factor color by color apart from one shared denominator.
 `_multi_law` uses that: one denominator per pole vector, then one
-triangular contraction per color, so `multi_distribution` gets the whole
-survivor grid for prod_j (n_j + 1) denominators plus r - 1 passes.  The
-as-printed contested-fire reading (`READING_PRINTED`) does not factor and
-stays a literal per-vector sum, kept only as a diagnostic.
+triangular contraction per color, so it gets the whole survivor grid for
+prod_j (n_j + 1) denominators plus r - 1 passes.  By the paper's duality
+the contested-fire urn with weights W has the survivor law of the sampling
+urn with weights 1/W, so `multi_distribution` gives every point of both
+models, k_j = 0 included, from that one contraction and never runs the
+oracle.  The paper's contested-fire display (`okcorral_pmf_multi`) stays a
+per-vector nested sum over k_j >= 1, in both readings of its ambiguous
+cross term, and is checked against the oracle.
 """
 
 from __future__ import annotations
@@ -375,15 +379,14 @@ def _check_multi_args(seqs, nvec, kvec=None, names=("seqs", "nvec")):
     return nvec, kvec, tables
 
 
-def _pole_columns(t, n, rows, sampling, n_r, scale):
+def _pole_columns(t, n, rows, scale):
     """Color j's triangular matrix M[k, ell], ell >= k, by pole column:
     {ell: [(k, M[k, ell]) for survivor rows k <= ell]}.
 
-    With D(k, ell) = prod over h in k..n, h != ell, of (t[h] - t[ell]):
-    sampling M[k, ell] = scale * prod_{h>k} t[h] / D(k, ell); contested
-    fire M[k, ell] = t[k] t[ell]^(n-k+n_r-1) / ((-1)^(n-k) D(k, ell)).
-    D is built down from k = ell by D(k, ell) = D(k+1, ell) * (t[k] -
-    t[ell]), one factor per row.
+    M[k, ell] = scale * prod_{h>k} t[h] / D(k, ell), with D(k, ell) = prod
+    over h in k..n, h != ell, of (t[h] - t[ell]).  D is built down from
+    k = ell by D(k, ell) = D(k+1, ell) * (t[k] - t[ell]), one factor per
+    row.  `t` holds ints, so each entry is one `Fraction`.
     """
     low = min(rows)
     wanted = set(rows)
@@ -395,56 +398,39 @@ def _pole_columns(t, n, rows, sampling, n_r, scale):
     columns = {}
     for ell in range(low, n + 1):
         pole = t[ell]
-        diff = prod((t[h] - pole for h in range(ell + 1, n + 1)), start=Fraction(1))
-        if not sampling:
-            power = pole ** (n - ell + n_r - 1)
+        diff = prod(t[h] - pole for h in range(ell + 1, n + 1))
         entries = []
         for k in range(ell, low - 1, -1):
             if k < ell:
                 diff = diff * (t[k] - pole)
-                if not sampling:
-                    power = power * pole
             if k in wanted:
-                if sampling:
-                    num = suffix[k]
-                else:
-                    num = t[k] * power if (n - k) % 2 == 0 else -t[k] * power
-                entries.append((k, num / diff))
+                entries.append((k, Fraction(suffix[k], diff)))
         columns[ell] = entries
     return columns
 
 
-def _multi_law(tables, nvec, rows, sampling):
-    """The r-color closed form (pole-index reading in model II) at every
-    survivor vector of the box rows[0] x ... x rows[r-2], as {kvec: p}.
+def _multi_law(tables, nvec, rows):
+    """The r-color sampling closed form at every survivor vector of the box
+    rows[0] x ... x rows[r-2], as {kvec: p}; rows may hold k_j = 0.
 
     Apart from one shared denominator, each pole summand factors by color:
     P(k) = sum_ell g(ell) prod_j M_j[k_j, ell_j], with g(ell) =
-    1/prod_{w in last}(w + sum_j t_j[ell_j]) in model I and
-    1/prod_{w in last}(pole_prod + w * cross) in model II.  So g is taken
-    once per pole vector and the color axes are contracted one at a time
-    with the triangular matrices of `_pole_columns`: prod_j (n_j + 1 -
-    min rows_j) denominators plus r - 1 passes, in place of one nested
-    pole sum per survivor vector.  Exact, as the tables are; sampling rows
-    may hold k_j = 0, contested-fire rows need k_j >= 1.
+    1/prod_{w in last}(w + sum_j t_j[ell_j]).  So g is taken once per pole
+    vector and the color axes are contracted one at a time with the
+    triangular matrices of `_pole_columns`: prod_j (n_j + 1 - min rows_j)
+    denominators plus r - 1 passes, in place of one nested pole sum per
+    survivor vector.  The tables are scaled to ints (`integer_tables`),
+    which leaves the law unchanged, so the result is exact.
     """
+    tables = integer_tables(*tables)
     r = len(nvec)
     last = tables[-1][1:]
-    n_r = nvec[-1]
     law = {}
     for ells in product(*[range(min(rows[j]), nvec[j] + 1) for j in range(r - 1)]):
-        pole = [tables[j][ell] for j, ell in enumerate(ells)]
-        if sampling:
-            s = sum(pole)
-            den = prod((w + s for w in last), start=Fraction(1))
-        else:
-            pole_prod = prod(pole, start=Fraction(1))
-            cross = sum(pole_prod / p for p in pole)
-            den = prod((pole_prod + w * cross for w in last), start=Fraction(1))
-        law[ells] = 1 / den
+        s = sum(tables[j][ell] for j, ell in enumerate(ells))
+        law[ells] = Fraction(1, prod(w + s for w in last))
     for j in range(r - 1):
-        scale = prod(last, start=Fraction(1)) if sampling and j == 0 else Fraction(1)
-        columns = _pole_columns(tables[j], nvec[j], rows[j], sampling, n_r, scale)
+        columns = _pole_columns(tables[j], nvec[j], rows[j], prod(last) if j == 0 else 1)
         contracted = {}
         for ells, value in law.items():
             for k, coeff in columns[ells[j]]:
@@ -459,7 +445,7 @@ def sampling_pmf_multi(seqs, nvec, kvec):
     nested pole sum, contracted color by color (`_multi_law`).  Reduces to
     sampling_pmf at r = 2."""
     nvec, kvec, tables = _check_multi_args(seqs, nvec, kvec)
-    return _multi_law(tables, nvec, [(k,) for k in kvec], sampling=True)[kvec]
+    return _multi_law(tables, nvec, [(k,) for k in kvec])[kvec]
 
 
 def polya_sampling_pmf_multi(avec, nvec, kvec):
@@ -492,34 +478,28 @@ READING_PRINTED = "as-printed"  # literal transcription, survivor counts inside
 
 
 def okcorral_pmf_multi(seqs, nvec, kvec, reading=READING_PRODUCT):
-    """Joint survivor pmf for the r-color contested-fire urn, all k_j >= 1.
+    """Joint survivor pmf for the r-color contested-fire urn, all k_j >= 1:
+    the paper's display, the (r-1)-fold nested pole sum at this one
+    survivor vector, term by term.
 
-    The published nested-sum display is ambiguous in one inner product
-    (survivor index vs pole index); both readings are implemented and
+    The published display is ambiguous in one inner product (survivor
+    index vs pole index); both readings are implemented and
     `multi_okcorral_reading_report` arbitrates against the oracle.  The
     pole-index reading is the default because it alone matches the oracle
     and reduces to the two-color form at r = 2.
 
-    Survivor vectors with any k_j = 0 have no published closed form; ask
-    the recurrence oracle for those.
+    The display has no k_j = 0 case; `multi_distribution` gives those
+    points by duality, and the recurrence oracle gives them directly.
     """
     nvec, kvec, tables = _check_multi_args(seqs, nvec, kvec)
     if any(k < 1 for k in kvec):
         raise ParameterError(
-            "closed form needs every k_j >= 1; use the recurrence oracle "
-            "for survivor vectors containing zeros",
+            "closed form needs every k_j >= 1; survivor vectors containing "
+            "zeros come from multi_distribution (by duality) or the recurrence oracle",
             "kvec",
         )
-    if reading == READING_PRODUCT:
-        return _multi_law(tables, nvec, [(k,) for k in kvec], sampling=False)[kvec]
-    if reading != READING_PRINTED:
+    if reading not in (READING_PRODUCT, READING_PRINTED):
         raise ParameterError(f"unknown reading {reading!r}", "reading")
-    return _okcorral_as_printed(tables, nvec, kvec)
-
-
-def _okcorral_as_printed(tables, nvec, kvec):
-    """The literal transcription, term by term: its cross term holds the
-    survivor weights, so the summand does not factor by color."""
     r = len(nvec)
     last = tables[-1][1:]
     n_r = nvec[-1]
@@ -544,7 +524,9 @@ def _okcorral_as_printed(tables, nvec, kvec):
         num = k_pref
         for j in range(r - 1):
             num = num * pole[j] ** (nvec[j] - kvec[j] + n_r - 1)
-        cross = sum(k_pref / pole[g] for g in range(r - 1))
+        # the one place the readings differ; the printed one does not factor
+        cross_num = pole_prod if reading == READING_PRODUCT else k_pref
+        cross = sum(cross_num / pole[g] for g in range(r - 1))
         den = prod((pole_prod + w * cross for w in last), start=Fraction(1))
         for j in range(r - 1):
             den = den * diff_factors[j][ells[j]]
@@ -656,41 +638,37 @@ def two_color_distribution(spec, representation=BETA_POLES, mode=None, bits=None
     return closed(spec.A, spec.B, spec.n, spec.m, representation, mode, bits)
 
 
-def _check_multi_spec(spec):
-    """`_check_multi_args` on an `UrnSpec`, naming its fields."""
-    return _check_multi_args(spec.sequences, spec.counts, names=("sequences", "counts"))
-
-
-def multi_distribution(spec, reference=None):
-    """The r-color closed form of the spec's model on the support of its
-    oracle distribution `reference`, from one contraction over the whole
-    survivor grid (`_multi_law`).  Contested-fire points where some color
-    has no survivor have no published closed form and keep the oracle's
-    value.  The spec is checked first; `reference` None means the oracle
-    is run after the checks pass."""
-    sampling = spec.model == MODEL_SAMPLING
-    nvec, _, tables = _check_multi_spec(spec)
-    if reference is None:
-        reference = absorption_pmf_multi(spec)
-    low = 0 if sampling else 1
-    law = _multi_law(tables, nvec, [range(low, n + 1) for n in nvec[:-1]], sampling)
-    probs = {kvec: law.get(kvec, reference[kvec]) for kvec in reference.support}
-    return ExactDistribution(reference.support, probs)
+def multi_distribution(spec):
+    """The r-color closed form of the spec's model at every point of the
+    survivor grid, in the oracle's grid order, from one sampling
+    contraction (`_multi_law`).  Model II runs it on the reciprocal tables:
+    by the paper's duality that is the contested-fire law, k_j = 0
+    included.  The recurrence oracle is never run."""
+    nvec, _, tables = _check_multi_args(
+        spec.sequences, spec.counts, names=("sequences", "counts")
+    )
+    if spec.model != MODEL_SAMPLING:
+        for t in tables:
+            t[1:] = [1 / w for w in t[1:]]
+    rows = [range(n + 1) for n in nvec[:-1]]
+    law = _multi_law(tables, nvec, rows)
+    support = tuple(product(*rows))
+    return ExactDistribution(support, {kvec: law[kvec] for kvec in support})
 
 
 def closed_vs_oracle(spec, representation=BETA_POLES):
     """Exact comparison of the closed form with the DP oracle for one spec.
 
     Returns (closed, oracle, max_abs_diff).  Zero difference is the
-    acceptance requirement.  The spec is checked before the oracle runs.
+    acceptance requirement.  The closed form runs first, so a spec it
+    refuses never reaches the oracle.
     """
     if spec.is_two_color:
         closed = two_color_distribution(spec, representation)
         reference = absorption_pmf(spec)
     else:
-        _check_multi_spec(spec)
+        closed = multi_distribution(spec)
         reference = absorption_pmf_multi(spec)
-        closed = multi_distribution(spec, reference)
     diff = max(
         abs(closed[k] - reference[k]) for k in reference.support
     )

@@ -185,14 +185,44 @@ class TestOracleCommand:
 
 class TestPmfMulti:
     def test_engines_agree(self, capsys):
-        base = [
-            "pmf-multi", "--model", "I",
-            "--weights", "linear:1;square;linear:2", "--counts", "2,2,2",
-        ]
-        _, closed, _ = run_cli(capsys, *base, "--engine", "closed")
-        _, ground, _ = run_cli(capsys, *base, "--engine", "oracle")
-        assert json.loads(closed)["pmf"] == json.loads(ground)["pmf"]
-        check_json(closed)
+        for model, counts in (("I", "2,2,2"), ("II", "2,3,2")):
+            base = [
+                "pmf-multi", "--model", model,
+                "--weights", "linear:1;square;linear:2", "--counts", counts,
+            ]
+            _, closed, _ = run_cli(capsys, *base, "--engine", "closed")
+            _, ground, _ = run_cli(capsys, *base, "--engine", "oracle")
+            assert json.loads(closed)["pmf"] == json.loads(ground)["pmf"], model
+            check_json(closed)
+
+    @pytest.mark.parametrize("model", ["I", "II"])
+    def test_closed_engine_never_runs_the_oracle(self, capsys, monkeypatch, model):
+        calls = []
+        real = cli.oracle._forward_reach
+        monkeypatch.setattr(cli.oracle, "_forward_reach",
+                            lambda spec: calls.append(spec) or real(spec))
+        code, out, _ = run_cli(capsys, "pmf-multi", "--model", model, "--weights",
+                               "square;linear:1;triangular", "--counts", "2,3,2")
+        assert code == 0
+        assert [0, 0] in [e["k"] for e in check_json(out)["pmf"]]
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            ("1", "need one survivor count per color but the last (r-1 = 2 entries)"),
+            ("3,0", "outside the survivor grid"),
+        ],
+        ids=["length", "range"],
+    )
+    def test_k_refused_before_the_law(self, capsys, monkeypatch, k, message):
+        def law(*args):
+            raise AssertionError("the law was computed before --k was checked")
+
+        monkeypatch.setattr(cli.closedform, "multi_distribution", law)
+        code, out, err = run_cli(capsys, "pmf-multi", "--weights", "linear:1;square;linear:2",
+                                 "--counts", "2,2,2", "--k", k)
+        assert (code, out, err) == (2, "", f"--k: {message}\n")
 
     def test_single_vector(self, capsys):
         code, out, _ = run_cli(

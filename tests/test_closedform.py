@@ -565,10 +565,31 @@ def nested_pole_sum(model, seqs, nvec, kvec):
     return total
 
 
+@st.composite
+def multi_urns(draw):
+    """A 2- to 4-color urn with 1-4 balls per color.  Each color draws its
+    weights from linear, square, triangular, shifted-square, power, or a
+    rational or float custom table, or the reciprocal of one of those;
+    custom tables are drawn without repeats, so no table repeats a weight."""
+    positive = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+    family = st.one_of(
+        st.builds(linear, positive),
+        st.sampled_from([square(), triangular(), shifted_square()]),
+        st.builds(power, positive, st.integers(1, 3)),
+        st.builds(custom, st.lists(positive, min_size=4, max_size=4, unique=True)),
+        st.builds(custom, st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=4, unique=True)),
+    )
+    colors = draw(st.integers(2, 4))
+    seqs = tuple(draw(st.one_of(family, family.map(reciprocal))) for _ in range(colors))
+    return seqs, tuple(draw(st.integers(1, 4)) for _ in range(colors))
+
+
 class TestMultiDistribution:
-    """`multi_distribution` contracts the whole survivor grid at once; it
-    must equal the nested pole sum at every point it computes, and the
-    oracle at the contested-fire points that have no closed form."""
+    """`multi_distribution` contracts the whole survivor grid at once, in
+    model II on the reciprocal tables (the paper's duality), and never runs
+    the oracle.  It must equal the oracle at every point, zeros included,
+    and the nested pole sum at every point with all k_j >= 1 (at every
+    point in model I)."""
 
     SPECS = [
         ((square(), linear(1)), (6, 5)),
@@ -583,8 +604,9 @@ class TestMultiDistribution:
     @pytest.mark.parametrize("model", ["I", "II"])
     @pytest.mark.parametrize("seqs, nvec", SPECS)
     def test_equals_nested_pole_sum_and_oracle(self, model, seqs, nvec):
-        reference = absorption_pmf_multi(UrnSpec(model, seqs, nvec))
-        law = multi_distribution(UrnSpec(model, seqs, nvec), reference)
+        spec = UrnSpec(model, seqs, nvec)
+        law = multi_distribution(spec)
+        reference = absorption_pmf_multi(spec)
         assert law.support == reference.support
         pmf = sampling_pmf_multi if model == "I" else okcorral_pmf_multi
         for kvec in reference.support:
@@ -594,16 +616,43 @@ class TestMultiDistribution:
                 assert pmf(seqs, nvec, kvec) == want, kvec
             assert law[kvec] == reference[kvec], kvec
 
-    def test_one_table_evaluation_per_color(self, monkeypatch):
-        spec = UrnSpec("I", (linear(1), square(), triangular()), (4, 4, 3))
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(multi_urns(), st.sampled_from(["I", "II"]))
+    def test_equals_oracle_at_every_point(self, urn, model):
+        spec = UrnSpec(model, *urn)
+        law = multi_distribution(spec)
         reference = absorption_pmf_multi(spec)
+        assert law.support == reference.support
+        assert law.probs == reference.probs
+
+    def test_never_runs_the_oracle(self, monkeypatch):
+        import urnlab.oracle
+
+        calls = []
+        real = urnlab.oracle._forward_reach
+        monkeypatch.setattr(urnlab.oracle, "_forward_reach",
+                            lambda spec: calls.append(spec) or real(spec))
+        seqs, counts = (square(), linear(1), triangular()), (2, 3, 2)
+        for model in ("I", "II"):
+            multi_distribution(UrnSpec(model, seqs, counts))
+        assert calls == []
+        closed_vs_oracle(UrnSpec("II", seqs, counts))
+        assert len(calls) == 1
+
+    def test_one_table_evaluation_per_color(self, monkeypatch):
+        # model II inverts the checked tables; a reciprocal sequence would
+        # evaluate its base once more per index
+        specs = [UrnSpec(model, (linear(1), square(), triangular()), (4, 4, 3))
+                 for model in ("I", "II")]
         calls = []
         real = WeightSequence.eval
         monkeypatch.setattr(
             WeightSequence, "eval", lambda self, j: calls.append(j) or real(self, j)
         )
-        multi_distribution(spec, reference)
-        assert len(calls) == 14
+        for spec in specs:
+            calls.clear()
+            multi_distribution(spec)
+            assert len(calls) == 14, spec.model
 
 
 class TestPartialFractions:

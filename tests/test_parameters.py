@@ -67,9 +67,7 @@ CASES = [
          id="okcorral_pmf_multi-zero-survivors"),
     case(lambda: closedform.polya_sampling_pmf_multi((1, 0, 1), (2, 2, 2), (1, 1)), "avec", 1,
          id="polya_sampling_pmf_multi"),
-    case(lambda: closedform.multi_distribution(
-        UrnSpec("I", TRIPLE, (2, 0, 2)),
-        oracle.absorption_pmf_multi(UrnSpec("I", TRIPLE, (2, 0, 2)))), "counts", 1,
+    case(lambda: closedform.multi_distribution(UrnSpec("I", TRIPLE, (2, 0, 2))), "counts", 1,
          id="multi_distribution"),
     case(lambda: closedform.partial_fraction_sides([1, 1], 0), "nodes",
          id="partial_fraction_sides"),
