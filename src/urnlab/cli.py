@@ -11,7 +11,14 @@ that is nan, infinite or negative).
 The library owns the range rules: its `weights.ParameterError` names an
 argument, and `main` prints it after that argument's flag (`_flag`).  The
 CLI checks only flag syntax and presence, the lengths and `--k` selections
-that compare flags, `--decimals`, `--precision-bits` and the theta floor.
+that compare flags, `--decimals`, `--precision-bits` and the theta floor,
+and refuses each with the same error naming its flag, so every exit-2
+message is `<flag>: <message>` from one path.  Flags must be spelled in
+full.
+
+Every JSON payload shares one envelope (`_emit`): `command`, `params` (the
+subcommand's own flags that are set, defaults included, read from the
+parse), `mode`, and `precision_bits` in big-float mode.
 
 A call pays only for the imports its subcommand uses: `limits` loads in
 `limit` and `theta`, mpmath where a big-float is made or printed (big-float
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -36,10 +44,6 @@ from .numerics import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, RATIONAL, prec
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DISCREPANCY = 3
-
-
-class CliError(Exception):
-    """Validation failure the CLI detects itself; the message names the flag."""
 
 
 class Discrepancy(Exception):
@@ -97,37 +101,37 @@ def emit_plot_data(rows, header=("x", "value"), stream=None) -> str:
     return text
 
 
-def _seq(arg_value: str, flag: str) -> weights.WeightSequence:
+def _seq(arg_value: str, param: str) -> weights.WeightSequence:
     try:
         return weights.from_cli(arg_value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"{flag}: {exc}") from None
+        raise weights.ParameterError(str(exc), param) from None
 
 
-def _seq_list(arg_value: str, flag: str):
-    return tuple(_seq(part, flag) for part in arg_value.split(";"))
+def _seq_list(arg_value: str, param: str):
+    return tuple(_seq(part, param) for part in arg_value.split(";"))
 
 
-def _int_list(arg_value: str, flag: str):
+def _int_list(arg_value: str, param: str):
     try:
         return tuple(int(v) for v in arg_value.split(","))
     except ValueError:
-        raise CliError(f"{flag}: expected comma-separated integers") from None
+        raise weights.ParameterError("expected comma-separated integers", param) from None
 
 
-def _fraction(arg_value: str, flag: str) -> Fraction:
+def _fraction(arg_value: str, param: str) -> Fraction:
     try:
         return Fraction(arg_value)
     except (ValueError, ZeroDivisionError):
-        raise CliError(f"{flag}: expected a rational like 1/2 or 0.25") from None
+        raise weights.ParameterError("expected a rational like 1/2 or 0.25", param) from None
 
 
 def _multi_spec(args, model) -> weights.UrnSpec:
     _need(args, "with --weights", "counts")
-    seqs = _seq_list(args.weights, "--weights")
-    counts = _int_list(args.counts, "--counts")
+    seqs = _seq_list(args.weights, "weights")
+    counts = _int_list(args.counts, "counts")
     if len(seqs) != len(counts):
-        raise CliError("--counts: need one count per weight descriptor")
+        raise weights.ParameterError("need one count per weight descriptor", "counts")
     return weights.UrnSpec(model, seqs, counts)
 
 
@@ -137,7 +141,7 @@ def _spec(args, model) -> weights.UrnSpec:
     if getattr(args, "weights", None):
         return _multi_spec(args, model)
     _need(args, "for a two-color urn", "A", "B", "n", "m")
-    return weights.two_color(model, _seq(args.A, "--A"), _seq(args.B, "--B"), args.n, args.m)
+    return weights.two_color(model, _seq(args.A, "A"), _seq(args.B, "B"), args.n, args.m)
 
 
 # a spec's sequences and counts by the flags that give them: the --weights
@@ -146,7 +150,7 @@ _SPEC_FLAGS = {"sequences": ("--weights", "--A", "--B"), "counts": ("--counts", 
 
 
 def _flag(args, exc: weights.ParameterError) -> str:
-    """The flag of the argument a library refusal names: --<param>, but a
+    """The flag of the argument a refusal names: --<param>, but a library
     spec's sequences and counts go by the flags of the form the urn came
     in, and a `w-cdf` grid point by --grid."""
     if exc.param in _SPEC_FLAGS:
@@ -179,13 +183,29 @@ def _oracle(args, spec):
     return oracle.absorption_pmf(spec)
 
 
-def _emit(args, payload: dict, pmf_like=None) -> None:
+# parsed values that are not a subcommand's own flags, or that shape only
+# the rendering
+_NOT_ECHOED = frozenset({"command", "handler", "format", "decimals", "precision_bits"})
+
+
+def _params(args) -> dict:
+    """The subcommand's own flags that are set, defaults included."""
+    return {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED and v is not None}
+
+
+def _emit(args, mode, body: dict, table=None) -> None:
+    """Print the handler's `body` inside the envelope every subcommand
+    shares: `command`, the echoed `params`, `mode`, and `precision_bits`
+    in big-float mode.  CSV prints `table`, a (header, rows) pair, or else
+    the payload's scalar fields."""
+    payload = {"command": args.command, "params": _params(args), "mode": mode, **body}
+    if mode == "bigfloat":
+        payload["precision_bits"] = args.precision_bits
     if args.format == "json":
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
         return
-    # CSV renders the most tabular part of the payload
-    if pmf_like is not None:
-        header, rows = pmf_like
+    if table is not None:
+        header, rows = table
         emit_plot_data(rows, header=header, stream=sys.stdout)
         return
     rows = [(k, payload[k]) for k in sorted(payload) if not isinstance(payload[k], (dict, list))]
@@ -218,7 +238,7 @@ def _pmf_table(entries):
 def _cmd_pmf(args) -> int:
     spec = _spec(args, args.model)
     if args.k is not None and not 0 <= args.k <= args.n:
-        raise CliError(f"--k: must lie in 0..{args.n}")
+        raise weights.ParameterError(f"must lie in 0..{args.n}", "k")
     with _remedy("use urnlab oracle"):
         dist = closedform.two_color_distribution(
             spec, args.representation, args.mode, args.precision_bits
@@ -235,15 +255,7 @@ def _cmd_pmf(args) -> int:
                 f"P{{{k}}} = {p} in {dist.mode} mode is not a probability; "
                 "the closed form lost its precision (try --mode rational)"
             )
-    payload = {
-        "command": "pmf",
-        "params": _params(args, "model", "A", "B", "n", "m", "k", "representation", "mode"),
-        "mode": dist.mode,
-        "pmf": entries,
-    }
-    if dist.mode == "bigfloat":
-        payload["precision_bits"] = args.precision_bits
-    _emit(args, payload, pmf_like=_pmf_table(entries))
+    _emit(args, dist.mode, {"pmf": entries}, _pmf_table(entries))
     return EXIT_OK
 
 
@@ -256,13 +268,7 @@ def _cmd_oracle(args) -> int:
             dist = oracle.enumerate_pmf(spec)
     render = _prob_renderer(args)
     entries = dist.to_jsonable(render)
-    payload = {
-        "command": "oracle",
-        "params": _params(args, "model", "A", "B", "n", "m", "method"),
-        "mode": dist.mode,
-        "pmf": entries,
-    }
-    _emit(args, payload, pmf_like=_pmf_table(entries))
+    _emit(args, dist.mode, {"pmf": entries}, _pmf_table(entries))
     return EXIT_OK
 
 
@@ -270,12 +276,12 @@ def _cmd_pmf_multi(args) -> int:
     spec = _multi_spec(args, args.model)
     render = _prob_renderer(args)
     if args.k is not None:
-        kvec = _int_list(args.k, "--k")
+        kvec = _int_list(args.k, "k")
         if len(kvec) != spec.r - 1:
-            raise CliError("--k: need one survivor count per color but the last "
-                           f"(r-1 = {spec.r - 1} entries)")
+            raise weights.ParameterError("need one survivor count per color but the last "
+                                         f"(r-1 = {spec.r - 1} entries)", "k")
         if any(not 0 <= k <= n for k, n in zip(kvec, spec.counts)):
-            raise CliError("--k: outside the survivor grid")
+            raise weights.ParameterError("outside the survivor grid", "k")
     if args.engine == "oracle":
         dist = oracle.absorption_pmf_multi(spec)
     else:
@@ -285,17 +291,11 @@ def _cmd_pmf_multi(args) -> int:
         entries = dist.to_jsonable(render)
     else:
         entries = [{"k": _k_out(kvec), "p": render(dist[kvec])}]
-    payload = {
-        "command": "pmf-multi",
-        "params": _params(args, "model", "weights", "counts", "k", "engine"),
-        "mode": dist.mode,
-        "pmf": entries,
-    }
-    _emit(args, payload, pmf_like=_pmf_table(entries))
+    _emit(args, dist.mode, {"pmf": entries}, _pmf_table(entries))
     return EXIT_OK
 
 
-def _emit_moment_check(args, payload: dict, order, closed, direct) -> int:
+def _emit_moment_check(args, order, closed, direct, **fields) -> int:
     """Emit the closed-form and direct-summation values side by side; a
     mismatch is a formula discrepancy."""
     render = _prob_renderer(args)
@@ -303,8 +303,8 @@ def _emit_moment_check(args, payload: dict, order, closed, direct) -> int:
         {"order": order, "value": render(closed), "method": "closed-form"},
         {"order": order, "value": render(direct), "method": "direct-summation"},
     ]
-    payload["reports"] = reports
-    _emit(args, payload, pmf_like=(("method", "value"), [(r["method"], r["value"]) for r in reports]))
+    _emit(args, RATIONAL, {**fields, "reports": reports},
+          (("method", "value"), [(r["method"], r["value"]) for r in reports]))
     if closed != direct:
         raise Discrepancy("closed-form moment differs from direct summation")
     return EXIT_OK
@@ -313,13 +313,13 @@ def _emit_moment_check(args, payload: dict, order, closed, direct) -> int:
 def _cmd_moments(args) -> int:
     if args.mixed:
         _need(args, "with --mixed", "avec", "nvec", "svec")
-        avec = _int_list(args.avec, "--avec")
-        nvec = _int_list(args.nvec, "--nvec")
+        avec = _int_list(args.avec, "avec")
+        nvec = _int_list(args.nvec, "nvec")
         if len(nvec) != len(avec):
-            raise CliError("--nvec: need one count per block size in --avec")
-        svec = _int_list(args.svec, "--svec")
+            raise weights.ParameterError("need one count per block size in --avec", "nvec")
+        svec = _int_list(args.svec, "svec")
         if len(svec) != len(nvec) - 1:
-            raise CliError("--svec: need one order per color but the last")
+            raise weights.ParameterError("need one order per color but the last", "svec")
         closed = moments.mixed_factorial_moment(avec, nvec, svec)
         spec = weights.UrnSpec("I", tuple(weights.linear(a) for a in avec), nvec)
         direct = oracle.absorption_pmf_multi(spec).mixed_factorial_moment(svec)
@@ -334,12 +334,7 @@ def _cmd_moments(args) -> int:
         dist = oracle.absorption_pmf(spec)
         direct = dist.factorial_moment(args.s) if args.kind == "factorial" else dist.moment(args.s)
         order = args.s
-    payload = {
-        "command": "moments",
-        "params": _params(args, "a", "d", "n", "m", "s", "kind", "mixed", "avec", "nvec", "svec"),
-        "mode": RATIONAL,
-    }
-    return _emit_moment_check(args, payload, order, closed, direct)
+    return _emit_moment_check(args, order, closed, direct)
 
 
 def _cmd_okc_moments(args) -> int:
@@ -348,18 +343,12 @@ def _cmd_okc_moments(args) -> int:
     closed = moment(args.b, args.c, args.n, args.m, args.s)
     spec = weights.two_color("II", weights.linear(args.c), weights.linear(args.b), args.n, args.m)
     dist = oracle.absorption_pmf(spec)
-    payload = {
-        "command": "okc-moments",
-        "params": _params(args, "b", "c", "n", "m", "s", "kind"),
-        "mode": RATIONAL,
-    }
-    if polynomial:
-        poly = moments.moment_polynomial(args.s)
-        direct = sum(poly(Fraction(k)) * p for k, p in dist.items())
-        payload["polynomial"] = [_prob_renderer(args)(c) for c in poly.coeffs]
-    else:
-        direct = dist.moment(args.s)
-    return _emit_moment_check(args, payload, args.s, closed, direct)
+    if not polynomial:
+        return _emit_moment_check(args, args.s, closed, dist.moment(args.s))
+    poly = moments.moment_polynomial(args.s)
+    direct = sum(poly(Fraction(k)) * p for k, p in dist.items())
+    return _emit_moment_check(args, args.s, closed, direct,
+                              polynomial=[_prob_renderer(args)(c) for c in poly.coeffs])
 
 
 def _cmd_limit(args) -> int:
@@ -377,7 +366,7 @@ def _cmd_limit(args) -> int:
         mode = RATIONAL
     elif law == "fixed-blacks-density":
         _need(args, need_law, "m", "q")
-        value = render(limits.fixed_blacks_density(args.m, _fraction(args.q, "--q")))
+        value = render(limits.fixed_blacks_density(args.m, _fraction(args.q, "q")))
         mode = RATIONAL
     elif law == "fixed-whites-pmf":
         _need(args, need_law, "n", "k")
@@ -387,7 +376,8 @@ def _cmd_limit(args) -> int:
             if exc.param != "method":
                 raise
             # the library's rule ties --method to --k; name both flags
-            raise CliError("--method: the series is certified only for --k 0; use finite-sum") from None
+            raise weights.ParameterError("the series is certified only for --k 0; use finite-sum",
+                                         "method") from None
         value = render_bigfloat(v, bits)
         mode = "bigfloat"
     elif law == "fixed-whites-moment":
@@ -403,10 +393,10 @@ def _cmd_limit(args) -> int:
         if args.grid is not None:
             parts = args.grid.split(":")
             if len(parts) != 3:
-                raise CliError("--grid: expected START:STOP:STEP")
-            start, stop, step = (_fraction(p, "--grid") for p in parts)
+                raise weights.ParameterError("expected START:STOP:STEP", "grid")
+            start, stop, step = (_fraction(p, "grid") for p in parts)
             if step <= 0:
-                raise CliError("--grid: STEP must be positive")
+                raise weights.ParameterError("STEP must be positive", "grid")
             rows = []
             x = start
             while x <= stop:
@@ -416,23 +406,15 @@ def _cmd_limit(args) -> int:
             grid_rows = rows
         else:
             _need(args, need_law, "q")
-            q = _fraction(args.q, "--q")
+            q = _fraction(args.q, "q")
             value = render_bigfloat(limits.limit_cdf(q, args.family, args.tol, bits), bits)
     else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"--law: unknown law {law!r}")
-    payload = {
-        "command": "limit",
-        "params": _params(args, "law", "m", "n", "s", "k", "q", "family", "method", "tol", "grid"),
-        "mode": mode,
-    }
-    if mode == "bigfloat":
-        payload["precision_bits"] = bits
+        raise weights.ParameterError(f"unknown law {law!r}", "law")
     if grid_rows is not None:
-        payload["grid"] = [{"x": x, "value": v} for x, v in grid_rows]
-        _emit(args, payload, pmf_like=(("x", "value"), grid_rows))
+        _emit(args, mode, {"grid": [{"x": x, "value": v} for x, v in grid_rows]},
+              (("x", "value"), grid_rows))
     else:
-        payload["value"] = value
-        _emit(args, payload)
+        _emit(args, mode, {"value": value})
     return EXIT_OK
 
 
@@ -450,13 +432,14 @@ def _cmd_theta(args) -> int:
     from . import limits
 
     bits = args.precision_bits
-    q = _fraction(args.q, "--q")
+    q = _fraction(args.q, "q")
     finest = THETA_MIN_TOL_ULPS * 2.0 ** -(bits + 32)
     # a tol that is not positive is the library's to refuse
     if 0 < args.tol < finest:
-        raise CliError(
-            f"--tol: {args.tol:g} is finer than --precision-bits {bits} can resolve; "
-            f"use a tol of at least {finest:.3g} or more precision bits"
+        raise weights.ParameterError(
+            f"{args.tol:g} is finer than --precision-bits {bits} can resolve; "
+            f"use a tol of at least {finest:.3g} or more precision bits",
+            "tol",
         )
     # evaluate well below the agreement tolerance so truncation noise from
     # the two routes cannot straddle the check
@@ -465,16 +448,11 @@ def _cmd_theta(args) -> int:
     product = limits.jacobi_triple_product(q, inner_tol, bits)
     with mpmath.workprec(bits + 32):
         diff = abs(series - product)
-    payload = {
-        "command": "theta",
-        "params": _params(args, "q", "tol"),
-        "mode": "bigfloat",
-        "precision_bits": bits,
+    _emit(args, "bigfloat", {
         "value": render_bigfloat(series, bits),
         "triple_product": render_bigfloat(product, bits),
         "difference": render_bigfloat(diff, bits),
-    }
-    _emit(args, payload)
+    })
     if diff > args.tol:
         raise Discrepancy("theta series and triple product disagree beyond tol")
     return EXIT_OK
@@ -486,13 +464,7 @@ def _cmd_duality(args) -> int:
     lhs = _oracle(args, spec)
     rhs = _oracle(args, dual)
     exact = all(lhs[p] == rhs[p] for p in lhs.support)
-    payload = {
-        "command": "duality-check",
-        "params": _params(args, "A", "B", "n", "m", "weights", "counts"),
-        "mode": lhs.mode,
-        "verdict": "exact match" if exact else "MISMATCH",
-    }
-    _emit(args, payload)
+    _emit(args, lhs.mode, {"verdict": "exact match" if exact else "MISMATCH"})
     if not exact:
         raise Discrepancy("duality violated: model-I pmf differs from reciprocal model-II pmf")
     return EXIT_OK
@@ -509,10 +481,7 @@ def _cmd_simulate(args) -> int:
         {"k": _k_out(k), "count": report.counts[k]}
         for k in sorted(report.counts)
     ]
-    payload = {
-        "command": "simulate",
-        "params": _params(args, "model", "A", "B", "n", "m", "weights", "counts", "trials", "seed", "workers"),
-        "mode": exact.mode,
+    body = {
         "counts": counts_out,
         "trials": report.trials,
         "seed": args.seed,
@@ -521,11 +490,8 @@ def _cmd_simulate(args) -> int:
         "dof": report.dof,
         "p_value": report.p_value,
     }
-    _emit(
-        args,
-        payload,
-        pmf_like=(("k", "count"), [(json.dumps(c["k"]), c["count"]) for c in counts_out]),
-    )
+    _emit(args, exact.mode, body,
+          (("k", "count"), [(json.dumps(c["k"]), c["count"]) for c in counts_out]))
     return EXIT_OK
 
 
@@ -550,10 +516,7 @@ def _cmd_compare(args) -> int:
         for k in reference.support
     )
     sim_report = simulate.empirical_pmf(config, reference)
-    payload = {
-        "command": "compare",
-        "params": _params(args, "model", "A", "B", "n", "m", "trials", "seed", "workers"),
-        "mode": reference.mode,
+    _emit(args, reference.mode, {
         "representations_agree": reps_agree,
         "closed_equals_oracle": max_diff == 0,
         "max_discrepancy": _prob_renderer(args)(max_diff),
@@ -562,8 +525,7 @@ def _cmd_compare(args) -> int:
         "p_value": sim_report.p_value,
         "trials": args.trials,
         "seed": args.seed,
-    }
-    _emit(args, payload)
+    })
     if not reps_agree or max_diff != 0:
         raise Discrepancy("closed form disagrees with the recurrence oracle")
     return EXIT_OK
@@ -574,31 +536,22 @@ def _cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _params(args, *names) -> dict:
-    out = {}
-    for name in names:
-        value = getattr(args, name, None)
-        if value is not None:
-            out[name.replace("_", "-")] = value
-    return out
-
-
 def _check_common(args):
     """Range checks on the flags every subcommand shares; resolves the
     default precision, so a bad URNLAB_PRECISION_BITS also exits 2."""
     if args.precision_bits is None:
         args.precision_bits = precision_bits()
     elif args.precision_bits < MIN_PRECISION_BITS:
-        raise CliError(f"--precision-bits: must be at least {MIN_PRECISION_BITS}")
+        raise weights.ParameterError(f"must be at least {MIN_PRECISION_BITS}", "precision-bits")
     if args.decimals is not None and args.decimals < 0:
-        raise CliError("--decimals: must be nonnegative")
+        raise weights.ParameterError("must be nonnegative", "decimals")
 
 
 def _need(args, context, *names):
     """Exit 2 naming the first of the flags `names` left unset."""
     for name in names:
         if getattr(args, name, None) is None:
-            raise CliError(f"--{name}: required {context}")
+            raise weights.ParameterError(f"required {context}", name)
 
 
 def _add_common(p, model=True, two_color=True):
@@ -625,8 +578,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact urn absorption distributions, moments, duality and limit laws.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # a flag must be spelled in full: with prefix matching, pmf-multi's
+    # --mode (a flag of pmf only) would be read as --model
+    subcommand = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("pmf", help="closed-form survivor pmf (two colors)")
+    p = subcommand("pmf", help="closed-form survivor pmf (two colors)")
     _add_common(p)
     p.add_argument("--k", type=int, help="single survivor count (default: whole pmf)")
     p.add_argument(
@@ -642,12 +598,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_pmf)
 
-    p = sub.add_parser("oracle", help="recurrence/enumeration ground-truth pmf")
+    p = subcommand("oracle", help="recurrence/enumeration ground-truth pmf")
     _add_common(p)
     p.add_argument("--method", choices=("recurrence", "enumerate"), default="recurrence")
     p.set_defaults(handler=_cmd_oracle)
 
-    p = sub.add_parser("pmf-multi", help="r-color survivor pmf")
+    p = subcommand("pmf-multi", help="r-color survivor pmf")
     _add_common(p, two_color=False)
     p.add_argument("--weights", required=True, help="semicolon-separated descriptors, e.g. linear:1;square;linear:2")
     p.add_argument("--counts", required=True, help="comma-separated initial counts")
@@ -655,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=("closed", "oracle"), default="closed")
     p.set_defaults(handler=_cmd_pmf_multi)
 
-    p = sub.add_parser("moments", help="sampling-urn moments (closed form vs summation)")
+    p = subcommand("moments", help="sampling-urn moments (closed form vs summation)")
     _add_common(p, model=False, two_color=False)
     p.add_argument("--a", type=int, default=1)
     p.add_argument("--d", type=int, default=1)
@@ -669,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svec", help="comma-separated orders (with --mixed)")
     p.set_defaults(handler=_cmd_moments)
 
-    p = sub.add_parser("okc-moments", help="contested-fire moments (closed form vs summation)")
+    p = subcommand("okc-moments", help="contested-fire moments (closed form vs summation)")
     _add_common(p, model=False, two_color=False)
     p.add_argument("--b", type=int, default=1)
     p.add_argument("--c", type=int, default=1)
@@ -679,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("raw", "polynomial"), default="raw")
     p.set_defaults(handler=_cmd_okc_moments)
 
-    p = sub.add_parser("limit", help="limit-law quantities")
+    p = subcommand("limit", help="limit-law quantities")
     _add_common(p, model=False, two_color=False)
     p.add_argument(
         "--law",
@@ -704,19 +660,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="START:STOP:STEP rational grid for w-cdf")
     p.set_defaults(handler=_cmd_limit)
 
-    p = sub.add_parser("theta", help="Jacobi theta series vs triple product")
+    p = subcommand("theta", help="Jacobi theta series vs triple product")
     _add_common(p, model=False, two_color=False)
     p.add_argument("--q", required=True)
     p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(handler=_cmd_theta)
 
-    p = sub.add_parser("duality-check", help="model-I pmf vs reciprocal model-II pmf")
+    p = subcommand("duality-check", help="model-I pmf vs reciprocal model-II pmf")
     _add_common(p, model=False)
     p.add_argument("--weights", help="semicolon-separated descriptors for r colors")
     p.add_argument("--counts", help="comma-separated counts for r colors")
     p.set_defaults(handler=_cmd_duality)
 
-    p = sub.add_parser("simulate", help="seeded Monte Carlo with chi-square readout")
+    p = subcommand("simulate", help="seeded Monte Carlo with chi-square readout")
     _add_common(p)
     p.add_argument("--weights", help="semicolon-separated descriptors for r colors")
     p.add_argument("--counts", help="comma-separated counts for r colors")
@@ -725,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("compare", help="closed form vs oracle vs simulation on one spec")
+    p = subcommand("compare", help="closed form vs oracle vs simulation on one spec")
     _add_common(p)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
@@ -740,9 +696,6 @@ def main(argv=None) -> int:
     try:
         _check_common(args)
         return args.handler(args)
-    except CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VALIDATION
     except weights.ParameterError as exc:
         print(f"{_flag(args, exc)}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

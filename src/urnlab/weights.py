@@ -27,8 +27,6 @@ _MODEL_ALIASES = {
     MODEL_OKCORRAL: MODEL_OKCORRAL,
 }
 
-FAMILIES = ("linear", "power", "square", "triangular", "shifted-square", "custom")
-
 
 class ParameterError(ValueError):
     """An argument outside the range its rule allows.  `param` names the

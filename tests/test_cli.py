@@ -567,6 +567,33 @@ class TestMissingFlags:
         assert out == ""
 
 
+class TestFlagSpelling:
+    """A flag must be spelled in full: a prefix of another flag exits 2
+    naming the flag as typed, not as the flag it abbreviates.  Only the
+    exit code and the typed flag are checked; argparse's usage text
+    differs across Python versions."""
+
+    MULTI = ["--weights", "linear:1;square", "--counts", "2,2"]
+
+    @pytest.mark.parametrize(
+        "typed, argv",
+        [
+            (["--mode", "I"], ["pmf-multi", *MULTI]),
+            (["--mode", "float"], ["pmf-multi", *MULTI]),
+            (["--rep", "alpha-poles"],
+             ["pmf", "--A", "linear:1", "--B", "square", "--n", "2", "--m", "2"]),
+        ],
+        ids=["mode-as-model", "mode-float", "rep"],
+    )
+    def test_prefix_exits_2_naming_it(self, capsys, typed, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, *typed])
+        out = capsys.readouterr()
+        assert exc.value.code == 2
+        assert " ".join(typed) in out.err
+        assert out.out == ""
+
+
 NEGATIVE_COUNTS = [
     *[
         ([command, "--A", "linear:1", "--B", "square", "--n", n, "--m", m], flag)
