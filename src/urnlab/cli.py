@@ -217,7 +217,7 @@ def _prob_renderer(args, mode=RATIONAL):
         return lambda p: render_bigfloat(p, args.precision_bits)
     if mode == "float":
         return repr
-    if args.format == "csv" and args.decimals is not None:
+    if args.decimals is not None:  # `_check_common` allows it only in CSV
         return lambda p: render_decimal(p, args.decimals)
     return render_exact
 
@@ -543,8 +543,16 @@ def _check_common(args):
         args.precision_bits = precision_bits()
     elif args.precision_bits < MIN_PRECISION_BITS:
         raise weights.ParameterError(f"must be at least {MIN_PRECISION_BITS}", "precision-bits")
-    if args.decimals is not None and args.decimals < 0:
-        raise weights.ParameterError("must be nonnegative", "decimals")
+    if args.decimals is not None:
+        # decimals render exact rationals in CSV; anywhere else they would
+        # be ignored
+        if args.format != "csv":
+            raise weights.ParameterError("needs --format csv", "decimals")
+        if getattr(args, "mode", None) in ("float", "bigfloat"):
+            raise weights.ParameterError(f"renders exact rationals, not --mode {args.mode}",
+                                         "decimals")
+        if args.decimals < 0:
+            raise weights.ParameterError("must be nonnegative", "decimals")
 
 
 def _need(args, context, *names):

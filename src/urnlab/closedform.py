@@ -23,7 +23,8 @@ The r-color sampling law is an (r-1)-fold nested sum over pole vectors
 whose summands factor color by color apart from one shared denominator.
 `_multi_law` uses that: one denominator per pole vector, then one
 triangular contraction per color, so it gets the whole survivor grid for
-prod_j (n_j + 1) denominators plus r - 1 passes.  By the paper's duality
+prod_j (n_j + 1) denominators plus r - 1 passes, each summing by the rule
+above; at r = 2 it is the two-color alpha-poles law.  By the paper's duality
 the contested-fire urn with weights W has the survivor law of the sampling
 urn with weights 1/W, so `multi_distribution` gives every point of both
 models, k_j = 0 included, from that one contraction and never runs the
@@ -34,6 +35,7 @@ cross term, and is checked against the oracle.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -57,6 +59,7 @@ from .weights import (
     WeightRangeError,
     WeightSequence,
     check_block_size,
+    check_count,
     integer_tables,
     linear,
 )
@@ -164,35 +167,28 @@ def sampling_distribution(
 
 
 def _sampling_law(alpha, beta, n, m, representation) -> dict:
-    """The exact sampling law {k: P{k}} from the int tables."""
+    """The exact sampling law {k: P{k}} from the int tables.  Alpha-poles
+    is the r = 2 case of the r-color sampling contraction (`_multi_law`)."""
+    if representation == ALPHA_POLES:
+        law = _multi_law([alpha, beta], (n, m), [range(n + 1)])
+        return {k: law[(k,)] for k in range(n + 1)}
     terms = [[] for _ in range(n + 1)]  # (num, den) pole terms per k
-    if representation == BETA_POLES:
-        for ell in range(1, m + 1):
-            tail = prod(beta[i] - beta[ell] for i in range(1, m + 1) if i != ell)
-            for k in range(n, -1, -1):
-                tail = tail * (alpha[k] + beta[ell])
-                terms[k].append((1, tail))
-    else:
-        ubase = [
-            prod(beta[i] + alpha[ell] for i in range(1, m + 1))
-            for ell in range(n + 1)
-        ]
-        for ell in range(0, n + 1):
-            tail = ubase[ell]
-            for j in range(ell + 1, n + 1):
-                tail = tail * (alpha[j] - alpha[ell])
-            for k in range(ell, -1, -1):
-                if k < ell:
-                    tail = tail * (alpha[k] - alpha[ell])
-                terms[k].append((1, tail))
-    pref_alpha = 1
-    prefs = [None] * (n + 1)
-    for k in range(n, -1, -1):
-        prefs[k] = pref_alpha
-        if k >= 1:
-            pref_alpha = pref_alpha * alpha[k]
-    beta_prod = prod(beta[1:])
-    return {k: ratio_sum(terms[k], beta_prod * prefs[k]) for k in range(n + 1)}
+    for ell in range(1, m + 1):
+        tail = prod(beta[i] - beta[ell] for i in range(1, m + 1) if i != ell)
+        for k in range(n, -1, -1):
+            tail = tail * (alpha[k] + beta[ell])
+            terms[k].append((1, tail))
+    scales = _suffix_products(alpha, n, 0, prod(beta[1:]))
+    return {k: ratio_sum(terms[k], scales[k]) for k in range(n + 1)}
+
+
+def _suffix_products(t, n, low, scale):
+    """{k: scale * prod_{h>k} t[h]} for k in low..n, built down from n."""
+    products = {}
+    for k in range(n, low - 1, -1):
+        products[k] = scale
+        scale = scale * t[k]
+    return products
 
 
 # ---------------------------------------------------------------------------
@@ -379,22 +375,13 @@ def _check_multi_args(seqs, nvec, kvec=None, names=("seqs", "nvec")):
     return nvec, kvec, tables
 
 
-def _pole_columns(t, n, rows, scale):
-    """Color j's triangular matrix M[k, ell], ell >= k, by pole column:
-    {ell: [(k, M[k, ell]) for survivor rows k <= ell]}.
-
-    M[k, ell] = scale * prod_{h>k} t[h] / D(k, ell), with D(k, ell) = prod
-    over h in k..n, h != ell, of (t[h] - t[ell]).  D is built down from
-    k = ell by D(k, ell) = D(k+1, ell) * (t[k] - t[ell]), one factor per
-    row.  `t` holds ints, so each entry is one `Fraction`.
-    """
+def _pole_columns(t, n, rows):
+    """Color j's pole differences by pole column: {ell: [(k, D(k, ell)) for
+    survivor rows k <= ell]}, with D(k, ell) = prod over h in k..n, h !=
+    ell, of (t[h] - t[ell]).  D is built down from k = ell by D(k, ell) =
+    D(k+1, ell) * (t[k] - t[ell]), one int factor per row."""
     low = min(rows)
     wanted = set(rows)
-    suffix = {}  # scale * prod_{h>k} t[h]
-    acc = scale
-    for k in range(n, low - 1, -1):
-        suffix[k] = acc
-        acc = acc * t[k]
     columns = {}
     for ell in range(low, n + 1):
         pole = t[ell]
@@ -404,39 +391,46 @@ def _pole_columns(t, n, rows, scale):
             if k < ell:
                 diff = diff * (t[k] - pole)
             if k in wanted:
-                entries.append((k, Fraction(suffix[k], diff)))
+                entries.append((k, diff))
         columns[ell] = entries
     return columns
 
 
 def _multi_law(tables, nvec, rows):
     """The r-color sampling closed form at every survivor vector of the box
-    rows[0] x ... x rows[r-2], as {kvec: p}; rows may hold k_j = 0.
+    rows[0] x ... x rows[r-2], as {kvec: p}, from int tables
+    (`integer_tables`); rows may hold k_j = 0.  At r = 2 it is the
+    two-color alpha-poles law.
 
     Apart from one shared denominator, each pole summand factors by color:
-    P(k) = sum_ell g(ell) prod_j M_j[k_j, ell_j], with g(ell) =
-    1/prod_{w in last}(w + sum_j t_j[ell_j]).  So g is taken once per pole
-    vector and the color axes are contracted one at a time with the
-    triangular matrices of `_pole_columns`: prod_j (n_j + 1 - min rows_j)
-    denominators plus r - 1 passes, in place of one nested pole sum per
-    survivor vector.  The tables are scaled to ints (`integer_tables`),
-    which leaves the law unchanged, so the result is exact.
+    P(k) = sum_ell g(ell) prod_j prod_{h>k_j} t_j[h] / D_j(k_j, ell_j)
+    (`_pole_columns`), with g(ell) = 1/prod_{w in last}(w + sum_j
+    t_j[ell_j]).  So g is taken once per pole vector, and the color axes
+    are contracted one at a time: each pass sums every point once, as int
+    pairs over their lcm (`ratio_sum`), scaled by its row factor, which
+    does not depend on ell (times prod(last) on the first pass).
     """
-    tables = integer_tables(*tables)
     r = len(nvec)
     last = tables[-1][1:]
+    # law maps points to (num, den) pairs.  Pass j contracts the first
+    # axis, color j's pole, and appends its survivor count, so after r - 1
+    # passes the axes are back in color order.
     law = {}
     for ells in product(*[range(min(rows[j]), nvec[j] + 1) for j in range(r - 1)]):
         s = sum(tables[j][ell] for j, ell in enumerate(ells))
-        law[ells] = Fraction(1, prod(w + s for w in last))
+        law[ells] = (1, prod(w + s for w in last))
     for j in range(r - 1):
-        columns = _pole_columns(tables[j], nvec[j], rows[j], prod(last) if j == 0 else 1)
-        contracted = {}
-        for ells, value in law.items():
-            for k, coeff in columns[ells[j]]:
-                point = ells[:j] + (k,) + ells[j + 1 :]
-                contracted[point] = contracted.get(point, 0) + coeff * value
-        law = contracted
+        t, n, low = tables[j], nvec[j], min(rows[j])
+        columns = _pole_columns(t, n, rows[j])
+        terms = defaultdict(list)
+        for ells, (num, den) in law.items():
+            rest = ells[1:]
+            for k, diff in columns[ells[0]]:
+                terms[rest + (k,)].append((num, den * diff))
+        row_scale = _suffix_products(t, n, low, prod(last) if j == 0 else 1)
+        law = {point: ratio_sum(ts, row_scale[point[-1]]) for point, ts in terms.items()}
+        if j < r - 2:  # the next pass takes int pairs
+            law = {point: (p.numerator, p.denominator) for point, p in law.items()}
     return law
 
 
@@ -445,7 +439,7 @@ def sampling_pmf_multi(seqs, nvec, kvec):
     nested pole sum, contracted color by color (`_multi_law`).  Reduces to
     sampling_pmf at r = 2."""
     nvec, kvec, tables = _check_multi_args(seqs, nvec, kvec)
-    return _multi_law(tables, nvec, [(k,) for k in kvec])[kvec]
+    return _multi_law(integer_tables(*tables), nvec, [(k,) for k in kvec])[kvec]
 
 
 def polya_sampling_pmf_multi(avec, nvec, kvec):
@@ -459,6 +453,10 @@ def polya_sampling_pmf_multi(avec, nvec, kvec):
     if len(avec) != r or len(kvec) != r - 1:
         param = "avec" if len(avec) != r else "kvec"
         raise ParameterError("need r block sizes, r counts and r-1 survivor counts", param)
+    for color, n in enumerate(nvec):
+        check_count("nvec", n, color=color)
+    if any(not 0 <= k <= n for k, n in zip(kvec, nvec)):
+        raise ParameterError("survivor counts must lie in 0..n_j", "kvec")
     total = Fraction(0)
     for ells in product(*[range(kvec[j], nvec[j] + 1) for j in range(r - 1)]):
         num = Fraction(1)
@@ -651,7 +649,7 @@ def multi_distribution(spec):
         for t in tables:
             t[1:] = [1 / w for w in t[1:]]
     rows = [range(n + 1) for n in nvec[:-1]]
-    law = _multi_law(tables, nvec, rows)
+    law = _multi_law(integer_tables(*tables), nvec, rows)
     support = tuple(product(*rows))
     return ExactDistribution(support, {kvec: law[kvec] for kvec in support})
 

@@ -91,29 +91,27 @@ def _check_point(q, top_open=False):
         raise ParameterError(f"must lie in [0, 1{')' if top_open else ']'}, got {q}", "q")
 
 
-def _sum_until(
-    term, tol, acc, start=1, combine=operator.add, max_terms=MAX_SERIES_TERMS, hint=""
-):
+def _sum_until(term, tol, acc, start=1, combine=operator.add, hint=""):
     """Fold term(i) = (value, bound) into acc for i = start, start + 1, ...,
     stopping after the first term whose bound is below tol.
 
     combine is + for series and * for products; bound is the quantity the
     routine's truncation rule compares with tol.  Raises ParameterError
-    naming tol when it is not > 0 and when max_terms terms pass without
-    reaching it (hint is appended to that message).
+    naming tol when it is not > 0 and when MAX_SERIES_TERMS terms pass
+    without reaching it (hint is appended to that message).
     """
     _check_tol(tol)
-    for i in range(start, start + max_terms):
+    for i in range(start, start + MAX_SERIES_TERMS):
         value, bound = term(i)
         acc = combine(acc, value)
         if bound < tol:
             return acc
-    raise _budget_error(tol, max_terms, hint)
+    raise _budget_error(tol, hint)
 
 
-def _budget_error(tol, max_terms, hint):
+def _budget_error(tol, hint):
     return ParameterError(
-        f"series did not reach tol={tol} within {max_terms} terms{hint}", "tol"
+        f"series did not reach tol={tol} within {MAX_SERIES_TERMS} terms{hint}", "tol"
     )
 
 
@@ -201,7 +199,6 @@ def fixed_whites_pmf(
     method: str = FINITE_SUM,
     tol=1e-12,
     bits=None,
-    max_terms: int = MAX_SERIES_TERMS,
 ):
     """P{k survivors} in the limit of ever-heavier second-color weights.
 
@@ -241,11 +238,11 @@ def fixed_whites_pmf(
 
         hint = f"; terms decay like ell^(-{2 * n}), loosen tol for small n"
         # the terms fall with ell: if the last one allowed is not below tol,
-        # none is, so fail now rather than after max_terms evaluations
-        if not term(max_terms)[1] < tol:
-            raise _budget_error(tol, max_terms, hint)
+        # none is, so fail now rather than after MAX_SERIES_TERMS evaluations
+        if not term(MAX_SERIES_TERMS)[1] < tol:
+            raise _budget_error(tol, hint)
         # alternating series: stopping below tol bounds the truncation by tol
-        total = _sum_until(term, tol, mpmath.mpf(0), max_terms=max_terms, hint=hint)
+        total = _sum_until(term, tol, mpmath.mpf(0), hint=hint)
         return +(2 * total)
 
 

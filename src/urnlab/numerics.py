@@ -32,7 +32,10 @@ def precision_bits() -> int:
     raw = os.environ.get("URNLAB_PRECISION_BITS", "")
     if not raw:
         return DEFAULT_PRECISION_BITS
-    bits = int(raw)
+    try:
+        bits = int(raw)
+    except ValueError:
+        raise ValueError(f"URNLAB_PRECISION_BITS must be an integer, got {raw!r}") from None
     if bits < MIN_PRECISION_BITS:
         raise ValueError(f"URNLAB_PRECISION_BITS must be at least {MIN_PRECISION_BITS}")
     return bits

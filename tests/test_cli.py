@@ -152,6 +152,30 @@ class TestPmf:
         assert code == 2
         assert "URNLAB_PRECISION_BITS" in err
 
+    def test_precision_env_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("URNLAB_PRECISION_BITS", "abc")
+        code, out, err = run_cli(
+            capsys, "pmf", "--A", "linear:1", "--B", "square", "--n", "2", "--m", "2",
+        )
+        assert code == 2
+        assert err.startswith("URNLAB_PRECISION_BITS")
+        assert "'abc'" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("extra", [
+        ["--decimals", "3"],
+        ["--format", "json", "--decimals", "3"],
+        ["--format", "csv", "--mode", "float", "--decimals", "3"],
+        ["--format", "csv", "--mode", "bigfloat", "--decimals", "3"],
+    ])
+    def test_decimals_outside_exact_csv(self, capsys, extra):
+        code, out, err = run_cli(
+            capsys, "pmf", "--A", "linear:1", "--B", "square", "--n", "2", "--m", "2", *extra,
+        )
+        assert code == 2
+        assert err.startswith("--decimals: ")
+        assert out == ""
+
     def test_negative_decimals(self, capsys):
         code, out, err = run_cli(
             capsys, "pmf", "--A", "linear:1", "--B", "linear:1", "--n", "2", "--m", "2",
@@ -1021,16 +1045,18 @@ SUBCOMMANDS = {
 @st.composite
 def argument_vectors(draw, command):
     """argv for `command`: all flags but at most two, about half the
-    vectors clean, and one color count r for the list-valued flags."""
+    vectors clean, and one color count r for the list-valued flags.
+    `--decimals` comes only with `--format csv`, the one place it applies."""
     flags = {**SUBCOMMANDS[command], **COMMON}
     omit = draw(st.lists(st.sampled_from(sorted(flags)), max_size=2))
     r = draw(st.sampled_from([2, 3]))
     clean = draw(st.booleans())
+    drawn = {name: draw(values(r, clean))
+             for name, values in sorted(flags.items()) if name not in omit}
+    if drawn.get("format") != "csv":
+        drawn.pop("decimals", None)
     argv = [command]
-    for name, values in sorted(flags.items()):
-        if name in omit:
-            continue
-        value = draw(values(r, clean))
+    for name, value in drawn.items():
         option = "--" + name.replace("_", "-")
         if value is True:
             argv.append(option)

@@ -150,7 +150,7 @@ class TestFixedWhitesPmf:
 
     def test_series_budget_guard(self):
         with pytest.raises(ValueError, match="loosen tol"):
-            fixed_whites_pmf(1, 0, method=SERIES, tol=1e-25, max_terms=1000)
+            fixed_whites_pmf(1, 0, method=SERIES, tol=1e-25)
 
 
 class TestFixedWhitesMoment:

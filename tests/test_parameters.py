@@ -67,6 +67,13 @@ CASES = [
          id="okcorral_pmf_multi-zero-survivors"),
     case(lambda: closedform.polya_sampling_pmf_multi((1, 0, 1), (2, 2, 2), (1, 1)), "avec", 1,
          id="polya_sampling_pmf_multi"),
+    # these three once returned 0, 0 and raised a ValueError naming nothing
+    case(lambda: closedform.polya_sampling_pmf_multi((1, 1), (2, 2), (5,)), "kvec",
+         id="polya_sampling_pmf_multi-survivors-above-count"),
+    case(lambda: closedform.polya_sampling_pmf_multi((1, 1), (-2, 2), (0,)), "nvec", 0,
+         id="polya_sampling_pmf_multi-negative-count"),
+    case(lambda: closedform.polya_sampling_pmf_multi((1, 1, 1), (2, 2, 2), (1, -1)), "kvec",
+         id="polya_sampling_pmf_multi-negative-survivors"),
     case(lambda: closedform.multi_distribution(UrnSpec("I", TRIPLE, (2, 0, 2))), "counts", 1,
          id="multi_distribution"),
     case(lambda: closedform.partial_fraction_sides([1, 1], 0), "nodes",
