@@ -3,18 +3,19 @@
 Output is machine-readable JSON (validating against the shipped schema in
 urnlab/schema/output.schema.json) or CSV with LF line endings.  Exact
 rationals always print as "p/q" strings, with any number of digits, unless
-CSV with --decimals asks for decimal rendering.  Exit codes: 0 success, 2
-validation error, 3 a formula-discrepancy was detected (closed form vs
-oracle, duality violation, moment-route mismatch, or a `pmf` probability
-that is nan, infinite or negative).
+CSV with --decimals asks for decimal rendering (`theta`, `duality-check`
+and `simulate`, which print no exact rational, have no --decimals).  Exit
+codes: 0 success, 2 validation error, 3 a formula-discrepancy was detected
+(closed form vs oracle, duality violation, moment-route mismatch, or a
+`pmf` probability that is nan, infinite or negative).
 
 The library owns the range rules: its `weights.ParameterError` names an
-argument, and `main` prints it after that argument's flag (`_flag`).  The
-CLI checks only flag syntax and presence, the lengths and `--k` selections
-that compare flags, `--decimals`, `--precision-bits` and the theta floor,
-and refuses each with the same error naming its flag, so every exit-2
-message is `<flag>: <message>` from one path.  Flags must be spelled in
-full.
+argument, and `main` prints it after that argument's flag (`_flag`); the
+`--k` selections of `pmf` and `pmf-multi` are `weights.check_survivors`
+calls.  The CLI checks only flag syntax and presence, `--decimals`,
+`--precision-bits` and the theta floor, and refuses each with the same
+error naming its flag, so every exit-2 message is `<flag>: <message>` from
+one path.  Flags must be spelled in full.
 
 Every JSON payload shares one envelope (`_emit`): `command`, `params` (the
 subcommand's own flags that are set, defaults included, read from the
@@ -128,11 +129,8 @@ def _fraction(arg_value: str, param: str) -> Fraction:
 
 def _multi_spec(args, model) -> weights.UrnSpec:
     _need(args, "with --weights", "counts")
-    seqs = _seq_list(args.weights, "weights")
-    counts = _int_list(args.counts, "counts")
-    if len(seqs) != len(counts):
-        raise weights.ParameterError("need one count per weight descriptor", "counts")
-    return weights.UrnSpec(model, seqs, counts)
+    return weights.UrnSpec(model, _seq_list(args.weights, "weights"),
+                           _int_list(args.counts, "counts"))
 
 
 def _spec(args, model) -> weights.UrnSpec:
@@ -237,8 +235,8 @@ def _pmf_table(entries):
 
 def _cmd_pmf(args) -> int:
     spec = _spec(args, args.model)
-    if args.k is not None and not 0 <= args.k <= args.n:
-        raise weights.ParameterError(f"must lie in 0..{args.n}", "k")
+    if args.k is not None:
+        weights.check_survivors("k", (args.k,), (args.n,))
     with _remedy("use urnlab oracle"):
         dist = closedform.two_color_distribution(
             spec, args.representation, args.mode, args.precision_bits
@@ -277,11 +275,7 @@ def _cmd_pmf_multi(args) -> int:
     render = _prob_renderer(args)
     if args.k is not None:
         kvec = _int_list(args.k, "k")
-        if len(kvec) != spec.r - 1:
-            raise weights.ParameterError("need one survivor count per color but the last "
-                                         f"(r-1 = {spec.r - 1} entries)", "k")
-        if any(not 0 <= k <= n for k, n in zip(kvec, spec.counts)):
-            raise weights.ParameterError("outside the survivor grid", "k")
+        weights.check_survivors("k", kvec, spec.counts[:-1])
     if args.engine == "oracle":
         dist = oracle.absorption_pmf_multi(spec)
     else:
@@ -315,11 +309,7 @@ def _cmd_moments(args) -> int:
         _need(args, "with --mixed", "avec", "nvec", "svec")
         avec = _int_list(args.avec, "avec")
         nvec = _int_list(args.nvec, "nvec")
-        if len(nvec) != len(avec):
-            raise weights.ParameterError("need one count per block size in --avec", "nvec")
         svec = _int_list(args.svec, "svec")
-        if len(svec) != len(nvec) - 1:
-            raise weights.ParameterError("need one order per color but the last", "svec")
         closed = moments.mixed_factorial_moment(avec, nvec, svec)
         spec = weights.UrnSpec("I", tuple(weights.linear(a) for a in avec), nvec)
         direct = oracle.absorption_pmf_multi(spec).mixed_factorial_moment(svec)
@@ -349,6 +339,11 @@ def _cmd_okc_moments(args) -> int:
     direct = sum(poly(Fraction(k)) * p for k, p in dist.items())
     return _emit_moment_check(args, args.s, closed, direct,
                               polynomial=[_prob_renderer(args)(c) for c in poly.coeffs])
+
+
+# the laws whose value is a big-float; a `w-cdf` grid still prints its
+# rational points
+_BIGFLOAT_LAWS = ("fixed-whites-pmf", "fixed-whites-moment", "w-moment", "w-cdf")
 
 
 def _cmd_limit(args) -> int:
@@ -543,13 +538,17 @@ def _check_common(args):
         args.precision_bits = precision_bits()
     elif args.precision_bits < MIN_PRECISION_BITS:
         raise weights.ParameterError(f"must be at least {MIN_PRECISION_BITS}", "precision-bits")
-    if args.decimals is not None:
+    if getattr(args, "decimals", None) is not None:
         # decimals render exact rationals in CSV; anywhere else they would
         # be ignored
         if args.format != "csv":
             raise weights.ParameterError("needs --format csv", "decimals")
         if getattr(args, "mode", None) in ("float", "bigfloat"):
             raise weights.ParameterError(f"renders exact rationals, not --mode {args.mode}",
+                                         "decimals")
+        law = getattr(args, "law", None)
+        if law in _BIGFLOAT_LAWS and (law != "w-cdf" or args.grid is None):
+            raise weights.ParameterError(f"renders exact rationals, not --law {law}",
                                          "decimals")
         if args.decimals < 0:
             raise weights.ParameterError("must be nonnegative", "decimals")
@@ -562,7 +561,7 @@ def _need(args, context, *names):
             raise weights.ParameterError(f"required {context}", name)
 
 
-def _add_common(p, model=True, two_color=True):
+def _add_common(p, model=True, two_color=True, decimals=True):
     if model:
         p.add_argument("--model", default="I", help="urn model: I (sampling) or II (contested fire)")
     if two_color:
@@ -571,7 +570,8 @@ def _add_common(p, model=True, two_color=True):
         p.add_argument("--n", type=int, help="first-color initial count")
         p.add_argument("--m", type=int, help="second-color initial count")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--decimals", type=int, help="CSV decimal rendering digits")
+    if decimals:  # only where the output can hold an exact rational
+        p.add_argument("--decimals", type=int, help="CSV decimal rendering digits")
     p.add_argument(
         "--precision-bits",
         type=int,
@@ -645,18 +645,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subcommand("limit", help="limit-law quantities")
     _add_common(p, model=False, two_color=False)
-    p.add_argument(
-        "--law",
-        required=True,
-        choices=(
-            "fixed-blacks-moment",
-            "fixed-blacks-density",
-            "fixed-whites-pmf",
-            "fixed-whites-moment",
-            "w-moment",
-            "w-cdf",
-        ),
-    )
+    p.add_argument("--law", required=True,
+                   choices=("fixed-blacks-moment", "fixed-blacks-density", *_BIGFLOAT_LAWS))
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--s", type=int)
@@ -669,19 +659,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_limit)
 
     p = subcommand("theta", help="Jacobi theta series vs triple product")
-    _add_common(p, model=False, two_color=False)
+    _add_common(p, model=False, two_color=False, decimals=False)
     p.add_argument("--q", required=True)
     p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(handler=_cmd_theta)
 
     p = subcommand("duality-check", help="model-I pmf vs reciprocal model-II pmf")
-    _add_common(p, model=False)
+    _add_common(p, model=False, decimals=False)
     p.add_argument("--weights", help="semicolon-separated descriptors for r colors")
     p.add_argument("--counts", help="comma-separated counts for r colors")
     p.set_defaults(handler=_cmd_duality)
 
     p = subcommand("simulate", help="seeded Monte Carlo with chi-square readout")
-    _add_common(p)
+    _add_common(p, decimals=False)
     p.add_argument("--weights", help="semicolon-separated descriptors for r colors")
     p.add_argument("--counts", help="comma-separated counts for r colors")
     p.add_argument("--trials", type=int, default=100_000)

@@ -53,6 +53,7 @@ from .numerics import (
 )
 from .oracle import ExactDistribution, absorption_pmf, absorption_pmf_multi
 from .weights import (
+    MODEL_OKCORRAL,
     MODEL_SAMPLING,
     ParameterError,
     UrnSpec,
@@ -60,6 +61,8 @@ from .weights import (
     WeightSequence,
     check_block_size,
     check_count,
+    check_length,
+    check_survivors,
     integer_tables,
     linear,
 )
@@ -105,11 +108,6 @@ def _check_two_color_counts(n, m):
             )
 
 
-def _check_survivors(k, n):
-    if not 0 <= k <= n:
-        raise ParameterError(f"must lie in 0..{n}", "k")
-
-
 def _resolve_tables(A, B, n, m):
     """Both weight tables, checked distinct, as ints scaled by one common
     factor (`integer_tables`), so the closed forms run in integer
@@ -147,7 +145,7 @@ def sampling_pmf(A, B, n, m, k, representation=BETA_POLES, mode=None):
     evaluation; take the distribution once when several k are wanted.
     """
     _check_two_color_counts(n, m)
-    _check_survivors(k, n)
+    check_survivors("k", (k,), (n,))
     return sampling_distribution(A, B, n, m, representation, mode)[k]
 
 
@@ -203,7 +201,7 @@ def okcorral_pmf(A, B, n, m, k, representation=BETA_POLES, mode=None):
     evaluation; take the distribution once when several k are wanted.
     """
     _check_two_color_counts(n, m)
-    _check_survivors(k, n)
+    check_survivors("k", (k,), (n,))
     return okcorral_distribution(A, B, n, m, representation, mode)[k]
 
 
@@ -268,7 +266,7 @@ def polya_sampling_pmf(a, d, n, m, k, representation=BETA_POLES):
     check_block_size("a", a)
     check_block_size("d", d)
     _check_two_color_counts(n, m)
-    _check_survivors(k, n)
+    check_survivors("k", (k,), (n,))
     terms = []
     if representation == BETA_POLES:
         for ell in range(1, m + 1):
@@ -303,7 +301,7 @@ def polya_okcorral_pmf(b, c, n, m, k, representation=BETA_POLES):
     check_block_size("b", b)
     check_block_size("c", c)
     _check_two_color_counts(n, m)
-    _check_survivors(k, n)
+    check_survivors("k", (k,), (n,))
     bc = Fraction(b, c)
     cb = Fraction(c, b)
     if k == 0:
@@ -348,31 +346,36 @@ def polya_okcorral_pmf(b, c, n, m, k, representation=BETA_POLES):
 # ---------------------------------------------------------------------------
 
 
-def _check_multi_args(seqs, nvec, kvec=None, names=("seqs", "nvec")):
-    """Validated counts, survivor counts and the weight table of each
-    color, refused when any table repeats a weight.  `kvec` None checks
-    the urn alone, for laws over the whole survivor grid; `names` are the
-    caller's names for the sequences and the counts."""
-    seqs = tuple(seqs)
-    nvec = tuple(int(x) for x in nvec)
-    r = len(nvec)
-    seq_name, count_name = names
-    if r < 2:
-        raise ParameterError("need at least two colors", count_name)
+def _check_multi_args(spec, kvec=None):
+    """The checked survivor counts and the weight table of each color of
+    `spec`, refused when a count is 0 or a table repeats a weight.  `kvec`
+    None checks the urn alone, for laws over the whole survivor grid."""
+    for color, n in enumerate(spec.counts):
+        if n < 1:
+            raise ParameterError("the closed forms need every count >= 1", "counts", color)
     if kvec is not None:
         kvec = tuple(int(x) for x in kvec)
-    if len(seqs) != r or (kvec is not None and len(kvec) != r - 1):
-        param = seq_name if len(seqs) != r else "kvec"
-        raise ParameterError("need r sequences, r counts and r-1 survivor counts", param)
-    for color, n in enumerate(nvec):
-        if n < 1:
-            raise ParameterError("the closed forms need every count >= 1", count_name, color)
-    if kvec is not None and any(not 0 <= k <= n for k, n in zip(kvec, nvec)):
-        raise ParameterError("survivor counts must lie in 0..n_j", "kvec")
+        check_survivors("kvec", kvec, spec.counts[:-1])
     tables = [
-        _table(seq, n, seq_name, color) for color, (seq, n) in enumerate(zip(seqs, nvec))
+        _table(seq, n, "sequences", color)
+        for color, (seq, n) in enumerate(zip(spec.sequences, spec.counts))
     ]
-    return nvec, kvec, tables
+    return kvec, tables
+
+
+# the per-vector forms' names for a spec's arguments
+_MULTI_NAMES = {"sequences": "seqs", "counts": "nvec"}
+
+
+def _multi_args(model, seqs, nvec, kvec):
+    """The counts, checked survivor counts and weight tables of the urn
+    `seqs`, `nvec` (`UrnSpec`, then `_check_multi_args`), refusals named
+    as the per-vector forms name their arguments."""
+    try:
+        spec = UrnSpec(model, seqs, nvec)
+        return (spec.counts, *_check_multi_args(spec, kvec))
+    except ParameterError as exc:
+        raise exc.naming(_MULTI_NAMES.get(exc.param, exc.param), exc.color) from None
 
 
 def _pole_columns(t, n, rows):
@@ -438,7 +441,7 @@ def sampling_pmf_multi(seqs, nvec, kvec):
     """Joint survivor pmf for the r-color sampling urn: the (r-1)-fold
     nested pole sum, contracted color by color (`_multi_law`).  Reduces to
     sampling_pmf at r = 2."""
-    nvec, kvec, tables = _check_multi_args(seqs, nvec, kvec)
+    nvec, kvec, tables = _multi_args(MODEL_SAMPLING, seqs, nvec, kvec)
     return _multi_law(integer_tables(*tables), nvec, [(k,) for k in kvec])[kvec]
 
 
@@ -450,13 +453,10 @@ def polya_sampling_pmf_multi(avec, nvec, kvec):
     nvec = tuple(int(x) for x in nvec)
     kvec = tuple(int(x) for x in kvec)
     r = len(nvec)
-    if len(avec) != r or len(kvec) != r - 1:
-        param = "avec" if len(avec) != r else "kvec"
-        raise ParameterError("need r block sizes, r counts and r-1 survivor counts", param)
+    check_length("avec", avec, r, "block size")
     for color, n in enumerate(nvec):
         check_count("nvec", n, color=color)
-    if any(not 0 <= k <= n for k, n in zip(kvec, nvec)):
-        raise ParameterError("survivor counts must lie in 0..n_j", "kvec")
+    check_survivors("kvec", kvec, nvec[:-1])
     total = Fraction(0)
     for ells in product(*[range(kvec[j], nvec[j] + 1) for j in range(r - 1)]):
         num = Fraction(1)
@@ -489,7 +489,7 @@ def okcorral_pmf_multi(seqs, nvec, kvec, reading=READING_PRODUCT):
     The display has no k_j = 0 case; `multi_distribution` gives those
     points by duality, and the recurrence oracle gives them directly.
     """
-    nvec, kvec, tables = _check_multi_args(seqs, nvec, kvec)
+    nvec, kvec, tables = _multi_args(MODEL_OKCORRAL, seqs, nvec, kvec)
     if any(k < 1 for k in kvec):
         raise ParameterError(
             "closed form needs every k_j >= 1; survivor vectors containing "
@@ -642,9 +642,8 @@ def multi_distribution(spec):
     contraction (`_multi_law`).  Model II runs it on the reciprocal tables:
     by the paper's duality that is the contested-fire law, k_j = 0
     included.  The recurrence oracle is never run."""
-    nvec, _, tables = _check_multi_args(
-        spec.sequences, spec.counts, names=("sequences", "counts")
-    )
+    _, tables = _check_multi_args(spec)
+    nvec = spec.counts
     if spec.model != MODEL_SAMPLING:
         for t in tables:
             t[1:] = [1 / w for w in t[1:]]

@@ -50,6 +50,7 @@ from .weights import (
     WeightSequence,
     check_count,
     check_order,
+    check_survivors,
 )
 
 MAX_SERIES_TERMS = 2_000_000
@@ -211,8 +212,7 @@ def fixed_whites_pmf(
     a loose tol; the alternating bound makes tol the truncation error.
     """
     check_count("n", n)
-    if not 0 <= k <= n:
-        raise ParameterError(f"must lie in 0..{n}", "k")
+    check_survivors("k", (k,), (n,))
     _check_tol(tol)
     with mpmath.workprec(_bits(bits) + 32):
         if method == FINITE_SUM:

@@ -25,7 +25,7 @@ from .numerics import (
     ramanujan_q,
     stirling_second,
 )
-from .weights import ParameterError, check_block_size, check_count, check_order
+from .weights import ParameterError, check_block_size, check_count, check_length, check_order
 
 class InconsistentMomentSystem(RuntimeError):
     """The triangular system defining a moment polynomial failed to close.
@@ -67,10 +67,8 @@ def mixed_factorial_moment(avec, nvec, svec) -> Fraction:
     """Mixed falling-factorial moment of the r-color sampling survivors:
     block sizes avec, counts nvec, orders svec of colors 1..r-1."""
     avec, nvec, svec = tuple(avec), tuple(nvec), tuple(svec)
-    if len(nvec) != len(avec):
-        raise ParameterError("need one count per block size", "nvec")
-    if len(svec) != len(nvec) - 1:
-        raise ParameterError("need one order per color but the last", "svec")
+    check_length("nvec", nvec, len(avec), "count")
+    check_length("svec", svec, len(avec), "order", but_last=True)
     for color, a in enumerate(avec):
         check_block_size("avec", a, color)
     for color, n in enumerate(nvec):

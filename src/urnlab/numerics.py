@@ -59,10 +59,6 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
-    @classmethod
-    def monomial(cls, degree: int, coeff=1) -> "Polynomial":
-        return cls([0] * degree + [coeff])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -74,38 +70,6 @@ class Polynomial:
     def coefficient(self, i: int) -> Fraction:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
 
-    def __add__(self, other):
-        other = self._as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-self._as_poly(other))
-
-    def __rsub__(self, other):
-        return self._as_poly(other) + (-self)
-
-    def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Polynomial([c * other for c in self.coeffs])
-        other = self._as_poly(other)
-        if not self.coeffs or not other.coeffs:
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
     def __call__(self, x):
         acc = 0 * x if not isinstance(x, int) else Fraction(0)
         for c in reversed(self.coeffs):
@@ -113,9 +77,7 @@ class Polynomial:
         return acc
 
     def __eq__(self, other):
-        try:
-            other = self._as_poly(other)
-        except TypeError:
+        if not isinstance(other, Polynomial):
             return NotImplemented
         return self.coeffs == other.coeffs
 
@@ -127,14 +89,6 @@ class Polynomial:
             return "Polynomial(0)"
         parts = [f"{c}*X^{i}" for i, c in enumerate(self.coeffs) if c != 0]
         return "Polynomial(" + " + ".join(parts) + ")"
-
-    @staticmethod
-    def _as_poly(x):
-        if isinstance(x, Polynomial):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Polynomial([x])
-        raise TypeError(f"cannot treat {type(x).__name__} as Polynomial")
 
 
 def binom_general(x, n: int):

@@ -31,7 +31,7 @@ _MODEL_ALIASES = {
 class ParameterError(ValueError):
     """An argument outside the range its rule allows.  `param` names the
     argument of the function that refused it; `color` is a color index, set
-    only for rules about one color of a spec's sequences or counts.  The
+    only for rules about one color's entry of a per-color list.  The
     message leaves the name out, so a front end can put its own name first."""
 
     def __init__(self, message: str, param: str, color: int | None = None):
@@ -65,6 +65,27 @@ def check_block_size(param: str, value: int, color: int | None = None):
     """Refuse a block size below 1: the linear-weight forms divide by it."""
     if value < 1:
         raise ParameterError("block sizes must be positive integers", param, color)
+
+
+def check_length(param: str, values, r: int, item: str, but_last: bool = False):
+    """Refuse a per-color list unless it holds one `item` per color of an
+    r-color urn, or per color but the last when `but_last`."""
+    if but_last:
+        want, per = r - 1, f"per color but the last (r-1 = {r - 1} entries)"
+    else:
+        want, per = r, f"per color (r = {r} entries)"
+    if len(values) != want:
+        raise ParameterError(f"need one {item} {per}", param)
+
+
+def check_survivors(param: str, kvec, nvec):
+    """Refuse survivor counts unless there is one per color but the last,
+    each k_j in 0..n_j, where `nvec` holds the counts n_1..n_{r-1} of those
+    colors.  A two-color k is the one-entry case: kvec (k,), nvec (n,)."""
+    check_length(param, kvec, len(nvec) + 1, "survivor count", but_last=True)
+    for color, (k, n) in enumerate(zip(kvec, nvec)):
+        if not 0 <= k <= n:
+            raise ParameterError(f"must lie in 0..{n}", param, color)
 
 
 def canonical_model(model: str) -> str:
@@ -120,12 +141,20 @@ class WeightSequence:
         if self.family == "shifted-square":
             return Fraction((2 * j - 1) ** 2, 4)
         if self.family == "custom":
-            if j > len(self.values):
-                raise WeightRangeError(
-                    f"custom table covers 1..{len(self.values)}, index {j} requested", "j"
-                )
+            self._check_covers(j)
             return self.values[j - 1]
         return 1 / self.base.eval(j)  # reciprocal
+
+    def _check_covers(self, upper: int):
+        """Refuse an index past a custom table, or past the custom table a
+        reciprocal wraps, without evaluating a weight."""
+        seq = self
+        while seq.family == "reciprocal":
+            seq = seq.base
+        if seq.family == "custom" and upper > len(seq.values):
+            raise WeightRangeError(
+                f"custom table covers 1..{len(seq.values)}, index {upper} requested", "j"
+            )
 
     def table(self, upper: int) -> list:
         """Weights at indices 0..upper as a list."""
@@ -228,8 +257,9 @@ def from_cli(text: str) -> WeightSequence:
 class UrnSpec:
     """Complete description of one urn instance: model, one weight sequence
     per color, and the initial counts.  The last color is the one that must
-    be exhausted for absorption.  Refused unless every count is
-    nonnegative and every custom table covers its count."""
+    be exhausted for absorption.  Refused unless there are at least two
+    colors, one count per sequence, every count is nonnegative and every
+    custom table covers its count."""
 
     model: str
     sequences: tuple[WeightSequence, ...]
@@ -239,15 +269,14 @@ class UrnSpec:
         object.__setattr__(self, "model", canonical_model(self.model))
         object.__setattr__(self, "sequences", tuple(self.sequences))
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if len(self.sequences) != len(self.counts):
-            raise ParameterError("one weight sequence per color is required", "counts")
-        if len(self.counts) < 2:
+        if len(self.sequences) < 2:
             raise ParameterError("an urn needs at least two colors", "sequences")
+        check_length("counts", self.counts, len(self.sequences), "count")
         for color, count in enumerate(self.counts):
             check_count("counts", count, color=color)
         for color, (seq, count) in enumerate(zip(self.sequences, self.counts)):
             try:
-                seq.eval(count)
+                seq._check_covers(count)
             except WeightRangeError as exc:
                 raise exc.naming("sequences", color) from None
 

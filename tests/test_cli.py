@@ -15,7 +15,7 @@ from test_acceptance import DETERMINISM_COMMANDS
 
 from urnlab import cli, limits
 from urnlab.oracle import absorption_pmf
-from urnlab.weights import linear, square, two_color
+from urnlab.weights import ParameterError, check_survivors, linear, square, two_color
 
 
 def run_cli(capsys, *argv):
@@ -235,7 +235,7 @@ class TestPmfMulti:
         "k, message",
         [
             ("1", "need one survivor count per color but the last (r-1 = 2 entries)"),
-            ("3,0", "outside the survivor grid"),
+            ("3,0", "must lie in 0..2"),
         ],
         ids=["length", "range"],
     )
@@ -721,6 +721,19 @@ class TestRangeFlags:
         assert out == ""
 
 
+class TestSurvivorRange:
+    def test_one_wording_from_one_check(self, capsys):
+        """A --k outside 0..n prints the refusal of `weights.check_survivors`
+        in `pmf`, `pmf-multi` and `limit --law fixed-whites-pmf` alike."""
+        with pytest.raises(ParameterError) as info:
+            check_survivors("k", (3,), (2,))
+        expected = (2, "", f"--k: {info.value}\n")
+        for argv in (["pmf", "--A", "linear:1", "--B", "square", "--n", "2", "--m", "2"],
+                     ["pmf-multi", "--weights", "linear:1;square", "--counts", "2,2"],
+                     ["limit", "--law", "fixed-whites-pmf", "--n", "2"]):
+            assert run_cli(capsys, *argv, "--k", "3") == expected
+
+
 class TestRefusalBeforeWork:
     def test_pmf_k_checked_before_the_law(self, capsys, monkeypatch):
         # the law at n = m = 120 takes seconds; an out-of-range --k must not wait for it
@@ -793,6 +806,40 @@ class TestDecimals:
         printed = dict(line.split(",", 1) for line in out.splitlines()[1:])
         assert {key: printed[key] for key in rows} == rows
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theta", "--q", "0.3"],
+            ["duality-check", *SIM],
+            ["simulate", *SIM, "--trials", "100"],
+            ["limit", "--law", "fixed-whites-pmf", "--n", "3", "--k", "1"],
+            ["limit", "--law", "fixed-whites-moment", "--n", "3", "--s", "1"],
+            ["limit", "--law", "w-moment", "--s", "1"],
+            ["limit", "--law", "w-cdf", "--q", "1/2"],
+        ],
+        ids=["theta", "duality-check", "simulate", "fixed-whites-pmf", "fixed-whites-moment",
+             "w-moment", "w-cdf-q"],
+    )
+    def test_refused_where_no_rational_prints(self, capsys, argv):
+        """Output without an exact rational has nothing to render: the three
+        subcommands that never print one have no --decimals, and `limit`
+        refuses it for its big-float laws.  Each exit 2 names the flag."""
+        try:
+            code = cli.main([*argv, "--format", "csv", "--decimals", "3"])
+        except SystemExit as exc:  # argparse: the subcommand has no such flag
+            code = exc.code
+        out = capsys.readouterr()
+        assert (code, out.out) == (2, "")
+        assert "--decimals" in out.err
+        if argv[0] == "limit":
+            assert out.err.startswith("--decimals: ")
+
+    def test_w_cdf_grid_keeps_rational_points(self, capsys):
+        code, out, _ = run_cli(capsys, "limit", "--law", "w-cdf", "--grid", "0:1:1/2",
+                               "--format", "csv", "--decimals", "2")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()] == ["x", "0.00", "0.50", "1.00"]
+
 
 class TestMomentFlags:
     """A bad moment order, vector length or empty color exits 2 naming its
@@ -811,9 +858,9 @@ class TestMomentFlags:
             ([*MIXED, "--nvec", "2,1,2", "--svec", "1,-1"],
              "--svec: moment orders must be at least 0"),
             ([*MIXED, "--nvec", "2,1", "--svec", "1,1"],
-             "--nvec: need one count per block size in --avec"),
+             "--nvec: need one count per color (r = 3 entries)"),
             ([*MIXED, "--nvec", "2,1,2", "--svec", "1"],
-             "--svec: need one order per color but the last"),
+             "--svec: need one order per color but the last (r-1 = 2 entries)"),
             (["okc-moments", "--n", "2", "--m", "2", "--s", "0"],
              "--s: moment orders must be at least 1"),
             (["okc-moments", "--n", "2", "--m", "2", "--s", "0", "--kind", "polynomial"],
@@ -1006,9 +1053,10 @@ GRID = flag(["0:1:1/4", "0:1/2:1/8", "1:0:1/4", "1/3:1:1/3"],
             ["0:1:0", "0:1:-1/4", "-1:1:1/2", "0:1", "a:b:c"])
 COMMON = {
     "format": flag(["json", "json", "json", "csv"]),
-    "decimals": flag(["0", "3", "6"], ["-2"]),
     "precision_bits": flag(["8", "64", "256"], ["4", "-1"]),
 }
+# theta, duality-check and simulate print no exact rational and have no --decimals
+DECIMALS = {"decimals": flag(["0", "3", "6"], ["-2"])}
 MODEL = {"model": flag(["I", "II"], ["Z"])}
 TWO_COLOR = {"A": DESCRIPTOR, "B": DESCRIPTOR, "n": COUNT, "m": COUNT}
 MULTI = {"weights": vector(DESCRIPTOR, sep=";"), "counts": vector(COUNT)}
@@ -1019,26 +1067,27 @@ SIMULATION = {
 }
 
 SUBCOMMANDS = {
-    "pmf": {**MODEL, **TWO_COLOR, "k": COUNT,
+    "pmf": {**MODEL, **TWO_COLOR, **DECIMALS, "k": COUNT,
             "representation": flag(["beta-poles", "alpha-poles"]),
             "mode": flag(["rational", "float", "bigfloat"])},
-    "oracle": {**MODEL, **TWO_COLOR, "method": flag(["recurrence", "enumerate"])},
-    "pmf-multi": {**MODEL, **MULTI, "k": vector(COUNT, drop=1),
+    "oracle": {**MODEL, **TWO_COLOR, **DECIMALS, "method": flag(["recurrence", "enumerate"])},
+    "pmf-multi": {**MODEL, **MULTI, **DECIMALS, "k": vector(COUNT, drop=1),
                   "engine": flag(["closed", "oracle"])},
     "moments": {"a": COUNT, "d": COUNT, "n": COUNT, "m": COUNT, "s": COUNT,
                 "kind": flag(["factorial", "raw"]), "mixed": flag([True, False]),
-                "avec": vector(COUNT), "nvec": vector(COUNT), "svec": vector(COUNT, drop=1)},
+                "avec": vector(COUNT), "nvec": vector(COUNT), "svec": vector(COUNT, drop=1),
+                **DECIMALS},
     "okc-moments": {"b": COUNT, "c": COUNT, "n": COUNT, "m": COUNT, "s": COUNT,
-                    "kind": flag(["raw", "polynomial"])},
+                    "kind": flag(["raw", "polynomial"]), **DECIMALS},
     "limit": {"law": flag(["fixed-blacks-moment", "fixed-blacks-density", "fixed-whites-pmf",
                            "fixed-whites-moment", "w-moment", "w-cdf"]),
               "m": COUNT, "n": COUNT, "s": COUNT, "k": COUNT, "q": Q,
               "family": flag(["square", "triangular", "shifted-square"]),
-              "method": flag(["finite-sum", "series"]), "tol": TOL, "grid": GRID},
+              "method": flag(["finite-sum", "series"]), "tol": TOL, "grid": GRID, **DECIMALS},
     "theta": {"q": Q, "tol": TOL},
     "duality-check": {**TWO_COLOR, **MULTI},
     "simulate": {**MODEL, **TWO_COLOR, **MULTI, **SIMULATION},
-    "compare": {**MODEL, **TWO_COLOR, **SIMULATION},
+    "compare": {**MODEL, **TWO_COLOR, **DECIMALS, **SIMULATION},
 }
 
 
@@ -1063,6 +1112,12 @@ def argument_vectors(draw, command):
         elif value is not False:
             argv += [option, value]
     return argv
+
+
+def test_fuzz_draws_only_flags_the_parser_has():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    for command, flags in SUBCOMMANDS.items():
+        assert {*flags, *COMMON} <= {a.dest for a in sub.choices[command]._actions}, command
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))

@@ -730,7 +730,9 @@ class TestClosedVsOracle:
 class TestInputChecks:
     """Each closed-form call evaluates every weight table once, and checks
     its arguments in a fixed order: counts, survivor counts, then each
-    color's table (range, then distinctness)."""
+    color's table (range, then distinctness).  The r-color forms check the
+    urn first (`UrnSpec`: every count and every table's range), then counts
+    of at least 1, survivor counts and each table's distinctness."""
 
     REP = custom([1, 1, 2])
     SHORT = custom([1, 2])
@@ -766,8 +768,8 @@ class TestInputChecks:
             ((linear(1), square(), linear(1)), (2, 2, 0), (1, 1), ValueError,
              "the closed forms need every count >= 1"),
             ((linear(1), square(), linear(1)), (2, 2, 2), (3, 1), ValueError,
-             "survivor counts must lie in"),
-            ((REP, SHORT, square()), (3, 3, 2), (1, 1), DistinctWeightsError, "index 3"),
+             "must lie in 0..2"),
+            ((REP, SHORT, square()), (3, 3, 2), (1, 1), WeightRangeError, "covers"),
             ((linear(1), SHORT, square()), (2, 3, 2), (1, 1), WeightRangeError, "covers"),
             ((linear(1), square(), REP), (2, 2, 3), (1, 1), DistinctWeightsError, "index 3"),
         ],

@@ -175,15 +175,19 @@ class TestMomentPolynomial:
             assert poly.leading_coefficient == 1
 
     def test_defining_identities_hold(self):
+        # sum_i c_i f_{i+1} = 0 and sum_i c_i g_{i+1} = 2^s s! u^(s+1), taken
+        # coefficient by coefficient in u (f_n and g_n have degree <= s + 1)
         for s in range(1, 4):
             poly = moment_polynomial(s)
-            f_comb = Polynomial()
-            g_comb = Polynomial()
-            for i in range(1, 2 * s + 1):
-                f_comb = f_comb + poly.coefficient(i) * puyhaubert_f(i + 1)
-                g_comb = g_comb + poly.coefficient(i) * puyhaubert_g(i + 1)
-            assert f_comb == Polynomial()
-            assert g_comb == Polynomial.monomial(s + 1, factorial(s) * 2**s)
+
+            def combination(gen):
+                return Polynomial([
+                    sum(poly.coefficient(i) * gen(i + 1).coefficient(d) for i in range(1, 2 * s + 1))
+                    for d in range(s + 2)
+                ])
+
+            assert combination(puyhaubert_f) == Polynomial()
+            assert combination(puyhaubert_g) == Polynomial([0] * (s + 1) + [factorial(s) * 2**s])
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):

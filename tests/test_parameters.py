@@ -13,6 +13,8 @@ from urnlab.weights import (
     UrnSpec,
     canonical_model,
     check_distinct,
+    check_length,
+    check_survivors,
     custom,
     linear,
     power,
@@ -41,9 +43,15 @@ CASES = [
     case(lambda: UrnSpec("I", (custom([1, 2]), square()), (3, 2)), "sequences", 0,
          id="UrnSpec-short-table"),
     case(lambda: UrnSpec("I", (square(),), (1,)), "sequences", id="UrnSpec-one-color"),
+    case(lambda: UrnSpec("I", PAIR, (1, 1, 1)), "counts", id="UrnSpec-length"),
+    case(lambda: check_length("svec", (1, 1), 2, "order", but_last=True), "svec",
+         id="check_length"),
+    case(lambda: check_survivors("kvec", (1,), (2, 2)), "kvec", id="check_survivors-length"),
+    case(lambda: check_survivors("kvec", (1, 3), (2, 2)), "kvec", 1, id="check_survivors-range"),
+    case(lambda: check_survivors("k", (-1,), (2,)), "k", 0, id="check_survivors-two-color"),
     # two-color and r-color closed forms
-    case(lambda: closedform.sampling_pmf(*PAIR, 2, 2, 3), "k", id="sampling_pmf"),
-    case(lambda: closedform.okcorral_pmf(*PAIR, 2, 2, -1), "k", id="okcorral_pmf"),
+    case(lambda: closedform.sampling_pmf(*PAIR, 2, 2, 3), "k", 0, id="sampling_pmf"),
+    case(lambda: closedform.okcorral_pmf(*PAIR, 2, 2, -1), "k", 0, id="okcorral_pmf"),
     case(lambda: closedform.sampling_distribution(*PAIR, 0, 2), "n",
          id="sampling_distribution"),
     case(lambda: closedform.okcorral_distribution(*PAIR, 2, 0), "m",
@@ -60,6 +68,10 @@ CASES = [
     case(lambda: closedform.polya_okcorral_pmf(0, 1, 2, 2, 1), "b", id="polya_okcorral_pmf"),
     case(lambda: closedform.sampling_pmf_multi(TRIPLE, (2, 0, 2), (1, 1)), "nvec", 1,
          id="sampling_pmf_multi"),
+    case(lambda: closedform.sampling_pmf_multi(TRIPLE, (2, 2), (1,)), "nvec",
+         id="sampling_pmf_multi-length"),
+    case(lambda: closedform.sampling_pmf_multi(TRIPLE, (2, 2, 2), (1, 3)), "kvec", 1,
+         id="sampling_pmf_multi-survivors"),
     case(lambda: closedform.okcorral_pmf_multi(
         (linear(1), custom([1, 1]), square()), (2, 2, 2), (1, 1)), "seqs", 1,
          id="okcorral_pmf_multi"),
@@ -68,11 +80,11 @@ CASES = [
     case(lambda: closedform.polya_sampling_pmf_multi((1, 0, 1), (2, 2, 2), (1, 1)), "avec", 1,
          id="polya_sampling_pmf_multi"),
     # these three once returned 0, 0 and raised a ValueError naming nothing
-    case(lambda: closedform.polya_sampling_pmf_multi((1, 1), (2, 2), (5,)), "kvec",
+    case(lambda: closedform.polya_sampling_pmf_multi((1, 1), (2, 2), (5,)), "kvec", 0,
          id="polya_sampling_pmf_multi-survivors-above-count"),
     case(lambda: closedform.polya_sampling_pmf_multi((1, 1), (-2, 2), (0,)), "nvec", 0,
          id="polya_sampling_pmf_multi-negative-count"),
-    case(lambda: closedform.polya_sampling_pmf_multi((1, 1, 1), (2, 2, 2), (1, -1)), "kvec",
+    case(lambda: closedform.polya_sampling_pmf_multi((1, 1, 1), (2, 2, 2), (1, -1)), "kvec", 1,
          id="polya_sampling_pmf_multi-negative-survivors"),
     case(lambda: closedform.multi_distribution(UrnSpec("I", TRIPLE, (2, 0, 2))), "counts", 1,
          id="multi_distribution"),
@@ -107,7 +119,7 @@ CASES = [
     case(lambda: limits.fixed_blacks_density(2, Fraction(3, 2)), "q",
          id="fixed_blacks_density"),
     case(lambda: limits.fixed_whites_pmf(-1, 0), "n", id="fixed_whites_pmf-n"),
-    case(lambda: limits.fixed_whites_pmf(2, 3), "k", id="fixed_whites_pmf-k"),
+    case(lambda: limits.fixed_whites_pmf(2, 3), "k", 0, id="fixed_whites_pmf-k"),
     case(lambda: limits.fixed_whites_pmf(2, 1, limits.SERIES), "method",
          id="fixed_whites_pmf-method"),
     case(lambda: limits.fixed_whites_moment(0, 1), "n", id="fixed_whites_moment"),
