@@ -15,7 +15,9 @@ argument, and `main` prints it after that argument's flag (`_flag`); the
 calls.  The CLI checks only flag syntax and presence, `--decimals`,
 `--precision-bits` and the theta floor, and refuses each with the same
 error naming its flag, so every exit-2 message is `<flag>: <message>` from
-one path.  Flags must be spelled in full.
+one path.  Flags must be spelled in full.  `--precision-bits`, and the
+`URNLAB_PRECISION_BITS` default it overrides, exist only in `pmf`, `limit`
+and `theta`, the subcommands that compute big-floats.
 
 Every JSON payload shares one envelope (`_emit`): `command`, `params` (the
 subcommand's own flags that are set, defaults included, read from the
@@ -532,12 +534,15 @@ def _cmd_compare(args) -> int:
 
 
 def _check_common(args):
-    """Range checks on the flags every subcommand shares; resolves the
-    default precision, so a bad URNLAB_PRECISION_BITS also exits 2."""
-    if args.precision_bits is None:
-        args.precision_bits = precision_bits()
-    elif args.precision_bits < MIN_PRECISION_BITS:
-        raise weights.ParameterError(f"must be at least {MIN_PRECISION_BITS}", "precision-bits")
+    """Range checks on the flags the subcommands share; where a subcommand
+    has --precision-bits, resolves its default, so a bad
+    URNLAB_PRECISION_BITS exits 2 there and nowhere else."""
+    if "precision_bits" in vars(args):
+        if args.precision_bits is None:
+            args.precision_bits = precision_bits()
+        elif args.precision_bits < MIN_PRECISION_BITS:
+            raise weights.ParameterError(f"must be at least {MIN_PRECISION_BITS}",
+                                         "precision-bits")
     if getattr(args, "decimals", None) is not None:
         # decimals render exact rationals in CSV; anywhere else they would
         # be ignored
@@ -561,7 +566,7 @@ def _need(args, context, *names):
             raise weights.ParameterError(f"required {context}", name)
 
 
-def _add_common(p, model=True, two_color=True, decimals=True):
+def _add_common(p, model=True, two_color=True, decimals=True, precision=False):
     if model:
         p.add_argument("--model", default="I", help="urn model: I (sampling) or II (contested fire)")
     if two_color:
@@ -572,12 +577,13 @@ def _add_common(p, model=True, two_color=True, decimals=True):
     p.add_argument("--format", choices=("json", "csv"), default="json")
     if decimals:  # only where the output can hold an exact rational
         p.add_argument("--decimals", type=int, help="CSV decimal rendering digits")
-    p.add_argument(
-        "--precision-bits",
-        type=int,
-        default=None,
-        help=f"big-float precision (default: URNLAB_PRECISION_BITS or {DEFAULT_PRECISION_BITS})",
-    )
+    if precision:  # only where a big-float can be computed
+        p.add_argument(
+            "--precision-bits",
+            type=int,
+            default=None,
+            help=f"big-float precision (default: URNLAB_PRECISION_BITS or {DEFAULT_PRECISION_BITS})",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -591,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     subcommand = functools.partial(sub.add_parser, allow_abbrev=False)
 
     p = subcommand("pmf", help="closed-form survivor pmf (two colors)")
-    _add_common(p)
+    _add_common(p, precision=True)
     p.add_argument("--k", type=int, help="single survivor count (default: whole pmf)")
     p.add_argument(
         "--representation",
@@ -644,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_okc_moments)
 
     p = subcommand("limit", help="limit-law quantities")
-    _add_common(p, model=False, two_color=False)
+    _add_common(p, model=False, two_color=False, precision=True)
     p.add_argument("--law", required=True,
                    choices=("fixed-blacks-moment", "fixed-blacks-density", *_BIGFLOAT_LAWS))
     p.add_argument("--m", type=int)
@@ -659,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_limit)
 
     p = subcommand("theta", help="Jacobi theta series vs triple product")
-    _add_common(p, model=False, two_color=False, decimals=False)
+    _add_common(p, model=False, two_color=False, decimals=False, precision=True)
     p.add_argument("--q", required=True)
     p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(handler=_cmd_theta)

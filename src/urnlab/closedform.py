@@ -60,6 +60,7 @@ from .weights import (
     WeightRangeError,
     WeightSequence,
     check_block_size,
+    check_colors,
     check_count,
     check_length,
     check_survivors,
@@ -448,6 +449,7 @@ def sampling_pmf_multi(seqs, nvec, kvec):
 def polya_sampling_pmf_multi(avec, nvec, kvec):
     """Corollary form of sampling_pmf_multi for linear weights a_j * count."""
     avec = tuple(int(a) for a in avec)
+    check_colors("avec", len(avec))
     for color, a in enumerate(avec):
         check_block_size("avec", a, color)
     nvec = tuple(int(x) for x in nvec)

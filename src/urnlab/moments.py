@@ -7,9 +7,13 @@ coefficients of two generating functions F and G, together with
 Ramanujan's Q-function.  F and G solve the first-order ODEs
 F' = u (1 - e^-z) F and G' = u (1 - e^-z) G + u e^-z, so f_{n+1} and
 g_{n+1} follow from the earlier ones by an integer recurrence (see the
-comment block above `_bump_caches`); everything is exact, no floating
-point anywhere.  A block size below 1, a negative count or an order below
-its least value raises `ParameterError` naming the argument.
+comment block above `_bump_caches`).  The polynomial M_s whose expectation
+has the single-binomial display is s! 2^s S(X+s, X), S the Stirling
+numbers of the second kind: the closed-form solution of the linear system
+in f_n and g_n that defines it (see `moment_polynomial`).  Everything is
+exact, no floating point anywhere.  A block size below 1, a negative count,
+fewer than two colors or an order below its least value raises
+`ParameterError` naming the argument.
 """
 
 from __future__ import annotations
@@ -23,17 +27,17 @@ from .numerics import (
     binom_general,
     falling_factorial,
     ramanujan_q,
+    stirling_first_unsigned,
     stirling_second,
 )
-from .weights import ParameterError, check_block_size, check_count, check_length, check_order
-
-class InconsistentMomentSystem(RuntimeError):
-    """The triangular system defining a moment polynomial failed to close.
-
-    This cannot happen if the generating-function expansion is correct, so
-    it is raised loudly instead of patched over.
-    """
-
+from .weights import (
+    ParameterError,
+    check_block_size,
+    check_colors,
+    check_count,
+    check_length,
+    check_order,
+)
 
 # ---------------------------------------------------------------------------
 # sampling urn moments
@@ -67,6 +71,7 @@ def mixed_factorial_moment(avec, nvec, svec) -> Fraction:
     """Mixed falling-factorial moment of the r-color sampling survivors:
     block sizes avec, counts nvec, orders svec of colors 1..r-1."""
     avec, nvec, svec = tuple(avec), tuple(nvec), tuple(svec)
+    check_colors("avec", len(avec))
     check_length("nvec", nvec, len(avec), "count")
     check_length("svec", svec, len(avec), "order", but_last=True)
     for color, a in enumerate(avec):
@@ -246,68 +251,37 @@ def okcorral_polynomial_moment(b, c, n, m, s, form=PAIRED_BINOMIALS) -> Fraction
 
 
 def moment_polynomial(s: int) -> Polynomial:
-    """The monic degree-2s polynomial M_s whose coefficients solve
+    """The monic degree-2s polynomial M_s(X) = s! 2^s S(X+s, X), S the
+    Stirling numbers of the second kind.  Its coefficients m_i solve the
+    system that defines M_s,
 
-        sum_i m_i f_{i+1}(X) = 0,   sum_i m_i g_{i+1}(X) = s! 2^s X^{s+1}
+        sum_i m_i f_{i+1}(X) = 0,   sum_i m_i g_{i+1}(X) = s! 2^s X^{s+1}.
 
-    by exact elimination.  Raises InconsistentMomentSystem if the
-    overdetermined system fails to close or the result is not monic."""
+    Why: let K be the birthday-problem count behind Q, P{K = k} =
+    C(ell-1, k-1) k! ell^-k.  `puyhaubert_sum_identity` reads
+    E[K^i] = (f_{i+1}(ell) Q(ell) + g_{i+1}(ell)) / ell, and
+    E[S(K+s, K)] = ell^s, so F(ell) Q(ell) + G(ell) = s! 2^s ell^(s+1) at
+    every ell >= 1, F and G the two sums.  Q(ell) grows like sqrt(ell),
+    which no ratio of polynomials does, so F = 0, and then
+    G = s! 2^s X^(s+1).
+
+    S(X+s, X) has degree 2s in X and leading coefficient 1 / (s! 2^s), so
+    M_s is monic and fixed by its values at X = 0..2s: their Newton forward
+    differences delta_j, over the falling factorials
+    (X)_j = sum_i (-1)^(j-i) c(j, i) X^i, give its coefficients."""
     check_order("s", s, 1)
-    fs = [puyhaubert_f(i + 1) for i in range(1, 2 * s + 1)]
-    gs = [puyhaubert_g(i + 1) for i in range(1, 2 * s + 1)]
-    rows = []
-    rhs = []
-    # f-identity: powers 1..s of X must cancel
-    for p in range(1, s + 1):
-        rows.append([f.coefficient(p) for f in fs])
-        rhs.append(Fraction(0))
-    # g-identity: powers 1..s+1 with a single target coefficient
-    target = Fraction(factorial(s) * 2**s)
-    for p in range(1, s + 2):
-        rows.append([g.coefficient(p) for g in gs])
-        rhs.append(target if p == s + 1 else Fraction(0))
-
-    solution = _solve_exact(rows, rhs)
-    coeffs = [Fraction(0)] + solution  # m_i multiplies X^i
-    poly = Polynomial(coeffs)
-    if poly.degree != 2 * s or poly.leading_coefficient != 1:
-        raise InconsistentMomentSystem(
-            f"moment polynomial of order {s} came out non-monic: {poly!r}"
-        )
-    return poly
-
-
-def _solve_exact(rows, rhs):
-    """Gaussian elimination over the rationals with a consistency check for
-    the extra equations of an overdetermined system."""
-    m = [list(row) + [b] for row, b in zip(rows, rhs)]
-    n_rows, n_cols = len(m), len(rows[0])
-    pivot_row = 0
-    pivots = []
-    for col in range(n_cols):
-        pivot = next(
-            (r for r in range(pivot_row, n_rows) if m[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        m[pivot_row], m[pivot] = m[pivot], m[pivot_row]
-        inv = 1 / m[pivot_row][col]
-        m[pivot_row] = [v * inv for v in m[pivot_row]]
-        for r in range(n_rows):
-            if r != pivot_row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [v - factor * p for v, p in zip(m[r], m[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-    for r in range(pivot_row, n_rows):
-        if m[r][-1] != 0:
-            raise InconsistentMomentSystem("linear system is inconsistent")
-    if len(pivots) < n_cols:
-        raise InconsistentMomentSystem("linear system is underdetermined")
-    solution = [Fraction(0)] * n_cols
-    for r, col in enumerate(pivots):
-        solution[col] = m[r][-1]
-    return solution
+    degree = 2 * s
+    scale = factorial(s) * 2**s
+    values = [scale * stirling_second(x + s, x) for x in range(degree + 1)]
+    # M_s(X) = sum_j delta_j (X)_j / j!, every term over the one denominator (2s)!
+    denominator = factorial(degree)
+    numerators = [0] * (degree + 1)
+    for j in range(degree + 1):
+        delta = sum((-1) ** (j - x) * comb(j, x) * values[x] for x in range(j + 1))
+        weight = delta * (denominator // factorial(j))
+        for i in range(j + 1):
+            numerators[i] += (-1) ** (j - i) * weight * stirling_first_unsigned(j, i)
+    return Polynomial(Fraction(num, denominator) for num in numerators)
 
 
 def corollary_exponent_report(b, c, n, m, s):

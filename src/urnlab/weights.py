@@ -67,6 +67,13 @@ def check_block_size(param: str, value: int, color: int | None = None):
         raise ParameterError("block sizes must be positive integers", param, color)
 
 
+def check_colors(param: str, r: int):
+    """Refuse an urn of fewer than two colors: the last color is the one
+    whose exhaustion ends the draw, so another must be there to survive."""
+    if r < 2:
+        raise ParameterError("an urn needs at least two colors", param)
+
+
 def check_length(param: str, values, r: int, item: str, but_last: bool = False):
     """Refuse a per-color list unless it holds one `item` per color of an
     r-color urn, or per color but the last when `but_last`."""
@@ -269,8 +276,7 @@ class UrnSpec:
         object.__setattr__(self, "model", canonical_model(self.model))
         object.__setattr__(self, "sequences", tuple(self.sequences))
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if len(self.sequences) < 2:
-            raise ParameterError("an urn needs at least two colors", "sequences")
+        check_colors("sequences", len(self.sequences))
         check_length("counts", self.counts, len(self.sequences), "count")
         for color, count in enumerate(self.counts):
             check_count("counts", count, color=color)

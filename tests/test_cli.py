@@ -782,6 +782,43 @@ class TestLongResults:
             str(10**5000)
 
 
+class TestPrecisionBits:
+    """--precision-bits and URNLAB_PRECISION_BITS reach only `pmf`, `limit`
+    and `theta`, the subcommands that compute big-floats; the others have
+    no such flag and never read the variable."""
+
+    EXACT = {
+        "oracle": ["oracle", *SIM],
+        "pmf-multi": ["pmf-multi", "--weights", "linear:1;square", "--counts", "2,2"],
+        "moments": ["moments", "--n", "2", "--m", "2"],
+        "okc-moments": ["okc-moments", "--n", "2", "--m", "2"],
+        "duality-check": ["duality-check", *SIM],
+        "simulate": ["simulate", *SIM, "--trials", "100"],
+        "compare": ["compare", *SIM, "--trials", "100"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(EXACT))
+    def test_flag_refused_where_no_big_float(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:  # argparse: no such flag
+            cli.main([*self.EXACT[command], "--precision-bits", "80"])
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (2, "")
+        assert "--precision-bits" in out.err
+
+    @pytest.mark.parametrize("command", sorted(EXACT))
+    def test_environment_ignored_where_no_big_float(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("URNLAB_PRECISION_BITS", "abc")
+        code, out, err = run_cli(capsys, *self.EXACT[command])
+        assert (code, err) == (0, "")
+        assert check_json(out)["command"] == command
+
+    def test_parser_has_the_flag_in_three_subcommands(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        having = {name for name, parser in sub.choices.items()
+                  if "precision_bits" in {a.dest for a in parser._actions}}
+        assert having == {"pmf", "limit", "theta"}
+
+
 class TestDecimals:
     """CSV with --decimals renders every exact rational as a decimal."""
 
@@ -861,6 +898,8 @@ class TestMomentFlags:
              "--nvec: need one count per color (r = 3 entries)"),
             ([*MIXED, "--nvec", "2,1,2", "--svec", "1"],
              "--svec: need one order per color but the last (r-1 = 2 entries)"),
+            (["moments", "--mixed", "--avec", "1", "--nvec", "2", "--svec", "1"],
+             "--avec: an urn needs at least two colors"),
             (["okc-moments", "--n", "2", "--m", "2", "--s", "0"],
              "--s: moment orders must be at least 1"),
             (["okc-moments", "--n", "2", "--m", "2", "--s", "0", "--kind", "polynomial"],
@@ -1051,10 +1090,9 @@ TOL = flag(["1e-6", "1e-12", "1e-20"], ["0", "-1", "nan"])
 Q = flag(["0", "1/3", "1/2", "0.9", "1"], ["-1", "2", "x", "1/0"])
 GRID = flag(["0:1:1/4", "0:1/2:1/8", "1:0:1/4", "1/3:1:1/3"],
             ["0:1:0", "0:1:-1/4", "-1:1:1/2", "0:1", "a:b:c"])
-COMMON = {
-    "format": flag(["json", "json", "json", "csv"]),
-    "precision_bits": flag(["8", "64", "256"], ["4", "-1"]),
-}
+COMMON = {"format": flag(["json", "json", "json", "csv"])}
+# only pmf, limit and theta compute big-floats and have --precision-bits
+PRECISION = {"precision_bits": flag(["8", "64", "256"], ["4", "-1"])}
 # theta, duality-check and simulate print no exact rational and have no --decimals
 DECIMALS = {"decimals": flag(["0", "3", "6"], ["-2"])}
 MODEL = {"model": flag(["I", "II"], ["Z"])}
@@ -1067,7 +1105,7 @@ SIMULATION = {
 }
 
 SUBCOMMANDS = {
-    "pmf": {**MODEL, **TWO_COLOR, **DECIMALS, "k": COUNT,
+    "pmf": {**MODEL, **TWO_COLOR, **DECIMALS, **PRECISION, "k": COUNT,
             "representation": flag(["beta-poles", "alpha-poles"]),
             "mode": flag(["rational", "float", "bigfloat"])},
     "oracle": {**MODEL, **TWO_COLOR, **DECIMALS, "method": flag(["recurrence", "enumerate"])},
@@ -1083,8 +1121,9 @@ SUBCOMMANDS = {
                            "fixed-whites-moment", "w-moment", "w-cdf"]),
               "m": COUNT, "n": COUNT, "s": COUNT, "k": COUNT, "q": Q,
               "family": flag(["square", "triangular", "shifted-square"]),
-              "method": flag(["finite-sum", "series"]), "tol": TOL, "grid": GRID, **DECIMALS},
-    "theta": {"q": Q, "tol": TOL},
+              "method": flag(["finite-sum", "series"]), "tol": TOL, "grid": GRID, **DECIMALS,
+              **PRECISION},
+    "theta": {"q": Q, "tol": TOL, **PRECISION},
     "duality-check": {**TWO_COLOR, **MULTI},
     "simulate": {**MODEL, **TWO_COLOR, **MULTI, **SIMULATION},
     "compare": {**MODEL, **TWO_COLOR, **DECIMALS, **SIMULATION},

@@ -10,7 +10,6 @@ from urnlab.closedform import polya_okcorral_pmf, polya_sampling_pmf
 from urnlab.moments import (
     PAIRED_BINOMIALS,
     SINGLE_BINOMIAL,
-    InconsistentMomentSystem,
     corollary_exponent_report,
     mixed_factorial_moment,
     moment_polynomial,
@@ -169,7 +168,7 @@ class TestMomentPolynomial:
         assert moment_polynomial(1) == Polynomial([0, 1, 1])
 
     def test_monic_degree(self):
-        for s in range(1, 5):
+        for s in range(1, 13):
             poly = moment_polynomial(s)
             assert poly.degree == 2 * s
             assert poly.leading_coefficient == 1
@@ -177,7 +176,7 @@ class TestMomentPolynomial:
     def test_defining_identities_hold(self):
         # sum_i c_i f_{i+1} = 0 and sum_i c_i g_{i+1} = 2^s s! u^(s+1), taken
         # coefficient by coefficient in u (f_n and g_n have degree <= s + 1)
-        for s in range(1, 4):
+        for s in range(1, 13):
             poly = moment_polynomial(s)
 
             def combination(gen):
@@ -188,6 +187,18 @@ class TestMomentPolynomial:
 
             assert combination(puyhaubert_f) == Polynomial()
             assert combination(puyhaubert_g) == Polynomial([0] * (s + 1) + [factorial(s) * 2**s])
+
+    def test_expectation_over_the_birthday_count(self):
+        # E[M_s(K)] = s! 2^s ell^s, K the count with P{K = k} =
+        # C(ell-1, k-1) k! ell^-k, whose power moments are the left side of
+        # the sum identity
+        for s in range(1, 7):
+            poly = moment_polynomial(s)
+            for ell in range(1, 9):
+                expectation = sum(
+                    c * puyhaubert_sum_identity(ell, i)[0] for i, c in enumerate(poly.coeffs)
+                )
+                assert expectation == factorial(s) * 2**s * ell**s, (s, ell)
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
@@ -228,7 +239,10 @@ class TestOkcorralMoments:
                     assert lhs == rhs
 
     def test_polynomial_moment_equals_expectation(self):
-        for b, c, n, m, s in [(1, 1, 1, 1, 1), (1, 1, 3, 2, 2), (2, 1, 2, 3, 1)]:
+        for b, c, n, m, s in [
+            (1, 1, 1, 1, 1), (1, 1, 3, 2, 2), (2, 1, 2, 3, 1), (1, 2, 4, 3, 3),
+            (3, 2, 5, 4, 4), (2, 3, 3, 5, 5), (1, 1, 6, 6, 6), (2, 1, 4, 2, 6),
+        ]:
             poly = moment_polynomial(s)
             dist = okcorral_dist(b, c, n, m)
             direct = sum(poly(Fraction(k)) * p for k, p in dist.items())

@@ -90,6 +90,16 @@ CASES = [
          id="multi_distribution"),
     case(lambda: closedform.partial_fraction_sides([1, 1], 0), "nodes",
          id="partial_fraction_sides"),
+    # these four once returned 1, raised a length refusal for r-1 = -1
+    # entries, returned 1 and raised an IndexError naming nothing
+    case(lambda: moments.mixed_factorial_moment((1,), (2,), ()), "avec",
+         id="mixed_factorial_moment-one-color"),
+    case(lambda: moments.mixed_factorial_moment((), (), ()), "avec",
+         id="mixed_factorial_moment-no-color"),
+    case(lambda: closedform.polya_sampling_pmf_multi((1,), (2,), ()), "avec",
+         id="polya_sampling_pmf_multi-one-color"),
+    case(lambda: closedform.polya_sampling_pmf_multi((), (), ()), "avec",
+         id="polya_sampling_pmf_multi-no-color"),
     # moments: the first five once returned -1/3, -1/3, 0, 2 and 2
     case(lambda: moments.sampling_factorial_moment(1, 1, -1, 2, 1), "n",
          id="sampling_factorial_moment-n"),
@@ -156,3 +166,13 @@ def test_refusal_names_the_argument(call, param, color):
     with pytest.raises(ParameterError) as info:
         call()
     assert (info.value.param, info.value.color) == (param, color)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: UrnSpec("I", (square(),), (1,)),
+    lambda: moments.mixed_factorial_moment((1,), (2,), ()),
+    lambda: closedform.polya_sampling_pmf_multi((1,), (2,), ()),
+], ids=["UrnSpec", "mixed_factorial_moment", "polya_sampling_pmf_multi"])
+def test_one_wording_for_too_few_colors(call):
+    with pytest.raises(ParameterError, match="^an urn needs at least two colors$"):
+        call()
