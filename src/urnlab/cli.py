@@ -9,19 +9,21 @@ codes: 0 success, 2 validation error, 3 a formula-discrepancy was detected
 (closed form vs oracle, duality violation, moment-route mismatch, or a
 `pmf` probability that is nan, infinite or negative).
 
-The library owns the range rules: its `weights.ParameterError` names an
-argument, and `main` prints it after that argument's flag (`_flag`); the
-`--k` selections of `pmf` and `pmf-multi` are `weights.check_survivors`
-calls.  The CLI checks only flag syntax and presence, `--decimals`,
-`--precision-bits` and the theta floor, and refuses each with the same
-error naming its flag, so every exit-2 message is `<flag>: <message>` from
-one path.  Flags must be spelled in full.  `--precision-bits`, and the
-`URNLAB_PRECISION_BITS` default it overrides, exist only in `pmf`, `limit`
-and `theta`, the subcommands that compute big-floats.
+Which flags each subcommand takes is one table, `_COMMANDS`: a subcommand
+has one or more forms (`pmf` per --mode, `limit` per --law, `moments` with
+or without --mixed, the two-color urn or --weights), each a `Form` of
+required flags, optional flags with their defaults, and whether it takes
+--decimals and --precision-bits.  `main` picks the form from the parse, and
+a flag typed outside it or a required flag left out exits 2 naming it.
+Flags must be spelled in full.  The library owns the range rules: its
+`weights.ParameterError` names an argument, and `main` prints it after
+that argument's flag (`_flag`).  The CLI checks only the forms,
+--decimals, --precision-bits, the `w-cdf` grid and the theta floor, with
+the same error, so every exit-2 message is `<flag>: <message>`.
 
 Every JSON payload shares one envelope (`_emit`): `command`, `params` (the
-subcommand's own flags that are set, defaults included, read from the
-parse), `mode`, and `precision_bits` in big-float mode.
+flags the form reads, defaults included, but not --format, --decimals and
+--precision-bits), `mode`, and `precision_bits` in big-float mode.
 
 A call pays only for the imports its subcommand uses: `limits` loads in
 `limit` and `theta`, mpmath where a big-float is made or printed (big-float
@@ -33,13 +35,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import closedform, moments, oracle, weights
 from .numerics import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, RATIONAL, precision_bits
@@ -129,18 +131,16 @@ def _fraction(arg_value: str, param: str) -> Fraction:
         raise weights.ParameterError("expected a rational like 1/2 or 0.25", param) from None
 
 
-def _multi_spec(args, model) -> weights.UrnSpec:
-    _need(args, "with --weights", "counts")
-    return weights.UrnSpec(model, _seq_list(args.weights, "weights"),
-                           _int_list(args.counts, "counts"))
+def _multi(args) -> bool:
+    """Whether the urn came as --weights/--counts (else --A/--B/--n/--m)."""
+    return "weights" in vars(args)
 
 
 def _spec(args, model) -> weights.UrnSpec:
-    """The urn the flags describe: --weights/--counts when --weights is
-    given, else the two-color urn of --A/--B/--n/--m."""
-    if getattr(args, "weights", None):
-        return _multi_spec(args, model)
-    _need(args, "for a two-color urn", "A", "B", "n", "m")
+    """The urn the flags describe, in the form they came in."""
+    if _multi(args):
+        return weights.UrnSpec(model, _seq_list(args.weights, "weights"),
+                               _int_list(args.counts, "counts"))
     return weights.two_color(model, _seq(args.A, "A"), _seq(args.B, "B"), args.n, args.m)
 
 
@@ -150,47 +150,38 @@ _SPEC_FLAGS = {"sequences": ("--weights", "--A", "--B"), "counts": ("--counts", 
 
 
 def _flag(args, exc: weights.ParameterError) -> str:
-    """The flag of the argument a refusal names: --<param>, but a library
-    spec's sequences and counts go by the flags of the form the urn came
-    in, and a `w-cdf` grid point by --grid."""
+    """The flag of the argument a refusal names: --<param> (underscores as
+    dashes), but a library spec's sequences and counts go by the flags of
+    the form the urn came in."""
     if exc.param in _SPEC_FLAGS:
         weights_flag, *by_color = _SPEC_FLAGS[exc.param]
-        if getattr(args, "weights", None):
+        if _multi(args):
             return weights_flag
         if exc.color is not None:
             return by_color[exc.color]
-    if exc.param == "q" and getattr(args, "law", None) == "w-cdf" and args.grid is not None:
-        return "--grid"
-    return f"--{exc.param}"
+    return "--" + exc.param.replace("_", "-")
 
 
 @contextmanager
-def _remedy(text, param=None):
-    """Re-raise a library refusal from the block with `text`, what to run
-    instead, appended; `param` names the flag when the library's argument
-    has none."""
+def _reword(text="{}", flag=None, only=None):
+    """Re-raise a library refusal from the block, or only one naming the
+    argument `only`, as `text` ("{}" stands for its message, often followed
+    by what to run instead), naming `flag` in place of the argument if given."""
     try:
         yield
     except weights.ParameterError as exc:
-        raise weights.ParameterError(f"{exc}; {text}", param or exc.param, exc.color) from None
+        if only not in (None, exc.param):
+            raise
+        raise weights.ParameterError(text.replace("{}", str(exc)), flag or exc.param,
+                                     exc.color) from None
 
 
 def _oracle(args, spec):
     """Exact pmf keyed as the flags ask: survivor vectors for --weights,
     first-color survivor counts for --A/--B."""
-    if getattr(args, "weights", None):
+    if _multi(args):
         return oracle.absorption_pmf_multi(spec)
     return oracle.absorption_pmf(spec)
-
-
-# parsed values that are not a subcommand's own flags, or that shape only
-# the rendering
-_NOT_ECHOED = frozenset({"command", "handler", "format", "decimals", "precision_bits"})
-
-
-def _params(args) -> dict:
-    """The subcommand's own flags that are set, defaults included."""
-    return {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED and v is not None}
 
 
 def _emit(args, mode, body: dict, table=None) -> None:
@@ -198,7 +189,7 @@ def _emit(args, mode, body: dict, table=None) -> None:
     shares: `command`, the echoed `params`, `mode`, and `precision_bits`
     in big-float mode.  CSV prints `table`, a (header, rows) pair, or else
     the payload's scalar fields."""
-    payload = {"command": args.command, "params": _params(args), "mode": mode, **body}
+    payload = {"command": args.command, "params": args.params, "mode": mode, **body}
     if mode == "bigfloat":
         payload["precision_bits"] = args.precision_bits
     if args.format == "json":
@@ -217,7 +208,7 @@ def _prob_renderer(args, mode=RATIONAL):
         return lambda p: render_bigfloat(p, args.precision_bits)
     if mode == "float":
         return repr
-    if args.decimals is not None:  # `_check_common` allows it only in CSV
+    if args.decimals is not None:  # `_read_form` allows it only in exact CSV
         return lambda p: render_decimal(p, args.decimals)
     return render_exact
 
@@ -239,7 +230,7 @@ def _cmd_pmf(args) -> int:
     spec = _spec(args, args.model)
     if args.k is not None:
         weights.check_survivors("k", (args.k,), (args.n,))
-    with _remedy("use urnlab oracle"):
+    with _reword("{}; use urnlab oracle"):
         dist = closedform.two_color_distribution(
             spec, args.representation, args.mode, args.precision_bits
         )
@@ -264,7 +255,7 @@ def _cmd_oracle(args) -> int:
     if args.method == "recurrence":
         dist = oracle.absorption_pmf(spec)
     else:
-        with _remedy("use recurrence", "method"):
+        with _reword("{}; use recurrence", "method"):
             dist = oracle.enumerate_pmf(spec)
     render = _prob_renderer(args)
     entries = dist.to_jsonable(render)
@@ -273,7 +264,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_pmf_multi(args) -> int:
-    spec = _multi_spec(args, args.model)
+    spec = _spec(args, args.model)
     render = _prob_renderer(args)
     if args.k is not None:
         kvec = _int_list(args.k, "k")
@@ -281,7 +272,7 @@ def _cmd_pmf_multi(args) -> int:
     if args.engine == "oracle":
         dist = oracle.absorption_pmf_multi(spec)
     else:
-        with _remedy("use --engine oracle"):
+        with _reword("{}; use --engine oracle"):
             dist = closedform.multi_distribution(spec)
     if args.k is None:
         entries = dist.to_jsonable(render)
@@ -307,8 +298,7 @@ def _emit_moment_check(args, order, closed, direct, **fields) -> int:
 
 
 def _cmd_moments(args) -> int:
-    if args.mixed:
-        _need(args, "with --mixed", "avec", "nvec", "svec")
+    if "mixed" in vars(args):
         avec = _int_list(args.avec, "avec")
         nvec = _int_list(args.nvec, "nvec")
         svec = _int_list(args.svec, "svec")
@@ -317,14 +307,12 @@ def _cmd_moments(args) -> int:
         direct = oracle.absorption_pmf_multi(spec).mixed_factorial_moment(svec)
         order = list(svec)
     else:
-        _need(args, "without --mixed", "n", "m")
-        if args.kind == "factorial":
-            closed = moments.sampling_factorial_moment(args.a, args.d, args.n, args.m, args.s)
-        else:
-            closed = moments.sampling_raw_moment(args.a, args.d, args.n, args.m, args.s)
+        factorial = args.kind == "factorial"
+        moment = moments.sampling_factorial_moment if factorial else moments.sampling_raw_moment
+        closed = moment(args.a, args.d, args.n, args.m, args.s)
         spec = weights.two_color("I", weights.linear(args.a), weights.linear(args.d), args.n, args.m)
         dist = oracle.absorption_pmf(spec)
-        direct = dist.factorial_moment(args.s) if args.kind == "factorial" else dist.moment(args.s)
+        direct = dist.factorial_moment(args.s) if factorial else dist.moment(args.s)
         order = args.s
     return _emit_moment_check(args, order, closed, direct)
 
@@ -343,75 +331,54 @@ def _cmd_okc_moments(args) -> int:
                               polynomial=[_prob_renderer(args)(c) for c in poly.coeffs])
 
 
-# the laws whose value is a big-float; a `w-cdf` grid still prints its
-# rational points
-_BIGFLOAT_LAWS = ("fixed-whites-pmf", "fixed-whites-moment", "w-moment", "w-cdf")
+# the most points a `w-cdf` grid evaluates (0:1:1/10000 takes 2.5 s on a 2-core Xeon)
+MAX_GRID_POINTS = 10_001
+
+
+def _grid(text) -> list:
+    """The points of --grid START:STOP:STEP, counted before any is made."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise weights.ParameterError("expected START:STOP:STEP", "grid")
+    start, stop, step = (_fraction(p, "grid") for p in parts)
+    if step <= 0:
+        raise weights.ParameterError("STEP must be positive", "grid")
+    count = max(0, (stop - start) // step + 1)
+    if count > MAX_GRID_POINTS:
+        raise weights.ParameterError(
+            f"{count} points; a grid takes at most {MAX_GRID_POINTS}", "grid")
+    return [start + i * step for i in range(count)]
 
 
 def _cmd_limit(args) -> int:
     from . import limits
 
-    bits = args.precision_bits
-    render = _prob_renderer(args)
+    bits = args.precision_bits  # None for the exact fixed-blacks laws
+    if "grid" in vars(args):
+        render, big = _prob_renderer(args), _prob_renderer(args, "bigfloat")
+        with _reword(flag="grid", only="q"):  # a grid point is --grid
+            rows = [(render(x), big(limits.limit_cdf(x, args.family, args.tol, bits)))
+                    for x in _grid(args.grid)]
+        _emit(args, "bigfloat", {"grid": [{"x": x, "value": v} for x, v in rows]},
+              (("x", "value"), rows))
+        return EXIT_OK
     law = args.law
-    need_law = f"for --law {law}"
-    value = None
-    grid_rows = None
     if law == "fixed-blacks-moment":
-        _need(args, need_law, "m", "s")
-        value = render(limits.fixed_blacks_moment(args.m, args.s))
-        mode = RATIONAL
+        value = limits.fixed_blacks_moment(args.m, args.s)
     elif law == "fixed-blacks-density":
-        _need(args, need_law, "m", "q")
-        value = render(limits.fixed_blacks_density(args.m, _fraction(args.q, "q")))
-        mode = RATIONAL
+        value = limits.fixed_blacks_density(args.m, _fraction(args.q, "q"))
     elif law == "fixed-whites-pmf":
-        _need(args, need_law, "n", "k")
-        try:
-            v = limits.fixed_whites_pmf(args.n, args.k, args.method, args.tol, bits)
-        except weights.ParameterError as exc:
-            if exc.param != "method":
-                raise
-            # the library's rule ties --method to --k; name both flags
-            raise weights.ParameterError("the series is certified only for --k 0; use finite-sum",
-                                         "method") from None
-        value = render_bigfloat(v, bits)
-        mode = "bigfloat"
+        # the library's rule ties --method to --k; name both flags
+        with _reword("the series is certified only for --k 0; use finite-sum", only="method"):
+            value = limits.fixed_whites_pmf(args.n, args.k, args.method, args.tol, bits)
     elif law == "fixed-whites-moment":
-        _need(args, need_law, "n", "s")
-        value = render_bigfloat(limits.fixed_whites_moment(args.n, args.s, bits), bits)
-        mode = "bigfloat"
+        value = limits.fixed_whites_moment(args.n, args.s, bits)
     elif law == "w-moment":
-        _need(args, need_law, "s")
-        value = render_bigfloat(limits.limit_moment(args.s, args.family, bits), bits)
-        mode = "bigfloat"
-    elif law == "w-cdf":
-        mode = "bigfloat"
-        if args.grid is not None:
-            parts = args.grid.split(":")
-            if len(parts) != 3:
-                raise weights.ParameterError("expected START:STOP:STEP", "grid")
-            start, stop, step = (_fraction(p, "grid") for p in parts)
-            if step <= 0:
-                raise weights.ParameterError("STEP must be positive", "grid")
-            rows = []
-            x = start
-            while x <= stop:
-                v = limits.limit_cdf(x, args.family, args.tol, bits)
-                rows.append((render(x), render_bigfloat(v, bits)))
-                x += step
-            grid_rows = rows
-        else:
-            _need(args, need_law, "q")
-            q = _fraction(args.q, "q")
-            value = render_bigfloat(limits.limit_cdf(q, args.family, args.tol, bits), bits)
-    else:  # pragma: no cover - argparse restricts choices
-        raise weights.ParameterError(f"unknown law {law!r}", "law")
-    if grid_rows is not None:
-        _emit(args, mode, {"grid": [{"x": x, "value": v} for x, v in grid_rows]},
-              (("x", "value"), grid_rows))
-    else:
-        _emit(args, mode, {"value": value})
+        value = limits.limit_moment(args.s, args.family, bits)
+    else:  # w-cdf at one point
+        value = limits.limit_cdf(_fraction(args.q, "q"), args.family, args.tol, bits)
+    mode = RATIONAL if bits is None else "bigfloat"
+    _emit(args, mode, {"value": _prob_renderer(args, mode)(value)})
     return EXIT_OK
 
 
@@ -497,7 +464,7 @@ def _cmd_compare(args) -> int:
 
     spec = _spec(args, args.model)
     config = simulate.SimConfig(spec, args.trials, args.seed, args.workers)
-    with _remedy("use urnlab oracle"):
+    with _reword("{}; use urnlab oracle"):
         dists = {
             rep: closedform.two_color_distribution(spec, rep)
             for rep in (closedform.BETA_POLES, closedform.ALPHA_POLES)
@@ -529,61 +496,183 @@ def _cmd_compare(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# the forms of each subcommand, and the parser they make
 # ---------------------------------------------------------------------------
 
 
-def _check_common(args):
-    """Range checks on the flags the subcommands share; where a subcommand
-    has --precision-bits, resolves its default, so a bad
-    URNLAB_PRECISION_BITS exits 2 there and nowhere else."""
-    if "precision_bits" in vars(args):
-        if args.precision_bits is None:
-            args.precision_bits = precision_bits()
-        elif args.precision_bits < MIN_PRECISION_BITS:
-            raise weights.ParameterError(f"must be at least {MIN_PRECISION_BITS}",
-                                         "precision-bits")
-    if getattr(args, "decimals", None) is not None:
+class Form(NamedTuple):
+    """The flags one form of a subcommand reads: --format, `required` and
+    `optional` ones (with defaults; None leaves it unset), --decimals if it
+    prints `exact` rationals, and --precision-bits (else the environment's
+    URNLAB_PRECISION_BITS) if it computes a `bigfloat`."""
+
+    required: tuple
+    optional: dict = {}
+    exact: bool = False
+    bigfloat: bool = False
+
+    @property
+    def reads(self) -> set:
+        return {"format", *self.required, *self.optional,
+                *("decimals",) * self.exact, *("precision_bits",) * self.bigfloat}
+
+
+class Command(NamedTuple):
+    """A subcommand: handler, help line, forms by the name refusals give
+    them (`_form_name` picks one), and flags that parse unlike `_FLAGS`."""
+
+    handler: Callable
+    help: str
+    forms: dict
+    flags: dict = {}
+
+
+_MODES = (RATIONAL, "float", "bigfloat")
+
+# how each flag parses, in parser order; a subcommand offers those its forms read
+_FLAGS = {
+    "model": {"help": "urn model: I (sampling) or II (contested fire)"},
+    "A": {"help": "first-color weight descriptor, e.g. linear:1"},
+    "B": {"help": "second-color weight descriptor, e.g. square"},
+    "a": {"type": int},
+    "d": {"type": int},
+    "b": {"type": int},
+    "c": {"type": int},
+    "n": {"type": int, "help": "first-color initial count"},
+    "m": {"type": int, "help": "second-color initial count"},
+    "weights": {"help": "semicolon-separated descriptors, e.g. linear:1;square;linear:2"},
+    "counts": {"help": "comma-separated initial counts"},
+    "k": {"type": int, "help": "single survivor count (default: whole pmf)"},
+    "representation": {"choices": (closedform.BETA_POLES, closedform.ALPHA_POLES)},
+    "mode": {"choices": _MODES, "help": "output mode (default: rational)"},
+    "engine": {"choices": ("closed", "oracle")},
+    "s": {"type": int},
+    "kind": {"choices": ("factorial", "raw")},
+    "mixed": {"action": "store_true", "help": "r-color mixed factorial moment"},
+    "avec": {"help": "comma-separated block sizes (with --mixed)"},
+    "nvec": {"help": "comma-separated counts (with --mixed)"},
+    "svec": {"help": "comma-separated orders (with --mixed)"},
+    "law": {"choices": ("fixed-blacks-moment", "fixed-blacks-density", "fixed-whites-pmf",
+                        "fixed-whites-moment", "w-moment", "w-cdf")},
+    "q": {"help": "evaluation point in [0,1], rational syntax"},
+    "family": {"choices": tuple(sorted(weights.LIMIT_FAMILIES))},
+    "method": {"choices": (weights.FINITE_SUM, weights.SERIES)},
+    "tol": {"type": float},
+    "grid": {"help": "START:STOP:STEP rational grid for w-cdf"},
+    "trials": {"type": int},
+    "seed": {"type": int},
+    "workers": {"type": int},
+    "format": {"choices": ("json", "csv")},
+    "decimals": {"type": int, "help": "CSV decimal rendering digits"},
+    "precision_bits": {
+        "type": int,
+        "help": f"big-float precision (default: URNLAB_PRECISION_BITS or {DEFAULT_PRECISION_BITS})",
+    },
+}
+
+_URN = ("A", "B", "n", "m")
+_MULTI_URN = ("weights", "counts")
+_SIMULATION = {"model": "I", "trials": 100_000, "seed": 0, "workers": 1}
+_CDF = {"family": weights.SQUARE, "tol": 1e-12}
+
+_COMMANDS = {
+    "pmf": Command(_cmd_pmf, "closed-form survivor pmf (two colors)", {
+        f"pmf --mode {mode}": Form(_URN, {"model": "I", "k": None, "mode": None,
+                                          "representation": closedform.BETA_POLES},
+                                   exact=mode == RATIONAL, bigfloat=mode == "bigfloat")
+        for mode in _MODES
+    }),
+    "oracle": Command(_cmd_oracle, "recurrence/enumeration ground-truth pmf", {
+        "oracle": Form(_URN, {"model": "I", "method": "recurrence"}, exact=True),
+    }, {"method": {"choices": ("recurrence", "enumerate")}}),
+    "pmf-multi": Command(_cmd_pmf_multi, "r-color survivor pmf", {
+        "pmf-multi": Form(_MULTI_URN, {"model": "I", "k": None, "engine": "closed"}, exact=True),
+    }, {"k": {"type": str, "help": "single survivor vector, comma-separated"}}),
+    "moments": Command(_cmd_moments, "sampling-urn moments (closed form vs summation)", {
+        "moments without --mixed": Form(("n", "m"), {"a": 1, "d": 1, "s": 1, "kind": "raw"},
+                                        exact=True),
+        "moments --mixed": Form(("mixed", "avec", "nvec", "svec"), exact=True),
+    }),
+    "okc-moments": Command(_cmd_okc_moments, "contested-fire moments (closed form vs summation)", {
+        "okc-moments": Form(("n", "m"), {"b": 1, "c": 1, "s": 1, "kind": "raw"}, exact=True),
+    }, {"kind": {"choices": ("raw", "polynomial")}}),
+    "limit": Command(_cmd_limit, "limit-law quantities", {
+        "limit --law fixed-blacks-moment": Form(("law", "m", "s"), exact=True),
+        "limit --law fixed-blacks-density": Form(("law", "m", "q"), exact=True),
+        "limit --law fixed-whites-pmf": Form(("law", "n", "k"),
+                                             {"method": weights.FINITE_SUM, "tol": 1e-12},
+                                             bigfloat=True),
+        "limit --law fixed-whites-moment": Form(("law", "n", "s"), bigfloat=True),
+        "limit --law w-moment": Form(("law", "s"), {"family": weights.SQUARE}, bigfloat=True),
+        "limit --law w-cdf without --grid": Form(("law", "q"), _CDF, bigfloat=True),
+        # the grid points print as exact rationals
+        "limit --law w-cdf --grid": Form(("law", "grid"), _CDF, exact=True, bigfloat=True),
+    }),
+    "theta": Command(_cmd_theta, "Jacobi theta series vs triple product", {
+        "theta": Form(("q",), {"tol": 1e-12}, bigfloat=True),
+    }),
+    "duality-check": Command(_cmd_duality, "model-I pmf vs reciprocal model-II pmf", {
+        "duality-check without --weights": Form(_URN),
+        "duality-check --weights": Form(_MULTI_URN),
+    }),
+    "simulate": Command(_cmd_simulate, "seeded Monte Carlo with chi-square readout", {
+        "simulate without --weights": Form(_URN, _SIMULATION),
+        "simulate --weights": Form(_MULTI_URN, _SIMULATION),
+    }),
+    "compare": Command(_cmd_compare, "closed form vs oracle vs simulation on one spec", {
+        "compare": Form(_URN, _SIMULATION, exact=True),
+    }),
+}
+
+
+def _form_name(command, typed) -> str:
+    """The form of `command` that the typed flags pick: by --mode in `pmf`,
+    by --law (and --grid for w-cdf) in `limit`, by --mixed in `moments` and
+    by --weights in `duality-check` and `simulate`."""
+    if command == "pmf":
+        return f"pmf --mode {typed.get('mode', RATIONAL)}"
+    if command == "limit":
+        if "law" not in typed:
+            raise weights.ParameterError("required by limit", "law")
+        if typed["law"] != "w-cdf":
+            return f"limit --law {typed['law']}"
+        return "limit --law w-cdf " + ("--grid" if "grid" in typed else "without --grid")
+    switch = {"moments": "mixed", "duality-check": "weights", "simulate": "weights"}.get(command)
+    if switch is None:
+        return command
+    return f"{command} --{switch}" if switch in typed else f"{command} without --{switch}"
+
+
+def _read_form(args) -> None:
+    """Hold the parse to the form its flags pick: the first typed flag (in
+    parser order) it does not read, then a required flag left out, exits 2
+    naming it.  Fill in the defaults (a big-float form's precision from
+    URNLAB_PRECISION_BITS) and the `params` the envelope echoes."""
+    typed = vars(args)  # the namespace itself, holding only the typed flags
+    name = _form_name(args.command, typed)
+    form = _COMMANDS[args.command].forms[name]
+    for flag in _FLAGS:
+        if flag in typed and flag not in form.reads:
+            raise weights.ParameterError(f"not read by {name}", flag)
+    for flag in form.required:
+        if flag not in typed:
+            raise weights.ParameterError(f"required by {name}", flag)
+    if form.bigfloat and "precision_bits" not in typed:
+        typed["precision_bits"] = precision_bits()
+    for flag, default in {"format": "json", "decimals": None, "precision_bits": None,
+                          **form.optional}.items():
+        typed.setdefault(flag, default)
+    args.params = {flag: typed[flag] for flag in (*form.required, *form.optional)
+                   if typed[flag] is not None}
+    if args.precision_bits is not None and args.precision_bits < MIN_PRECISION_BITS:
+        raise weights.ParameterError(f"must be at least {MIN_PRECISION_BITS}", "precision_bits")
+    if args.decimals is not None:
         # decimals render exact rationals in CSV; anywhere else they would
         # be ignored
         if args.format != "csv":
             raise weights.ParameterError("needs --format csv", "decimals")
-        if getattr(args, "mode", None) in ("float", "bigfloat"):
-            raise weights.ParameterError(f"renders exact rationals, not --mode {args.mode}",
-                                         "decimals")
-        law = getattr(args, "law", None)
-        if law in _BIGFLOAT_LAWS and (law != "w-cdf" or args.grid is None):
-            raise weights.ParameterError(f"renders exact rationals, not --law {law}",
-                                         "decimals")
         if args.decimals < 0:
             raise weights.ParameterError("must be nonnegative", "decimals")
-
-
-def _need(args, context, *names):
-    """Exit 2 naming the first of the flags `names` left unset."""
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise weights.ParameterError(f"required {context}", name)
-
-
-def _add_common(p, model=True, two_color=True, decimals=True, precision=False):
-    if model:
-        p.add_argument("--model", default="I", help="urn model: I (sampling) or II (contested fire)")
-    if two_color:
-        p.add_argument("--A", help="first-color weight descriptor, e.g. linear:1")
-        p.add_argument("--B", help="second-color weight descriptor, e.g. square")
-        p.add_argument("--n", type=int, help="first-color initial count")
-        p.add_argument("--m", type=int, help="second-color initial count")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    if decimals:  # only where the output can hold an exact rational
-        p.add_argument("--decimals", type=int, help="CSV decimal rendering digits")
-    if precision:  # only where a big-float can be computed
-        p.add_argument(
-            "--precision-bits",
-            type=int,
-            default=None,
-            help=f"big-float precision (default: URNLAB_PRECISION_BITS or {DEFAULT_PRECISION_BITS})",
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -592,114 +681,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact urn absorption distributions, moments, duality and limit laws.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # a flag must be spelled in full: with prefix matching, pmf-multi's
-    # --mode (a flag of pmf only) would be read as --model
-    subcommand = functools.partial(sub.add_parser, allow_abbrev=False)
-
-    p = subcommand("pmf", help="closed-form survivor pmf (two colors)")
-    _add_common(p, precision=True)
-    p.add_argument("--k", type=int, help="single survivor count (default: whole pmf)")
-    p.add_argument(
-        "--representation",
-        choices=(closedform.BETA_POLES, closedform.ALPHA_POLES),
-        default=closedform.BETA_POLES,
-    )
-    p.add_argument(
-        "--mode",
-        choices=("rational", "float", "bigfloat"),
-        default=None,
-        help="output mode (default: rational)",
-    )
-    p.set_defaults(handler=_cmd_pmf)
-
-    p = subcommand("oracle", help="recurrence/enumeration ground-truth pmf")
-    _add_common(p)
-    p.add_argument("--method", choices=("recurrence", "enumerate"), default="recurrence")
-    p.set_defaults(handler=_cmd_oracle)
-
-    p = subcommand("pmf-multi", help="r-color survivor pmf")
-    _add_common(p, two_color=False)
-    p.add_argument("--weights", required=True, help="semicolon-separated descriptors, e.g. linear:1;square;linear:2")
-    p.add_argument("--counts", required=True, help="comma-separated initial counts")
-    p.add_argument("--k", help="single survivor vector, comma-separated")
-    p.add_argument("--engine", choices=("closed", "oracle"), default="closed")
-    p.set_defaults(handler=_cmd_pmf_multi)
-
-    p = subcommand("moments", help="sampling-urn moments (closed form vs summation)")
-    _add_common(p, model=False, two_color=False)
-    p.add_argument("--a", type=int, default=1)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--kind", choices=("factorial", "raw"), default="raw")
-    p.add_argument("--mixed", action="store_true", help="r-color mixed factorial moment")
-    p.add_argument("--avec", help="comma-separated block sizes (with --mixed)")
-    p.add_argument("--nvec", help="comma-separated counts (with --mixed)")
-    p.add_argument("--svec", help="comma-separated orders (with --mixed)")
-    p.set_defaults(handler=_cmd_moments)
-
-    p = subcommand("okc-moments", help="contested-fire moments (closed form vs summation)")
-    _add_common(p, model=False, two_color=False)
-    p.add_argument("--b", type=int, default=1)
-    p.add_argument("--c", type=int, default=1)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--kind", choices=("raw", "polynomial"), default="raw")
-    p.set_defaults(handler=_cmd_okc_moments)
-
-    p = subcommand("limit", help="limit-law quantities")
-    _add_common(p, model=False, two_color=False, precision=True)
-    p.add_argument("--law", required=True,
-                   choices=("fixed-blacks-moment", "fixed-blacks-density", *_BIGFLOAT_LAWS))
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--q", help="evaluation point in [0,1], rational syntax")
-    p.add_argument("--family", choices=tuple(sorted(weights.LIMIT_FAMILIES)), default=weights.SQUARE)
-    p.add_argument("--method", choices=(weights.FINITE_SUM, weights.SERIES), default=weights.FINITE_SUM)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--grid", help="START:STOP:STEP rational grid for w-cdf")
-    p.set_defaults(handler=_cmd_limit)
-
-    p = subcommand("theta", help="Jacobi theta series vs triple product")
-    _add_common(p, model=False, two_color=False, decimals=False, precision=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.set_defaults(handler=_cmd_theta)
-
-    p = subcommand("duality-check", help="model-I pmf vs reciprocal model-II pmf")
-    _add_common(p, model=False, decimals=False)
-    p.add_argument("--weights", help="semicolon-separated descriptors for r colors")
-    p.add_argument("--counts", help="comma-separated counts for r colors")
-    p.set_defaults(handler=_cmd_duality)
-
-    p = subcommand("simulate", help="seeded Monte Carlo with chi-square readout")
-    _add_common(p, decimals=False)
-    p.add_argument("--weights", help="semicolon-separated descriptors for r colors")
-    p.add_argument("--counts", help="comma-separated counts for r colors")
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = subcommand("compare", help="closed form vs oracle vs simulation on one spec")
-    _add_common(p)
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(handler=_cmd_compare)
-
+    for command, spec in _COMMANDS.items():
+        # a flag must be spelled in full: with prefix matching, pmf-multi's
+        # --mode (a flag of pmf only) would be read as --model; a flag not
+        # typed stays out of the parse, for `_read_form` to tell apart
+        p = sub.add_parser(command, help=spec.help, allow_abbrev=False,
+                           argument_default=argparse.SUPPRESS)
+        offered = set().union(*(form.reads for form in spec.forms.values()))
+        for flag, options in _FLAGS.items():
+            if flag in offered:
+                p.add_argument("--" + flag.replace("_", "-"), **{**options, **spec.flags.get(flag, {})})
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_common(args)
-        return args.handler(args)
+        _read_form(args)
+        return _COMMANDS[args.command].handler(args)
     except weights.ParameterError as exc:
         print(f"{_flag(args, exc)}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

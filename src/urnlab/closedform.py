@@ -449,13 +449,13 @@ def sampling_pmf_multi(seqs, nvec, kvec):
 def polya_sampling_pmf_multi(avec, nvec, kvec):
     """Corollary form of sampling_pmf_multi for linear weights a_j * count."""
     avec = tuple(int(a) for a in avec)
-    check_colors("avec", len(avec))
+    r = len(avec)
+    check_colors("avec", r)
     for color, a in enumerate(avec):
         check_block_size("avec", a, color)
     nvec = tuple(int(x) for x in nvec)
     kvec = tuple(int(x) for x in kvec)
-    r = len(nvec)
-    check_length("avec", avec, r, "block size")
+    check_length("nvec", nvec, r, "count")
     for color, n in enumerate(nvec):
         check_count("nvec", n, color=color)
     check_survivors("kvec", kvec, nvec[:-1])

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
@@ -156,6 +157,7 @@ class TestPmf:
         monkeypatch.setenv("URNLAB_PRECISION_BITS", "abc")
         code, out, err = run_cli(
             capsys, "pmf", "--A", "linear:1", "--B", "square", "--n", "2", "--m", "2",
+            "--mode", "bigfloat",
         )
         assert code == 2
         assert err.startswith("URNLAB_PRECISION_BITS")
@@ -372,6 +374,18 @@ class TestLimit:
         assert values == sorted(values)
         assert values[0] == 0.0
 
+    @pytest.mark.parametrize("text, count", [
+        ("0:1:1/10000", 10_001), ("1/3:1:1/3", 3), ("1:0:1/4", 0), ("0:1:3/4", 2),
+    ])
+    def test_grid_points_counted_exactly(self, text, count):
+        points = cli._grid(text)
+        assert len(points) == count
+        assert all(b - a == Fraction(text.split(":")[2]) for a, b in zip(points, points[1:]))
+
+    def test_grid_over_the_cap_refused(self):
+        with pytest.raises(ParameterError, match="^10002 points; a grid takes at most 10001$"):
+            cli._grid("0:10001/10000:1/10000")
+
     def test_fixed_whites_pmf(self, capsys):
         code, out, _ = run_cli(
             capsys, "limit", "--law", "fixed-whites-pmf", "--n", "1", "--k", "1"
@@ -421,6 +435,9 @@ class TestBoundedTime:
               "--method", "series", "--tol", "0"], "--tol"),
             (["limit", "--law", "w-cdf", "--family", "square", "--grid", "0:1:0"], "--grid"),
             (["limit", "--law", "w-cdf", "--family", "square", "--grid", "0:1:-1/4"], "--grid"),
+            # 10**9 + 1 points, counted before any is evaluated
+            (["limit", "--law", "w-cdf", "--family", "square", "--grid", "0:1:1/1000000000"],
+             "--grid"),
         ],
     )
     def test_rejected_within_timeout(self, argv, flag):
@@ -812,6 +829,19 @@ class TestPrecisionBits:
         assert (code, err) == (0, "")
         assert check_json(out)["command"] == command
 
+    @pytest.mark.parametrize("argv", [
+        ["pmf", *SIM],
+        ["pmf", *SIM, "--mode", "float"],
+        ["limit", "--law", "fixed-blacks-moment", "--m", "2", "--s", "1"],
+        ["limit", "--law", "fixed-blacks-density", "--m", "2", "--q", "1/2"],
+    ], ids=["pmf-rational", "pmf-float", "fixed-blacks-moment", "fixed-blacks-density"])
+    def test_environment_ignored_in_exact_forms(self, capsys, monkeypatch, argv):
+        """Within `pmf` and `limit` only the big-float forms read it."""
+        monkeypatch.setenv("URNLAB_PRECISION_BITS", "abc")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert "precision_bits" not in check_json(out)
+
     def test_parser_has_the_flag_in_three_subcommands(self):
         sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
         having = {name for name, parser in sub.choices.items()
@@ -1031,7 +1061,9 @@ class TestParserTags:
         actions = {a.dest: a for a in sub.choices["limit"]._actions}
         assert actions["family"].choices == tuple(sorted(limits.FAMILIES))
         assert actions["method"].choices == (limits.FINITE_SUM, limits.SERIES)
-        assert actions["method"].default == "finite-sum"
+        # the default lives in the form table; the parse leaves it out
+        form = cli._COMMANDS["limit"].forms["limit --law fixed-whites-pmf"]
+        assert form.optional["method"] == "finite-sum"
 
 
 class TestEmitPlotData:
@@ -1047,12 +1079,114 @@ class TestEmitPlotData:
         assert again == out
 
     def test_decimal_rendering(self):
-        from fractions import Fraction
-
         assert cli.render_decimal(Fraction(1, 3), 6) == "0.333333"
         assert cli.render_decimal(Fraction(2, 3), 4) == "0.6667"
         assert cli.render_decimal(Fraction(-1, 8), 3) == "-0.125"
         assert cli.render_decimal(Fraction(5), 0) == "5"
+
+
+def parser_actions(command):
+    """The flags of a subcommand's parser, in parser order."""
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    return [a for a in sub.choices[command]._actions if a.dest != "help"]
+
+
+FORMS = {name: (command, form) for command, spec in cli._COMMANDS.items()
+         for name, form in spec.forms.items()}
+
+# the flags that pick a form beyond the required flags of its subcommand
+PICK = {
+    "pmf --mode float": ["--mode", "float"],
+    "pmf --mode bigfloat": ["--mode", "bigfloat"],
+    "moments --mixed": ["--mixed"],
+    "limit --law fixed-blacks-moment": ["--law", "fixed-blacks-moment"],
+    "limit --law fixed-blacks-density": ["--law", "fixed-blacks-density"],
+    "limit --law fixed-whites-pmf": ["--law", "fixed-whites-pmf"],
+    "limit --law fixed-whites-moment": ["--law", "fixed-whites-moment"],
+    "limit --law w-moment": ["--law", "w-moment"],
+    "limit --law w-cdf without --grid": ["--law", "w-cdf"],
+    "limit --law w-cdf --grid": ["--law", "w-cdf"],
+}
+# a valid value of each required flag
+REQUIRED = {"A": "linear:1", "B": "square", "n": "2", "m": "2", "weights": "linear:1;square",
+            "counts": "2,2", "avec": "1,1", "nvec": "2,2", "svec": "1", "s": "1", "k": "0",
+            "q": "1/2", "grid": "0:1:1/2"}
+
+
+def form_argv(name):
+    """The shortest argv that picks form `name`: its picking flags and its
+    required flags."""
+    command, form = FORMS[name]
+    picked = PICK.get(name, [])
+    argv = [command, *picked]
+    for flag in form.required:
+        if "--" + flag not in picked:
+            argv += ["--" + flag, REQUIRED[flag]]
+    return argv
+
+
+def outside_cases():
+    """(form, argv, flag): each form's argv with one parser flag it does
+    not read."""
+    for name, (command, form) in FORMS.items():
+        for action in parser_actions(command):
+            if action.dest not in form.reads:
+                value = [] if action.nargs == 0 else [(action.choices or ["1"])[0]]
+                yield pytest.param(name, [*form_argv(name), action.option_strings[0], *value],
+                                   action.dest, id=f"{name} + {action.option_strings[0]}")
+
+
+class TestForms:
+    """One table decides which flags each form of each subcommand reads: a
+    flag typed outside the form exits 2 naming it, and `params` echoes the
+    flags the form reads.  The cases come from the table and the parser, so
+    a new flag or form joins them unasked."""
+
+    @pytest.mark.parametrize("name", sorted(FORMS))
+    def test_shortest_argv_answers(self, capsys, name):
+        argv = form_argv(name)
+        command, form = FORMS[name]
+        assert cli._form_name(command, vars(cli.build_parser().parse_args(argv))) == name
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        params = check_json(out)["params"]
+        typed = {f for f in form.optional if "--" + f in argv}
+        defaults = {f: d for f, d in form.optional.items() if d is not None and f not in typed}
+        assert set(params) == {*form.required, *typed, *defaults}
+        assert {f: params[f] for f in defaults} == defaults
+
+    @pytest.mark.parametrize("name, argv, flag", outside_cases())
+    def test_flag_outside_the_form_refused(self, capsys, name, argv, flag):
+        """The refusal names the flag; where the flag picks another form
+        (--mixed, --grid, --weights), it names the first flag of this form
+        that the other form does not read."""
+        command, _ = FORMS[name]
+        typed = vars(cli.build_parser().parse_args(argv))
+        picked = cli._COMMANDS[command].forms[cli._form_name(command, typed)]
+        first = next(a for a in parser_actions(command)
+                     if a.dest in typed and a.dest not in picked.reads)
+        assert first.dest == flag or picked is not FORMS[name][1]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(first.option_strings[0] + ": not read by "), err
+
+    @pytest.mark.parametrize("name", sorted(FORMS))
+    def test_required_flag_left_out(self, capsys, name):
+        command, form = FORMS[name]
+        argv = form_argv(name)
+        for flag in form.required:
+            if "--" + flag in PICK.get(name, []):
+                continue
+            i = argv.index("--" + flag)
+            left = [*argv[:i], *argv[i + 2:]]
+            if cli._form_name(command, vars(cli.build_parser().parse_args(left))) != name:
+                continue  # --weights and --grid pick their forms
+            code, out, err = run_cli(capsys, *left)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"--{flag}: required by "), err
+
+    def test_law_left_out(self, capsys):
+        assert run_cli(capsys, "limit", "--m", "3") == (2, "", "--law: required by limit\n")
 
 
 # ---------------------------------------------------------------------------
@@ -1106,20 +1240,17 @@ SIMULATION = {
 
 SUBCOMMANDS = {
     "pmf": {**MODEL, **TWO_COLOR, **DECIMALS, **PRECISION, "k": COUNT,
-            "representation": flag(["beta-poles", "alpha-poles"]),
-            "mode": flag(["rational", "float", "bigfloat"])},
+            "representation": flag(["beta-poles", "alpha-poles"])},
     "oracle": {**MODEL, **TWO_COLOR, **DECIMALS, "method": flag(["recurrence", "enumerate"])},
     "pmf-multi": {**MODEL, **MULTI, **DECIMALS, "k": vector(COUNT, drop=1),
                   "engine": flag(["closed", "oracle"])},
     "moments": {"a": COUNT, "d": COUNT, "n": COUNT, "m": COUNT, "s": COUNT,
-                "kind": flag(["factorial", "raw"]), "mixed": flag([True, False]),
+                "kind": flag(["factorial", "raw"]),
                 "avec": vector(COUNT), "nvec": vector(COUNT), "svec": vector(COUNT, drop=1),
                 **DECIMALS},
     "okc-moments": {"b": COUNT, "c": COUNT, "n": COUNT, "m": COUNT, "s": COUNT,
                     "kind": flag(["raw", "polynomial"]), **DECIMALS},
-    "limit": {"law": flag(["fixed-blacks-moment", "fixed-blacks-density", "fixed-whites-pmf",
-                           "fixed-whites-moment", "w-moment", "w-cdf"]),
-              "m": COUNT, "n": COUNT, "s": COUNT, "k": COUNT, "q": Q,
+    "limit": {"m": COUNT, "n": COUNT, "s": COUNT, "k": COUNT, "q": Q,
               "family": flag(["square", "triangular", "shifted-square"]),
               "method": flag(["finite-sum", "series"]), "tol": TOL, "grid": GRID, **DECIMALS,
               **PRECISION},
@@ -1132,31 +1263,41 @@ SUBCOMMANDS = {
 
 @st.composite
 def argument_vectors(draw, command):
-    """argv for `command`: all flags but at most two, about half the
-    vectors clean, and one color count r for the list-valued flags.
-    `--decimals` comes only with `--format csv`, the one place it applies."""
+    """argv for `command`: one of its forms, picked by its `PICK` flags,
+    with its required flags, some of its optional ones and, in about a
+    third of the vectors, one flag from outside it; about half the vectors
+    clean, which keeps every required flag, and one color count r for the
+    list-valued flags.  `--decimals` comes only with `--format csv`, the
+    one place it applies."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS[command].forms)))
+    form = cli._COMMANDS[command].forms[name]
     flags = {**SUBCOMMANDS[command], **COMMON}
-    omit = draw(st.lists(st.sampled_from(sorted(flags)), max_size=2))
     r = draw(st.sampled_from([2, 3]))
     clean = draw(st.booleans())
-    drawn = {name: draw(values(r, clean))
-             for name, values in sorted(flags.items()) if name not in omit}
+    required = [f for f in form.required if f in flags]
+    if required and not clean and draw(st.booleans()):
+        required.remove(draw(st.sampled_from(required)))
+    optional = sorted(f for f in form.reads if f in flags and f not in form.required)
+    outside = sorted(f for f in flags if f not in form.reads)
+    chosen = required + draw(st.lists(st.sampled_from(optional), unique=True))  # --format at least
+    if outside and draw(st.integers(0, 2)) == 0:
+        chosen.append(draw(st.sampled_from(outside)))
+    drawn = {f: draw(flags[f](r, clean)) for f in chosen}
     if drawn.get("format") != "csv":
         drawn.pop("decimals", None)
-    argv = [command]
-    for name, value in drawn.items():
-        option = "--" + name.replace("_", "-")
-        if value is True:
-            argv.append(option)
-        elif value is not False:
-            argv += [option, value]
+    argv = [command, *PICK.get(name, [])]
+    for f, value in drawn.items():
+        argv += ["--" + f.replace("_", "-"), value]
     return argv
 
 
 def test_fuzz_draws_only_flags_the_parser_has():
-    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    """The fuzz draws only flags the parser has, and each flag the parser
+    has is drawn or picks a form (`PICK`)."""
     for command, flags in SUBCOMMANDS.items():
-        assert {*flags, *COMMON} <= {a.dest for a in sub.choices[command]._actions}, command
+        parsed = {a.dest for a in parser_actions(command)}
+        assert {*flags, *COMMON} <= parsed, command
+        assert parsed <= {*flags, *COMMON, "mode", "mixed", "law"}, command
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))

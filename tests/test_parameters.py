@@ -79,6 +79,10 @@ CASES = [
          id="okcorral_pmf_multi-zero-survivors"),
     case(lambda: closedform.polya_sampling_pmf_multi((1, 0, 1), (2, 2, 2), (1, 1)), "avec", 1,
          id="polya_sampling_pmf_multi"),
+    # r comes from avec, as in mixed_factorial_moment: this once blamed avec
+    # with an r of 1 read from nvec
+    case(lambda: closedform.polya_sampling_pmf_multi((1, 1), (2,), ()), "nvec",
+         id="polya_sampling_pmf_multi-length"),
     # these three once returned 0, 0 and raised a ValueError naming nothing
     case(lambda: closedform.polya_sampling_pmf_multi((1, 1), (2, 2), (5,)), "kvec", 0,
          id="polya_sampling_pmf_multi-survivors-above-count"),
