@@ -10,8 +10,9 @@ codes: 0 success, 2 validation error, 3 a formula-discrepancy was detected
 `pmf` probability that is nan, infinite or negative).
 
 Which flags each subcommand takes is one table, `_COMMANDS`: a subcommand
-has one or more forms (`pmf` per --mode, `limit` per --law, `moments` with
-or without --mixed, the two-color urn or --weights), each a `Form` of
+has one or more forms (`pmf` per --mode, `limit` per --law and
+fixed-whites-pmf's --method, `moments` with or without --mixed, the
+two-color urn or --weights), each a `Form` of
 required flags, optional flags with their defaults, and whether it takes
 --decimals and --precision-bits.  `main` picks the form from the parse, and
 a flag typed outside it or a required flag left out exits 2 naming it.
@@ -370,7 +371,10 @@ def _cmd_limit(args) -> int:
     elif law == "fixed-whites-pmf":
         # the library's rule ties --method to --k; name both flags
         with _reword("the series is certified only for --k 0; use finite-sum", only="method"):
-            value = limits.fixed_whites_pmf(args.n, args.k, args.method, args.tol, bits)
+            if args.method == weights.SERIES:
+                value = limits.fixed_whites_pmf(args.n, args.k, args.method, args.tol, bits)
+            else:  # the finite sum truncates nothing, so it has no --tol
+                value = limits.fixed_whites_pmf(args.n, args.k, args.method, bits=bits)
     elif law == "fixed-whites-moment":
         value = limits.fixed_whites_moment(args.n, args.s, bits)
     elif law == "w-moment":
@@ -599,9 +603,10 @@ _COMMANDS = {
     "limit": Command(_cmd_limit, "limit-law quantities", {
         "limit --law fixed-blacks-moment": Form(("law", "m", "s"), exact=True),
         "limit --law fixed-blacks-density": Form(("law", "m", "q"), exact=True),
-        "limit --law fixed-whites-pmf": Form(("law", "n", "k"),
-                                             {"method": weights.FINITE_SUM, "tol": 1e-12},
-                                             bigfloat=True),
+        "limit --law fixed-whites-pmf --method finite-sum": Form(
+            ("law", "n", "k"), {"method": weights.FINITE_SUM}, bigfloat=True),
+        "limit --law fixed-whites-pmf --method series": Form(
+            ("law", "n", "k"), {"method": weights.SERIES, "tol": 1e-12}, bigfloat=True),
         "limit --law fixed-whites-moment": Form(("law", "n", "s"), bigfloat=True),
         "limit --law w-moment": Form(("law", "s"), {"family": weights.SQUARE}, bigfloat=True),
         "limit --law w-cdf without --grid": Form(("law", "q"), _CDF, bigfloat=True),
@@ -627,13 +632,17 @@ _COMMANDS = {
 
 def _form_name(command, typed) -> str:
     """The form of `command` that the typed flags pick: by --mode in `pmf`,
-    by --law (and --grid for w-cdf) in `limit`, by --mixed in `moments` and
-    by --weights in `duality-check` and `simulate`."""
+    by --law (and --method for fixed-whites-pmf, --grid for w-cdf) in
+    `limit`, by --mixed in `moments` and by --weights in `duality-check` and
+    `simulate`."""
     if command == "pmf":
         return f"pmf --mode {typed.get('mode', RATIONAL)}"
     if command == "limit":
         if "law" not in typed:
             raise weights.ParameterError("required by limit", "law")
+        if typed["law"] == "fixed-whites-pmf":
+            method = typed.get("method", weights.FINITE_SUM)
+            return f"limit --law fixed-whites-pmf --method {method}"
         if typed["law"] != "w-cdf":
             return f"limit --law {typed['law']}"
         return "limit --law w-cdf " + ("--grid" if "grid" in typed else "without --grid")

@@ -179,12 +179,12 @@ def compensated_sum(terms):
     return sum(terms, Fraction(0))
 
 
-def ratio_sum(terms, scale=1) -> Fraction:
-    """scale times the sum of `terms`, (num, den) int pairs, as one
-    `Fraction`: the terms go over one common denominator, their lcm, and
-    the sum is reduced once."""
-    common = lcm(*[abs(den) for _, den in terms])
-    return Fraction(scale * sum(num * (common // den) for num, den in terms), common)
+def ratio_sum(terms) -> Fraction:
+    """The sum of `terms`, (num, den) int pairs, as one `Fraction`: the
+    terms go over one common denominator, their lcm, and the sum is reduced
+    once."""
+    common = lcm(*[den for _, den in terms])
+    return Fraction(sum(num * (common // den) for num, den in terms), common)
 
 
 def cast_value(x, mode: str):

@@ -1062,7 +1062,7 @@ class TestParserTags:
         assert actions["family"].choices == tuple(sorted(limits.FAMILIES))
         assert actions["method"].choices == (limits.FINITE_SUM, limits.SERIES)
         # the default lives in the form table; the parse leaves it out
-        form = cli._COMMANDS["limit"].forms["limit --law fixed-whites-pmf"]
+        form = cli._COMMANDS["limit"].forms["limit --law fixed-whites-pmf --method finite-sum"]
         assert form.optional["method"] == "finite-sum"
 
 
@@ -1101,7 +1101,9 @@ PICK = {
     "moments --mixed": ["--mixed"],
     "limit --law fixed-blacks-moment": ["--law", "fixed-blacks-moment"],
     "limit --law fixed-blacks-density": ["--law", "fixed-blacks-density"],
-    "limit --law fixed-whites-pmf": ["--law", "fixed-whites-pmf"],
+    "limit --law fixed-whites-pmf --method finite-sum": ["--law", "fixed-whites-pmf"],
+    "limit --law fixed-whites-pmf --method series": ["--law", "fixed-whites-pmf",
+                                                     "--method", "series"],
     "limit --law fixed-whites-moment": ["--law", "fixed-whites-moment"],
     "limit --law w-moment": ["--law", "w-moment"],
     "limit --law w-cdf without --grid": ["--law", "w-cdf"],
@@ -1187,6 +1189,15 @@ class TestForms:
 
     def test_law_left_out(self, capsys):
         assert run_cli(capsys, "limit", "--m", "3") == (2, "", "--law: required by limit\n")
+
+    def test_tol_read_by_the_series_only(self, capsys):
+        # the finite sum truncates nothing; it once echoed "tol": 5.0 unread
+        argv = ["limit", "--law", "fixed-whites-pmf", "--n", "3", "--k", "0", "--tol", "5"]
+        assert run_cli(capsys, *argv) == (
+            2, "", "--tol: not read by limit --law fixed-whites-pmf --method finite-sum\n")
+        code, out, err = run_cli(capsys, *argv, "--method", "series")
+        assert (code, err) == (0, "")
+        assert check_json(out)["params"]["tol"] == 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -1277,7 +1288,8 @@ def argument_vectors(draw, command):
     required = [f for f in form.required if f in flags]
     if required and not clean and draw(st.booleans()):
         required.remove(draw(st.sampled_from(required)))
-    optional = sorted(f for f in form.reads if f in flags and f not in form.required)
+    optional = sorted(f for f in form.reads if f in flags and f not in form.required
+                      and "--" + f not in PICK.get(name, []))
     outside = sorted(f for f in flags if f not in form.reads)
     chosen = required + draw(st.lists(st.sampled_from(optional), unique=True))  # --format at least
     if outside and draw(st.integers(0, 2)) == 0:

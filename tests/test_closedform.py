@@ -235,9 +235,11 @@ def law_of(model, A, B, n, m, representation, mode=None):
 
 
 class TestIntegerScaledLaw:
-    """Two-color laws run on integer-scaled tables with one lcm denominator
-    per survivor count; they must equal the term-by-term `Fraction` route
-    exactly, and float and big-float modes must be that law rounded once."""
+    """The closed forms run on integer-scaled tables with one lcm per law
+    (per group of points in an r-color pass), each pole's numerator stepped
+    along the survivor axis k.  They must equal the term-by-term `Fraction`
+    route exactly, whichever row is lowest, and float and big-float modes
+    must be that law rounded once."""
 
     @pytest.mark.parametrize("model", ["I", "II"])
     @pytest.mark.parametrize("ia", range(len(TEN_FAMILIES)))
@@ -250,12 +252,29 @@ class TestIntegerScaledLaw:
                     assert all(type(p) is Fraction for p in law)
                     assert law == fraction_per_term_law(model, A, B, n, m, rep), (ib, n, m)
 
-    @pytest.mark.parametrize("n", [20, 40, 60])
-    def test_equals_fraction_per_term_large(self, n):
+    @pytest.mark.parametrize("A, B, n, m", [
+        (linear(1), square(), 20, 20), (linear(1), square(), 40, 40),
+        (linear(1), square(), 60, 60), (linear(1), square(), 60, 6),
+        (linear(1), square(), 6, 60),
+        # weights with large denominators scale to large ints
+        (FLOAT_TABLE, square(), 30, 30), (reciprocal(square()), linear(1), 30, 30),
+    ], ids=["20", "40", "60", "60-6", "6-60", "float-table-30", "reciprocal-30"])
+    def test_equals_fraction_per_term_large(self, A, B, n, m):
         for model in CLOSED:
             for rep in REPS:
-                law = law_of(model, linear(1), square(), n, n, rep)
-                assert law == fraction_per_term_law(model, linear(1), square(), n, n, rep)
+                assert law_of(model, A, B, n, m, rep) == fraction_per_term_law(
+                    model, A, B, n, m, rep)
+
+    @pytest.mark.parametrize("seqs, counts", [
+        ((linear(1), square(), linear(2)), (3, 4, 3)),
+        ((linear(1), triangular(), reciprocal(square()), square()), (2, 3, 2, 3)),
+    ], ids=["r3", "r4"])
+    def test_multi_single_survivor_vector(self, seqs, counts):
+        # one row per color, so each pass starts at its survivor count
+        spec = UrnSpec("I", seqs, counts)
+        law, truth = multi_distribution(spec), absorption_pmf_multi(spec)
+        for kvec in law.support:
+            assert sampling_pmf_multi(seqs, counts, kvec) == law[kvec] == truth[kvec], kvec
 
     @pytest.mark.parametrize("c", [Fraction(7, 3), Fraction(1, 6), Fraction(12)])
     def test_common_scale_leaves_law_unchanged(self, c):
