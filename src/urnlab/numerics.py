@@ -183,7 +183,12 @@ def ratio_sum(terms) -> Fraction:
     """The sum of `terms`, (num, den) int pairs, as one `Fraction`: the
     terms go over one common denominator, their lcm, and the sum is reduced
     once."""
-    common = lcm(*[den for _, den in terms])
+    common = 1
+    for _, den in terms:
+        # most denominators of one law divide the lcm so far, and a remainder
+        # costs far less than the gcd inside `lcm`
+        if common % den:
+            common = lcm(common, den)
     return Fraction(sum(num * (common // den) for num, den in terms), common)
 
 

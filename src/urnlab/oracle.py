@@ -9,7 +9,9 @@ enumeration on tiny instances (`enumerate_pmf`).  Every weight is a
 route the others are checked against; forward reach and enumeration scale
 the weight tables to ints by one common factor (`weights.integer_tables`),
 which leaves the law unchanged, and build a `Fraction` only for an
-outcome's probability.
+outcome's probability.  Forward reach keeps each layer over one common
+denominator and reduces each state's mass by its own small drawing sum, a
+fast gcd, rather than the whole layer by one gcd over every big numerator.
 """
 
 from __future__ import annotations
@@ -37,10 +39,12 @@ class ExactDistribution:
 
     def __post_init__(self):
         if self.mode == RATIONAL:
-            total = sum(self.probs.values(), Fraction(0))
+            # the exact total over one common denominator, not a gcd per add
+            probs = self.probs.values()
+            total = ratio_sum([(p.numerator, p.denominator) for p in probs])
             if total != 1:
                 raise ValueError(f"probabilities sum to {total}, not 1")
-            if any(p < 0 or p > 1 for p in self.probs.values()):
+            if any(p < 0 or p > 1 for p in probs):
                 raise ValueError("probability outside [0, 1]")
 
     def __getitem__(self, point):
@@ -161,23 +165,27 @@ def _forward_reach(spec: UrnSpec) -> dict:
     Each draw removes one ball, so reach probabilities move down one
     total-ball-count layer at a time and only one layer is alive.  The
     tables are scaled to ints (`integer_tables`) and a layer's masses are
-    int numerators over one layer denominator D: the next layer's is D * L,
-    L the lcm of the live states' drawing sums, and the gcd of D and every
-    numerator is divided out once per layer.  Absorbing states add
-    `Fraction(p, D)` to their outcome.
+    int numerators over one layer denominator D.  Each live state's mass p
+    over its drawing sum `den`, a small int, is first reduced by
+    gcd(p, den); the next layer's denominator is D * L, L the lcm of the
+    reduced sums.  D is a common denominator of the layer, not always the
+    least.  Each absorbing state's mass stays an int pair (p, D), and each
+    outcome sums its pairs once (`ratio_sum`).
     """
     tables = integer_tables(*[seq.table(c) for seq, c in zip(spec.sequences, spec.counts)])
-    out: dict = defaultdict(Fraction)
+    out: dict = defaultdict(list)  # outcome: [(p, D) per absorbing state]
     layer = {spec.counts: 1}
     D = 1
     while layer:
         live = []
         for state, p in layer.items():
             if _absorbed(state):
-                out[_outcome(state)] += Fraction(p, D)
+                out[_outcome(state)].append((p, D))
             else:
                 weights = _drawing_weights(spec.model, tables, state)
-                live.append((state, p, weights, sum(weights)))
+                den = sum(weights)
+                g = gcd(p, den)
+                live.append((state, p // g, weights, den // g))
         L = lcm(*[den for *_, den in live])
         D *= L
         below: dict = defaultdict(int)
@@ -186,10 +194,8 @@ def _forward_reach(spec: UrnSpec) -> dict:
             for ell, w in enumerate(weights):
                 if w:
                     below[state[:ell] + (state[ell] - 1,) + state[ell + 1 :]] += p * w
-        g = gcd(D, *below.values())
-        D //= g
-        layer = {state: p // g for state, p in below.items()}
-    return out
+        layer = below
+    return {outcome: ratio_sum(terms) for outcome, terms in out.items()}
 
 
 def _as_distribution(spec: UrnSpec, out: dict, flat: bool) -> ExactDistribution:

@@ -17,6 +17,7 @@ from urnlab.numerics import (
     cast_value,
     falling_factorial,
     ramanujan_q,
+    ratio_sum,
     stirling_first_unsigned,
     stirling_second,
 )
@@ -204,6 +205,19 @@ class TestSummation:
         assert compensated_sum([Fraction(1, 3)] * 3) == 1
         assert compensated_sum([]) == 0
         assert type(compensated_sum([])) is Fraction
+
+    def test_ratio_sum_is_the_fraction_sum(self):
+        # denominators that divide the lcm so far, that extend it, and that
+        # share only part of it, in every order
+        rng = random.Random(23)
+        dens = [1, 6, 35, 2**64, 3**40 * 10, 10**25 * 7]
+        for _ in range(300):
+            terms = [(rng.randint(-10**30, 10**30), rng.choice(dens))
+                     for _ in range(rng.randint(1, 8))]
+            total = ratio_sum(terms)
+            assert type(total) is Fraction
+            assert total == sum((Fraction(n, d) for n, d in terms), Fraction(0))
+        assert ratio_sum([]) == 0
 
 
 class TestCastValue:

@@ -5,6 +5,13 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from urnlab.closedform import (
+    ALPHA_POLES,
+    BETA_POLES,
+    multi_distribution,
+    okcorral_distribution,
+    sampling_distribution,
+)
 from urnlab.oracle import (
     ExactDistribution,
     absorption_pmf,
@@ -263,10 +270,57 @@ class TestDuality:
         )
 
 
+# a custom table given as floats: 53-bit denominators once made exact
+FLOAT_TABLE = custom([0.1 * j + 0.01 * j * j for j in range(1, 13)])
+
+
+class TestLayerDenominator:
+    """Forward reach reduces each live state's mass by its own drawing sum,
+    so a layer's denominator is common to its masses but, on almost every
+    start below, not their least one.  Each law must still be exact."""
+
+    @pytest.mark.parametrize("model", ["I", "II"])
+    @pytest.mark.parametrize("A, B", [
+        (FLOAT_TABLE, square()), (linear(1), FLOAT_TABLE),
+        (reciprocal(square()), linear(1)), (triangular(), reciprocal(square())),
+    ], ids=["float-square", "linear-float", "reciprocal-linear", "triangular-reciprocal"])
+    def test_matches_lattice_up_to_12(self, model, A, B):
+        rows = absorption_pmf_lattice(two_color(model, A, B, 12, 12))
+        for n, m in product(range(13), repeat=2):
+            dist = absorption_pmf(two_color(model, A, B, n, m))
+            assert dist.probs == dict(enumerate(rows[m][n][: n + 1])), (n, m)
+
+    @pytest.mark.parametrize("model", ["I", "II"])
+    def test_matches_both_closed_forms_at_60(self, model):
+        law = absorption_pmf(two_color(model, linear(1), square(), 60, 60)).probs
+        closed = {"I": sampling_distribution, "II": okcorral_distribution}[model]
+        for rep in (BETA_POLES, ALPHA_POLES):
+            assert closed(linear(1), square(), 60, 60, rep).probs == law, rep
+
+    @pytest.mark.parametrize("model", ["I", "II"])
+    def test_multi_matches_closed_form_with_a_reciprocal_color(self, model):
+        spec = UrnSpec(model, (linear(1), reciprocal(linear(2)), square(), shifted_square()),
+                       (5, 5, 5, 5))
+        assert absorption_pmf_multi(spec).probs == multi_distribution(spec).probs
+
+
 class TestExactDistribution:
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError):
             ExactDistribution((0, 1), {0: Fraction(1, 2), 1: Fraction(1, 3)})
+
+    def test_rejects_a_total_off_by_one_part_in_10_to_40(self):
+        near = {0: Fraction(1, 3), 1: Fraction(2, 3) - Fraction(1, 10**40)}
+        with pytest.raises(ValueError, match="sum to"):
+            ExactDistribution((0, 1), near)
+
+    @pytest.mark.parametrize("probs", [
+        {0: Fraction(-1, 7), 1: Fraction(4, 7), 2: Fraction(4, 7)},
+        {0: Fraction(3, 2), 1: Fraction(-1, 2)},  # a total of 1 needs a negative too
+    ], ids=["negative", "above-1"])
+    def test_rejects_an_entry_outside_0_1_with_total_1(self, probs):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            ExactDistribution(tuple(probs), probs)
 
     def test_moments(self):
         dist = absorption_pmf(two_color("I", linear(1), linear(1), 2, 2))
