@@ -401,19 +401,23 @@ def _cmd_theta(args) -> int:
 
     bits = args.precision_bits
     q = _fraction(args.q, "q")
+    limits._check_tol(args.tol)  # here, so the rewording below meets budget refusals only
     finest = THETA_MIN_TOL_ULPS * 2.0 ** -(bits + 32)
-    # a tol that is not positive is the library's to refuse
-    if 0 < args.tol < finest:
+    if args.tol < finest:
         raise weights.ParameterError(
             f"{args.tol:g} is finer than --precision-bits {bits} can resolve; "
             f"use a tol of at least {finest:.3g} or more precision bits",
             "tol",
         )
     # evaluate well below the agreement tolerance so truncation noise from
-    # the two routes cannot straddle the check
+    # the two routes cannot straddle the check; a budget the routes refuse
+    # at that tol is refused as the --tol typed
     inner_tol = args.tol / 100
-    series = limits.theta(q, inner_tol, bits)
-    product = limits.jacobi_triple_product(q, inner_tol, bits)
+    with _reword(f"{args.tol:g} is out of reach at this --q: the series or the triple "
+                 f"product, run at tol/100, needs more than {limits.MAX_SERIES_TERMS} "
+                 "terms; loosen tol", only="tol"):
+        series = limits.theta(q, inner_tol, bits)
+        product = limits.jacobi_triple_product(q, inner_tol, bits)
     with mpmath.workprec(bits + 32):
         diff = abs(series - product)
     _emit(args, "bigfloat", {

@@ -13,9 +13,13 @@ big-float arithmetic at a configurable precision so that alternating sums
 keep far more correct bits than the tolerances demand.
 
 Every truncated series and product runs through one loop, `_sum_until`: it
-rejects a tol that is not > 0 (nan included) and gives up after
-MAX_SERIES_TERMS terms, so no call runs unbounded.  These refusals and the
-range rules on counts, orders and points raise `ParameterError`.
+rejects a tol that is not finite and > 0 (nan included) and gives up after
+MAX_SERIES_TERMS terms, so no call runs unbounded.  Each routine knows the
+least bound within that budget in closed form, and a loop still running
+after EARLY_TERMS terms refuses a tol that bound does not reach: so
+`jacobi_triple_product(999999/1000000, 1e-14)` fails after 64 factors
+rather than after 2,000,000.  These refusals and the range rules on
+counts, orders and points raise `ParameterError`.
 
 Returned big-floats carry their full internal precision, but mpmath rounds
 at operation time using the global context: combine results under
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, inf, prod
 
 import mpmath
 from mpmath.libmp import mpf_mul, round_nearest
@@ -35,6 +39,7 @@ from .numerics import (
     BIGFLOAT,
     RATIONAL,
     cast_value,
+    clock_product_blocks,
     precision_bits,
     stirling_first_unsigned,
     stirling_second,
@@ -55,8 +60,9 @@ from .weights import (
 
 MAX_SERIES_TERMS = 2_000_000
 
-# factors multiplied as exact integers before one fold into a big-float
-PRODUCT_BLOCK = 64
+# terms a loop takes before it asks whether its budget can reach tol at all;
+# most calls stop sooner and never pay for that bound
+EARLY_TERMS = 64
 
 # bits carried beyond the working precision by the running powers of q in
 # the q-products; see jacobi_triple_product
@@ -81,9 +87,12 @@ def _bits(bits):
 
 
 def _check_tol(tol):
-    # `not > 0` also rejects nan, which no stopping rule would ever reach
+    # `not > 0` also rejects nan, which no stopping rule would ever reach;
+    # every bound is below an infinite tol, so the first term would stop it
     if not tol > 0:
         raise ParameterError("must be positive", "tol")
+    if tol == inf:
+        raise ParameterError("must be finite", "tol")
 
 
 def _check_point(q, top_open=False):
@@ -92,27 +101,27 @@ def _check_point(q, top_open=False):
         raise ParameterError(f"must lie in [0, 1{')' if top_open else ']'}, got {q}", "q")
 
 
-def _sum_until(term, tol, acc, start=1, combine=operator.add, hint=""):
+def _sum_until(term, tol, acc, least, start=1, combine=operator.add, hint=""):
     """Fold term(i) = (value, bound) into acc for i = start, start + 1, ...,
     stopping after the first term whose bound is below tol.
 
     combine is + for series and * for products; bound is the quantity the
-    routine's truncation rule compares with tol.  Raises ParameterError
-    naming tol when it is not > 0 and when MAX_SERIES_TERMS terms pass
-    without reaching it (hint is appended to that message).
+    routine's truncation rule compares with tol, and least() is at most every
+    bound of the first MAX_SERIES_TERMS terms.  Raises ParameterError naming
+    tol when it is not finite and > 0, and when MAX_SERIES_TERMS terms would
+    pass without reaching it: after EARLY_TERMS terms if least() is not below
+    tol, else after the last (hint is appended to that message).
     """
     _check_tol(tol)
     for i in range(start, start + MAX_SERIES_TERMS):
+        if i == start + EARLY_TERMS and not least() < tol:
+            break
         value, bound = term(i)
         acc = combine(acc, value)
         if bound < tol:
             return acc
-    raise _budget_error(tol, hint)
-
-
-def _budget_error(tol, hint):
-    return ParameterError(
-        f"series did not reach tol={tol} within {MAX_SERIES_TERMS} terms{hint}", "tol"
+    raise ParameterError(
+        f"cannot reach tol={tol} within {MAX_SERIES_TERMS} terms{hint}", "tol"
     )
 
 
@@ -121,27 +130,14 @@ def _budget_error(tol, hint):
 # ---------------------------------------------------------------------------
 
 
-def _ratio_blocks(weights, s):
-    """Yield the product of b / (b + s) over each run of PRODUCT_BLOCK
-    consecutive rational weights b = p/q, as an exact pair of integers
-    (prod p, prod (p + s q))."""
-    for start in range(0, len(weights), PRODUCT_BLOCK):
-        num = den = 1
-        for b in weights[start : start + PRODUCT_BLOCK]:
-            p, q = b.numerator, b.denominator
-            num *= p
-            den *= p + s * q
-        yield num, den
-
-
 def fixed_blacks_moment(m: int, s: int, mode: str = RATIONAL):
-    """s-th moment of the limiting survivor fraction: the finite product of
-    ell^2 / (ell^2 + s), folded one block of exact integer factors at a
-    time.  Exact rational by default; other modes round it once."""
+    """s-th moment of the limiting survivor fraction: the product of b/(b + s)
+    over the square weights b = ell^2, ell <= m, in blocks of exact integer
+    factors.  Exact rational by default; other modes round it once."""
     check_count("m", m, 1)
     check_order("s", s, 1)
     acc = Fraction(1)
-    for num, den in _ratio_blocks([ell * ell for ell in range(1, m + 1)], s):
+    for num, den in clock_product_blocks(FAMILIES[SQUARE].table(m)[1:], s):
         acc *= Fraction(num, den)
     return cast_value(acc, mode)
 
@@ -237,12 +233,9 @@ def fixed_whites_pmf(
             return (t if (ell - 1) % 2 == 0 else -t), t
 
         hint = f"; terms decay like ell^(-{2 * n}), loosen tol for small n"
-        # the terms fall with ell: if the last one allowed is not below tol,
-        # none is, so fail now rather than after MAX_SERIES_TERMS evaluations
-        if not term(MAX_SERIES_TERMS)[1] < tol:
-            raise _budget_error(tol, hint)
-        # alternating series: stopping below tol bounds the truncation by tol
-        total = _sum_until(term, tol, mpmath.mpf(0), hint=hint)
+        # alternating series: stopping below tol bounds the truncation by
+        # tol; the terms fall with ell, so the last one allowed is the least
+        total = _sum_until(term, tol, mpmath.mpf(0), lambda: term(MAX_SERIES_TERMS)[1], hint=hint)
         return +(2 * total)
 
 
@@ -314,7 +307,7 @@ def limit_moment_product(s: int, family=SQUARE, tol=1e-12, bits=None):
         )
     with mpmath.workprec(_bits(bits) + 32):
         acc = mpmath.mpf(1)
-        for num, den in _ratio_blocks(FAMILIES[tag].table(cutoff)[1:], s):
+        for num, den in clock_product_blocks(FAMILIES[tag].table(cutoff)[1:], s):
             acc = acc * num / den
         if tag == SQUARE:
             tail = mpmath.polygamma(1, cutoff + 1)
@@ -339,7 +332,8 @@ def theta(q, tol=1e-30, bits=None):
             t = qq ** (n * n)
             return (2 * t if n % 2 == 0 else -2 * t), t
 
-        return +_sum_until(term, tol, mpmath.mpf(1))
+        # the terms fall with n, so the last one allowed is the least
+        return +_sum_until(term, tol, mpmath.mpf(1), lambda: term(MAX_SERIES_TERMS)[1])
 
 
 def jacobi_triple_product(q, tol=1e-30, bits=None):
@@ -363,8 +357,9 @@ def jacobi_triple_product(q, tol=1e-30, bits=None):
         qq = cast_value(q, BIGFLOAT)
         q1 = qq._mpf_
         q2 = mpf_mul(q1, q1)  # exact
-        # remaining log-product magnitude is below 3 q^(2j+1)/(1-q)
-        scale = 3 * qq**2 / (1 - qq)
+        # remaining log-product magnitude is below 3 q^(2j+1)/(1-q); a q that
+        # rounds to 1 leaves no bound
+        scale = 3 * qq**2 / (1 - qq) if qq < 1 else mpmath.inf
         power = q1  # q^(2j-1) at p + 48 bits
 
         def factor(j):
@@ -374,7 +369,13 @@ def jacobi_triple_product(q, tol=1e-30, bits=None):
             power = mpf_mul(power, q2, wp, round_nearest)
             return (1 - even) * (1 - odd) ** 2, odd * scale
 
-        return +_sum_until(factor, tol, mpmath.mpf(1), combine=operator.mul)
+        # the bounds fall with j, so the last factor's is the least; computed
+        # afresh it may differ from the carried power's by a few units in the
+        # last place, and a margin of 2^(8-p) keeps it below
+        def least():
+            return qq ** (2 * MAX_SERIES_TERMS - 1) * scale * (1 - mpmath.ldexp(1, 8 - prec))
+
+        return +_sum_until(factor, tol, mpmath.mpf(1), least, combine=operator.mul)
 
 
 def euler_phi_cubed(q, tol=1e-30, bits=None):
@@ -391,7 +392,7 @@ def euler_phi_cubed(q, tol=1e-30, bits=None):
     with mpmath.workprec(prec):
         qq = cast_value(q, BIGFLOAT)
         q1 = qq._mpf_
-        scale = 3 * qq / (1 - qq)
+        scale = 3 * qq / (1 - qq) if qq < 1 else mpmath.inf
         power = q1  # q^n at p + 48 bits
 
         def factor(n):
@@ -400,7 +401,12 @@ def euler_phi_cubed(q, tol=1e-30, bits=None):
             power = mpf_mul(power, q1, wp, round_nearest)
             return 1 - t, t * scale
 
-        return +(_sum_until(factor, tol, mpmath.mpf(1), combine=operator.mul) ** 3)
+        def least():
+            # the last factor's bound, with jacobi_triple_product's margin
+            return qq**MAX_SERIES_TERMS * scale * (1 - mpmath.ldexp(1, 8 - prec))
+
+        product = _sum_until(factor, tol, mpmath.mpf(1), least, combine=operator.mul)
+        return +(product**3)
 
 
 def limit_cdf(q, family=SQUARE, tol=1e-30, bits=None):
@@ -427,13 +433,21 @@ def limit_cdf(q, family=SQUARE, tol=1e-30, bits=None):
                 # the l = 0 term is 1 whatever q is; never stop on it
                 return (t if ell % 2 == 0 else -t), (t if ell >= 1 else mpmath.inf)
 
-            value = 1 - _sum_until(term, tol, mpmath.mpf(0), start=0)
+            # log t is concave in l, so over 1..last t is least at an end;
+            # the early terms, l = 1 among them, did not stop the loop
+            def least():
+                return term(MAX_SERIES_TERMS - 1)[1]
+
+            value = 1 - _sum_until(term, tol, mpmath.mpf(0), least, start=0)
         else:
 
             def term(ell):
                 t = qq ** ((mpmath.mpf(2 * ell - 1) / 2) ** 2) / (2 * ell - 1)
                 return (t if ell % 2 == 1 else -t), t
 
-            value = 4 / mpmath.pi * _sum_until(term, tol, mpmath.mpf(0))
+            def least():
+                return term(MAX_SERIES_TERMS)[1]  # the terms fall with l
+
+            value = 4 / mpmath.pi * _sum_until(term, tol, mpmath.mpf(0), least)
         # truncation noise can poke past the boundary by less than tol
         return +min(max(value, mpmath.mpf(0)), mpmath.mpf(1))

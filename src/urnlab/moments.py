@@ -1,10 +1,10 @@
 """Factorial, raw, and mixed moments for the linear-weight urns.
 
-The sampling moments are one-line ratios of falling factorials and
-generalized binomials.  The contested-fire moments run through the
-polynomial pair (f_n, g_n) of Puyhaubert's construction, n! times the z^n
-coefficients of two generating functions F and G, together with
-Ramanujan's Q-function.  F and G solve the first-order ODEs
+The sampling moments are falling factorials times one exponential-clock
+product (`numerics.clock_product_blocks`).  The contested-fire moments run
+through the polynomial pair (f_n, g_n) of Puyhaubert's construction, n!
+times the z^n coefficients of two generating functions F and G, together
+with Ramanujan's Q-function.  F and G solve the first-order ODEs
 F' = u (1 - e^-z) F and G' = u (1 - e^-z) G + u e^-z, so f_{n+1} and
 g_{n+1} follow from the earlier ones by an integer recurrence (see the
 comment block above `_bump_caches`).  The polynomial M_s whose expectation
@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .numerics import (
     Polynomial,
     binom_general,
+    clock_product_blocks,
     falling_factorial,
     ramanujan_q,
     stirling_first_unsigned,
@@ -37,6 +38,7 @@ from .weights import (
     check_count,
     check_length,
     check_order,
+    linear,
 )
 
 # ---------------------------------------------------------------------------
@@ -69,7 +71,8 @@ def sampling_raw_moment(a, d, n, m, s) -> Fraction:
 
 def mixed_factorial_moment(avec, nvec, svec) -> Fraction:
     """Mixed falling-factorial moment of the r-color sampling survivors:
-    block sizes avec, counts nvec, orders svec of colors 1..r-1."""
+    block sizes avec, counts nvec, orders svec of colors 1..r-1.  It is
+    prod_j (n_j)_{s_j} times the last color's clock product at sum_j a_j s_j."""
     avec, nvec, svec = tuple(avec), tuple(nvec), tuple(svec)
     check_colors("avec", len(avec))
     check_length("nvec", nvec, len(avec), "count")
@@ -83,8 +86,9 @@ def mixed_factorial_moment(avec, nvec, svec) -> Fraction:
     num = Fraction(1)
     for n_j, s_j in zip(nvec, svec):
         num *= falling_factorial(n_j, s_j)
-    shift = sum(Fraction(avec[f] * svec[f], avec[-1]) for f in range(len(svec)))
-    return num / binom_general(Fraction(nvec[-1]) + shift, nvec[-1])
+    x = sum(a * s for a, s in zip(avec, svec))
+    blocks = clock_product_blocks(linear(avec[-1]).table(nvec[-1])[1:], x)
+    return num * prod(Fraction(p, q) for p, q in blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,9 @@ FLOAT = "float"
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 8
 
+# factors multiplied as exact integers before one fold into a product
+PRODUCT_BLOCK = 64
+
 
 def precision_bits() -> int:
     """Working precision for big-float mode, from URNLAB_PRECISION_BITS."""
@@ -190,6 +193,19 @@ def ratio_sum(terms) -> Fraction:
         if common % den:
             common = lcm(common, den)
     return Fraction(sum(num * (common // den) for num, den in terms), common)
+
+
+def clock_product_blocks(weights, x):
+    """prod b / (b + x) over rational weights b = p/q, as exact int pairs
+    (prod p, prod (p + x q)), one per PRODUCT_BLOCK consecutive weights: over
+    a color's weights, E[exp(-x T)] for T the time its Exp(b) clocks run out."""
+    for start in range(0, len(weights), PRODUCT_BLOCK):
+        num = den = 1
+        for b in weights[start : start + PRODUCT_BLOCK]:
+            p, q = b.numerator, b.denominator
+            num *= p
+            den *= p + x * q
+        yield num, den
 
 
 def cast_value(x, mode: str):

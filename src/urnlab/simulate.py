@@ -11,14 +11,17 @@ clocks with s_h(c) = alpha_h(c).  A trial sums the last color's clocks to
 its exhaustion time T; every other color keeps its start count minus its
 running clocks below T (an empty last color gives T = 0 and the start).
 
-Determinism contract: a (spec, trials, seed) triple produces identical
-aggregate counts for any worker count.  Trials are split into fixed-size
-chunks, each drawing from its own PCG64 stream derived from (seed, chunk
-index).  A chunk draws the last color's clocks, then colors 0..r-2, each
-term-major (one row per ball in leaving order, one column per trial) in
-blocks of at most BLOCK_DOUBLES doubles; running sums cross blocks as one
-row-by-row pass would add them, so counts do not depend on the block size.
-The limit samplers draw their exponential series the same way.
+Determinism contract: a (spec, trials, seed) triple, the seed a nonnegative
+int, produces identical aggregate counts for any worker count.  Trials are
+split into fixed-size chunks, each drawing from its own PCG64 stream derived
+from (seed, chunk index).  A chunk draws the last color's clocks, then
+colors 0..r-2, each term-major (one row per ball in leaving order, one
+column per trial) in blocks of at most BLOCK_DOUBLES doubles; running sums
+cross blocks as one row-by-row pass would add them, so counts do not depend
+on the block size.
+The limit samplers draw their exponential series the same way: one clock
+per weight of a limit family, exp(-sum_l eps_l / beta_l); the fixed-blacks
+sampler is the square family's, truncated at m terms.
 
 Float bias: scales are exact rationals rounded once and a running clock
 rounds once per term, so a comparison with T near a tie can flip with
@@ -41,7 +44,7 @@ import numpy.random  # numpy loads it lazily; every sampler here needs it
 
 from .limits import FAMILIES, _family
 from .oracle import ExactDistribution
-from .weights import MODEL_SAMPLING, ParameterError, UrnSpec, check_count
+from .weights import MODEL_SAMPLING, SQUARE, ParameterError, UrnSpec, check_count
 
 CHUNK_TRIALS = 1 << 16
 BLOCK_DOUBLES = 1 << 20  # one drawn block of clocks: at most 8 MB
@@ -51,8 +54,9 @@ CUMSUM_COLS = 128  # narrower blocks: np.cumsum down axis 0 beats a row loop
 @dataclass(frozen=True)
 class SimConfig:
     """One reproducible simulation request, refused before any trial runs
-    when trials or workers is below 1 or a clock scale of the spec is out
-    of range (`clock_scales`, whose result it keeps as `scales`)."""
+    when trials or workers is below 1, the seed is negative or a clock scale
+    of the spec is out of range (`clock_scales`, whose result it keeps as
+    `scales`)."""
 
     spec: UrnSpec
     trials: int
@@ -64,6 +68,8 @@ class SimConfig:
         for param in ("trials", "workers"):
             if getattr(self, param) < 1:
                 raise ParameterError("must be at least 1", param)
+        if self.seed < 0:  # numpy's SeedSequence would refuse it naming nothing
+            raise ParameterError("must be nonnegative", "seed")
         object.__setattr__(self, "scales", clock_scales(self.spec))
 
 
@@ -246,18 +252,12 @@ def _chi2_sf(stat: float, dof: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _exp_of_minus_sum(inv: np.ndarray, rng: np.random.Generator, size):
-    """exp(-sum_l eps_l * inv_l), eps_l iid Exp(1): a float, or `size` draws."""
-    draws = np.exp(-_clock_sums(rng, inv, 1 if size is None else size))
-    return float(draws[0]) if size is None else draws
-
-
 def sample_fixed_blacks(m: int, rng: np.random.Generator, size=None):
     """Draw from the fixed-second-color limit fraction:
-    exp(-sum_{l<=m} eps_l / l^2) with iid unit exponentials."""
+    exp(-sum_{l<=m} eps_l / l^2) with iid unit exponentials, the square
+    family's sampler truncated at m terms."""
     check_count("m", m, 1)
-    inv = np.array([1.0 / (ell * ell) for ell in range(1, m + 1)])
-    return _exp_of_minus_sum(inv, rng, size)
+    return sample_limit_fraction(SQUARE, rng, m, size)
 
 
 def sample_limit_fraction(
@@ -272,10 +272,10 @@ def sample_limit_fraction(
     seq = FAMILIES[_family(family)]
     if truncation < 1:
         raise ParameterError("must be at least 1", "truncation")
-    inv = np.array(
-        [1.0 / float(seq.eval(ell)) for ell in range(1, truncation + 1)]
-    )
-    return _exp_of_minus_sum(inv, rng, size)
+    inv = np.array([1.0 / float(seq.eval(ell)) for ell in range(1, truncation + 1)])
+    # exp(-sum_l eps_l / b_l), eps_l iid Exp(1): a float, or `size` draws
+    draws = np.exp(-_clock_sums(rng, inv, 1 if size is None else size))
+    return float(draws[0]) if size is None else draws
 
 
 def truncation_bias_bound(family, truncation: int, s: int = 1) -> float:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import DETERMINISM_COMMANDS
+from test_limits import loop_terms  # noqa: F401  (a fixture)
 
 from urnlab import cli, limits
 from urnlab.oracle import absorption_pmf
@@ -697,6 +698,18 @@ class TestRangeFlags:
             (["simulate", *SIM, "--trials", "0"], "--trials: must be at least 1"),
             (["simulate", *SIM, "--workers", "0"], "--workers: must be at least 1"),
             (["compare", *SIM, "--trials", "0"], "--trials: must be at least 1"),
+            # numpy refused these after the parse, naming no flag
+            (["simulate", *SIM, "--seed", "-1"], "--seed: must be nonnegative"),
+            (["compare", *SIM, "--seed", "-1"], "--seed: must be nonnegative"),
+            # an infinite tol stopped each series at its first term: theta
+            # printed 0.0 and a "tol" of Infinity, which JSON has no word for
+            (["theta", "--q", "1/2", "--tol", "inf"], "--tol: must be finite"),
+            (["theta", "--q", "1/2", "--tol", "1e400"], "--tol: must be finite"),
+            (["limit", "--law", "w-cdf", "--q", "1/2", "--tol", "inf"], "--tol: must be finite"),
+            (["limit", "--law", "w-cdf", "--grid", "0:1:1/2", "--tol", "inf"],
+             "--tol: must be finite"),
+            (["limit", "--law", "fixed-whites-pmf", "--method", "series", "--n", "3",
+              "--k", "0", "--tol", "1e400"], "--tol: must be finite"),
             (["limit", "--law", "fixed-whites-pmf", "--n", "2", "--k", "3"],
              "--k: must lie in 0..2"),
             (["limit", "--law", "w-cdf", "--grid", "1/2:3/2:1/2"],
@@ -725,7 +738,9 @@ class TestRangeFlags:
         ],
         ids=["blacks-moment-m", "w-moment-s", "whites-pmf-n", "whites-moment-n",
              "blacks-density-m", "blacks-density-q", "w-cdf-q", "theta-q",
-             "simulate-trials", "simulate-workers", "compare-trials", "whites-pmf-k",
+             "simulate-trials", "simulate-workers", "compare-trials", "simulate-seed",
+             "compare-seed", "theta-tol-inf", "theta-tol-1e400", "w-cdf-tol-inf",
+             "w-cdf-grid-tol-inf", "whites-pmf-series-tol-1e400", "whites-pmf-k",
              "w-cdf-grid", "pmf-short-table", "oracle-short-table",
              "pmf-multi-short-table", "simulate-short-table", "duality-short-table",
              "pmf-repeats", "compare-repeats", "pmf-multi-repeats",
@@ -784,6 +799,51 @@ class TestRefusalBeforeWork:
         code, _, _ = run_cli(capsys, "pmf-multi", *argv, "--engine", "oracle")
         assert code == 0
         assert len(calls) == 1
+
+
+class TestSeriesBudget:
+    """A tol the routes cannot reach within MAX_SERIES_TERMS terms is
+    refused after the early terms: `theta --q 999999/1000000` once ran 48 s
+    of triple-product factors, and the shifted-square `w-cdf` near 1 ran
+    80 s of series terms, before they exited 2."""
+
+    NEAR_ONE = "0.99999999999999"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theta", "--q", "999999/1000000"],
+            ["theta", "--q", NEAR_ONE],
+            ["limit", "--law", "w-cdf", "--family", "square", "--q", NEAR_ONE],
+            ["limit", "--law", "w-cdf", "--family", "triangular", "--q", NEAR_ONE],
+            ["limit", "--law", "w-cdf", "--family", "shifted-square", "--q", NEAR_ONE],
+        ],
+        ids=["theta", "theta-near-one", "w-cdf-square", "w-cdf-triangular",
+             "w-cdf-shifted-square"],
+    )
+    def test_refused_after_the_early_terms(self, capsys, loop_terms, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("--tol: 1e-12 " if argv[0] == "theta" else "--tol: ")
+        # theta at 999999/1000000 sums its series; the triple product is refused
+        assert len(loop_terms[-1]) == limits.EARLY_TERMS
+
+    def test_theta_names_the_tol_typed(self, capsys, loop_terms):
+        # the routes run at tol/100; the refusal cites the --tol typed, not 1e-14
+        code, out, err = run_cli(capsys, "theta", "--q", "999999/1000000")
+        assert (code, out) == (2, "")
+        assert err == (
+            "--tol: 1e-12 is out of reach at this --q: the series or the triple product, "
+            f"run at tol/100, needs more than {limits.MAX_SERIES_TERMS} terms; loosen tol\n"
+        )
+        assert "1e-14" not in err
+        assert [len(terms) > limits.EARLY_TERMS for terms in loop_terms] == [True, False]
+
+    def test_reachable_tol_still_runs(self, capsys, loop_terms):
+        code, out, _ = run_cli(capsys, "theta", "--q", "999/1000", "--tol", "1e-9")
+        assert code == 0
+        assert check_json(out)["params"]["tol"] == 1e-9
+        assert all(loop_terms) and len(loop_terms) == 2
 
 
 class TestLongResults:

@@ -1,9 +1,10 @@
 from fractions import Fraction
-from math import comb, nan
+from math import comb, inf, nan
 
 import mpmath
 import pytest
 
+from urnlab import limits
 from urnlab.limits import (
     FINITE_SUM,
     MAX_SERIES_TERMS,
@@ -260,6 +261,22 @@ class TestLimitCdf:
 
 HALF = Fraction(1, 2)
 
+
+@pytest.fixture
+def loop_terms(monkeypatch):
+    """Per call of the shared series loop, the indices of the terms it
+    evaluated."""
+    calls = []
+    real = limits._sum_until
+
+    def counting(term, *args, **kwargs):
+        calls.append(seen := [])
+        return real(lambda i: seen.append(i) or term(i), *args, **kwargs)
+
+    monkeypatch.setattr(limits, "_sum_until", counting)
+    return calls
+
+
 # every routine that truncates a series or product, called with a given tol
 TRUNCATING = {
     "theta": lambda tol: theta(HALF, tol),
@@ -283,12 +300,93 @@ class TestTruncationBounds:
             TRUNCATING[routine](tol)
         assert info.value.param == "tol"
 
+    @pytest.mark.parametrize("tol", [inf, float("1e400")], ids=["inf", "1e400"])
+    @pytest.mark.parametrize("routine", sorted(TRUNCATING))
+    def test_tol_not_finite_rejected(self, routine, tol):
+        # every bound is below an infinite tol: theta(1/2) read 0.0, the
+        # square CDF at 1/2 read 1.0, and a product stopped at its first factor
+        with pytest.raises(ParameterError, match="^must be finite$") as info:
+            TRUNCATING[routine](tol)
+        assert info.value.param == "tol"
+
     def test_series_budget_message_at_default_budget(self):
         # terms fall like ell^-2 for n = 1, so 1e-25 is out of reach of the
         # default budget; the call fails at once with the hint to loosen tol
         with pytest.raises(ValueError, match=r"ell\^\(-2\).*loosen tol") as info:
             fixed_whites_pmf(1, 0, SERIES, 1e-25)
         assert f"within {MAX_SERIES_TERMS} terms" in str(info.value)
+
+    NEAR_ONE = Fraction(999999, 1000000)
+
+    @pytest.mark.parametrize("routine, tol", [
+        (lambda tol: jacobi_triple_product(TestTruncationBounds.NEAR_ONE, tol), 1e-14),
+        (lambda tol: euler_phi_cubed(TestTruncationBounds.NEAR_ONE, tol), 1e-14),
+        (lambda tol: theta(Fraction(10**14 - 1, 10**14), tol), 1e-14),
+        (lambda tol: limit_cdf(Fraction(10**14 - 1, 10**14), TRIANGULAR, tol), 1e-12),
+        (lambda tol: limit_cdf(Fraction(10**14 - 1, 10**14), SHIFTED_SQUARE, tol), 1e-12),
+        (lambda tol: fixed_whites_pmf(1, 0, SERIES, tol), 1e-25),
+        # a q that rounds to 1 at the working precision leaves no bound
+        (lambda tol: jacobi_triple_product(Fraction(10**100 - 1, 10**100), tol), 1e-3),
+        (lambda tol: euler_phi_cubed(Fraction(10**100 - 1, 10**100), tol), 1e-3),
+    ], ids=["jacobi_triple_product", "euler_phi_cubed", "theta", "limit_cdf-triangular",
+            "limit_cdf-shifted-square", "fixed_whites_pmf-series", "jacobi-q-rounds-to-1",
+            "euler-q-rounds-to-1"])
+    def test_unreachable_tol_refused_after_the_early_terms(self, loop_terms, routine, tol):
+        # the triple product at 999999/1000000 once ran 2,000,000 factors (48 s)
+        with pytest.raises(ParameterError, match=f"within {MAX_SERIES_TERMS} terms") as info:
+            routine(tol)
+        assert info.value.param == "tol"
+        assert [len(seen) for seen in loop_terms] == [limits.EARLY_TERMS]
+
+    @pytest.mark.parametrize("routine", [
+        lambda q, tol: theta(q, tol),
+        lambda q, tol: jacobi_triple_product(q, tol),
+        lambda q, tol: euler_phi_cubed(q, tol),
+        lambda q, tol: limit_cdf(q, TRIANGULAR, tol),
+        lambda q, tol: limit_cdf(q, SHIFTED_SQUARE, tol),
+        lambda q, tol: fixed_whites_pmf(3, 0, SERIES, tol),
+    ], ids=["theta", "jacobi_triple_product", "euler_phi_cubed", "limit_cdf-triangular",
+            "limit_cdf-shifted-square", "fixed_whites_pmf-series"])
+    def test_early_refusal_is_the_loops_own(self, monkeypatch, routine):
+        # with a budget of 40 terms checked after 8, and tol at and next to
+        # the loop's own bounds of the first three and the last two terms
+        # allowed and on a grid: the check after the early terms refuses
+        # exactly what the loop alone gives up on, and every value it lets
+        # through is the loop's, bit for bit (at 999/1000 the triangular
+        # terms rise before they fall)
+        monkeypatch.setattr(limits, "MAX_SERIES_TERMS", 40)
+        monkeypatch.setattr(limits, "EARLY_TERMS", 8)
+        real = limits._sum_until
+        bounds = []
+
+        def loop_only(term, tol, acc, least, **kwargs):
+            def watched(i):
+                value, bound = term(i)
+                bounds.append(bound)
+                return value, bound
+
+            return real(watched, tol, acc, lambda: 0, **kwargs)  # no early check
+
+        def outcome(q, tol, loop):
+            monkeypatch.setattr(limits, "_sum_until", loop)
+            try:
+                return routine(q, tol)
+            except ParameterError:
+                return "refused"
+            finally:
+                monkeypatch.setattr(limits, "_sum_until", real)
+
+        seen = set()
+        for q in (Fraction(9, 10), Fraction(47, 50), Fraction(99, 100), Fraction(999, 1000)):
+            bounds.clear()
+            assert outcome(q, 1e-300, loop_only) == "refused"
+            ends = [b for b in bounds[:3] + bounds[-2:] if b < inf]
+            tols = [float(b) * f for b in ends for f in (1 - 1e-12, 1, 1 + 1e-12)]
+            for tol in tols + [10 ** (-k / 10) for k in range(0, 800, 7)]:
+                with_check = outcome(q, tol, real)
+                assert with_check == outcome(q, tol, loop_only), (q, tol)
+                seen.add(with_check == "refused")
+        assert seen == {True, False}
 
     def test_product_cutoff_beyond_budget_rejected(self):
         # tol near the 1e-30 clamp would need ~1e10 factors
@@ -351,9 +449,9 @@ class TestProductRounding:
                     units.append(abs(value - ref) / ref * mpmath.mpf(2) ** (bits + 32))
         assert max(units) < 8, units
 
-    @pytest.mark.parametrize("m", [1, 5, 63, 64, 65, 130])
+    @pytest.mark.parametrize("m", [1, 3, 5, 8, 63, 64, 65, 100, 130])
     def test_fixed_blacks_blocks_equal_per_factor_fractions(self, m):
-        for s in (1, 2, 7):
+        for s in (1, 2, 4, 7):
             want = Fraction(1)
             for ell in range(1, m + 1):
                 want *= Fraction(ell * ell, ell * ell + s)

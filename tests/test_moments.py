@@ -4,6 +4,8 @@ from itertools import product
 from math import comb, factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from urnlab import moments
 from urnlab.closedform import polya_okcorral_pmf, polya_sampling_pmf
@@ -21,7 +23,7 @@ from urnlab.moments import (
     sampling_factorial_moment,
     sampling_raw_moment,
 )
-from urnlab.numerics import Polynomial, falling_factorial, stirling_second
+from urnlab.numerics import Polynomial, binom_general, falling_factorial, stirling_second
 from urnlab.oracle import absorption_pmf, absorption_pmf_multi
 from urnlab.weights import UrnSpec, linear, two_color
 
@@ -90,6 +92,26 @@ class TestMixedMoments:
             assert mixed_factorial_moment(avec, nvec, svec) == (
                 dist.mixed_factorial_moment(svec)
             )
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda r: st.tuples(
+        st.lists(st.integers(1, 4), min_size=r, max_size=r),
+        st.lists(st.integers(0, 12), min_size=r, max_size=r),
+        st.lists(st.integers(0, 4), min_size=r - 1, max_size=r - 1),
+    )))
+    @example(((1, 2), (3, 0), (2,)))
+    @example(((3, 1, 2, 4), (2, 5, 1, 0), (1, 4, 0)))
+    def test_clock_product_is_the_generalized_binomial(self, urn):
+        # 1 / C(n + x/a, n) = prod_{l <= n} a l / (a l + x), n = 0 included:
+        # the route the clock product replaced
+        avec, nvec, svec = urn
+        num = Fraction(1)
+        for n_j, s_j in zip(nvec, svec):
+            num *= falling_factorial(n_j, s_j)
+        shift = sum(Fraction(a * s, avec[-1]) for a, s in zip(avec, svec))
+        want = num / binom_general(nvec[-1] + shift, nvec[-1])
+        assert mixed_factorial_moment(avec, nvec, svec) == want
 
 
 class TestGeneratingPolynomials:

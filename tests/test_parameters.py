@@ -146,6 +146,9 @@ CASES = [
          id="jacobi_triple_product"),
     case(lambda: limits.euler_phi_cubed(2), "q", id="euler_phi_cubed"),
     case(lambda: limits.limit_cdf(Fraction(3, 2)), "q", id="limit_cdf"),
+    # an infinite tol once stopped every series at its first term
+    case(lambda: limits.limit_cdf(Fraction(1, 2), tol=float("inf")), "tol",
+         id="limit_cdf-tol"),
     # oracle and simulator
     case(lambda: oracle.enumerate_pmf(two_color("I", *PAIR, 9, 8)), "counts",
          id="enumerate_pmf"),
@@ -155,6 +158,9 @@ CASES = [
          id="SimConfig-trials"),
     case(lambda: simulate.SimConfig(two_color("I", *PAIR, 1, 1), 10, 0, 0), "workers",
          id="SimConfig-workers"),
+    # numpy refused it later, naming nothing
+    case(lambda: simulate.SimConfig(two_color("I", *PAIR, 1, 1), 10, -1), "seed",
+         id="SimConfig-seed"),
     case(lambda: simulate.SimConfig(
         UrnSpec("I", (linear(1), custom(["1e-320", 1]), linear(1)), (1, 2, 1)), 10, 0),
          "sequences", 1, id="SimConfig-clock-scale"),

@@ -282,6 +282,21 @@ class TestLimitSamplers:
         assert 0 < sample_fixed_blacks(2, rng) <= 1
         assert 0 < sample_limit_fraction("triangular", rng, truncation=100) <= 1
 
+    @pytest.mark.parametrize("m", [1, 2, 9, 50])
+    @pytest.mark.parametrize("size", [None, 1, 300])
+    def test_fixed_blacks_is_the_square_sampler_at_m_terms(self, m, size):
+        # one sampler reads the square family; the draws are what
+        # exp(-sum_l eps_l / l^2), summed row by row over one stream, gives
+        got = sample_fixed_blacks(m, np.random.default_rng(m), size)
+        want = sample_limit_fraction("square", np.random.default_rng(m), truncation=m,
+                                     size=size)
+        assert type(got) is type(want) and np.array_equal(got, want)
+        eps = np.random.default_rng(m).standard_exponential((m, 1 if size is None else size))
+        clock = np.zeros(eps.shape[1])
+        for ell in range(1, m + 1):
+            clock = clock + eps[ell - 1] * (1.0 / (ell * ell))
+        assert np.array_equal(np.atleast_1d(got), np.exp(-clock))
+
     def test_bias_bound_families(self):
         for family in ("square", "triangular", "shifted-square"):
             bound = truncation_bias_bound(family, 1000)
