@@ -401,7 +401,7 @@ def _cmd_theta(args) -> int:
 
     bits = args.precision_bits
     q = _fraction(args.q, "q")
-    limits._check_tol(args.tol)  # here, so the rewording below meets budget refusals only
+    weights.check_tol(args.tol)  # here, so the rewording below meets budget refusals only
     finest = THETA_MIN_TOL_ULPS * 2.0 ** -(bits + 32)
     if args.tol < finest:
         raise weights.ParameterError(

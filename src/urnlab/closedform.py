@@ -66,9 +66,8 @@ from .weights import (
     WeightRangeError,
     WeightSequence,
     check_block_size,
-    check_colors,
-    check_count,
-    check_length,
+    check_integer,
+    check_linear_urn,
     check_survivors,
     integer_tables,
     linear,
@@ -107,12 +106,15 @@ def _require_representation(representation: str):
         )
 
 
-def _check_two_color_counts(n, m):
-    for param, count in (("n", n), ("m", m)):
+def _check_two_color_counts(n, m) -> tuple:
+    """n and m as ints (`check_integer`), refused below 1."""
+    counts = (check_integer("n", n), check_integer("m", m))
+    for param, count in zip("nm", counts):
         if count < 1:
             raise ParameterError(
                 "the closed forms need at least one ball of each color", param
             )
+    return counts
 
 
 def _resolve_tables(A, B, n, m):
@@ -151,8 +153,8 @@ def sampling_pmf(A, B, n, m, k, representation=BETA_POLES, mode=None):
     Entry k of `sampling_distribution`, so one call costs one whole-law
     evaluation; take the distribution once when several k are wanted.
     """
-    _check_two_color_counts(n, m)
-    check_survivors("k", (k,), (n,))
+    n, m = _check_two_color_counts(n, m)
+    (k,) = check_survivors("k", (k,), (n,))
     return sampling_distribution(A, B, n, m, representation, mode)[k]
 
 
@@ -166,7 +168,7 @@ def sampling_distribution(
     Float and big-float modes round the exact law once (`_rounded`).
     """
     _require_representation(representation)
-    _check_two_color_counts(n, m)
+    n, m = _check_two_color_counts(n, m)
     alpha, beta = _resolve_tables(A, B, n, m)
     return _rounded(_sampling_law(alpha, beta, n, m, representation), mode, bits)
 
@@ -226,8 +228,8 @@ def okcorral_pmf(A, B, n, m, k, representation=BETA_POLES, mode=None):
     Entry k of `okcorral_distribution`, so one call costs one whole-law
     evaluation; take the distribution once when several k are wanted.
     """
-    _check_two_color_counts(n, m)
-    check_survivors("k", (k,), (n,))
+    n, m = _check_two_color_counts(n, m)
+    (k,) = check_survivors("k", (k,), (n,))
     return okcorral_distribution(A, B, n, m, representation, mode)[k]
 
 
@@ -241,7 +243,7 @@ def okcorral_distribution(
     (`_rounded`).
     """
     _require_representation(representation)
-    _check_two_color_counts(n, m)
+    n, m = _check_two_color_counts(n, m)
     alpha, beta = _resolve_tables(A, B, n, m)
     return _rounded(_okcorral_law(alpha, beta, n, m, representation), mode, bits)
 
@@ -296,10 +298,9 @@ def polya_sampling_pmf(a, d, n, m, k, representation=BETA_POLES):
     Must equal sampling_pmf with linear(a), linear(d) weights exactly.
     """
     _require_representation(representation)
-    check_block_size("a", a)
-    check_block_size("d", d)
-    _check_two_color_counts(n, m)
-    check_survivors("k", (k,), (n,))
+    a, d = check_block_size("a", a), check_block_size("d", d)
+    n, m = _check_two_color_counts(n, m)
+    (k,) = check_survivors("k", (k,), (n,))
     terms = []
     if representation == BETA_POLES:
         for ell in range(1, m + 1):
@@ -331,10 +332,9 @@ def polya_okcorral_pmf(b, c, n, m, k, representation=BETA_POLES):
     Must equal okcorral_pmf with linear(c), linear(b) weights exactly.
     """
     _require_representation(representation)
-    check_block_size("b", b)
-    check_block_size("c", c)
-    _check_two_color_counts(n, m)
-    check_survivors("k", (k,), (n,))
+    b, c = check_block_size("b", b), check_block_size("c", c)
+    n, m = _check_two_color_counts(n, m)
+    (k,) = check_survivors("k", (k,), (n,))
     bc = Fraction(b, c)
     cb = Fraction(c, b)
     if k == 0:
@@ -387,8 +387,7 @@ def _check_multi_args(spec, kvec=None):
         if n < 1:
             raise ParameterError("the closed forms need every count >= 1", "counts", color)
     if kvec is not None:
-        kvec = tuple(int(x) for x in kvec)
-        check_survivors("kvec", kvec, spec.counts[:-1])
+        kvec = check_survivors("kvec", kvec, spec.counts[:-1])
     tables = [
         _table(seq, n, "sequences", color)
         for color, (seq, n) in enumerate(zip(spec.sequences, spec.counts))
@@ -467,17 +466,9 @@ def sampling_pmf_multi(seqs, nvec, kvec):
 
 def polya_sampling_pmf_multi(avec, nvec, kvec):
     """Corollary form of sampling_pmf_multi for linear weights a_j * count."""
-    avec = tuple(int(a) for a in avec)
+    avec, nvec = check_linear_urn(avec, nvec)
+    kvec = check_survivors("kvec", kvec, nvec[:-1])
     r = len(avec)
-    check_colors("avec", r)
-    for color, a in enumerate(avec):
-        check_block_size("avec", a, color)
-    nvec = tuple(int(x) for x in nvec)
-    kvec = tuple(int(x) for x in kvec)
-    check_length("nvec", nvec, r, "count")
-    for color, n in enumerate(nvec):
-        check_count("nvec", n, color=color)
-    check_survivors("kvec", kvec, nvec[:-1])
     total = Fraction(0)
     for ells in product(*[range(kvec[j], nvec[j] + 1) for j in range(r - 1)]):
         num = Fraction(1)
@@ -595,11 +586,11 @@ def _specialization_report(subject, display, general, A, B, n, m) -> Discrepancy
     law, computed once per representation, over every k."""
     bad = []
     for representation in _REPRESENTATIONS:
-        special = [display(n, m, k, representation) for k in range(n + 1)]
         law = general(A, B, n, m, representation)
-        for k, lhs in enumerate(special):
-            if lhs != law[k]:
-                bad.append((representation, k, lhs - law[k]))
+        for k, p in law.items():
+            lhs = display(n, m, k, representation)
+            if lhs != p:
+                bad.append((representation, k, lhs - p))
     detail = "exact match" if not bad else f"mismatches: {bad[:3]}"
     return DiscrepancyReport(subject, not bad, detail)
 

@@ -19,7 +19,13 @@ least bound within that budget in closed form, and a loop still running
 after EARLY_TERMS terms refuses a tol that bound does not reach: so
 `jacobi_triple_product(999999/1000000, 1e-14)` fails after 64 factors
 rather than after 2,000,000.  These refusals and the range rules on
-counts, orders and points raise `ParameterError`.
+counts, orders and points raise `ParameterError`.  Counts and orders
+follow the one integer rule of `weights`: a float or `Fraction` is
+refused, so `limit_moment` takes integer orders only.
+
+The weight product and the Monte Carlo sampler both truncate a family at
+M weights; the sum of the reciprocal weights they drop, sum_{l>M} 1/beta_l,
+is one exact closed form per family (`_reciprocal_tail`).
 
 Returned big-floats carry their full internal precision, but mpmath rounds
 at operation time using the global context: combine results under
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import comb, factorial, inf, prod
+from math import comb, factorial, prod
 
 import mpmath
 from mpmath.libmp import mpf_mul, round_nearest
@@ -56,6 +62,7 @@ from .weights import (
     check_count,
     check_order,
     check_survivors,
+    check_tol,
 )
 
 MAX_SERIES_TERMS = 2_000_000
@@ -86,15 +93,6 @@ def _bits(bits):
     return bits if bits is not None else precision_bits()
 
 
-def _check_tol(tol):
-    # `not > 0` also rejects nan, which no stopping rule would ever reach;
-    # every bound is below an infinite tol, so the first term would stop it
-    if not tol > 0:
-        raise ParameterError("must be positive", "tol")
-    if tol == inf:
-        raise ParameterError("must be finite", "tol")
-
-
 def _check_point(q, top_open=False):
     """Refuse q outside [0, 1], or outside [0, 1) with `top_open`."""
     if q < 0 or q > 1 or (top_open and q == 1):
@@ -112,7 +110,7 @@ def _sum_until(term, tol, acc, least, start=1, combine=operator.add, hint=""):
     pass without reaching it: after EARLY_TERMS terms if least() is not below
     tol, else after the last (hint is appended to that message).
     """
-    _check_tol(tol)
+    check_tol(tol)
     for i in range(start, start + MAX_SERIES_TERMS):
         if i == start + EARLY_TERMS and not least() < tol:
             break
@@ -134,8 +132,7 @@ def fixed_blacks_moment(m: int, s: int, mode: str = RATIONAL):
     """s-th moment of the limiting survivor fraction: the product of b/(b + s)
     over the square weights b = ell^2, ell <= m, in blocks of exact integer
     factors.  Exact rational by default; other modes round it once."""
-    check_count("m", m, 1)
-    check_order("s", s, 1)
+    m, s = check_count("m", m, 1), check_order("s", s, 1)
     acc = Fraction(1)
     for num, den in clock_product_blocks(FAMILIES[SQUARE].table(m)[1:], s):
         acc *= Fraction(num, den)
@@ -145,8 +142,7 @@ def fixed_blacks_moment(m: int, s: int, mode: str = RATIONAL):
 def fixed_blacks_moment_gammaform(m: int, s: int, bits=None):
     """The same moment through the complex-gamma/sinh form; a redundant
     big-float cross-check of the product."""
-    check_count("m", m, 1)
-    check_order("s", s, 1)
+    m, s = check_count("m", m, 1), check_order("s", s, 1)
     with mpmath.workprec(_bits(bits) + 32):
         rs = mpmath.sqrt(s)
         gammas = mpmath.gamma(m + 1 - 1j * rs) * mpmath.gamma(m + 1 + 1j * rs)
@@ -164,7 +160,7 @@ def fixed_blacks_density(m: int, q):
     """Density of the limiting survivor fraction at q in [0, 1]:
     2 sum (-1)^(ell-1) C(m,ell)/C(m+ell,m) ell^2 q^(ell^2 - 1).
     Exact when q is rational."""
-    check_count("m", m, 1)
+    m = check_count("m", m, 1)
     if isinstance(q, int):
         q = Fraction(q)
     _check_point(q)
@@ -207,9 +203,9 @@ def fixed_whites_pmf(
     factor 2 to reproduce it.  Terms decay like ell^(-2n), so small n needs
     a loose tol; the alternating bound makes tol the truncation error.
     """
-    check_count("n", n)
-    check_survivors("k", (k,), (n,))
-    _check_tol(tol)
+    n = check_count("n", n)
+    (k,) = check_survivors("k", (k,), (n,))
+    check_tol(tol)
     with mpmath.workprec(_bits(bits) + 32):
         if method == FINITE_SUM:
             total = mpmath.mpf(0)
@@ -242,8 +238,7 @@ def fixed_whites_pmf(
 def fixed_whites_moment(n: int, s: int, bits=None):
     """s-th raw moment of the limiting survivor count: the double sum over
     Stirling numbers of both kinds with sinh weights."""
-    check_count("n", n, 1)
-    check_order("s", s, 1)
+    n, s = check_count("n", n, 1), check_order("s", s, 1)
     with mpmath.workprec(_bits(bits) + 32):
         total = mpmath.mpf(0)
         for ell in range(1, s + 1):
@@ -266,7 +261,7 @@ def fixed_whites_moment(n: int, s: int, bits=None):
 
 def limit_moment(s: int, family=SQUARE, bits=None):
     """s-th moment of the limiting survivor fraction, closed form per family."""
-    check_order("s", s, 1)
+    s = check_order("s", s, 1)
     tag = _family(family)
     with mpmath.workprec(_bits(bits) + 32):
         if tag == SQUARE:
@@ -294,9 +289,9 @@ def limit_moment_product(s: int, family=SQUARE, tol=1e-12, bits=None):
     so the relative rounding error is at most that many units of
     2^-(bits+32); the tail and the final product add the O(1).
     """
-    check_order("s", s, 1)
+    s = check_order("s", s, 1)
     tag = _family(family)
-    _check_tol(tol)
+    check_tol(tol)
     # second-order truncation error ~ s^2/2 * sum 1/beta^2 ~ s^2/(6 M^3)
     cutoff = max(64, int((s * s / max(tol, 1e-30)) ** (1.0 / 3)) + 8)
     if cutoff > MAX_SERIES_TERMS:
@@ -309,13 +304,19 @@ def limit_moment_product(s: int, family=SQUARE, tol=1e-12, bits=None):
         acc = mpmath.mpf(1)
         for num, den in clock_product_blocks(FAMILIES[tag].table(cutoff)[1:], s):
             acc = acc * num / den
-        if tag == SQUARE:
-            tail = mpmath.polygamma(1, cutoff + 1)
-        elif tag == TRIANGULAR:
-            tail = mpmath.mpf(2) / (cutoff + 1)  # telescoping sum of 2/(l(l+1))
-        else:
-            tail = mpmath.polygamma(1, cutoff + mpmath.mpf(1) / 2)
-        return +(acc * mpmath.exp(-s * tail))
+        return +(acc * mpmath.exp(-s * _reciprocal_tail(tag, cutoff)))
+
+
+def _reciprocal_tail(tag, cutoff):
+    """sum_{l > cutoff} 1/beta_l over the family's weights, exact at the
+    working precision: psi'(cutoff + 1) for l^2, the telescoping sum of
+    2/(l(l+1)) for the triangular weights, psi'(cutoff + 1/2) for
+    (l - 1/2)^2."""
+    if tag == SQUARE:
+        return mpmath.polygamma(1, cutoff + 1)
+    if tag == TRIANGULAR:
+        return mpmath.mpf(2) / (cutoff + 1)
+    return mpmath.polygamma(1, cutoff + mpmath.mpf(1) / 2)
 
 
 def theta(q, tol=1e-30, bits=None):
@@ -419,7 +420,7 @@ def limit_cdf(q, family=SQUARE, tol=1e-30, bits=None):
     """
     tag = _family(family)
     _check_point(q)
-    _check_tol(tol)
+    check_tol(tol)
     if q == 1:
         return mpmath.mpf(1)
     with mpmath.workprec(_bits(bits) + 32):

@@ -11,8 +11,10 @@ comment block above `_bump_caches`).  The polynomial M_s whose expectation
 has the single-binomial display is s! 2^s S(X+s, X), S the Stirling
 numbers of the second kind: the closed-form solution of the linear system
 in f_n and g_n that defines it (see `moment_polynomial`).  Everything is
-exact, no floating point anywhere.  A block size below 1, a negative count,
-fewer than two colors or an order below its least value raises
+exact, no floating point anywhere.  A block size, count or order that is
+not an integer (`weights.check_integer`: a float or `Fraction` is refused,
+a numpy integer is taken as an int), a block size below 1, a negative
+count, fewer than two colors or an order below its least value raises
 `ParameterError` naming the argument.
 """
 
@@ -34,9 +36,10 @@ from .numerics import (
 from .weights import (
     ParameterError,
     check_block_size,
-    check_colors,
     check_count,
+    check_integer,
     check_length,
+    check_linear_urn,
     check_order,
     linear,
 )
@@ -60,12 +63,13 @@ def sampling_factorial_moment(a, d, n, m, s) -> Fraction:
 
 
 def sampling_raw_moment(a, d, n, m, s) -> Fraction:
-    """Raw moment via the Stirling-number expansion over factorial moments."""
-    if s < 0:  # refused by the factorial moment, naming the first bad argument
-        sampling_factorial_moment(a, d, n, m, s)
-    return sum(
+    """Raw moment via the Stirling-number expansion over factorial moments,
+    the j = s term first: S(s, s) = 1, and that call checks every argument,
+    naming the first bad one."""
+    top = sampling_factorial_moment(a, d, n, m, s)
+    return top + sum(
         stirling_second(s, j) * sampling_factorial_moment(a, d, n, m, j)
-        for j in range(s + 1)
+        for j in range(s)
     )
 
 
@@ -73,16 +77,10 @@ def mixed_factorial_moment(avec, nvec, svec) -> Fraction:
     """Mixed falling-factorial moment of the r-color sampling survivors:
     block sizes avec, counts nvec, orders svec of colors 1..r-1.  It is
     prod_j (n_j)_{s_j} times the last color's clock product at sum_j a_j s_j."""
-    avec, nvec, svec = tuple(avec), tuple(nvec), tuple(svec)
-    check_colors("avec", len(avec))
-    check_length("nvec", nvec, len(avec), "count")
+    avec, nvec = check_linear_urn(avec, nvec)
+    svec = tuple(svec)
     check_length("svec", svec, len(avec), "order", but_last=True)
-    for color, a in enumerate(avec):
-        check_block_size("avec", a, color)
-    for color, n in enumerate(nvec):
-        check_count("nvec", n, color=color)
-    for color, s in enumerate(svec):
-        check_order("svec", s, 0, color)
+    svec = tuple(check_order("svec", s, 0, color) for color, s in enumerate(svec))
     num = Fraction(1)
     for n_j, s_j in zip(nvec, svec):
         num *= falling_factorial(n_j, s_j)
@@ -134,35 +132,35 @@ def _bump_caches(order):
         _g_cache.append(_next_polynomial(_g_cache, n, (-1) ** n))
 
 
-def _ensure_order(n):
+def _ensure_order(n) -> int:
+    """The order n as an int, refused below 0, with f_n and g_n cached."""
+    n = check_integer("n", n)
+    if n < 0:
+        raise ParameterError("order must be nonnegative", "n")
     with _series_lock:
         if len(_f_cache) <= n:
             _bump_caches(n)
+    return n
 
 
 def puyhaubert_f(n: int) -> Polynomial:
     """n! times the z^n coefficient of F(z, u); degree floor(n/2)."""
-    if n < 0:
-        raise ParameterError("order must be nonnegative", "n")
-    _ensure_order(n)
-    return Polynomial(_f_cache[n])
+    return Polynomial(_f_cache[_ensure_order(n)])
 
 
 def puyhaubert_g(n: int) -> Polynomial:
     """n! times the z^n coefficient of G(z, u); degree floor((n+1)/2)."""
-    if n < 0:
-        raise ParameterError("order must be nonnegative", "n")
-    _ensure_order(n)
-    return Polynomial(_g_cache[n])
+    return Polynomial(_g_cache[_ensure_order(n)])
 
 
 def puyhaubert_sum_identity(ell: int, s: int):
     """Both sides of
     sum_{k=1..ell} C(ell-1, k-1) k! ell^-k k^s = (f_{s+1}(ell) Q(ell) + g_{s+1}(ell)) / ell
     as exact rationals."""
+    ell = check_integer("ell", ell)
     if ell < 1:
         raise ParameterError("must be at least 1", "ell")
-    check_order("s", s, 0)
+    s = check_order("s", s, 0)
     lhs = sum(
         binom_general(ell - 1, k - 1)
         * factorial(k)
@@ -194,26 +192,28 @@ def _okcorral_weight(b, c, n, m, ell):
     )
 
 
-def _check_okcorral(b, c, n, m):
-    check_block_size("b", b)
-    check_block_size("c", c)
-    check_count("n", n)
-    check_count("m", m)
+def _check_okcorral(b, c, n, m) -> tuple:
+    """b, c, n and m as ints: block sizes b and c, counts n and m."""
+    return (check_block_size("b", b), check_block_size("c", c),
+            check_count("n", n), check_count("m", m))
 
 
-def okcorral_raw_moment(b, c, n, m, s, ell_exponent_shift=0) -> Fraction:
-    """E(survivors/c)^s for the block gunfight urn, exact.
+def okcorral_raw_moment(b, c, n, m, s) -> Fraction:
+    """E(survivors/c)^s for the block gunfight urn, exact."""
+    return _okcorral_raw_sum(b, c, n, m, s, 0)
 
-    `ell_exponent_shift` exists only for the misprint diagnostic below; the
-    published exponent m+n-1 corresponds to shift 0.
-    """
-    _check_okcorral(b, c, n, m)
+
+def _okcorral_raw_sum(b, c, n, m, s, shift) -> Fraction:
+    """The raw-moment display with ell to the power m+n-1+shift: shift 0 is
+    the published exponent, shift 1 the garbled inline reading that
+    `corollary_exponent_report` tests."""
+    b, c, n, m = _check_okcorral(b, c, n, m)
     for param, count in (("n", n), ("m", m)):
         if count < 1:  # the sum has no display for an empty color
             raise ParameterError(
                 "the raw moment needs at least one ball of each color", param
             )
-    check_order("s", s, 1)
+    s = check_order("s", s, 1)
     scale = Fraction(c, b) ** m / factorial(n + m)
     f, g = puyhaubert_f(s + 1), puyhaubert_g(s + 1)
     total = Fraction(0)
@@ -221,7 +221,7 @@ def okcorral_raw_moment(b, c, n, m, s, ell_exponent_shift=0) -> Fraction:
         bracket = f(Fraction(ell)) * ramanujan_q(ell) + g(Fraction(ell))
         total += (
             _okcorral_weight(b, c, n, m, ell)
-            * Fraction(ell) ** (m + n - 1 + ell_exponent_shift)
+            * Fraction(ell) ** (m + n - 1 + shift)
             * bracket
         )
     return scale * total
@@ -233,8 +233,8 @@ SINGLE_BINOMIAL = "single-binomial"  # n! m!-normalized display
 
 def okcorral_polynomial_moment(b, c, n, m, s, form=PAIRED_BINOMIALS) -> Fraction:
     """E(M_s(survivors/c)) by either of the two equivalent displays."""
-    _check_okcorral(b, c, n, m)
-    check_order("s", s, 1)
+    b, c, n, m = _check_okcorral(b, c, n, m)
+    s = check_order("s", s, 1)
     scale = factorial(s) * 2**s * Fraction(c, b) ** m
     total = Fraction(0)
     if form == PAIRED_BINOMIALS:
@@ -273,7 +273,7 @@ def moment_polynomial(s: int) -> Polynomial:
     M_s is monic and fixed by its values at X = 0..2s: their Newton forward
     differences delta_j, over the falling factorials
     (X)_j = sum_i (-1)^(j-i) c(j, i) X^i, give its coefficients."""
-    check_order("s", s, 1)
+    s = check_order("s", s, 1)
     degree = 2 * s
     scale = factorial(s) * 2**s
     values = [scale * stirling_second(x + s, x) for x in range(degree + 1)]
@@ -295,9 +295,11 @@ def corollary_exponent_report(b, c, n, m, s):
     against direct pmf summation."""
     from .closedform import polya_okcorral_pmf
 
+    s = check_order("s", s, 1)  # before 0 ** s in the direct sum
     direct = sum(
-        Fraction(k) ** s * polya_okcorral_pmf(b, c, n, m, k) for k in range(n + 1)
+        Fraction(k) ** s * polya_okcorral_pmf(b, c, n, m, k)
+        for k in range(check_integer("n", n) + 1)
     )
     displayed = okcorral_raw_moment(b, c, n, m, s)
-    shifted = okcorral_raw_moment(b, c, n, m, s, ell_exponent_shift=1)
+    shifted = _okcorral_raw_sum(b, c, n, m, s, 1)
     return displayed == direct, shifted == direct

@@ -42,9 +42,9 @@ import mpmath
 import numpy as np
 import numpy.random  # numpy loads it lazily; every sampler here needs it
 
-from .limits import FAMILIES, _family
+from .limits import FAMILIES, _family, _reciprocal_tail
 from .oracle import ExactDistribution
-from .weights import MODEL_SAMPLING, SQUARE, ParameterError, UrnSpec, check_count
+from .weights import MODEL_SAMPLING, SQUARE, ParameterError, UrnSpec, check_count, check_integer
 
 CHUNK_TRIALS = 1 << 16
 BLOCK_DOUBLES = 1 << 20  # one drawn block of clocks: at most 8 MB
@@ -54,9 +54,10 @@ CUMSUM_COLS = 128  # narrower blocks: np.cumsum down axis 0 beats a row loop
 @dataclass(frozen=True)
 class SimConfig:
     """One reproducible simulation request, refused before any trial runs
-    when trials or workers is below 1, the seed is negative or a clock scale
-    of the spec is out of range (`clock_scales`, whose result it keeps as
-    `scales`)."""
+    when trials, workers or the seed is not an integer (`check_integer`;
+    each is stored as an int), trials or workers is below 1, the seed is
+    negative or a clock scale of the spec is out of range (`clock_scales`,
+    whose result it keeps as `scales`)."""
 
     spec: UrnSpec
     trials: int
@@ -65,6 +66,8 @@ class SimConfig:
     scales: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for param in ("trials", "workers", "seed"):
+            object.__setattr__(self, param, check_integer(param, getattr(self, param)))
         for param in ("trials", "workers"):
             if getattr(self, param) < 1:
                 raise ParameterError("must be at least 1", param)
@@ -270,22 +273,27 @@ def sample_limit_fraction(
     upward by at most the factor from truncation_bias_bound.
     """
     seq = FAMILIES[_family(family)]
-    if truncation < 1:
-        raise ParameterError("must be at least 1", "truncation")
+    truncation = _check_truncation(truncation)
     inv = np.array([1.0 / float(seq.eval(ell)) for ell in range(1, truncation + 1)])
     # exp(-sum_l eps_l / b_l), eps_l iid Exp(1): a float, or `size` draws
     draws = np.exp(-_clock_sums(rng, inv, 1 if size is None else size))
     return float(draws[0]) if size is None else draws
 
 
+def _check_truncation(truncation) -> int:
+    truncation = check_integer("truncation", truncation)
+    if truncation < 1:
+        raise ParameterError("must be at least 1", "truncation")
+    return truncation
+
+
 def truncation_bias_bound(family, truncation: int, s: int = 1) -> float:
     """Multiplicative upper bound on E[truncated sample^s] / E[limit^s]:
-    exp(s * tail sum of reciprocal weights)."""
+    exp(s * the sum of the reciprocal weights past the truncation), the
+    exact tail the weight product uses (`limits._reciprocal_tail`), taken
+    to a double.  The bias itself is prod_{l > M} (1 + s/beta_l), below it."""
     tag = _family(family)
-    if tag == "square":
-        tail = 1.0 / truncation
-    elif tag == "triangular":
-        tail = 2.0 / (truncation + 1)
-    else:
-        tail = 1.0 / (truncation - 0.5)
+    truncation = _check_truncation(truncation)
+    with mpmath.workprec(53 + 32):
+        tail = float(_reciprocal_tail(tag, truncation))
     return float(np.exp(s * tail))

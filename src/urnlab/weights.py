@@ -7,13 +7,21 @@ slope, prefactor or custom table entry given as a float is stored as its
 exact value, so every engine downstream computes exactly and duality holds
 with `==`.  `ParameterError`, which every module raises for an argument
 out of range, and the range checks they share live here too.
+
+Every integer argument (a ball count, survivor count, block size, moment
+order, exponent, truncation, trial count or seed) follows one rule,
+Python's own (`operator.index`, in `check_integer`): ints and numpy integers
+pass and are used as `int`; a float, even 2.0, a `Fraction` or a string is
+refused, naming the argument.  The shared checks below apply it before
+their range rule and return the int.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 
 MODEL_SAMPLING = "sampling"
 MODEL_OKCORRAL = "okcorral"
@@ -48,23 +56,50 @@ class WeightRangeError(ParameterError, LookupError):
     """A custom table was queried beyond its declared range."""
 
 
-def check_count(param: str, value: int, least: int = 0, color: int | None = None):
-    """Refuse a ball count below `least`."""
+def check_integer(param: str, value, color: int | None = None) -> int:
+    """`value` as an int, refused unless Python takes it as one
+    (`operator.index`): ints and numpy integers pass, floats and
+    `Fraction`s do not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"must be an integer, got {value!r}", param, color) from None
+
+
+def check_count(param: str, value, least: int = 0, color: int | None = None) -> int:
+    """A ball count as an int (`check_integer`), refused below `least`."""
+    value = check_integer(param, value, color)
     if value < least:
         bound = "nonnegative" if least == 0 else f"at least {least}"
         raise ParameterError(f"initial counts must be {bound}", param, color)
+    return value
 
 
-def check_order(param: str, value: int, least: int, color: int | None = None):
-    """Refuse a moment order below `least`."""
+def check_order(param: str, value, least: int, color: int | None = None) -> int:
+    """A moment order as an int (`check_integer`), refused below `least`."""
+    value = check_integer(param, value, color)
     if value < least:
         raise ParameterError(f"moment orders must be at least {least}", param, color)
+    return value
 
 
-def check_block_size(param: str, value: int, color: int | None = None):
-    """Refuse a block size below 1: the linear-weight forms divide by it."""
+def check_block_size(param: str, value, color: int | None = None) -> int:
+    """A block size as an int (`check_integer`), refused below 1: the
+    linear-weight forms divide by it."""
+    value = check_integer(param, value, color)
     if value < 1:
         raise ParameterError("block sizes must be positive integers", param, color)
+    return value
+
+
+def check_tol(tol):
+    """Refuse a truncation tolerance unless it is finite and > 0."""
+    # `not > 0` also rejects nan, which no stopping rule would ever reach;
+    # every bound is below an infinite tol, so the first term would stop it
+    if not tol > 0:
+        raise ParameterError("must be positive", "tol")
+    if tol == inf:
+        raise ParameterError("must be finite", "tol")
 
 
 def check_colors(param: str, r: int):
@@ -85,14 +120,30 @@ def check_length(param: str, values, r: int, item: str, but_last: bool = False):
         raise ParameterError(f"need one {item} {per}", param)
 
 
-def check_survivors(param: str, kvec, nvec):
-    """Refuse survivor counts unless there is one per color but the last,
-    each k_j in 0..n_j, where `nvec` holds the counts n_1..n_{r-1} of those
-    colors.  A two-color k is the one-entry case: kvec (k,), nvec (n,)."""
+def check_survivors(param: str, kvec, nvec) -> tuple:
+    """Survivor counts as a tuple of ints, refused unless there is one per
+    color but the last, each an integer k_j in 0..n_j, where `nvec` holds
+    the counts n_1..n_{r-1} of those colors.  A two-color k is the
+    one-entry case: kvec (k,), nvec (n,)."""
     check_length(param, kvec, len(nvec) + 1, "survivor count", but_last=True)
+    kvec = tuple(check_integer(param, k, color) for color, k in enumerate(kvec))
     for color, (k, n) in enumerate(zip(kvec, nvec)):
         if not 0 <= k <= n:
             raise ParameterError(f"must lie in 0..{n}", param, color)
+    return kvec
+
+
+def check_linear_urn(avec, nvec) -> tuple:
+    """The block sizes `avec` and counts `nvec` of an r-color linear-weight
+    urn (weights a_j * count) as two tuples of ints, refused unless there
+    are at least two colors, one count per color, every block size is a
+    positive integer and every count a nonnegative one."""
+    avec, nvec = tuple(avec), tuple(nvec)
+    check_colors("avec", len(avec))
+    check_length("nvec", nvec, len(avec), "count")
+    avec = tuple(check_block_size("avec", a, color) for color, a in enumerate(avec))
+    nvec = tuple(check_count("nvec", n, color=color) for color, n in enumerate(nvec))
+    return avec, nvec
 
 
 def canonical_model(model: str) -> str:
@@ -118,7 +169,8 @@ class WeightSequence:
             object.__setattr__(self, "a", _exact_weight(self.a, "linear slopes", "a"))
         elif self.family == "power":
             object.__setattr__(self, "c", _exact_weight(self.c, "power prefactors", "c"))
-            if not isinstance(self.r, int) or self.r < 1:
+            object.__setattr__(self, "r", check_integer("r", self.r))
+            if self.r < 1:
                 raise ParameterError("power family needs integer exponent r >= 1", "r")
         elif self.family == "custom":
             if not self.values:
@@ -235,6 +287,7 @@ def integer_tables(*tables) -> list:
 def check_distinct(seq: WeightSequence, upper: int) -> bool:
     """True iff the weights at 1..upper are pairwise distinct (exact
     comparison)."""
+    upper = check_integer("upper", upper)
     if upper < 1:
         raise ParameterError("must be at least 1", "upper")
     vals = [seq.eval(j) for j in range(1, upper + 1)]
@@ -265,8 +318,8 @@ class UrnSpec:
     """Complete description of one urn instance: model, one weight sequence
     per color, and the initial counts.  The last color is the one that must
     be exhausted for absorption.  Refused unless there are at least two
-    colors, one count per sequence, every count is nonnegative and every
-    custom table covers its count."""
+    colors, one count per sequence, every count is a nonnegative integer
+    (stored as `int`) and every custom table covers its count."""
 
     model: str
     sequences: tuple[WeightSequence, ...]
@@ -275,11 +328,11 @@ class UrnSpec:
     def __post_init__(self):
         object.__setattr__(self, "model", canonical_model(self.model))
         object.__setattr__(self, "sequences", tuple(self.sequences))
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        counts = tuple(self.counts)
         check_colors("sequences", len(self.sequences))
-        check_length("counts", self.counts, len(self.sequences), "count")
-        for color, count in enumerate(self.counts):
-            check_count("counts", count, color=color)
+        check_length("counts", counts, len(self.sequences), "count")
+        counts = tuple(check_count("counts", c, color=color) for color, c in enumerate(counts))
+        object.__setattr__(self, "counts", counts)
         for color, (seq, count) in enumerate(zip(self.sequences, self.counts)):
             try:
                 seq._check_covers(count)

@@ -168,6 +168,159 @@ CASES = [
          id="sample_fixed_blacks"),
     case(lambda: simulate.sample_limit_fraction("square", np.random.default_rng(0), 0),
          "truncation", id="sample_limit_fraction"),
+    # these once raised ZeroDivisionError and returned 0.135, a "bound" below 1
+    case(lambda: simulate.truncation_bias_bound("square", 0), "truncation",
+         id="truncation_bias_bound"),
+    case(lambda: simulate.truncation_bias_bound("shifted-square", 0), "truncation",
+         id="truncation_bias_bound-shifted-square"),
+]
+
+# One integer rule (`weights.check_integer`): a float, even 2.0, or a
+# Fraction where an integer belongs is refused, naming the argument.  Each
+# once truncated to an int, passed through to a value, or raised an error
+# naming no argument.
+CASES += [
+    # weights
+    case(lambda: power(1, 2.0), "r", id="power-r-nonint"),
+    case(lambda: check_distinct(square(), 2.5), "upper", id="check_distinct-upper-nonint"),
+    case(lambda: UrnSpec("I", PAIR, (2.5, 3)), "counts", 0, id="UrnSpec-counts-nonint"),
+    case(lambda: two_color("I", *PAIR, 2, 2.0), "counts", 1, id="two_color-m-nonint"),
+    case(lambda: check_survivors("kvec", (1, Fraction(1)), (2, 2)), "kvec", 1,
+         id="check_survivors-kvec-nonint"),
+    # two-color closed forms
+    case(lambda: closedform.sampling_pmf(*PAIR, 2.0, 2, 1), "n", id="sampling_pmf-n-nonint"),
+    case(lambda: closedform.sampling_pmf(*PAIR, 2, 2, 1.0), "k", 0, id="sampling_pmf-k-nonint"),
+    case(lambda: closedform.okcorral_pmf(*PAIR, 2, 1.5, 1), "m", id="okcorral_pmf-m-nonint"),
+    case(lambda: closedform.okcorral_pmf(*PAIR, 2, 2, Fraction(1)), "k", 0,
+         id="okcorral_pmf-k-nonint"),
+    case(lambda: closedform.sampling_distribution(*PAIR, 2.5, 2), "n",
+         id="sampling_distribution-n-nonint"),
+    case(lambda: closedform.sampling_distribution(*PAIR, 2, Fraction(5, 2)), "m",
+         id="sampling_distribution-m-nonint"),
+    case(lambda: closedform.okcorral_distribution(*PAIR, 2.5, 2), "n",
+         id="okcorral_distribution-n-nonint"),
+    case(lambda: closedform.okcorral_distribution(*PAIR, 2, 2.0), "m",
+         id="okcorral_distribution-m-nonint"),
+    case(lambda: oracle.absorption_pmf(two_color("I", *PAIR, 2.7, 2)), "counts", 0,
+         id="absorption_pmf-counts-nonint"),
+    case(lambda: closedform.polya_sampling_pmf(1.5, 1, 2, 2, 1), "a",
+         id="polya_sampling_pmf-a-nonint"),
+    case(lambda: closedform.polya_sampling_pmf(1, Fraction(2), 2, 2, 1), "d",
+         id="polya_sampling_pmf-d-nonint"),
+    case(lambda: closedform.polya_sampling_pmf(1, 1, 2.5, 2, 1), "n",
+         id="polya_sampling_pmf-n-nonint"),
+    case(lambda: closedform.polya_sampling_pmf(1, 1, 2, 2.5, 1), "m",
+         id="polya_sampling_pmf-m-nonint"),
+    case(lambda: closedform.polya_sampling_pmf(1, 1, 2, 2, 0.5), "k", 0,
+         id="polya_sampling_pmf-k-nonint"),
+    case(lambda: closedform.polya_okcorral_pmf(1.5, 1, 2, 2, 1), "b",
+         id="polya_okcorral_pmf-b-nonint"),
+    case(lambda: closedform.polya_okcorral_pmf(1, 2.0, 2, 2, 1), "c",
+         id="polya_okcorral_pmf-c-nonint"),
+    case(lambda: closedform.polya_okcorral_pmf(1, 1, 2.5, 2, 1), "n",
+         id="polya_okcorral_pmf-n-nonint"),
+    case(lambda: closedform.polya_okcorral_pmf(1, 1, 2, 1.5, 1), "m",
+         id="polya_okcorral_pmf-m-nonint"),
+    case(lambda: closedform.polya_okcorral_pmf(1, 1, 2, 2, 1.5), "k", 0,
+         id="polya_okcorral_pmf-k-nonint"),
+    case(lambda: closedform.polya_sampling_consistency(1, 2, 2.5, 2), "n",
+         id="polya_sampling_consistency-n-nonint"),
+    case(lambda: closedform.polya_okcorral_consistency(2, 1, 2, 2.5), "m",
+         id="polya_okcorral_consistency-m-nonint"),
+    # r-color closed forms
+    case(lambda: closedform.sampling_pmf_multi(PAIR, (2, 2), (1.7,)), "kvec", 0,
+         id="sampling_pmf_multi-kvec-nonint"),
+    case(lambda: closedform.sampling_pmf_multi(TRIPLE, (2, 2.5, 2), (1, 1)), "nvec", 1,
+         id="sampling_pmf_multi-nvec-nonint"),
+    case(lambda: closedform.okcorral_pmf_multi(TRIPLE, (2, 2, 2), (1.5, 1)), "kvec", 0,
+         id="okcorral_pmf_multi-kvec-nonint"),
+    case(lambda: closedform.okcorral_pmf_multi(TRIPLE, (2, 2, 2.0), (1, 1)), "nvec", 2,
+         id="okcorral_pmf_multi-nvec-nonint"),
+    case(lambda: closedform.polya_sampling_pmf_multi((1.5, 1), (2, 2), (1,)), "avec", 0,
+         id="polya_sampling_pmf_multi-avec-nonint"),
+    case(lambda: closedform.polya_sampling_pmf_multi((Fraction(3, 2), 1), (2, 2), (1,)),
+         "avec", 0, id="polya_sampling_pmf_multi-avec-fraction"),
+    case(lambda: closedform.polya_sampling_pmf_multi((1, 1), (2, 2.5), (1,)), "nvec", 1,
+         id="polya_sampling_pmf_multi-nvec-nonint"),
+    case(lambda: closedform.polya_sampling_pmf_multi((1, 1), (2, 2), (1.5,)), "kvec", 0,
+         id="polya_sampling_pmf_multi-kvec-nonint"),
+    case(lambda: closedform.multi_okcorral_reading_report(TRIPLE, (2, 2.0, 2)), "counts", 1,
+         id="multi_okcorral_reading_report-nvec-nonint"),
+    # moments
+    case(lambda: moments.sampling_factorial_moment(1.5, 1, 2, 2, 1), "a",
+         id="sampling_factorial_moment-a-nonint"),
+    case(lambda: moments.sampling_factorial_moment(1, Fraction(3, 2), 2, 2, 1), "d",
+         id="sampling_factorial_moment-d-nonint"),
+    case(lambda: moments.sampling_factorial_moment(1, 1, 2.5, 2, 1), "n",
+         id="sampling_factorial_moment-n-nonint"),
+    case(lambda: moments.sampling_factorial_moment(1, 1, 2, 2.0, 1), "m",
+         id="sampling_factorial_moment-m-nonint"),
+    case(lambda: moments.sampling_factorial_moment(1, 1, 2, 2, 1.5), "s",
+         id="sampling_factorial_moment-s-nonint"),
+    case(lambda: moments.sampling_raw_moment(1, 1, 2, 2, 1.5), "s",
+         id="sampling_raw_moment-s-nonint"),
+    case(lambda: moments.sampling_raw_moment(1, 1, 2.5, 2, 1), "n",
+         id="sampling_raw_moment-n-nonint"),
+    case(lambda: moments.mixed_factorial_moment((1, 1), (2.5, 2), (1,)), "nvec", 0,
+         id="mixed_factorial_moment-nvec-nonint"),
+    case(lambda: moments.mixed_factorial_moment((1.5, 1), (2, 2), (1,)), "avec", 0,
+         id="mixed_factorial_moment-avec-nonint"),
+    case(lambda: moments.mixed_factorial_moment((1, 1, 1), (2, 2, 2), (1, 0.5)), "svec", 1,
+         id="mixed_factorial_moment-svec-nonint"),
+    case(lambda: moments.okcorral_raw_moment(1.5, 1, 2, 2, 1), "b",
+         id="okcorral_raw_moment-b-nonint"),
+    case(lambda: moments.okcorral_raw_moment(1, 2.0, 2, 2, 1), "c",
+         id="okcorral_raw_moment-c-nonint"),
+    case(lambda: moments.okcorral_raw_moment(1, 1, 2.5, 2, 1), "n",
+         id="okcorral_raw_moment-n-nonint"),
+    case(lambda: moments.okcorral_raw_moment(1, 1, 2, 2.5, 1), "m",
+         id="okcorral_raw_moment-m-nonint"),
+    case(lambda: moments.okcorral_raw_moment(1, 1, 2, 2, 1.5), "s",
+         id="okcorral_raw_moment-s-nonint"),
+    case(lambda: moments.okcorral_polynomial_moment(1, 1, Fraction(5, 2), 2, 1), "n",
+         id="okcorral_polynomial_moment-n-nonint"),
+    case(lambda: moments.okcorral_polynomial_moment(1, 1, 2, 2, 2.0), "s",
+         id="okcorral_polynomial_moment-s-nonint"),
+    case(lambda: moments.corollary_exponent_report(1, 1, 2.5, 2, 1), "n",
+         id="corollary_exponent_report-n-nonint"),
+    case(lambda: moments.corollary_exponent_report(1, 1, 2, 2, 1.5), "s",
+         id="corollary_exponent_report-s-nonint"),
+    case(lambda: moments.puyhaubert_f(2.5), "n", id="puyhaubert_f-n-nonint"),
+    case(lambda: moments.puyhaubert_g(Fraction(2)), "n", id="puyhaubert_g-n-nonint"),
+    case(lambda: moments.puyhaubert_sum_identity(2.5, 1), "ell",
+         id="puyhaubert_sum_identity-ell-nonint"),
+    case(lambda: moments.puyhaubert_sum_identity(2, 1.5), "s",
+         id="puyhaubert_sum_identity-s-nonint"),
+    case(lambda: moments.moment_polynomial(1.5), "s", id="moment_polynomial-s-nonint"),
+    # limit laws
+    case(lambda: limits.fixed_blacks_moment(2.5, 1), "m", id="fixed_blacks_moment-m-nonint"),
+    case(lambda: limits.fixed_blacks_moment(3, 1.5), "s", id="fixed_blacks_moment-s-nonint"),
+    case(lambda: limits.fixed_blacks_moment_gammaform(2.5, 1), "m",
+         id="fixed_blacks_moment_gammaform-m-nonint"),
+    case(lambda: limits.fixed_blacks_moment_gammaform(3, 1.5), "s",
+         id="fixed_blacks_moment_gammaform-s-nonint"),
+    case(lambda: limits.fixed_blacks_density(2.5, Fraction(1, 2)), "m",
+         id="fixed_blacks_density-m-nonint"),
+    case(lambda: limits.fixed_whites_pmf(2.5, 0), "n", id="fixed_whites_pmf-n-nonint"),
+    case(lambda: limits.fixed_whites_pmf(2, 0.5), "k", 0, id="fixed_whites_pmf-k-nonint"),
+    case(lambda: limits.fixed_whites_moment(2.5, 1), "n", id="fixed_whites_moment-n-nonint"),
+    case(lambda: limits.fixed_whites_moment(2, 1.5), "s", id="fixed_whites_moment-s-nonint"),
+    case(lambda: limits.limit_moment(1.5), "s", id="limit_moment-s-nonint"),
+    case(lambda: limits.limit_moment(Fraction(3, 2)), "s", id="limit_moment-s-fraction"),
+    case(lambda: limits.limit_moment_product(1.5), "s", id="limit_moment_product-s-nonint"),
+    # simulator
+    case(lambda: simulate.SimConfig(two_color("I", *PAIR, 1, 1), 1000.5, 0), "trials",
+         id="SimConfig-trials-nonint"),
+    case(lambda: simulate.SimConfig(two_color("I", *PAIR, 1, 1), 1000, 1.5), "seed",
+         id="SimConfig-seed-nonint"),
+    case(lambda: simulate.SimConfig(two_color("I", *PAIR, 1, 1), 1000, 1, 1.5), "workers",
+         id="SimConfig-workers-nonint"),
+    case(lambda: simulate.sample_fixed_blacks(2.5, np.random.default_rng(0)), "m",
+         id="sample_fixed_blacks-m-nonint"),
+    case(lambda: simulate.sample_limit_fraction("square", np.random.default_rng(0), 10.5),
+         "truncation", id="sample_limit_fraction-truncation-nonint"),
+    case(lambda: simulate.truncation_bias_bound("square", 10.0), "truncation",
+         id="truncation_bias_bound-truncation-nonint"),
 ]
 
 
@@ -186,3 +339,19 @@ def test_refusal_names_the_argument(call, param, color):
 def test_one_wording_for_too_few_colors(call):
     with pytest.raises(ParameterError, match="^an urn needs at least two colors$"):
         call()
+
+
+def test_numpy_integers_are_taken_as_ints():
+    spec = UrnSpec("I", PAIR, np.array([2, 3]))
+    assert spec.counts == (2, 3) and all(type(c) is int for c in spec.counts)
+    assert power(1, np.int64(2)) == power(1, 2)
+    config = simulate.SimConfig(spec, np.int64(10), np.int64(0), np.int64(1))
+    assert all(type(v) is int for v in (config.trials, config.seed, config.workers))
+
+
+@pytest.mark.parametrize("call", [closedform.polya_sampling_pmf_multi,
+                                  moments.mixed_factorial_moment])
+def test_numpy_integer_entries_give_the_int_result(call):
+    # (30)_20 overflows an int64, so the entries must be used as Python ints
+    i = np.int64
+    assert call((i(1), i(2)), (i(30), i(25)), (i(20),)) == call((1, 2), (30, 25), (20,))

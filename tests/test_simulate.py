@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from urnlab import simulate
-from urnlab.limits import limit_moment
+from urnlab.limits import fixed_blacks_moment, limit_moment
 from urnlab.oracle import absorption_pmf, absorption_pmf_multi
 from urnlab.simulate import (
     CHUNK_TRIALS,
@@ -297,10 +297,27 @@ class TestLimitSamplers:
             clock = clock + eps[ell - 1] * (1.0 / (ell * ell))
         assert np.array_equal(np.atleast_1d(got), np.exp(-clock))
 
+    # the tails the bound once used: 1/M, 2/(M+1) and 1/(M - 1/2)
+    FLOAT_TAILS = {"square": lambda M: 1.0 / M, "triangular": lambda M: 2.0 / (M + 1),
+                   "shifted-square": lambda M: 1.0 / (M - 0.5)}
+
     def test_bias_bound_families(self):
-        for family in ("square", "triangular", "shifted-square"):
+        for family, float_tail in self.FLOAT_TAILS.items():
             bound = truncation_bias_bound(family, 1000)
             assert 1 < bound < 1.01
+            for M in (1, 2, 10, 1000, 10_000, 10**6):
+                for s in (1, 2, 5):
+                    assert truncation_bias_bound(family, M, s) <= np.exp(s * float_tail(M))
+
+    @pytest.mark.parametrize("M", [1, 2, 10, 1000])
+    @pytest.mark.parametrize("s", [1, 2, 5])
+    def test_bias_bound_bounds_the_square_bias(self, M, s):
+        # E[truncated^s] / E[limit^s] = prod_{l > M} (1 + s/l^2), the m = M
+        # fixed-blacks moment over the limit moment; exp(s psi'(M + 1)) is above it
+        bias = fixed_blacks_moment(M, s, "float") / float(limit_moment(s))
+        bound = truncation_bias_bound("square", M, s)
+        assert 1 < bias <= bound
+        assert bound == pytest.approx(float(mpmath.exp(s * mpmath.psi(1, M + 1))), rel=1e-14)
 
     @pytest.mark.parametrize(
         "call",
