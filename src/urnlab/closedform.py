@@ -55,6 +55,7 @@ from .numerics import (
     binom_general,
     cast_value,
     compensated_sum,
+    exact_operand,
     precision_bits,
 )
 from .oracle import ExactDistribution, absorption_pmf, absorption_pmf_multi
@@ -552,7 +553,7 @@ def okcorral_pmf_multi(seqs, nvec, kvec, reading=READING_PRODUCT):
 def partial_fraction_sides(nodes, x):
     """Both sides of 1/prod(node_i + x) = sum_h 1/((x + node_h) prod_{j!=h}
     (node_j - node_h)); a self-test primitive for the pole expansions."""
-    nodes = [Fraction(v) if isinstance(v, int) else v for v in nodes]
+    nodes, x = [exact_operand(v) for v in nodes], exact_operand(x)
     if len(set(nodes)) != len(nodes):
         raise ParameterError("nodes must be pairwise distinct", "nodes")
     if any(x + v == 0 for v in nodes):

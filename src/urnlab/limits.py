@@ -18,10 +18,12 @@ MAX_SERIES_TERMS terms, so no call runs unbounded.  Each routine knows the
 least bound within that budget in closed form, and a loop still running
 after EARLY_TERMS terms refuses a tol that bound does not reach: so
 `jacobi_triple_product(999999/1000000, 1e-14)` fails after 64 factors
-rather than after 2,000,000.  These refusals and the range rules on
-counts, orders and points raise `ParameterError`.  Counts and orders
-follow the one integer rule of `weights`: a float or `Fraction` is
-refused, so `limit_moment` takes integer orders only.
+rather than after 2,000,000.  The two q-products fold through it from one
+carried-power loop, `_carried_product`, which gives the rounding argument
+for both.  These refusals and the range rules on counts, orders and points
+raise `ParameterError`.  Counts and orders follow the one integer rule of
+`weights`: a float or `Fraction` is refused, so `limit_moment` takes
+integer orders only.
 
 The weight product and the Monte Carlo sampler both truncate a family at
 M weights; the sum of the reciprocal weights they drop, sum_{l>M} 1/beta_l,
@@ -46,6 +48,7 @@ from .numerics import (
     RATIONAL,
     cast_value,
     clock_product_blocks,
+    exact_operand,
     precision_bits,
     stirling_first_unsigned,
     stirling_second,
@@ -72,7 +75,7 @@ MAX_SERIES_TERMS = 2_000_000
 EARLY_TERMS = 64
 
 # bits carried beyond the working precision by the running powers of q in
-# the q-products; see jacobi_triple_product
+# the q-products; see _carried_product
 POWER_GUARD_BITS = 48
 
 
@@ -160,9 +163,7 @@ def fixed_blacks_density(m: int, q):
     """Density of the limiting survivor fraction at q in [0, 1]:
     2 sum (-1)^(ell-1) C(m,ell)/C(m+ell,m) ell^2 q^(ell^2 - 1).
     Exact when q is rational."""
-    m = check_count("m", m, 1)
-    if isinstance(q, int):
-        q = Fraction(q)
+    m, q = check_count("m", m, 1), exact_operand(q)
     _check_point(q)
     total = 0 * q
     for ell in range(1, m + 1):
@@ -337,19 +338,19 @@ def theta(q, tol=1e-30, bits=None):
         return +_sum_until(term, tol, mpmath.mpf(1), lambda: term(MAX_SERIES_TERMS)[1])
 
 
-def jacobi_triple_product(q, tol=1e-30, bits=None):
-    """The triple product (1-q^2j)(1-q^(2j-1))^2 over j >= 1; equal to the
-    theta series, which is how the series is certified to be a CDF tail.
+def _carried_product(q, tol, bits, stride, factor, exponent=1):
+    """The product of factor(q^k, shifted) over k = 1, 1 + stride, ...
+    (stride 1 or 2), shifted() giving q^(k+1), raised to `exponent`.
 
-    Rounding: with p = bits + 32 the working precision, q^(2j-1) is carried
-    from factor to factor as a raw big-float at p + POWER_GUARD_BITS bits,
-    one multiply by the exact q^2 per factor, and q^(2j) is one multiply
-    more.  Each multiply rounds with relative error at most 2^-(p+48), and
-    at most MAX_SERIES_TERMS < 2^21 of them stand behind any power, so
+    Rounding: with p = bits + 32 the working precision, q^k is carried from
+    factor to factor as a raw big-float at p + POWER_GUARD_BITS bits, one
+    multiply by the exact q^stride per factor, and q^(k+1) is one multiply
+    by q more.  Each multiply rounds with relative error at most 2^-(p+48),
+    and at most MAX_SERIES_TERMS < 2^21 of them stand behind any power, so
     every guarded power is within 2^-(p+27) of q^k relatively.  Each power
-    is rounded once per factor to p bits, which gives the correctly rounded
-    q^k unless q^k lies within 2^-27 units of a rounding boundary; the
-    factor is then formed at p bits from the rounded powers.
+    a factor reads is rounded once to p bits, which gives the correctly
+    rounded q^k unless q^k lies within 2^-27 units of a rounding boundary;
+    the factor is then formed at p bits from the rounded powers.
     """
     _check_point(q, top_open=True)
     prec = _bits(bits) + 32
@@ -357,57 +358,44 @@ def jacobi_triple_product(q, tol=1e-30, bits=None):
     with mpmath.workprec(prec):
         qq = cast_value(q, BIGFLOAT)
         q1 = qq._mpf_
-        q2 = mpf_mul(q1, q1)  # exact
-        # remaining log-product magnitude is below 3 q^(2j+1)/(1-q); a q that
-        # rounds to 1 leaves no bound
-        scale = 3 * qq**2 / (1 - qq) if qq < 1 else mpmath.inf
-        power = q1  # q^(2j-1) at p + 48 bits
+        step = q1 if stride == 1 else mpf_mul(q1, q1)  # exact
+        # after the factor at q^k the remaining log-product magnitude is below
+        # 3 q^(k+stride)/(1-q); a q that rounds to 1 leaves no bound
+        scale = 3 * qq**stride / (1 - qq) if qq < 1 else mpmath.inf
+        power = q1  # q^k at p + POWER_GUARD_BITS bits
 
-        def factor(j):
+        def shifted():
+            return mpmath.mpf(mpf_mul(power, q1, wp, round_nearest))  # rounds to p bits
+
+        def term(i):
             nonlocal power
-            odd = mpmath.mpf(power)  # rounds to p bits
-            even = mpmath.mpf(mpf_mul(power, q1, wp, round_nearest))
-            power = mpf_mul(power, q2, wp, round_nearest)
-            return (1 - even) * (1 - odd) ** 2, odd * scale
+            t = mpmath.mpf(power)  # rounds to p bits
+            value = factor(t, shifted)
+            power = mpf_mul(power, step, wp, round_nearest)
+            return value, t * scale
 
-        # the bounds fall with j, so the last factor's is the least; computed
+        # the bounds fall with k, so the last factor's is the least; computed
         # afresh it may differ from the carried power's by a few units in the
         # last place, and a margin of 2^(8-p) keeps it below
         def least():
-            return qq ** (2 * MAX_SERIES_TERMS - 1) * scale * (1 - mpmath.ldexp(1, 8 - prec))
+            last = 1 + stride * (MAX_SERIES_TERMS - 1)
+            return qq**last * scale * (1 - mpmath.ldexp(1, 8 - prec))
 
-        return +_sum_until(factor, tol, mpmath.mpf(1), least, combine=operator.mul)
+        product = _sum_until(term, tol, mpmath.mpf(1), least, combine=operator.mul)
+        return +(product**exponent)
+
+
+def jacobi_triple_product(q, tol=1e-30, bits=None):
+    """The triple product (1-q^2j)(1-q^(2j-1))^2 over j >= 1; equal to the
+    theta series, which is how the series is certified to be a CDF tail.
+    Rounded as `_carried_product` says, over the odd powers q^(2j-1)."""
+    return _carried_product(q, tol, bits, 2, lambda odd, even: (1 - even()) * (1 - odd) ** 2)
 
 
 def euler_phi_cubed(q, tol=1e-30, bits=None):
     """Cube of the Euler product (1-q^n); the triangular-family analogue of
-    the triple product.
-
-    Rounding as in jacobi_triple_product: q^n is carried at
-    p + POWER_GUARD_BITS bits, one multiply by q per factor, and rounded
-    once per factor to the working precision p = bits + 32.
-    """
-    _check_point(q, top_open=True)
-    prec = _bits(bits) + 32
-    wp = prec + POWER_GUARD_BITS
-    with mpmath.workprec(prec):
-        qq = cast_value(q, BIGFLOAT)
-        q1 = qq._mpf_
-        scale = 3 * qq / (1 - qq) if qq < 1 else mpmath.inf
-        power = q1  # q^n at p + 48 bits
-
-        def factor(n):
-            nonlocal power
-            t = mpmath.mpf(power)  # rounds to p bits
-            power = mpf_mul(power, q1, wp, round_nearest)
-            return 1 - t, t * scale
-
-        def least():
-            # the last factor's bound, with jacobi_triple_product's margin
-            return qq**MAX_SERIES_TERMS * scale * (1 - mpmath.ldexp(1, 8 - prec))
-
-        product = _sum_until(factor, tol, mpmath.mpf(1), least, combine=operator.mul)
-        return +(product**3)
+    the triple product.  Rounded as `_carried_product` says."""
+    return _carried_product(q, tol, bits, 1, lambda t, _: 1 - t, exponent=3)
 
 
 def limit_cdf(q, family=SQUARE, tol=1e-30, bits=None):

@@ -7,6 +7,13 @@ at a configurable bit precision) or a machine float.  `cast_value` is the
 one way an exact rational enters another mode, rounded once.  The limit
 laws that are transcendental compute in big-floats throughout.
 
+An integer enters exact arithmetic one way, through `exact_operand`: an
+int or a numpy integer (anything `operator.index` takes) becomes a
+`Fraction`, so no fixed-width integer is ever multiplied; a `Fraction`, a
+float or a big-float is evaluated as it is.  The integer arguments of the
+primitives here (orders and indices) follow the one integer rule of
+`weights` and are refused with `ParameterError` naming them.
+
 mpmath is imported where a big-float is made (the big-float branch of
 `cast_value`), not at module top: the rational routes never make one, so
 a process that stays rational never loads it.
@@ -14,10 +21,13 @@ a process that stays rational never loads it.
 
 from __future__ import annotations
 
+import operator
 import os
 import threading
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
+
+from .weights import ParameterError, check_integer
 
 RATIONAL = "rational"
 BIGFLOAT = "bigfloat"
@@ -74,7 +84,8 @@ class Polynomial:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
 
     def __call__(self, x):
-        acc = 0 * x if not isinstance(x, int) else Fraction(0)
+        x = exact_operand(x)
+        acc = 0 * x
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -94,31 +105,35 @@ class Polynomial:
         return "Polynomial(" + " + ".join(parts) + ")"
 
 
-def binom_general(x, n: int):
-    """Generalized binomial coefficient with arbitrary upper argument.
+def exact_operand(x):
+    """x as an operand of exact arithmetic: an integer, numpy's included, as
+    a `Fraction`; a `Fraction`, float or big-float as it is."""
+    if isinstance(x, Fraction):
+        return x
+    try:
+        return Fraction(operator.index(x))
+    except TypeError:
+        return x
 
-    Computed as the product of (x - j + 1)/j for j = 1..n, so x may be any
-    rational (or float/bigfloat) value; n must be a nonnegative integer.
-    The empty product for n = 0 is 1.
-    """
+
+def binom_general(x, n: int):
+    """Generalized binomial coefficient (x)_n / n! with arbitrary upper
+    argument x (any rational, float or big-float); n must be a nonnegative
+    integer.  The empty product for n = 0 is 1.  A float x is divided in
+    floats, so it overflows once n! does (n > 170)."""
+    n = check_integer("n", n)
     if n < 0:
-        raise ValueError("lower index must be nonnegative")
-    if isinstance(x, int):
-        x = Fraction(x)
-    acc = None
-    for j in range(1, n + 1):
-        factor = (x - j + 1) / j
-        acc = factor if acc is None else acc * factor
-    if acc is None:
-        return Fraction(1) if isinstance(x, Fraction) else x**0
-    return acc
+        raise ParameterError("lower index must be nonnegative", "n")
+    return falling_factorial(x, n) / factorial(n)
 
 
 def falling_factorial(x, s: int):
     """x (x-1) ... (x-s+1); the empty product for s = 0 is 1."""
+    s = check_integer("s", s)
     if s < 0:
-        raise ValueError("order must be nonnegative")
-    acc = Fraction(1) if isinstance(x, (int, Fraction)) else x**0
+        raise ParameterError("order must be nonnegative", "s")
+    x = exact_operand(x)
+    acc = x**0
     for j in range(s):
         acc = acc * (x - j)
     return acc
@@ -131,43 +146,42 @@ _stirling2_rows: list[list[int]] = [[1]]
 _stirling1_rows: list[list[int]] = [[1]]
 
 
-def _grow_triangle(rows, n, step):
+def _triangle_entry(rows, step, n, k):
+    """Entry (n, k) of a Stirling triangle, 0 when k > n, growing `rows`
+    by `step` up to row n; n and k are refused unless nonnegative integers."""
+    n, k = check_integer("n", n), check_integer("k", k)
+    if n < 0 or k < 0:
+        raise ParameterError("indices must be nonnegative", "n" if n < 0 else "k")
+    if k > n:
+        return 0
     with _stirling_lock:
         while len(rows) <= n:
             prev = rows[-1]
             i = len(rows)
             row = [0] * (i + 1)
-            for k in range(i + 1):
-                above = prev[k] if k < len(prev) else 0
-                diag = prev[k - 1] if k >= 1 else 0
-                row[k] = step(i, k, above, diag)
+            for j in range(i + 1):
+                above = prev[j] if j < len(prev) else 0
+                diag = prev[j - 1] if j >= 1 else 0
+                row[j] = step(i, j, above, diag)
             rows.append(row)
+    return rows[n][k]
 
 
 def stirling_second(n: int, k: int) -> int:
     """Stirling number of the second kind S(n, k); 0 when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("indices must be nonnegative")
-    if k > n:
-        return 0
-    _grow_triangle(_stirling2_rows, n, lambda i, k_, up, dg: k_ * up + dg)
-    return _stirling2_rows[n][k]
+    return _triangle_entry(_stirling2_rows, lambda i, j, up, dg: j * up + dg, n, k)
 
 
 def stirling_first_unsigned(n: int, k: int) -> int:
     """Unsigned Stirling number of the first kind c(n, k); 0 when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("indices must be nonnegative")
-    if k > n:
-        return 0
-    _grow_triangle(_stirling1_rows, n, lambda i, k_, up, dg: (i - 1) * up + dg)
-    return _stirling1_rows[n][k]
+    return _triangle_entry(_stirling1_rows, lambda i, j, up, dg: (i - 1) * up + dg, n, k)
 
 
 def ramanujan_q(n: int) -> Fraction:
     """Q(n) = sum over i of n(n-1)...(n-i+1) / n^i, as an exact rational."""
+    n = check_integer("n", n)
     if n < 1:
-        raise ValueError("n must be positive")
+        raise ParameterError("n must be positive", "n")
     total = Fraction(0)
     term = Fraction(1)
     for i in range(n + 1):
@@ -209,9 +223,10 @@ def clock_product_blocks(weights, x):
 
 
 def cast_value(x, mode: str):
-    """Convert an exact rational (or int) into the requested mode, rounded
-    once: `float` rounds correctly, and so does big-float mode at the
-    working precision."""
+    """Convert an exact rational (or an integer, numpy's included) into the
+    requested mode, rounded once: `float` rounds correctly, and so does
+    big-float mode at the working precision."""
+    x = exact_operand(x)
     if mode == RATIONAL:
         return Fraction(x)
     if mode == FLOAT:

@@ -23,7 +23,14 @@ from itertools import product
 from math import gcd, lcm
 
 from .numerics import RATIONAL, falling_factorial, ratio_sum
-from .weights import MODEL_SAMPLING, ParameterError, UrnSpec, integer_tables
+from .weights import (
+    MODEL_SAMPLING,
+    ParameterError,
+    UrnSpec,
+    check_length,
+    check_order,
+    integer_tables,
+)
 
 ENUMERATION_LIMIT = 16
 
@@ -60,13 +67,19 @@ class ExactDistribution:
 
     def moment(self, s: int):
         """Raw moment sum(k^s p) over a scalar support."""
+        s = check_order("s", s, 0)
         return sum(p * Fraction(k) ** s for k, p in self.items())
 
     def factorial_moment(self, s: int):
+        s = check_order("s", s, 0)
         return sum(p * falling_factorial(k, s) for k, p in self.items())
 
     def mixed_factorial_moment(self, svec):
-        """sum over the grid of p * prod_j k_j^(s_j falling)."""
+        """sum over the grid of p * prod_j k_j^(s_j falling), one order s_j
+        per color but the last."""
+        svec = tuple(svec)
+        check_length("svec", svec, len(self.support[0]) + 1, "order", but_last=True)
+        svec = tuple(check_order("svec", s, 0, color) for color, s in enumerate(svec))
         acc = 0
         for kvec, p in self.items():
             term = p

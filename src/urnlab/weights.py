@@ -9,10 +9,10 @@ with `==`.  `ParameterError`, which every module raises for an argument
 out of range, and the range checks they share live here too.
 
 Every integer argument (a ball count, survivor count, block size, moment
-order, exponent, truncation, trial count or seed) follows one rule,
-Python's own (`operator.index`, in `check_integer`): ints and numpy integers
-pass and are used as `int`; a float, even 2.0, a `Fraction` or a string is
-refused, naming the argument.  The shared checks below apply it before
+order, exponent, weight index, truncation, trial count or seed) follows one
+rule, Python's own (`operator.index`, in `check_integer`): ints and numpy
+integers pass and are used as `int`; a float, even 2.0, a `Fraction` or a
+string is refused, naming the argument.  The shared checks below apply it before
 their range rule and return the int.
 """
 
@@ -184,9 +184,16 @@ class WeightSequence:
             raise ParameterError(f"unknown weight family {self.family!r}", "family")
 
     def eval(self, j: int):
-        """Weight at ball count j; 0 at j = 0 by convention."""
+        """Weight at ball count j; 0 at j = 0 by convention.  j follows the
+        one integer rule and is refused below 0."""
+        j = check_integer("j", j)
         if j < 0:
             raise ParameterError("index must be nonnegative", "j")
+        return self._weight(j)
+
+    def _weight(self, j: int):
+        """`eval` without its checks on j, for `table`'s indices 0..upper;
+        only a custom table's range is still checked."""
         if j == 0:
             return Fraction(0)
         if self.family == "linear":
@@ -202,7 +209,7 @@ class WeightSequence:
         if self.family == "custom":
             self._check_covers(j)
             return self.values[j - 1]
-        return 1 / self.base.eval(j)  # reciprocal
+        return 1 / self.base._weight(j)  # reciprocal
 
     def _check_covers(self, upper: int):
         """Refuse an index past a custom table, or past the custom table a
@@ -217,7 +224,7 @@ class WeightSequence:
 
     def table(self, upper: int) -> list:
         """Weights at indices 0..upper as a list."""
-        return [self.eval(j) for j in range(upper + 1)]
+        return [self._weight(j) for j in range(upper + 1)]
 
 
 def linear(a=1) -> WeightSequence:
@@ -290,7 +297,7 @@ def check_distinct(seq: WeightSequence, upper: int) -> bool:
     upper = check_integer("upper", upper)
     if upper < 1:
         raise ParameterError("must be at least 1", "upper")
-    vals = [seq.eval(j) for j in range(1, upper + 1)]
+    vals = seq.table(upper)[1:]
     return len(set(vals)) == len(vals)
 
 

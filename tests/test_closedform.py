@@ -664,9 +664,9 @@ class TestMultiDistribution:
         specs = [UrnSpec(model, (linear(1), square(), triangular()), (4, 4, 3))
                  for model in ("I", "II")]
         calls = []
-        real = WeightSequence.eval
+        real = WeightSequence._weight
         monkeypatch.setattr(
-            WeightSequence, "eval", lambda self, j: calls.append(j) or real(self, j)
+            WeightSequence, "_weight", lambda self, j: calls.append(j) or real(self, j)
         )
         for spec in specs:
             calls.clear()
@@ -800,9 +800,9 @@ class TestInputChecks:
 
     def test_each_table_evaluated_once(self, monkeypatch):
         calls = []
-        real = WeightSequence.eval
+        real = WeightSequence._weight
         monkeypatch.setattr(
-            WeightSequence, "eval", lambda self, j: calls.append(j) or real(self, j)
+            WeightSequence, "_weight", lambda self, j: calls.append(j) or real(self, j)
         )
         for dist in (sampling_distribution, okcorral_distribution):
             calls.clear()

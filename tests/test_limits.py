@@ -425,7 +425,8 @@ def _euler_reference(q, bits):
 
 
 class TestProductRounding:
-    QS = [Fraction(0), Fraction(1, 20), Fraction(1, 2), Fraction(19, 20), Fraction(99, 100)]
+    QS = [Fraction(0), Fraction(1, 20), Fraction(1, 2), Fraction(19, 20), Fraction(99, 100),
+          Fraction(199, 200)]
 
     @pytest.mark.parametrize("bits", [8, 64, 256])
     @pytest.mark.parametrize("q", QS, ids=str)

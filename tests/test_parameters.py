@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from urnlab import closedform, limits, moments, oracle, simulate
+from urnlab import closedform, limits, moments, numerics, oracle, simulate
 from urnlab.weights import (
     ParameterError,
     UrnSpec,
@@ -24,6 +24,9 @@ from urnlab.weights import (
 
 PAIR = (linear(1), square())
 TRIPLE = (linear(1), square(), linear(2))
+# an exact scalar law and an r = 3 grid law
+DIST = closedform.sampling_distribution(linear(1), linear(2), 3, 3)
+GRID = closedform.multi_distribution(UrnSpec("I", (linear(1), linear(2), square()), (2, 2, 2)))
 
 
 def case(call, param, color=None, *, id):
@@ -323,6 +326,49 @@ CASES += [
          id="truncation_bias_bound-truncation-nonint"),
 ]
 
+# The same rule in the exact primitives and the methods of a law: each of
+# these once returned a value, raised a TypeError or a bare ValueError, or
+# (the svec lengths) read as many orders as the grid has colors.
+CASES += [
+    # weights
+    case(lambda: linear(1).eval(1.5), "j", id="eval-j-nonint"),
+    case(lambda: custom([1, 2]).eval(1.5), "j", id="eval-custom-j-nonint"),
+    # numerics
+    case(lambda: numerics.falling_factorial(5, 2.0), "s", id="falling_factorial-s-nonint"),
+    case(lambda: numerics.falling_factorial(5, -1), "s", id="falling_factorial-s-negative"),
+    case(lambda: numerics.binom_general(5, 2.0), "n", id="binom_general-n-nonint"),
+    case(lambda: numerics.binom_general(5, -1), "n", id="binom_general-n-negative"),
+    case(lambda: numerics.stirling_second(3.0, 1), "n", id="stirling_second-n-nonint"),
+    case(lambda: numerics.stirling_second(-1, 1), "n", id="stirling_second-n-negative"),
+    case(lambda: numerics.stirling_second(3, 1.0), "k", id="stirling_second-k-nonint"),
+    case(lambda: numerics.stirling_second(3, -1), "k", id="stirling_second-k-negative"),
+    case(lambda: numerics.stirling_first_unsigned(3.0, 1), "n",
+         id="stirling_first_unsigned-n-nonint"),
+    case(lambda: numerics.stirling_first_unsigned(-1, 1), "n",
+         id="stirling_first_unsigned-n-negative"),
+    case(lambda: numerics.stirling_first_unsigned(3, 1.0), "k",
+         id="stirling_first_unsigned-k-nonint"),
+    case(lambda: numerics.stirling_first_unsigned(3, -1), "k",
+         id="stirling_first_unsigned-k-negative"),
+    case(lambda: numerics.ramanujan_q(2.5), "n", id="ramanujan_q-n-nonint"),
+    case(lambda: numerics.ramanujan_q(-1), "n", id="ramanujan_q-n-negative"),
+    # the moments of an exact law
+    case(lambda: DIST.moment(1.5), "s", id="ExactDistribution.moment-s-nonint"),
+    case(lambda: DIST.moment(-1), "s", id="ExactDistribution.moment-s-negative"),
+    case(lambda: DIST.factorial_moment(1.5), "s",
+         id="ExactDistribution.factorial_moment-s-nonint"),
+    case(lambda: DIST.factorial_moment(-1), "s",
+         id="ExactDistribution.factorial_moment-s-negative"),
+    case(lambda: GRID.mixed_factorial_moment((1, 0.5)), "svec", 1,
+         id="ExactDistribution.mixed_factorial_moment-svec-nonint"),
+    case(lambda: GRID.mixed_factorial_moment((1, -1)), "svec", 1,
+         id="ExactDistribution.mixed_factorial_moment-svec-negative"),
+    case(lambda: GRID.mixed_factorial_moment((1,)), "svec",
+         id="ExactDistribution.mixed_factorial_moment-svec-short"),
+    case(lambda: GRID.mixed_factorial_moment((1, 0, 5, 7)), "svec",
+         id="ExactDistribution.mixed_factorial_moment-svec-long"),
+]
+
 
 @pytest.mark.parametrize("call, param, color", CASES)
 def test_refusal_names_the_argument(call, param, color):
@@ -355,3 +401,26 @@ def test_numpy_integer_entries_give_the_int_result(call):
     # (30)_20 overflows an int64, so the entries must be used as Python ints
     i = np.int64
     assert call((i(1), i(2)), (i(30), i(25)), (i(20),)) == call((1, 2), (30, 25), (20,))
+
+
+def _typed(value):
+    """A value with the types of its entries, for an equality that sees a
+    numpy scalar or a float where an exact result belongs."""
+    if isinstance(value, tuple):
+        return tuple(_typed(v) for v in value)
+    return type(value), value
+
+
+@pytest.mark.parametrize("call", [
+    lambda i: numerics.falling_factorial(i(30), i(20)),
+    lambda i: numerics.binom_general(i(60), i(30)),
+    lambda i: (numerics.Polynomial([1, Fraction(1, 2), 3])(i(10**10)),
+               numerics.Polynomial()(i(10**10))),
+    lambda i: (numerics.cast_value(i(7), "rational").numerator,
+               numerics.cast_value(i(7), "bigfloat")),
+    lambda i: DIST.moment(i(40)),
+], ids=["falling_factorial", "binom_general", "Polynomial", "cast_value",
+        "ExactDistribution.moment"])
+def test_numpy_integer_arguments_give_the_int_result(call):
+    # each once overflowed an int64, returned a numpy scalar or refused it
+    assert _typed(call(np.int64)) == _typed(call(int))
