@@ -25,9 +25,12 @@ raise `ParameterError`.  Counts and orders follow the one integer rule of
 `weights`: a float or `Fraction` is refused, so `limit_moment` takes
 integer orders only.
 
-The weight product and the Monte Carlo sampler both truncate a family at
-M weights; the sum of the reciprocal weights they drop, sum_{l>M} 1/beta_l,
-is one exact closed form per family (`_reciprocal_tail`).
+The weight product truncates a family at M weights, and so does the
+m-term law `simulate.truncation_bias_bound` compares with the limit; the
+sum of the reciprocal weights they drop, sum_{l>M} 1/beta_l, is one exact
+closed form per family (`_reciprocal_tail`).  The limit sampler truncates
+nothing: it inverts `limit_exponent_cdf`, the limit CDF in doubles as a
+function of the exponent t = -log q, with a dual side for small t.
 
 Returned big-floats carry their full internal precision, but mpmath rounds
 at operation time using the global context: combine results under
@@ -36,6 +39,7 @@ at operation time using the global context: combine results under
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -440,3 +444,75 @@ def limit_cdf(q, family=SQUARE, tol=1e-30, bits=None):
             value = 4 / mpmath.pi * _sum_until(term, tol, mpmath.mpf(0), least)
         # truncation noise can poke past the boundary by less than tol
         return +min(max(value, mpmath.mpf(0)), mpmath.mpf(1))
+
+
+def limit_exponent_cdf(t, family=SQUARE):
+    """G(t) = P{T <= t} for the exponent T = sum_l eps_l / beta_l of the
+    both-counts-large limit W = exp(-T), in doubles, elementwise over an
+    array of t (0 where t <= 0): 1 - G(-log q) is `limit_cdf(q)` in floats.
+
+    Each family's G is `limit_cdf`'s series read at q = e^-t (the direct
+    side) and, by the modular transform of theta or eta, a dual form whose
+    terms fall like e^(-pi^2/t).  G reads the direct side from the family's
+    switch point up and the dual below it (`_exponent_sides`).
+    """
+    import numpy as np  # not at module level: the exact routes run without numpy
+
+    direct, dual, switch = _exponent_sides(_family(family))
+    t = np.asarray(t, dtype=float)
+    g = np.zeros(t.shape)
+    low, high = (0 < t) & (t < switch), t >= switch
+    # at a subnormal t, pi^2/t overflows to inf and its term to exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        g[low] = dual(t[low])
+    g[high] = direct(t[high])
+    return g
+
+
+def _exponent_sides(tag):
+    """(direct, dual, switch) for the family's G.  The switch is where the
+    two sides' terms fall alike (t = pi), or t = 2 for shifted-square, whose
+    dual side calls `math.erfc` per element (numpy has no erfc): the lower
+    switch leaves that side fewer points and three terms, the direct side
+    five.  Each side's fixed term count leaves every omitted term below
+    2^-64 at the switch, where both sides converge slowest; a dual side's
+    positive prefactor sits in the exponent, so a term that underflows is
+    0, never inf * 0."""
+    import numpy as np
+
+    if tag == SQUARE:
+
+        def direct(t):  # 1 - 2 sum_l (-1)^(l-1) e^(-l^2 t)
+            return 1 - 2 * sum((-1) ** (l - 1) * np.exp(-l * l * t) for l in range(1, 4))
+
+        def dual(t):  # 2 sqrt(pi/t) sum_k e^(-pi^2 (2k+1)^2 / (4t))
+            lead = (math.log(4 * math.pi) - np.log(t)) / 2
+            return sum(np.exp(lead - (math.pi * (2 * k + 1)) ** 2 / (4 * t)) for k in range(4))
+
+        return direct, dual, math.pi
+    if tag == TRIANGULAR:
+
+        def direct(t):  # sum_n (-1)^n (2n+1) e^(-n(n+1)t/2)
+            return sum((-1) ** n * (2 * n + 1) * np.exp(-n * (n + 1) / 2 * t) for n in range(5))
+
+        def dual(t):  # [e^(t/24) sqrt(2pi/t) e^(-pi^2/(6t)) prod_n (1 - e^(-4pi^2 n/t))]^3
+            lead = t / 24 + (math.log(2 * math.pi) - np.log(t)) / 2 - math.pi**2 / (6 * t)
+            euler = prod(1 - np.exp(-4 * math.pi**2 * n / t) for n in range(1, 4))
+            return np.exp(3 * lead) * euler**3
+
+        return direct, dual, math.pi
+
+    def direct(t):  # 1 - (4/pi) sum_l (-1)^(l-1) e^(-(2l-1)^2 t/4) / (2l-1)
+        odd = range(1, 10, 2)  # 2l - 1 for l = 1..5
+        series = sum((-1) ** (j // 2) * np.exp(-j * j / 4 * t) / j for j in odd)
+        return 1 - 4 / math.pi * series
+
+    def dual(t):  # 2 sum_n (-1)^n erfc((2n+1) pi / (2 sqrt t))
+        x = math.pi / (2 * np.sqrt(t))
+        # one boxed float at a time: an object array of them (np.frompyfunc)
+        # grows the heap by about a MB per call
+        args = np.multiply.outer([1, 3, 5], x)
+        terms = np.fromiter(map(math.erfc, args.flat), float, args.size).reshape(args.shape)
+        return 2 * (terms[0] - terms[1] + terms[2])
+
+    return direct, dual, 2.0

@@ -65,18 +65,30 @@ class ExactDistribution:
     def total(self):
         return sum(self.probs.values())
 
+    def _check_support(self, vectors: bool):
+        """Refuse a method that reads the other kind of support: survivor
+        vectors (an r-color law, or a two-color one keyed by one-entry
+        vectors) or scalar survivor counts (a two-color law)."""
+        if isinstance(self.support[0], tuple) != vectors:
+            need = "survivor vectors" if vectors else "scalar survivor counts"
+            raise ParameterError(f"needs a law whose support is {need}", "support")
+
     def moment(self, s: int):
         """Raw moment sum(k^s p) over a scalar support."""
+        self._check_support(vectors=False)
         s = check_order("s", s, 0)
         return sum(p * Fraction(k) ** s for k, p in self.items())
 
     def factorial_moment(self, s: int):
+        """Factorial moment sum(k^(s falling) p) over a scalar support."""
+        self._check_support(vectors=False)
         s = check_order("s", s, 0)
         return sum(p * falling_factorial(k, s) for k, p in self.items())
 
     def mixed_factorial_moment(self, svec):
         """sum over the grid of p * prod_j k_j^(s_j falling), one order s_j
-        per color but the last."""
+        per color but the last, over a support of survivor vectors."""
+        self._check_support(vectors=True)
         svec = tuple(svec)
         check_length("svec", svec, len(self.support[0]) + 1, "order", but_last=True)
         svec = tuple(check_order("svec", s, 0, color) for color, s in enumerate(svec))

@@ -19,9 +19,11 @@ colors 0..r-2, each term-major (one row per ball in leaving order, one
 column per trial) in blocks of at most BLOCK_DOUBLES doubles; running sums
 cross blocks as one row-by-row pass would add them, so counts do not depend
 on the block size.
-The limit samplers draw their exponential series the same way: one clock
-per weight of a limit family, exp(-sum_l eps_l / beta_l); the fixed-blacks
-sampler is the square family's, truncated at m terms.
+The fixed-blacks sampler draws its m-term exponential series the same
+way: one clock per square weight, exp(-sum_{l<=m} eps_l / l^2).  The
+both-counts-large sampler draws the limit itself by inverting the float
+CDF of its exponent (`limits.limit_exponent_cdf`): no series, no
+truncation.
 
 Float bias: scales are exact rationals rounded once and a running clock
 rounds once per term, so a comparison with T near a tie can flip with
@@ -42,7 +44,7 @@ import mpmath
 import numpy as np
 import numpy.random  # numpy loads it lazily; every sampler here needs it
 
-from .limits import FAMILIES, _family, _reciprocal_tail
+from .limits import FAMILIES, _family, _reciprocal_tail, limit_exponent_cdf
 from .oracle import ExactDistribution
 from .weights import MODEL_SAMPLING, SQUARE, ParameterError, UrnSpec, check_count, check_integer
 
@@ -251,32 +253,56 @@ def _chi2_sf(stat: float, dof: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exponential-decomposition samplers for the limit variables
+# samplers for the limit variables
 # ---------------------------------------------------------------------------
+
+# G(t) is 1.0 in doubles from here up for every family: the slowest tail,
+# shifted-square's 1 - G(t) ~ (4/pi) e^(-t/4), is below 2^-54 from t = 151
+_EXPONENT_TOP = 1024.0
 
 
 def sample_fixed_blacks(m: int, rng: np.random.Generator, size=None):
     """Draw from the fixed-second-color limit fraction:
     exp(-sum_{l<=m} eps_l / l^2) with iid unit exponentials, the square
-    family's sampler truncated at m terms."""
+    family's m-term law."""
     check_count("m", m, 1)
-    return sample_limit_fraction(SQUARE, rng, m, size)
+    return _m_term_fraction(SQUARE, m, rng, size)
+
+
+def _m_term_fraction(tag, m, rng, size):
+    """exp(-sum_{l<=m} eps_l / beta_l) over the family's first m weights,
+    eps_l iid Exp(1), summed as the clocks are (`_clock_sums`): a float, or
+    `size` draws.  `truncation_bias_bound` compares its moments with the
+    limit's."""
+    seq = FAMILIES[tag]
+    inv = np.array([1.0 / float(seq.eval(ell)) for ell in range(1, m + 1)])
+    draws = np.exp(-_clock_sums(rng, inv, 1 if size is None else size))
+    return float(draws[0]) if size is None else draws
 
 
 def sample_limit_fraction(
     family, rng: np.random.Generator, truncation: int = 10_000, size=None
 ):
-    """Draw from the both-counts-large limit via the exponential sum over the
-    family's weights, truncated at `truncation` terms.
+    """Draw from the both-counts-large limit W = exp(-T) by inverse
+    transform: T = inf{t : G(t) >= U}, G = `limits.limit_exponent_cdf`, one
+    U = rng.random() per draw.  A float, or `size` draws.
 
-    Truncation drops positive exponent contributions, so samples are biased
-    upward by at most the factor from truncation_bias_bound.
+    T is found by bisection over the bit patterns of the doubles in
+    [0, 1024], which order them as their values, until its bracket is two
+    adjacent doubles; the draw has no truncation.  `truncation` is still
+    checked (an integer at least 1) but no longer changes the draw.
     """
-    seq = FAMILIES[_family(family)]
-    truncation = _check_truncation(truncation)
-    inv = np.array([1.0 / float(seq.eval(ell)) for ell in range(1, truncation + 1)])
-    # exp(-sum_l eps_l / b_l), eps_l iid Exp(1): a float, or `size` draws
-    draws = np.exp(-_clock_sums(rng, inv, 1 if size is None else size))
+    tag = _family(family)
+    _check_truncation(truncation)
+    u = rng.random(1 if size is None else size)
+    lo = np.zeros(u.shape, dtype=np.int64)
+    hi = np.full(u.shape, np.float64(_EXPONENT_TOP).view(np.int64))
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        above = limit_exponent_cdf(mid.view(np.float64), tag) >= u
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    draws = np.exp(-hi.view(np.float64))
     return float(draws[0]) if size is None else draws
 
 
@@ -288,10 +314,11 @@ def _check_truncation(truncation) -> int:
 
 
 def truncation_bias_bound(family, truncation: int, s: int = 1) -> float:
-    """Multiplicative upper bound on E[truncated sample^s] / E[limit^s]:
-    exp(s * the sum of the reciprocal weights past the truncation), the
-    exact tail the weight product uses (`limits._reciprocal_tail`), taken
-    to a double.  The bias itself is prod_{l > M} (1 + s/beta_l), below it."""
+    """Multiplicative upper bound on E[m-term draw^s] / E[limit^s], the
+    family's law truncated at M = `truncation` weights against the limit:
+    exp(s * the sum of the reciprocal weights past M), the exact tail the
+    weight product uses (`limits._reciprocal_tail`), taken to a double.
+    The ratio itself is prod_{l > M} (1 + s/beta_l), below it."""
     tag = _family(family)
     truncation = _check_truncation(truncation)
     with mpmath.workprec(53 + 32):

@@ -367,6 +367,14 @@ CASES += [
          id="ExactDistribution.mixed_factorial_moment-svec-short"),
     case(lambda: GRID.mixed_factorial_moment((1, 0, 5, 7)), "svec",
          id="ExactDistribution.mixed_factorial_moment-svec-long"),
+    # a method that reads the other kind of support: scalar counts or vectors
+    case(lambda: GRID.moment(1), "support", id="ExactDistribution.moment-vector-support"),
+    case(lambda: GRID.factorial_moment(1), "support",
+         id="ExactDistribution.factorial_moment-vector-support"),
+    case(lambda: DIST.mixed_factorial_moment((1,)), "support",
+         id="ExactDistribution.mixed_factorial_moment-scalar-support"),
+    case(lambda: oracle.absorption_pmf_multi(UrnSpec("I", PAIR, (2, 2))).moment(1), "support",
+         id="ExactDistribution.moment-one-entry-vector-support"),
 ]
 
 

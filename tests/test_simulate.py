@@ -1,9 +1,11 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
 
-from urnlab import simulate
-from urnlab.limits import fixed_blacks_moment, limit_moment
+from urnlab import limits, simulate
+from urnlab.limits import FAMILIES, fixed_blacks_moment, limit_cdf, limit_exponent_cdf, limit_moment
 from urnlab.oracle import absorption_pmf, absorption_pmf_multi
 from urnlab.simulate import (
     CHUNK_TRIALS,
@@ -179,9 +181,9 @@ class TestClockSampler:
     def test_limit_draws_do_not_depend_on_block_size(self, monkeypatch, rows_cap):
         def draws():
             return (
-                sample_limit_fraction("triangular", np.random.default_rng(5), 500, size=300),
+                simulate._m_term_fraction("triangular", 500, np.random.default_rng(5), 300),
                 sample_fixed_blacks(9, np.random.default_rng(6), size=300),
-                sample_limit_fraction("square", np.random.default_rng(7), 40),
+                simulate._m_term_fraction("square", 40, np.random.default_rng(7), None),
             )
 
         base = draws()
@@ -268,14 +270,13 @@ class TestLimitSamplers:
         sigma = draws.std() / 1000
         assert abs(draws.mean() - 0.5) < 3 * sigma
 
-    def test_limit_fraction_mean_with_bias_budget(self):
-        rng = np.random.default_rng(12)
-        truncation, size = 10_000, 20_000
-        draws = sample_limit_fraction("square", rng, truncation, size=size)
-        target = float(limit_moment(1, "square"))
-        sigma = draws.std() / size**0.5
-        bias = target * (truncation_bias_bound("square", truncation) - 1)
-        assert abs(draws.mean() - target) < 3 * sigma + bias
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_limit_fraction_mean(self, family):
+        # the draw is the limit itself: no truncation bias enters the band
+        size = 20_000
+        draws = sample_limit_fraction(family, np.random.default_rng(12), size=size)
+        target = float(limit_moment(1, family))
+        assert abs(draws.mean() - target) < 3 * draws.std() / size**0.5
 
     def test_scalar_draws(self):
         rng = np.random.default_rng(13)
@@ -285,11 +286,10 @@ class TestLimitSamplers:
     @pytest.mark.parametrize("m", [1, 2, 9, 50])
     @pytest.mark.parametrize("size", [None, 1, 300])
     def test_fixed_blacks_is_the_square_sampler_at_m_terms(self, m, size):
-        # one sampler reads the square family; the draws are what
+        # one m-term sampler reads the square family; the draws are what
         # exp(-sum_l eps_l / l^2), summed row by row over one stream, gives
         got = sample_fixed_blacks(m, np.random.default_rng(m), size)
-        want = sample_limit_fraction("square", np.random.default_rng(m), truncation=m,
-                                     size=size)
+        want = simulate._m_term_fraction("square", m, np.random.default_rng(m), size)
         assert type(got) is type(want) and np.array_equal(got, want)
         eps = np.random.default_rng(m).standard_exponential((m, 1 if size is None else size))
         clock = np.zeros(eps.shape[1])
@@ -319,6 +319,11 @@ class TestLimitSamplers:
         assert 1 < bias <= bound
         assert bound == pytest.approx(float(mpmath.exp(s * mpmath.psi(1, M + 1))), rel=1e-14)
 
+    def test_truncation_does_not_change_the_draw(self):
+        draws = [sample_limit_fraction("square", np.random.default_rng(14), m, size=50)
+                 for m in (1, 10_000)]
+        assert np.array_equal(*draws)
+
     @pytest.mark.parametrize(
         "call",
         [
@@ -330,3 +335,84 @@ class TestLimitSamplers:
     def test_unknown_family_lists_the_families(self, call):
         with pytest.raises(ValueError, match="shifted-square.*square.*triangular"):
             call()
+
+
+class StubRng:
+    """Hands out the given uniforms, as rng.random(size) would."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.array(uniforms, dtype=float)
+
+    def random(self, size):
+        assert size == len(self.uniforms)
+        return self.uniforms
+
+
+class TestLimitExponentSampler:
+    """The limit sampler inverts G(t) = P{T <= t}, T = -log W, by bisection;
+    G is limit_cdf's series in floats, with a dual side for small t."""
+
+    QS = [i / 61 for i in range(1, 61)] + [1e-6, 1e-3, 0.999, 0.999999]
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_exponent_cdf_is_limit_cdf(self, family):
+        for q in self.QS:
+            got = 1 - limit_exponent_cdf(-math.log(q), family)
+            assert abs(got - float(limit_cdf(q, family))) <= 1e-15, q
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_lower_tail_holds_its_relative_accuracy(self, family):
+        # where G is small the absolute check above sees nothing; the
+        # reference is 1 - limit_cdf(e^-t) at 256 bits
+        switch = limits._exponent_sides(family)[2]
+        for t in np.geomspace(0.05, switch, 25):
+            with mpmath.workprec(256):
+                q = mpmath.exp(-mpmath.mpf(t))
+                ref = float(1 - limit_cdf(q, family, tol=1e-60, bits=256))
+            assert abs(limit_exponent_cdf(t, family) - ref) <= 1e-13 * ref, t
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_sides_agree_at_the_switch(self, family):
+        direct, dual, switch = limits._exponent_sides(family)
+        for t in (switch, np.nextafter(switch, 0), np.nextafter(switch, 10)):
+            t = np.array([t])
+            assert abs(direct(t) - dual(t))[0] <= 1e-15, t
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_exponent_cdf_ends(self, family):
+        # 0 up to t = 0 and through the subnormals (no overflow warning,
+        # which the suite makes an error), 1 from the top of the bisection
+        t = np.array([-1.0, 0.0, 5e-324, 1e-310, 1e-300, 1e-3, 1024.0, 1e300])
+        assert list(limit_exponent_cdf(t, family)) == [0.0] * 6 + [1.0] * 2
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_dkw_band(self, family):
+        # Dvoretzky-Kiefer-Wolfowitz: the empirical CDF leaves this band
+        # around the true one with probability at most alpha
+        n, alpha = 200_000, 1e-9
+        draws = np.sort(sample_limit_fraction(family, np.random.default_rng(15), size=n))
+        band = math.sqrt(math.log(2 / alpha) / (2 * n))
+        for q in np.linspace(0.005, 0.995, 60):
+            empirical = np.searchsorted(draws, q, side="right") / n
+            assert abs(empirical - float(limit_cdf(q, family))) <= band, q
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_extreme_uniforms(self, family):
+        # U = 0 gives the least T, W = 1; the largest U gives the far tail,
+        # inside the bisection's top
+        w = sample_limit_fraction(family, StubRng([0.0, 1 - 2.0**-53]), size=2)
+        assert w[0] == 1.0 and 0 < w[1] < 1e-15
+        assert 1 - limit_exponent_cdf(-math.log(w[1]), family) <= 2.0**-52
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_draw_inverts_the_cdf(self, family):
+        # G(-log W) is U up to the roundings of exp and log
+        u = np.random.default_rng(16).random(200)
+        t = -np.log(sample_limit_fraction(family, StubRng(u), size=200))
+        assert np.max(np.abs(limit_exponent_cdf(t, family) - u)) <= 1e-15
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_scalar_is_the_first_draw(self, family):
+        scalar = sample_limit_fraction(family, np.random.default_rng(17))
+        first = sample_limit_fraction(family, np.random.default_rng(17), size=1)
+        assert type(scalar) is float and scalar == first[0]
