@@ -332,7 +332,8 @@ def _cmd_okc_moments(args) -> int:
                               polynomial=[_prob_renderer(args)(c) for c in poly.coeffs])
 
 
-# the most points a `w-cdf` grid evaluates (0:1:1/10000 takes 2.5 s on a 2-core Xeon)
+# the most points a `w-cdf` grid evaluates (0:1:1/10000 takes 1.6 s for square
+# and 3.0 s for shifted-square on a 2-vCPU Xeon)
 MAX_GRID_POINTS = 10_001
 
 
@@ -386,11 +387,10 @@ def _cmd_limit(args) -> int:
     return EXIT_OK
 
 
-# the theta routes work at bits + 32 and agree there to within 21 units in
-# the last place, measured for q up to 49999/50000 at 8 to 16 bits (worst
-# 20.8 at q = 19999/20000, 8 bits); the series' rounding noise grows like
-# the square root of its term count, and a tol below 64 such units would
-# ask the check to resolve that noise
+# the theta routes work at bits + 32 and agree there to within 8 units in
+# the last place, measured at 8 to 16 bits for q = i/200 and q = 1 - 10^-k,
+# k <= 30 (worst 8.0 at q = 3/40, 11 bits); a tol below 64 such units would
+# ask the check to resolve that rounding noise
 THETA_MIN_TOL_ULPS = 64
 
 
@@ -401,7 +401,7 @@ def _cmd_theta(args) -> int:
 
     bits = args.precision_bits
     q = _fraction(args.q, "q")
-    weights.check_tol(args.tol)  # here, so the rewording below meets budget refusals only
+    weights.check_tol(args.tol)  # before the floor below, which would misname a tol <= 0
     finest = THETA_MIN_TOL_ULPS * 2.0 ** -(bits + 32)
     if args.tol < finest:
         raise weights.ParameterError(
@@ -410,14 +410,10 @@ def _cmd_theta(args) -> int:
             "tol",
         )
     # evaluate well below the agreement tolerance so truncation noise from
-    # the two routes cannot straddle the check; a budget the routes refuse
-    # at that tol is refused as the --tol typed
+    # the two routes cannot straddle the check
     inner_tol = args.tol / 100
-    with _reword(f"{args.tol:g} is out of reach at this --q: the series or the triple "
-                 f"product, run at tol/100, needs more than {limits.MAX_SERIES_TERMS} "
-                 "terms; loosen tol", only="tol"):
-        series = limits.theta(q, inner_tol, bits)
-        product = limits.jacobi_triple_product(q, inner_tol, bits)
+    series = limits.theta(q, inner_tol, bits)
+    product = limits.jacobi_triple_product(q, inner_tol, bits)
     with mpmath.workprec(bits + 32):
         diff = abs(series - product)
     _emit(args, "bigfloat", {

@@ -13,17 +13,17 @@ big-float arithmetic at a configurable precision so that alternating sums
 keep far more correct bits than the tolerances demand.
 
 Every truncated series and product runs through one loop, `_sum_until`: it
-rejects a tol that is not finite and > 0 (nan included) and gives up after
-MAX_SERIES_TERMS terms, so no call runs unbounded.  Each routine knows the
-least bound within that budget in closed form, and a loop still running
-after EARLY_TERMS terms refuses a tol that bound does not reach: so
-`jacobi_triple_product(999999/1000000, 1e-14)` fails after 64 factors
-rather than after 2,000,000.  The two q-products fold through it from one
-carried-power loop, `_carried_product`, which gives the rounding argument
-for both.  These refusals and the range rules on counts, orders and points
-raise `ParameterError`.  Counts and orders follow the one integer rule of
-`weights`: a float or `Fraction` is refused, so `limit_moment` takes
-integer orders only.
+rejects a tol that is not finite and > 0 (nan included).  theta, the
+limit CDFs and both q-products read q on the side of the theta or eta
+modular transform whose terms fall faster (`SWITCH`), so every q < 1 and
+every tol down to the least double end within a few hundred terms, and no
+budget is needed.  The two q-products fold through one carried-power loop,
+`_carried_product`, which gives the rounding argument for both.  Only the
+fixed-whites series falls slowly (like ell^(-2n)); it refuses up front a
+tol its MAX_SERIES_TERMS-th term does not reach.  These refusals and the
+range rules on counts, orders and points raise `ParameterError`.  Counts
+and orders follow the one integer rule of `weights`: a float or `Fraction`
+is refused, so `limit_moment` takes integer orders only.
 
 The weight product truncates a family at M weights, and so does the
 m-term law `simulate.truncation_bias_bound` compares with the limit; the
@@ -39,10 +39,11 @@ at operation time using the global context: combine results under
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 
 import mpmath
 from mpmath.libmp import mpf_mul, round_nearest
@@ -54,7 +55,6 @@ from .numerics import (
     clock_product_blocks,
     exact_operand,
     precision_bits,
-    stirling_first_unsigned,
     stirling_second,
 )
 from .weights import (
@@ -74,13 +74,15 @@ from .weights import (
 
 MAX_SERIES_TERMS = 2_000_000
 
-# terms a loop takes before it asks whether its budget can reach tol at all;
-# most calls stop sooner and never pay for that bound
-EARLY_TERMS = 64
-
 # bits carried beyond the working precision by the running powers of q in
 # the q-products; see _carried_product
 POWER_GUARD_BITS = 48
+
+# t = -log q from which each family's routes (theta's and the triple
+# product's are square's) read the direct side in q, and below it the dual
+# in e^(-pi^2/t): pi, where both sides' terms fall alike, but 1/10 for
+# shifted-square, whose dual erfc terms cost more (timed at 256 bits)
+SWITCH = {SQUARE: mpmath.pi, TRIANGULAR: mpmath.pi, SHIFTED_SQUARE: 0.1}
 
 
 # each limit family's weight sequence, by its tag (`weights.LIMIT_FAMILIES`)
@@ -101,33 +103,25 @@ def _bits(bits):
 
 
 def _check_point(q, top_open=False):
-    """Refuse q outside [0, 1], or outside [0, 1) with `top_open`."""
-    if q < 0 or q > 1 or (top_open and q == 1):
+    """Refuse q outside [0, 1], or outside [0, 1) with `top_open`; nan too."""
+    if not (0 <= q < 1 if top_open else 0 <= q <= 1):
         raise ParameterError(f"must lie in [0, 1{')' if top_open else ']'}, got {q}", "q")
 
 
-def _sum_until(term, tol, acc, least, start=1, combine=operator.add, hint=""):
+def _sum_until(term, tol, acc, start=1, combine=operator.add):
     """Fold term(i) = (value, bound) into acc for i = start, start + 1, ...,
     stopping after the first term whose bound is below tol.
 
     combine is + for series and * for products; bound is the quantity the
-    routine's truncation rule compares with tol, and least() is at most every
-    bound of the first MAX_SERIES_TERMS terms.  Raises ParameterError naming
-    tol when it is not finite and > 0, and when MAX_SERIES_TERMS terms would
-    pass without reaching it: after EARLY_TERMS terms if least() is not below
-    tol, else after the last (hint is appended to that message).
+    routine's truncation rule compares with tol.  Raises ParameterError
+    naming tol when it is not finite and > 0.
     """
     check_tol(tol)
-    for i in range(start, start + MAX_SERIES_TERMS):
-        if i == start + EARLY_TERMS and not least() < tol:
-            break
+    for i in itertools.count(start):
         value, bound = term(i)
         acc = combine(acc, value)
         if bound < tol:
             return acc
-    raise ParameterError(
-        f"cannot reach tol={tol} within {MAX_SERIES_TERMS} terms{hint}", "tol"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +207,14 @@ def fixed_whites_pmf(
     check_tol(tol)
     with mpmath.workprec(_bits(bits) + 32):
         if method == FINITE_SUM:
-            total = mpmath.mpf(0)
-            for ell in range(k, n + 1):
-                term = comb(n, ell) * comb(ell, k) * _sinh_weight(ell)
-                total += term if (ell - k) % 2 == 0 else -term
+            # the terms' coefficients sum to C(n,k) 2^(n-k) in absolute value
+            # and the weights are at most 1: that many more bits cover the
+            # cancellation of the alternating sum
+            with mpmath.extraprec((comb(n, k) << (n - k)).bit_length()):
+                total = mpmath.mpf(0)
+                for ell in range(k, n + 1):
+                    term = comb(n, ell) * comb(ell, k) * _sinh_weight(ell)
+                    total += term if (ell - k) % 2 == 0 else -term
             return +total
         if method != SERIES:
             raise ParameterError(f"unknown method {method!r}", "method")
@@ -233,29 +231,27 @@ def fixed_whites_pmf(
             t = mpmath.mpf(nfact) / prod(ell * ell + i for i in range(1, n + 1))
             return (t if (ell - 1) % 2 == 0 else -t), t
 
-        hint = f"; terms decay like ell^(-{2 * n}), loosen tol for small n"
         # alternating series: stopping below tol bounds the truncation by
         # tol; the terms fall with ell, so the last one allowed is the least
-        total = _sum_until(term, tol, mpmath.mpf(0), lambda: term(MAX_SERIES_TERMS)[1], hint=hint)
-        return +(2 * total)
+        if not term(MAX_SERIES_TERMS)[1] < tol:
+            raise ParameterError(
+                f"cannot reach tol={tol} within {MAX_SERIES_TERMS} terms; terms decay "
+                f"like ell^(-{2 * n}), loosen tol for small n",
+                "tol",
+            )
+        return +(2 * _sum_until(term, tol, mpmath.mpf(0)))
 
 
 def fixed_whites_moment(n: int, s: int, bits=None):
-    """s-th raw moment of the limiting survivor count: the double sum over
-    Stirling numbers of both kinds with sinh weights."""
+    """s-th raw moment of the limiting survivor count: sum_j S(s,j) (n)_j w_j
+    over the Stirling numbers of the second kind, (n)_j w_j being the j-th
+    factorial moment and w_j the sinh weight.  Each coefficient S(s,j) (n)_j
+    is an exact integer >= 0, so the sum cancels nothing."""
     n, s = check_count("n", n, 1), check_order("s", s, 1)
     with mpmath.workprec(_bits(bits) + 32):
         total = mpmath.mpf(0)
-        for ell in range(1, s + 1):
-            inner = mpmath.mpf(0)
-            for j in range(ell, s + 1):
-                term = (
-                    stirling_second(s, j)
-                    * stirling_first_unsigned(j, ell)
-                    * _sinh_weight(j)
-                )
-                inner += term if (j - ell) % 2 == 0 else -term
-            total += mpmath.mpf(n) ** ell * inner
+        for j in range(1, min(n, s) + 1):
+            total += stirling_second(s, j) * perm(n, j) * _sinh_weight(j)
         return +total
 
 
@@ -324,82 +320,116 @@ def _reciprocal_tail(tag, cutoff):
     return mpmath.polygamma(1, cutoff + mpmath.mpf(1) / 2)
 
 
+def _exponent(q):
+    """t = -log q at the working precision (inf at q = 0), from log1p of
+    q - 1 formed exactly, or rounded once for a big-float q: no q < 1 gives
+    t = 0."""
+    below = q - 1 if isinstance(q, mpmath.mpf) else Fraction(q) - 1
+    return -mpmath.log1p(cast_value(below, BIGFLOAT))
+
+
 def theta(q, tol=1e-30, bits=None):
     """Jacobi theta series 1 + 2 sum (-1)^n q^(n^2) for 0 <= q < 1.
 
     Terms are added until the next one drops below tol; the alternating
-    truncation bound makes that the error bound as well.
+    truncation bound makes that the error bound as well.  Below t = -log q
+    = pi it is Jacobi's transform 2 sqrt(pi/t) sum_k e^(-pi^2 (2k+1)^2/(4t)),
+    summed through the first term below tol; each positive term exceeds
+    500 times the rest.
     """
     _check_point(q, top_open=True)
     with mpmath.workprec(_bits(bits) + 32):
-        qq = cast_value(q, BIGFLOAT)
+        t = _exponent(q)
+        if t >= SWITCH[SQUARE]:
+            qq = cast_value(q, BIGFLOAT)
 
-        def term(n):
-            t = qq ** (n * n)
-            return (2 * t if n % 2 == 0 else -2 * t), t
+            def term(n):
+                x = qq ** (n * n)
+                return (2 * x if n % 2 == 0 else -2 * x), x
 
-        # the terms fall with n, so the last one allowed is the least
-        return +_sum_until(term, tol, mpmath.mpf(1), lambda: term(MAX_SERIES_TERMS)[1])
+            return +_sum_until(term, tol, mpmath.mpf(1))
+        lead = 2 * mpmath.sqrt(mpmath.pi / t)
+
+        def dual(k):
+            x = lead * mpmath.exp(-((2 * k + 1) * mpmath.pi) ** 2 / (4 * t))
+            return x, x
+
+        return +_sum_until(dual, tol, mpmath.mpf(0), start=0)
 
 
-def _carried_product(q, tol, bits, stride, factor, exponent=1):
+def _carried_product(qq, tol, stride, factor):
     """The product of factor(q^k, shifted) over k = 1, 1 + stride, ...
-    (stride 1 or 2), shifted() giving q^(k+1), raised to `exponent`.
+    (stride 1 or 2) for the big-float q = qq, shifted() giving q^(k+1).
 
-    Rounding: with p = bits + 32 the working precision, q^k is carried from
-    factor to factor as a raw big-float at p + POWER_GUARD_BITS bits, one
-    multiply by the exact q^stride per factor, and q^(k+1) is one multiply
-    by q more.  Each multiply rounds with relative error at most 2^-(p+48),
-    and at most MAX_SERIES_TERMS < 2^21 of them stand behind any power, so
-    every guarded power is within 2^-(p+27) of q^k relatively.  Each power
-    a factor reads is rounded once to p bits, which gives the correctly
+    Rounding: with p the working precision, q^k is carried from factor to
+    factor as a raw big-float at p + POWER_GUARD_BITS bits, one multiply by
+    the exact q^stride per factor, and q^(k+1) is one multiply by q more.
+    Each multiply rounds with relative error at most 2^-(p+48), and fewer
+    than 2^21 of them stand behind any power (a q <= e^-pi, the most a
+    route passes, stops within 250 factors at any double tol), so every
+    guarded power is within 2^-(p+27) of q^k relatively.  Each power a
+    factor reads is rounded once to p bits, which gives the correctly
     rounded q^k unless q^k lies within 2^-27 units of a rounding boundary;
     the factor is then formed at p bits from the rounded powers.
     """
-    _check_point(q, top_open=True)
-    prec = _bits(bits) + 32
-    wp = prec + POWER_GUARD_BITS
-    with mpmath.workprec(prec):
-        qq = cast_value(q, BIGFLOAT)
-        q1 = qq._mpf_
-        step = q1 if stride == 1 else mpf_mul(q1, q1)  # exact
-        # after the factor at q^k the remaining log-product magnitude is below
-        # 3 q^(k+stride)/(1-q); a q that rounds to 1 leaves no bound
-        scale = 3 * qq**stride / (1 - qq) if qq < 1 else mpmath.inf
-        power = q1  # q^k at p + POWER_GUARD_BITS bits
+    wp = mpmath.mp.prec + POWER_GUARD_BITS
+    q1 = qq._mpf_
+    step = q1 if stride == 1 else mpf_mul(q1, q1)  # exact
+    # after the factor at q^k the remaining log-product magnitude is below
+    # 3 q^(k+stride)/(1-q) for q <= 1/2, as every route's q is
+    scale = 3 * qq**stride / (1 - qq)
+    power = q1  # q^k at p + POWER_GUARD_BITS bits
 
-        def shifted():
-            return mpmath.mpf(mpf_mul(power, q1, wp, round_nearest))  # rounds to p bits
+    def shifted():
+        return mpmath.mpf(mpf_mul(power, q1, wp, round_nearest))  # rounds to p bits
 
-        def term(i):
-            nonlocal power
-            t = mpmath.mpf(power)  # rounds to p bits
-            value = factor(t, shifted)
-            power = mpf_mul(power, step, wp, round_nearest)
-            return value, t * scale
+    def term(i):
+        nonlocal power
+        t = mpmath.mpf(power)  # rounds to p bits
+        value = factor(t, shifted)
+        power = mpf_mul(power, step, wp, round_nearest)
+        return value, t * scale
 
-        # the bounds fall with k, so the last factor's is the least; computed
-        # afresh it may differ from the carried power's by a few units in the
-        # last place, and a margin of 2^(8-p) keeps it below
-        def least():
-            last = 1 + stride * (MAX_SERIES_TERMS - 1)
-            return qq**last * scale * (1 - mpmath.ldexp(1, 8 - prec))
+    return _sum_until(term, tol, mpmath.mpf(1), combine=operator.mul)
 
-        product = _sum_until(term, tol, mpmath.mpf(1), least, combine=operator.mul)
-        return +(product**exponent)
+
+def _eta_side(q):
+    """(nome, c) with phi(q)^3 = c phi(nome)^3, phi the Euler product: q and
+    1 from t = -log q = pi up, and below it, by Dedekind's eta transform,
+    e^(-4 pi^2/t) and c = (e^(t/24) sqrt(2 pi/t) e^(-pi^2/(6t)))^3 < 0.87."""
+    t = _exponent(q)
+    if t >= SWITCH[TRIANGULAR]:
+        return cast_value(q, BIGFLOAT), 1
+    c = mpmath.exp(t / 8 - mpmath.pi**2 / (2 * t)) * mpmath.sqrt(2 * mpmath.pi / t) ** 3
+    return mpmath.exp(-4 * mpmath.pi**2 / t), c
 
 
 def jacobi_triple_product(q, tol=1e-30, bits=None):
     """The triple product (1-q^2j)(1-q^(2j-1))^2 over j >= 1; equal to the
     theta series, which is how the series is certified to be a CDF tail.
-    Rounded as `_carried_product` says, over the odd powers q^(2j-1)."""
-    return _carried_product(q, tol, bits, 2, lambda odd, even: (1 - even()) * (1 - odd) ** 2)
+    Below t = -log q = pi, by Jacobi's transform, it is theta_2's product
+    2 sqrt(pi/t) e^(-pi^2/(4t)) prod (1-p^n)(1+p^n)^2, p = e^(-2 pi^2/t).
+    Rounded as `_carried_product` says."""
+    _check_point(q, top_open=True)
+    with mpmath.workprec(_bits(bits) + 32):
+        t = _exponent(q)
+        if t >= SWITCH[SQUARE]:
+            return +_carried_product(
+                cast_value(q, BIGFLOAT), tol, 2, lambda odd, even: (1 - even()) * (1 - odd) ** 2
+            )
+        lead = 2 * mpmath.sqrt(mpmath.pi / t) * mpmath.exp(-mpmath.pi**2 / (4 * t))
+        nome = mpmath.exp(-2 * mpmath.pi**2 / t)
+        return +(lead * _carried_product(nome, tol, 1, lambda x, _: (1 - x) * (1 + x) ** 2))
 
 
 def euler_phi_cubed(q, tol=1e-30, bits=None):
     """Cube of the Euler product (1-q^n); the triangular-family analogue of
-    the triple product.  Rounded as `_carried_product` says."""
-    return _carried_product(q, tol, bits, 1, lambda t, _: 1 - t, exponent=3)
+    the triple product, read at `_eta_side`'s nome.  Rounded as
+    `_carried_product` says."""
+    _check_point(q, top_open=True)
+    with mpmath.workprec(_bits(bits) + 32):
+        nome, scale = _eta_side(q)
+        return +(scale * _carried_product(nome, tol, 1, lambda t, _: 1 - t) ** 3)
 
 
 def limit_cdf(q, family=SQUARE, tol=1e-30, bits=None):
@@ -409,6 +439,9 @@ def limit_cdf(q, family=SQUARE, tol=1e-30, bits=None):
     the series form of 1 - phi(q)^3.  shifted-square: (4/pi) sum
     (-1)^(l-1) q^((l-1/2)^2) / (2l-1); the sign is fixed so the CDF
     increases to 1 (the alternative parity renders it negative).
+    Below `SWITCH` in t = -log q, triangular reads Jacobi's series at
+    `_eta_side`'s nome, and shifted-square is 1 - 2 sum_n (-1)^n
+    erfc((2n+1) pi / (2 sqrt t)).
     """
     tag = _family(family)
     _check_point(q)
@@ -416,32 +449,33 @@ def limit_cdf(q, family=SQUARE, tol=1e-30, bits=None):
     if q == 1:
         return mpmath.mpf(1)
     with mpmath.workprec(_bits(bits) + 32):
-        qq = cast_value(q, BIGFLOAT)
         if tag == SQUARE:
-            value = 1 - theta(qq, tol, bits)
+            value = 1 - theta(q, tol, bits)
         elif tag == TRIANGULAR:
+            nome, scale = _eta_side(q)
 
             def term(ell):
-                t = (2 * ell + 1) * qq ** (ell * (ell + 1) // 2)
+                x = (2 * ell + 1) * nome ** (ell * (ell + 1) // 2)
                 # the l = 0 term is 1 whatever q is; never stop on it
-                return (t if ell % 2 == 0 else -t), (t if ell >= 1 else mpmath.inf)
+                return (x if ell % 2 == 0 else -x), (x if ell >= 1 else mpmath.inf)
 
-            # log t is concave in l, so over 1..last t is least at an end;
-            # the early terms, l = 1 among them, did not stop the loop
-            def least():
-                return term(MAX_SERIES_TERMS - 1)[1]
-
-            value = 1 - _sum_until(term, tol, mpmath.mpf(0), least, start=0)
-        else:
+            value = 1 - scale * _sum_until(term, tol, mpmath.mpf(0), start=0)
+        elif (t := _exponent(q)) >= SWITCH[SHIFTED_SQUARE]:
+            qq = cast_value(q, BIGFLOAT)
 
             def term(ell):
-                t = qq ** ((mpmath.mpf(2 * ell - 1) / 2) ** 2) / (2 * ell - 1)
-                return (t if ell % 2 == 1 else -t), t
+                x = qq ** ((mpmath.mpf(2 * ell - 1) / 2) ** 2) / (2 * ell - 1)
+                return (x if ell % 2 == 1 else -x), x
 
-            def least():
-                return term(MAX_SERIES_TERMS)[1]  # the terms fall with l
+            value = 4 / mpmath.pi * _sum_until(term, tol, mpmath.mpf(0))
+        else:
+            scaled = mpmath.pi / (2 * mpmath.sqrt(t))
 
-            value = 4 / mpmath.pi * _sum_until(term, tol, mpmath.mpf(0), least)
+            def term(n):
+                x = 2 * mpmath.erfc((2 * n + 1) * scaled)
+                return (x if n % 2 == 0 else -x), x
+
+            value = 1 - _sum_until(term, tol, mpmath.mpf(0), start=0)
         # truncation noise can poke past the boundary by less than tol
         return +min(max(value, mpmath.mpf(0)), mpmath.mpf(1))
 

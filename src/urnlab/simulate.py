@@ -289,14 +289,19 @@ def sample_limit_fraction(
 
     T is found by bisection over the bit patterns of the doubles in
     [0, 1024], which order them as their values, until its bracket is two
-    adjacent doubles; the draw has no truncation.  `truncation` is still
-    checked (an integer at least 1) but no longer changes the draw.
+    adjacent doubles; the draw has no truncation.  `truncation` is still checked (an integer at least 1)
+    but no longer changes the draw.
     """
     tag = _family(family)
     _check_truncation(truncation)
     u = rng.random(1 if size is None else size)
-    lo = np.zeros(u.shape, dtype=np.int64)
-    hi = np.full(u.shape, np.float64(_EXPONENT_TOP).view(np.int64))
+    top = np.float64(_EXPONENT_TOP).view(np.int64)
+    # the first five midpoints, down to the pattern top - top/32 (t = 2e-7),
+    # lie where every family's G is 0.0 (it leaves 0 near t = 0.0033): a
+    # U > 0 starts from there, the same draw five steps sooner; U = 0 starts
+    # from 0, so that its W is 1
+    lo = np.where(u > 0, top - top // 32, np.int64(0))
+    hi = np.full(u.shape, top)
     while np.any(hi - lo > 1):
         mid = lo + (hi - lo) // 2
         above = limit_exponent_cdf(mid.view(np.float64), tag) >= u

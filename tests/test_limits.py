@@ -137,6 +137,22 @@ class TestFixedWhitesPmf:
                 total = sum(fixed_whites_pmf(n, k) for k in range(n + 1))
                 assert abs(total - 1) < mpmath.mpf(10) ** -20
 
+    @pytest.mark.parametrize("n, k", [(400, 0), (400, 3), (150, 0), (150, 75)])
+    def test_large_n_keeps_its_bits(self, n, k):
+        # the alternating sum cancels up to C(n,k) 2^(n-k) in magnitude:
+        # P{0} at n = 400 once read -5.7e16 for 0.0049875293
+        ref = fixed_whites_pmf(n, k, bits=3000)
+        for bits in (8, 64, 256):
+            got = fixed_whites_pmf(n, k, bits=bits)
+            with mpmath.workprec(3000):
+                assert abs(got - ref) <= 2.0**-bits * ref, bits
+
+    def test_large_n_sums_to_one(self):
+        # n = 150 at 64 bits once summed to 2.2e29
+        with mpmath.workprec(200):
+            total = sum(fixed_whites_pmf(150, k, bits=64) for k in range(151))
+            assert abs(total - 1) < 2.0**-60
+
     def test_series_matches_finite_sum_at_zero(self):
         # the series route needs the overall factor 2 (as implemented);
         # terms decay like ell^(-2n) so the tolerance is taken accordingly
@@ -168,6 +184,17 @@ class TestFixedWhitesMoment:
                     mpmath.mpf(k) ** s * fixed_whites_pmf(n, k) for k in range(n + 1)
                 )
                 assert mpf_close(fixed_whites_moment(n, s), direct, 1e-15)
+
+    @pytest.mark.parametrize("n, s", [(3, 150), (12, 60), (40, 5)])
+    def test_large_order_or_count_keeps_its_bits(self, n, s):
+        # the double sum over both Stirling kinds cancelled: (3, 150) once
+        # read -9.9e189 for 1.74e70; against the pmf summed at 3000 bits
+        with mpmath.workprec(3000):
+            direct = sum(mpmath.mpf(k) ** s * fixed_whites_pmf(n, k, bits=3000)
+                         for k in range(n + 1))
+            for bits in (8, 64, 256):
+                got = fixed_whites_moment(n, s, bits)
+                assert abs(got - direct) <= 2.0**-bits * direct, bits
 
 
 class TestLimitMoment:
@@ -291,6 +318,17 @@ TRUNCATING = {
 }
 
 
+# every route that picks its side of the modular transform, as (q, tol, bits)
+ROUTES = {
+    "theta": theta,
+    "jacobi_triple_product": jacobi_triple_product,
+    "euler_phi_cubed": euler_phi_cubed,
+    "limit_cdf-square": lambda q, tol, bits: limit_cdf(q, SQUARE, tol, bits),
+    "limit_cdf-triangular": lambda q, tol, bits: limit_cdf(q, TRIANGULAR, tol, bits),
+    "limit_cdf-shifted-square": lambda q, tol, bits: limit_cdf(q, SHIFTED_SQUARE, tol, bits),
+}
+
+
 class TestTruncationBounds:
     @pytest.mark.parametrize("tol", [0, -1, nan], ids=["zero", "negative", "nan"])
     @pytest.mark.parametrize("routine", sorted(TRUNCATING))
@@ -324,75 +362,86 @@ class TestTruncationBounds:
         (lambda tol: theta(Fraction(10**14 - 1, 10**14), tol), 1e-14),
         (lambda tol: limit_cdf(Fraction(10**14 - 1, 10**14), TRIANGULAR, tol), 1e-12),
         (lambda tol: limit_cdf(Fraction(10**14 - 1, 10**14), SHIFTED_SQUARE, tol), 1e-12),
-        (lambda tol: fixed_whites_pmf(1, 0, SERIES, tol), 1e-25),
-        # a q that rounds to 1 at the working precision leaves no bound
+        # a q that rounds to 1 at the working precision
         (lambda tol: jacobi_triple_product(Fraction(10**100 - 1, 10**100), tol), 1e-3),
         (lambda tol: euler_phi_cubed(Fraction(10**100 - 1, 10**100), tol), 1e-3),
     ], ids=["jacobi_triple_product", "euler_phi_cubed", "theta", "limit_cdf-triangular",
-            "limit_cdf-shifted-square", "fixed_whites_pmf-series", "jacobi-q-rounds-to-1",
-            "euler-q-rounds-to-1"])
-    def test_unreachable_tol_refused_after_the_early_terms(self, loop_terms, routine, tol):
-        # the triple product at 999999/1000000 once ran 2,000,000 factors (48 s)
+            "limit_cdf-shifted-square", "jacobi-q-rounds-to-1", "euler-q-rounds-to-1"])
+    def test_near_one_answered_in_few_terms(self, loop_terms, routine, tol):
+        # each of these was refused after 64 terms; the triple product at
+        # 999999/1000000 once ran 2,000,000 factors (48 s) before that
+        value = routine(tol)
+        assert 0 <= value <= 1
+        assert len(loop_terms) == 1 and len(loop_terms[0]) <= 4
+
+    def test_fixed_whites_series_refused_before_the_first_term(self, loop_terms):
         with pytest.raises(ParameterError, match=f"within {MAX_SERIES_TERMS} terms") as info:
-            routine(tol)
+            fixed_whites_pmf(1, 0, SERIES, 1e-25)
         assert info.value.param == "tol"
-        assert [len(seen) for seen in loop_terms] == [limits.EARLY_TERMS]
+        assert loop_terms == []
 
-    @pytest.mark.parametrize("routine", [
-        lambda q, tol: theta(q, tol),
-        lambda q, tol: jacobi_triple_product(q, tol),
-        lambda q, tol: euler_phi_cubed(q, tol),
-        lambda q, tol: limit_cdf(q, TRIANGULAR, tol),
-        lambda q, tol: limit_cdf(q, SHIFTED_SQUARE, tol),
-        lambda q, tol: fixed_whites_pmf(3, 0, SERIES, tol),
-    ], ids=["theta", "jacobi_triple_product", "euler_phi_cubed", "limit_cdf-triangular",
-            "limit_cdf-shifted-square", "fixed_whites_pmf-series"])
-    def test_early_refusal_is_the_loops_own(self, monkeypatch, routine):
-        # with a budget of 40 terms checked after 8, and tol at and next to
-        # the loop's own bounds of the first three and the last two terms
-        # allowed and on a grid: the check after the early terms refuses
-        # exactly what the loop alone gives up on, and every value it lets
-        # through is the loop's, bit for bit (at 999/1000 the triangular
-        # terms rise before they fall)
-        monkeypatch.setattr(limits, "MAX_SERIES_TERMS", 40)
-        monkeypatch.setattr(limits, "EARLY_TERMS", 8)
-        real = limits._sum_until
-        bounds = []
+    # q = 1 - 10^-k for k = 1..30, 999999/1000000, 1 - 10^-300 and 0
+    EDGE_QS = [1 - Fraction(1, 10**k) for k in range(1, 31)] + [
+        Fraction(999999, 1000000), 1 - Fraction(1, 10**300), Fraction(0)]
 
-        def loop_only(term, tol, acc, least, **kwargs):
-            def watched(i):
-                value, bound = term(i)
-                bounds.append(bound)
-                return value, bound
-
-            return real(watched, tol, acc, lambda: 0, **kwargs)  # no early check
-
-        def outcome(q, tol, loop):
-            monkeypatch.setattr(limits, "_sum_until", loop)
-            try:
-                return routine(q, tol)
-            except ParameterError:
-                return "refused"
-            finally:
-                monkeypatch.setattr(limits, "_sum_until", real)
-
-        seen = set()
-        for q in (Fraction(9, 10), Fraction(47, 50), Fraction(99, 100), Fraction(999, 1000)):
-            bounds.clear()
-            assert outcome(q, 1e-300, loop_only) == "refused"
-            ends = [b for b in bounds[:3] + bounds[-2:] if b < inf]
-            tols = [float(b) * f for b in ends for f in (1 - 1e-12, 1, 1 + 1e-12)]
-            for tol in tols + [10 ** (-k / 10) for k in range(0, 800, 7)]:
-                with_check = outcome(q, tol, real)
-                assert with_check == outcome(q, tol, loop_only), (q, tol)
-                seen.add(with_check == "refused")
-        assert seen == {True, False}
+    @pytest.mark.parametrize("bits", [8, 64, 256])
+    @pytest.mark.parametrize("routine", sorted(ROUTES))
+    def test_every_q_answered_in_bounded_terms(self, loop_terms, routine, bits):
+        # the loops end within a few hundred terms at any tol down to 1e-300,
+        # where the direct series near q = 1 would need millions
+        for tol in (1e-3, 1e-300):
+            for q in self.EDGE_QS:
+                loop_terms.clear()
+                value = ROUTES[routine](q, tol, bits)
+                assert 0 <= value <= 1, (q, tol)
+                assert all(len(seen) <= 250 for seen in loop_terms), (q, tol)
 
     def test_product_cutoff_beyond_budget_rejected(self):
         # tol near the 1e-30 clamp would need ~1e10 factors
         for tol in (1e-30, 1e-20):
             with pytest.raises(ValueError, match="loosen tol"):
                 limit_moment_product(1, SQUARE, tol)
+
+
+class TestModularSides:
+    """Each route's dual side, read below its switch t = -log q, against its
+    direct side at 200 bits."""
+
+    QS = [Fraction(i, 20) for i in range(1, 20)] + [Fraction(99, 100)]
+    # the family whose switch each route reads
+    FAMILY = {"theta": SQUARE, "jacobi_triple_product": SQUARE, "euler_phi_cubed": TRIANGULAR,
+              **{f"limit_cdf-{family}": family for family in ALL_FAMILIES}}
+
+    @staticmethod
+    def both_sides(monkeypatch, routine, q):
+        values = []
+        for switch in (0, inf):  # t >= 0 reads the direct side, t < inf the dual
+            monkeypatch.setattr(limits, "SWITCH", dict.fromkeys(ALL_FAMILIES, switch))
+            values.append(routine(q, 1e-45, 200))
+        return values
+
+    @pytest.mark.parametrize("routine", sorted(ROUTES))
+    def test_dual_is_the_direct_side_on_a_grid(self, monkeypatch, routine):
+        for q in self.QS:
+            direct, dual = self.both_sides(monkeypatch, ROUTES[routine], q)
+            assert abs(direct - dual) < 1e-40, q
+
+    @pytest.mark.parametrize("routine", sorted(ROUTES))
+    def test_sides_meet_at_the_switch(self, monkeypatch, routine):
+        # at the switch and one unit of t's last place either side, with t
+        # handed to the route as computed and q = e^-t to 400 bits
+        family = self.FAMILY[routine]
+        with mpmath.workprec(232):
+            switch = +mpmath.mpf(limits.SWITCH[family])
+            unit = mpmath.ldexp(1, mpmath.mag(switch) - 232)
+        for t in (switch - unit, switch, switch + unit):
+            monkeypatch.setattr(limits, "_exponent", lambda q: t)
+            with mpmath.workprec(400):
+                q = mpmath.exp(-t)
+            direct, dual = self.both_sides(monkeypatch, ROUTES[routine], q)
+            assert abs(direct - dual) < 1e-40, t
+            monkeypatch.setattr(limits, "SWITCH", {**limits.SWITCH, family: switch})
+            assert ROUTES[routine](q, 1e-45, 200) == (dual if t < switch else direct)
 
 
 def _per_factor_product(q, bits, factor, bound, power=1):
@@ -425,15 +474,25 @@ def _euler_reference(q, bits):
 
 
 class TestProductRounding:
-    QS = [Fraction(0), Fraction(1, 20), Fraction(1, 2), Fraction(19, 20), Fraction(99, 100),
-          Fraction(199, 200)]
+    QS = [Fraction(0), Fraction(1, 50), Fraction(1, 20), Fraction(1, 2), Fraction(19, 20),
+          Fraction(99, 100), Fraction(199, 200)]
 
     @pytest.mark.parametrize("bits", [8, 64, 256])
     @pytest.mark.parametrize("q", QS, ids=str)
     def test_q_products_equal_per_factor_powers(self, q, bits):
-        # the guarded running powers round to the same q^k as q ** k does
-        assert jacobi_triple_product(q, bits=bits)._mpf_ == _triple_reference(q, bits)._mpf_
-        assert euler_phi_cubed(q, bits=bits)._mpf_ == _euler_reference(q, bits)._mpf_
+        # the guarded running powers of the direct side's loop round to the
+        # same q^k as q ** k does, here also at q the routes read on the dual
+        # side; at q <= e^-pi the routes are that loop
+        with mpmath.workprec(bits + 32):
+            qq = mpmath.fdiv(q.numerator, q.denominator)
+            triple = +limits._carried_product(
+                qq, 1e-30, 2, lambda odd, even: (1 - even()) * (1 - odd) ** 2)
+            euler = +(limits._carried_product(qq, 1e-30, 1, lambda t, _: 1 - t) ** 3)
+        assert triple._mpf_ == _triple_reference(q, bits)._mpf_
+        assert euler._mpf_ == _euler_reference(q, bits)._mpf_
+        if q <= Fraction(1, 50):
+            assert jacobi_triple_product(q, bits=bits)._mpf_ == triple._mpf_
+            assert euler_phi_cubed(q, bits=bits)._mpf_ == euler._mpf_
 
     @pytest.mark.parametrize("bits", [64, 256])
     def test_moment_product_rounding(self, bits):

@@ -149,6 +149,9 @@ CASES = [
          id="jacobi_triple_product"),
     case(lambda: limits.euler_phi_cubed(2), "q", id="euler_phi_cubed"),
     case(lambda: limits.limit_cdf(Fraction(3, 2)), "q", id="limit_cdf"),
+    # a nan q once ran the theta series until the term budget refused its tol
+    case(lambda: limits.theta(float("nan")), "q", id="theta-nan"),
+    case(lambda: limits.limit_cdf(float("nan"), limits.TRIANGULAR), "q", id="limit_cdf-nan"),
     # an infinite tol once stopped every series at its first term
     case(lambda: limits.limit_cdf(Fraction(1, 2), tol=float("inf")), "tol",
          id="limit_cdf-tol"),

@@ -412,6 +412,38 @@ class TestLimitExponentSampler:
         assert np.max(np.abs(limit_exponent_cdf(t, family) - u)) <= 1e-15
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_exponent_cdf_is_zero_where_the_bisection_starts(self, family):
+        # where a U > 0 starts (the fifth midpoint from 0), and up to 2^-9
+        top = np.float64(1024.0).view(np.int64)
+        start = np.array([top - top // 32]).view(np.float64)[0]
+        assert list(limit_exponent_cdf(np.array([start, 2.0**-9]), family)) == [0.0, 0.0]
+
+    @staticmethod
+    def bisected_from_zero(u, family):
+        """The draws of the bisection over [0, 1024] for every U."""
+        lo = np.zeros(u.shape, dtype=np.int64)
+        hi = np.full(u.shape, np.float64(1024.0).view(np.int64))
+        while np.any(hi - lo > 1):
+            mid = lo + (hi - lo) // 2
+            above = limit_exponent_cdf(mid.view(np.float64), family) >= u
+            hi, lo = np.where(above, mid, hi), np.where(above, lo, mid)
+        return np.exp(-hi.view(np.float64))
+
+    @pytest.mark.parametrize("size", [None, 1, 8192])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_draws_are_those_of_the_bisection_from_zero(self, family, size):
+        u = np.random.default_rng(18).random(1 if size is None else size)
+        got = sample_limit_fraction(family, np.random.default_rng(18), size=size)
+        assert np.array_equal(np.atleast_1d(got), self.bisected_from_zero(u, family))
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_tiny_uniforms_are_drawn_as_from_zero(self, family):
+        # below any uniform rng.random gives, where a later start would differ
+        u = np.array([0.0, 5e-324, 1e-300, 1e-100, 1e-30, 2.0**-53])
+        got = sample_limit_fraction(family, StubRng(u), size=len(u))
+        assert np.array_equal(got, self.bisected_from_zero(u, family))
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_scalar_is_the_first_draw(self, family):
         scalar = sample_limit_fraction(family, np.random.default_rng(17))
         first = sample_limit_fraction(family, np.random.default_rng(17), size=1)
