@@ -15,15 +15,18 @@ models draw with ratios of weights.  Each pole term is then an integer pair
 lowest survivor row, which every higher row's denominator of the same pole
 divides.  Each pole's numerator over that lcm then steps from row k to
 k + 1 by one small int factor, such as (alpha_k + beta_ell), and in
-contested fire one exact division by the pole's weight, so each survivor
-count's probability is one `Fraction`, reduced once.  At n = m = 80
-(linear(1) against square, on a 2-core Xeon) a law takes 38-65 ms.  That
-exact law is the only evaluation: float and big-float modes are output
-formats, each probability rounded once at the end (`float(p)`, or
-`cast_value` at the big-float working precision), so they are within half
-a unit in the last place of the exact law and cost what rational mode
-costs.  Every weight
-is an exact `Fraction`, so the default mode is rational for every table.
+contested fire one exact division by the pole's weight, so a law is its
+n + 1 numerators over that one lcm, int pairs that
+`ExactDistribution.from_pairs` checks once (every numerator >= 0, the
+total exactly 1).  That exact law is the only evaluation.  Rational mode
+reduces each probability once; float and big-float modes are output
+formats, each pair rounded once without a gcd (num / L, which int true
+division rounds correctly, or `mpmath.fdiv(num, L)` at the big-float
+working precision), so they are within half a unit in the last place of
+the exact law and cost less than rational mode.  At n = m = 80 (linear(1)
+against square, shared 2-vCPU Xeon) a law takes 19-35 ms in rational
+mode and 8-24 ms in float mode.  Every weight is an exact `Fraction`, so
+the default mode is rational for every table.
 
 The r-color sampling law is an (r-1)-fold nested sum over pole vectors
 whose summands factor color by color apart from one shared denominator.
@@ -46,18 +49,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import product, starmap
 from math import factorial, lcm, prod
 
-from .numerics import (
-    BIGFLOAT,
-    RATIONAL,
-    binom_general,
-    cast_value,
-    compensated_sum,
-    exact_operand,
-    precision_bits,
-)
+from .numerics import binom_general, compensated_sum, exact_operand
 from .oracle import ExactDistribution, absorption_pmf, absorption_pmf_multi
 from .weights import (
     MODEL_OKCORRAL,
@@ -125,22 +120,11 @@ def _resolve_tables(A, B, n, m):
     return integer_tables(_table(A, n, "A"), _table(B, m, "B"))
 
 
-def _rounded(law: dict, mode, bits) -> ExactDistribution:
-    """The exact law {k: p} as an `ExactDistribution` in `mode` (rational
-    when None), each probability rounded once: a float is `float(p)`,
-    correctly rounded; a big-float is p rounded at `bits` plus 32 guard
-    bits, `bits=None` meaning `precision_bits()` as in `limits`."""
-    support = tuple(range(len(law)))
-    if mode in (None, RATIONAL):
-        return ExactDistribution(support, law)
-    if mode == BIGFLOAT:
-        import mpmath  # the exact routes start without it
-
-        with mpmath.workprec((bits if bits is not None else precision_bits()) + 32):
-            probs = {k: cast_value(p, mode) for k, p in law.items()}
-    else:
-        probs = {k: cast_value(p, mode) for k, p in law.items()}
-    return ExactDistribution(support, probs, mode)
+def _law(pairs: list, mode, bits) -> ExactDistribution:
+    """The exact law [(num, den)] over k = 0..n in `mode`, rounded once
+    from the pairs (`ExactDistribution.from_pairs`)."""
+    support = tuple(range(len(pairs)))
+    return ExactDistribution.from_pairs(support, dict(enumerate(pairs)), mode, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -166,19 +150,20 @@ def sampling_distribution(
 
     k = 0 uses the same sums, with the index-0 weight 0 entering the
     products (and, in the alpha-poles form, an extra pole term at 0).
-    Float and big-float modes round the exact law once (`_rounded`).
+    Float and big-float modes round the exact law once (`_law`).
     """
     _require_representation(representation)
     n, m = _check_two_color_counts(n, m)
     alpha, beta = _resolve_tables(A, B, n, m)
-    return _rounded(_sampling_law(alpha, beta, n, m, representation), mode, bits)
+    return _law(_sampling_law(alpha, beta, n, m, representation), mode, bits)
 
 
-def _sampling_law(alpha, beta, n, m, representation) -> dict:
-    """The exact sampling law {k: P{k}} from the int tables.  Alpha-poles
-    is the r = 2 case of the r-color sampling contraction (`_multi_law`)."""
+def _sampling_law(alpha, beta, n, m, representation) -> list:
+    """The exact sampling law [P{k}] from the int tables, as (num, den)
+    pairs over one denominator.  Alpha-poles is the r = 2 case of the
+    r-color sampling contraction (`_multi_law`)."""
     if representation == ALPHA_POLES:
-        return dict(enumerate(_multi_law([alpha, beta], (n, m), [range(n + 1)])))
+        return _multi_law([alpha, beta], (n, m), [range(n + 1)])
     # the pole-ell denominator at row k, prod_{i != ell} (beta_i - beta_ell)
     # * prod_{h >= k} (alpha_h + beta_ell), is the row-0 one over
     # prod_{h < k} (alpha_h + beta_ell)
@@ -192,9 +177,9 @@ def _sampling_law(alpha, beta, n, m, representation) -> dict:
         ],
     )
     scales = _suffix_products(alpha, n, 0, prod(betas))
-    law = {}
+    law = []
     for k in range(n + 1):
-        law[k] = Fraction(scales[k] * sum(units), common)
+        law.append((scales[k] * sum(units), common))
         if k < n:
             units = [u * (alpha[k] + b) for u, b in zip(units, betas)]
     return law
@@ -241,16 +226,17 @@ def okcorral_distribution(
 
     k >= 1 and k = 0 have separate displays; both representations of each
     agree exactly.  Float and big-float modes round the exact law once
-    (`_rounded`).
+    (`_law`).
     """
     _require_representation(representation)
     n, m = _check_two_color_counts(n, m)
     alpha, beta = _resolve_tables(A, B, n, m)
-    return _rounded(_okcorral_law(alpha, beta, n, m, representation), mode, bits)
+    return _law(_okcorral_law(alpha, beta, n, m, representation), mode, bits)
 
 
-def _okcorral_law(alpha, beta, n, m, representation) -> dict:
-    """The exact contested-fire law {k: P{k}} from the int tables."""
+def _okcorral_law(alpha, beta, n, m, representation) -> list:
+    """The exact contested-fire law [P{k}] from the int tables, as (num,
+    den) pairs over one denominator."""
     alphas, betas = alpha[1 : n + 1], beta[1 : m + 1]
     if representation == BETA_POLES:
         # pole ell at row k >= 1: beta_ell^(m-1+n-k) / (prod_{h != ell}
@@ -263,9 +249,9 @@ def _okcorral_law(alpha, beta, n, m, representation) -> dict:
                 for ell, b in enumerate(betas)
             ],
         )
-        law = {0: Fraction(sum(u * b for u, b in zip(units, betas)), common)}
+        law = [(sum(u * b for u, b in zip(units, betas)), common)]
         for k in range(1, n + 1):
-            law[k] = Fraction(alpha[k] * sum(units), common)
+            law.append((alpha[k] * sum(units), common))
             if k < n:  # each power still holds a factor beta_ell
                 units = [u // b * (b + alpha[k]) for u, b in zip(units, betas)]
         return law
@@ -280,9 +266,9 @@ def _okcorral_law(alpha, beta, n, m, representation) -> dict:
         ],
     )
     # the k=0 display sums the same poles and subtracts from 1
-    law = {0: 1 - Fraction(sum(u * a for u, a in zip(units, alphas)), common)}
+    law = [(common - sum(u * a for u, a in zip(units, alphas)), common)]
     for k in range(1, n + 1):
-        law[k] = Fraction(alpha[k] * sum(units), common)
+        law.append((alpha[k] * sum(units), common))
         units = [u // a * (a - alpha[k]) for u, a in zip(units[1:], alphas[k:])]
     return law
 
@@ -415,8 +401,8 @@ def _multi_law(tables, nvec, rows):
     """The r-color sampling closed form at every survivor vector of the box
     rows[0] x ... x rows[r-2], each a range of survivor counts (k_j = 0
     allowed), from int tables (`integer_tables`): the list of probabilities
-    in `product(*rows)` order.  At r = 2 it is the two-color alpha-poles
-    law.
+    in `product(*rows)` order, as (num, den) int pairs.  At r = 2 it is the
+    two-color alpha-poles law.
 
     Apart from one shared denominator, each pole summand factors by color:
     P(k) = sum_ell g(ell) prod_j prod_{h>k_j} t_j[h] / D_j(k_j, ell_j),
@@ -426,9 +412,10 @@ def _multi_law(tables, nvec, rows):
     a time.  Each pass takes one lcm per group of points that share the
     other colors' poles, over the terms at the group's lowest row, and
     steps each pole's numerator up the rows: D_j(k, ell) = D_j(k+1, ell) *
-    (t_j[k] - t_j[ell]).  Each point is then one `Fraction`, scaled by its
-    row factor, which does not depend on ell (times prod(last) on the
-    first pass).
+    (t_j[k] - t_j[ell]).  Each point is then one int pair over its group's
+    lcm, scaled by its row factor, which does not depend on ell (times
+    prod(last) on the first pass).  Between passes each pair is reduced
+    once; the last pass's pairs are the law.
     """
     r = len(nvec)
     last = tables[-1][1:]
@@ -450,10 +437,13 @@ def _multi_law(tables, nvec, rows):
                 [num for num, _ in column], [den * d for (_, den), d in zip(column, diffs)]
             )
             for k in range(low, top + 1):  # units holds the poles k..n
-                out.append(Fraction(row_scale[k] * sum(units), common))
+                out.append((row_scale[k] * sum(units), common))
                 if k < top:
                     units = [u * (t[k] - w) for u, w in zip(units[1:], t[k + 1 : n + 1])]
-        law = out if j == r - 2 else [(p.numerator, p.denominator) for p in out]
+        # reduced between passes: unreduced pairs of reciprocal tables grow
+        # the next pass's lcm by more than the gcds cost
+        law = out if j == r - 2 else [
+            (f.numerator, f.denominator) for f in starmap(Fraction, out)]
     return law
 
 
@@ -462,7 +452,8 @@ def sampling_pmf_multi(seqs, nvec, kvec):
     nested pole sum, contracted color by color (`_multi_law`).  Reduces to
     sampling_pmf at r = 2."""
     nvec, kvec, tables = _multi_args(MODEL_SAMPLING, seqs, nvec, kvec)
-    return _multi_law(integer_tables(*tables), nvec, [range(k, k + 1) for k in kvec])[0]
+    rows = [range(k, k + 1) for k in kvec]
+    return Fraction(*_multi_law(integer_tables(*tables), nvec, rows)[0])
 
 
 def polya_sampling_pmf_multi(avec, nvec, kvec):
@@ -663,7 +654,7 @@ def multi_distribution(spec):
     rows = [range(n + 1) for n in nvec[:-1]]
     support = tuple(product(*rows))
     law = _multi_law(integer_tables(*tables), nvec, rows)
-    return ExactDistribution(support, dict(zip(support, law)))
+    return ExactDistribution.from_pairs(support, dict(zip(support, law)))
 
 
 def closed_vs_oracle(spec, representation=BETA_POLES):

@@ -3,9 +3,10 @@
 Every weight is an exact rational, and every finite law is computed in
 exact rationals (`fractions.Fraction`).  A result is then given in one of
 three output modes: the exact rational itself, a big-float (`mpmath.mpf`
-at a configurable bit precision) or a machine float.  `cast_value` is the
-one way an exact rational enters another mode, rounded once.  The limit
-laws that are transcendental compute in big-floats throughout.
+at a configurable bit precision) or a machine float.  `cast_value` takes
+one exact rational into another mode, and `ExactDistribution.from_pairs`
+a whole law from its int pairs; each rounds once.  The limit laws that
+are transcendental compute in big-floats throughout.
 
 An integer enters exact arithmetic one way, through `exact_operand`: an
 int or a numpy integer (anything `operator.index` takes) becomes a
@@ -14,9 +15,9 @@ float or a big-float is evaluated as it is.  The integer arguments of the
 primitives here (orders and indices) follow the one integer rule of
 `weights` and are refused with `ParameterError` naming them.
 
-mpmath is imported where a big-float is made (the big-float branch of
-`cast_value`), not at module top: the rational routes never make one, so
-a process that stays rational never loads it.
+mpmath is imported where a big-float is made (the big-float branches of
+`cast_value` and `from_pairs`), not at module top: the rational routes
+never make one, so a process that stays rational never loads it.
 """
 
 from __future__ import annotations
@@ -196,17 +197,21 @@ def compensated_sum(terms):
     return sum(terms, Fraction(0))
 
 
-def ratio_sum(terms) -> Fraction:
-    """The sum of `terms`, (num, den) int pairs, as one `Fraction`: the
-    terms go over one common denominator, their lcm, and the sum is reduced
-    once."""
+def pair_sum(terms) -> tuple:
+    """The sum of `terms`, (num, den) int pairs with den > 0, as one
+    unreduced pair (num, L), L the lcm of the denominators.  Numerators over
+    one denominator are added first, so a law held over a few denominators
+    costs a few big multiplications and an lcm of those few."""
+    by_den: dict = {}
+    for num, den in terms:
+        by_den[den] = by_den.get(den, 0) + num
     common = 1
-    for _, den in terms:
+    for den in by_den:
         # most denominators of one law divide the lcm so far, and a remainder
         # costs far less than the gcd inside `lcm`
         if common % den:
             common = lcm(common, den)
-    return Fraction(sum(num * (common // den) for num, den in terms), common)
+    return sum(num * (common // den) for den, num in by_den.items()), common
 
 
 def clock_product_blocks(weights, x):

@@ -8,21 +8,22 @@ enumeration on tiny instances (`enumerate_pmf`).  Every weight is a
 `Fraction`.  The lattice computes in `Fraction`s and is the independent
 route the others are checked against; forward reach and enumeration scale
 the weight tables to ints by one common factor (`weights.integer_tables`),
-which leaves the law unchanged, and build a `Fraction` only for an
-outcome's probability.  Forward reach keeps each layer over one common
-denominator and reduces each state's mass by its own small drawing sum, a
-fast gcd, rather than the whole layer by one gcd over every big numerator.
+which leaves the law unchanged, and hand each outcome's probability to
+`ExactDistribution` as an int pair.  Forward reach keeps each layer over
+one common denominator and reduces each state's mass by its own small
+drawing sum, a fast gcd, rather than the whole layer by one gcd over every
+big numerator; its law ends over the last layer's denominator.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, perm, prod
 
-from .numerics import RATIONAL, falling_factorial, ratio_sum
+from .numerics import BIGFLOAT, FLOAT, RATIONAL, cast_value, pair_sum, precision_bits
 from .weights import (
     MODEL_SAMPLING,
     ParameterError,
@@ -38,21 +39,51 @@ ENUMERATION_LIMIT = 16
 @dataclass(frozen=True)
 class ExactDistribution:
     """Probabilities over a finite support: 0..n for two colors, the full
-    k-grid for r colors.  In rational mode the probabilities sum to exactly 1."""
+    k-grid for r colors.  Every exact law is held as int pairs `pairs`,
+    {point: (num, den)}, over the law's few denominators, and checked once
+    on them: every numerator >= 0 and the total exactly 1.  `probs` is the
+    law in `mode`: reduced `Fraction`s, or each pair rounded once.
+
+    Built from a dict of `Fraction`s, the pairs are their numerators and
+    denominators; the producers hand theirs over unreduced (`from_pairs`)."""
 
     support: tuple
     probs: dict
     mode: str = RATIONAL
+    exact: InitVar[dict | None] = None
+    pairs: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.mode == RATIONAL:
-            # the exact total over one common denominator, not a gcd per add
-            probs = self.probs.values()
-            total = ratio_sum([(p.numerator, p.denominator) for p in probs])
-            if total != 1:
-                raise ValueError(f"probabilities sum to {total}, not 1")
-            if any(p < 0 or p > 1 for p in probs):
-                raise ValueError("probability outside [0, 1]")
+    def __post_init__(self, exact):
+        if exact is None:
+            exact = {k: (p.numerator, p.denominator) for k, p in self.probs.items()}
+        if any(num < 0 for num, _ in exact.values()):
+            raise ValueError("probability outside [0, 1]")
+        # with every numerator >= 0 and the total 1, no entry exceeds 1
+        num, den = pair_sum(exact.values())
+        if num != den:
+            raise ValueError(f"probabilities sum to {Fraction(num, den)}, not 1")
+        object.__setattr__(self, "pairs", exact)
+
+    @classmethod
+    def from_pairs(cls, support, pairs: dict, mode=None, bits=None) -> "ExactDistribution":
+        """The exact law {point: (num, den)} in `mode` (rational when None),
+        each probability rounded once and without a gcd: a float is num /
+        den, correctly rounded by int true division; a big-float is
+        `mpmath.fdiv(num, den)` at `bits` plus 32 guard bits, `bits=None`
+        meaning `precision_bits()` as in `limits`."""
+        mode = mode or RATIONAL
+        if mode == RATIONAL:
+            probs = {k: Fraction(num, den) for k, (num, den) in pairs.items()}
+        elif mode == FLOAT:
+            probs = {k: num / den for k, (num, den) in pairs.items()}
+        elif mode == BIGFLOAT:
+            import mpmath  # the exact routes start without it
+
+            with mpmath.workprec((bits if bits is not None else precision_bits()) + 32):
+                probs = {k: mpmath.fdiv(num, den) for k, (num, den) in pairs.items()}
+        else:
+            raise ValueError(f"unknown scalar mode {mode!r}")
+        return cls(support, probs, mode, pairs)
 
     def __getitem__(self, point):
         zero = Fraction(0) if self.mode == RATIONAL else 0.0
@@ -73,17 +104,24 @@ class ExactDistribution:
             need = "survivor vectors" if vectors else "scalar survivor counts"
             raise ParameterError(f"needs a law whose support is {need}", "support")
 
+    def _exact_sum(self, weight):
+        """sum of p * weight(point) over the law, from the pairs: numerators
+        over one denominator are added first, and one `Fraction` is built at
+        the end, rounded once in a float or big-float mode."""
+        num, den = pair_sum((num * weight(k), den) for k, (num, den) in self.pairs.items())
+        return cast_value(Fraction(num, den), self.mode)
+
     def moment(self, s: int):
         """Raw moment sum(k^s p) over a scalar support."""
         self._check_support(vectors=False)
         s = check_order("s", s, 0)
-        return sum(p * Fraction(k) ** s for k, p in self.items())
+        return self._exact_sum(lambda k: k**s)
 
     def factorial_moment(self, s: int):
         """Factorial moment sum(k^(s falling) p) over a scalar support."""
         self._check_support(vectors=False)
         s = check_order("s", s, 0)
-        return sum(p * falling_factorial(k, s) for k, p in self.items())
+        return self._exact_sum(lambda k: perm(k, s))
 
     def mixed_factorial_moment(self, svec):
         """sum over the grid of p * prod_j k_j^(s_j falling), one order s_j
@@ -92,13 +130,7 @@ class ExactDistribution:
         svec = tuple(svec)
         check_length("svec", svec, len(self.support[0]) + 1, "order", but_last=True)
         svec = tuple(check_order("svec", s, 0, color) for color, s in enumerate(svec))
-        acc = 0
-        for kvec, p in self.items():
-            term = p
-            for k, s in zip(kvec, svec):
-                term = term * falling_factorial(k, s)
-            acc = acc + term
-        return acc
+        return self._exact_sum(lambda kvec: prod(map(perm, kvec, svec)))
 
     def mean(self):
         return self.moment(1)
@@ -195,7 +227,8 @@ def _forward_reach(spec: UrnSpec) -> dict:
     gcd(p, den); the next layer's denominator is D * L, L the lcm of the
     reduced sums.  D is a common denominator of the layer, not always the
     least.  Each absorbing state's mass stays an int pair (p, D), and each
-    outcome sums its pairs once (`ratio_sum`).
+    outcome ends as one pair over the last layer's denominator, which every
+    earlier one divides.
     """
     tables = integer_tables(*[seq.table(c) for seq, c in zip(spec.sequences, spec.counts)])
     out: dict = defaultdict(list)  # outcome: [(p, D) per absorbing state]
@@ -220,17 +253,20 @@ def _forward_reach(spec: UrnSpec) -> dict:
                 if w:
                     below[state[:ell] + (state[ell] - 1,) + state[ell + 1 :]] += p * w
         layer = below
-    return {outcome: ratio_sum(terms) for outcome, terms in out.items()}
+    return {
+        outcome: (sum(p * (D // d) for p, d in terms), D) for outcome, terms in out.items()
+    }
 
 
 def _as_distribution(spec: UrnSpec, out: dict, flat: bool) -> ExactDistribution:
-    """Outcome masses as a distribution over the full survivor support:
-    0..n keyed by int when `flat`, else the grid of survivor vectors."""
+    """Outcome masses, int pairs, as a distribution over the full survivor
+    support: 0..n keyed by int when `flat`, else the grid of survivor
+    vectors."""
     grid = product(*[range(c + 1) for c in spec.counts[:-1]])
-    probs = {k: out.get(k, Fraction(0)) for k in grid}
+    pairs = {k: out.get(k, (0, 1)) for k in grid}
     if flat:
-        probs = {k: p for (k,), p in probs.items()}
-    return ExactDistribution(tuple(probs), probs)
+        pairs = {k: pair for (k,), pair in pairs.items()}
+    return ExactDistribution.from_pairs(tuple(pairs), pairs)
 
 
 def absorption_pmf(spec: UrnSpec) -> ExactDistribution:
@@ -254,7 +290,7 @@ def enumerate_pmf(spec: UrnSpec) -> ExactDistribution:
     Exponential in the ball count; refused above ENUMERATION_LIMIT balls.
     Each path carries an int numerator and denominator over the scaled
     tables (`integer_tables`); each outcome sums its path terms once over
-    their lcm.  No state is memoised, so the walk stays independent of the
+    their lcm (`pair_sum`).  No state is memoised, so the walk stays independent of the
     recurrence routes, and must agree with them exactly wherever both run.
     """
     counts = spec.counts
@@ -276,5 +312,5 @@ def enumerate_pmf(spec: UrnSpec) -> ExactDistribution:
                 walk(state[:ell] + (state[ell] - 1,) + state[ell + 1 :], num * w, total)
 
     walk(counts, 1, 1)
-    out = {outcome: ratio_sum(terms) for outcome, terms in paths.items()}
+    out = {outcome: pair_sum(terms) for outcome, terms in paths.items()}
     return _as_distribution(spec, out, flat=spec.is_two_color)

@@ -148,6 +148,22 @@ class TestPmf:
             want = [cli.render_bigfloat(p, bits) for p in rounded]
         assert [e["p"] for e in check_json(out)["pmf"]] == want
 
+    @pytest.mark.parametrize("model", ["I", "II"])
+    def test_rounded_modes_at_100(self, capsys, model):
+        # every entry a probability, and each float the rational entry
+        # rounded once
+        argv = ("pmf", "--model", model, "--A", "linear:1", "--B", "square",
+                "--n", "100", "--m", "100")
+        runs = {}
+        for mode in ("rational", "float", "bigfloat"):
+            code, out, err = run_cli(capsys, *argv, "--mode", mode)
+            assert code == 0, err
+            runs[mode] = [e["p"] for e in check_json(out)["pmf"]]
+        assert len(runs["rational"]) == 101
+        assert runs["float"] == [repr(float(Fraction(p))) for p in runs["rational"]]
+        for mode, parse in (("float", float), ("bigfloat", mpmath.mpf)):
+            assert all(0 <= parse(p) <= 1 for p in runs[mode]), mode
+
     def test_precision_env_below_minimum(self, capsys, monkeypatch):
         monkeypatch.setenv("URNLAB_PRECISION_BITS", "4")
         code, _, err = run_cli(capsys, "theta", "--q", "0.5")

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_rational, round_nearest
@@ -322,6 +323,20 @@ class TestIntegerScaledLaw:
         assert [big[k]._mpf_ for k in range(n + 1)] == [
             from_rational(p.numerator, p.denominator, prec, round_nearest) for p in exact
         ]
+
+    @pytest.mark.parametrize("model", ["I", "II"])
+    def test_rounding_at_60_against_the_oracle(self, model):
+        # each float is the oracle's entry rounded once, and each big-float
+        # its fdiv at the working precision, bit for bit
+        exact = absorption_pmf(two_color(model, linear(1), square(), 60, 60))
+        for rep in REPS:
+            got = CLOSED[model](linear(1), square(), 60, 60, rep, FLOAT)
+            assert [got[k] for k in range(61)] == [float(exact[k]) for k in range(61)]
+            for bits in (None, 53, 1000):
+                got = CLOSED[model](linear(1), square(), 60, 60, rep, BIGFLOAT, bits)
+                with mpmath.workprec((bits or precision_bits()) + 32):
+                    want = [mpmath.fdiv(p.numerator, p.denominator) for _, p in exact.items()]
+                assert [got[k]._mpf_ for k in range(61)] == [p._mpf_ for p in want], bits
 
     @pytest.mark.parametrize("rep", REPS)
     def test_one_ball_urn_in_float_mode(self, rep):

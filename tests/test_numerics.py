@@ -17,7 +17,7 @@ from urnlab.numerics import (
     cast_value,
     falling_factorial,
     ramanujan_q,
-    ratio_sum,
+    pair_sum,
     stirling_first_unsigned,
     stirling_second,
 )
@@ -206,18 +206,20 @@ class TestSummation:
         assert compensated_sum([]) == 0
         assert type(compensated_sum([])) is Fraction
 
-    def test_ratio_sum_is_the_fraction_sum(self):
-        # denominators that divide the lcm so far, that extend it, and that
-        # share only part of it, in every order
+    def test_pair_sum_is_the_fraction_sum(self):
+        # denominators that divide the lcm so far, that extend it, that
+        # share only part of it and that repeat, in every order
         rng = random.Random(23)
         dens = [1, 6, 35, 2**64, 3**40 * 10, 10**25 * 7]
         for _ in range(300):
             terms = [(rng.randint(-10**30, 10**30), rng.choice(dens))
                      for _ in range(rng.randint(1, 8))]
-            total = ratio_sum(terms)
-            assert type(total) is Fraction
-            assert total == sum((Fraction(n, d) for n, d in terms), Fraction(0))
-        assert ratio_sum([]) == 0
+            num, den = pair_sum(terms)
+            assert type(num) is int and type(den) is int
+            assert Fraction(num, den) == sum((Fraction(n, d) for n, d in terms), Fraction(0))
+            # unreduced: over the lcm of the denominators
+            assert den == math.lcm(*(d for _, d in terms))
+        assert pair_sum([]) == (0, 1)
 
 
 class TestCastValue:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -321,6 +322,73 @@ class TestExactDistribution:
     def test_rejects_an_entry_outside_0_1_with_total_1(self, probs):
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
             ExactDistribution(tuple(probs), probs)
+
+    # one denominator (a two-color law) and several (r-color groups, the
+    # oracle's padding (0, 1))
+    ONE_DEN = {0: (1, 7), 1: (2, 7), 2: (4, 7)}
+    GROUP_DENS = {(0, 0): (1, 6), (0, 1): (1, 3), (1, 0): (1, 10**40), (1, 1): (0, 1),
+                  (2, 0): (10**40 // 2 - 1, 10**40)}
+
+    @pytest.mark.parametrize("pairs", [ONE_DEN, GROUP_DENS], ids=["one-den", "group-dens"])
+    def test_pair_path_accepts_a_law(self, pairs):
+        dist = ExactDistribution.from_pairs(tuple(pairs), pairs)
+        assert dist.probs == {k: Fraction(*p) for k, p in pairs.items()}
+        assert dist.pairs is pairs and dist.total() == 1
+
+    @pytest.mark.parametrize("pairs", [ONE_DEN, GROUP_DENS], ids=["one-den", "group-dens"])
+    def test_pair_path_refuses_a_negative_numerator(self, pairs):
+        first, second = list(pairs)[:2]
+        (n1, d1), (n2, d2) = pairs[first], pairs[second]
+        # the same total, one numerator below 0
+        bad = {**pairs, first: (n1 - 2 * d1, d1), second: (n2 + 2 * d2, d2)}
+        for mode in ("rational", "float", "bigfloat"):
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                ExactDistribution.from_pairs(tuple(bad), bad, mode)
+
+    @pytest.mark.parametrize("pairs", [ONE_DEN, GROUP_DENS], ids=["one-den", "group-dens"])
+    def test_pair_path_refuses_a_total_off_by_1_in_10_to_40(self, pairs):
+        k, (num, den) = next(iter(pairs.items()))
+        scale = 10**40
+        for off in (-1, 1):
+            bad = {**pairs, k: (num * scale + off * den, den * scale)}
+            for mode in ("rational", "float", "bigfloat"):
+                with pytest.raises(ValueError, match="sum to"):
+                    ExactDistribution.from_pairs(tuple(bad), bad, mode)
+
+    def test_fraction_dict_is_held_as_its_pairs(self):
+        probs = {0: Fraction(1, 3), 1: Fraction(2, 3)}
+        assert ExactDistribution((0, 1), probs).pairs == {0: (1, 3), 1: (2, 3)}
+
+    @pytest.mark.parametrize("model", ["I", "II"])
+    def test_moments_from_pairs_equal_the_fraction_sums(self, model):
+        # the sums over reduced `Fraction`s that the moments were before
+        def moment(dist, weight):
+            return sum((p * weight(k) for k, p in dist.items()), Fraction(0))
+
+        def falling(k, s):
+            return math.prod(range(k - s + 1, k + 1)) if s <= k else 0
+
+        two = [absorption_pmf(two_color(model, linear(1), square(), 12, 9))]
+        two += [closed(linear(1), B, 12, 9, rep)
+                for closed in (sampling_distribution, okcorral_distribution)
+                for B in (square(), shifted_square()) for rep in (BETA_POLES, ALPHA_POLES)]
+        for dist in two:
+            for s in range(5):
+                got = dist.moment(s)
+                assert type(got) is Fraction and got == moment(dist, lambda k: Fraction(k) ** s)
+                assert dist.factorial_moment(s) == moment(dist, lambda k: falling(k, s))
+        spec = UrnSpec(model, (linear(1), reciprocal(linear(2)), triangular()), (4, 3, 5))
+        for dist in (multi_distribution(spec), absorption_pmf_multi(spec)):
+            for svec in product(range(4), range(4)):
+                assert dist.mixed_factorial_moment(svec) == moment(
+                    dist, lambda kvec: falling(kvec[0], svec[0]) * falling(kvec[1], svec[1]))
+
+    def test_moments_of_a_rounded_law_are_the_exact_moments_rounded_once(self):
+        exact = sampling_distribution(linear(1), square(), 30, 30)
+        rounded = sampling_distribution(linear(1), square(), 30, 30, mode="float")
+        for s in range(4):
+            assert rounded.moment(s) == float(exact.moment(s))
+            assert rounded.factorial_moment(s) == float(exact.factorial_moment(s))
 
     def test_moments(self):
         dist = absorption_pmf(two_color("I", linear(1), linear(1), 2, 2))
