@@ -8,9 +8,12 @@ linear-weight (Polya) forms are additionally implemented from their own
 displays so that any typographical slip in those displays is detected
 rather than inherited.
 
-The two-color laws run on integer-scaled tables: both weight tables times
-the lcm of their denominators, which leaves the law unchanged because both
-models draw with ratios of weights.  Each pole term is then an integer pair
+The two-color laws run on integer-scaled tables: each weight sequence's
+int table (`WeightSequence.int_table`, ints over their least denominator)
+times the lcm of the two denominators over its own (`integer_tables`),
+which leaves the law unchanged because both models draw with ratios of
+weights; no weight is ever a `Fraction`, and the distinctness check
+compares those ints.  Each pole term is then an integer pair
 (num, den), and each law takes one lcm: over its poles' denominators at the
 lowest survivor row, which every higher row's denominator of the same pole
 divides.  Each pole's numerator over that lcm then steps from row k to
@@ -25,8 +28,8 @@ division rounds correctly, or `mpmath.fdiv(num, L)` at the big-float
 working precision), so they are within half a unit in the last place of
 the exact law and cost less than rational mode.  At n = m = 80 (linear(1)
 against square, shared 2-vCPU Xeon) a law takes 19-35 ms in rational
-mode and 8-24 ms in float mode.  Every weight is an exact `Fraction`, so
-the default mode is rational for every table.
+mode and 8-24 ms in float mode.  Every weight is exact, so the default
+mode is rational for every table.
 
 The r-color sampling law is an (r-1)-fold nested sum over pole vectors
 whose summands factor color by color apart from one shared denominator.
@@ -38,10 +41,11 @@ stepped along k as above; at r = 2 it is the two-color alpha-poles law.
 By the paper's duality the contested-fire urn with weights W has the
 survivor law of the sampling urn with weights 1/W, so `multi_distribution`
 gives every point of both models, k_j = 0 included, from that one
-contraction and never runs the oracle.  The paper's contested-fire
-display (`okcorral_pmf_multi`) stays a per-vector nested sum over
-k_j >= 1, in both readings of its ambiguous cross term, and is checked
-against the oracle.
+contraction on the reciprocal int tables (`weights.reciprocal_table`) and
+never runs the oracle.  The paper's contested-fire display
+(`okcorral_pmf_multi`) stays a per-vector nested sum over k_j >= 1 in
+`Fraction`s (`WeightSequence.table`), in both readings of its ambiguous
+cross term, and is checked against the oracle.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from .weights import (
     check_survivors,
     integer_tables,
     linear,
+    reciprocal_table,
 )
 
 BETA_POLES = "beta-poles"
@@ -78,21 +83,21 @@ class DistinctWeightsError(ParameterError):
     """Closed forms divide by weight differences; repeated weights are refused."""
 
 
-def _table(seq: WeightSequence, upper: int, param: str, color=None) -> list:
-    """`seq.table(upper)`, refused naming `param` when it repeats a weight
-    at 1..upper (closed forms divide by weight differences) or is a custom
-    table shorter than upper."""
+def _table(seq: WeightSequence, upper: int, param: str, color=None) -> tuple:
+    """`seq.int_table(upper)`, refused naming `param` when it repeats a
+    weight at 1..upper (closed forms divide by weight differences) or is a
+    custom table shorter than upper."""
     try:
-        table = seq.table(upper)
+        nums, den = seq.int_table(upper)
     except WeightRangeError as exc:
         raise exc.naming(param, color) from None
-    if len(set(table[1:])) < upper:
+    if len(set(nums[1:])) < upper:
         raise DistinctWeightsError(
             f"the closed forms need pairwise distinct weights up to index {upper}",
             param,
             color,
         )
-    return table
+    return nums, den
 
 
 def _require_representation(representation: str):
@@ -114,9 +119,8 @@ def _check_two_color_counts(n, m) -> tuple:
 
 
 def _resolve_tables(A, B, n, m):
-    """Both weight tables, checked distinct, as ints scaled by one common
-    factor (`integer_tables`), so the closed forms run in integer
-    arithmetic."""
+    """Both int tables, checked distinct, scaled to one common factor
+    (`integer_tables`), so the closed forms run in integer arithmetic."""
     return integer_tables(_table(A, n, "A"), _table(B, m, "B"))
 
 
@@ -367,9 +371,10 @@ def polya_okcorral_pmf(b, c, n, m, k, representation=BETA_POLES):
 
 
 def _check_multi_args(spec, kvec=None):
-    """The checked survivor counts and the weight table of each color of
-    `spec`, refused when a count is 0 or a table repeats a weight.  `kvec`
-    None checks the urn alone, for laws over the whole survivor grid."""
+    """The checked survivor counts and the int table (nums, den) of each
+    color of `spec`, refused when a count is 0 or a table repeats a weight.
+    `kvec` None checks the urn alone, for laws over the whole survivor
+    grid."""
     for color, n in enumerate(spec.counts):
         if n < 1:
             raise ParameterError("the closed forms need every count >= 1", "counts", color)
@@ -387,12 +392,12 @@ _MULTI_NAMES = {"sequences": "seqs", "counts": "nvec"}
 
 
 def _multi_args(model, seqs, nvec, kvec):
-    """The counts, checked survivor counts and weight tables of the urn
-    `seqs`, `nvec` (`UrnSpec`, then `_check_multi_args`), refusals named
+    """The urn `seqs`, `nvec` as a spec, its checked survivor counts and
+    its int tables (`UrnSpec`, then `_check_multi_args`), refusals named
     as the per-vector forms name their arguments."""
     try:
         spec = UrnSpec(model, seqs, nvec)
-        return (spec.counts, *_check_multi_args(spec, kvec))
+        return (spec, *_check_multi_args(spec, kvec))
     except ParameterError as exc:
         raise exc.naming(_MULTI_NAMES.get(exc.param, exc.param), exc.color) from None
 
@@ -451,9 +456,9 @@ def sampling_pmf_multi(seqs, nvec, kvec):
     """Joint survivor pmf for the r-color sampling urn: the (r-1)-fold
     nested pole sum, contracted color by color (`_multi_law`).  Reduces to
     sampling_pmf at r = 2."""
-    nvec, kvec, tables = _multi_args(MODEL_SAMPLING, seqs, nvec, kvec)
+    spec, kvec, tables = _multi_args(MODEL_SAMPLING, seqs, nvec, kvec)
     rows = [range(k, k + 1) for k in kvec]
-    return Fraction(*_multi_law(integer_tables(*tables), nvec, rows)[0])
+    return Fraction(*_multi_law(integer_tables(*tables), spec.counts, rows)[0])
 
 
 def polya_sampling_pmf_multi(avec, nvec, kvec):
@@ -493,7 +498,7 @@ def okcorral_pmf_multi(seqs, nvec, kvec, reading=READING_PRODUCT):
     The display has no k_j = 0 case; `multi_distribution` gives those
     points by duality, and the recurrence oracle gives them directly.
     """
-    nvec, kvec, tables = _multi_args(MODEL_OKCORRAL, seqs, nvec, kvec)
+    spec, kvec, _ = _multi_args(MODEL_OKCORRAL, seqs, nvec, kvec)
     if any(k < 1 for k in kvec):
         raise ParameterError(
             "closed form needs every k_j >= 1; survivor vectors containing "
@@ -502,6 +507,8 @@ def okcorral_pmf_multi(seqs, nvec, kvec, reading=READING_PRODUCT):
         )
     if reading not in (READING_PRODUCT, READING_PRINTED):
         raise ParameterError(f"unknown reading {reading!r}", "reading")
+    nvec = spec.counts
+    tables = [seq.table(n) for seq, n in zip(spec.sequences, nvec)]
     r = len(nvec)
     last = tables[-1][1:]
     n_r = nvec[-1]
@@ -649,8 +656,7 @@ def multi_distribution(spec):
     _, tables = _check_multi_args(spec)
     nvec = spec.counts
     if spec.model != MODEL_SAMPLING:
-        for t in tables:
-            t[1:] = [1 / w for w in t[1:]]
+        tables = [reciprocal_table(*table) for table in tables]
     rows = [range(n + 1) for n in nvec[:-1]]
     support = tuple(product(*rows))
     law = _multi_law(integer_tables(*tables), nvec, rows)

@@ -135,7 +135,7 @@ def fixed_blacks_moment(m: int, s: int, mode: str = RATIONAL):
     factors.  Exact rational by default; other modes round it once."""
     m, s = check_count("m", m, 1), check_order("s", s, 1)
     acc = Fraction(1)
-    for num, den in clock_product_blocks(FAMILIES[SQUARE].table(m)[1:], s):
+    for num, den in clock_product_blocks(FAMILIES[SQUARE].int_table(m), s):
         acc *= Fraction(num, den)
     return cast_value(acc, mode)
 
@@ -283,7 +283,8 @@ def limit_moment_product(s: int, family=SQUARE, tol=1e-12, bits=None):
     in as exp(-s * sum of reciprocal weights beyond the cutoff).  This is the
     ground-truth route the closed forms are compared against.
 
-    Each factor b/(b+s), b = p/q, is the exact ratio p/(p + s q); blocks of
+    Each factor b/(b+s), b = p/q over the family's int table
+    (`WeightSequence.int_table`), is the exact ratio p/(p + s q); blocks of
     PRODUCT_BLOCK of them are multiplied as integers and folded into the
     big-float product with one multiply and one divide, each rounded once at
     bits + 32.  Over M factors that is at most 2 ceil(M/64) + O(1) roundings,
@@ -303,7 +304,7 @@ def limit_moment_product(s: int, family=SQUARE, tol=1e-12, bits=None):
         )
     with mpmath.workprec(_bits(bits) + 32):
         acc = mpmath.mpf(1)
-        for num, den in clock_product_blocks(FAMILIES[tag].table(cutoff)[1:], s):
+        for num, den in clock_product_blocks(FAMILIES[tag].int_table(cutoff), s):
             acc = acc * num / den
         return +(acc * mpmath.exp(-s * _reciprocal_tail(tag, cutoff)))
 

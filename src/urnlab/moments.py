@@ -85,7 +85,7 @@ def mixed_factorial_moment(avec, nvec, svec) -> Fraction:
     for n_j, s_j in zip(nvec, svec):
         num *= falling_factorial(n_j, s_j)
     x = sum(a * s for a, s in zip(avec, svec))
-    blocks = clock_product_blocks(linear(avec[-1]).table(nvec[-1])[1:], x)
+    blocks = clock_product_blocks(linear(avec[-1]).int_table(nvec[-1]), x)
     return num * prod(Fraction(p, q) for p, q in blocks)
 
 

@@ -214,17 +214,20 @@ def pair_sum(terms) -> tuple:
     return sum(num * (common // den) for den, num in by_den.items()), common
 
 
-def clock_product_blocks(weights, x):
-    """prod b / (b + x) over rational weights b = p/q, as exact int pairs
-    (prod p, prod (p + x q)), one per PRODUCT_BLOCK consecutive weights: over
-    a color's weights, E[exp(-x T)] for T the time its Exp(b) clocks run out."""
-    for start in range(0, len(weights), PRODUCT_BLOCK):
-        num = den = 1
-        for b in weights[start : start + PRODUCT_BLOCK]:
-            p, q = b.numerator, b.denominator
+def clock_product_blocks(table, x):
+    """prod b / (b + x) over the weights b = p / den at 1..upper of an int
+    table (nums, den) (`WeightSequence.int_table`), as exact int pairs
+    (prod p, prod (p + x den)), one per PRODUCT_BLOCK consecutive weights:
+    over a color's weights, E[exp(-x T)] for T the time its Exp(b) clocks
+    run out."""
+    nums, den = table
+    step = x * den
+    for start in range(1, len(nums), PRODUCT_BLOCK):
+        num = total = 1
+        for p in nums[start : start + PRODUCT_BLOCK]:
             num *= p
-            den *= p + x * q
-        yield num, den
+            total *= p + step
+        yield num, total
 
 
 def cast_value(x, mode: str):

@@ -4,15 +4,17 @@ Three routes, all exact, so closed forms can be checked for literal
 equality: forward reach from one start for any r >= 2 colors
 (`absorption_pmf`, `absorption_pmf_multi`), the backward two-color lattice
 over every start at once (`absorption_pmf_lattice`), and exhaustive path
-enumeration on tiny instances (`enumerate_pmf`).  Every weight is a
-`Fraction`.  The lattice computes in `Fraction`s and is the independent
-route the others are checked against; forward reach and enumeration scale
-the weight tables to ints by one common factor (`weights.integer_tables`),
-which leaves the law unchanged, and hand each outcome's probability to
-`ExactDistribution` as an int pair.  Forward reach keeps each layer over
-one common denominator and reduces each state's mass by its own small
-drawing sum, a fast gcd, rather than the whole layer by one gcd over every
-big numerator; its law ends over the last layer's denominator.
+enumeration on tiny instances (`enumerate_pmf`).  Each route reads the
+weights as int tables (`WeightSequence.int_table`, ints over their least
+denominator) scaled to one common factor (`weights.integer_tables`),
+which leaves the law unchanged.  The lattice computes in `Fraction`s, its
+step coefficients a / (a + b) from those ints, and is the independent
+route the others are checked against; forward reach and enumeration stay
+in ints and hand each outcome's probability to `ExactDistribution` as an
+int pair.  Forward reach keeps each layer over one common denominator and
+reduces each state's mass by its own small drawing sum, a fast gcd, rather
+than the whole layer by one gcd over every big numerator; its law ends
+over the last layer's denominator.
 """
 
 from __future__ import annotations
@@ -143,10 +145,12 @@ class ExactDistribution:
 
 
 def _two_color_coeffs(model, a_j, b_m):
+    """The step probabilities (first color drawn, second color drawn) at
+    scaled int weights a_j, b_m."""
     den = a_j + b_m
     if model == MODEL_SAMPLING:
-        return a_j / den, b_m / den
-    return b_m / den, a_j / den
+        return Fraction(a_j, den), Fraction(b_m, den)
+    return Fraction(b_m, den), Fraction(a_j, den)
 
 
 def absorption_pmf_lattice(spec: UrnSpec) -> list:
@@ -160,8 +164,7 @@ def absorption_pmf_lattice(spec: UrnSpec) -> list:
     if not spec.is_two_color:
         raise ParameterError("two-color spec required", "spec")
     n, m = spec.counts
-    alpha = spec.A.table(n)
-    beta = spec.B.table(m)
+    alpha, beta = integer_tables(spec.A.int_table(n), spec.B.int_table(m))
 
     def unit(k):
         row = [Fraction(0)] * (n + 1)
@@ -221,16 +224,16 @@ def _forward_reach(spec: UrnSpec) -> dict:
 
     Each draw removes one ball, so reach probabilities move down one
     total-ball-count layer at a time and only one layer is alive.  The
-    tables are scaled to ints (`integer_tables`) and a layer's masses are
-    int numerators over one layer denominator D.  Each live state's mass p
-    over its drawing sum `den`, a small int, is first reduced by
-    gcd(p, den); the next layer's denominator is D * L, L the lcm of the
-    reduced sums.  D is a common denominator of the layer, not always the
-    least.  Each absorbing state's mass stays an int pair (p, D), and each
-    outcome ends as one pair over the last layer's denominator, which every
-    earlier one divides.
+    int tables are scaled to one factor (`integer_tables`) and a layer's
+    masses are int numerators over one layer denominator D.  Each live
+    state's mass p over its drawing sum `den`, a small int, is first
+    reduced by gcd(p, den); the next layer's denominator is D * L, L the
+    lcm of the reduced sums.  D is a common denominator of the layer, not
+    always the least.  Each absorbing state's mass stays an int pair
+    (p, D), and each outcome ends as one pair over the last layer's
+    denominator, which every earlier one divides.
     """
-    tables = integer_tables(*[seq.table(c) for seq, c in zip(spec.sequences, spec.counts)])
+    tables = integer_tables(*[seq.int_table(c) for seq, c in zip(spec.sequences, spec.counts)])
     out: dict = defaultdict(list)  # outcome: [(p, D) per absorbing state]
     layer = {spec.counts: 1}
     D = 1
@@ -298,7 +301,7 @@ def enumerate_pmf(spec: UrnSpec) -> ExactDistribution:
         raise ParameterError(
             f"enumerate takes at most {ENUMERATION_LIMIT} balls, got {sum(counts)}", "counts"
         )
-    tables = integer_tables(*[seq.table(c) for seq, c in zip(spec.sequences, counts)])
+    tables = integer_tables(*[seq.int_table(c) for seq, c in zip(spec.sequences, counts)])
     paths: dict = defaultdict(list)  # outcome: [(num, den) per path]
 
     def walk(state, num, den):

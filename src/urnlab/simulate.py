@@ -96,7 +96,8 @@ class ClockScaleError(ParameterError):
 def clock_scales(spec: UrnSpec) -> list:
     """Per color, the clock scales s_h(c) for c = n_h, ..., 1 (the order its
     balls leave): 1/alpha_h(c) in model I, alpha_h(c) in model II, each an
-    exact rational rounded once.
+    exact rational from the int table (`WeightSequence.int_table`) rounded
+    once.
 
     A scale, checked as the exact rational, must be a normal double at most
     2^1000 / (n+m), so no running clock can overflow (an Exp(1) draw in
@@ -107,11 +108,13 @@ def clock_scales(spec: UrnSpec) -> list:
     kind = "1/weight" if spec.model == MODEL_SAMPLING else "weight"
     scales = []
     for color, (seq, count) in enumerate(zip(spec.sequences, spec.counts)):
-        table = seq.table(count)
+        nums, den = seq.int_table(count)
         column = []
         for c in range(count, 0, -1):
-            weight = Fraction(table[c])
-            exact = 1 / weight if spec.model == MODEL_SAMPLING else weight
+            if spec.model == MODEL_SAMPLING:
+                exact = Fraction(den, nums[c])
+            else:
+                exact = Fraction(nums[c], den)
             if not sys.float_info.min <= exact <= top:
                 raise ClockScaleError(
                     f"color {color} at count {c}: clock scale {kind} is not "
@@ -274,8 +277,8 @@ def _m_term_fraction(tag, m, rng, size):
     eps_l iid Exp(1), summed as the clocks are (`_clock_sums`): a float, or
     `size` draws.  `truncation_bias_bound` compares its moments with the
     limit's."""
-    seq = FAMILIES[tag]
-    inv = np.array([1.0 / float(seq.eval(ell)) for ell in range(1, m + 1)])
+    nums, den = FAMILIES[tag].int_table(m)
+    inv = np.array([1.0 / (num / den) for num in nums[1:]])
     draws = np.exp(-_clock_sums(rng, inv, 1 if size is None else size))
     return float(draws[0]) if size is None else draws
 

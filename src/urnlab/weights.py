@@ -2,11 +2,19 @@
 
 A weight sequence assigns a positive rational weight to every ball count
 j >= 1; index 0 always evaluates to 0, which is what makes empty colors
-drop out of the drawing rules.  Every weight is an exact `Fraction`: a
-slope, prefactor or custom table entry given as a float is stored as its
-exact value, so every engine downstream computes exactly and duality holds
-with `==`.  `ParameterError`, which every module raises for an argument
-out of range, and the range checks they share live here too.
+drop out of the drawing rules.  Every weight is exact: a slope, prefactor
+or custom table entry given as a float is stored as its exact value, so
+every engine downstream computes exactly and duality holds with `==`.
+
+A sequence has two views of its weights.  `int_table(upper)` is the
+engines' view: the weights at 0..upper as ints over their least common
+denominator, (nums, den), built by each family directly (square is j^2
+over 1, shifted-square (2j - 1)^2 over 4), so no weight is ever a
+`Fraction`.  The closed forms, the recurrence oracle, the clock products
+and the simulator's clock scales read it.  `table` and `eval` are the
+`Fraction` view, for callers that want one weight as a number.
+`ParameterError`, which every module raises for an argument out of range,
+and the range checks they share live here too.
 
 Every integer argument (a ball count, survivor count, block size, moment
 order, exponent, weight index, truncation, trial count or seed) follows one
@@ -21,7 +29,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm
+from math import gcd, inf, lcm
 
 MODEL_SAMPLING = "sampling"
 MODEL_OKCORRAL = "okcorral"
@@ -223,8 +231,37 @@ class WeightSequence:
             )
 
     def table(self, upper: int) -> list:
-        """Weights at indices 0..upper as a list."""
+        """Weights at indices 0..upper as a list of `Fraction`s."""
         return [self._weight(j) for j in range(upper + 1)]
+
+    def int_table(self, upper: int) -> tuple:
+        """The weights at indices 0..upper as ints over one denominator,
+        (nums, den): weight j is nums[j] / den, and den is the least such
+        (gcd(den, *nums[1:]) == 1; den is 1 when upper is 0).  The same
+        values as `table(upper)`, built without a `Fraction` per weight; a
+        custom table shorter than upper is refused as `table` refuses it."""
+        if upper == 0:
+            return [0], 1
+        indices = range(upper + 1)
+        if self.family == "linear":
+            p = self.a.numerator
+            return [p * j for j in indices], self.a.denominator
+        if self.family == "power":
+            p, r = self.c.numerator, self.r
+            return [p * j**r for j in indices], self.c.denominator
+        if self.family == "square":
+            return [j * j for j in indices], 1
+        if self.family == "triangular":
+            return [j * (j + 1) // 2 for j in indices], 1
+        if self.family == "shifted-square":
+            return [0, *((2 * j - 1) ** 2 for j in indices[1:])], 4
+        if self.family == "custom":
+            # the first index past the table, as `table` names it
+            self._check_covers(min(upper, len(self.values) + 1))
+            values = self.values[:upper]
+            den = lcm(*[v.denominator for v in values])
+            return [0, *(v.numerator * (den // v.denominator) for v in values)], den
+        return reciprocal_table(*self.base.int_table(upper))
 
 
 def linear(a=1) -> WeightSequence:
@@ -281,24 +318,36 @@ def reciprocal(seq: WeightSequence) -> WeightSequence:
     return WeightSequence("reciprocal", base=seq)
 
 
+def reciprocal_table(nums: list, den: int) -> tuple:
+    """The reciprocal of an int table (`WeightSequence.int_table`), index 0
+    kept at 0: weight j is den / nums[j], which reduces to (den / g) /
+    (nums[j] / g), g = gcd(nums[j], den), so the least common denominator
+    is L, the lcm of those reduced denominators, and weight j is
+    den * L // nums[j] over L."""
+    L = lcm(*[v // gcd(v, den) for v in nums[1:]])
+    return [0, *(den * L // v for v in nums[1:])], L
+
+
 def integer_tables(*tables) -> list:
-    """The weight tables times one common factor, the lcm of all their
-    denominators, as lists of ints.  Both models draw with ratios of
-    weights, and in model II the drawing weights of one state are products
-    with the same number of factors, so one common factor leaves every law
-    unchanged while the engines run in integer arithmetic."""
-    scale = lcm(*[v.denominator for table in tables for v in table])
-    return [[v.numerator * (scale // v.denominator) for v in table] for table in tables]
+    """The int tables (nums, den) times one common factor, the lcm of their
+    denominators, as lists of ints: each table's nums times lcm // den.
+    Both models draw with ratios of weights, and in model II the drawing
+    weights of one state are products with the same number of factors, so
+    one common factor leaves every law unchanged while the engines run in
+    integer arithmetic.  Each den is least, so the factor is the lcm of the
+    weights' reduced denominators."""
+    scale = lcm(*[den for _, den in tables])
+    return [[v * (scale // den) for v in nums] for nums, den in tables]
 
 
 def check_distinct(seq: WeightSequence, upper: int) -> bool:
     """True iff the weights at 1..upper are pairwise distinct (exact
-    comparison)."""
+    comparison, of the ints of `int_table` over one denominator)."""
     upper = check_integer("upper", upper)
     if upper < 1:
         raise ParameterError("must be at least 1", "upper")
-    vals = seq.table(upper)[1:]
-    return len(set(vals)) == len(vals)
+    nums = seq.int_table(upper)[0][1:]
+    return len(set(nums)) == len(nums)
 
 
 def from_cli(text: str) -> WeightSequence:

@@ -618,6 +618,18 @@ def multi_urns(draw):
     return seqs, tuple(draw(st.integers(1, 4)) for _ in range(colors))
 
 
+def _count_int_tables(monkeypatch) -> list:
+    """The (family, upper) of every `WeightSequence.int_table` call from
+    here on, in a list the caller may clear."""
+    calls = []
+    real = WeightSequence.int_table
+    monkeypatch.setattr(
+        WeightSequence, "int_table",
+        lambda self, upper: calls.append((self.family, upper)) or real(self, upper),
+    )
+    return calls
+
+
 class TestMultiDistribution:
     """`multi_distribution` contracts the whole survivor grid at once, in
     model II on the reciprocal tables (the paper's duality), and never runs
@@ -674,19 +686,15 @@ class TestMultiDistribution:
         assert len(calls) == 1
 
     def test_one_table_evaluation_per_color(self, monkeypatch):
-        # model II inverts the checked tables; a reciprocal sequence would
-        # evaluate its base once more per index
+        # model II inverts the checked int tables; a reciprocal sequence
+        # would build its base's table once more per color
         specs = [UrnSpec(model, (linear(1), square(), triangular()), (4, 4, 3))
                  for model in ("I", "II")]
-        calls = []
-        real = WeightSequence._weight
-        monkeypatch.setattr(
-            WeightSequence, "_weight", lambda self, j: calls.append(j) or real(self, j)
-        )
+        calls = _count_int_tables(monkeypatch)
         for spec in specs:
             calls.clear()
             multi_distribution(spec)
-            assert len(calls) == 14, spec.model
+            assert sorted(calls) == [("linear", 4), ("square", 4), ("triangular", 3)], spec.model
 
 
 class TestPartialFractions:
@@ -814,16 +822,20 @@ class TestInputChecks:
                 pmf(seqs, nvec, kvec)
 
     def test_each_table_evaluated_once(self, monkeypatch):
-        calls = []
+        calls = _count_int_tables(monkeypatch)
+        evaluated = []
         real = WeightSequence._weight
         monkeypatch.setattr(
-            WeightSequence, "_weight", lambda self, j: calls.append(j) or real(self, j)
+            WeightSequence, "_weight", lambda self, j: evaluated.append(j) or real(self, j)
         )
         for dist in (sampling_distribution, okcorral_distribution):
             calls.clear()
             dist(triangular(), square(), 4, 3)
-            assert sorted(calls) == sorted([*range(5), *range(4)])
+            assert sorted(calls) == [("square", 3), ("triangular", 4)]
+            assert evaluated == []
         for pmf in (sampling_pmf_multi, okcorral_pmf_multi):
             calls.clear()
             pmf((linear(1), square(), triangular()), (2, 3, 2), (1, 1))
-            assert sorted(calls) == sorted([*range(3), *range(4), *range(3)])
+            assert sorted(calls) == [("linear", 2), ("square", 3), ("triangular", 2)]
+        # the contested-fire display reads the `Fraction` view once per color
+        assert sorted(evaluated) == sorted([*range(3), *range(4), *range(3)])

@@ -297,6 +297,17 @@ class TestLimitSamplers:
             clock = clock + eps[ell - 1] * (1.0 / (ell * ell))
         assert np.array_equal(np.atleast_1d(got), np.exp(-clock))
 
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_m_term_sampler_reads_each_family_weights(self, family):
+        # shifted-square's weights are (2l - 1)^2 / 4, not over 1
+        m, size = 9, 50
+        got = simulate._m_term_fraction(family, m, np.random.default_rng(4), size)
+        eps = np.random.default_rng(4).standard_exponential((m, size))
+        clock = np.zeros(size)
+        for ell in range(1, m + 1):
+            clock = clock + eps[ell - 1] * (1.0 / float(FAMILIES[family].eval(ell)))
+        assert np.array_equal(got, np.exp(-clock))
+
     # the tails the bound once used: 1/M, 2/(M+1) and 1/(M - 1/2)
     FLOAT_TAILS = {"square": lambda M: 1.0 / M, "triangular": lambda M: 2.0 / (M + 1),
                    "shifted-square": lambda M: 1.0 / (M - 0.5)}

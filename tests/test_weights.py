@@ -1,16 +1,19 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from urnlab import weights
 from urnlab.weights import (
     ParameterError,
     UrnSpec,
     WeightRangeError,
+    WeightSequence,
     check_distinct,
     custom,
     from_cli,
+    integer_tables,
     linear,
     power,
     reciprocal,
@@ -119,6 +122,71 @@ class TestReciprocal:
         assert reciprocal(seq).eval(j) * seq.eval(j) == 1
 
 
+_positive = st.fractions(min_value=Fraction(1, 60), max_value=1000, max_denominator=60)
+
+
+@st.composite
+def sequences(draw):
+    """A weight sequence of any family, a custom table of floats or
+    `Fraction`s among them, a reciprocal or a reciprocal of a reciprocal."""
+    seq = draw(st.one_of(
+        st.builds(linear, _positive),
+        st.builds(power, _positive, st.integers(1, 4)),
+        st.sampled_from([square(), triangular(), shifted_square()]),
+        st.builds(custom, st.lists(
+            st.floats(min_value=1e-6, max_value=1e6) | _positive, min_size=12, max_size=20)),
+    ))
+    wrap = draw(st.integers(0, 2))
+    if wrap == 1:
+        seq = reciprocal(seq)
+    elif wrap == 2:  # `reciprocal` would unwrap it back to seq
+        seq = WeightSequence("reciprocal", base=WeightSequence("reciprocal", base=seq))
+    return seq
+
+
+def check_int_table(seq, upper):
+    """`int_table(upper)` holds `table(upper)` as ints over their least
+    denominator, and inverting it twice gives it back."""
+    nums, den = seq.int_table(upper)
+    assert len(nums) == upper + 1
+    assert all(type(v) is int for v in nums) and type(den) is int
+    assert [Fraction(v, den) for v in nums] == seq.table(upper)
+    assert gcd(den, *nums[1:]) == 1
+    assert weights.reciprocal_table(*weights.reciprocal_table(nums, den)) == (nums, den)
+
+
+FLOAT_TABLE = custom([0.1, 0.3, 2.5, 1e-3, 7.0, 1 / 3])
+
+
+class TestIntTable:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(sequences(), st.integers(0, 12))
+    def test_agrees_with_table(self, seq, upper):
+        check_int_table(seq, upper)
+
+    @pytest.mark.parametrize("seq", ALL_FAMILIES + [
+        power(Fraction(2, 3), 2), FLOAT_TABLE, reciprocal(FLOAT_TABLE),
+        *map(reciprocal, ALL_FAMILIES), *(reciprocal(reciprocal(s)) for s in ALL_FAMILIES)])
+    @pytest.mark.parametrize("upper", [0, 1, 6])
+    def test_every_family(self, seq, upper):
+        check_int_table(seq, upper)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(sequences(), st.integers(0, 12)), min_size=1, max_size=3))
+    def test_integer_tables_keep_the_fraction_rule(self, seqs):
+        # each table's reduced Fractions times the lcm of all denominators
+        tables = [seq.table(upper) for seq, upper in seqs]
+        scale = lcm(*[v.denominator for table in tables for v in table])
+        want = [[v.numerator * (scale // v.denominator) for v in t] for t in tables]
+        assert integer_tables(*[seq.int_table(upper) for seq, upper in seqs]) == want
+
+    def test_short_custom_table_refused_as_table_refuses_it(self):
+        for seq in (custom([1, 2]), reciprocal(custom([1, 2]))):
+            for call in (seq.table, seq.int_table):
+                with pytest.raises(WeightRangeError, match="index 3 requested"):
+                    call(5)
+
+
 class TestDistinct:
     def test_linear_distinct(self):
         assert check_distinct(linear(1), 10)
@@ -140,6 +208,13 @@ class TestDistinct:
     def test_upper_validation(self):
         with pytest.raises(ValueError):
             check_distinct(square(), 0)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from([0.5, 1, Fraction(1, 2), 2, 3.25]), min_size=1, max_size=5))
+    def test_distinct_as_the_fractions_are(self, values):
+        for seq in (custom(values), reciprocal(custom(values))):
+            vals = seq.table(len(values))[1:]
+            assert check_distinct(seq, len(values)) == (len(set(vals)) == len(vals))
 
 
 class TestSerialization:
