@@ -498,7 +498,7 @@ def okcorral_pmf_multi(seqs, nvec, kvec, reading=READING_PRODUCT):
     The display has no k_j = 0 case; `multi_distribution` gives those
     points by duality, and the recurrence oracle gives them directly.
     """
-    spec, kvec, _ = _multi_args(MODEL_OKCORRAL, seqs, nvec, kvec)
+    spec, kvec, int_tables = _multi_args(MODEL_OKCORRAL, seqs, nvec, kvec)
     if any(k < 1 for k in kvec):
         raise ParameterError(
             "closed form needs every k_j >= 1; survivor vectors containing "
@@ -508,7 +508,7 @@ def okcorral_pmf_multi(seqs, nvec, kvec, reading=READING_PRODUCT):
     if reading not in (READING_PRODUCT, READING_PRINTED):
         raise ParameterError(f"unknown reading {reading!r}", "reading")
     nvec = spec.counts
-    tables = [seq.table(n) for seq, n in zip(spec.sequences, nvec)]
+    tables = [[Fraction(v, den) for v in nums] for nums, den in int_tables]
     r = len(nvec)
     last = tables[-1][1:]
     n_r = nvec[-1]

@@ -1,12 +1,16 @@
 """Output modes, exact polynomials and combinatorial special functions.
 
-Every weight is an exact rational, and every finite law is computed in
-exact rationals (`fractions.Fraction`).  A result is then given in one of
-three output modes: the exact rational itself, a big-float (`mpmath.mpf`
-at a configurable bit precision) or a machine float.  `cast_value` takes
-one exact rational into another mode, and `ExactDistribution.from_pairs`
-a whole law from its int pairs; each rounds once.  The limit laws that
-are transcendental compute in big-floats throughout.
+Every weight is an exact rational, and every finite law is computed
+exactly.  The closed forms and the recurrence oracle run in integer
+arithmetic over the weights' int tables (`WeightSequence.int_table`) and
+give each probability as an unreduced int pair (num, den), which
+`pair_sum` adds; the corollary displays sum `Fraction`s.  A result is
+then given in one of three output modes: the exact rational
+(`fractions.Fraction`), a big-float (`mpmath.mpf` at a configurable bit
+precision) or a machine float.  `cast_value` takes one exact rational
+into another mode, and `ExactDistribution.from_pairs` a whole law from
+its int pairs; each rounds once.  The limit laws that are transcendental
+compute in big-floats throughout.
 
 An integer enters exact arithmetic one way, through `exact_operand`: an
 int or a numpy integer (anything `operator.index` takes) becomes a

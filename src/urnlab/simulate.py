@@ -278,7 +278,7 @@ def _m_term_fraction(tag, m, rng, size):
     `size` draws.  `truncation_bias_bound` compares its moments with the
     limit's."""
     nums, den = FAMILIES[tag].int_table(m)
-    inv = np.array([1.0 / (num / den) for num in nums[1:]])
+    inv = np.array([den / num for num in nums[1:]])
     draws = np.exp(-_clock_sums(rng, inv, 1 if size is None else size))
     return float(draws[0]) if size is None else draws
 

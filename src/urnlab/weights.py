@@ -6,13 +6,13 @@ drop out of the drawing rules.  Every weight is exact: a slope, prefactor
 or custom table entry given as a float is stored as its exact value, so
 every engine downstream computes exactly and duality holds with `==`.
 
-A sequence has two views of its weights.  `int_table(upper)` is the
-engines' view: the weights at 0..upper as ints over their least common
-denominator, (nums, den), built by each family directly (square is j^2
-over 1, shifted-square (2j - 1)^2 over 4), so no weight is ever a
-`Fraction`.  The closed forms, the recurrence oracle, the clock products
-and the simulator's clock scales read it.  `table` and `eval` are the
-`Fraction` view, for callers that want one weight as a number.
+Each family has one rule, `int_table(upper)`: the weights at 0..upper as
+ints over their least common denominator, (nums, den), built by the
+family directly (square is j^2 over 1, shifted-square (2j - 1)^2 over 4,
+a reciprocal inverts its base's ints), without a `Fraction` per weight.
+The closed forms, the recurrence oracle, the clock products and the
+simulator's clock scales read it.  `table` and `eval` are its `Fraction`
+view, derived from it, for callers that want weights as numbers.
 `ParameterError`, which every module raises for an argument out of range,
 and the range checks they share live here too.
 
@@ -161,6 +161,18 @@ def canonical_model(model: str) -> str:
         raise ParameterError(f"unknown urn model {model!r}; use I/II", "model") from None
 
 
+# The parameterless weight families, which are the limit laws' families,
+# each tagged by its name, and the two methods of the fixed-whites pmf.
+# `limits` computes with them; the CLI's parser offers them without
+# importing `limits` and its mpmath.
+SQUARE = "square"
+TRIANGULAR = "triangular"
+SHIFTED_SQUARE = "shifted-square"
+LIMIT_FAMILIES = (SQUARE, TRIANGULAR, SHIFTED_SQUARE)
+FINITE_SUM = "finite-sum"
+SERIES = "series"
+
+
 @dataclass(frozen=True)
 class WeightSequence:
     """One weight family instance.  Immutable and freely shareable."""
@@ -188,36 +200,19 @@ class WeightSequence:
         elif self.family == "reciprocal":
             if self.base is None:
                 raise ParameterError("reciprocal family needs a base sequence", "base")
-        elif self.family not in ("square", "triangular", "shifted-square"):
+        elif self.family not in LIMIT_FAMILIES:
             raise ParameterError(f"unknown weight family {self.family!r}", "family")
 
-    def eval(self, j: int):
-        """Weight at ball count j; 0 at j = 0 by convention.  j follows the
-        one integer rule and is refused below 0."""
+    def eval(self, j: int) -> Fraction:
+        """Weight at ball count j, entry j of `table(j)`; 0 at j = 0 by
+        convention.  j follows the one integer rule and is refused below 0,
+        or past a custom table, naming index j."""
         j = check_integer("j", j)
         if j < 0:
             raise ParameterError("index must be nonnegative", "j")
-        return self._weight(j)
-
-    def _weight(self, j: int):
-        """`eval` without its checks on j, for `table`'s indices 0..upper;
-        only a custom table's range is still checked."""
-        if j == 0:
-            return Fraction(0)
-        if self.family == "linear":
-            return self.a * j
-        if self.family == "power":
-            return self.c * Fraction(j) ** self.r
-        if self.family == "square":
-            return Fraction(j * j)
-        if self.family == "triangular":
-            return Fraction(j * (j + 1), 2)
-        if self.family == "shifted-square":
-            return Fraction((2 * j - 1) ** 2, 4)
-        if self.family == "custom":
-            self._check_covers(j)
-            return self.values[j - 1]
-        return 1 / self.base._weight(j)  # reciprocal
+        self._check_covers(j)
+        nums, den = self.int_table(j)
+        return Fraction(nums[j], den)
 
     def _check_covers(self, upper: int):
         """Refuse an index past a custom table, or past the custom table a
@@ -231,17 +226,20 @@ class WeightSequence:
             )
 
     def table(self, upper: int) -> list:
-        """Weights at indices 0..upper as a list of `Fraction`s."""
-        return [self._weight(j) for j in range(upper + 1)]
+        """Weights at indices 0..upper as a list of `Fraction`s: the
+        `Fraction` view of `int_table(upper)`."""
+        nums, den = self.int_table(upper)
+        return [Fraction(v, den) for v in nums]
 
     def int_table(self, upper: int) -> tuple:
         """The weights at indices 0..upper as ints over one denominator,
         (nums, den): weight j is nums[j] / den, and den is the least such
-        (gcd(den, *nums[1:]) == 1; den is 1 when upper is 0).  The same
-        values as `table(upper)`, built without a `Fraction` per weight; a
-        custom table shorter than upper is refused as `table` refuses it."""
-        if upper == 0:
-            return [0], 1
+        (gcd(den, *nums[1:]) == 1; den is 1 when upper is 0, and a
+        negative upper gives no weights).  The one rule of each family,
+        built without a `Fraction` per weight; a custom table shorter than
+        upper is refused at its first missing index."""
+        if upper <= 0:
+            return [0] * (upper + 1), 1
         indices = range(upper + 1)
         if self.family == "linear":
             p = self.a.numerator
@@ -256,7 +254,7 @@ class WeightSequence:
         if self.family == "shifted-square":
             return [0, *((2 * j - 1) ** 2 for j in indices[1:])], 4
         if self.family == "custom":
-            # the first index past the table, as `table` names it
+            # the first index past the table
             self._check_covers(min(upper, len(self.values) + 1))
             values = self.values[:upper]
             den = lcm(*[v.denominator for v in values])
@@ -282,17 +280,6 @@ def triangular() -> WeightSequence:
 
 def shifted_square() -> WeightSequence:
     return WeightSequence("shifted-square")
-
-
-# The limit laws' families, each tagged by its weight family's name, and
-# the two methods of the fixed-whites pmf.  `limits` computes with them;
-# the CLI's parser offers them without importing `limits` and its mpmath.
-SQUARE = "square"
-TRIANGULAR = "triangular"
-SHIFTED_SQUARE = "shifted-square"
-LIMIT_FAMILIES = (SQUARE, TRIANGULAR, SHIFTED_SQUARE)
-FINITE_SUM = "finite-sum"
-SERIES = "series"
 
 
 def _exact_weight(v, what: str, param: str) -> Fraction:
@@ -355,6 +342,8 @@ def from_cli(text: str) -> WeightSequence:
     parts = text.split(":")
     family = parts[0]
     if family == "linear":
+        if len(parts) > 2:
+            raise ValueError("linear descriptor is linear or linear:<a>")
         return linear(Fraction(parts[1]) if len(parts) > 1 else 1)
     if family == "power":
         if len(parts) != 3:
@@ -364,7 +353,7 @@ def from_cli(text: str) -> WeightSequence:
         if len(parts) != 2:
             raise ValueError("custom descriptor is custom:v1,v2,...")
         return custom([Fraction(v) for v in parts[1].split(",")])
-    if family in ("square", "triangular", "shifted-square") and len(parts) == 1:
+    if family in LIMIT_FAMILIES and len(parts) == 1:
         return WeightSequence(family)
     raise ValueError(f"cannot parse weight descriptor {text!r}")
 

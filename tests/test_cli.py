@@ -87,6 +87,12 @@ class TestPmf:
         )
         assert code == 2
         assert "--A" in err
+        # a part after the linear slope is refused, not dropped
+        code, out, err = run_cli(
+            capsys, "pmf", "--A", "linear:1:7", "--B", "square", "--n", "2", "--m", "2"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("--A:")
 
     def test_bad_model(self, capsys):
         code, _, err = run_cli(

@@ -823,19 +823,20 @@ class TestInputChecks:
 
     def test_each_table_evaluated_once(self, monkeypatch):
         calls = _count_int_tables(monkeypatch)
-        evaluated = []
-        real = WeightSequence._weight
-        monkeypatch.setattr(
-            WeightSequence, "_weight", lambda self, j: evaluated.append(j) or real(self, j)
-        )
+        viewed = []
+        for name in ("table", "eval"):
+            real = getattr(WeightSequence, name)
+            monkeypatch.setattr(
+                WeightSequence, name,
+                lambda self, j, name=name, real=real: viewed.append((name, j)) or real(self, j),
+            )
         for dist in (sampling_distribution, okcorral_distribution):
             calls.clear()
             dist(triangular(), square(), 4, 3)
             assert sorted(calls) == [("square", 3), ("triangular", 4)]
-            assert evaluated == []
         for pmf in (sampling_pmf_multi, okcorral_pmf_multi):
             calls.clear()
             pmf((linear(1), square(), triangular()), (2, 3, 2), (1, 1))
             assert sorted(calls) == [("linear", 2), ("square", 3), ("triangular", 2)]
-        # the contested-fire display reads the `Fraction` view once per color
-        assert sorted(evaluated) == sorted([*range(3), *range(4), *range(3)])
+        # no closed form reads the `Fraction` view
+        assert viewed == []

@@ -144,13 +144,35 @@ def sequences(draw):
     return seq
 
 
+def family_rule(seq, j):
+    """Weight j of `seq`, each family's rule stated apart from `int_table`."""
+    if j == 0:
+        return Fraction(0)
+    if seq.family == "linear":
+        return seq.a * j
+    if seq.family == "power":
+        return seq.c * j**seq.r
+    if seq.family == "square":
+        return Fraction(j * j)
+    if seq.family == "triangular":
+        return Fraction(j * (j + 1), 2)
+    if seq.family == "shifted-square":
+        return Fraction((2 * j - 1) ** 2, 4)
+    if seq.family == "custom":
+        return seq.values[j - 1]
+    return 1 / family_rule(seq.base, j)
+
+
 def check_int_table(seq, upper):
-    """`int_table(upper)` holds `table(upper)` as ints over their least
-    denominator, and inverting it twice gives it back."""
+    """`int_table(upper)` holds the family's weights at 0..upper
+    (`family_rule`) as ints over their least denominator, `table` is its
+    `Fraction` view, and inverting it twice gives it back."""
     nums, den = seq.int_table(upper)
     assert len(nums) == upper + 1
     assert all(type(v) is int for v in nums) and type(den) is int
-    assert [Fraction(v, den) for v in nums] == seq.table(upper)
+    want = [family_rule(seq, j) for j in range(upper + 1)]
+    assert [Fraction(v, den) for v in nums] == want
+    assert seq.table(upper) == want
     assert gcd(den, *nums[1:]) == 1
     assert weights.reciprocal_table(*weights.reciprocal_table(nums, den)) == (nums, den)
 
@@ -175,7 +197,7 @@ class TestIntTable:
     @given(st.lists(st.tuples(sequences(), st.integers(0, 12)), min_size=1, max_size=3))
     def test_integer_tables_keep_the_fraction_rule(self, seqs):
         # each table's reduced Fractions times the lcm of all denominators
-        tables = [seq.table(upper) for seq, upper in seqs]
+        tables = [[family_rule(seq, j) for j in range(upper + 1)] for seq, upper in seqs]
         scale = lcm(*[v.denominator for table in tables for v in table])
         want = [[v.numerator * (scale // v.denominator) for v in t] for t in tables]
         assert integer_tables(*[seq.int_table(upper) for seq, upper in seqs]) == want
@@ -185,6 +207,16 @@ class TestIntTable:
             for call in (seq.table, seq.int_table):
                 with pytest.raises(WeightRangeError, match="index 3 requested"):
                     call(5)
+
+    def test_negative_upper_gives_no_weights(self):
+        for seq in ALL_FAMILIES + [custom([1, 2, 3]), reciprocal(shifted_square())]:
+            assert seq.int_table(-1) == ([], 1)
+            assert seq.table(-1) == []
+
+    def test_eval_past_a_custom_table_names_its_index(self):
+        for seq in (custom([1, 2]), reciprocal(custom([1, 2]))):
+            with pytest.raises(WeightRangeError, match="index 5 requested"):
+                seq.eval(5)
 
 
 class TestDistinct:
@@ -198,12 +230,10 @@ class TestDistinct:
         assert check_distinct(shifted_square(), 20)
 
     def test_builtin_families_strictly_increasing(self):
+        # one table, not 10,000 `eval`s: each `eval(j)` builds a j + 1 table
         for seq in ALL_FAMILIES:
-            prev = seq.eval(1)
-            for j in range(2, 10001):
-                cur = seq.eval(j)
-                assert cur > prev
-                prev = cur
+            w = seq.table(10000)[1:]
+            assert all(prev < cur for prev, cur in zip(w, w[1:]))
 
     def test_upper_validation(self):
         with pytest.raises(ValueError):
@@ -225,8 +255,10 @@ class TestSerialization:
         assert from_cli("power:1:3").eval(2) == 8
         assert from_cli("custom:1,4,9").eval(1) == 1
         assert from_cli("shifted-square").eval(1) == Fraction(1, 4)
-        with pytest.raises(ValueError):
-            from_cli("nope")
+        # a part past the last parameter is refused, not dropped
+        for text in ("nope", "linear:1:7", "square:2", "power:1"):
+            with pytest.raises(ValueError, match="descriptor"):
+                from_cli(text)
 
 
 class TestUrnSpec:
