@@ -43,7 +43,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import closedform, moments, oracle, weights
-from .numerics import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, RATIONAL, precision_bits
+from .numerics import (BIGFLOAT, DEFAULT_PRECISION_BITS, FLOAT, GUARD_BITS, MIN_PRECISION_BITS,
+                       RATIONAL, precision_bits, working_precision)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -189,7 +190,7 @@ def _emit(args, mode, body: dict, table=None) -> None:
     in big-float mode.  CSV prints `table`, a (header, rows) pair, or else
     the payload's scalar fields."""
     payload = {"command": args.command, "params": args.params, "mode": mode, **body}
-    if mode == "bigfloat":
+    if mode == BIGFLOAT:
         payload["precision_bits"] = args.precision_bits
     if args.format == "json":
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
@@ -203,9 +204,9 @@ def _emit(args, mode, body: dict, table=None) -> None:
 
 
 def _prob_renderer(args, mode=RATIONAL):
-    if mode == "bigfloat":
+    if mode == BIGFLOAT:
         return lambda p: render_bigfloat(p, args.precision_bits)
-    if mode == "float":
+    if mode == FLOAT:
         return repr
     if args.decimals is not None:  # `_read_form` allows it only in exact CSV
         return lambda p: render_decimal(p, args.decimals)
@@ -347,11 +348,11 @@ def _cmd_limit(args) -> int:
 
     bits = args.precision_bits  # None for the exact fixed-blacks laws
     if "grid" in vars(args):
-        render, big = _prob_renderer(args), _prob_renderer(args, "bigfloat")
+        render, big = _prob_renderer(args), _prob_renderer(args, BIGFLOAT)
         with _reword(flag="grid", only="q"):  # a grid point is --grid
             rows = [(render(x), big(limits.limit_cdf(x, args.family, args.tol, bits)))
                     for x in _grid(args.grid)]
-        _emit(args, "bigfloat", {"grid": [{"x": x, "value": v} for x, v in rows]},
+        _emit(args, BIGFLOAT, {"grid": [{"x": x, "value": v} for x, v in rows]},
               (("x", "value"), rows))
         return EXIT_OK
     law = args.law
@@ -372,27 +373,25 @@ def _cmd_limit(args) -> int:
         value = limits.limit_moment(args.s, args.family, bits)
     else:  # w-cdf at one point
         value = limits.limit_cdf(_fraction(args.q, "q"), args.family, args.tol, bits)
-    mode = RATIONAL if bits is None else "bigfloat"
+    mode = RATIONAL if bits is None else BIGFLOAT
     _emit(args, mode, {"value": _prob_renderer(args, mode)(value)})
     return EXIT_OK
 
 
-# the theta routes work at bits + 32 and agree there to within 8 units in
-# the last place, measured at 8 to 16 bits for q = i/200 and q = 1 - 10^-k,
-# k <= 30 (worst 8.0 at q = 3/40, 11 bits); a tol below 64 such units would
-# ask the check to resolve that rounding noise
+# the theta routes work at bits + GUARD_BITS and agree there to within 8
+# units in the last place, measured at 8 to 16 bits for q = i/200 and
+# q = 1 - 10^-k, k <= 30 (worst 8.0 at q = 3/40, 11 bits); a tol below 64
+# such units would ask the check to resolve that rounding noise
 THETA_MIN_TOL_ULPS = 64
 
 
 def _cmd_theta(args) -> int:
-    import mpmath
-
     from . import limits
 
     bits = args.precision_bits
     q = _fraction(args.q, "q")
     weights.check_tol(args.tol)  # before the floor below, which would misname a tol <= 0
-    finest = THETA_MIN_TOL_ULPS * 2.0 ** -(bits + 32)
+    finest = THETA_MIN_TOL_ULPS * 2.0 ** -(bits + GUARD_BITS)
     if args.tol < finest:
         raise weights.ParameterError(
             f"{args.tol:g} is finer than --precision-bits {bits} can resolve; "
@@ -404,9 +403,9 @@ def _cmd_theta(args) -> int:
     inner_tol = args.tol / 100
     series = limits.theta(q, inner_tol, bits)
     product = limits.jacobi_triple_product(q, inner_tol, bits)
-    with mpmath.workprec(bits + 32):
+    with working_precision(bits):
         diff = abs(series - product)
-    _emit(args, "bigfloat", {
+    _emit(args, BIGFLOAT, {
         "value": render_bigfloat(series, bits),
         "triple_product": render_bigfloat(product, bits),
         "difference": render_bigfloat(diff, bits),
@@ -521,7 +520,7 @@ class Command(NamedTuple):
     flags: dict = {}
 
 
-_MODES = (RATIONAL, "float", "bigfloat")
+_MODES = (RATIONAL, FLOAT, BIGFLOAT)
 
 # how each flag parses, in parser order; a subcommand offers those its forms read
 _FLAGS = {
@@ -573,7 +572,7 @@ _COMMANDS = {
     "pmf": Command(_cmd_pmf, "closed-form survivor pmf (two colors)", {
         f"pmf --mode {mode}": Form(_URN, {"model": "I", "k": None, "mode": None,
                                           "representation": closedform.BETA_POLES},
-                                   exact=mode == RATIONAL, bigfloat=mode == "bigfloat")
+                                   exact=mode == RATIONAL, bigfloat=mode == BIGFLOAT)
         for mode in _MODES
     }),
     "oracle": Command(_cmd_oracle, "recurrence/enumeration ground-truth pmf", {

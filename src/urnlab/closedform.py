@@ -24,9 +24,9 @@ n + 1 numerators over that one lcm, int pairs that
 total exactly 1).  That exact law is the only evaluation.  Rational mode
 reduces each probability once; float and big-float modes are output
 formats, each pair rounded once without a gcd (num / L, which int true
-division rounds correctly, or `mpmath.fdiv(num, L)` at the big-float
-working precision), so they are within half a unit in the last place of
-the exact law and cost less than rational mode.  At n = m = 80 (linear(1)
+division rounds correctly, or `mpmath.fdiv(num, L)` in one context,
+`numerics.working_precision`), so they are within half a unit in the last
+place of the exact law and cost less than rational mode.  At n = m = 80 (linear(1)
 against square, shared 2-vCPU Xeon) a law takes 19-35 ms in rational
 mode and 8-24 ms in float mode.  Every weight is exact, so the default
 mode is rational for every table.
@@ -118,17 +118,15 @@ def _check_two_color_counts(n, m) -> tuple:
     return counts
 
 
-def _resolve_tables(A, B, n, m):
-    """Both int tables, checked distinct, scaled to one common factor
-    (`integer_tables`), so the closed forms run in integer arithmetic."""
-    return integer_tables(_table(A, n, "A"), _table(B, m, "B"))
-
-
-def _law(pairs: list, mode, bits) -> ExactDistribution:
-    """The exact law [(num, den)] over k = 0..n in `mode`, rounded once
-    from the pairs (`ExactDistribution.from_pairs`)."""
-    support = tuple(range(len(pairs)))
-    return ExactDistribution.from_pairs(support, dict(enumerate(pairs)), mode, bits)
+def _two_color(law, A, B, n, m, representation, mode, bits) -> ExactDistribution:
+    """The two-color closed form `law` (`_sampling_law` or `_okcorral_law`)
+    on both int tables, checked distinct and scaled to one common factor
+    (`integer_tables`), rounded once into `mode` (`from_pairs`)."""
+    _require_representation(representation)
+    n, m = _check_two_color_counts(n, m)
+    alpha, beta = integer_tables(_table(A, n, "A"), _table(B, m, "B"))
+    pairs = law(alpha, beta, n, m, representation)
+    return ExactDistribution.from_pairs(tuple(range(n + 1)), dict(enumerate(pairs)), mode, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +134,7 @@ def _law(pairs: list, mode, bits) -> ExactDistribution:
 # ---------------------------------------------------------------------------
 
 
-def sampling_pmf(A, B, n, m, k, representation=BETA_POLES, mode=None):
+def sampling_pmf(A, B, n, m, k, representation=BETA_POLES):
     """P{k first-color balls survive} for the sampling urn, 0 <= k <= n.
 
     Entry k of `sampling_distribution`, so one call costs one whole-law
@@ -144,7 +142,7 @@ def sampling_pmf(A, B, n, m, k, representation=BETA_POLES, mode=None):
     """
     n, m = _check_two_color_counts(n, m)
     (k,) = check_survivors("k", (k,), (n,))
-    return sampling_distribution(A, B, n, m, representation, mode)[k]
+    return sampling_distribution(A, B, n, m, representation)[k]
 
 
 def sampling_distribution(
@@ -154,12 +152,9 @@ def sampling_distribution(
 
     k = 0 uses the same sums, with the index-0 weight 0 entering the
     products (and, in the alpha-poles form, an extra pole term at 0).
-    Float and big-float modes round the exact law once (`_law`).
+    Float and big-float modes round the exact law once (`_two_color`).
     """
-    _require_representation(representation)
-    n, m = _check_two_color_counts(n, m)
-    alpha, beta = _resolve_tables(A, B, n, m)
-    return _law(_sampling_law(alpha, beta, n, m, representation), mode, bits)
+    return _two_color(_sampling_law, A, B, n, m, representation, mode, bits)
 
 
 def _sampling_law(alpha, beta, n, m, representation) -> list:
@@ -212,7 +207,7 @@ def _suffix_products(t, n, low, scale):
 # ---------------------------------------------------------------------------
 
 
-def okcorral_pmf(A, B, n, m, k, representation=BETA_POLES, mode=None):
+def okcorral_pmf(A, B, n, m, k, representation=BETA_POLES):
     """P{k first-color balls survive} for the contested-fire urn, 0 <= k <= n.
 
     Entry k of `okcorral_distribution`, so one call costs one whole-law
@@ -220,7 +215,7 @@ def okcorral_pmf(A, B, n, m, k, representation=BETA_POLES, mode=None):
     """
     n, m = _check_two_color_counts(n, m)
     (k,) = check_survivors("k", (k,), (n,))
-    return okcorral_distribution(A, B, n, m, representation, mode)[k]
+    return okcorral_distribution(A, B, n, m, representation)[k]
 
 
 def okcorral_distribution(
@@ -230,12 +225,9 @@ def okcorral_distribution(
 
     k >= 1 and k = 0 have separate displays; both representations of each
     agree exactly.  Float and big-float modes round the exact law once
-    (`_law`).
+    (`_two_color`).
     """
-    _require_representation(representation)
-    n, m = _check_two_color_counts(n, m)
-    alpha, beta = _resolve_tables(A, B, n, m)
-    return _law(_okcorral_law(alpha, beta, n, m, representation), mode, bits)
+    return _two_color(_okcorral_law, A, B, n, m, representation, mode, bits)
 
 
 def _okcorral_law(alpha, beta, n, m, representation) -> list:
@@ -638,12 +630,8 @@ def multi_okcorral_reading_report(seqs, nvec) -> DiscrepancyReport:
 
 def two_color_distribution(spec, representation=BETA_POLES, mode=None, bits=None):
     """The two-color closed form of the spec's model, over k = 0..n;
-    big-float mode rounds at `bits` (default: `precision_bits()`) plus 32
-    guard bits."""
-    if spec.model == MODEL_SAMPLING:
-        closed = sampling_distribution
-    else:
-        closed = okcorral_distribution
+    big-float mode rounds in `numerics.working_precision(bits)`."""
+    closed = sampling_distribution if spec.model == MODEL_SAMPLING else okcorral_distribution
     return closed(spec.A, spec.B, spec.n, spec.m, representation, mode, bits)
 
 

@@ -32,9 +32,10 @@ closed form per family (`_reciprocal_tail`).  The limit sampler truncates
 nothing: it inverts `limit_exponent_cdf`, the limit CDF in doubles as a
 function of the exponent t = -log q, with a dual side for small t.
 
-Returned big-floats carry their full internal precision, but mpmath rounds
-at operation time using the global context: combine results under
-`mpmath.workprec(...)` when you need better than double accuracy.
+Every big-float here is computed and returned in
+`numerics.working_precision(bits)`, whatever the ambient mpmath context;
+arithmetic on the results rounds in the caller's, so combine them inside
+`working_precision` too.
 """
 
 from __future__ import annotations
@@ -50,12 +51,11 @@ from mpmath.libmp import mpf_mul, round_nearest
 
 from .numerics import (
     BIGFLOAT,
-    RATIONAL,
     cast_value,
     clock_product_blocks,
     exact_operand,
-    precision_bits,
     stirling_second,
+    working_precision,
 )
 from .weights import (
     FINITE_SUM,
@@ -98,10 +98,6 @@ def _family(family) -> str:
     return family
 
 
-def _bits(bits):
-    return bits if bits is not None else precision_bits()
-
-
 def _check_point(q, top_open=False):
     """Refuse q outside [0, 1], or outside [0, 1) with `top_open`; nan too."""
     if not (0 <= q < 1 if top_open else 0 <= q <= 1):
@@ -129,22 +125,22 @@ def _sum_until(term, tol, acc, start=1, combine=operator.add):
 # ---------------------------------------------------------------------------
 
 
-def fixed_blacks_moment(m: int, s: int, mode: str = RATIONAL):
-    """s-th moment of the limiting survivor fraction: the product of b/(b + s)
-    over the square weights b = ell^2, ell <= m, in blocks of exact integer
-    factors.  Exact rational by default; other modes round it once."""
+def fixed_blacks_moment(m: int, s: int) -> Fraction:
+    """s-th moment of the limiting survivor fraction, an exact rational: the
+    product of b/(b + s) over the square weights b = ell^2, ell <= m, in
+    blocks of exact integer factors."""
     m, s = check_count("m", m, 1), check_order("s", s, 1)
     acc = Fraction(1)
     for num, den in clock_product_blocks(FAMILIES[SQUARE].int_table(m), s):
         acc *= Fraction(num, den)
-    return cast_value(acc, mode)
+    return acc
 
 
 def fixed_blacks_moment_gammaform(m: int, s: int, bits=None):
     """The same moment through the complex-gamma/sinh form; a redundant
     big-float cross-check of the product."""
     m, s = check_count("m", m, 1), check_order("s", s, 1)
-    with mpmath.workprec(_bits(bits) + 32):
+    with working_precision(bits):
         rs = mpmath.sqrt(s)
         gammas = mpmath.gamma(m + 1 - 1j * rs) * mpmath.gamma(m + 1 + 1j * rs)
         value = (
@@ -205,7 +201,7 @@ def fixed_whites_pmf(
     n = check_count("n", n)
     (k,) = check_survivors("k", (k,), (n,))
     check_tol(tol)
-    with mpmath.workprec(_bits(bits) + 32):
+    with working_precision(bits):
         if method == FINITE_SUM:
             # the terms' coefficients sum to C(n,k) 2^(n-k) in absolute value
             # and the weights are at most 1: that many more bits cover the
@@ -248,7 +244,7 @@ def fixed_whites_moment(n: int, s: int, bits=None):
     factorial moment and w_j the sinh weight.  Each coefficient S(s,j) (n)_j
     is an exact integer >= 0, so the sum cancels nothing."""
     n, s = check_count("n", n, 1), check_order("s", s, 1)
-    with mpmath.workprec(_bits(bits) + 32):
+    with working_precision(bits):
         total = mpmath.mpf(0)
         for j in range(1, min(n, s) + 1):
             total += stirling_second(s, j) * perm(n, j) * _sinh_weight(j)
@@ -264,7 +260,7 @@ def limit_moment(s: int, family=SQUARE, bits=None):
     """s-th moment of the limiting survivor fraction, closed form per family."""
     s = check_order("s", s, 1)
     tag = _family(family)
-    with mpmath.workprec(_bits(bits) + 32):
+    with working_precision(bits):
         if tag == SQUARE:
             x = mpmath.pi * mpmath.sqrt(s)
             return +(x / mpmath.sinh(x))
@@ -286,10 +282,11 @@ def limit_moment_product(s: int, family=SQUARE, tol=1e-12, bits=None):
     Each factor b/(b+s), b = p/q over the family's int table
     (`WeightSequence.int_table`), is the exact ratio p/(p + s q); blocks of
     PRODUCT_BLOCK of them are multiplied as integers and folded into the
-    big-float product with one multiply and one divide, each rounded once at
-    bits + 32.  Over M factors that is at most 2 ceil(M/64) + O(1) roundings,
-    so the relative rounding error is at most that many units of
-    2^-(bits+32); the tail and the final product add the O(1).
+    big-float product with one multiply and one divide, each rounded once in
+    `working_precision(bits)`.  Over M factors that is at most 2 ceil(M/64)
+    + O(1) roundings, so the relative rounding error is at most that many
+    units of 2^-(bits + GUARD_BITS); the tail and the final product add the
+    O(1).
     """
     s = check_order("s", s, 1)
     tag = _family(family)
@@ -302,7 +299,7 @@ def limit_moment_product(s: int, family=SQUARE, tol=1e-12, bits=None):
             "loosen tol",
             "tol",
         )
-    with mpmath.workprec(_bits(bits) + 32):
+    with working_precision(bits):
         acc = mpmath.mpf(1)
         for num, den in clock_product_blocks(FAMILIES[tag].int_table(cutoff), s):
             acc = acc * num / den
@@ -339,7 +336,7 @@ def theta(q, tol=1e-30, bits=None):
     500 times the rest.
     """
     _check_point(q, top_open=True)
-    with mpmath.workprec(_bits(bits) + 32):
+    with working_precision(bits):
         t = _exponent(q)
         if t >= SWITCH[SQUARE]:
             qq = cast_value(q, BIGFLOAT)
@@ -412,7 +409,7 @@ def jacobi_triple_product(q, tol=1e-30, bits=None):
     2 sqrt(pi/t) e^(-pi^2/(4t)) prod (1-p^n)(1+p^n)^2, p = e^(-2 pi^2/t).
     Rounded as `_carried_product` says."""
     _check_point(q, top_open=True)
-    with mpmath.workprec(_bits(bits) + 32):
+    with working_precision(bits):
         t = _exponent(q)
         if t >= SWITCH[SQUARE]:
             return +_carried_product(
@@ -428,7 +425,7 @@ def euler_phi_cubed(q, tol=1e-30, bits=None):
     the triple product, read at `_eta_side`'s nome.  Rounded as
     `_carried_product` says."""
     _check_point(q, top_open=True)
-    with mpmath.workprec(_bits(bits) + 32):
+    with working_precision(bits):
         nome, scale = _eta_side(q)
         return +(scale * _carried_product(nome, tol, 1, lambda t, _: 1 - t) ** 3)
 
@@ -449,7 +446,7 @@ def limit_cdf(q, family=SQUARE, tol=1e-30, bits=None):
     check_tol(tol)
     if q == 1:
         return mpmath.mpf(1)
-    with mpmath.workprec(_bits(bits) + 32):
+    with working_precision(bits):
         if tag == SQUARE:
             value = 1 - theta(q, tol, bits)
         elif tag == TRIANGULAR:

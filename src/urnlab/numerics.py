@@ -7,10 +7,10 @@ give each probability as an unreduced int pair (num, den), which
 `pair_sum` adds; the corollary displays sum `Fraction`s.  A result is
 then given in one of three output modes: the exact rational
 (`fractions.Fraction`), a big-float (`mpmath.mpf` at a configurable bit
-precision) or a machine float.  `cast_value` takes one exact rational
-into another mode, and `ExactDistribution.from_pairs` a whole law from
-its int pairs; each rounds once.  The limit laws that are transcendental
-compute in big-floats throughout.
+precision) or a machine float, each exact pair rounded once (`cast_pair`).
+Every big-float is computed and rounded in one context,
+`working_precision(bits)`, at `bits` (default `precision_bits()`) plus
+GUARD_BITS; the transcendental limit laws compute in big-floats throughout.
 
 An integer enters exact arithmetic one way, through `exact_operand`: an
 int or a numpy integer (anything `operator.index` takes) becomes a
@@ -19,8 +19,8 @@ float or a big-float is evaluated as it is.  The integer arguments of the
 primitives here (orders and indices) follow the one integer rule of
 `weights` and are refused with `ParameterError` naming them.
 
-mpmath is imported where a big-float is made (the big-float branches of
-`cast_value` and `from_pairs`), not at module top: the rational routes
+mpmath is imported where a big-float is made (`working_precision` and the
+big-float branch of `cast_pair`), not at module top: the rational routes
 never make one, so a process that stays rational never loads it.
 """
 
@@ -40,6 +40,8 @@ FLOAT = "float"
 
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 8
+# bits carried beyond the requested precision by every big-float route
+GUARD_BITS = 32
 
 # factors multiplied as exact integers before one fold into a product
 PRODUCT_BLOCK = 64
@@ -57,6 +59,14 @@ def precision_bits() -> int:
     if bits < MIN_PRECISION_BITS:
         raise ValueError(f"URNLAB_PRECISION_BITS must be at least {MIN_PRECISION_BITS}")
     return bits
+
+
+def working_precision(bits=None):
+    """The context every big-float is computed and rounded in: `bits`
+    (default: `precision_bits()`) plus GUARD_BITS."""
+    import mpmath  # the exact routes start without it
+
+    return mpmath.workprec((bits if bits is not None else precision_bits()) + GUARD_BITS)
 
 
 class Polynomial:
@@ -234,20 +244,26 @@ def clock_product_blocks(table, x):
         yield num, total
 
 
-def cast_value(x, mode: str):
-    """Convert an exact rational (or an integer, numpy's included) into the
-    requested mode, rounded once: `float` rounds correctly, and so does
-    big-float mode at the working precision."""
-    x = exact_operand(x)
+def cast_pair(num: int, den: int, mode: str):
+    """num / den in `mode`, rounded once and without a gcd: a float by int
+    true division, a big-float by `mpmath.fdiv`, which takes both ints
+    exactly, in the caller's context (`working_precision`)."""
     if mode == RATIONAL:
-        return Fraction(x)
+        return Fraction(num, den)
     if mode == FLOAT:
-        return float(x)
+        return num / den
     if mode == BIGFLOAT:
-        import mpmath  # the exact routes start without it
+        import mpmath
 
-        if isinstance(x, Fraction):
-            # fdiv takes both ints exactly, so the quotient rounds once
-            return mpmath.fdiv(x.numerator, x.denominator)
-        return mpmath.mpf(x)
+        return mpmath.fdiv(num, den)
     raise ValueError(f"unknown scalar mode {mode!r}")
+
+
+def cast_value(x, mode: str):
+    """An exact rational, an integer (numpy's too) or a float in `mode`,
+    rounded once (`cast_pair`); in big-float mode, a big-float too."""
+    x = exact_operand(x)
+    if isinstance(x, Fraction) or mode != BIGFLOAT:
+        x = Fraction(x)
+        return cast_pair(x.numerator, x.denominator, mode)
+    return cast_pair(x, 1, mode)

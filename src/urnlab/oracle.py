@@ -20,12 +20,13 @@ over the last layer's denominator.
 from __future__ import annotations
 
 from collections import defaultdict
+from contextlib import nullcontext
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, perm, prod
 
-from .numerics import BIGFLOAT, FLOAT, RATIONAL, cast_value, pair_sum, precision_bits
+from .numerics import BIGFLOAT, RATIONAL, cast_pair, pair_sum, precision_bits, working_precision
 from .weights import (
     MODEL_SAMPLING,
     ParameterError,
@@ -38,13 +39,19 @@ from .weights import (
 ENUMERATION_LIMIT = 16
 
 
+def _rounding(mode, bits):
+    """The context a law in `mode` rounds in; mpmath's for big-floats only."""
+    return working_precision(bits) if mode == BIGFLOAT else nullcontext()
+
+
 @dataclass(frozen=True)
 class ExactDistribution:
     """Probabilities over a finite support: 0..n for two colors, the full
     k-grid for r colors.  Every exact law is held as int pairs `pairs`,
     {point: (num, den)}, over the law's few denominators, and checked once
     on them: every numerator >= 0 and the total exactly 1.  `probs` is the
-    law in `mode`: reduced `Fraction`s, or each pair rounded once.
+    law in `mode`: reduced `Fraction`s, or each pair rounded once, a
+    big-float law and its sums at the `bits` it keeps (`from_pairs`).
 
     Built from a dict of `Fraction`s, the pairs are their numerators and
     denominators; the producers hand theirs over unreduced (`from_pairs`)."""
@@ -54,6 +61,7 @@ class ExactDistribution:
     mode: str = RATIONAL
     exact: InitVar[dict | None] = None
     pairs: dict = field(init=False, repr=False, compare=False)
+    bits: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self, exact):
         if exact is None:
@@ -69,23 +77,15 @@ class ExactDistribution:
     @classmethod
     def from_pairs(cls, support, pairs: dict, mode=None, bits=None) -> "ExactDistribution":
         """The exact law {point: (num, den)} in `mode` (rational when None),
-        each probability rounded once and without a gcd: a float is num /
-        den, correctly rounded by int true division; a big-float is
-        `mpmath.fdiv(num, den)` at `bits` plus 32 guard bits, `bits=None`
-        meaning `precision_bits()` as in `limits`."""
+        each probability rounded once and without a gcd (`cast_pair`), a
+        big-float in `working_precision(bits)`; the law keeps those bits."""
         mode = mode or RATIONAL
-        if mode == RATIONAL:
-            probs = {k: Fraction(num, den) for k, (num, den) in pairs.items()}
-        elif mode == FLOAT:
-            probs = {k: num / den for k, (num, den) in pairs.items()}
-        elif mode == BIGFLOAT:
-            import mpmath  # the exact routes start without it
-
-            with mpmath.workprec((bits if bits is not None else precision_bits()) + 32):
-                probs = {k: mpmath.fdiv(num, den) for k, (num, den) in pairs.items()}
-        else:
-            raise ValueError(f"unknown scalar mode {mode!r}")
-        return cls(support, probs, mode, pairs)
+        bits = (precision_bits() if bits is None else bits) if mode == BIGFLOAT else None
+        with _rounding(mode, bits):
+            probs = {k: cast_pair(num, den, mode) for k, (num, den) in pairs.items()}
+        law = cls(support, probs, mode, pairs)
+        object.__setattr__(law, "bits", bits)
+        return law
 
     def __getitem__(self, point):
         zero = Fraction(0) if self.mode == RATIONAL else 0.0
@@ -96,7 +96,8 @@ class ExactDistribution:
             yield point, self[point]
 
     def total(self):
-        return sum(self.probs.values())
+        with _rounding(self.mode, self.bits):
+            return sum(self.probs.values())
 
     def _check_support(self, vectors: bool):
         """Refuse a method that reads the other kind of support: survivor
@@ -108,10 +109,11 @@ class ExactDistribution:
 
     def _exact_sum(self, weight):
         """sum of p * weight(point) over the law, from the pairs: numerators
-        over one denominator are added first, and one `Fraction` is built at
-        the end, rounded once in a float or big-float mode."""
+        over one denominator are added first, and the one pair they give is
+        taken into the law's mode at the end (`cast_pair`)."""
         num, den = pair_sum((num * weight(k), den) for k, (num, den) in self.pairs.items())
-        return cast_value(Fraction(num, den), self.mode)
+        with _rounding(self.mode, self.bits):
+            return cast_pair(num, den, self.mode)
 
     def moment(self, s: int):
         """Raw moment sum(k^s p) over a scalar support."""

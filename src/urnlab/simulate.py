@@ -45,6 +45,7 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; every sampler here needs it
 
 from .limits import FAMILIES, _family, _reciprocal_tail, limit_exponent_cdf
+from .numerics import working_precision
 from .oracle import ExactDistribution
 from .weights import MODEL_SAMPLING, SQUARE, ParameterError, UrnSpec, check_count, check_integer
 
@@ -249,9 +250,9 @@ def empirical_pmf(config: SimConfig, exact: ExactDistribution) -> SimulationRepo
 
 def _chi2_sf(stat: float, dof: int) -> float:
     """Upper tail P{chi2_dof >= stat} as the regularized upper incomplete
-    gamma Q(dof/2, stat/2), rounded once to a double: 32 guard bits keep
-    mpmath's error far below that rounding."""
-    with mpmath.workprec(53 + 32):
+    gamma Q(dof/2, stat/2), rounded once to a double: the guard bits of
+    `working_precision(53)` keep mpmath's error far below that rounding."""
+    with working_precision(53):
         return float(mpmath.gammainc(dof / 2, stat / 2, regularized=True))
 
 
@@ -329,6 +330,6 @@ def truncation_bias_bound(family, truncation: int, s: int = 1) -> float:
     The ratio itself is prod_{l > M} (1 + s/beta_l), below it."""
     tag = _family(family)
     truncation = _check_truncation(truncation)
-    with mpmath.workprec(53 + 32):
+    with working_precision(53):
         tail = float(_reciprocal_tail(tag, truncation))
     return float(np.exp(s * tail))

@@ -171,6 +171,8 @@ SHIFTED_SQUARE = "shifted-square"
 LIMIT_FAMILIES = (SQUARE, TRIANGULAR, SHIFTED_SQUARE)
 FINITE_SUM = "finite-sum"
 SERIES = "series"
+# the largest exponent of a power:<c>:<r> descriptor: weight j is j^r exactly
+MAX_CLI_POWER = 1024
 
 
 @dataclass(frozen=True)
@@ -346,8 +348,8 @@ def from_cli(text: str) -> WeightSequence:
             raise ValueError("linear descriptor is linear or linear:<a>")
         return linear(Fraction(parts[1]) if len(parts) > 1 else 1)
     if family == "power":
-        if len(parts) != 3:
-            raise ValueError("power descriptor is power:<c>:<r>")
+        if len(parts) != 3 or int(parts[2]) > MAX_CLI_POWER:
+            raise ValueError(f"power descriptor is power:<c>:<r>, r at most {MAX_CLI_POWER}")
         return power(Fraction(parts[1]), int(parts[2]))
     if family == "custom":
         if len(parts) != 2:

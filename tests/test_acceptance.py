@@ -244,7 +244,7 @@ def test_criterion_6_limit_laws():
                 assert got == want, (n, m, s)
                 checked += 1
     gap = abs(
-        limits.fixed_blacks_moment(1000, 1, mode="float")
+        float(limits.fixed_blacks_moment(1000, 1))
         - float(limits.limit_moment(1, "square"))
     )
     assert gap < 1e-2

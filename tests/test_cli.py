@@ -87,12 +87,16 @@ class TestPmf:
         )
         assert code == 2
         assert "--A" in err
-        # a part after the linear slope is refused, not dropped
-        code, out, err = run_cli(
-            capsys, "pmf", "--A", "linear:1:7", "--B", "square", "--n", "2", "--m", "2"
-        )
-        assert (code, out) == (2, "")
-        assert err.startswith("--A:")
+        # a part after the linear slope is refused, not dropped, and so is a
+        # power exponent past weights.MAX_CLI_POWER, 1,024 (one just past it:
+        # were the bound lost, a far larger one would build a weight of as
+        # many bits)
+        for descriptor in ("linear:1:7", "power:1:1025"):
+            code, out, err = run_cli(
+                capsys, "pmf", "--A", descriptor, "--B", "square", "--n", "2", "--m", "2"
+            )
+            assert (code, out) == (2, "")
+            assert err.startswith("--A:")
 
     def test_bad_model(self, capsys):
         code, _, err = run_cli(
@@ -423,6 +427,18 @@ class TestTheta:
         assert code == 0
         payload = check_json(out)
         assert float(payload["difference"]) < 1e-12
+
+    def test_difference_is_taken_at_the_working_precision(self, capsys):
+        # like both values, at bits + 32, not in the caller's 53-bit context
+        code, out, _ = run_cli(capsys, "theta", "--q", "0.3", "--tol", "1e-12",
+                               "--precision-bits", "256")
+        assert code == 0
+        q, inner = Fraction(3, 10), 1e-12 / 100
+        series = limits.theta(q, inner, 256)
+        product = limits.jacobi_triple_product(q, inner, 256)
+        with mpmath.workprec(256 + 32):
+            diff = abs(series - product)
+        assert check_json(out)["difference"] == cli.render_bigfloat(diff, 256)
 
     @pytest.mark.parametrize("bits, tol", [("8", "1e-12"), ("16", "1e-15")])
     def test_tol_finer_than_precision_refused(self, capsys, bits, tol):

@@ -789,7 +789,7 @@ class TestInputChecks:
             ((REP, SHORT, 3, 3, 1), DistinctWeightsError, "distinct weights up to index 3"),
             ((SHORT, REP, 3, 3, 1), WeightRangeError, "custom table covers 1..2"),
             ((SHORT, REP, 1, 3, 1), DistinctWeightsError, "distinct weights up to index 3"),
-            ((FLOATS, SHORT, 3, 3, 1, BETA_POLES, "rational"), WeightRangeError, "covers"),
+            ((FLOATS, SHORT, 3, 3, 1, BETA_POLES), WeightRangeError, "covers"),
         ],
     )
     def test_two_color_refusals_in_order(self, args, error, message):

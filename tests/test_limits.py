@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, inf, nan
+from math import comb, inf, nan, prod
 
 import mpmath
 import pytest
@@ -24,7 +24,6 @@ from urnlab.limits import (
     limit_moment_product,
     theta,
 )
-from urnlab.numerics import FLOAT
 from urnlab.oracle import absorption_pmf
 from urnlab.weights import ParameterError, linear, square, two_color
 
@@ -57,18 +56,19 @@ class TestFixedBlacksMoment:
             assert mpf_close(viag, target, 1e-10)
 
     @pytest.mark.parametrize("m, s", [(1, 1), (7, 3), (1000, 1), (1000, 5)])
-    def test_float_mode_rounds_the_exact_product_once(self, m, s):
-        assert fixed_blacks_moment(m, s, mode=FLOAT) == float(fixed_blacks_moment(m, s))
+    def test_is_the_exact_product(self, m, s):
+        want = prod(Fraction(ell * ell, ell * ell + s) for ell in range(1, m + 1))
+        assert fixed_blacks_moment(m, s) == want
 
     def test_approaches_sinh_limit(self):
         w1 = float(limit_moment(1, SQUARE))
-        gap = abs(fixed_blacks_moment(1000, 1, mode=FLOAT) - w1)
+        gap = abs(float(fixed_blacks_moment(1000, 1)) - w1)
         assert gap < 1e-2
 
     def test_tail_gap_scales_with_order(self):
         for s in range(1, 4):
             ws = float(limit_moment(s, SQUARE))
-            gap = abs(fixed_blacks_moment(1000, s, mode=FLOAT) - ws)
+            gap = abs(float(fixed_blacks_moment(1000, s)) - ws)
             assert gap < 1e-2 * s
 
     def test_exact_finite_identity_against_oracle(self):
@@ -224,7 +224,7 @@ class TestLimitMoment:
         for s in (1, 2):
             gap = abs(
                 float(limit_moment(s, SQUARE))
-                - fixed_blacks_moment(10_000, s, mode=FLOAT)
+                - float(fixed_blacks_moment(10_000, s))
             )
             assert gap < 1e-3
 

@@ -7,9 +7,12 @@ import mpmath
 import pytest
 from mpmath.libmp import from_rational, round_nearest
 
+from urnlab import limits
+from urnlab.closedform import multi_distribution, okcorral_distribution
 from urnlab.numerics import (
     BIGFLOAT,
     FLOAT,
+    GUARD_BITS,
     RATIONAL,
     Polynomial,
     binom_general,
@@ -20,7 +23,10 @@ from urnlab.numerics import (
     pair_sum,
     stirling_first_unsigned,
     stirling_second,
+    working_precision,
 )
+from urnlab.oracle import ExactDistribution
+from urnlab.weights import UrnSpec, linear, square, triangular
 
 
 def partitions_brute(n, k):
@@ -236,3 +242,73 @@ class TestCastValue:
                 assert got == from_rational(x.numerator, x.denominator, prec, round_nearest)
             assert cast_value(x, FLOAT) == x.numerator / x.denominator
             assert cast_value(x, RATIONAL) == x
+
+
+def bigfloat_law(bits=256):
+    return okcorral_distribution(linear(1), square(), 8, 8, mode=BIGFLOAT, bits=bits)
+
+
+def bigfloat_grid_law():
+    exact = multi_distribution(UrnSpec("I", (linear(1), square(), triangular()), (3, 2, 3)))
+    return ExactDistribution.from_pairs(exact.support, exact.pairs, BIGFLOAT, 64)
+
+
+# every big-float producer, by name: each computes and rounds in
+# `working_precision`, so the ambient mpmath context changes no bit of it
+BIGFLOAT_PRODUCERS = {
+    "from_pairs": lambda: [p for _, p in bigfloat_law().items()],
+    "moment": lambda: bigfloat_law().moment(2),
+    "factorial_moment": lambda: bigfloat_law().factorial_moment(2),
+    "mean": lambda: bigfloat_law().mean(),
+    "total": lambda: bigfloat_law().total(),
+    "mixed_factorial_moment": lambda: bigfloat_grid_law().mixed_factorial_moment((2, 1)),
+    # q = 1/3 reads the direct side of each modular transform, q = 9/10 the dual
+    **{f"{route}-q{q}": lambda route=route, q=q: getattr(limits, route)(Fraction(q), 1e-20, 64)
+       for route in ("theta", "jacobi_triple_product", "euler_phi_cubed") for q in ("1/3", "9/10")},
+    **{f"limit_cdf-{family}-q{q}": lambda family=family, q=q: limits.limit_cdf(
+        Fraction(q), family, 1e-20, 64) for family in limits.FAMILIES for q in ("1/3", "9/10")},
+    **{f"limit_moment-{family}": lambda family=family: limits.limit_moment(3, family, 64)
+       for family in limits.FAMILIES},
+    **{f"limit_moment_product-{family}": lambda family=family: limits.limit_moment_product(
+        2, family, 1e-6, 64) for family in limits.FAMILIES},
+    "fixed_whites_pmf-finite-sum": lambda: limits.fixed_whites_pmf(6, 2, bits=64),
+    "fixed_whites_pmf-series": lambda: limits.fixed_whites_pmf(6, 0, "series", 1e-6, 64),
+    "fixed_whites_moment": lambda: limits.fixed_whites_moment(6, 3, 64),
+    "fixed_blacks_moment_gammaform": lambda: limits.fixed_blacks_moment_gammaform(5, 2, 64),
+}
+
+
+def mpf_bits(value):
+    return [v._mpf_ for v in value] if isinstance(value, list) else value._mpf_
+
+
+class TestWorkingPrecision:
+    def test_bits_plus_guard_bits(self, monkeypatch):
+        with working_precision(40):
+            assert mpmath.mp.prec == 40 + GUARD_BITS
+        monkeypatch.setenv("URNLAB_PRECISION_BITS", "100")
+        with working_precision():
+            assert mpmath.mp.prec == 100 + GUARD_BITS
+
+    @pytest.mark.parametrize("name", BIGFLOAT_PRODUCERS)
+    def test_ambient_precision_changes_no_bit(self, name):
+        results = []
+        for prec in (53, 2000):
+            with mpmath.workprec(prec):
+                value = BIGFLOAT_PRODUCERS[name]()
+            results.append(mpf_bits(value))
+        assert results[0] == results[1]
+
+    def test_law_moments_are_the_exact_moments_rounded_once(self, monkeypatch):
+        exact = okcorral_distribution(linear(1), square(), 8, 8)
+
+        def rounded(x, bits):
+            return from_rational(x.numerator, x.denominator, bits + GUARD_BITS, round_nearest)
+
+        assert bigfloat_law().moment(1)._mpf_ == rounded(exact.moment(1), 256)
+        # a law rounded at the environment's precision keeps it
+        monkeypatch.setenv("URNLAB_PRECISION_BITS", "64")
+        law = bigfloat_law(bits=None)
+        monkeypatch.setenv("URNLAB_PRECISION_BITS", "512")
+        assert law.bits == 64
+        assert law.factorial_moment(2)._mpf_ == rounded(exact.factorial_moment(2), 64)

@@ -325,7 +325,7 @@ class TestLimitSamplers:
     def test_bias_bound_bounds_the_square_bias(self, M, s):
         # E[truncated^s] / E[limit^s] = prod_{l > M} (1 + s/l^2), the m = M
         # fixed-blacks moment over the limit moment; exp(s psi'(M + 1)) is above it
-        bias = fixed_blacks_moment(M, s, "float") / float(limit_moment(s))
+        bias = float(fixed_blacks_moment(M, s)) / float(limit_moment(s))
         bound = truncation_bias_bound("square", M, s)
         assert 1 < bias <= bound
         assert bound == pytest.approx(float(mpmath.exp(s * mpmath.psi(1, M + 1))), rel=1e-14)

@@ -260,6 +260,16 @@ class TestSerialization:
             with pytest.raises(ValueError, match="descriptor"):
                 from_cli(text)
 
+    def test_power_exponent_is_bounded(self):
+        # j**r is exact: power:1:99999999999 would ask for a 10^11-bit weight
+        bound = weights.MAX_CLI_POWER
+        assert from_cli(f"power:1:{bound}").eval(2) == 2**bound
+        for r in (bound + 1, 99_999_999_999):
+            with pytest.raises(ValueError, match=f"r at most {bound}"):
+                from_cli(f"power:1:{r}")
+        # the library keeps only its r >= 1 rule
+        assert power(1, bound + 1).eval(2) == 2 ** (bound + 1)
+
 
 class TestUrnSpec:
     def test_two_color(self):
