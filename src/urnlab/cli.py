@@ -23,7 +23,14 @@ the same error, so every exit-2 message is `<flag>: <message>`.
 
 Every JSON payload shares one envelope (`_emit`): `command`, `params` (the
 flags the form reads, defaults included, but not --format, --decimals and
---precision-bits), `mode`, and `precision_bits` in big-float mode.
+--precision-bits), `mode`, and `precision_bits` in big-float mode.  CSV
+prints a table, or else the payload's scalars as JSON prints them.  `pmf`,
+`oracle` and `pmf-multi` print their law through one printer, `_emit_law`,
+and every printed rational or big-float goes through `_prob_renderer`.
+The cross-checks compare whole laws with `==` (same support, same
+`Fraction` at every point, same mode): `compare` takes each
+representation's `closedform.closed_vs_oracle`, and `duality-check` the
+two oracle laws.
 
 A call pays only for the imports its subcommand uses: `limits` loads in
 `limit` and `theta`, mpmath where a big-float is made or printed (big-float
@@ -199,7 +206,9 @@ def _emit(args, mode, body: dict, table=None) -> None:
         header, rows = table
         emit_plot_data(rows, header=header, stream=sys.stdout)
         return
-    rows = [(k, payload[k]) for k in sorted(payload) if not isinstance(payload[k], (dict, list))]
+    # a scalar prints as JSON prints it: a boolean as true/false
+    rows = [(k, v if isinstance(v, str) else json.dumps(v))
+            for k, v in sorted(payload.items()) if not isinstance(v, (dict, list))]
     emit_plot_data(rows, header=("key", "value"), stream=sys.stdout)
 
 
@@ -217,8 +226,14 @@ def _k_out(k):
     return list(k) if isinstance(k, tuple) else k
 
 
-def _pmf_table(entries):
-    return ("k", "p"), [(json.dumps(e["k"]), e["p"]) for e in entries]
+def _emit_law(args, dist, points=None) -> None:
+    """Print the law `dist`, or only its `points`, as one {k, p} entry per
+    point: k by `_k_out`, p by `_prob_renderer` in the law's mode."""
+    render = _prob_renderer(args, dist.mode)
+    entries = [{"k": _k_out(k), "p": render(dist[k])}
+               for k in (dist.support if points is None else points)]
+    _emit(args, dist.mode, {"pmf": entries},
+          (("k", "p"), [(json.dumps(e["k"]), e["p"]) for e in entries]))
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +249,7 @@ def _cmd_pmf(args) -> int:
         dist = closedform.two_color_distribution(
             spec, args.representation, args.mode, args.precision_bits
         )
-    render = _prob_renderer(args, dist.mode)
-    entries = dist.to_jsonable(render)
-    if args.k is not None:
-        entries = [entries[args.k]]
-    _emit(args, dist.mode, {"pmf": entries}, _pmf_table(entries))
+    _emit_law(args, dist, None if args.k is None else (args.k,))
     return EXIT_OK
 
 
@@ -249,28 +260,23 @@ def _cmd_oracle(args) -> int:
     else:
         with _reword("{}; use recurrence", "method"):
             dist = oracle.enumerate_pmf(spec)
-    render = _prob_renderer(args)
-    entries = dist.to_jsonable(render)
-    _emit(args, dist.mode, {"pmf": entries}, _pmf_table(entries))
+    _emit_law(args, dist)
     return EXIT_OK
 
 
 def _cmd_pmf_multi(args) -> int:
     spec = _spec(args, args.model)
-    render = _prob_renderer(args)
+    points = None
     if args.k is not None:
         kvec = _int_list(args.k, "k")
         weights.check_survivors("k", kvec, spec.counts[:-1])
+        points = (kvec,)
     if args.engine == "oracle":
         dist = oracle.absorption_pmf_multi(spec)
     else:
         with _reword("{}; use --engine oracle"):
             dist = closedform.multi_distribution(spec)
-    if args.k is None:
-        entries = dist.to_jsonable(render)
-    else:
-        entries = [{"k": _k_out(kvec), "p": render(dist[kvec])}]
-    _emit(args, dist.mode, {"pmf": entries}, _pmf_table(entries))
+    _emit_law(args, dist, points)
     return EXIT_OK
 
 
@@ -336,7 +342,9 @@ def _grid(text) -> list:
     start, stop, step = (_fraction(p, "grid") for p in parts)
     if step <= 0:
         raise weights.ParameterError("STEP must be positive", "grid")
-    count = max(0, (stop - start) // step + 1)
+    if stop < start:
+        raise weights.ParameterError("STOP must be at least START", "grid")
+    count = (stop - start) // step + 1
     if count > MAX_GRID_POINTS:
         raise weights.ParameterError(
             f"{count} points; a grid takes at most {MAX_GRID_POINTS}", "grid")
@@ -405,11 +413,9 @@ def _cmd_theta(args) -> int:
     product = limits.jacobi_triple_product(q, inner_tol, bits)
     with working_precision(bits):
         diff = abs(series - product)
-    _emit(args, BIGFLOAT, {
-        "value": render_bigfloat(series, bits),
-        "triple_product": render_bigfloat(product, bits),
-        "difference": render_bigfloat(diff, bits),
-    })
+    render = _prob_renderer(args, BIGFLOAT)
+    _emit(args, BIGFLOAT,
+          {"value": render(series), "triple_product": render(product), "difference": render(diff)})
     if diff > args.tol:
         raise Discrepancy("theta series and triple product disagree beyond tol")
     return EXIT_OK
@@ -419,8 +425,7 @@ def _cmd_duality(args) -> int:
     spec = _spec(args, "I")
     dual = weights.UrnSpec("II", tuple(weights.reciprocal(s) for s in spec.sequences), spec.counts)
     lhs = _oracle(args, spec)
-    rhs = _oracle(args, dual)
-    exact = all(lhs[p] == rhs[p] for p in lhs.support)
+    exact = lhs == _oracle(args, dual)
     _emit(args, lhs.mode, {"verdict": "exact match" if exact else "MISMATCH"})
     if not exact:
         raise Discrepancy("duality violated: model-I pmf differs from reciprocal model-II pmf")
@@ -458,20 +463,10 @@ def _cmd_compare(args) -> int:
     spec = _spec(args, args.model)
     config = simulate.SimConfig(spec, args.trials, args.seed, args.workers)
     with _reword("{}; use urnlab oracle"):
-        dists = {
-            rep: closedform.two_color_distribution(spec, rep)
-            for rep in (closedform.BETA_POLES, closedform.ALPHA_POLES)
-        }
-    reference = oracle.absorption_pmf(spec)
-    reps_agree = all(
-        dists[closedform.BETA_POLES][k] == dists[closedform.ALPHA_POLES][k]
-        for k in reference.support
-    )
-    max_diff = max(
-        abs(dists[rep][k] - reference[k])
-        for rep in dists
-        for k in reference.support
-    )
+        beta, reference, beta_diff = closedform.closed_vs_oracle(spec, closedform.BETA_POLES)
+        alpha, _, alpha_diff = closedform.closed_vs_oracle(spec, closedform.ALPHA_POLES)
+    reps_agree = beta == alpha
+    max_diff = max(beta_diff, alpha_diff)
     sim_report = simulate.empirical_pmf(config, reference)
     _emit(args, reference.mode, {
         "representations_agree": reps_agree,

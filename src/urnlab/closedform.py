@@ -44,8 +44,9 @@ gives every point of both models, k_j = 0 included, from that one
 contraction on the reciprocal int tables (`weights.reciprocal_table`) and
 never runs the oracle.  The paper's contested-fire display
 (`okcorral_pmf_multi`) stays a per-vector nested sum over k_j >= 1 in
-`Fraction`s (`WeightSequence.table`), in both readings of its ambiguous
-cross term, and is checked against the oracle.
+`Fraction`s, each weight read from the checked int tables as its int over
+the table's denominator (`WeightSequence.int_table`), in both readings of
+its ambiguous cross term, and is checked against the oracle.
 """
 
 from __future__ import annotations

@@ -54,7 +54,8 @@ class ExactDistribution:
     big-float law and its sums at the `bits` it keeps (`from_pairs`).
 
     Built from a dict of `Fraction`s, the pairs are their numerators and
-    denominators; the producers hand theirs over unreduced (`from_pairs`)."""
+    denominators; the producers hand theirs over unreduced (`from_pairs`).
+    Two laws are `==` when support, mode and every probability agree."""
 
     support: tuple
     probs: dict
@@ -138,12 +139,6 @@ class ExactDistribution:
 
     def mean(self):
         return self.moment(1)
-
-    def to_jsonable(self, render=str):
-        return [
-            {"k": list(k) if isinstance(k, tuple) else k, "p": render(p)}
-            for k, p in self.items()
-        ]
 
 
 def _two_color_coeffs(model, a_j, b_m):

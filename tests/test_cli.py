@@ -16,8 +16,9 @@ from test_acceptance import DETERMINISM_COMMANDS
 from test_limits import loop_terms  # noqa: F401  (a fixture)
 
 from urnlab import cli, limits
-from urnlab.oracle import absorption_pmf
-from urnlab.weights import ParameterError, check_survivors, linear, square, two_color
+from urnlab.oracle import ExactDistribution, absorption_pmf
+from urnlab.weights import (MODEL_OKCORRAL, ParameterError, check_survivors, linear, square,
+                            two_color)
 
 
 def run_cli(capsys, *argv):
@@ -402,7 +403,7 @@ class TestLimit:
         assert values[0] == 0.0
 
     @pytest.mark.parametrize("text, count", [
-        ("0:1:1/10000", 10_001), ("1/3:1:1/3", 3), ("1:0:1/4", 0), ("0:1:3/4", 2),
+        ("0:1:1/10000", 10_001), ("1/3:1:1/3", 3), ("1:1:1/4", 1), ("0:1:3/4", 2),
     ])
     def test_grid_points_counted_exactly(self, text, count):
         points = cli._grid(text)
@@ -839,6 +840,80 @@ class TestRefusalBeforeWork:
         assert len(calls) == 1
 
 
+def _swap_ends(law):
+    """The law with its first and last probabilities swapped: still a law,
+    but off the true one wherever those two differ."""
+    first, last = law.support[0], law.support[-1]
+    return ExactDistribution(law.support,
+                             {**law.probs, first: law.probs[last], last: law.probs[first]})
+
+
+class TestDiscrepancy:
+    """Each cross-check that can fail exits 3 after printing its payload:
+    one library route is made wrong, and the check must catch it."""
+
+    URN = ["--A", "linear:2", "--B", "triangular", "--n", "3", "--m", "2"]
+
+    @staticmethod
+    def mismatch(code, out, err) -> dict:
+        assert code == 3, err
+        assert err.startswith("formula discrepancy: ")
+        return check_json(out)
+
+    def test_compare_closed_off_the_oracle(self, capsys, monkeypatch):
+        real = cli.closedform.two_color_distribution
+        monkeypatch.setattr(cli.closedform, "two_color_distribution",
+                            lambda *args: _swap_ends(real(*args)))
+        payload = self.mismatch(*run_cli(capsys, "compare", *self.URN, "--trials", "1000"))
+        assert payload["representations_agree"] is True
+        assert payload["closed_equals_oracle"] is False
+        assert Fraction(payload["max_discrepancy"]) > 0
+
+    def test_compare_representations_disagree(self, capsys, monkeypatch):
+        real = cli.closedform.two_color_distribution
+
+        def law(spec, representation):
+            dist = real(spec, representation)
+            return _swap_ends(dist) if representation == cli.closedform.ALPHA_POLES else dist
+
+        monkeypatch.setattr(cli.closedform, "two_color_distribution", law)
+        payload = self.mismatch(*run_cli(capsys, "compare", *self.URN, "--trials", "1000"))
+        assert payload["representations_agree"] is False
+        assert payload["closed_equals_oracle"] is False
+
+    @pytest.mark.parametrize("route, urn", [
+        ("absorption_pmf", ["--A", "square", "--B", "linear:1", "--n", "4", "--m", "3"]),
+        ("absorption_pmf_multi", ["--weights", "linear:1;square;triangular", "--counts", "2,2,2"]),
+    ])
+    def test_duality(self, capsys, monkeypatch, route, urn):
+        real = getattr(cli.oracle, route)
+        monkeypatch.setattr(cli.oracle, route,
+                            lambda spec: _swap_ends(real(spec)) if spec.model == MODEL_OKCORRAL else real(spec))
+        payload = self.mismatch(*run_cli(capsys, "duality-check", *urn))
+        assert payload["verdict"] == "MISMATCH"
+
+    @pytest.mark.parametrize("route, argv", [
+        ("sampling_raw_moment", ["moments", "--n", "3", "--m", "2", "--s", "2"]),
+        ("mixed_factorial_moment",
+         ["moments", "--mixed", "--avec", "1,2,1", "--nvec", "2,1,2", "--svec", "1,1"]),
+        ("okcorral_raw_moment", ["okc-moments", "--n", "3", "--m", "2", "--s", "2"]),
+        ("okcorral_polynomial_moment",
+         ["okc-moments", "--n", "3", "--m", "2", "--s", "2", "--kind", "polynomial"]),
+    ])
+    def test_moment_routes(self, capsys, monkeypatch, route, argv):
+        real = getattr(cli.moments, route)
+        monkeypatch.setattr(cli.moments, route, lambda *args: real(*args) + 1)
+        closed, direct = self.mismatch(*run_cli(capsys, *argv))["reports"]
+        assert (closed["method"], direct["method"]) == ("closed-form", "direct-summation")
+        assert Fraction(closed["value"]) == Fraction(direct["value"]) + 1
+
+    def test_theta(self, capsys, monkeypatch):
+        real = limits.jacobi_triple_product
+        monkeypatch.setattr(limits, "jacobi_triple_product", lambda *args: real(*args) + 1)
+        payload = self.mismatch(*run_cli(capsys, "theta", "--q", "0.3", "--tol", "1e-12"))
+        assert mpmath.mpf(payload["difference"]) > 0.5
+
+
 class TestNearOne:
     """Points near q = 1 are answered from the dual side of the modular
     transform in a few terms: `theta --q 999999/1000000` once ran 48 s of
@@ -1172,6 +1247,34 @@ class TestEmitPlotData:
         assert cli.render_decimal(Fraction(2, 3), 4) == "0.6667"
         assert cli.render_decimal(Fraction(-1, 8), 3) == "-0.125"
         assert cli.render_decimal(Fraction(5), 0) == "5"
+
+    def test_csv_scalars_print_as_json_does(self, capsys):
+        argv = ["compare", "--A", "linear:1", "--B", "square", "--n", "3", "--m", "2",
+                "--trials", "1000"]
+        _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        lines = out.splitlines()
+        assert lines[0] == "key,value"
+        assert "closed_equals_oracle,true" in lines and "representations_agree,true" in lines
+        rows = dict(line.split(",", 1) for line in lines[1:])
+        _, out, _ = run_cli(capsys, *argv)
+        payload = check_json(out)
+        assert rows == {k: v if isinstance(v, str) else json.dumps(v)
+                        for k, v in payload.items() if not isinstance(v, (dict, list))}
+        assert rows["trials"] == "1000" and rows["chi_square"] == repr(payload["chi_square"])
+
+
+def test_schema_declares_the_printed_keys(capsys):
+    """The schema's top-level properties are exactly the keys some payload
+    prints: every subcommand, big-float `pmf`, the `okc-moments` polynomial
+    and a `w-cdf` grid."""
+    printed = set()
+    for argv in [*DETERMINISM_COMMANDS, [*DETERMINISM_COMMANDS[0], "--mode", "bigfloat"],
+                 ["okc-moments", "--n", "3", "--m", "2", "--kind", "polynomial"],
+                 ["limit", "--law", "w-cdf", "--grid", "0:1:1/4"]]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        printed |= check_json(out).keys()
+    assert printed == set(SCHEMA["properties"])
 
 
 def parser_actions(command):
