@@ -130,10 +130,10 @@ def fixed_blacks_moment(m: int, s: int) -> Fraction:
     product of b/(b + s) over the square weights b = ell^2, ell <= m, in
     blocks of exact integer factors."""
     m, s = check_count("m", m, 1), check_order("s", s, 1)
-    acc = Fraction(1)
-    for num, den in clock_product_blocks(FAMILIES[SQUARE].int_table(m), s):
-        acc *= Fraction(num, den)
-    return acc
+    num = den = 1
+    for p, q in clock_product_blocks(FAMILIES[SQUARE].int_table(m), s):
+        num, den = num * p, den * q
+    return Fraction(num, den)
 
 
 def fixed_blacks_moment_gammaform(m: int, s: int, bits=None):

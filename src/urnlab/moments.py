@@ -1,17 +1,20 @@
 """Factorial, raw, and mixed moments for the linear-weight urns.
 
-The sampling moments are falling factorials times one exponential-clock
-product (`numerics.clock_product_blocks`).  The contested-fire moments run
-through the polynomial pair (f_n, g_n) of Puyhaubert's construction, n!
-times the z^n coefficients of two generating functions F and G, together
-with Ramanujan's Q-function.  F and G solve the first-order ODEs
-F' = u (1 - e^-z) F and G' = u (1 - e^-z) G + u e^-z, so f_{n+1} and
-g_{n+1} follow from the earlier ones by an integer recurrence (see the
-comment block above `_bump_caches`).  The polynomial M_s whose expectation
+The sampling moments are int falling factorials times one exponential-clock
+product (`numerics.clock_product_blocks`), folded into one `Fraction`.  The
+contested-fire moments run through the polynomial pair (f_n, g_n) of
+Puyhaubert's construction, n! times the z^n coefficients of two generating
+functions F and G, together with Ramanujan's Q-function.  F and G solve
+the first-order ODEs F' = u (1 - e^-z) F and G' = u (1 - e^-z) G + u e^-z,
+so f_{n+1} and g_{n+1} follow from the earlier ones by an integer
+recurrence (see the comment block above `_bump_caches`).  The polynomial M_s whose expectation
 has the single-binomial display is s! 2^s S(X+s, X), S the Stirling
 numbers of the second kind: the closed-form solution of the linear system
-in f_n and g_n that defines it (see `moment_polynomial`).  Everything is
-exact, no floating point anywhere.  A block size, count or order that is
+in f_n and g_n that defines it (see `moment_polynomial`).  The
+contested-fire displays add int pairs (`numerics.pair_sum`): f_{s+1} and
+g_{s+1} at ell by Horner's rule on the int caches, Q(ell) as its int pair
+(`numerics.ramanujan_q_pair`), and one `Fraction` at the end.  Everything
+is exact, no floating point anywhere.  A block size, count or order that is
 not an integer (`weights.check_integer`: a float or `Fraction` is refused,
 a numpy integer is taken as an int), a block size below 1, a negative
 count, fewer than two colors or an order below its least value raises
@@ -22,14 +25,15 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 
 from .numerics import (
     Polynomial,
     binom_general,
     clock_product_blocks,
-    falling_factorial,
+    pair_sum,
     ramanujan_q,
+    ramanujan_q_pair,
     stirling_first_unsigned,
     stirling_second,
 )
@@ -81,12 +85,11 @@ def mixed_factorial_moment(avec, nvec, svec) -> Fraction:
     svec = tuple(svec)
     check_length("svec", svec, len(avec), "order", but_last=True)
     svec = tuple(check_order("svec", s, 0, color) for color, s in enumerate(svec))
-    num = Fraction(1)
-    for n_j, s_j in zip(nvec, svec):
-        num *= falling_factorial(n_j, s_j)
+    num, den = prod(map(perm, nvec, svec)), 1
     x = sum(a * s for a, s in zip(avec, svec))
-    blocks = clock_product_blocks(linear(avec[-1]).int_table(nvec[-1]), x)
-    return num * prod(Fraction(p, q) for p, q in blocks)
+    for p, q in clock_product_blocks(linear(avec[-1]).int_table(nvec[-1]), x):
+        num, den = num * p, den * q
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +183,22 @@ def puyhaubert_sum_identity(ell: int, s: int):
 # ---------------------------------------------------------------------------
 
 
-def _okcorral_weight(b, c, n, m, ell):
-    """The alternating binomial weight shared by the raw-moment sum and the
-    polynomial-moment sum (without the power of ell)."""
-    sign = 1 if (n - ell) % 2 == 0 else -1
-    return (
-        sign
-        * binom_general(n + m, n - ell)
-        * binom_general(m + ell, ell)
-        / binom_general(Fraction(m) + Fraction(c * ell, b), m)
-    )
+def _okcorral_weight(b, c, n, m, ell, single=False):
+    """The alternating weight (-1)^(n-ell) C / C(m + c ell / b, m) of the
+    contested-fire displays (without the power of ell), C the paired
+    binomials C(n+m, n-ell) C(m+ell, ell), or C(n, ell) when `single`, as
+    the int pair ((-1)^(n-ell) C, prod_{i<m} (b (m - i) + c ell)): the
+    weight over b^m m!, a factor each display takes into its scale."""
+    top = comb(n, ell) if single else comb(n + m, n - ell) * comb(m + ell, ell)
+    return (-1) ** (n - ell) * top, prod(b * (m - i) + c * ell for i in range(m))
+
+
+def _horner(coeffs, x):
+    """The int polynomial with ascending coefficients `coeffs` at the int x."""
+    acc = 0
+    for a in reversed(coeffs):
+        acc = acc * x + a
+    return acc
 
 
 def _check_okcorral(b, c, n, m) -> tuple:
@@ -214,17 +223,15 @@ def _okcorral_raw_sum(b, c, n, m, s, shift) -> Fraction:
                 "the raw moment needs at least one ball of each color", param
             )
     s = check_order("s", s, 1)
-    scale = Fraction(c, b) ** m / factorial(n + m)
-    f, g = puyhaubert_f(s + 1), puyhaubert_g(s + 1)
-    total = Fraction(0)
+    f, g = _f_cache[_ensure_order(s + 1)], _g_cache[s + 1]
+    terms = []
     for ell in range(1, n + 1):  # ell = 0 contributes 0 through ell^(m+n-1)
-        bracket = f(Fraction(ell)) * ramanujan_q(ell) + g(Fraction(ell))
-        total += (
-            _okcorral_weight(b, c, n, m, ell)
-            * Fraction(ell) ** (m + n - 1 + shift)
-            * bracket
-        )
-    return scale * total
+        q, q_den = ramanujan_q_pair(ell)
+        num, den = _okcorral_weight(b, c, n, m, ell)
+        bracket = _horner(f, ell) * q + _horner(g, ell) * q_den
+        terms.append((num * ell ** (m + n - 1 + shift) * bracket, den * q_den))
+    num, den = pair_sum(terms)
+    return Fraction(c**m * factorial(m) * num, factorial(n + m) * den)
 
 
 PAIRED_BINOMIALS = "paired-binomials"  # (n+m)!-normalized display
@@ -235,23 +242,16 @@ def okcorral_polynomial_moment(b, c, n, m, s, form=PAIRED_BINOMIALS) -> Fraction
     """E(M_s(survivors/c)) by either of the two equivalent displays."""
     b, c, n, m = _check_okcorral(b, c, n, m)
     s = check_order("s", s, 1)
-    scale = factorial(s) * 2**s * Fraction(c, b) ** m
-    total = Fraction(0)
-    if form == PAIRED_BINOMIALS:
-        for ell in range(1, n + 1):
-            total += _okcorral_weight(b, c, n, m, ell) * Fraction(ell) ** (m + n + s)
-        return scale / factorial(n + m) * total
-    if form != SINGLE_BINOMIAL:
+    if form not in (PAIRED_BINOMIALS, SINGLE_BINOMIAL):
         raise ParameterError(f"unknown form {form!r}", "form")
+    single = form == SINGLE_BINOMIAL
+    terms = []
     for ell in range(1, n + 1):
-        sign = 1 if (n - ell) % 2 == 0 else -1
-        total += (
-            sign
-            * binom_general(n, ell)
-            / binom_general(Fraction(m) + Fraction(c * ell, b), m)
-            * Fraction(ell) ** (m + n + s)
-        )
-    return scale / (factorial(n) * factorial(m)) * total
+        num, den = _okcorral_weight(b, c, n, m, ell, single)
+        terms.append((num * ell ** (m + n + s), den))
+    num, den = pair_sum(terms)
+    norm = factorial(n) if single else factorial(n + m) // factorial(m)
+    return Fraction(factorial(s) * 2**s * c**m * num, norm * den)
 
 
 def moment_polynomial(s: int) -> Polynomial:

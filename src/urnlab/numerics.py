@@ -4,10 +4,11 @@ Every weight is an exact rational, and every finite law is computed
 exactly.  The closed forms and the recurrence oracle run in integer
 arithmetic over the weights' int tables (`WeightSequence.int_table`) and
 give each probability as an unreduced int pair (num, den), which
-`pair_sum` adds; the corollary displays sum `Fraction`s.  A result is
-then given in one of three output modes: the exact rational
-(`fractions.Fraction`), a big-float (`mpmath.mpf` at a configurable bit
-precision) or a machine float, each exact pair rounded once (`cast_pair`).
+`pair_sum` adds, as do the contested-fire moment displays; the Pólya
+corollary displays sum `Fraction`s.  A result is then given in one of
+three output modes: the exact rational (`fractions.Fraction`), a
+big-float (`mpmath.mpf` at a configurable bit precision) or a machine
+float, each exact pair rounded once (`cast_pair`).
 Every big-float is computed and rounded in one context,
 `working_precision(bits)`, at `bits` (default `precision_bits()`) plus
 GUARD_BITS; the transcendental limit laws compute in big-floats throughout.
@@ -30,7 +31,7 @@ import operator
 import os
 import threading
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, perm
 
 from .weights import ParameterError, check_integer
 
@@ -197,12 +198,12 @@ def ramanujan_q(n: int) -> Fraction:
     n = check_integer("n", n)
     if n < 1:
         raise ParameterError("n must be positive", "n")
-    total = Fraction(0)
-    term = Fraction(1)
-    for i in range(n + 1):
-        total += term
-        term = term * (n - i) / n
-    return total
+    return Fraction(*ramanujan_q_pair(n))
+
+
+def ramanujan_q_pair(n: int) -> tuple:
+    """Q(n) of an int n >= 1 as the int pair (sum_i perm(n, i) n^(n-i), n^n)."""
+    return sum(perm(n, i) * n ** (n - i) for i in range(n + 1)), n**n
 
 
 def compensated_sum(terms):

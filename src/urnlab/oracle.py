@@ -7,14 +7,14 @@ over every start at once (`absorption_pmf_lattice`), and exhaustive path
 enumeration on tiny instances (`enumerate_pmf`).  Each route reads the
 weights as int tables (`WeightSequence.int_table`, ints over their least
 denominator) scaled to one common factor (`weights.integer_tables`),
-which leaves the law unchanged.  The lattice computes in `Fraction`s, its
-step coefficients a / (a + b) from those ints, and is the independent
-route the others are checked against; forward reach and enumeration stay
-in ints and hand each outcome's probability to `ExactDistribution` as an
-int pair.  Forward reach keeps each layer over one common denominator and
-reduces each state's mass by its own small drawing sum, a fast gcd, rather
-than the whole layer by one gcd over every big numerator; its law ends
-over the last layer's denominator.
+which leaves the law unchanged.  The lattice, the independent route the
+others are checked against, holds each cell as int numerators over one
+int denominator, reduced once per cell, and gives its rows as `Fraction`s;
+forward reach and enumeration hand each outcome's probability to
+`ExactDistribution` as an int pair.  Forward reach keeps each layer over
+one common denominator and reduces each state's mass by its own small
+drawing sum, a fast gcd, rather than the whole layer by one gcd over every
+big numerator; its law ends over the last layer's denominator.
 """
 
 from __future__ import annotations
@@ -141,15 +141,6 @@ class ExactDistribution:
         return self.moment(1)
 
 
-def _two_color_coeffs(model, a_j, b_m):
-    """The step probabilities (first color drawn, second color drawn) at
-    scaled int weights a_j, b_m."""
-    den = a_j + b_m
-    if model == MODEL_SAMPLING:
-        return Fraction(a_j, den), Fraction(b_m, den)
-    return Fraction(b_m, den), Fraction(a_j, den)
-
-
 def absorption_pmf_lattice(spec: UrnSpec) -> list:
     """DP fill of the whole (n+1) x (m+1) lattice for a two-color spec.
 
@@ -157,34 +148,39 @@ def absorption_pmf_lattice(spec: UrnSpec) -> list:
     k = 0..n, so one fill serves every smaller instance of the same weights.
     Every row is kept: (m+1) x (n+1) cells of (n+1)-vectors.  For one start,
     `absorption_pmf` is cheaper.
+
+    Cell (j, m') is int numerators over k <= j and one int denominator:
+    (p_w L/d_w white + p_b L/d_b black) / (L (a_j + b_m')), p_w and p_b the
+    scaled weights that draw the first and the second color, L = lcm(d_w,
+    d_b), reduced once by its gcd.  The rows become `Fraction`s at the end.
     """
     if not spec.is_two_color:
         raise ParameterError("two-color spec required", "spec")
     n, m = spec.counts
     alpha, beta = integer_tables(spec.A.int_table(n), spec.B.int_table(m))
-
-    def unit(k):
-        row = [Fraction(0)] * (n + 1)
-        row[k] = Fraction(1)
-        return tuple(row)
-
-    rows = [[unit(j) for j in range(n + 1)]]  # m' = 0: all whites survive
-    prev = rows[0]
+    prev = [([0] * j + [1], 1) for j in range(n + 1)]  # m' = 0: all whites survive
+    cells = [prev]
     for mp in range(1, m + 1):
-        cur = [unit(0)]  # n' = 0: whites already gone
+        cur = [([1], 1)]  # n' = 0: whites already gone
         for j in range(1, n + 1):
-            pw, pb = _two_color_coeffs(spec.model, alpha[j], beta[mp])
-            after_white = cur[j - 1]
-            after_black = prev[j]
-            cur.append(
-                tuple(
-                    pw * after_white[k] + pb * after_black[k]
-                    for k in range(n + 1)
-                )
-            )
-        rows.append(cur)
+            (white, d_w), (black, d_b) = cur[j - 1], prev[j]
+            a, b = alpha[j], beta[mp]
+            p_w, p_b = (a, b) if spec.model == MODEL_SAMPLING else (b, a)
+            L = lcm(d_w, d_b)
+            p_w, p_b = p_w * (L // d_w), p_b * (L // d_b)
+            nums = [p_w * x for x in white] + [0]
+            for k, x in enumerate(black):
+                nums[k] += p_b * x
+            den = L * (a + b)
+            g = gcd(den, *nums)
+            cur.append(([x // g for x in nums], den // g))
+        cells.append(cur)
         prev = cur
-    return rows
+    pad = [(Fraction(0),) * (n - j) for j in range(n + 1)]
+    return [
+        [tuple(Fraction(x, den) for x in nums) + pad[j] for j, (nums, den) in enumerate(row)]
+        for row in cells
+    ]
 
 
 def _drawing_weights(model, tables, state):

@@ -23,7 +23,13 @@ from urnlab.moments import (
     sampling_factorial_moment,
     sampling_raw_moment,
 )
-from urnlab.numerics import Polynomial, binom_general, falling_factorial, stirling_second
+from urnlab.numerics import (
+    Polynomial,
+    binom_general,
+    falling_factorial,
+    ramanujan_q,
+    stirling_second,
+)
 from urnlab.oracle import absorption_pmf, absorption_pmf_multi
 from urnlab.weights import UrnSpec, linear, two_color
 
@@ -102,6 +108,7 @@ class TestMixedMoments:
     )))
     @example(((1, 2), (3, 0), (2,)))
     @example(((3, 1, 2, 4), (2, 5, 1, 0), (1, 4, 0)))
+    @example(((2, 1, 3), (4, 3, 130), (2, 1)))  # a last color of three clock blocks
     def test_clock_product_is_the_generalized_binomial(self, urn):
         # 1 / C(n + x/a, n) = prod_{l <= n} a l / (a l + x), n = 0 included:
         # the route the clock product replaced
@@ -272,6 +279,77 @@ class TestOkcorralMoments:
 
     def test_e_m1_example(self):
         assert okcorral_polynomial_moment(1, 1, 1, 1, 1) == 1
+
+
+def fraction_q(n):
+    """Ramanujan's Q(n) stated in `Fraction`s, one term per step."""
+    total, term = Fraction(0), Fraction(1)
+    for i in range(n + 1):
+        total += term
+        term = term * (n - i) / n
+    return total
+
+
+def fraction_weight(b, c, n, m, ell, binomials):
+    """(-1)^(n-ell) binomials / C(m + c ell / b, m) in `Fraction`s."""
+    return (-1) ** (n - ell) * binomials / binom_general(m + Fraction(c * ell, b), m)
+
+
+def fraction_raw_display(b, c, n, m, s, shift):
+    """The raw-moment display, ell to the power m+n-1+shift, in `Fraction`s."""
+    f, g = puyhaubert_f(s + 1), puyhaubert_g(s + 1)
+    total = sum(
+        fraction_weight(b, c, n, m, ell, comb(n + m, n - ell) * comb(m + ell, ell))
+        * Fraction(ell) ** (m + n - 1 + shift)
+        * (f(ell) * fraction_q(ell) + g(ell))
+        for ell in range(1, n + 1)
+    )
+    return Fraction(c, b) ** m / factorial(n + m) * total
+
+
+def fraction_polynomial_display(b, c, n, m, s, form):
+    """Both displays of E(M_s(survivors/c)) in `Fraction`s."""
+    paired = form == PAIRED_BINOMIALS
+    total = sum(
+        fraction_weight(
+            b, c, n, m, ell, comb(n + m, n - ell) * comb(m + ell, ell) if paired else comb(n, ell)
+        )
+        * Fraction(ell) ** (m + n + s)
+        for ell in range(1, n + 1)
+    )
+    norm = factorial(n + m) if paired else factorial(n) * factorial(m)
+    return factorial(s) * 2**s * Fraction(c, b) ** m / norm * total
+
+
+class TestContestedFireIntPairs:
+    """The contested-fire displays sum int pairs; each must be its
+    `Fraction` statement exactly, at b, c in 1..3, n, m in 0..8, s in 1..4."""
+
+    @pytest.mark.parametrize("b, c", list(product(range(1, 4), repeat=2)))
+    def test_displays_equal_fraction_statements(self, b, c):
+        for n, m, s in product(range(9), range(9), range(1, 5)):
+            for form in (PAIRED_BINOMIALS, SINGLE_BINOMIAL):
+                got = okcorral_polynomial_moment(b, c, n, m, s, form)
+                assert got == fraction_polynomial_display(b, c, n, m, s, form), (n, m, s, form)
+            if n and m:  # the raw display needs a ball of each color
+                assert okcorral_raw_moment(b, c, n, m, s) == fraction_raw_display(
+                    b, c, n, m, s, 0
+                ), (n, m, s)
+                assert moments._okcorral_raw_sum(b, c, n, m, s, 1) == fraction_raw_display(
+                    b, c, n, m, s, 1
+                ), (n, m, s)
+
+    def test_ramanujan_q_equals_fraction_statement(self):
+        for n in range(1, 51):
+            q = ramanujan_q(n)
+            assert type(q) is Fraction and q == fraction_q(n), n
+
+    @pytest.mark.parametrize("b, c", list(product(range(1, 4), repeat=2)))
+    def test_exponent_report_on_the_grid(self, b, c):
+        # at n = 1 only ell = 1 appears, and 1 to any power is 1, so the
+        # shifted exponent reads the same sum there
+        for n, m, s in product(range(1, 9), range(1, 9), range(1, 5)):
+            assert corollary_exponent_report(b, c, n, m, s) == (True, n == 1), (n, m, s)
 
 
 class TestMomentReport:

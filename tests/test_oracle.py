@@ -305,6 +305,52 @@ class TestLayerDenominator:
         assert absorption_pmf_multi(spec).probs == multi_distribution(spec).probs
 
 
+# a custom table given as exact fractions
+FRACTION_TABLE = custom([Fraction(j * j + 1, j + 2) for j in range(1, 13)])
+LATTICE_FAMILIES = [linear(1), power(1, 3), square(), triangular(), shifted_square()]
+LATTICE_FAMILIES += [reciprocal(seq) for seq in LATTICE_FAMILIES] + [FLOAT_TABLE, FRACTION_TABLE]
+LATTICE_IDS = ["linear", "power", "square", "triangular", "shifted-square"]
+LATTICE_IDS += [f"1/{name}" for name in LATTICE_IDS] + ["float-custom", "fraction-custom"]
+
+
+def fraction_lattice(model, A, B, n, m):
+    """The backward lattice stated in `Fraction`s, one reducing operation
+    per step: cell (j, m') is p_w cell (j-1, m') + p_b cell (j, m-1), p_w
+    the chance the step draws the first color, a_j / (a_j + b_m') in model I
+    and b_m' / (a_j + b_m') in model II."""
+    a, b = A.table(n), B.table(m)
+
+    def unit(k):
+        return tuple(Fraction(int(i == k)) for i in range(n + 1))
+
+    rows = [[unit(j) for j in range(n + 1)]]
+    for mp in range(1, m + 1):
+        cur = [unit(0)]
+        for j in range(1, n + 1):
+            p_w = (a[j] if model == "I" else b[mp]) / (a[j] + b[mp])
+            cur.append(tuple(p_w * w + (1 - p_w) * k for w, k in zip(cur[j - 1], rows[-1][j])))
+        rows.append(cur)
+    return rows
+
+
+class TestLatticeIntCells:
+    """The lattice holds its cells in ints and gives `Fraction` rows; every
+    row must be the `Fraction` recurrence's, entry by entry and in type.
+    The 8 x 8 fill holds every start (n, m) in 0..8; each smaller fill, with
+    its own sizes of table and row, is checked against one partner B."""
+
+    @pytest.mark.parametrize("model", ["I", "II"])
+    @pytest.mark.parametrize("A", LATTICE_FAMILIES, ids=LATTICE_IDS)
+    def test_equals_fraction_recurrence(self, model, A):
+        partner = LATTICE_FAMILIES[(LATTICE_FAMILIES.index(A) + 1) % len(LATTICE_FAMILIES)]
+        for B in LATTICE_FAMILIES:
+            want = fraction_lattice(model, A, B, 8, 8)
+            for n, m in product(range(9), repeat=2) if B is partner else [(8, 8)]:
+                rows = absorption_pmf_lattice(two_color(model, A, B, n, m))
+                assert rows == [[cell[: n + 1] for cell in row[: n + 1]] for row in want[: m + 1]]
+                assert all(type(p) is Fraction for row in rows for cell in row for p in cell)
+
+
 class TestExactDistribution:
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError):
