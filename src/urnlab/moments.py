@@ -37,6 +37,7 @@ from .numerics import (
     stirling_first_unsigned,
     stirling_second,
 )
+from .oracle import absorption_pmf
 from .weights import (
     ParameterError,
     check_block_size,
@@ -46,6 +47,7 @@ from .weights import (
     check_linear_urn,
     check_order,
     linear,
+    two_color,
 )
 
 # ---------------------------------------------------------------------------
@@ -292,14 +294,10 @@ def corollary_exponent_report(b, c, n, m, s):
     """Arbitrate the inline-typo ambiguity in the raw-moment display: the
     exponent of ell is m+n-1 as displayed (shift 0); the garbled inline form
     suggests m+n (shift +1).  Returns (matches_displayed, matches_shifted)
-    against direct pmf summation."""
-    from .closedform import polya_okcorral_pmf
-
-    s = check_order("s", s, 1)  # before 0 ** s in the direct sum
-    direct = sum(
-        Fraction(k) ** s * polya_okcorral_pmf(b, c, n, m, k)
-        for k in range(check_integer("n", n) + 1)
-    )
+    against the direct sum sum_k k^s P{k} over the oracle's law of the
+    contested-fire urn, as CLI `okc-moments` checks it."""
+    s = check_order("s", s, 1)  # the order is refused before the counts
     displayed = okcorral_raw_moment(b, c, n, m, s)
     shifted = _okcorral_raw_sum(b, c, n, m, s, 1)
+    direct = absorption_pmf(two_color("II", linear(c), linear(b), n, m)).moment(s)
     return displayed == direct, shifted == direct

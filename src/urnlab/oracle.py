@@ -11,10 +11,14 @@ which leaves the law unchanged.  The lattice, the independent route the
 others are checked against, holds each cell as int numerators over one
 int denominator, reduced once per cell, and gives its rows as `Fraction`s;
 forward reach and enumeration hand each outcome's probability to
-`ExactDistribution` as an int pair.  Forward reach keeps each layer over
-one common denominator and reduces each state's mass by its own small
-drawing sum, a fast gcd, rather than the whole layer by one gcd over every
-big numerator; its law ends over the last layer's denominator.
+`ExactDistribution` as an int pair.  Forward reach and enumeration read
+each state as a mixed-radix int code, the last color least significant,
+and its drawing weights and drawing sum from one table per urn
+(`_coded_urn`), built by `itertools.product` over the scaled tables.
+Forward reach keeps its masses in one flat list indexed by code, each
+layer over one common denominator, and reduces each state's mass by its
+own small drawing sum, a fast gcd, rather than the whole layer by one gcd
+over every big numerator; its law ends over the last layer's denominator.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from collections import defaultdict
 from contextlib import nullcontext
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 from math import gcd, lcm, perm, prod
 
 from .numerics import BIGFLOAT, RATIONAL, cast_pair, pair_sum, precision_bits, working_precision
@@ -37,6 +41,9 @@ from .weights import (
 )
 
 ENUMERATION_LIMIT = 16
+
+# a point off a rational law's support reads this one zero (`Fraction` is immutable)
+_RATIONAL_ZERO = Fraction(0)
 
 
 def _rounding(mode, bits):
@@ -89,8 +96,7 @@ class ExactDistribution:
         return law
 
     def __getitem__(self, point):
-        zero = Fraction(0) if self.mode == RATIONAL else 0.0
-        return self.probs.get(point, zero)
+        return self.probs.get(point, _RATIONAL_ZERO if self.mode == RATIONAL else 0.0)
 
     def items(self):
         for point in self.support:
@@ -183,74 +189,90 @@ def absorption_pmf_lattice(spec: UrnSpec) -> list:
     ]
 
 
-def _drawing_weights(model, tables, state):
-    r = len(state)
-    if model == MODEL_SAMPLING:
-        return [tables[j][state[j]] for j in range(r)]
-    weights = []
-    for ell in range(r):
-        if state[ell] == 0:
-            weights.append(0)
-            continue
-        w = 1
-        for j in range(r):
-            if j != ell and state[j] > 0:
-                w = w * tables[j][state[j]]
-        weights.append(w)
-    return weights
+def _coded_urn(spec: UrnSpec) -> tuple:
+    """(weights, sums, strides) over every state of `spec`.  State s is the
+    mixed-radix int code sum_j s_j * strides[j], the last color least
+    significant (stride 1), so `product` over the scaled int tables
+    (`integer_tables`) lists the states in code order and the start is the
+    largest code.  weights[code] is the state's drawing weights and
+    sums[code] their sum: in model I each color's table entry (0 when it
+    is empty), in model II the product of the other nonempty colors'
+    entries (0 when it is empty).
 
-
-def _absorbed(state):
-    return state[-1] == 0 or all(c == 0 for c in state[:-1])
-
-
-def _outcome(state):
-    # at absorption either the last color is gone (survivors as counted)
-    # or every other color is gone (all-zero outcome)
-    if state[-1] == 0:
-        return state[:-1]
-    return (0,) * (len(state) - 1)
+    A state is absorbed when its last color is gone, code % radix == 0, or
+    every other color is, code < radix, radix = counts[-1] + 1; its
+    survivors are then code // radix, an index into `product` over the
+    other colors' ranges (0, all gone, when the last color survives)."""
+    counts = spec.counts
+    tables = integer_tables(*[seq.int_table(c) for seq, c in zip(spec.sequences, counts)])
+    if spec.model == MODEL_SAMPLING:
+        weights = list(product(*tables))
+    else:
+        # an empty color is a factor 1 of the others' weights and draws with 0
+        factors = [[1, *t[1:]] for t in tables]
+        columns = [
+            map(prod, product(*[[0] + [1] * c if j == ell else factors[j]
+                                for j, c in enumerate(counts)]))
+            for ell in range(len(counts))
+        ]
+        weights = list(zip(*columns))
+    strides = [1]
+    for c in reversed(counts[1:]):
+        strides.insert(0, strides[0] * (c + 1))
+    return weights, list(map(sum, weights)), strides
 
 
 def _forward_reach(spec: UrnSpec) -> dict:
-    """{outcome: probability} from the start `spec.counts`, for any r >= 2.
+    """{outcome: (num, den)} from the start `spec.counts`, for any r >= 2.
 
     Each draw removes one ball, so reach probabilities move down one
-    total-ball-count layer at a time and only one layer is alive.  The
-    int tables are scaled to one factor (`integer_tables`) and a layer's
-    masses are int numerators over one layer denominator D.  Each live
-    state's mass p over its drawing sum `den`, a small int, is first
-    reduced by gcd(p, den); the next layer's denominator is D * L, L the
-    lcm of the reduced sums.  D is a common denominator of the layer, not
-    always the least.  Each absorbing state's mass stays an int pair
-    (p, D), and each outcome ends as one pair over the last layer's
-    denominator, which every earlier one divides.
+    total-ball-count layer at a time.  States are int codes over one
+    drawing-weight table per urn (`_coded_urn`); the masses live in one
+    flat list indexed by code, and each layer's codes, the states with one
+    ball count, are listed once, top layer first.  A layer's masses are
+    int numerators over one layer denominator D.  Each live state's mass p
+    over its drawing sum `den`, a small int, is first reduced by gcd(p,
+    den); the next layer's denominator is D * L, L the lcm of the reduced
+    sums.  D is a common denominator of the layer, not always the least.
+    Each absorbing state's mass stays an int pair (p, D), and each outcome
+    ends as one pair over the last layer's denominator, which every earlier
+    one divides.  A state's mass is cleared once read, so only the layer
+    being pushed and the one below it hold masses.
     """
-    tables = integer_tables(*[seq.int_table(c) for seq, c in zip(spec.sequences, spec.counts)])
-    out: dict = defaultdict(list)  # outcome: [(p, D) per absorbing state]
-    layer = {spec.counts: 1}
+    counts = spec.counts
+    weights, sums, strides = _coded_urn(spec)
+    radix = counts[-1] + 1
+    level = list(map(sum, product(*[range(c + 1) for c in counts])))
+    mass = [0] * len(weights)
+    mass[-1] = 1
+    out: dict = defaultdict(list)  # outcome code: [(p, D) per absorbing state]
     D = 1
-    while layer:
-        live = []
-        for state, p in layer.items():
-            if _absorbed(state):
-                out[_outcome(state)].append((p, D))
+    by_layer = sorted(range(len(weights)), key=level.__getitem__, reverse=True)
+    for _, codes in groupby(by_layer, key=level.__getitem__):
+        live, ps, dens = [], [], []
+        for code in codes:
+            p = mass[code]
+            if not p:  # never reached
+                continue
+            mass[code] = 0
+            if code % radix == 0 or code < radix:
+                out[code // radix].append((p, D))
             else:
-                weights = _drawing_weights(spec.model, tables, state)
-                den = sum(weights)
+                den = sums[code]
                 g = gcd(p, den)
-                live.append((state, p // g, weights, den // g))
-        L = lcm(*[den for *_, den in live])
+                live.append(code)
+                ps.append(p // g)
+                dens.append(den // g)
+        L = lcm(*dens)
         D *= L
-        below: dict = defaultdict(int)
-        for state, p, weights, den in live:
+        for code, p, den in zip(live, ps, dens):
             p *= L // den
-            for ell, w in enumerate(weights):
+            for stride, w in zip(strides, weights[code]):
                 if w:
-                    below[state[:ell] + (state[ell] - 1,) + state[ell + 1 :]] += p * w
-        layer = below
+                    mass[code - stride] += p * w
+    survivors = list(product(*[range(c + 1) for c in counts[:-1]]))
     return {
-        outcome: (sum(p * (D // d) for p, d in terms), D) for outcome, terms in out.items()
+        survivors[o]: (sum(p * (D // d) for p, d in terms), D) for o, terms in out.items()
     }
 
 
@@ -284,9 +306,10 @@ def enumerate_pmf(spec: UrnSpec) -> ExactDistribution:
     """Sum weighted lattice paths by depth-first traversal.
 
     Exponential in the ball count; refused above ENUMERATION_LIMIT balls.
-    Each path carries an int numerator and denominator over the scaled
-    tables (`integer_tables`); each outcome sums its path terms once over
-    their lcm (`pair_sum`).  No state is memoised, so the walk stays independent of the
+    Each path walks the state codes of the forward reach's drawing-weight
+    table (`_coded_urn`) and carries an int numerator and denominator over
+    the scaled tables; each outcome sums its path terms once over their lcm
+    (`pair_sum`).  No state is memoised, so the walk stays independent of the
     recurrence routes, and must agree with them exactly wherever both run.
     """
     counts = spec.counts
@@ -294,19 +317,20 @@ def enumerate_pmf(spec: UrnSpec) -> ExactDistribution:
         raise ParameterError(
             f"enumerate takes at most {ENUMERATION_LIMIT} balls, got {sum(counts)}", "counts"
         )
-    tables = integer_tables(*[seq.int_table(c) for seq, c in zip(spec.sequences, counts)])
-    paths: dict = defaultdict(list)  # outcome: [(num, den) per path]
+    weights, sums, strides = _coded_urn(spec)
+    radix = counts[-1] + 1
+    paths: dict = defaultdict(list)  # outcome code: [(num, den) per path]
 
-    def walk(state, num, den):
-        if _absorbed(state):
-            paths[_outcome(state)].append((num, den))
+    def walk(code, num, den):
+        if code % radix == 0 or code < radix:
+            paths[code // radix].append((num, den))
             return
-        weights = _drawing_weights(spec.model, tables, state)
-        total = den * sum(weights)
-        for ell, w in enumerate(weights):
+        total = den * sums[code]
+        for stride, w in zip(strides, weights[code]):
             if w:
-                walk(state[:ell] + (state[ell] - 1,) + state[ell + 1 :], num * w, total)
+                walk(code - stride, num * w, total)
 
-    walk(counts, 1, 1)
-    out = {outcome: pair_sum(terms) for outcome, terms in paths.items()}
+    walk(len(weights) - 1, 1, 1)
+    survivors = list(product(*[range(c + 1) for c in counts[:-1]]))
+    out = {survivors[o]: pair_sum(terms) for o, terms in paths.items()}
     return _as_distribution(spec, out, flat=spec.is_two_color)

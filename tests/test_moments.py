@@ -350,6 +350,7 @@ class TestContestedFireIntPairs:
         # shifted exponent reads the same sum there
         for n, m, s in product(range(1, 9), range(1, 9), range(1, 5)):
             assert corollary_exponent_report(b, c, n, m, s) == (True, n == 1), (n, m, s)
+        assert corollary_exponent_report(b, c, 40, 40, 3) == (True, False)
 
 
 class TestMomentReport:

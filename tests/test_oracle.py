@@ -1,5 +1,6 @@
 import math
 import random
+from collections import defaultdict
 from fractions import Fraction
 from itertools import product
 
@@ -15,14 +16,17 @@ from urnlab.closedform import (
 )
 from urnlab.oracle import (
     ExactDistribution,
+    _forward_reach,
     absorption_pmf,
     absorption_pmf_lattice,
     absorption_pmf_multi,
     enumerate_pmf,
 )
 from urnlab.weights import (
+    MODEL_SAMPLING,
     UrnSpec,
     custom,
+    integer_tables,
     linear,
     power,
     reciprocal,
@@ -351,6 +355,99 @@ class TestLatticeIntCells:
                 assert all(type(p) is Fraction for row in rows for cell in row for p in cell)
 
 
+def reference_forward_reach(spec):
+    """Forward reach stated over a dict of state tuples, one layer alive at a
+    time, with each state's drawing weights and absorption rule spelled out
+    per state: the same arithmetic as the coded engine (the same per-state
+    gcd, layer lcm and layer denominator D), so the same (num, den) pairs."""
+    tables = integer_tables(*[seq.int_table(c) for seq, c in zip(spec.sequences, spec.counts)])
+    r = len(spec.counts)
+
+    def drawing_weights(state):
+        if spec.model == MODEL_SAMPLING:
+            return [tables[j][state[j]] for j in range(r)]
+        return [0 if state[ell] == 0 else math.prod(
+            tables[j][state[j]] for j in range(r) if j != ell and state[j] > 0)
+            for ell in range(r)]
+
+    out = defaultdict(list)
+    layer, D = {spec.counts: 1}, 1
+    while layer:
+        live = []
+        for state, p in layer.items():
+            if state[-1] == 0 or not any(state[:-1]):
+                out[state[:-1] if state[-1] == 0 else (0,) * (r - 1)].append((p, D))
+            else:
+                weights = drawing_weights(state)
+                g = math.gcd(p, sum(weights))
+                live.append((state, p // g, weights, sum(weights) // g))
+        L = math.lcm(*[den for *_, den in live])
+        D *= L
+        below = defaultdict(int)
+        for state, p, weights, den in live:
+            for ell, w in enumerate(weights):
+                if w:
+                    below[state[:ell] + (state[ell] - 1,) + state[ell + 1:]] += p * (L // den) * w
+        layer = below
+    return {k: (sum(p * (D // d) for p, d in terms), D) for k, terms in out.items()}
+
+
+# every built-in family, their reciprocals, and custom int and float tables
+REACH_FAMILIES = [linear(1), linear(Fraction(3, 2)), power(1, 3), square(), triangular(),
+                  shifted_square()]
+REACH_FAMILIES += [reciprocal(seq) for seq in REACH_FAMILIES]
+REACH_FAMILIES += [custom([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8]), FLOAT_TABLE]
+REACH_IDS = ["linear", "linear-3/2", "power", "square", "triangular", "shifted-square"]
+REACH_IDS += [f"1/{name}" for name in REACH_IDS] + ["int-custom", "float-custom"]
+
+
+def reach_tuples(r):
+    """Tuples of r families in which every family appears in every position."""
+    k = len(REACH_FAMILIES)
+    return [tuple(REACH_FAMILIES[(i + j * (j + 1)) % k] for j in range(r)) for i in range(k)]
+
+
+class TestCodedForwardReach:
+    """The forward reach over int state codes and one drawing-weight table
+    per urn gives the dict-of-tuples reach's (num, den) pairs, num and den,
+    not just the same rationals; every count may be 0, the last included."""
+
+    @pytest.mark.parametrize("model", ["I", "II"])
+    @pytest.mark.parametrize("A", REACH_FAMILIES, ids=REACH_IDS)
+    def test_two_colors_up_to_8(self, model, A):
+        partner = REACH_FAMILIES[(REACH_FAMILIES.index(A) + 1) % len(REACH_FAMILIES)]
+        for B in REACH_FAMILIES:
+            starts = product(range(9), repeat=2) if B is partner else [(8, 8), (0, 8), (8, 0)]
+            for n, m in starts:
+                spec = two_color(model, A, B, n, m)
+                assert _forward_reach(spec) == reference_forward_reach(spec), (n, m)
+
+    @pytest.mark.parametrize("model", ["I", "II"])
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_more_colors_up_to_4(self, model, r):
+        # r = 4 visits every eighth count vector per tuple, offset by tuple,
+        # so each vector meets one or two tuples
+        for i, seqs in enumerate(reach_tuples(r)):
+            for j, counts in enumerate(product(range(5), repeat=r)):
+                if r == 3 or j % 8 == i % 8:
+                    spec = UrnSpec(model, seqs, counts)
+                    assert _forward_reach(spec) == reference_forward_reach(spec), (i, counts)
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_enumeration_up_to_10_balls(self, r):
+        # every count vector of at most 10 balls (every third one at r = 4);
+        # the models and the family tuples rotate from vector to vector
+        seqs = reach_tuples(r)
+        vectors = [counts for counts in product(range(11), repeat=r) if sum(counts) <= 10]
+        for i, counts in enumerate(vectors[:: 3 if r == 4 else 1]):
+            spec = UrnSpec(("I", "II")[i % 2], seqs[i % len(seqs)], counts)
+            want = {k: Fraction(*pair) for k, pair in reference_forward_reach(spec).items()}
+            got = enumerate_pmf(spec).probs
+            if r == 2:
+                got = {(k,): p for k, p in got.items()}
+            assert got == {k: want.get(k, 0) for k in got}, spec
+
+
 class TestExactDistribution:
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError):
@@ -400,6 +497,12 @@ class TestExactDistribution:
             for mode in ("rational", "float", "bigfloat"):
                 with pytest.raises(ValueError, match="sum to"):
                     ExactDistribution.from_pairs(tuple(bad), bad, mode)
+
+    def test_a_point_off_the_support_reads_one_shared_zero(self):
+        law = absorption_pmf(two_color("I", linear(1), square(), 2, 2))
+        assert law[7] == 0 and type(law[7]) is Fraction and law[7] is law[(0, 0)]
+        rounded = sampling_distribution(linear(1), square(), 2, 2, mode="float")
+        assert rounded[7] == 0.0 and type(rounded[7]) is float
 
     def test_fraction_dict_is_held_as_its_pairs(self):
         probs = {0: Fraction(1, 3), 1: Fraction(2, 3)}

@@ -291,6 +291,8 @@ CASES += [
          id="corollary_exponent_report-n-nonint"),
     case(lambda: moments.corollary_exponent_report(1, 1, 2, 2, 1.5), "s",
          id="corollary_exponent_report-s-nonint"),
+    case(lambda: moments.corollary_exponent_report(1, 1, 2.5, 2, 1.5), "s",
+         id="corollary_exponent_report-s-before-n"),
     case(lambda: moments.puyhaubert_f(2.5), "n", id="puyhaubert_f-n-nonint"),
     case(lambda: moments.puyhaubert_g(Fraction(2)), "n", id="puyhaubert_g-n-nonint"),
     case(lambda: moments.puyhaubert_sum_identity(2.5, 1), "ell",
