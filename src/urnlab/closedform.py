@@ -16,10 +16,14 @@ weights; no weight is ever a `Fraction`, and the distinctness check
 compares those ints.  Each pole term is then an integer pair
 (num, den), and each law takes one lcm: over its poles' denominators at the
 lowest survivor row, which every higher row's denominator of the same pole
-divides.  Each pole's numerator over that lcm then steps from row k to
-k + 1 by one small int factor, such as (alpha_k + beta_ell), and in
-contested fire one exact division by the pole's weight, so a law is its
-n + 1 numerators over that one lcm, int pairs that
+divides.  In the sampling law each pole's numerator over that lcm then
+steps from row k to k + 1 by one small int factor, (alpha_k + beta_ell).
+In contested fire a pole's numerator at row k is C_ell * x_ell^(n-k) *
+prod_{h<k} (x_ell + s_h), a polynomial in the pole's weight x_ell, so the
+law sums the poles once per power of x (the power sums, by small int
+multiplications) and steps those n sums along k by one triangle of
+multiply-adds (`_pole_sums`), with no division in either loop.  A law is
+its n + 1 numerators over that one lcm, int pairs that
 `ExactDistribution.from_pairs` checks once (every numerator >= 0, the
 total exactly 1).  That exact law is the only evaluation.  Rational mode
 reduces each probability once; float and big-float modes are output
@@ -27,8 +31,8 @@ formats, each pair rounded once without a gcd (num / L, which int true
 division rounds correctly, or `mpmath.fdiv(num, L)` in one context,
 `numerics.working_precision`), so they are within half a unit in the last
 place of the exact law and cost less than rational mode.  At n = m = 80 (linear(1)
-against square, shared 2-vCPU Xeon) a law takes 19-35 ms in rational
-mode and 8-24 ms in float mode.  Every weight is exact, so the default
+against square, shared 2-vCPU Xeon) a law takes 22-31 ms in rational
+mode and 9-18 ms in float mode.  Every weight is exact, so the default
 mode is rational for every table.
 
 The r-color sampling law is an (r-1)-fold nested sum over pole vectors
@@ -56,6 +60,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import product, starmap
 from math import factorial, lcm, prod
+from operator import mul
 
 from .numerics import binom_general, compensated_sum, exact_operand
 from .oracle import ExactDistribution, absorption_pmf, absorption_pmf_multi
@@ -233,41 +238,53 @@ def okcorral_distribution(
 
 def _okcorral_law(alpha, beta, n, m, representation) -> list:
     """The exact contested-fire law [P{k}] from the int tables, as (num,
-    den) pairs over one denominator."""
+    den) pairs over one denominator L, every row from the poles' power
+    sums (`_pole_sums`, C_ell = (L / den_ell) * x_ell^(m-1)).  The weights
+    are distinct (`_table`), so `w != b` and `w != a` skip only the pole's
+    own factor."""
     alphas, betas = alpha[1 : n + 1], beta[1 : m + 1]
     if representation == BETA_POLES:
         # pole ell at row k >= 1: beta_ell^(m-1+n-k) / (prod_{h != ell}
-        # (beta_ell - beta_h) * prod_{h >= k} (beta_ell + alpha_h))
+        # (beta_ell - beta_h) * prod_{h >= k} (beta_ell + alpha_h)), so
+        # s_h = alpha_h; P{0} = sum_ell C_ell * beta_ell^n / L
         units, common = _over_one_lcm(
-            [b ** (m + n - 2) for b in betas],
-            [
-                prod(b - w for h, w in enumerate(betas) if h != ell)
-                * prod(b + a for a in alphas)
-                for ell, b in enumerate(betas)
-            ],
+            [b ** (m - 1) for b in betas],
+            [prod(b - w for w in betas if w != b) * prod(b + a for a in alphas) for b in betas],
         )
-        law = [(sum(u * b for u, b in zip(units, betas)), common)]
-        for k in range(1, n + 1):
-            law.append((alpha[k] * sum(units), common))
-            if k < n:  # each power still holds a factor beta_ell
-                units = [u // b * (b + alpha[k]) for u, b in zip(units, betas)]
-        return law
-    # pole j >= k at row k: alpha_j^(m+n-k-1) / (prod_h (alpha_j + beta_h)
-    # * prod_{ell >= k, ell != j} (alpha_j - alpha_ell)); units holds the
-    # poles j = k..n
-    units, common = _over_one_lcm(
-        [a ** (m + n - 2) for a in alphas],
-        [
-            prod(a + b for b in betas) * prod(a - w for i, w in enumerate(alphas) if i != j)
-            for j, a in enumerate(alphas)
-        ],
-    )
-    # the k=0 display sums the same poles and subtracts from 1
-    law = [(common - sum(u * a for u, a in zip(units, alphas)), common)]
-    for k in range(1, n + 1):
-        law.append((alpha[k] * sum(units), common))
-        units = [u // a * (a - alpha[k]) for u, a in zip(units[1:], alphas[k:])]
-    return law
+        first, rows = _pole_sums(units, betas, alpha[1:n], n)
+    else:
+        # pole j >= k at row k: alpha_j^(m+n-k-1) / (prod_h (alpha_j + beta_h)
+        # * prod_{ell >= k, ell != j} (alpha_j - alpha_ell)), so s_h =
+        # -alpha_h, and a pole j < k drops out by its factor (alpha_j -
+        # alpha_j) = 0; the k=0 display sums the same poles from 1
+        units, common = _over_one_lcm(
+            [a ** (m - 1) for a in alphas],
+            [prod(a + b for b in betas) * prod(a - w for w in alphas if w != a) for a in alphas],
+        )
+        top, rows = _pole_sums(units, alphas, [-a for a in alpha[1:n]], n)
+        first = common - top
+    return [(first, common)] + [(a * row, common) for a, row in zip(alphas, rows)]
+
+
+def _pole_sums(units, xs, shifts, n) -> tuple:
+    """(M_n, [S(1), ..., S(n)]) for poles C = `units` at x = `xs`: the
+    power sums M_i = sum_ell C_ell * x_ell^i, and S(k) = sum_ell C_ell *
+    x_ell^(n-k) * prod_{h<k} (x_ell + s_h), s = `shifts` (s_1..s_(n-1)).
+
+    S(1) = M_(n-1).  V_i holds sum_ell C_ell * x_ell^(i-k) * prod_{h<=k}
+    (x_ell + s_h) after step k, so step k adds s_k * V_(i-1) to V_i for i
+    from n-1 down to k, and S(k+1) = V_(n-1): n(n-1)/2 multiply-adds by
+    small ints, and no division."""
+    sums = []
+    for _ in range(n):
+        sums.append(sum(units))
+        units = list(map(mul, units, xs))
+    rows = [sums[-1]]
+    for k, s in enumerate(shifts, 1):
+        for i in range(n - 1, k - 1, -1):
+            sums[i] += s * sums[i - 1]
+        rows.append(sums[-1])
+    return sum(units), rows
 
 
 # ---------------------------------------------------------------------------

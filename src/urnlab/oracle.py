@@ -17,8 +17,9 @@ and its drawing weights and drawing sum from one table per urn
 (`_coded_urn`), built by `itertools.product` over the scaled tables.
 Forward reach keeps its masses in one flat list indexed by code, each
 layer over one common denominator, and reduces each state's mass by its
-own small drawing sum, a fast gcd, rather than the whole layer by one gcd
-over every big numerator; its law ends over the last layer's denominator.
+gcd with its own small drawing sum, rather than the whole layer by one gcd
+over every big numerator, with one divmod per state by that sum; its law
+ends over the last layer's denominator.
 """
 
 from __future__ import annotations
@@ -231,15 +232,22 @@ def _forward_reach(spec: UrnSpec) -> dict:
     flat list indexed by code, and each layer's codes, the states with one
     ball count, are listed once, top layer first.  A layer's masses are
     int numerators over one layer denominator D.  Each live state's mass p
-    over its drawing sum `den`, a small int, is first reduced by gcd(p,
-    den); the next layer's denominator is D * L, L the lcm of the reduced
-    sums.  D is a common denominator of the layer, not always the least.
-    Each absorbing state's mass stays an int pair (p, D), and each outcome
-    ends as one pair over the last layer's denominator, which every earlier
-    one divides.  A state's mass is cleared once read, so only the layer
-    being pushed and the one below it hold masses.
+    over its drawing sum `den`, a small int, is split once, p = q * den +
+    r, and reduced by g = gcd(r, den), which is gcd(p, den); the next
+    layer's denominator is D * L, L the lcm of the reduced sums den / g,
+    and the state pushes (p / g) * (L / (den / g)) = q * L + (r / g) * (L
+    / (den / g)), so one division by a small int per state touches the
+    big numerator.  D is a common denominator of the layer, not always
+    the least.  Each absorbing state's mass stays an int pair (p, D), and
+    each outcome ends as one pair over the last layer's denominator, which
+    every earlier one divides.  A state's mass is cleared once read, so
+    only the layer being pushed and the one below it hold masses.  A start
+    that is already absorbed (an empty last color, or every other color
+    empty) is its own outcome with probability 1, and builds no table.
     """
     counts = spec.counts
+    if counts[-1] == 0 or not any(counts[:-1]):
+        return {counts[:-1]: (1, 1)}
     weights, sums, strides = _coded_urn(spec)
     radix = counts[-1] + 1
     level = list(map(sum, product(*[range(c + 1) for c in counts])))
@@ -249,7 +257,7 @@ def _forward_reach(spec: UrnSpec) -> dict:
     D = 1
     by_layer = sorted(range(len(weights)), key=level.__getitem__, reverse=True)
     for _, codes in groupby(by_layer, key=level.__getitem__):
-        live, ps, dens = [], [], []
+        live, quotients, rests, dens = [], [], [], []
         for code in codes:
             p = mass[code]
             if not p:  # never reached
@@ -259,14 +267,17 @@ def _forward_reach(spec: UrnSpec) -> dict:
                 out[code // radix].append((p, D))
             else:
                 den = sums[code]
-                g = gcd(p, den)
+                q, r = divmod(p, den)
+                g = gcd(r, den)
                 live.append(code)
-                ps.append(p // g)
+                quotients.append(q)
+                rests.append(r // g)
                 dens.append(den // g)
         L = lcm(*dens)
         D *= L
-        for code, p, den in zip(live, ps, dens):
-            p *= L // den
+        for code, q, r, den in zip(live, quotients, rests, dens):
+            # (p / g) * (L / (den / g)), p = q * den + r
+            p = q * L + r * (L // den)
             for stride, w in zip(strides, weights[code]):
                 if w:
                     mass[code - stride] += p * w

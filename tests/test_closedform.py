@@ -14,6 +14,9 @@ from urnlab.closedform import (
     READING_PRINTED,
     READING_PRODUCT,
     DistinctWeightsError,
+    _okcorral_law,
+    _over_one_lcm,
+    _table,
     closed_vs_oracle,
     multi_distribution,
     multi_okcorral_reading_report,
@@ -50,6 +53,7 @@ from urnlab.weights import (
     WeightRangeError,
     WeightSequence,
     custom,
+    integer_tables,
     linear,
     power,
     reciprocal,
@@ -233,6 +237,67 @@ CLOSED = {"I": sampling_distribution, "II": okcorral_distribution}
 def law_of(model, A, B, n, m, representation, mode=None):
     dist = CLOSED[model](A, B, n, m, representation, mode)
     return [dist[k] for k in range(n + 1)]
+
+
+def reference_okcorral_law(alpha, beta, n, m, representation):
+    """The contested-fire law's (num, den) pairs the per-row way: each
+    pole's numerator over the law's one lcm steps from row k to k + 1 by
+    one exact division by the pole's weight and one multiplication.  The
+    route the power-sum display replaced, stated here so that its pairs,
+    num and den, stay pinned."""
+    alphas, betas = alpha[1 : n + 1], beta[1 : m + 1]
+    if representation == BETA_POLES:
+        units, common = _over_one_lcm(
+            [b ** (m + n - 2) for b in betas],
+            [math.prod(b - w for h, w in enumerate(betas) if h != ell)
+             * math.prod(b + a for a in alphas) for ell, b in enumerate(betas)],
+        )
+        law = [(sum(u * b for u, b in zip(units, betas)), common)]
+        for k in range(1, n + 1):
+            law.append((alpha[k] * sum(units), common))
+            if k < n:  # each power still holds a factor beta_ell
+                units = [u // b * (b + alpha[k]) for u, b in zip(units, betas)]
+        return law
+    # units holds the poles j = k..n
+    units, common = _over_one_lcm(
+        [a ** (m + n - 2) for a in alphas],
+        [math.prod(a + b for b in betas) * math.prod(a - w for i, w in enumerate(alphas) if i != j)
+         for j, a in enumerate(alphas)],
+    )
+    law = [(common - sum(u * a for u, a in zip(units, alphas)), common)]
+    for k in range(1, n + 1):
+        law.append((alpha[k] * sum(units), common))
+        units = [u // a * (a - alpha[k]) for u, a in zip(units[1:], alphas[k:])]
+    return law
+
+
+def int_tables(A, B, n, m):
+    return integer_tables(_table(A, n, "A"), _table(B, m, "B"))
+
+
+class TestPowerSumDisplay:
+    """The contested-fire law from its poles' power sums and one triangle
+    of multiply-adds gives the per-row division route's (num, den) pairs,
+    num and den, in both representations."""
+
+    @pytest.mark.parametrize("ia", range(len(TEN_FAMILIES)))
+    def test_ten_families_squared(self, ia):
+        A = TEN_FAMILIES[ia]
+        for B in TEN_FAMILIES:
+            for n, m in SIZES:
+                alpha, beta = int_tables(A, B, n, m)
+                for rep in REPS:
+                    assert _okcorral_law(alpha, beta, n, m, rep) == reference_okcorral_law(
+                        alpha, beta, n, m, rep), (B, n, m, rep)
+
+    @pytest.mark.parametrize("A, B, n", [
+        (linear(1), square(), 60), (FLOAT_TABLE, square(), 30), (square(), FLOAT_TABLE, 30),
+    ], ids=["linear-square-60", "float-table-30", "float-table-as-B-30"])
+    def test_large(self, A, B, n):
+        alpha, beta = int_tables(A, B, n, n)
+        for rep in REPS:
+            assert _okcorral_law(alpha, beta, n, n, rep) == reference_okcorral_law(
+                alpha, beta, n, n, rep), rep
 
 
 class TestIntegerScaledLaw:

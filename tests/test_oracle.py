@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from urnlab import oracle
 from urnlab.closedform import (
     ALPHA_POLES,
     BETA_POLES,
@@ -432,6 +433,22 @@ class TestCodedForwardReach:
                 if r == 3 or j % 8 == i % 8:
                     spec = UrnSpec(model, seqs, counts)
                     assert _forward_reach(spec) == reference_forward_reach(spec), (i, counts)
+
+    @pytest.mark.parametrize("model", ["I", "II"])
+    def test_absorbed_start_builds_no_table(self, model, monkeypatch):
+        # an empty last color, or every other color empty, is one outcome
+        seqs = (linear(1), square(), triangular())
+        specs = [UrnSpec(model, seqs, (0, 0, 3)), UrnSpec(model, seqs, (3, 3, 0)),
+                 two_color(model, linear(1), square(), 5, 0),
+                 two_color(model, linear(1), square(), 0, 5)]
+        wants = [reference_forward_reach(spec) for spec in specs]
+
+        def no_table(spec):
+            raise AssertionError(f"table built for the absorbed start {spec.counts}")
+
+        monkeypatch.setattr(oracle, "_coded_urn", no_table)
+        for spec, want in zip(specs, wants):
+            assert _forward_reach(spec) == want == {spec.counts[:-1]: (1, 1)}, spec.counts
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_enumeration_up_to_10_balls(self, r):
