@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -793,6 +794,53 @@ class TestPartialFractions:
         assert lhs == rhs
 
 
+# the rational laws of every engine, pinned as a digest of each law's reduced
+# probabilities and its unreduced pairs: one sha256 over these urns in
+# order, closed forms in both models and both representations, the oracle
+# up to 40 balls, and the r-color closed form and oracle in both models
+RECORDED_URNS = [
+    (linear(1), square(), [(1, 1), (2, 3), (5, 4), (8, 8), (13, 20), (30, 30), (60, 60), (60, 7)]),
+    (power(2, 3), triangular(), [(1, 2), (4, 4), (8, 5), (20, 13), (45, 45)]),
+    (shifted_square(), linear(3), [(3, 1), (6, 6), (7, 30), (40, 40)]),
+    (reciprocal(square()), linear(1), [(2, 2), (8, 3), (25, 25)]),
+    (reciprocal(linear(1)), reciprocal(triangular()), [(3, 3), (6, 8), (20, 20)]),
+    (FLOAT_TABLE, square(), [(4, 4), (30, 30)]),
+    (TEN_FAMILIES[6], shifted_square(), [(5, 5), (10, 12)]),
+    (TEN_FAMILIES[10], power(2, 3), [(3, 7), (10, 10)]),
+]
+RECORDED_MULTI = [
+    ((linear(1), square(), triangular()), (3, 2, 3)),
+    ((linear(1), linear(3), square(), shifted_square()), (5, 5, 5, 5)),
+    ((reciprocal(square()), power(2, 3), linear(1)), (4, 6, 5)),
+]
+RECORDED_DIGEST = "44b7bb6beb952e5074fba820d6c81d4993d9ec1d30390ac1664198ba3c747642"
+
+
+def recorded_laws():
+    for A, B, sizes in RECORDED_URNS:
+        for n, m in sizes:
+            for model in CLOSED:
+                for rep in REPS:
+                    yield CLOSED[model](A, B, n, m, rep)
+                if n + m <= 40:
+                    yield absorption_pmf(two_color(model, A, B, n, m))
+    for seqs, counts in RECORDED_MULTI:
+        for model in CLOSED:
+            spec = UrnSpec(model, seqs, counts)
+            yield multi_distribution(spec)
+            yield absorption_pmf_multi(spec)
+
+
+class TestRecordedLaws:
+    def test_every_law_and_its_pairs_as_recorded(self):
+        digest = hashlib.sha256()
+        for law in recorded_laws():
+            for k in law.support:
+                p, (num, den) = law.probs[k], law.pairs[k]
+                digest.update(f"{k}:{p.numerator:x}/{p.denominator:x}:{num:x}/{den:x};".encode())
+        assert digest.hexdigest() == RECORDED_DIGEST
+
+
 class TestClosedVsOracle:
     def test_two_color_exact(self):
         spec = two_color("II", triangular(), shifted_square(), 4, 4)
@@ -804,6 +852,22 @@ class TestClosedVsOracle:
         spec = UrnSpec("I", (square(), linear(1), triangular()), (2, 3, 2))
         _, _, diff = closed_vs_oracle(spec)
         assert diff == 0
+
+    @pytest.mark.parametrize("spec, other", [
+        (two_color("I", linear(1), square(), 4, 3), two_color("II", linear(1), square(), 4, 3)),
+        (UrnSpec("I", (square(), linear(1), triangular()), (2, 3, 2)),
+         UrnSpec("II", (square(), linear(1), triangular()), (2, 3, 2))),
+    ], ids=["two-color", "r-color"])
+    def test_laws_that_differ_report_their_largest_difference(self, monkeypatch, spec, other):
+        import urnlab.closedform
+
+        wrong = (absorption_pmf if spec.is_two_color else absorption_pmf_multi)(other)
+        monkeypatch.setattr(urnlab.closedform, "absorption_pmf", lambda spec: wrong)
+        monkeypatch.setattr(urnlab.closedform, "absorption_pmf_multi", lambda spec: wrong)
+        closed, reference, diff = closed_vs_oracle(spec)
+        assert reference is wrong
+        want = max(abs(closed[k] - wrong[k]) for k in wrong.support)
+        assert diff == want and diff > 0 and type(diff) is Fraction
 
     @pytest.mark.parametrize(
         "seqs, counts, param",

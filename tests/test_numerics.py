@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_rational, round_nearest
 
 from urnlab import limits
@@ -16,6 +17,7 @@ from urnlab.numerics import (
     RATIONAL,
     Polynomial,
     binom_general,
+    cast_pair,
     compensated_sum,
     cast_value,
     falling_factorial,
@@ -226,6 +228,70 @@ class TestSummation:
             # unreduced: over the lcm of the denominators
             assert den == math.lcm(*(d for _, d in terms))
         assert pair_sum([]) == (0, 1)
+
+
+# the working precisions of big-float laws: below, at and above a double,
+# and 256, 1,024 and 3,000 bits plus GUARD_BITS
+CAST_PRECS = (8, 53, 64, 288, 1056, 3032)
+
+
+def draw_int(draw, low_bits=1, high_bits=10_000):
+    """A positive int of low_bits to high_bits bits."""
+    bits = draw(st.integers(low_bits, high_bits))
+    return draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+
+
+@st.composite
+def quotient_pairs(draw):
+    """(prec, num, den): num / den of 1 to about 10,000 bits each, signed,
+    as any quotient, zero, an exact quotient, a tie halfway between two
+    floats of prec bits (which round-half-even breaks), or one unit of num
+    off such a tie (which the remainder alone tells from it)."""
+    prec = draw(st.sampled_from(CAST_PRECS))
+    kind = draw(st.sampled_from(["any", "zero", "exact", "tie", "near-tie"]))
+    den = draw_int(draw, high_bits=5_000)
+    if kind == "any":
+        num = draw_int(draw)
+    elif kind == "zero":
+        num = 0
+    elif kind == "exact":
+        num = draw_int(draw, high_bits=5_000) * den
+    else:
+        # an odd mantissa of prec + 1 bits, times 2^shift
+        mantissa = draw(st.integers(2**prec, 2 ** (prec + 1) - 1)) | 1
+        shift = draw(st.integers(-200, 200))
+        num = mantissa * den << max(shift, 0)
+        den <<= max(-shift, 0)
+        if kind == "near-tie":
+            num += draw(st.sampled_from([-1, 1]))
+    return prec, draw(st.sampled_from([1, -1])) * num, den
+
+
+class TestCastPair:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(quotient_pairs())
+    def test_bigfloat_is_fdiv_bit_for_bit(self, case):
+        prec, num, den = case
+        with mpmath.workprec(prec):
+            got = cast_pair(num, den, BIGFLOAT)
+            want = mpmath.fdiv(num, den)
+        assert type(got) is mpmath.mpf
+        assert got == want and got._mpf_ == want._mpf_
+
+    @pytest.mark.parametrize("prec", CAST_PRECS)
+    def test_ties_round_to_even(self, prec):
+        # over one = 2^prec, the floats of [1, 2) are the even numerators:
+        # one + 1 and one + 3 are ties, broken to the even one and one + 4,
+        # and a third of a unit off a tie rounds to the nearer float
+        one = 1 << prec
+        cases = [(one + 1, one, one), (one + 3, one, one + 4),
+                 (3 * one + 4, 3 * one, one + 2), (3 * one + 2, 3 * one, one),
+                 (3 * one + 8, 3 * one, one + 2)]
+        for num, den, want in cases:
+            for sign in (1, -1):
+                with mpmath.workprec(prec):
+                    got = cast_pair(sign * num, den, BIGFLOAT)
+                    assert got._mpf_ == mpmath.mpf((sign * want, -prec))._mpf_, (num, den)
 
 
 class TestCastValue:

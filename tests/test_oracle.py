@@ -515,6 +515,28 @@ class TestExactDistribution:
                 with pytest.raises(ValueError, match="sum to"):
                     ExactDistribution.from_pairs(tuple(bad), bad, mode)
 
+    @pytest.mark.parametrize("pairs, message", [
+        ({0: (1, 7), 1: (2, 7), 2: (3, 7)}, "probabilities sum to 6/7, not 1"),
+        ({0: (1, 2), 1: (1, 3)}, "probabilities sum to 5/6, not 1"),
+        ({0: (-1, 7), 1: (4, 7), 2: (4, 7)}, "probability outside [0, 1]"),
+        ({0: (-1, 6), 1: (5, 6), 2: (1, 3)}, "probability outside [0, 1]"),
+        ({0: (3, 1), 1: (-4, 2)}, "probability outside [0, 1]"),
+        ({}, "probabilities sum to 0, not 1"),
+    ], ids=["total-one-den", "total-two-dens", "negative-one-den", "negative-two-dens",
+            "negative-first-den-only", "empty"])
+    def test_both_paths_refuse_with_one_message(self, pairs, message):
+        # a law over one denominator and one over several are checked two
+        # ways; each refusal reads the same, as does the law given as
+        # `Fraction`s, where the fractions are those pairs
+        for mode in ("rational", "float", "bigfloat"):
+            with pytest.raises(ValueError) as refusal:
+                ExactDistribution.from_pairs(tuple(pairs), pairs, mode)
+            assert str(refusal.value) == message
+        probs = {k: Fraction(*pair) for k, pair in pairs.items()}
+        with pytest.raises(ValueError) as refusal:
+            ExactDistribution(tuple(probs), probs)
+        assert str(refusal.value) == message
+
     def test_a_point_off_the_support_reads_one_shared_zero(self):
         law = absorption_pmf(two_color("I", linear(1), square(), 2, 2))
         assert law[7] == 0 and type(law[7]) is Fraction and law[7] is law[(0, 0)]
