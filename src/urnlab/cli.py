@@ -50,8 +50,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import closedform, moments, oracle, weights
-from .numerics import (BIGFLOAT, DEFAULT_PRECISION_BITS, FLOAT, GUARD_BITS, MIN_PRECISION_BITS,
-                       RATIONAL, precision_bits, working_precision)
+from .numerics import (BIGFLOAT, DEFAULT_PRECISION_BITS, FLOAT, GUARD_BITS, MAX_PRECISION_BITS,
+                       MIN_PRECISION_BITS, RATIONAL, precision_bits, working_precision)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -462,6 +462,7 @@ def _cmd_compare(args) -> int:
 
     spec = _spec(args, args.model)
     config = simulate.SimConfig(spec, args.trials, args.seed, args.workers)
+    oracle.check_reach_size(spec)  # refused as it is: urnlab oracle would refuse it too
     with _reword("{}; use urnlab oracle"):
         beta, reference, beta_diff = closedform.closed_vs_oracle(spec, closedform.BETA_POLES)
         alpha, _, alpha_diff = closedform.closed_vs_oracle(spec, closedform.ALPHA_POLES)
@@ -659,6 +660,8 @@ def _read_form(args) -> None:
                    if typed[flag] is not None}
     if args.precision_bits is not None and args.precision_bits < MIN_PRECISION_BITS:
         raise weights.ParameterError(f"must be at least {MIN_PRECISION_BITS}", "precision_bits")
+    if args.precision_bits is not None and args.precision_bits > MAX_PRECISION_BITS:
+        raise weights.ParameterError(f"must be at most {MAX_PRECISION_BITS}", "precision_bits")
     if args.decimals is not None:
         # decimals render exact rationals in CSV; anywhere else they would
         # be ignored

@@ -10,7 +10,8 @@ rather than inherited.
 
 The two-color laws run on integer-scaled tables: each weight sequence's
 int table (`WeightSequence.int_table`, ints over their least denominator)
-times the lcm of the two denominators over its own (`integer_tables`),
+times the lcm of the two denominators over its own (`integer_tables`, which
+hands a table already at that scale over as it is),
 which leaves the law unchanged because both models draw with ratios of
 weights; no weight is ever a `Fraction`, and the distinctness check
 compares those ints.  Each pole term is then an integer pair
@@ -24,13 +25,14 @@ law sums the poles once per power of x (the power sums, by small int
 multiplications) and steps those n sums along k by one triangle of
 multiply-adds (`_pole_sums`), with no division in either loop.  A law is
 its n + 1 numerators over that one lcm, int pairs that
-`ExactDistribution.from_pairs` checks once (every numerator >= 0, the
-total exactly 1).  That exact law is the only evaluation.  Rational mode
-reduces each probability once; float and big-float modes are output
-formats, each pair rounded once without a gcd (num / L, which int true
-division rounds correctly, or `mpmath.fdiv(num, L)` in one context,
-`numerics.working_precision`), so they are within half a unit in the last
-place of the exact law and cost less than rational mode.  At n = m = 80 (linear(1)
+`ExactDistribution.from_pairs` checks once (every numerator >= 0, and
+over the one denominator one sum of the numerators equal to it).  That
+exact law is the only evaluation.  Rational mode reduces each probability
+once; float and big-float modes are output formats, each pair rounded once
+without a gcd (num / L, which int true division rounds correctly, or one
+divmod with a sticky bit in one context, `numerics.working_precision`, by
+`numerics.cast_pair`), so they are within half a unit in the last place of
+the exact law and cost less than rational mode.  At n = m = 80 (linear(1)
 against square, shared 2-vCPU Xeon) a law takes 22-31 ms in rational
 mode and 9-18 ms in float mode.  Every weight is exact, so the default
 mode is rational for every table.
@@ -63,7 +65,7 @@ from math import factorial, lcm, prod
 from operator import mul
 
 from .numerics import binom_general, compensated_sum, exact_operand
-from .oracle import ExactDistribution, absorption_pmf, absorption_pmf_multi
+from .oracle import ExactDistribution, absorption_pmf, absorption_pmf_multi, check_reach_size
 from .weights import (
     MODEL_OKCORRAL,
     MODEL_SAMPLING,
@@ -176,9 +178,8 @@ def _sampling_law(alpha, beta, n, m, representation) -> list:
     units, common = _over_one_lcm(
         [1] * m,
         [
-            prod(w - b for i, w in enumerate(betas) if i != ell)
-            * prod(a + b for a in alpha[: n + 1])
-            for ell, b in enumerate(betas)
+            prod([w - b for w in betas if w != b]) * prod([a + b for a in alpha])
+            for b in betas
         ],
     )
     scales = _suffix_products(alpha, n, 0, prod(betas))
@@ -438,11 +439,10 @@ def _multi_law(tables, nvec, rows):
     # the first axis, color j's pole, and appends its survivor count, so
     # after r - 1 passes the axes are back in color order.
     poles = [tables[j][rows[j][0] : nvec[j] + 1] for j in range(r - 1)]
-    law = [(1, prod(w + s for w in last)) for s in map(sum, product(*poles))]
+    law = [(1, prod([w + s for w in last])) for s in map(sum, product(*poles))]
     for j in range(r - 1):
         t, n, low, top = tables[j], nvec[j], rows[j][0], rows[j][-1]
-        diffs = [prod(w - p for h, w in enumerate(poles[j]) if h != ell)
-                 for ell, p in enumerate(poles[j])]
+        diffs = [prod([w - p for w in poles[j] if w != p]) for p in poles[j]]
         row_scale = _suffix_products(t, n, low, prod(last) if j == 0 else 1)
         groups = len(law) // len(diffs)
         out = []
@@ -673,16 +673,20 @@ def closed_vs_oracle(spec, representation=BETA_POLES):
     """Exact comparison of the closed form with the DP oracle for one spec.
 
     Returns (closed, oracle, max_abs_diff).  Zero difference is the
-    acceptance requirement.  The closed form runs first, so a spec it
-    refuses never reaches the oracle.
+    acceptance requirement.  An urn too large for the oracle
+    (`oracle.check_reach_size`) is refused first; then the closed form runs,
+    so a spec it refuses never reaches the oracle.  Laws whose probabilities are `==`
+    differ by `Fraction(0)`, and only laws that differ are subtracted
+    point by point for their largest |difference|.
     """
+    check_reach_size(spec)
     if spec.is_two_color:
         closed = two_color_distribution(spec, representation)
         reference = absorption_pmf(spec)
     else:
         closed = multi_distribution(spec)
         reference = absorption_pmf_multi(spec)
-    diff = max(
-        abs(closed[k] - reference[k]) for k in reference.support
-    )
+    if closed.probs == reference.probs:
+        return closed, reference, Fraction(0)
+    diff = max(abs(closed[k] - reference[k]) for k in reference.support)
     return closed, reference, diff

@@ -7,8 +7,9 @@ give each probability as an unreduced int pair (num, den), which
 `pair_sum` adds, as do the contested-fire moment displays; the Pólya
 corollary displays sum `Fraction`s.  A result is then given in one of
 three output modes: the exact rational (`fractions.Fraction`), a
-big-float (`mpmath.mpf` at a configurable bit precision) or a machine
-float, each exact pair rounded once (`cast_pair`).
+big-float (`mpmath.mpf` at a configurable bit precision, 8 to
+MAX_PRECISION_BITS from the environment) or a machine float, each exact
+pair rounded once (`cast_pair`).
 Every big-float is computed and rounded in one context,
 `working_precision(bits)`, at `bits` (default `precision_bits()`) plus
 GUARD_BITS; the transcendental limit laws compute in big-floats throughout.
@@ -41,6 +42,10 @@ FLOAT = "float"
 
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 8
+# about 4,900 decimal digits: the slowest big-float form measured there,
+# `limit --law fixed-whites-pmf --n 400 --k 0`, takes about 5 s on a shared
+# 2-vCPU Xeon, and `theta` at 10^7 bits ran until killed
+MAX_PRECISION_BITS = 16_384
 # bits carried beyond the requested precision by every big-float route
 GUARD_BITS = 32
 
@@ -59,6 +64,8 @@ def precision_bits() -> int:
         raise ValueError(f"URNLAB_PRECISION_BITS must be an integer, got {raw!r}") from None
     if bits < MIN_PRECISION_BITS:
         raise ValueError(f"URNLAB_PRECISION_BITS must be at least {MIN_PRECISION_BITS}")
+    if bits > MAX_PRECISION_BITS:
+        raise ValueError(f"URNLAB_PRECISION_BITS must be at most {MAX_PRECISION_BITS}")
     return bits
 
 
@@ -246,18 +253,38 @@ def clock_product_blocks(table, x):
 
 
 def cast_pair(num: int, den: int, mode: str):
-    """num / den in `mode`, rounded once and without a gcd: a float by int
-    true division, a big-float by `mpmath.fdiv`, which takes both ints
-    exactly, in the caller's context (`working_precision`)."""
+    """num / den (den > 0) in `mode`, rounded once and without a gcd: a
+    float by int true division, a big-float at the precision p of the
+    caller's context (`working_precision`), rounded to nearest with ties to
+    even.  For an int num that is one divmod of |num|, shifted so that the
+    quotient q carries p + 2 bits or more, whose lowest bit is set when the
+    remainder is not 0: a sticky bit below the rounding bit, which tells a
+    quotient just past a tie from the tie.  `from_man_exp` rounds q *
+    2^-shift to p bits, the float `mpmath.fdiv(num, den)` gives, without
+    making either int a big-float first (Brent & Zimmermann, *Modern
+    Computer Arithmetic*, 2010, section 3.1).  A big-float num
+    (`cast_value`'s) goes to `mpmath.fdiv`."""
     if mode == RATIONAL:
         return Fraction(num, den)
     if mode == FLOAT:
         return num / den
-    if mode == BIGFLOAT:
-        import mpmath
+    if mode != BIGFLOAT:
+        raise ValueError(f"unknown scalar mode {mode!r}")
+    import mpmath
 
+    if type(num) is not int:
         return mpmath.fdiv(num, den)
-    raise ValueError(f"unknown scalar mode {mode!r}")
+    libmp, prec = mpmath.libmp, mpmath.mp.prec
+    size = abs(num)
+    shift = prec + 2 + den.bit_length() - size.bit_length()
+    if shift >= 0:
+        q, r = divmod(size << shift, den)
+    else:
+        q, r = divmod(size, den << -shift)
+    if r:
+        q |= 1
+    man = -q if num < 0 else q
+    return mpmath.mp.make_mpf(libmp.from_man_exp(man, -shift, prec, libmp.round_nearest))
 
 
 def cast_value(x, mode: str):

@@ -14,9 +14,11 @@ forward reach and enumeration hand each outcome's probability to
 `ExactDistribution` as an int pair.  Forward reach and enumeration read
 each state as a mixed-radix int code, the last color least significant,
 and its drawing weights and drawing sum from one table per urn
-(`_coded_urn`), built by `itertools.product` over the scaled tables.
+(`_coded_urn`), built over the scaled tables, so it refuses an urn of more
+than MAX_REACH_STATES states before building one (`check_reach_size`).
 Forward reach keeps its masses in one flat list indexed by code, each
-layer over one common denominator, and reduces each state's mass by its
+layer the codes the layer above reached and over one common denominator,
+and reduces each state's mass by its
 gcd with its own small drawing sum, rather than the whole layer by one gcd
 over every big numerator, with one divmod per state by that sum; its law
 ends over the last layer's denominator.
@@ -28,7 +30,7 @@ from collections import defaultdict
 from contextlib import nullcontext
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import product
 from math import gcd, lcm, perm, prod
 
 from .numerics import BIGFLOAT, RATIONAL, cast_pair, pair_sum, precision_bits, working_precision
@@ -42,6 +44,10 @@ from .weights import (
 )
 
 ENUMERATION_LIMIT = 16
+# the forward reach holds a drawing-weight entry and a mass for every state
+# of the urn, prod(count + 1) of them: (100, 100, 100) in model I, 1,030,301
+# states, took 18 s and 229 MB on a shared 2-vCPU Xeon
+MAX_REACH_STATES = 2_000_000
 
 # a point off a rational law's support reads this one zero (`Fraction` is immutable)
 _RATIONAL_ZERO = Fraction(0)
@@ -57,7 +63,10 @@ class ExactDistribution:
     """Probabilities over a finite support: 0..n for two colors, the full
     k-grid for r colors.  Every exact law is held as int pairs `pairs`,
     {point: (num, den)}, over the law's few denominators, and checked once
-    on them: every numerator >= 0 and the total exactly 1.  `probs` is the
+    on them: every numerator >= 0 and the total exactly 1, which over one
+    denominator (every two-color closed form's law, and the oracle's where
+    it reaches every outcome) is one `sum` of the numerators and elsewhere
+    one `pair_sum`, with the same refusals either way.  `probs` is the
     law in `mode`: reduced `Fraction`s, or each pair rounded once, a
     big-float law and its sums at the `bits` it keeps (`from_pairs`).
 
@@ -75,23 +84,32 @@ class ExactDistribution:
     def __post_init__(self, exact):
         if exact is None:
             exact = {k: (p.numerator, p.denominator) for k, p in self.probs.items()}
-        if any(num < 0 for num, _ in exact.values()):
-            raise ValueError("probability outside [0, 1]")
+        nums, dens = zip(*exact.values()) if exact else ((), ())
+        if dens and dens.count(dens[0]) == len(dens):
+            # one denominator, as each closed form's law and the oracle's have
+            num, den = sum(nums), dens[0]
+        else:
+            num, den = pair_sum(exact.values())
         # with every numerator >= 0 and the total 1, no entry exceeds 1
-        num, den = pair_sum(exact.values())
+        if nums and min(nums) < 0:
+            raise ValueError("probability outside [0, 1]")
         if num != den:
             raise ValueError(f"probabilities sum to {Fraction(num, den)}, not 1")
         object.__setattr__(self, "pairs", exact)
 
     @classmethod
     def from_pairs(cls, support, pairs: dict, mode=None, bits=None) -> "ExactDistribution":
-        """The exact law {point: (num, den)} in `mode` (rational when None),
-        each probability rounded once and without a gcd (`cast_pair`), a
-        big-float in `working_precision(bits)`; the law keeps those bits."""
+        """The exact law {point: (num, den)} in `mode` (rational when None):
+        each probability a `Fraction`, or rounded once and without a gcd
+        (`cast_pair`), a big-float in `working_precision(bits)`; the law
+        keeps those bits."""
         mode = mode or RATIONAL
         bits = (precision_bits() if bits is None else bits) if mode == BIGFLOAT else None
-        with _rounding(mode, bits):
-            probs = {k: cast_pair(num, den, mode) for k, (num, den) in pairs.items()}
+        if mode == RATIONAL:
+            probs = {k: Fraction(num, den) for k, (num, den) in pairs.items()}
+        else:
+            with _rounding(mode, bits):
+                probs = {k: cast_pair(num, den, mode) for k, (num, den) in pairs.items()}
         law = cls(support, probs, mode, pairs)
         object.__setattr__(law, "bits", bits)
         return law
@@ -198,7 +216,7 @@ def _coded_urn(spec: UrnSpec) -> tuple:
     largest code.  weights[code] is the state's drawing weights and
     sums[code] their sum: in model I each color's table entry (0 when it
     is empty), in model II the product of the other nonempty colors'
-    entries (0 when it is empty).
+    entries (0 when it is empty), one outer product per color (`_outer`).
 
     A state is absorbed when its last color is gone, code % radix == 0, or
     every other color is, code < radix, radix = counts[-1] + 1; its
@@ -212,8 +230,7 @@ def _coded_urn(spec: UrnSpec) -> tuple:
         # an empty color is a factor 1 of the others' weights and draws with 0
         factors = [[1, *t[1:]] for t in tables]
         columns = [
-            map(prod, product(*[[0] + [1] * c if j == ell else factors[j]
-                                for j, c in enumerate(counts)]))
+            _outer([[0] + [1] * c if j == ell else factors[j] for j, c in enumerate(counts)])
             for ell in range(len(counts))
         ]
         weights = list(zip(*columns))
@@ -223,14 +240,36 @@ def _coded_urn(spec: UrnSpec) -> tuple:
     return weights, list(map(sum, weights)), strides
 
 
+def _outer(vectors) -> list:
+    """The product of one entry of each vector, for every choice, in
+    `product` order."""
+    acc = [1]
+    for v in vectors:
+        acc = [a * b for a in acc for b in v]
+    return acc
+
+
+def check_reach_size(spec: UrnSpec) -> None:
+    """Refuse an urn with more than MAX_REACH_STATES states, prod(count +
+    1), before any table is built, naming the counts (the largest count's
+    color); the forward reach holds one table entry per state."""
+    states = prod(c + 1 for c in spec.counts)
+    if states > MAX_REACH_STATES:
+        raise ParameterError(
+            f"the recurrence oracle holds one entry per state, and this urn has "
+            f"{states:,} states, above its bound of {MAX_REACH_STATES:,}",
+            "counts", spec.counts.index(max(spec.counts)))
+
+
 def _forward_reach(spec: UrnSpec) -> dict:
     """{outcome: (num, den)} from the start `spec.counts`, for any r >= 2.
 
     Each draw removes one ball, so reach probabilities move down one
     total-ball-count layer at a time.  States are int codes over one
     drawing-weight table per urn (`_coded_urn`); the masses live in one
-    flat list indexed by code, and each layer's codes, the states with one
-    ball count, are listed once, top layer first.  A layer's masses are
+    flat list indexed by code, and each layer is the list of codes the
+    layer above pushed mass to, each listed when its mass turns nonzero
+    (every weight that draws is positive).  A layer's masses are
     int numerators over one layer denominator D.  Each live state's mass p
     over its drawing sum `den`, a small int, is split once, p = q * den +
     r, and reduced by g = gcd(r, den), which is gcd(p, den); the next
@@ -243,25 +282,24 @@ def _forward_reach(spec: UrnSpec) -> dict:
     every earlier one divides.  A state's mass is cleared once read, so
     only the layer being pushed and the one below it hold masses.  A start
     that is already absorbed (an empty last color, or every other color
-    empty) is its own outcome with probability 1, and builds no table.
+    empty) is its own outcome with probability 1, and builds no table; an
+    urn of more than MAX_REACH_STATES states is refused first.
     """
+    check_reach_size(spec)
     counts = spec.counts
     if counts[-1] == 0 or not any(counts[:-1]):
         return {counts[:-1]: (1, 1)}
     weights, sums, strides = _coded_urn(spec)
     radix = counts[-1] + 1
-    level = list(map(sum, product(*[range(c + 1) for c in counts])))
     mass = [0] * len(weights)
     mass[-1] = 1
     out: dict = defaultdict(list)  # outcome code: [(p, D) per absorbing state]
     D = 1
-    by_layer = sorted(range(len(weights)), key=level.__getitem__, reverse=True)
-    for _, codes in groupby(by_layer, key=level.__getitem__):
+    layer = [len(weights) - 1]
+    while layer:
         live, quotients, rests, dens = [], [], [], []
-        for code in codes:
+        for code in layer:
             p = mass[code]
-            if not p:  # never reached
-                continue
             mass[code] = 0
             if code % radix == 0 or code < radix:
                 out[code // radix].append((p, D))
@@ -275,12 +313,16 @@ def _forward_reach(spec: UrnSpec) -> dict:
                 dens.append(den // g)
         L = lcm(*dens)
         D *= L
+        layer = []  # the codes the live states reach, each once
         for code, q, r, den in zip(live, quotients, rests, dens):
             # (p / g) * (L / (den / g)), p = q * den + r
             p = q * L + r * (L // den)
             for stride, w in zip(strides, weights[code]):
                 if w:
-                    mass[code - stride] += p * w
+                    below = code - stride
+                    if not mass[below]:
+                        layer.append(below)
+                    mass[below] += p * w
     survivors = list(product(*[range(c + 1) for c in counts[:-1]]))
     return {
         survivors[o]: (sum(p * (D // d) for p, d in terms), D) for o, terms in out.items()

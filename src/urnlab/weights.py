@@ -324,9 +324,10 @@ def integer_tables(*tables) -> list:
     weights of one state are products with the same number of factors, so
     one common factor leaves every law unchanged while the engines run in
     integer arithmetic.  Each den is least, so the factor is the lcm of the
-    weights' reduced denominators."""
+    weights' reduced denominators.  A table already over that lcm is
+    returned as it is, not copied: the engines only read the tables."""
     scale = lcm(*[den for _, den in tables])
-    return [[v * (scale // den) for v in nums] for nums, den in tables]
+    return [nums if den == scale else [v * (scale // den) for v in nums] for nums, den in tables]
 
 
 def check_distinct(seq: WeightSequence, upper: int) -> bool:

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from test_acceptance import DETERMINISM_COMMANDS
 from test_limits import loop_terms  # noqa: F401  (a fixture)
 
-from urnlab import cli, limits
-from urnlab.oracle import ExactDistribution, absorption_pmf
+from urnlab import cli, limits, oracle
+from urnlab.numerics import MAX_PRECISION_BITS
+from urnlab.oracle import MAX_REACH_STATES, ExactDistribution, absorption_pmf
 from urnlab.weights import (MODEL_OKCORRAL, ParameterError, check_survivors, linear, square,
                             two_color)
 
@@ -478,6 +479,12 @@ class TestBoundedTime:
             # 10**9 + 1 points, counted before any is evaluated
             (["limit", "--law", "w-cdf", "--family", "square", "--grid", "0:1:1/1000000000"],
              "--grid"),
+            # these ran until killed, or ended in a MemoryError traceback
+            (["pmf", "--A", "linear:1", "--B", "square", "--n", "2", "--m", "2",
+              "--mode", "bigfloat", "--precision-bits", "100000000"], "--precision-bits"),
+            (["theta", "--q", "1/2", "--precision-bits", "10000000"], "--precision-bits"),
+            (["pmf-multi", "--engine", "oracle", "--weights", "linear:1;linear:2;square",
+              "--counts", "3000,3000,3000"], "--counts"),
         ],
     )
     def test_rejected_within_timeout(self, argv, flag):
@@ -488,6 +495,62 @@ class TestBoundedTime:
         assert proc.returncode == 2, proc.stderr
         assert flag in proc.stderr
         assert proc.stdout == ""
+
+
+class TestSizeBounds:
+    """The precision ceiling and the oracle's state bound: the flag or the
+    variable is named, and nothing is built above the bound."""
+
+    @pytest.mark.parametrize("argv", [
+        ("pmf", "--A", "linear:1", "--B", "square", "--n", "2", "--m", "2", "--mode", "bigfloat"),
+        ("theta", "--q", "1/2"),
+        ("limit", "--law", "w-cdf", "--q", "1/2"),
+    ], ids=["pmf", "theta", "limit"])
+    def test_precision_bits_above_the_ceiling(self, capsys, monkeypatch, argv):
+        # 10^8 bits once ran pmf, and 10^7 theta, until killed
+        for bits in (MAX_PRECISION_BITS + 1, 100_000_000):
+            code, out, err = run_cli(capsys, *argv, "--precision-bits", str(bits))
+            assert (code, out, err) == (2, "", f"--precision-bits: must be at most {MAX_PRECISION_BITS}\n")
+        monkeypatch.setenv("URNLAB_PRECISION_BITS", str(MAX_PRECISION_BITS + 1))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"URNLAB_PRECISION_BITS must be at most {MAX_PRECISION_BITS}\n"
+
+    def test_precision_bits_at_the_ceiling(self, capsys, monkeypatch):
+        argv = ("pmf", "--A", "linear:1", "--B", "square", "--n", "2", "--m", "2",
+                "--mode", "bigfloat")
+        code, flag_out, err = run_cli(capsys, *argv, "--precision-bits", str(MAX_PRECISION_BITS))
+        assert code == 0, err
+        assert check_json(flag_out)["precision_bits"] == MAX_PRECISION_BITS
+        monkeypatch.setenv("URNLAB_PRECISION_BITS", str(MAX_PRECISION_BITS))
+        assert run_cli(capsys, *argv) == (0, flag_out, "")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("pmf-multi", "--engine", "oracle", "--weights", "linear:1;linear:2;square",
+          "--counts", "3000,3000,3000"), "--counts"),
+        (("pmf-multi", "--engine", "oracle", "--weights", "linear:1;linear:2;square",
+          "--counts", "2,0,666666"), "--counts"),
+        (("oracle", "--A", "linear:1", "--B", "square", "--n", "2", "--m", "666666"), "--m"),
+        (("oracle", "--A", "linear:1", "--B", "square", "--n", "666666", "--m", "2"), "--n"),
+        (("compare", "--A", "linear:1", "--B", "square", "--n", "3000", "--m", "3000"), "--n"),
+        (("duality-check", "--A", "linear:1", "--B", "square", "--n", "2", "--m", "666666"),
+         "--m"),
+        (("duality-check", "--weights", "linear:1;square;triangular", "--counts", "2,0,666666"),
+         "--counts"),
+        (("simulate", "--A", "linear:1", "--B", "square", "--n", "3000", "--m", "3000"), "--n"),
+    ], ids=["pmf-multi-3000", "pmf-multi", "oracle-m", "oracle-n", "compare", "duality",
+            "duality-multi", "simulate"])
+    def test_urn_above_the_oracle_state_bound(self, capsys, monkeypatch, argv, flag):
+        # 3000,3000,3000 once ended in a MemoryError traceback; no table is
+        # built here, nor does compare run the closed form first
+        def no_table(spec):
+            raise AssertionError(f"table built for {spec.counts}")
+
+        monkeypatch.setattr(oracle, "_coded_urn", no_table)
+        monkeypatch.setattr(cli.closedform, "two_color_distribution", no_table)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), err
+        assert err.startswith(f"{flag}: ") and f"bound of {MAX_REACH_STATES:,}\n" in err
 
 
 class TestDuality:

@@ -16,6 +16,7 @@ from urnlab.closedform import (
     sampling_distribution,
 )
 from urnlab.oracle import (
+    MAX_REACH_STATES,
     ExactDistribution,
     _forward_reach,
     absorption_pmf,
@@ -25,6 +26,7 @@ from urnlab.oracle import (
 )
 from urnlab.weights import (
     MODEL_SAMPLING,
+    ParameterError,
     UrnSpec,
     custom,
     integer_tables,
@@ -463,6 +465,48 @@ class TestCodedForwardReach:
             if r == 2:
                 got = {(k,): p for k, p in got.items()}
             assert got == {k: want.get(k, 0) for k in got}, spec
+
+
+class TableBuilt(Exception):
+    """Raised in place of building the forward reach's state table."""
+
+
+class TestReachStateBound:
+    """The forward reach refuses an urn with more than MAX_REACH_STATES
+    states, prod(count + 1), before it builds a table; the state tables are
+    never built here."""
+
+    @pytest.fixture(autouse=True)
+    def no_table(self, monkeypatch):
+        def build(spec):
+            raise TableBuilt(spec.counts)
+
+        monkeypatch.setattr(oracle, "_coded_urn", build)
+
+    @pytest.mark.parametrize("model", ["I", "II"])
+    @pytest.mark.parametrize("counts, color", [
+        ((2, 666_666), 1), ((666_666, 2), 0), ((2, 0, 666_666), 2), ((0, 666_666, 2), 1),
+    ])
+    def test_one_state_above_the_bound_is_refused(self, model, counts, color):
+        assert math.prod(c + 1 for c in counts) == MAX_REACH_STATES + 1
+        spec = UrnSpec(model, (linear(1), square(), triangular())[: len(counts)], counts)
+        pmf = absorption_pmf if spec.is_two_color else absorption_pmf_multi
+        with pytest.raises(ParameterError) as refusal:
+            pmf(spec)
+        assert (refusal.value.param, refusal.value.color) == ("counts", color)
+        assert f"{MAX_REACH_STATES + 1:,} states" in str(refusal.value)
+
+    @pytest.mark.parametrize("counts", [(1, 999_999), (999_999, 1), (1, 0, 999_999)])
+    def test_the_bound_itself_builds_the_table(self, counts):
+        assert math.prod(c + 1 for c in counts) == MAX_REACH_STATES
+        with pytest.raises(TableBuilt):
+            _forward_reach(UrnSpec("I", (linear(1), square(), triangular())[: len(counts)], counts))
+
+    def test_an_absorbed_start_above_the_bound_is_refused(self):
+        # its support alone, the grid of the other colors, would be that large
+        with pytest.raises(ParameterError):
+            absorption_pmf_multi(UrnSpec("I", (linear(1), square(), triangular()),
+                                         (2000, 2000, 0)))
 
 
 class TestExactDistribution:
