@@ -84,15 +84,17 @@ class ExactDistribution:
     def __post_init__(self, exact):
         if exact is None:
             exact = {k: (p.numerator, p.denominator) for k, p in self.probs.items()}
-        nums, dens = zip(*exact.values()) if exact else ((), ())
-        if dens and dens.count(dens[0]) == len(dens):
-            # one denominator, as each closed form's law and the oracle's have
-            num, den = sum(nums), dens[0]
-        else:
-            num, den = pair_sum(exact.values())
+        values = exact.values()
+        nums = [num for num, _ in values]
         # with every numerator >= 0 and the total 1, no entry exceeds 1
         if nums and min(nums) < 0:
             raise ValueError("probability outside [0, 1]")
+        den = next(iter(values), (0, 1))[1]
+        if all(d == den for _, d in values):
+            # one denominator, as each closed form's law and the oracle's have
+            num = sum(nums)
+        else:
+            num, den = pair_sum(values)
         if num != den:
             raise ValueError(f"probabilities sum to {Fraction(num, den)}, not 1")
         object.__setattr__(self, "pairs", exact)

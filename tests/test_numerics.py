@@ -279,19 +279,21 @@ class TestCastPair:
         assert got == want and got._mpf_ == want._mpf_
 
     @pytest.mark.parametrize("prec", CAST_PRECS)
-    def test_ties_round_to_even(self, prec):
+    def test_ties_and_near_ties(self, prec):
         # over one = 2^prec, the floats of [1, 2) are the even numerators:
-        # one + 1 and one + 3 are ties, broken to the even one and one + 4,
-        # and a third of a unit off a tie rounds to the nearer float
-        one = 1 << prec
-        cases = [(one + 1, one, one), (one + 3, one, one + 4),
-                 (3 * one + 4, 3 * one, one + 2), (3 * one + 2, 3 * one, one),
-                 (3 * one + 8, 3 * one, one + 2)]
-        for num, den, want in cases:
+        # one + 1 and one + 3 are ties, broken to the even one and one + 4;
+        # 2^-20 of a unit past a tie rounds away from it, which only the
+        # remainder shows; below 1, (one + 1) / (2 one - 1) lies a third of
+        # a unit above a float, and 2 one / (2 one + 3) just below one
+        one, tiny = 1 << prec, 1 << 20
+        cases = [(one + 1, one), (one + 3, one), (tiny * (one + 1) + 1, tiny * one),
+                 (tiny * (one + 3) - 1, tiny * one), (one + 1, 2 * one - 1),
+                 (2 * one, 2 * one + 3), (one - 1, 3 * one + 1)]
+        for num, den in cases:
             for sign in (1, -1):
+                want = from_rational(sign * num, den, prec, round_nearest)
                 with mpmath.workprec(prec):
-                    got = cast_pair(sign * num, den, BIGFLOAT)
-                    assert got._mpf_ == mpmath.mpf((sign * want, -prec))._mpf_, (num, den)
+                    assert cast_pair(sign * num, den, BIGFLOAT)._mpf_ == want, (num, den)
 
 
 class TestCastValue:
