@@ -42,10 +42,10 @@ FLOAT = "float"
 
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 8
-# about 4,900 decimal digits: the slowest big-float form measured there,
-# `limit --law fixed-whites-pmf --n 400 --k 0`, takes about 5 s on a shared
-# 2-vCPU Xeon, and `theta` at 10^7 bits ran until killed
-MAX_PRECISION_BITS = 16_384
+# about 1,200 decimal digits: the slowest big-float form measured there, a
+# 10,001-point shifted-square `w-cdf` grid, takes about 3 minutes on a shared
+# 2-vCPU Xeon (the square grid 35 s, and 8 minutes at 16,384 bits)
+MAX_PRECISION_BITS = 4_096
 # bits carried beyond the requested precision by every big-float route
 GUARD_BITS = 32
 
