@@ -32,16 +32,21 @@ The cross-checks compare whole laws with `==` (same support, same
 representation's `closedform.closed_vs_oracle`, and `duality-check` the
 two oracle laws.
 
-A call pays only for the imports its subcommand uses: `limits` loads in
-`limit` and `theta`, mpmath where a big-float is made or printed (big-float
-mode, `limit`, `theta`, and the simulator's p-value), numpy in `simulate`
-and `compare`.  The exact subcommands start with none of them.
+A call pays only for the modules its subcommand runs.  This module loads
+`weights` and `numerics` alone, and each handler imports the engines it
+calls (`closedform`, `oracle`, `moments`, `limits`, `simulate`); the
+module's `__getattr__` still offers `cli.closedform`, `cli.oracle` and
+`cli.moments`.  So `limit` and `theta` load no exact engine, mpmath loads
+where a big-float is made or printed (big-float mode, `limit`, `theta` and
+the simulator's p-value) and numpy only in `simulate` and `compare`.
+`main` adds the flags of the subcommand it runs alone (`build_parser`).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import sys
@@ -49,13 +54,21 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from . import closedform, moments, oracle, weights
+from . import weights
 from .numerics import (BIGFLOAT, DEFAULT_PRECISION_BITS, FLOAT, GUARD_BITS, MAX_PRECISION_BITS,
                        MIN_PRECISION_BITS, RATIONAL, precision_bits, working_precision)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DISCREPANCY = 3
+
+
+def __getattr__(name):
+    """The engines the handlers import where they run them, as attributes
+    of this module too: `cli.closedform`, `cli.moments`, `cli.oracle`."""
+    if name in ("closedform", "moments", "oracle"):
+        return importlib.import_module(f"{__package__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Discrepancy(Exception):
@@ -186,6 +199,8 @@ def _reword(text="{}", flag=None, only=None):
 def _oracle(args, spec):
     """Exact pmf keyed as the flags ask: survivor vectors for --weights,
     first-color survivor counts for --A/--B."""
+    from . import oracle
+
     if _multi(args):
         return oracle.absorption_pmf_multi(spec)
     return oracle.absorption_pmf(spec)
@@ -242,6 +257,8 @@ def _emit_law(args, dist, points=None) -> None:
 
 
 def _cmd_pmf(args) -> int:
+    from . import closedform
+
     spec = _spec(args, args.model)
     if args.k is not None:
         weights.check_survivors("k", (args.k,), (args.n,))
@@ -254,6 +271,8 @@ def _cmd_pmf(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle
+
     spec = _spec(args, args.model)
     if args.method == "recurrence":
         dist = oracle.absorption_pmf(spec)
@@ -265,6 +284,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_pmf_multi(args) -> int:
+    from . import closedform, oracle
+
     spec = _spec(args, args.model)
     points = None
     if args.k is not None:
@@ -296,6 +317,8 @@ def _emit_moment_check(args, order, closed, direct, **fields) -> int:
 
 
 def _cmd_moments(args) -> int:
+    from . import moments, oracle
+
     if "mixed" in vars(args):
         avec = _int_list(args.avec, "avec")
         nvec = _int_list(args.nvec, "nvec")
@@ -316,6 +339,8 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_okc_moments(args) -> int:
+    from . import moments, oracle
+
     polynomial = args.kind == "polynomial"
     moment = moments.okcorral_polynomial_moment if polynomial else moments.okcorral_raw_moment
     closed = moment(args.b, args.c, args.n, args.m, args.s)
@@ -433,9 +458,10 @@ def _cmd_duality(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from . import simulate  # numpy loads only for the commands that simulate
+    from . import oracle, simulate  # numpy loads only for the commands that simulate
 
     spec = _spec(args, args.model)
+    oracle.check_reach_size(spec)  # before the clock scales, which take seconds at that size
     config = simulate.SimConfig(spec, args.trials, args.seed, args.workers)
     exact = _oracle(args, spec)
     report = simulate.empirical_pmf(config, exact)
@@ -458,14 +484,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from . import simulate
+    from . import closedform, oracle, simulate
 
     spec = _spec(args, args.model)
+    # refused as it is, before the clock scales: urnlab oracle would refuse it too
+    oracle.check_reach_size(spec)
     config = simulate.SimConfig(spec, args.trials, args.seed, args.workers)
-    oracle.check_reach_size(spec)  # refused as it is: urnlab oracle would refuse it too
     with _reword("{}; use urnlab oracle"):
-        beta, reference, beta_diff = closedform.closed_vs_oracle(spec, closedform.BETA_POLES)
-        alpha, _, alpha_diff = closedform.closed_vs_oracle(spec, closedform.ALPHA_POLES)
+        beta, reference, beta_diff = closedform.closed_vs_oracle(spec, weights.BETA_POLES)
+        alpha, _, alpha_diff = closedform.closed_vs_oracle(spec, weights.ALPHA_POLES, reference)
     reps_agree = beta == alpha
     max_diff = max(beta_diff, alpha_diff)
     sim_report = simulate.empirical_pmf(config, reference)
@@ -532,7 +559,7 @@ _FLAGS = {
     "weights": {"help": "semicolon-separated descriptors, e.g. linear:1;square;linear:2"},
     "counts": {"help": "comma-separated initial counts"},
     "k": {"type": int, "help": "single survivor count (default: whole pmf)"},
-    "representation": {"choices": (closedform.BETA_POLES, closedform.ALPHA_POLES)},
+    "representation": {"choices": (weights.BETA_POLES, weights.ALPHA_POLES)},
     "mode": {"choices": _MODES, "help": "output mode (default: rational)"},
     "engine": {"choices": ("closed", "oracle")},
     "s": {"type": int},
@@ -567,7 +594,7 @@ _CDF = {"family": weights.SQUARE, "tol": 1e-12}
 _COMMANDS = {
     "pmf": Command(_cmd_pmf, "closed-form survivor pmf (two colors)", {
         f"pmf --mode {mode}": Form(_URN, {"model": "I", "k": None, "mode": None,
-                                          "representation": closedform.BETA_POLES},
+                                          "representation": weights.BETA_POLES},
                                    exact=mode == RATIONAL, bigfloat=mode == BIGFLOAT)
         for mode in _MODES
     }),
@@ -671,7 +698,10 @@ def _read_form(args) -> None:
             raise weights.ParameterError("must be nonnegative", "decimals")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, each with its help line; given a
+    subcommand `only`, the flags of that one alone, all a parse of its
+    command line reads (`main`)."""
     parser = argparse.ArgumentParser(
         prog="urnlab",
         description="Exact urn absorption distributions, moments, duality and limit laws.",
@@ -683,6 +713,8 @@ def build_parser() -> argparse.ArgumentParser:
         # typed stays out of the parse, for `_read_form` to tell apart
         p = sub.add_parser(command, help=spec.help, allow_abbrev=False,
                            argument_default=argparse.SUPPRESS)
+        if only not in (None, command):
+            continue
         offered = set().union(*(form.reads for form in spec.forms.values()))
         for flag, options in _FLAGS.items():
             if flag in offered:
@@ -691,7 +723,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no flag but --help, so the first word that
+    # names a subcommand is the one the parse runs
+    args = build_parser(next((w for w in argv if w in _COMMANDS), None)).parse_args(argv)
     try:
         _read_form(args)
         return _COMMANDS[args.command].handler(args)

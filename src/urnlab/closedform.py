@@ -57,7 +57,6 @@ its ambiguous cross term, and is checked against the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product, starmap
@@ -67,9 +66,12 @@ from operator import mul
 from .numerics import binom_general, compensated_sum, exact_operand
 from .oracle import ExactDistribution, absorption_pmf, absorption_pmf_multi, check_reach_size
 from .weights import (
+    ALPHA_POLES,
+    BETA_POLES,
     MODEL_OKCORRAL,
     MODEL_SAMPLING,
     ParameterError,
+    Record,
     UrnSpec,
     WeightRangeError,
     WeightSequence,
@@ -82,8 +84,6 @@ from .weights import (
     reciprocal_table,
 )
 
-BETA_POLES = "beta-poles"
-ALPHA_POLES = "alpha-poles"
 _REPRESENTATIONS = (BETA_POLES, ALPHA_POLES)
 
 
@@ -581,13 +581,13 @@ def partial_fraction_sides(nodes, x):
     return lhs, rhs
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
+class DiscrepancyReport(Record):
     """Outcome of checking a specialized display against its general form."""
 
-    subject: str
-    matches: bool
-    detail: str
+    __slots__ = __match_args__ = ("subject", "matches", "detail")
+
+    def __init__(self, subject: str, matches: bool, detail: str):
+        self._hold(subject, matches, detail)
 
 
 def _specialization_report(subject, display, general, A, B, n, m) -> DiscrepancyReport:
@@ -669,23 +669,27 @@ def multi_distribution(spec):
     return ExactDistribution.from_pairs(support, dict(zip(support, law)))
 
 
-def closed_vs_oracle(spec, representation=BETA_POLES):
+def closed_vs_oracle(spec, representation=BETA_POLES, reference=None):
     """Exact comparison of the closed form with the DP oracle for one spec.
 
     Returns (closed, oracle, max_abs_diff).  Zero difference is the
     acceptance requirement.  An urn too large for the oracle
     (`oracle.check_reach_size`) is refused first; then the closed form runs,
-    so a spec it refuses never reaches the oracle.  Laws whose probabilities are `==`
-    differ by `Fraction(0)`, and only laws that differ are subtracted
-    point by point for their largest |difference|.
+    so a spec it refuses never reaches the oracle.  A `reference` law, the
+    oracle's returned by an earlier call on the same spec, is compared
+    with as it is, and the oracle does not run again.  Laws whose
+    probabilities are `==` differ by `Fraction(0)`, and only laws that
+    differ are subtracted point by point for their largest |difference|.
     """
     check_reach_size(spec)
     if spec.is_two_color:
         closed = two_color_distribution(spec, representation)
-        reference = absorption_pmf(spec)
+        oracle_law = absorption_pmf
     else:
         closed = multi_distribution(spec)
-        reference = absorption_pmf_multi(spec)
+        oracle_law = absorption_pmf_multi
+    if reference is None:
+        reference = oracle_law(spec)
     if closed.probs == reference.probs:
         return closed, reference, Fraction(0)
     diff = max(abs(closed[k] - reference[k]) for k in reference.support)

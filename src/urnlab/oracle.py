@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from contextlib import nullcontext
-from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, perm, prod
@@ -37,6 +36,7 @@ from .numerics import BIGFLOAT, RATIONAL, cast_pair, pair_sum, precision_bits, w
 from .weights import (
     MODEL_SAMPLING,
     ParameterError,
+    Record,
     UrnSpec,
     check_length,
     check_order,
@@ -58,8 +58,7 @@ def _rounding(mode, bits):
     return working_precision(bits) if mode == BIGFLOAT else nullcontext()
 
 
-@dataclass(frozen=True)
-class ExactDistribution:
+class ExactDistribution(Record):
     """Probabilities over a finite support: 0..n for two colors, the full
     k-grid for r colors.  Every exact law is held as int pairs `pairs`,
     {point: (num, den)}, over the law's few denominators, and checked once
@@ -74,16 +73,13 @@ class ExactDistribution:
     denominators; the producers hand theirs over unreduced (`from_pairs`).
     Two laws are `==` when support, mode and every probability agree."""
 
-    support: tuple
-    probs: dict
-    mode: str = RATIONAL
-    exact: InitVar[dict | None] = None
-    pairs: dict = field(init=False, repr=False, compare=False)
-    bits: int | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("support", "probs", "mode", "pairs", "bits")
+    __match_args__ = ("support", "probs", "mode")
 
-    def __post_init__(self, exact):
+    def __init__(self, support: tuple, probs: dict, mode: str = RATIONAL,
+                 exact: dict | None = None):
         if exact is None:
-            exact = {k: (p.numerator, p.denominator) for k, p in self.probs.items()}
+            exact = {k: (p.numerator, p.denominator) for k, p in probs.items()}
         values = exact.values()
         nums = [num for num, _ in values]
         # with every numerator >= 0 and the total 1, no entry exceeds 1
@@ -97,7 +93,7 @@ class ExactDistribution:
             num, den = pair_sum(values)
         if num != den:
             raise ValueError(f"probabilities sum to {Fraction(num, den)}, not 1")
-        object.__setattr__(self, "pairs", exact)
+        self._hold(support, probs, mode, exact, None)
 
     @classmethod
     def from_pairs(cls, support, pairs: dict, mode=None, bits=None) -> "ExactDistribution":

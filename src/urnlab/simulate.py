@@ -37,7 +37,6 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
@@ -47,47 +46,43 @@ import numpy.random  # numpy loads it lazily; every sampler here needs it
 from .limits import FAMILIES, _family, _reciprocal_tail, limit_exponent_cdf
 from .numerics import working_precision
 from .oracle import ExactDistribution
-from .weights import MODEL_SAMPLING, SQUARE, ParameterError, UrnSpec, check_count, check_integer
+from .weights import (MODEL_SAMPLING, SQUARE, ParameterError, Record, UrnSpec, check_count,
+                      check_integer)
 
 CHUNK_TRIALS = 1 << 16
 BLOCK_DOUBLES = 1 << 20  # one drawn block of clocks: at most 8 MB
 CUMSUM_COLS = 128  # narrower blocks: np.cumsum down axis 0 beats a row loop
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """One reproducible simulation request, refused before any trial runs
     when trials, workers or the seed is not an integer (`check_integer`;
     each is stored as an int), trials or workers is below 1, the seed is
     negative or a clock scale of the spec is out of range (`clock_scales`,
     whose result it keeps as `scales`)."""
 
-    spec: UrnSpec
-    trials: int
-    seed: int
-    workers: int = 1
-    scales: list = field(init=False, repr=False, compare=False)
+    __slots__ = ("spec", "trials", "seed", "workers", "scales")
+    __match_args__ = ("spec", "trials", "seed", "workers")
 
-    def __post_init__(self):
-        for param in ("trials", "workers", "seed"):
-            object.__setattr__(self, param, check_integer(param, getattr(self, param)))
-        for param in ("trials", "workers"):
-            if getattr(self, param) < 1:
+    def __init__(self, spec: UrnSpec, trials: int, seed: int, workers: int = 1):
+        trials = check_integer("trials", trials)
+        workers = check_integer("workers", workers)
+        seed = check_integer("seed", seed)
+        for param, value in (("trials", trials), ("workers", workers)):
+            if value < 1:
                 raise ParameterError("must be at least 1", param)
-        if self.seed < 0:  # numpy's SeedSequence would refuse it naming nothing
+        if seed < 0:  # numpy's SeedSequence would refuse it naming nothing
             raise ParameterError("must be nonnegative", "seed")
-        object.__setattr__(self, "scales", clock_scales(self.spec))
+        self._hold(spec, trials, seed, workers, clock_scales(spec))
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(Record):
     """Aggregate counts plus the goodness-of-fit readout against an exact pmf."""
 
-    counts: dict
-    trials: int
-    chi_square: float
-    dof: int
-    p_value: float
+    __slots__ = __match_args__ = ("counts", "trials", "chi_square", "dof", "p_value")
+
+    def __init__(self, counts: dict, trials: int, chi_square: float, dof: int, p_value: float):
+        self._hold(counts, trials, chi_square, dof, p_value)
 
 
 class ClockScaleError(ParameterError):

@@ -27,7 +27,6 @@ their range rule and return the int.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm
 
@@ -58,6 +57,66 @@ class ParameterError(ValueError):
     def naming(self, param: str, color: int | None = None) -> "ParameterError":
         """The same refusal, addressed to the caller's argument `param`."""
         return type(self)(str(self), param, color)
+
+
+class _DataclassFields:
+    """A record class's `__dataclass_fields__`, so that `dataclasses.replace`,
+    `fields` and `asdict` take its records: the fields as a dataclass of the
+    same names would hold them, built when first read (and then kept on the
+    class), so that `dataclasses` loads only for a caller that uses it."""
+
+    def __get__(self, record, cls):
+        import dataclasses
+
+        fields = dataclasses.make_dataclass(cls.__name__, cls.__match_args__).__dataclass_fields__
+        cls.__dataclass_fields__ = fields
+        return fields
+
+
+class Record:
+    """An immutable record with a frozen dataclass's behaviour, in the idiom
+    of `numerics.Polynomial`.  A subclass lists its `__slots__`, names its
+    fields in `__match_args__` (the constructor's arguments, in order) and
+    sets every slot once in `__init__` (`_hold`).  `==` holds between
+    records of one class whose fields are `==`, `hash` and `repr` read the
+    same fields, and a slot that is not a field (a law's `pairs`, a
+    configuration's `scales`) is kept aside from all three."""
+
+    __slots__ = ()
+    __match_args__ = ()
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = operator.attrgetter(*cls.__match_args__)
+
+    def _hold(self, *values):
+        """Set the slots, in the order `__slots__` lists them."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == other._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state):
+        # a pickle or a copy hands the slots over as (None, {slot: value})
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 class WeightRangeError(ParameterError, LookupError):
@@ -162,48 +221,49 @@ def canonical_model(model: str) -> str:
 
 
 # The parameterless weight families, which are the limit laws' families,
-# each tagged by its name, and the two methods of the fixed-whites pmf.
-# `limits` computes with them; the CLI's parser offers them without
-# importing `limits` and its mpmath.
+# each tagged by its name, the two methods of the fixed-whites pmf and the
+# two representations of a closed form (its sum over the second color's
+# weights as poles, or over the first color's).  `limits` and `closedform`
+# compute with them; the CLI's parser offers them without importing either.
 SQUARE = "square"
 TRIANGULAR = "triangular"
 SHIFTED_SQUARE = "shifted-square"
 LIMIT_FAMILIES = (SQUARE, TRIANGULAR, SHIFTED_SQUARE)
 FINITE_SUM = "finite-sum"
 SERIES = "series"
+BETA_POLES = "beta-poles"
+ALPHA_POLES = "alpha-poles"
 # the largest exponent of a power:<c>:<r> descriptor: weight j is j^r exactly
 MAX_CLI_POWER = 1024
 
 
-@dataclass(frozen=True)
-class WeightSequence:
+class WeightSequence(Record):
     """One weight family instance.  Immutable and freely shareable."""
 
-    family: str
-    a: Fraction | None = None  # linear slope
-    c: Fraction | None = None  # power prefactor
-    r: int | None = None  # power exponent (integer, >= 1)
-    values: tuple | None = None  # custom table, index 1 first
-    base: "WeightSequence | None" = None  # reciprocal wraps another sequence
+    __slots__ = __match_args__ = ("family", "a", "c", "r", "values", "base")
 
-    def __post_init__(self):
-        if self.family == "linear":
-            object.__setattr__(self, "a", _exact_weight(self.a, "linear slopes", "a"))
-        elif self.family == "power":
-            object.__setattr__(self, "c", _exact_weight(self.c, "power prefactors", "c"))
-            object.__setattr__(self, "r", check_integer("r", self.r))
-            if self.r < 1:
+    def __init__(self, family: str, a: Fraction | None = None, c: Fraction | None = None,
+                 r: int | None = None, values: tuple | None = None,
+                 base: WeightSequence | None = None):
+        # a: linear slope; c, r: power prefactor and exponent (integer, >= 1);
+        # values: custom table, index 1 first; base: the sequence a reciprocal wraps
+        if family == "linear":
+            a = _exact_weight(a, "linear slopes", "a")
+        elif family == "power":
+            c = _exact_weight(c, "power prefactors", "c")
+            r = check_integer("r", r)
+            if r < 1:
                 raise ParameterError("power family needs integer exponent r >= 1", "r")
-        elif self.family == "custom":
-            if not self.values:
+        elif family == "custom":
+            if not values:
                 raise ParameterError("custom family needs a nonempty value table", "values")
-            values = tuple(_exact_weight(v, "custom weights", "values") for v in self.values)
-            object.__setattr__(self, "values", values)
-        elif self.family == "reciprocal":
-            if self.base is None:
+            values = tuple(_exact_weight(v, "custom weights", "values") for v in values)
+        elif family == "reciprocal":
+            if base is None:
                 raise ParameterError("reciprocal family needs a base sequence", "base")
-        elif self.family not in LIMIT_FAMILIES:
-            raise ParameterError(f"unknown weight family {self.family!r}", "family")
+        elif family not in LIMIT_FAMILIES:
+            raise ParameterError(f"unknown weight family {family!r}", "family")
+        self._hold(family, a, c, r, values, base)
 
     def eval(self, j: int) -> Fraction:
         """Weight at ball count j, entry j of `table(j)`; 0 at j = 0 by
@@ -361,31 +421,27 @@ def from_cli(text: str) -> WeightSequence:
     raise ValueError(f"cannot parse weight descriptor {text!r}")
 
 
-@dataclass(frozen=True)
-class UrnSpec:
+class UrnSpec(Record):
     """Complete description of one urn instance: model, one weight sequence
     per color, and the initial counts.  The last color is the one that must
     be exhausted for absorption.  Refused unless there are at least two
     colors, one count per sequence, every count is a nonnegative integer
     (stored as `int`) and every custom table covers its count."""
 
-    model: str
-    sequences: tuple[WeightSequence, ...]
-    counts: tuple[int, ...]
+    __slots__ = __match_args__ = ("model", "sequences", "counts")
 
-    def __post_init__(self):
-        object.__setattr__(self, "model", canonical_model(self.model))
-        object.__setattr__(self, "sequences", tuple(self.sequences))
-        counts = tuple(self.counts)
-        check_colors("sequences", len(self.sequences))
-        check_length("counts", counts, len(self.sequences), "count")
+    def __init__(self, model: str, sequences: tuple[WeightSequence, ...],
+                 counts: tuple[int, ...]):
+        model, sequences, counts = canonical_model(model), tuple(sequences), tuple(counts)
+        check_colors("sequences", len(sequences))
+        check_length("counts", counts, len(sequences), "count")
         counts = tuple(check_count("counts", c, color=color) for color, c in enumerate(counts))
-        object.__setattr__(self, "counts", counts)
-        for color, (seq, count) in enumerate(zip(self.sequences, self.counts)):
+        for color, (seq, count) in enumerate(zip(sequences, counts)):
             try:
                 seq._check_covers(count)
             except WeightRangeError as exc:
                 raise exc.naming("sequences", color) from None
+        self._hold(model, sequences, counts)
 
     @property
     def r(self) -> int:

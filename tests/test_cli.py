@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from test_acceptance import DETERMINISM_COMMANDS
 from test_limits import loop_terms  # noqa: F401  (a fixture)
 
-from urnlab import cli, limits, oracle
+import urnlab
+from urnlab import cli, limits, oracle, simulate
 from urnlab.numerics import MAX_PRECISION_BITS
 from urnlab.oracle import MAX_REACH_STATES, ExactDistribution, absorption_pmf
 from urnlab.weights import (MODEL_OKCORRAL, ParameterError, check_survivors, linear, square,
@@ -539,15 +540,20 @@ class TestSizeBounds:
         (("duality-check", "--weights", "linear:1;square;triangular", "--counts", "2,0,666666"),
          "--counts"),
         (("simulate", "--A", "linear:1", "--B", "square", "--n", "3000", "--m", "3000"), "--n"),
+        # the clock scales of these took 4.2 s (simulate) and 4.4 s (compare)
+        # before the state bound refused them
+        (("simulate", "--A", "linear:1", "--B", "square", "--n", "2", "--m", "666666"), "--m"),
+        (("compare", "--A", "linear:1", "--B", "square", "--n", "2", "--m", "666666"), "--m"),
     ], ids=["pmf-multi-3000", "pmf-multi", "oracle-m", "oracle-n", "compare", "duality",
-            "duality-multi", "simulate"])
+            "duality-multi", "simulate", "simulate-m", "compare-m"])
     def test_urn_above_the_oracle_state_bound(self, capsys, monkeypatch, argv, flag):
         # 3000,3000,3000 once ended in a MemoryError traceback; no table is
-        # built here, nor does compare run the closed form first
+        # built here, no clock scale, nor does compare run the closed form first
         def no_table(spec):
             raise AssertionError(f"table built for {spec.counts}")
 
         monkeypatch.setattr(oracle, "_coded_urn", no_table)
+        monkeypatch.setattr(simulate, "clock_scales", no_table)
         monkeypatch.setattr(cli.closedform, "two_color_distribution", no_table)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), err
@@ -629,6 +635,17 @@ class TestSimulateAndCompare:
         assert payload["closed_equals_oracle"] is True
         assert payload["representations_agree"] is True
         assert payload["max_discrepancy"] == "0/1"
+
+    def test_compare_runs_the_oracle_once(self, capsys, monkeypatch):
+        # both representations are compared with one oracle law
+        calls = []
+        real = cli.oracle._forward_reach
+        monkeypatch.setattr(cli.oracle, "_forward_reach",
+                            lambda spec: calls.append(spec) or real(spec))
+        code, _, err = run_cli(capsys, "compare", "--A", "linear:1", "--B", "square",
+                               "--n", "3", "--m", "2", "--trials", "1000")
+        assert code == 0, err
+        assert [spec.counts for spec in calls] == [(3, 2)]
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -1191,46 +1208,64 @@ class TestMomentFlags:
         assert values["closed-form"] == values["direct-summation"]
 
 
-# the watched modules a cold call of each subcommand loads
+# the watched modules a cold call of each subcommand loads: the engines it
+# runs, mpmath where it makes a big-float, numpy and the `inspect` numpy
+# loads where it simulates; none loads `dataclasses` or scipy
+_SIMULATOR = ["inspect", "mpmath", "numpy", "urnlab.limits", "urnlab.oracle", "urnlab.simulate"]
 EXPECTED_LOADS = {
-    "pmf": [], "pmf-multi": [], "moments": [], "okc-moments": [], "duality-check": [],
-    "oracle": [], "limit": ["mpmath", "urnlab.limits"], "theta": ["mpmath", "urnlab.limits"],
-    "simulate": ["mpmath", "numpy", "urnlab.limits"],
-    "compare": ["mpmath", "numpy", "urnlab.limits"],
+    "pmf": ["urnlab.closedform", "urnlab.oracle"],
+    "pmf-multi": ["urnlab.closedform", "urnlab.oracle"],
+    "moments": ["urnlab.moments", "urnlab.oracle"],
+    "okc-moments": ["urnlab.moments", "urnlab.oracle"],
+    "duality-check": ["urnlab.oracle"],
+    "oracle": ["urnlab.oracle"],
+    "limit": ["mpmath", "urnlab.limits"],
+    "theta": ["mpmath", "urnlab.limits"],
+    "simulate": _SIMULATOR,
+    "compare": sorted([*_SIMULATOR, "urnlab.closedform"]),
 }
+WATCHED = ("dataclasses", "inspect", "mpmath", "numpy", "scipy", "urnlab.closedform",
+           "urnlab.limits", "urnlab.moments", "urnlab.oracle", "urnlab.simulate")
 
 
 def _cli_call(argv):
-    return f"assert cli.main({argv!r}) == 0"
+    return f"from urnlab import cli\nassert cli.main({argv!r}) == 0"
 
 
 class TestImportBudget:
-    """Only simulation loads numpy, only big-floats and the limit laws load
-    mpmath, only `limit` and `theta` (and the simulator) load `limits`, and
-    nothing loads scipy; each case runs in a fresh interpreter so earlier
+    """Each subcommand loads only the engines it runs: only simulation loads
+    numpy (and `inspect` with it), only big-floats and the limit laws load
+    mpmath, only `limit` and `theta` (and the simulator) load `limits`,
+    neither of those two loads an exact engine, and nothing loads
+    `dataclasses` or scipy.  `import urnlab` alone, and its weight names,
+    load none of them.  Each case runs in a fresh interpreter so earlier
     imports cannot hide a regression."""
 
     @pytest.mark.parametrize(
         "body, loaded",
         [(_cli_call(argv), EXPECTED_LOADS[argv[0]]) for argv in DETERMINISM_COMMANDS]
         + [
-            (_cli_call([*DETERMINISM_COMMANDS[0], "--mode", "bigfloat"]), ["mpmath"]),
+            (_cli_call([*DETERMINISM_COMMANDS[0], "--mode", "bigfloat"]),
+             ["mpmath", "urnlab.closedform", "urnlab.oracle"]),
+            ("import urnlab", []),
+            ("import urnlab\n"
+             "spec = urnlab.two_color('I', urnlab.linear(1), urnlab.square(), 4, 3)\n"
+             "assert urnlab.Polynomial([1, 2])(spec.n) == 9", []),
             ("import urnlab\n"
              "law = urnlab.sampling_distribution(urnlab.linear(1), urnlab.square(), 4, 3)\n"
-             "assert sum(law.probs.values()) == 1", []),
+             "assert sum(law.probs.values()) == 1", ["urnlab.closedform", "urnlab.oracle"]),
             ("from urnlab import SimConfig, simulate_counts, linear, two_color\n"
              "spec = two_color('I', linear(1), linear(1), 1, 1)\n"
              "assert sum(simulate_counts(SimConfig(spec, 10, 0)).values()) == 10",
              EXPECTED_LOADS["simulate"]),
         ],
-        ids=[argv[0] for argv in DETERMINISM_COMMANDS] + ["pmf-bigfloat", "rational-library", "library"],
+        ids=[argv[0] for argv in DETERMINISM_COMMANDS]
+        + ["pmf-bigfloat", "import", "weights-library", "rational-library", "library"],
     )
     def test_modules_loaded(self, body, loaded):
-        watched = ("mpmath", "numpy", "scipy", "urnlab.limits")
         script = (
-            "import sys\nfrom urnlab import cli\n"
-            f"{body}\n"
-            f"print(sorted(m for m in {watched!r} if m in sys.modules))\n"
+            f"import sys\n{body}\n"
+            f"print(sorted(m for m in {WATCHED!r} if m in sys.modules))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script],
@@ -1238,6 +1273,26 @@ class TestImportBudget:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == repr(loaded)
+
+    def test_package_names_resolve(self):
+        # every name of the package's table is its defining module's object
+        for name, module in urnlab._NAMES.items():
+            assert getattr(urnlab, name) is getattr(getattr(urnlab, module), name), name
+        assert set(urnlab.__all__) == set(urnlab._NAMES) <= set(dir(urnlab))
+        with pytest.raises(AttributeError):
+            urnlab.no_such_name  # noqa: B018
+        # the representations live in weights, and closedform re-exports them
+        from urnlab import closedform, weights
+
+        assert (closedform.BETA_POLES, closedform.ALPHA_POLES) == (
+            weights.BETA_POLES, weights.ALPHA_POLES) == ("beta-poles", "alpha-poles")
+
+    def test_cli_engines_resolve(self):
+        # tests patch the engines through `cli`, which imports them in its handlers
+        for name in ("closedform", "moments", "oracle"):
+            assert getattr(cli, name) is getattr(urnlab, name)
+        with pytest.raises(AttributeError):
+            cli.no_such_engine  # noqa: B018
 
 
 class TestBigfloatFreshProcess:
@@ -1292,6 +1347,32 @@ class TestParserTags:
         # the default lives in the form table; the parse leaves it out
         form = cli._COMMANDS["limit"].forms["limit --law fixed-whites-pmf --method finite-sum"]
         assert form.optional["method"] == "finite-sum"
+
+
+class TestParserPerCommand:
+    """`main` adds the flags of the subcommand it runs alone: they are the
+    flags the full parser gives it, and every subcommand keeps its help."""
+
+    @staticmethod
+    def subparsers(parser):
+        return next(a for a in parser._actions if a.dest == "command")
+
+    @staticmethod
+    def flags(parser):
+        return [(a.option_strings, a.dest, a.type, a.choices, a.help, a.default, a.nargs)
+                for a in parser._actions]
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_same_flags_as_the_full_parser(self, command):
+        full = self.subparsers(cli.build_parser())
+        alone = self.subparsers(cli.build_parser(command))
+        assert [(a.dest, a.help) for a in alone._choices_actions] == [
+            (a.dest, a.help) for a in full._choices_actions]
+        for name, sub in alone.choices.items():
+            if name == command:
+                assert self.flags(sub) == self.flags(full.choices[name])
+            else:
+                assert [a.option_strings for a in sub._actions] == [["-h", "--help"]]
 
 
 class TestEmitPlotData:

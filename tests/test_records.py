@@ -1,11 +1,13 @@
 """The six records keep the behaviour of a frozen dataclass: `repr` by field
 in order, `==` by class and by the fields `repr` shows, a hash of those
-fields, no assignment and no deletion, and a pickle round trip.
+fields, no assignment and no deletion, a pickle round trip and
+`dataclasses.replace`.
 
 `WeightSequence`, `UrnSpec`, `ExactDistribution` (whose `pairs` and `bits`
 are kept aside from `==` and `repr`), `DiscrepancyReport`, `SimConfig`
 (whose `scales` likewise) and `SimulationReport`."""
 
+import dataclasses
 import pickle
 from fractions import Fraction
 
@@ -134,6 +136,22 @@ class TestRecords:
             if field != "scales":
                 assert getattr(copy, field) == getattr(record, field), field
         assert copy == record
+
+
+@pytest.mark.parametrize("name", [name for name in ROWS if name != "ExactDistribution-bits"])
+def test_dataclasses_replace(name):
+    # a law built from probabilities alone must be rational
+    record = ROWS[name][0]
+    assert dataclasses.replace(record) == record
+
+
+def test_replace_builds_a_new_law():
+    # the benchmark's self-test corrupts a law this way
+    quarters = {0: Fraction(1, 4), 1: Fraction(3, 4)}
+    changed = dataclasses.replace(law(), probs=quarters)
+    assert changed == ExactDistribution((0, 1), quarters)
+    assert changed.pairs == {0: (1, 4), 1: (3, 4)}
+    assert dataclasses.replace(ROWS["SimConfig"][0], seed=4).seed == 4
 
 
 def test_law_keeps_pairs_and_bits():
