@@ -10,7 +10,7 @@ duality between the two processes, the limit laws for fast-growing weights,
 and seeded Monte Carlo validation.
 """
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -86,9 +86,12 @@ __all__ = sorted(_NAMES)
 
 def __getattr__(name):
     if name in _MODULES:
-        return importlib.import_module(f"{__name__}.{name}")
+        # by `__import__`, which `python -X importtime` lists, unlike
+        # `importlib.import_module`
+        __import__(f"{__name__}.{name}")
+        return sys.modules[f"{__name__}.{name}"]
     if name in _NAMES:
-        return getattr(importlib.import_module(f"{__name__}.{_NAMES[name]}"), name)
+        return getattr(__getattr__(_NAMES[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import importlib
 import io
 import json
 import sys
@@ -67,7 +66,7 @@ def __getattr__(name):
     """The engines the handlers import where they run them, as attributes
     of this module too: `cli.closedform`, `cli.moments`, `cli.oracle`."""
     if name in ("closedform", "moments", "oracle"):
-        return importlib.import_module(f"{__package__}.{name}")
+        return getattr(sys.modules[__package__], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

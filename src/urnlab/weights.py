@@ -14,7 +14,8 @@ The closed forms, the recurrence oracle, the clock products and the
 simulator's clock scales read it.  `table` and `eval` are its `Fraction`
 view, derived from it, for callers that want weights as numbers.
 `ParameterError`, which every module raises for an argument out of range,
-and the range checks they share live here too.
+the range checks they share and `Record`, the immutable record every
+module's records are built on, live here too.
 
 Every integer argument (a ball count, survivor count, block size, moment
 order, exponent, weight index, truncation, trial count or seed) follows one
