@@ -90,11 +90,13 @@ class Record:
     def __init_subclass__(cls):
         super().__init_subclass__()
         cls._fields = operator.attrgetter(*cls.__match_args__)
+        # each slot's own setter, which skips `object.__setattr__`'s lookup
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def _hold(self, *values):
         """Set the slots, in the order `__slots__` lists them."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for set_slot, value in zip(self._setters, values):
+            set_slot(self, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
