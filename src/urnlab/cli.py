@@ -34,11 +34,10 @@ two oracle laws.
 
 A call pays only for the modules its subcommand runs.  This module loads
 `weights` and `numerics` alone, and each handler imports the engines it
-calls (`closedform`, `oracle`, `moments`, `limits`, `simulate`); the
-module's `__getattr__` still offers `cli.closedform`, `cli.oracle` and
-`cli.moments`.  So `limit` and `theta` load no exact engine, mpmath loads
-where a big-float is made or printed (big-float mode, `limit`, `theta` and
-the simulator's p-value) and numpy only in `simulate` and `compare`.
+calls (`closedform`, `oracle`, `moments`, `limits`, `simulate`).  So
+`limit` and `theta` load no exact engine, mpmath loads where a big-float
+is made or printed (big-float mode, `limit`, `theta` and the simulator's
+p-value) and numpy only in `simulate` and `compare`.
 `main` adds the flags of the subcommand it runs alone (`build_parser`).
 """
 
@@ -54,20 +53,12 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import weights
-from .numerics import (BIGFLOAT, DEFAULT_PRECISION_BITS, FLOAT, GUARD_BITS, MAX_PRECISION_BITS,
-                       MIN_PRECISION_BITS, RATIONAL, precision_bits, working_precision)
+from .numerics import (BIGFLOAT, DEFAULT_PRECISION_BITS, FLOAT, GUARD_BITS, MODES, RATIONAL,
+                       check_precision, precision_bits, working_precision)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DISCREPANCY = 3
-
-
-def __getattr__(name):
-    """The engines the handlers import where they run them, as attributes
-    of this module too: `cli.closedform`, `cli.moments`, `cli.oracle`."""
-    if name in ("closedform", "moments", "oracle"):
-        return getattr(sys.modules[__package__], name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Discrepancy(Exception):
@@ -542,8 +533,6 @@ class Command(NamedTuple):
     flags: dict = {}
 
 
-_MODES = (RATIONAL, FLOAT, BIGFLOAT)
-
 # how each flag parses, in parser order; a subcommand offers those its forms read
 _FLAGS = {
     "model": {"help": "urn model: I (sampling) or II (contested fire)"},
@@ -559,7 +548,7 @@ _FLAGS = {
     "counts": {"help": "comma-separated initial counts"},
     "k": {"type": int, "help": "single survivor count (default: whole pmf)"},
     "representation": {"choices": (weights.BETA_POLES, weights.ALPHA_POLES)},
-    "mode": {"choices": _MODES, "help": "output mode (default: rational)"},
+    "mode": {"choices": MODES, "help": "output mode (default: rational)"},
     "engine": {"choices": ("closed", "oracle")},
     "s": {"type": int},
     "kind": {"choices": ("factorial", "raw")},
@@ -595,7 +584,7 @@ _COMMANDS = {
         f"pmf --mode {mode}": Form(_URN, {"model": "I", "k": None, "mode": None,
                                           "representation": weights.BETA_POLES},
                                    exact=mode == RATIONAL, bigfloat=mode == BIGFLOAT)
-        for mode in _MODES
+        for mode in MODES
     }),
     "oracle": Command(_cmd_oracle, "recurrence/enumeration ground-truth pmf", {
         "oracle": Form(_URN, {"model": "I", "method": "recurrence"}, exact=True),
@@ -684,10 +673,8 @@ def _read_form(args) -> None:
         typed.setdefault(flag, default)
     args.params = {flag: typed[flag] for flag in (*form.required, *form.optional)
                    if typed[flag] is not None}
-    if args.precision_bits is not None and args.precision_bits < MIN_PRECISION_BITS:
-        raise weights.ParameterError(f"must be at least {MIN_PRECISION_BITS}", "precision_bits")
-    if args.precision_bits is not None and args.precision_bits > MAX_PRECISION_BITS:
-        raise weights.ParameterError(f"must be at most {MAX_PRECISION_BITS}", "precision_bits")
+    if args.precision_bits is not None:
+        check_precision("precision_bits", args.precision_bits)
     if args.decimals is not None:
         # decimals render exact rationals in CSV; anywhere else they would
         # be ignored

@@ -76,6 +76,7 @@ from .weights import (
     WeightRangeError,
     WeightSequence,
     check_block_size,
+    check_distinct,
     check_integer,
     check_linear_urn,
     check_survivors,
@@ -96,16 +97,16 @@ def _table(seq: WeightSequence, upper: int, param: str, color=None) -> tuple:
     weight at 1..upper (closed forms divide by weight differences) or is a
     custom table shorter than upper."""
     try:
-        nums, den = seq.int_table(upper)
+        table = seq.int_table(upper)
     except WeightRangeError as exc:
         raise exc.naming(param, color) from None
-    if len(set(nums[1:])) < upper:
+    if not check_distinct(seq, upper, table):
         raise DistinctWeightsError(
             f"the closed forms need pairwise distinct weights up to index {upper}",
             param,
             color,
         )
-    return nums, den
+    return table
 
 
 def _require_representation(representation: str):

@@ -7,12 +7,12 @@ give each probability as an unreduced int pair (num, den), which
 `pair_sum` adds, as do the contested-fire moment displays; the Pólya
 corollary displays sum `Fraction`s.  A result is then given in one of
 three output modes: the exact rational (`fractions.Fraction`), a
-big-float (`mpmath.mpf` at a configurable bit precision, 8 to
-MAX_PRECISION_BITS from the environment) or a machine float, each exact
-pair rounded once (`cast_pair`).
-Every big-float is computed and rounded in one context,
-`working_precision(bits)`, at `bits` (default `precision_bits()`) plus
-GUARD_BITS; the transcendental limit laws compute in big-floats throughout.
+big-float (`mpmath.mpf` at a configurable bit precision) or a machine
+float, each exact pair rounded once (`cast_pair`).  Every big-float is
+computed and rounded in one context, `working_precision(bits)`, at `bits`
+(default `precision_bits()`) plus GUARD_BITS, `bits` an integer from
+MIN_PRECISION_BITS to MAX_PRECISION_BITS by the one rule `check_precision`;
+the transcendental limit laws compute in big-floats throughout.
 
 An integer enters exact arithmetic one way, through `exact_operand`: an
 int or a numpy integer (anything `operator.index` takes) becomes a
@@ -34,11 +34,12 @@ import threading
 from fractions import Fraction
 from math import factorial, lcm, perm
 
-from .weights import ParameterError, check_integer
+from .weights import ParameterError, Record, check_integer
 
 RATIONAL = "rational"
 BIGFLOAT = "bigfloat"
 FLOAT = "float"
+MODES = (RATIONAL, FLOAT, BIGFLOAT)
 
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 8
@@ -53,6 +54,18 @@ GUARD_BITS = 32
 PRODUCT_BLOCK = 64
 
 
+def check_precision(param: str, bits) -> int:
+    """`bits` as an int (`check_integer`), refused outside
+    MIN_PRECISION_BITS..MAX_PRECISION_BITS; `precision_bits`, the CLI's
+    --precision-bits and `working_precision` (every `bits=`) apply it."""
+    bits = check_integer(param, bits)
+    if bits < MIN_PRECISION_BITS:
+        raise ParameterError(f"must be at least {MIN_PRECISION_BITS}", param)
+    if bits > MAX_PRECISION_BITS:
+        raise ParameterError(f"must be at most {MAX_PRECISION_BITS}", param)
+    return bits
+
+
 def precision_bits() -> int:
     """Working precision for big-float mode, from URNLAB_PRECISION_BITS."""
     raw = os.environ.get("URNLAB_PRECISION_BITS", "")
@@ -61,39 +74,36 @@ def precision_bits() -> int:
     try:
         bits = int(raw)
     except ValueError:
-        raise ValueError(f"URNLAB_PRECISION_BITS must be an integer, got {raw!r}") from None
-    if bits < MIN_PRECISION_BITS:
-        raise ValueError(f"URNLAB_PRECISION_BITS must be at least {MIN_PRECISION_BITS}")
-    if bits > MAX_PRECISION_BITS:
-        raise ValueError(f"URNLAB_PRECISION_BITS must be at most {MAX_PRECISION_BITS}")
-    return bits
+        bits = raw  # which the integer rule refuses, quoting it
+    try:
+        return check_precision("bits", bits)
+    except ParameterError as exc:
+        raise ValueError(f"URNLAB_PRECISION_BITS {exc}") from None
 
 
 def working_precision(bits=None):
     """The context every big-float is computed and rounded in: `bits`
-    (default: `precision_bits()`) plus GUARD_BITS."""
+    (default: `precision_bits()`), checked first, plus GUARD_BITS."""
+    bits = precision_bits() if bits is None else check_precision("bits", bits)
     import mpmath  # the exact routes start without it
 
-    return mpmath.workprec((bits if bits is not None else precision_bits()) + GUARD_BITS)
+    return mpmath.workprec(bits + GUARD_BITS)
 
 
-class Polynomial:
+class Polynomial(Record):
     """Dense univariate polynomial with exact rational coefficients.
 
     Coefficients are stored ascending by degree with no trailing zeros;
     the zero polynomial has degree -1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = __match_args__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
         cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+        self._hold(tuple(cs))
 
     @property
     def degree(self) -> int:
@@ -112,14 +122,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         if not self.coeffs:

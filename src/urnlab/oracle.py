@@ -31,8 +31,10 @@ from contextlib import nullcontext
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, perm, prod
+from numbers import Rational
 
-from .numerics import BIGFLOAT, RATIONAL, cast_pair, pair_sum, precision_bits, working_precision
+from .numerics import (BIGFLOAT, MODES, RATIONAL, cast_pair, pair_sum, precision_bits,
+                       working_precision)
 from .weights import (
     MODEL_SAMPLING,
     ParameterError,
@@ -70,15 +72,21 @@ class ExactDistribution(Record):
     big-float law and its sums at the `bits` it keeps (`from_pairs`).
 
     Built from a dict of `Fraction`s, the pairs are their numerators and
-    denominators; the producers hand theirs over unreduced (`from_pairs`).
+    denominators; the producers, and every float or big-float law, hand
+    theirs over unreduced (`from_pairs`).
     Two laws are `==` when support, mode and every probability agree."""
 
     __slots__ = ("support", "probs", "mode", "pairs", "bits")
     __match_args__ = ("support", "probs", "mode")
 
-    def __init__(self, support: tuple, probs: dict, mode: str = RATIONAL,
-                 exact: dict | None = None):
+    def __init__(self, support: tuple, probs: dict | None, mode: str = RATIONAL,
+                 exact: dict | None = None, bits: int | None = None):
+        if mode not in MODES:
+            raise ParameterError(f"unknown scalar mode {mode!r}; use one of {MODES}", "mode")
         if exact is None:
+            if mode != RATIONAL or not all(isinstance(p, Rational) for p in probs.values()):
+                raise ParameterError("must be exact rationals; a float or big-float law is "
+                                     "built from its exact pairs (`from_pairs`)", "probs")
             exact = {k: (p.numerator, p.denominator) for k, p in probs.items()}
         values = exact.values()
         nums = [num for num, _ in values]
@@ -93,7 +101,13 @@ class ExactDistribution(Record):
             num, den = pair_sum(values)
         if num != den:
             raise ValueError(f"probabilities sum to {Fraction(num, den)}, not 1")
-        self._hold(support, probs, mode, exact, None)
+        bits = (precision_bits() if bits is None else bits) if mode == BIGFLOAT else None
+        if probs is None and mode == RATIONAL:
+            probs = {k: Fraction(num, den) for k, (num, den) in exact.items()}
+        elif probs is None:
+            with _rounding(mode, bits):
+                probs = {k: cast_pair(num, den, mode) for k, (num, den) in exact.items()}
+        self._hold(support, probs, mode, exact, bits)
 
     @classmethod
     def from_pairs(cls, support, pairs: dict, mode=None, bits=None) -> "ExactDistribution":
@@ -101,16 +115,7 @@ class ExactDistribution(Record):
         each probability a `Fraction`, or rounded once and without a gcd
         (`cast_pair`), a big-float in `working_precision(bits)`; the law
         keeps those bits."""
-        mode = mode or RATIONAL
-        bits = (precision_bits() if bits is None else bits) if mode == BIGFLOAT else None
-        if mode == RATIONAL:
-            probs = {k: Fraction(num, den) for k, (num, den) in pairs.items()}
-        else:
-            with _rounding(mode, bits):
-                probs = {k: cast_pair(num, den, mode) for k, (num, den) in pairs.items()}
-        law = cls(support, probs, mode, pairs)
-        object.__setattr__(law, "bits", bits)
-        return law
+        return cls(support, None, mode or RATIONAL, pairs, bits)
 
     def __getitem__(self, point):
         return self.probs.get(point, _RATIONAL_ZERO if self.mode == RATIONAL else 0.0)

@@ -75,12 +75,12 @@ class _DataclassFields:
 
 
 class Record:
-    """An immutable record with a frozen dataclass's behaviour, in the idiom
-    of `numerics.Polynomial`.  A subclass lists its `__slots__`, names its
-    fields in `__match_args__` (the constructor's arguments, in order) and
-    sets every slot once in `__init__` (`_hold`).  `==` holds between
-    records of one class whose fields are `==`, `hash` and `repr` read the
-    same fields, and a slot that is not a field (a law's `pairs`, a
+    """An immutable record with a frozen dataclass's behaviour, built on
+    `__slots__`.  A subclass lists its `__slots__`, names its fields in
+    `__match_args__` (the constructor's arguments, in order) and sets
+    every slot once in `__init__` (`_hold`).  `==` holds between records
+    of one class whose fields are `==`, `hash` and `repr` read the same
+    fields, and a slot that is not a field (a law's `pairs` and `bits`, a
     configuration's `scales`) is kept aside from all three."""
 
     __slots__ = ()
@@ -393,13 +393,14 @@ def integer_tables(*tables) -> list:
     return [nums if den == scale else [v * (scale // den) for v in nums] for nums, den in tables]
 
 
-def check_distinct(seq: WeightSequence, upper: int) -> bool:
+def check_distinct(seq: WeightSequence, upper: int, table: tuple | None = None) -> bool:
     """True iff the weights at 1..upper are pairwise distinct (exact
-    comparison, of the ints of `int_table` over one denominator)."""
+    comparison, of the ints of `int_table(upper)`, or of `table` when the
+    caller has built it): the closed forms' rule (`closedform._table`)."""
     upper = check_integer("upper", upper)
     if upper < 1:
         raise ParameterError("must be at least 1", "upper")
-    nums = seq.int_table(upper)[0][1:]
+    nums = (table or seq.int_table(upper))[0][1:]
     return len(set(nums)) == len(nums)
 
 

@@ -17,7 +17,7 @@ from test_acceptance import DETERMINISM_COMMANDS
 from test_limits import loop_terms  # noqa: F401  (a fixture)
 
 import urnlab
-from urnlab import cli, limits, oracle, simulate
+from urnlab import cli, closedform, limits, moments, oracle, simulate
 from urnlab.numerics import MAX_PRECISION_BITS
 from urnlab.oracle import MAX_REACH_STATES, ExactDistribution, absorption_pmf
 from urnlab.weights import (MODEL_OKCORRAL, ParameterError, check_survivors, linear, square,
@@ -255,8 +255,8 @@ class TestPmfMulti:
     @pytest.mark.parametrize("model", ["I", "II"])
     def test_closed_engine_never_runs_the_oracle(self, capsys, monkeypatch, model):
         calls = []
-        real = cli.oracle._forward_reach
-        monkeypatch.setattr(cli.oracle, "_forward_reach",
+        real = oracle._forward_reach
+        monkeypatch.setattr(oracle, "_forward_reach",
                             lambda spec: calls.append(spec) or real(spec))
         code, out, _ = run_cli(capsys, "pmf-multi", "--model", model, "--weights",
                                "square;linear:1;triangular", "--counts", "2,3,2")
@@ -276,7 +276,7 @@ class TestPmfMulti:
         def law(*args):
             raise AssertionError("the law was computed before --k was checked")
 
-        monkeypatch.setattr(cli.closedform, "multi_distribution", law)
+        monkeypatch.setattr(closedform, "multi_distribution", law)
         code, out, err = run_cli(capsys, "pmf-multi", "--weights", "linear:1;square;linear:2",
                                  "--counts", "2,2,2", "--k", k)
         assert (code, out, err) == (2, "", f"--k: {message}\n")
@@ -555,7 +555,7 @@ class TestSizeBounds:
 
         monkeypatch.setattr(oracle, "_coded_urn", no_table)
         monkeypatch.setattr(simulate, "clock_scales", no_table)
-        monkeypatch.setattr(cli.closedform, "two_color_distribution", no_table)
+        monkeypatch.setattr(closedform, "two_color_distribution", no_table)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), err
         assert err.startswith(f"{flag}: ") and f"bound of {MAX_REACH_STATES:,}\n" in err
@@ -640,8 +640,8 @@ class TestSimulateAndCompare:
     def test_compare_runs_the_oracle_once(self, capsys, monkeypatch):
         # both representations are compared with one oracle law
         calls = []
-        real = cli.oracle._forward_reach
-        monkeypatch.setattr(cli.oracle, "_forward_reach",
+        real = oracle._forward_reach
+        monkeypatch.setattr(oracle, "_forward_reach",
                             lambda spec: calls.append(spec) or real(spec))
         code, _, err = run_cli(capsys, "compare", "--A", "linear:1", "--B", "square",
                                "--n", "3", "--m", "2", "--trials", "1000")
@@ -893,7 +893,7 @@ class TestRefusalBeforeWork:
         def law(*args):
             raise AssertionError("the law was computed before --k was checked")
 
-        monkeypatch.setattr(cli.closedform, "two_color_distribution", law)
+        monkeypatch.setattr(closedform, "two_color_distribution", law)
         code, out, err = run_cli(capsys, "pmf", "--A", "linear:1", "--B", "square",
                                  "--n", "120", "--m", "120", "--k", "500")
         assert (code, out, err) == (2, "", "--k: must lie in 0..120\n")
@@ -911,8 +911,8 @@ class TestRefusalBeforeWork:
     def test_pmf_multi_closed_refused_before_the_oracle(self, capsys, monkeypatch,
                                                         argv, message):
         calls = []
-        real = cli.oracle._forward_reach
-        monkeypatch.setattr(cli.oracle, "_forward_reach",
+        real = oracle._forward_reach
+        monkeypatch.setattr(oracle, "_forward_reach",
                             lambda spec: calls.append(spec) or real(spec))
         code, out, err = run_cli(capsys, "pmf-multi", *argv)
         assert (code, out, err) == (2, "", message + "\n")
@@ -943,8 +943,8 @@ class TestDiscrepancy:
         return check_json(out)
 
     def test_compare_closed_off_the_oracle(self, capsys, monkeypatch):
-        real = cli.closedform.two_color_distribution
-        monkeypatch.setattr(cli.closedform, "two_color_distribution",
+        real = closedform.two_color_distribution
+        monkeypatch.setattr(closedform, "two_color_distribution",
                             lambda *args: _swap_ends(real(*args)))
         payload = self.mismatch(*run_cli(capsys, "compare", *self.URN, "--trials", "1000"))
         assert payload["representations_agree"] is True
@@ -952,13 +952,13 @@ class TestDiscrepancy:
         assert Fraction(payload["max_discrepancy"]) > 0
 
     def test_compare_representations_disagree(self, capsys, monkeypatch):
-        real = cli.closedform.two_color_distribution
+        real = closedform.two_color_distribution
 
         def law(spec, representation):
             dist = real(spec, representation)
-            return _swap_ends(dist) if representation == cli.closedform.ALPHA_POLES else dist
+            return _swap_ends(dist) if representation == closedform.ALPHA_POLES else dist
 
-        monkeypatch.setattr(cli.closedform, "two_color_distribution", law)
+        monkeypatch.setattr(closedform, "two_color_distribution", law)
         payload = self.mismatch(*run_cli(capsys, "compare", *self.URN, "--trials", "1000"))
         assert payload["representations_agree"] is False
         assert payload["closed_equals_oracle"] is False
@@ -968,8 +968,8 @@ class TestDiscrepancy:
         ("absorption_pmf_multi", ["--weights", "linear:1;square;triangular", "--counts", "2,2,2"]),
     ])
     def test_duality(self, capsys, monkeypatch, route, urn):
-        real = getattr(cli.oracle, route)
-        monkeypatch.setattr(cli.oracle, route,
+        real = getattr(oracle, route)
+        monkeypatch.setattr(oracle, route,
                             lambda spec: _swap_ends(real(spec)) if spec.model == MODEL_OKCORRAL else real(spec))
         payload = self.mismatch(*run_cli(capsys, "duality-check", *urn))
         assert payload["verdict"] == "MISMATCH"
@@ -983,8 +983,8 @@ class TestDiscrepancy:
          ["okc-moments", "--n", "3", "--m", "2", "--s", "2", "--kind", "polynomial"]),
     ])
     def test_moment_routes(self, capsys, monkeypatch, route, argv):
-        real = getattr(cli.moments, route)
-        monkeypatch.setattr(cli.moments, route, lambda *args: real(*args) + 1)
+        real = getattr(moments, route)
+        monkeypatch.setattr(moments, route, lambda *args: real(*args) + 1)
         closed, direct = self.mismatch(*run_cli(capsys, *argv))["reports"]
         assert (closed["method"], direct["method"]) == ("closed-form", "direct-summation")
         assert Fraction(closed["value"]) == Fraction(direct["value"]) + 1
@@ -1284,17 +1284,10 @@ class TestImportBudget:
         with pytest.raises(AttributeError):
             urnlab.no_such_name  # noqa: B018
         # the representations live in weights, and closedform re-exports them
-        from urnlab import closedform, weights
+        from urnlab import weights
 
         assert (closedform.BETA_POLES, closedform.ALPHA_POLES) == (
             weights.BETA_POLES, weights.ALPHA_POLES) == ("beta-poles", "alpha-poles")
-
-    def test_cli_engines_resolve(self):
-        # tests patch the engines through `cli`, which imports them in its handlers
-        for name in ("closedform", "moments", "oracle"):
-            assert getattr(cli, name) is getattr(urnlab, name)
-        with pytest.raises(AttributeError):
-            cli.no_such_engine  # noqa: B018
 
 
 class TestBigfloatFreshProcess:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_rational, round_nearest
 
+from urnlab import closedform
 from urnlab.closedform import (
     ALPHA_POLES,
     BETA_POLES,
@@ -969,3 +970,13 @@ class TestInputChecks:
             assert sorted(calls) == [("linear", 2), ("square", 3), ("triangular", 2)]
         # no closed form reads the `Fraction` view
         assert viewed == []
+
+    def test_distinctness_is_the_one_rule_of_check_distinct(self, monkeypatch):
+        # the closed forms refuse a table by `weights.check_distinct` alone,
+        # which reads the table they built
+        asked = []
+        monkeypatch.setattr(closedform, "check_distinct",
+                            lambda seq, upper, table: asked.append((seq.family, upper, table)))
+        with pytest.raises(DistinctWeightsError, match="distinct weights up to index 2"):
+            sampling_distribution(linear(1), square(), 2, 3)
+        assert asked == [("linear", 2, linear(1).int_table(2))]

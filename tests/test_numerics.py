@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_rational, round_nearest
 
 from urnlab import limits
-from urnlab.closedform import multi_distribution, okcorral_distribution
+from urnlab.closedform import multi_distribution, okcorral_distribution, sampling_distribution
 from urnlab.numerics import (
     BIGFLOAT,
     FLOAT,
     GUARD_BITS,
+    MAX_PRECISION_BITS,
     RATIONAL,
     Polynomial,
     binom_general,
@@ -28,7 +29,7 @@ from urnlab.numerics import (
     working_precision,
 )
 from urnlab.oracle import ExactDistribution
-from urnlab.weights import UrnSpec, linear, square, triangular
+from urnlab.weights import ParameterError, UrnSpec, linear, square, triangular
 
 
 def partitions_brute(n, k):
@@ -357,6 +358,23 @@ class TestWorkingPrecision:
         monkeypatch.setenv("URNLAB_PRECISION_BITS", "100")
         with working_precision():
             assert mpmath.mp.prec == 100 + GUARD_BITS
+
+    @pytest.mark.parametrize("call", [
+        lambda: limits.limit_moment(1, bits=10**7),
+        lambda: limits.limit_cdf(Fraction(1, 2), bits=MAX_PRECISION_BITS + 1),
+        lambda: sampling_distribution(linear(1), square(), 3, 3, mode=BIGFLOAT,
+                                      bits=MAX_PRECISION_BITS + 1),
+        lambda: working_precision(10**7),
+    ], ids=["limit_moment", "limit_cdf", "sampling_distribution", "working_precision"])
+    def test_above_the_ceiling_is_refused_before_any_big_float(self, monkeypatch, call):
+        # 10^7 bits once ran limit_moment until killed
+        def no_context(prec):
+            raise AssertionError(f"a big-float context at {prec} bits")
+
+        monkeypatch.setattr(mpmath, "workprec", no_context)
+        with pytest.raises(ParameterError) as refusal:
+            call()
+        assert refusal.value.param == "bits"
 
     @pytest.mark.parametrize("name", BIGFLOAT_PRODUCERS)
     def test_ambient_precision_changes_no_bit(self, name):

@@ -382,6 +382,31 @@ CASES += [
          id="ExactDistribution.moment-one-entry-vector-support"),
 ]
 
+# One precision rule (`numerics.check_precision`): an integer from 8 to
+# 4,096 bits, in every `bits=` argument as in URNLAB_PRECISION_BITS and
+# --precision-bits.  Unbounded, -40 bits once gave limit_moment(1) 0.125
+# (it is 0.2720...), -31 a big-float law summing to 7/8, and 10^7 ran
+# until killed.
+CASES += [
+    *(case(lambda bits=bits: limits.limit_moment(1, bits=bits), "bits",
+           id=f"limit_moment-bits-{bits}") for bits in (7, 4097, 53.0, -40)),
+    case(lambda: closedform.sampling_distribution(linear(1), square(), 3, 3, mode="bigfloat",
+                                                  bits=-31), "bits",
+         id="sampling_distribution-bits"),
+    case(lambda: limits.theta(Fraction(1, 2), bits=4097), "bits", id="theta-bits"),
+    case(lambda: numerics.working_precision(Fraction(64)), "bits", id="working_precision-bits"),
+    # an unknown mode once raised a ValueError naming nothing, and a float
+    # law built from probabilities an AttributeError
+    case(lambda: closedform.sampling_distribution(*PAIR, 2, 2, mode="bogus"), "mode",
+         id="sampling_distribution-mode"),
+    case(lambda: oracle.ExactDistribution.from_pairs((0,), {0: (1, 1)}, "bogus"), "mode",
+         id="ExactDistribution.from_pairs-mode"),
+    case(lambda: oracle.ExactDistribution((0, 1), {0: 0.5, 1: 0.5}, "float"), "probs",
+         id="ExactDistribution-float-probs"),
+    case(lambda: oracle.ExactDistribution((0, 1), {0: 0.5, 1: 0.5}), "probs",
+         id="ExactDistribution-rational-float-probs"),
+]
+
 
 @pytest.mark.parametrize("call, param, color", CASES)
 def test_refusal_names_the_argument(call, param, color):

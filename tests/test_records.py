@@ -1,12 +1,14 @@
-"""The six records keep the behaviour of a frozen dataclass: `repr` by field
-in order, `==` by class and by the fields `repr` shows, a hash of those
-fields, no assignment and no deletion, a pickle round trip and
-`dataclasses.replace`.
+"""The seven records keep the behaviour of a frozen dataclass: `repr` by
+field in order, `==` by class and by the fields `repr` shows, a hash of
+those fields, no assignment and no deletion, a pickle round trip, a deep
+copy and `dataclasses.replace`.
 
 `WeightSequence`, `UrnSpec`, `ExactDistribution` (whose `pairs` and `bits`
 are kept aside from `==` and `repr`), `DiscrepancyReport`, `SimConfig`
-(whose `scales` likewise) and `SimulationReport`."""
+(whose `scales` likewise), `SimulationReport` and `Polynomial` (whose
+`repr` is its own)."""
 
+import copy
 import dataclasses
 import pickle
 from fractions import Fraction
@@ -14,8 +16,9 @@ from fractions import Fraction
 import pytest
 
 from urnlab import closedform, oracle, simulate, weights
-from urnlab.numerics import BIGFLOAT, FLOAT
+from urnlab.numerics import BIGFLOAT, FLOAT, Polynomial
 from urnlab.oracle import ExactDistribution
+from urnlab.weights import ParameterError
 
 WS = "WeightSequence(family={!r}, a={}, c={}, r={}, values={}, base={})"
 LINEAR_HALF = WS.format("linear", "Fraction(1, 2)", None, None, None, None)
@@ -72,9 +75,14 @@ ROWS = {
         simulate.SimulationReport(counts={0: 1}, trials=1, chi_square=0.5, dof=1, p_value=0.25),
         simulate.SimulationReport({0: 1}, 1, 0.5, 1, 0.5),
         "SimulationReport(counts={0: 1}, trials=1, chi_square=0.5, dof=1, p_value=0.25)"),
+    # trailing zeros dropped; pickle, deep copy and `del` once got past its
+    # own `__setattr__`
+    "Polynomial": (
+        Polynomial([1, 2]), Polynomial([Fraction(1), 2.0, 0]), Polynomial([1, 3]),
+        "Polynomial(1*X^0 + 2*X^1)"),
 }
 HASHABLE = {"WeightSequence", "WeightSequence-nested", "WeightSequence-power", "UrnSpec",
-            "DiscrepancyReport", "SimConfig"}
+            "DiscrepancyReport", "SimConfig", "Polynomial"}
 FIELDS = {
     weights.WeightSequence: ("family", "a", "c", "r", "values", "base"),
     weights.UrnSpec: ("model", "sequences", "counts"),
@@ -82,6 +90,7 @@ FIELDS = {
     closedform.DiscrepancyReport: ("subject", "matches", "detail"),
     simulate.SimConfig: ("spec", "trials", "seed", "workers", "scales"),
     simulate.SimulationReport: ("counts", "trials", "chi_square", "dof", "p_value"),
+    Polynomial: ("coeffs",),
 }
 
 
@@ -130,19 +139,30 @@ class TestRecords:
 
     def test_pickle_round_trip(self, name):
         record = ROWS[name][0]
-        copy = pickle.loads(pickle.dumps(record))
-        assert type(copy) is type(record) and repr(copy) == repr(record)
+        twin = pickle.loads(pickle.dumps(record))
+        assert type(twin) is type(record) and repr(twin) == repr(record)
         for field in FIELDS[type(record)]:
             if field != "scales":
-                assert getattr(copy, field) == getattr(record, field), field
-        assert copy == record
+                assert getattr(twin, field) == getattr(record, field), field
+        assert twin == record
+
+    def test_deep_copy(self, name):
+        record = ROWS[name][0]
+        twin = copy.deepcopy(record)
+        assert type(twin) is type(record) and repr(twin) == repr(record) and twin == record
 
 
-@pytest.mark.parametrize("name", [name for name in ROWS if name != "ExactDistribution-bits"])
+@pytest.mark.parametrize("name", ROWS)
 def test_dataclasses_replace(name):
-    # a law built from probabilities alone must be rational
     record = ROWS[name][0]
-    assert dataclasses.replace(record) == record
+    if name != "ExactDistribution-bits":
+        assert dataclasses.replace(record) == record
+        return
+    # a law built from probabilities alone must be rational: a big-float
+    # law is built from its exact pairs (`from_pairs`)
+    with pytest.raises(ParameterError) as refusal:
+        dataclasses.replace(record)
+    assert refusal.value.param == "probs"
 
 
 def test_replace_builds_a_new_law():
