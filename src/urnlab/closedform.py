@@ -27,12 +27,12 @@ multiply-adds (`_pole_sums`), with no division in either loop.  A law is
 its n + 1 numerators over that one lcm, int pairs that
 `ExactDistribution.from_pairs` checks once (every numerator >= 0, and
 over the one denominator one sum of the numerators equal to it).  That
-exact law is the only evaluation.  Rational mode reduces each probability
-once; float and big-float modes are output formats, each pair rounded once
-without a gcd (num / L, which int true division rounds correctly, or one
-divmod with a sticky bit in one context, `numerics.working_precision`, by
-`numerics.cast_pair`), so they are within half a unit in the last place of
-the exact law and cost less than rational mode.  At n = m = 80 (linear(1)
+exact law is the only evaluation.  Each pair is cast once by its mode's
+entry in `numerics.SCALARS`: rational mode reduces it; float and big-float
+modes, output formats, round it without a gcd (num / L, which int true
+division rounds correctly, or one divmod with a sticky bit, `cast_pair`, in
+`working_precision`), within half a unit in the last place of the exact
+law and at less cost than rational mode.  At n = m = 80 (linear(1)
 against square, shared 2-vCPU Xeon) a law takes 22-31 ms in rational
 mode and 9-18 ms in float mode.  Every weight is exact, so the default
 mode is rational for every table.

@@ -50,7 +50,6 @@ import mpmath
 from mpmath.libmp import mpf_mul, round_nearest
 
 from .numerics import (
-    BIGFLOAT,
     cast_value,
     clock_product_blocks,
     exact_operand,
@@ -323,7 +322,7 @@ def _exponent(q):
     q - 1 formed exactly, or rounded once for a big-float q: no q < 1 gives
     t = 0."""
     below = q - 1 if isinstance(q, mpmath.mpf) else Fraction(q) - 1
-    return -mpmath.log1p(cast_value(below, BIGFLOAT))
+    return -mpmath.log1p(cast_value(below))
 
 
 def theta(q, tol=1e-30, bits=None):
@@ -339,7 +338,7 @@ def theta(q, tol=1e-30, bits=None):
     with working_precision(bits):
         t = _exponent(q)
         if t >= SWITCH[SQUARE]:
-            qq = cast_value(q, BIGFLOAT)
+            qq = cast_value(q)
 
             def term(n):
                 x = qq ** (n * n)
@@ -397,7 +396,7 @@ def _eta_side(q):
     e^(-4 pi^2/t) and c = (e^(t/24) sqrt(2 pi/t) e^(-pi^2/(6t)))^3 < 0.87."""
     t = _exponent(q)
     if t >= SWITCH[TRIANGULAR]:
-        return cast_value(q, BIGFLOAT), 1
+        return cast_value(q), 1
     c = mpmath.exp(t / 8 - mpmath.pi**2 / (2 * t)) * mpmath.sqrt(2 * mpmath.pi / t) ** 3
     return mpmath.exp(-4 * mpmath.pi**2 / t), c
 
@@ -413,7 +412,7 @@ def jacobi_triple_product(q, tol=1e-30, bits=None):
         t = _exponent(q)
         if t >= SWITCH[SQUARE]:
             return +_carried_product(
-                cast_value(q, BIGFLOAT), tol, 2, lambda odd, even: (1 - even()) * (1 - odd) ** 2
+                cast_value(q), tol, 2, lambda odd, even: (1 - even()) * (1 - odd) ** 2
             )
         lead = 2 * mpmath.sqrt(mpmath.pi / t) * mpmath.exp(-mpmath.pi**2 / (4 * t))
         nome = mpmath.exp(-2 * mpmath.pi**2 / t)
@@ -459,7 +458,7 @@ def limit_cdf(q, family=SQUARE, tol=1e-30, bits=None):
 
             value = 1 - scale * _sum_until(term, tol, mpmath.mpf(0), start=0)
         elif (t := _exponent(q)) >= SWITCH[SHIFTED_SQUARE]:
-            qq = cast_value(q, BIGFLOAT)
+            qq = cast_value(q)
 
             def term(ell):
                 x = qq ** ((mpmath.mpf(2 * ell - 1) / 2) ** 2) / (2 * ell - 1)

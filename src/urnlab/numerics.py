@@ -6,9 +6,9 @@ arithmetic over the weights' int tables (`WeightSequence.int_table`) and
 give each probability as an unreduced int pair (num, den), which
 `pair_sum` adds, as do the contested-fire moment displays; the Pólya
 corollary displays sum `Fraction`s.  A result is then given in one of
-three output modes: the exact rational (`fractions.Fraction`), a
-big-float (`mpmath.mpf` at a configurable bit precision) or a machine
-float, each exact pair rounded once (`cast_pair`).  Every big-float is
+three output modes, each exact pair cast once by its mode's entry in the
+one table `SCALARS`: the exact rational (`fractions.Fraction`), a machine
+float (int true division) or a big-float (`mpmath.mpf`, by `cast_pair`),
 computed and rounded in one context, `working_precision(bits)`, at `bits`
 (default `precision_bits()`) plus GUARD_BITS, `bits` an integer from
 MIN_PRECISION_BITS to MAX_PRECISION_BITS by the one rule `check_precision`;
@@ -21,8 +21,8 @@ float or a big-float is evaluated as it is.  The integer arguments of the
 primitives here (orders and indices) follow the one integer rule of
 `weights` and are refused with `ParameterError` naming them.
 
-mpmath is imported where a big-float is made (`working_precision` and the
-big-float branch of `cast_pair`), not at module top: the rational routes
+mpmath is imported where a big-float is made (`working_precision`,
+`cast_pair` and `cast_value`), not at module top: the rational routes
 never make one, so a process that stays rational never loads it.
 """
 
@@ -31,6 +31,7 @@ from __future__ import annotations
 import operator
 import os
 import threading
+from contextlib import nullcontext
 from fractions import Fraction
 from math import factorial, lcm, perm
 
@@ -39,7 +40,6 @@ from .weights import ParameterError, Record, check_integer
 RATIONAL = "rational"
 BIGFLOAT = "bigfloat"
 FLOAT = "float"
-MODES = (RATIONAL, FLOAT, BIGFLOAT)
 
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 8
@@ -254,28 +254,18 @@ def clock_product_blocks(table, x):
         yield num, total
 
 
-def cast_pair(num: int, den: int, mode: str):
-    """num / den (den > 0) in `mode`, rounded once and without a gcd: a
-    float by int true division, a big-float at the precision p of the
-    caller's context (`working_precision`), rounded to nearest with ties to
-    even.  For an int num that is one divmod of |num|, shifted so that the
-    quotient q carries p + 2 bits or more, whose lowest bit is set when the
-    remainder is not 0: a sticky bit below the rounding bit, which tells a
-    quotient just past a tie from the tie.  `from_man_exp` rounds q *
-    2^-shift to p bits, the float `mpmath.fdiv(num, den)` gives, without
+def cast_pair(num: int, den: int):
+    """The int pair num / den (den > 0) as a big-float at the precision p
+    of the caller's context (`working_precision`), rounded once to nearest
+    with ties to even and without a gcd: one divmod of |num|, shifted so
+    that the quotient q carries p + 2 bits or more, whose lowest bit is set
+    when the remainder is not 0: a sticky bit below the rounding bit, which
+    tells a quotient just past a tie from the tie.  `from_man_exp` rounds q
+    * 2^-shift to p bits, the float `mpmath.fdiv(num, den)` gives, without
     making either int a big-float first (Brent & Zimmermann, *Modern
-    Computer Arithmetic*, 2010, section 3.1).  A big-float num
-    (`cast_value`'s) goes to `mpmath.fdiv`."""
-    if mode == RATIONAL:
-        return Fraction(num, den)
-    if mode == FLOAT:
-        return num / den
-    if mode != BIGFLOAT:
-        raise ValueError(f"unknown scalar mode {mode!r}")
+    Computer Arithmetic*, 2010, section 3.1)."""
     import mpmath
 
-    if type(num) is not int:
-        return mpmath.fdiv(num, den)
     libmp, prec = mpmath.libmp, mpmath.mp.prec
     size = abs(num)
     shift = prec + 2 + den.bit_length() - size.bit_length()
@@ -289,11 +279,24 @@ def cast_pair(num: int, den: int, mode: str):
     return mpmath.mp.make_mpf(libmp.from_man_exp(man, -shift, prec, libmp.round_nearest))
 
 
-def cast_value(x, mode: str):
-    """An exact rational, an integer (numpy's too) or a float in `mode`,
-    rounded once (`cast_pair`); in big-float mode, a big-float too."""
+def cast_value(x):
+    """An exact rational, an integer (numpy's too), a float or a big-float
+    as one big-float, rounded once at the caller's precision."""
+    import mpmath
+
     x = exact_operand(x)
-    if isinstance(x, Fraction) or mode != BIGFLOAT:
-        x = Fraction(x)
-        return cast_pair(x.numerator, x.denominator, mode)
-    return cast_pair(x, 1, mode)
+    if isinstance(x, Fraction):
+        return cast_pair(x.numerator, x.denominator)
+    return mpmath.mpf(x)
+
+
+# the one statement of the output modes: each mode's cast of an int pair
+# (num, den), den > 0, the context it rounds in at a law's `bits`, and the
+# zero read off a law's support (a float for big-floats too: it loads no mpmath)
+_NO_CONTEXT = nullcontext()  # holds no state, so the casts that need none share it
+SCALARS = {
+    RATIONAL: (Fraction, lambda bits: _NO_CONTEXT, Fraction(0)),
+    FLOAT: (operator.truediv, lambda bits: _NO_CONTEXT, 0.0),
+    BIGFLOAT: (cast_pair, working_precision, 0.0),
+}
+MODES = tuple(SCALARS)

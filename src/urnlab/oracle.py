@@ -27,14 +27,12 @@ ends over the last layer's denominator.
 from __future__ import annotations
 
 from collections import defaultdict
-from contextlib import nullcontext
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, perm, prod
 from numbers import Rational
 
-from .numerics import (BIGFLOAT, MODES, RATIONAL, cast_pair, pair_sum, precision_bits,
-                       working_precision)
+from .numerics import BIGFLOAT, MODES, RATIONAL, SCALARS, pair_sum, precision_bits
 from .weights import (
     MODEL_SAMPLING,
     ParameterError,
@@ -51,29 +49,22 @@ ENUMERATION_LIMIT = 16
 # states, took 18 s and 229 MB on a shared 2-vCPU Xeon
 MAX_REACH_STATES = 2_000_000
 
-# a point off a rational law's support reads this one zero (`Fraction` is immutable)
-_RATIONAL_ZERO = Fraction(0)
-
-
-def _rounding(mode, bits):
-    """The context a law in `mode` rounds in; mpmath's for big-floats only."""
-    return working_precision(bits) if mode == BIGFLOAT else nullcontext()
-
 
 class ExactDistribution(Record):
     """Probabilities over a finite support: 0..n for two colors, the full
     k-grid for r colors.  Every exact law is held as int pairs `pairs`,
     {point: (num, den)}, over the law's few denominators, and checked once
-    on them: every numerator >= 0 and the total exactly 1, which over one
-    denominator (every two-color closed form's law, and the oracle's where
-    it reaches every outcome) is one `sum` of the numerators and elsewhere
-    one `pair_sum`, with the same refusals either way.  `probs` is the
-    law in `mode`: reduced `Fraction`s, or each pair rounded once, a
-    big-float law and its sums at the `bits` it keeps (`from_pairs`).
-
-    Built from a dict of `Fraction`s, the pairs are their numerators and
-    denominators; the producers, and every float or big-float law, hand
-    theirs over unreduced (`from_pairs`).
+    on them: every point in the support, every numerator >= 0 and the
+    total exactly 1, which over one denominator (every two-color closed
+    form's law, and the oracle's where it reaches every outcome) is one
+    `sum` of the numerators and elsewhere one `pair_sum`, with the same
+    refusals either way.  `probs` is the law in `mode`, each pair cast once
+    by the mode's entry in `numerics.SCALARS`, as are its sums: a reduced
+    `Fraction`, a float, or a big-float at the `bits` the law keeps.  A
+    support point with no pair reads 0.  A rational law may be given as
+    exact rationals (`dataclasses.replace` gives it so), whose numerators
+    and denominators are then its pairs; the producers hand theirs over
+    unreduced (`from_pairs`).
     Two laws are `==` when support, mode and every probability agree."""
 
     __slots__ = ("support", "probs", "mode", "pairs", "bits")
@@ -83,18 +74,25 @@ class ExactDistribution(Record):
                  exact: dict | None = None, bits: int | None = None):
         if mode not in MODES:
             raise ParameterError(f"unknown scalar mode {mode!r}; use one of {MODES}", "mode")
-        if exact is None:
-            if mode != RATIONAL or not all(isinstance(p, Rational) for p in probs.values()):
-                raise ParameterError("must be exact rationals; a float or big-float law is "
-                                     "built from its exact pairs (`from_pairs`)", "probs")
-            exact = {k: (p.numerator, p.denominator) for k, p in probs.items()}
+        cast, rounding, _ = SCALARS[mode]
+        if probs is not None:
+            if (exact is not None or mode != RATIONAL
+                    or not all(isinstance(p, Rational) for p in probs.values())):
+                raise ParameterError("must be exact rationals in a rational law without pairs; "
+                                     "build any other from its pairs (`from_pairs`)", "probs")
+            # ints of their own, so that no fixed-width (numpy) int enters a sum
+            exact = {k: (int(p.numerator), int(p.denominator)) for k, p in probs.items()}
+        # every producer lists its pairs in the order of its support
+        if tuple(exact) != support and not exact.keys() <= (points := set(support)):
+            off = next(k for k in exact if k not in points)
+            raise ParameterError(f"must hold every point of the law, {off!r} too", "support")
         values = exact.values()
-        nums = [num for num, _ in values]
+        nums, dens = zip(*values) if values else ((), ())
         # with every numerator >= 0 and the total 1, no entry exceeds 1
         if nums and min(nums) < 0:
             raise ValueError("probability outside [0, 1]")
-        den = next(iter(values), (0, 1))[1]
-        if all(d == den for _, d in values):
+        den = dens[0] if dens else 1
+        if dens.count(den) == len(dens):
             # one denominator, as each closed form's law and the oracle's have
             num = sum(nums)
         else:
@@ -102,30 +100,27 @@ class ExactDistribution(Record):
         if num != den:
             raise ValueError(f"probabilities sum to {Fraction(num, den)}, not 1")
         bits = (precision_bits() if bits is None else bits) if mode == BIGFLOAT else None
-        if probs is None and mode == RATIONAL:
-            probs = {k: Fraction(num, den) for k, (num, den) in exact.items()}
-        elif probs is None:
-            with _rounding(mode, bits):
-                probs = {k: cast_pair(num, den, mode) for k, (num, den) in exact.items()}
+        with rounding(bits):
+            probs = {k: cast(num, den) for k, (num, den) in exact.items()}
         self._hold(support, probs, mode, exact, bits)
 
     @classmethod
     def from_pairs(cls, support, pairs: dict, mode=None, bits=None) -> "ExactDistribution":
-        """The exact law {point: (num, den)} in `mode` (rational when None):
-        each probability a `Fraction`, or rounded once and without a gcd
-        (`cast_pair`), a big-float in `working_precision(bits)`; the law
-        keeps those bits."""
+        """The exact law {point: (num, den)} in `mode` (rational when None),
+        each pair cast once by the mode's entry in `numerics.SCALARS`; a
+        big-float law rounds in `working_precision(bits)` and keeps those
+        bits."""
         return cls(support, None, mode or RATIONAL, pairs, bits)
 
     def __getitem__(self, point):
-        return self.probs.get(point, _RATIONAL_ZERO if self.mode == RATIONAL else 0.0)
+        return self.probs.get(point, SCALARS[self.mode][2])
 
     def items(self):
         for point in self.support:
             yield point, self[point]
 
     def total(self):
-        with _rounding(self.mode, self.bits):
+        with SCALARS[self.mode][1](self.bits):
             return sum(self.probs.values())
 
     def _check_support(self, vectors: bool):
@@ -139,10 +134,11 @@ class ExactDistribution(Record):
     def _exact_sum(self, weight):
         """sum of p * weight(point) over the law, from the pairs: numerators
         over one denominator are added first, and the one pair they give is
-        taken into the law's mode at the end (`cast_pair`)."""
+        cast into the law's mode at the end, as its probabilities are."""
         num, den = pair_sum((num * weight(k), den) for k, (num, den) in self.pairs.items())
-        with _rounding(self.mode, self.bits):
-            return cast_pair(num, den, self.mode)
+        cast, rounding, _ = SCALARS[self.mode]
+        with rounding(self.bits):
+            return cast(num, den)
 
     def moment(self, s: int):
         """Raw moment sum(k^s p) over a scalar support."""

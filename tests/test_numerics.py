@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import random
@@ -15,7 +16,9 @@ from urnlab.numerics import (
     FLOAT,
     GUARD_BITS,
     MAX_PRECISION_BITS,
+    MODES,
     RATIONAL,
+    SCALARS,
     Polynomial,
     binom_general,
     cast_pair,
@@ -274,7 +277,7 @@ class TestCastPair:
     def test_bigfloat_is_fdiv_bit_for_bit(self, case):
         prec, num, den = case
         with mpmath.workprec(prec):
-            got = cast_pair(num, den, BIGFLOAT)
+            got = cast_pair(num, den)
             want = mpmath.fdiv(num, den)
         assert type(got) is mpmath.mpf
         assert got == want and got._mpf_ == want._mpf_
@@ -294,7 +297,7 @@ class TestCastPair:
             for sign in (1, -1):
                 want = from_rational(sign * num, den, prec, round_nearest)
                 with mpmath.workprec(prec):
-                    assert cast_pair(sign * num, den, BIGFLOAT)._mpf_ == want, (num, den)
+                    assert cast_pair(sign * num, den)._mpf_ == want, (num, den)
 
 
 class TestCastValue:
@@ -307,10 +310,52 @@ class TestCastValue:
                          rng.getrandbits(rng.randint(60, 400)) | 1)
             for prec in (53, 85, 288):
                 with mpmath.workprec(prec):
-                    got = cast_value(x, BIGFLOAT)._mpf_
+                    got = cast_value(x)._mpf_
                 assert got == from_rational(x.numerator, x.denominator, prec, round_nearest)
-            assert cast_value(x, FLOAT) == x.numerator / x.denominator
-            assert cast_value(x, RATIONAL) == x
+
+    def test_a_float_or_big_float_is_rounded_once_at_the_context(self):
+        x = 1 / 3
+        for prec in (20, 53, 288):
+            with mpmath.workprec(prec):
+                assert cast_value(x)._mpf_ == mpmath.fdiv(x, 1)._mpf_
+        with mpmath.workprec(400):
+            wide = mpmath.mpf(1) / 3
+        with mpmath.workprec(64):
+            assert cast_value(wide)._mpf_ == from_rational(1, 3, 64, round_nearest)
+
+
+class TestScalarModes:
+    def test_the_modes_are_the_tables_keys_and_no_cast_takes_a_mode(self):
+        # the mode rule was also stated by `cast_pair`'s own if-chain, whose
+        # unknown mode raised a ValueError naming nothing
+        assert MODES == tuple(SCALARS) == (RATIONAL, FLOAT, BIGFLOAT)
+        for cast in (cast_pair, cast_value):
+            assert "mode" not in inspect.signature(cast).parameters
+
+    def test_each_mode_casts_a_pair_once_in_its_context(self):
+        # the float and rational rows of the cast `cast_value` had per mode
+        rng = random.Random(12)
+        for _ in range(200):
+            x = Fraction(rng.getrandbits(rng.randint(1, 400)), rng.getrandbits(200) | 1)
+            num, den = x.numerator * 3, x.denominator * 3
+            assert SCALARS[RATIONAL][0](num, den) == x
+            assert SCALARS[FLOAT][0](num, den) == float(x)
+            cast, rounding, _ = SCALARS[BIGFLOAT]
+            with rounding(64):
+                got = cast(num, den)._mpf_
+            assert got == from_rational(num, den, 64 + GUARD_BITS, round_nearest)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_law_and_its_sums_read_the_same_entry(self, mode):
+        exact = okcorral_distribution(linear(1), square(), 6, 5)
+        law = ExactDistribution.from_pairs(exact.support, exact.pairs, mode, 64)
+        cast, rounding, zero = SCALARS[mode]
+        with rounding(64):
+            want = {k: cast(*pair) for k, pair in exact.pairs.items()}
+            mean = cast(exact.mean().numerator, exact.mean().denominator)
+        assert [(type(p), p) for p in law.probs.values()] == [(type(p), p) for p in want.values()]
+        assert type(law.mean()) is type(mean) and law.mean() == mean
+        assert law[99] is zero
 
 
 def bigfloat_law(bits=256):

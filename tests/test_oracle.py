@@ -587,6 +587,20 @@ class TestExactDistribution:
         rounded = sampling_distribution(linear(1), square(), 2, 2, mode="float")
         assert rounded[7] == 0.0 and type(rounded[7]) is float
 
+    def test_int_probabilities_read_as_fractions(self):
+        # they were held as the ints given, unlike every other rational law
+        law = ExactDistribution((0, 1), {0: 1, 1: 0})
+        assert [(type(p), p) for p in law.probs.values()] == [(Fraction, 1), (Fraction, 0)]
+        assert law.pairs == {0: (1, 1), 1: (0, 1)}
+        assert law == ExactDistribution((0, 1), {0: Fraction(1), 1: Fraction(0)})
+
+    def test_a_support_point_with_no_pair_reads_0(self):
+        # a pair off the support is refused (`test_parameters`); one missing is 0
+        for mode in ("rational", "float", "bigfloat"):
+            law = ExactDistribution.from_pairs((0, 1, 2), {0: (1, 2), 2: (1, 2)}, mode)
+            assert law[1] == 0 and list(law.probs) == [0, 2]
+            assert sum(p for _, p in law.items()) == law.total() == 1
+
     def test_fraction_dict_is_held_as_its_pairs(self):
         probs = {0: Fraction(1, 3), 1: Fraction(2, 3)}
         assert ExactDistribution((0, 1), probs).pairs == {0: (1, 3), 1: (2, 3)}
@@ -631,3 +645,32 @@ class TestExactDistribution:
     def test_custom_table_spec(self):
         spec = two_color("I", custom([1, 3, 7]), custom([2, 5]), 3, 2)
         assert absorption_pmf(spec).total() == 1
+
+
+WHOLE_SUPPORT_SPECS = [
+    ((linear(1), square()), (3, 2)),
+    ((custom([1, 3, 7]), shifted_square()), (3, 4)),
+    ((linear(2), reciprocal(linear(1))), (4, 1)),
+    ((linear(1), square(), triangular()), (2, 1, 2)),
+    ((linear(1), reciprocal(linear(2)), triangular(), square()), (1, 2, 0, 2)),
+]
+
+
+@pytest.mark.parametrize("model", ["I", "II"])
+@pytest.mark.parametrize("weights, counts", WHOLE_SUPPORT_SPECS)
+def test_every_producer_keys_its_law_by_its_whole_support(model, weights, counts):
+    # a point with zero mass is listed too, in the pairs and the probabilities
+    spec = UrnSpec(model, weights, counts)
+    laws = [absorption_pmf_multi(spec)]
+    if sum(counts) <= 10:
+        laws.append(enumerate_pmf(spec))
+    if counts[-1] >= 1 and all(counts[:-1]):
+        laws.append(multi_distribution(spec))
+    if spec.is_two_color:
+        laws.append(absorption_pmf(spec))
+        closed = sampling_distribution if model == MODEL_SAMPLING else okcorral_distribution
+        laws += [closed(*weights, *counts, rep, mode)
+                 for rep in (BETA_POLES, ALPHA_POLES) for mode in ("rational", "float", "bigfloat")]
+    for law in laws:
+        assert set(law.pairs) == set(law.support) == set(law.probs), law
+        assert len(law.support) == math.prod(c + 1 for c in counts[:-1])

@@ -405,6 +405,20 @@ CASES += [
          id="ExactDistribution-float-probs"),
     case(lambda: oracle.ExactDistribution((0, 1), {0: 0.5, 1: 0.5}), "probs",
          id="ExactDistribution-rational-float-probs"),
+    case(lambda: oracle.ExactDistribution((0,), {0: 1}, ["rational"]), "mode",
+         id="ExactDistribution-unhashable-mode"),
+    # probabilities and pairs together once held both, whether they agreed or not
+    case(lambda: oracle.ExactDistribution((0,), {0: Fraction(1)}, "rational", {0: (1, 1)}),
+         "probs", id="ExactDistribution-probs-and-pairs"),
+    # a law holding mass off its support once read a total of 1, items
+    # summing to 1/2 and a mean of 1/2
+    case(lambda: oracle.ExactDistribution((0,), {0: Fraction(1, 2), 1: Fraction(1, 2)}),
+         "support", id="ExactDistribution-off-support"),
+    case(lambda: oracle.ExactDistribution.from_pairs((0,), {0: (1, 2), 1: (1, 2)}), "support",
+         id="ExactDistribution.from_pairs-off-support"),
+    case(lambda: oracle.ExactDistribution.from_pairs(((0,),), {(0,): (1, 1), (1,): (0, 1)},
+                                                     "float"), "support",
+         id="ExactDistribution.from_pairs-zero-off-support"),
 ]
 
 
@@ -454,11 +468,13 @@ def _typed(value):
     lambda i: numerics.binom_general(i(60), i(30)),
     lambda i: (numerics.Polynomial([1, Fraction(1, 2), 3])(i(10**10)),
                numerics.Polynomial()(i(10**10))),
-    lambda i: (numerics.cast_value(i(7), "rational").numerator,
-               numerics.cast_value(i(7), "bigfloat")),
+    lambda i: numerics.cast_value(i(7)),
     lambda i: DIST.moment(i(40)),
+    # its Fractions held numpy numerators, which wrapped around past 2^63
+    lambda i: tuple((p * 3**50).numerator for p in oracle.ExactDistribution(
+        (0, 1), {0: i(1), 1: i(0)}).probs.values()),
 ], ids=["falling_factorial", "binom_general", "Polynomial", "cast_value",
-        "ExactDistribution.moment"])
+        "ExactDistribution.moment", "ExactDistribution-probs"])
 def test_numpy_integer_arguments_give_the_int_result(call):
     # each once overflowed an int64, returned a numpy scalar or refused it
     assert _typed(call(np.int64)) == _typed(call(int))
