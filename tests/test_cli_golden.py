@@ -2,8 +2,11 @@
 stderr it recorded and returns the recorded exit code.
 
 The vectors cover the exact subcommands (JSON, CSV, `--decimals` and `--k`
-variants, the echoed `params`) and refusals owned by the CLI and by the
-library.  Outputs that depend on the numpy or mpmath version are left out.
+variants, the echoed `params`), one output of each printer the other scalar
+modes have (float and big-float laws, big-float limit values, the `w-cdf`
+grid), and refusals owned by the CLI and by the library.  Outputs that
+depend on the numpy version are left out; the big-float digits are those of
+mpmath 1.3.
 After a deliberate change of output, record the vectors again with
 `PYTHONPATH=src python tests/test_cli_golden.py` and review the diff.
 """
