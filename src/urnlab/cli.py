@@ -11,33 +11,34 @@ codes: 0 success, 2 validation error, 3 a formula-discrepancy was detected
 Which flags each subcommand takes is one table, `_COMMANDS`: a subcommand
 has one or more forms (`pmf` per --mode, `limit` per --law and
 fixed-whites-pmf's --method, `moments` with or without --mixed, the
-two-color urn or --weights), each a `Form` of
-required flags, optional flags with their defaults, and whether it takes
---decimals and --precision-bits.  `main` picks the form from the parse, and
-a flag typed outside it or a required flag left out exits 2 naming it.
-Flags must be spelled in full.  The library owns the range rules: its
-`weights.ParameterError` names an argument, and `main` prints it after
-that argument's flag (`_flag`).  The CLI checks only the forms,
---decimals, --precision-bits, the `w-cdf` grid and the theta floor, with
-the same error, so every exit-2 message is `<flag>: <message>`.
+two-color urn or --weights), each a `Form` of required flags, optional
+flags with their defaults, and the modes it prints, whose entries decide
+whether it takes --decimals and --precision-bits.  `main` picks the form
+from the parse, and a flag typed outside it or a required flag left out
+exits 2 naming it.  Flags must be spelled in full.  The library owns the
+range rules: its `weights.ParameterError` names an argument, and `main`
+prints it after that argument's flag (`_flag`).  The CLI checks only the
+forms, --decimals, --precision-bits, the `w-cdf` grid and the theta floor,
+with the same error, so every exit-2 message is `<flag>: <message>`.
 
 Every JSON payload shares one envelope (`_emit`): `command`, `params` (the
 flags the form reads, defaults included, but not --format, --decimals and
---precision-bits), `mode`, and `precision_bits` in big-float mode.  CSV
-prints a table, or else the payload's scalars as JSON prints them.  `pmf`,
-`oracle` and `pmf-multi` print their law through one printer, `_emit_law`,
-and every printed rational or big-float goes through `_prob_renderer`.
-The cross-checks compare whole laws with `==` (same support, same
+--precision-bits), `mode`, and `precision_bits` where the mode keeps bits.
+CSV prints a table, or else the payload's scalars as JSON prints them.
+`pmf`, `oracle` and `pmf-multi` print their law through one printer,
+`_emit_law`, and every printed scalar goes through `_prob_renderer`, its
+mode's printer in `numerics.SCALARS` (CSV --decimals replaces the exact
+one).  The cross-checks compare whole laws with `==` (same support, same
 `Fraction` at every point, same mode): `compare` takes each
-representation's `closedform.closed_vs_oracle`, and `duality-check` the
-two oracle laws.
+representation's `closedform.closed_vs_oracle`, and `duality-check` the two
+oracle laws.
 
 A call pays only for the modules its subcommand runs.  This module loads
 `weights` and `numerics` alone, and each handler imports the engines it
 calls (`closedform`, `oracle`, `moments`, `limits`, `simulate`).  So
-`limit` and `theta` load no exact engine, mpmath loads where a big-float
-is made or printed (big-float mode, `limit`, `theta` and the simulator's
-p-value) and numpy only in `simulate` and `compare`.
+`limit` and `theta` load no exact engine, mpmath loads inside the
+functions that make or print a big-float (big-float mode, `limit`, `theta`
+and the simulator's p-value) and numpy only in `simulate` and `compare`.
 `main` adds the flags of the subcommand it runs alone (`build_parser`).
 """
 
@@ -53,8 +54,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import weights
-from .numerics import (BIGFLOAT, DEFAULT_PRECISION_BITS, FLOAT, GUARD_BITS, MODES, RATIONAL,
-                       check_precision, precision_bits, working_precision)
+from .numerics import (BIGFLOAT, DEFAULT_PRECISION_BITS, GUARD_BITS, MODES, RATIONAL, SCALARS,
+                       any_digits, check_precision, precision_bits, working_precision)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -65,55 +66,22 @@ class Discrepancy(Exception):
     """A formula discrepancy that must surface as exit code 3."""
 
 
-@contextmanager
-def _any_digits():
-    """Lift Python's limit on the digits of an int turned into a string
-    while an exact result prints (a law at n = m = 120 has terms past 4,300
-    digits), and restore it after: flag parsing keeps the guard, and so do
-    in-process callers of `main`."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
-def render_exact(value) -> str:
-    f = Fraction(value)
-    with _any_digits():
-        return f"{f.numerator}/{f.denominator}"
-
-
 def render_decimal(value, decimals: int) -> str:
     """Exact decimal rendering of a rational to the requested digit count."""
-    f = Fraction(value)
-    scaled = round(f * 10**decimals)  # round-half-even, deterministic
-    sign = "-" if scaled < 0 else ""
-    with _any_digits():
+    scaled = round(Fraction(value) * 10**decimals)  # round-half-even, deterministic
+    with any_digits():
         digits = str(abs(scaled)).rjust(decimals + 1, "0")
-    whole, frac = digits[: len(digits) - decimals], digits[len(digits) - decimals :]
-    return f"{sign}{whole}.{frac}" if decimals else f"{sign}{whole}"
-
-
-def render_bigfloat(value, bits: int) -> str:
-    import mpmath
-
-    dps = max(1, int(bits * 0.30103))
-    return mpmath.nstr(value, dps)
+    point = len(digits) - decimals
+    return "-" * (scaled < 0) + digits[:point] + ("." + digits[point:] if decimals else "")
 
 
 def emit_plot_data(rows, header=("x", "value"), stream=None) -> str:
     """Deterministic CSV: one header row, LF endings, UTF-8 text."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    text = buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     if stream is not None:
-        stream.write(text)
-    return text
+        stream.write(buf.getvalue())
+    return buf.getvalue()
 
 
 def _seq(arg_value: str, param: str) -> weights.WeightSequence:
@@ -199,10 +167,10 @@ def _oracle(args, spec):
 def _emit(args, mode, body: dict, table=None) -> None:
     """Print the handler's `body` inside the envelope every subcommand
     shares: `command`, the echoed `params`, `mode`, and `precision_bits`
-    in big-float mode.  CSV prints `table`, a (header, rows) pair, or else
-    the payload's scalar fields."""
+    where the mode keeps bits.  CSV prints `table`, a (header, rows) pair,
+    or else the payload's scalar fields."""
     payload = {"command": args.command, "params": args.params, "mode": mode, **body}
-    if mode == BIGFLOAT:
+    if SCALARS[mode].keeps_bits:
         payload["precision_bits"] = args.precision_bits
     if args.format == "json":
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
@@ -218,13 +186,11 @@ def _emit(args, mode, body: dict, table=None) -> None:
 
 
 def _prob_renderer(args, mode=RATIONAL):
-    if mode == BIGFLOAT:
-        return lambda p: render_bigfloat(p, args.precision_bits)
-    if mode == FLOAT:
-        return repr
-    if args.decimals is not None:  # `_read_form` allows it only in exact CSV
-        return lambda p: render_decimal(p, args.decimals)
-    return render_exact
+    """`mode`'s printer in `numerics.SCALARS`; CSV --decimals replaces the rational one."""
+    render = SCALARS[mode].render
+    if args.decimals is not None:  # `_read_form` allows it only in CSV
+        render = {RATIONAL: lambda p, _: render_decimal(p, args.decimals)}.get(mode, render)
+    return lambda p: render(p, args.precision_bits)
 
 
 def _k_out(k):
@@ -396,7 +362,7 @@ def _cmd_limit(args) -> int:
         value = limits.limit_moment(args.s, args.family, bits)
     else:  # w-cdf at one point
         value = limits.limit_cdf(_fraction(args.q, "q"), args.family, args.tol, bits)
-    mode = RATIONAL if bits is None else BIGFLOAT
+    (mode,) = args.modes
     _emit(args, mode, {"value": _prob_renderer(args, mode)(value)})
     return EXIT_OK
 
@@ -508,19 +474,19 @@ def _cmd_compare(args) -> int:
 
 class Form(NamedTuple):
     """The flags one form of a subcommand reads: --format, `required` and
-    `optional` ones (with defaults; None leaves it unset), --decimals if it
-    prints `exact` rationals, and --precision-bits (else the environment's
-    URNLAB_PRECISION_BITS) if it computes a `bigfloat`."""
+    `optional` ones (with defaults; None leaves it unset), and by the
+    `modes` it prints: --decimals if exact rationals, and --precision-bits
+    (else the environment's URNLAB_PRECISION_BITS) if a mode that keeps bits."""
 
     required: tuple
     optional: dict = {}
-    exact: bool = False
-    bigfloat: bool = False
+    modes: tuple = ()
 
     @property
     def reads(self) -> set:
+        keeps_bits = any(SCALARS[mode].keeps_bits for mode in self.modes)
         return {"format", *self.required, *self.optional,
-                *("decimals",) * self.exact, *("precision_bits",) * self.bigfloat}
+                *("decimals",) * (RATIONAL in self.modes), *("precision_bits",) * keeps_bits}
 
 
 class Command(NamedTuple):
@@ -582,39 +548,38 @@ _CDF = {"family": weights.SQUARE, "tol": 1e-12}
 _COMMANDS = {
     "pmf": Command(_cmd_pmf, "closed-form survivor pmf (two colors)", {
         f"pmf --mode {mode}": Form(_URN, {"model": "I", "k": None, "mode": None,
-                                          "representation": weights.BETA_POLES},
-                                   exact=mode == RATIONAL, bigfloat=mode == BIGFLOAT)
+                                          "representation": weights.BETA_POLES}, (mode,))
         for mode in MODES
     }),
     "oracle": Command(_cmd_oracle, "recurrence/enumeration ground-truth pmf", {
-        "oracle": Form(_URN, {"model": "I", "method": "recurrence"}, exact=True),
+        "oracle": Form(_URN, {"model": "I", "method": "recurrence"}, (RATIONAL,)),
     }, {"method": {"choices": ("recurrence", "enumerate")}}),
     "pmf-multi": Command(_cmd_pmf_multi, "r-color survivor pmf", {
-        "pmf-multi": Form(_MULTI_URN, {"model": "I", "k": None, "engine": "closed"}, exact=True),
+        "pmf-multi": Form(_MULTI_URN, {"model": "I", "k": None, "engine": "closed"}, (RATIONAL,)),
     }, {"k": {"type": str, "help": "single survivor vector, comma-separated"}}),
     "moments": Command(_cmd_moments, "sampling-urn moments (closed form vs summation)", {
         "moments without --mixed": Form(("n", "m"), {"a": 1, "d": 1, "s": 1, "kind": "raw"},
-                                        exact=True),
-        "moments --mixed": Form(("mixed", "avec", "nvec", "svec"), exact=True),
+                                        (RATIONAL,)),
+        "moments --mixed": Form(("mixed", "avec", "nvec", "svec"), {}, (RATIONAL,)),
     }),
     "okc-moments": Command(_cmd_okc_moments, "contested-fire moments (closed form vs summation)", {
-        "okc-moments": Form(("n", "m"), {"b": 1, "c": 1, "s": 1, "kind": "raw"}, exact=True),
+        "okc-moments": Form(("n", "m"), {"b": 1, "c": 1, "s": 1, "kind": "raw"}, (RATIONAL,)),
     }, {"kind": {"choices": ("raw", "polynomial")}}),
     "limit": Command(_cmd_limit, "limit-law quantities", {
-        "limit --law fixed-blacks-moment": Form(("law", "m", "s"), exact=True),
-        "limit --law fixed-blacks-density": Form(("law", "m", "q"), exact=True),
+        "limit --law fixed-blacks-moment": Form(("law", "m", "s"), {}, (RATIONAL,)),
+        "limit --law fixed-blacks-density": Form(("law", "m", "q"), {}, (RATIONAL,)),
         "limit --law fixed-whites-pmf --method finite-sum": Form(
-            ("law", "n", "k"), {"method": weights.FINITE_SUM}, bigfloat=True),
+            ("law", "n", "k"), {"method": weights.FINITE_SUM}, (BIGFLOAT,)),
         "limit --law fixed-whites-pmf --method series": Form(
-            ("law", "n", "k"), {"method": weights.SERIES, "tol": 1e-12}, bigfloat=True),
-        "limit --law fixed-whites-moment": Form(("law", "n", "s"), bigfloat=True),
-        "limit --law w-moment": Form(("law", "s"), {"family": weights.SQUARE}, bigfloat=True),
-        "limit --law w-cdf without --grid": Form(("law", "q"), _CDF, bigfloat=True),
+            ("law", "n", "k"), {"method": weights.SERIES, "tol": 1e-12}, (BIGFLOAT,)),
+        "limit --law fixed-whites-moment": Form(("law", "n", "s"), {}, (BIGFLOAT,)),
+        "limit --law w-moment": Form(("law", "s"), {"family": weights.SQUARE}, (BIGFLOAT,)),
+        "limit --law w-cdf without --grid": Form(("law", "q"), _CDF, (BIGFLOAT,)),
         # the grid points print as exact rationals
-        "limit --law w-cdf --grid": Form(("law", "grid"), _CDF, exact=True, bigfloat=True),
+        "limit --law w-cdf --grid": Form(("law", "grid"), _CDF, (RATIONAL, BIGFLOAT)),
     }),
     "theta": Command(_cmd_theta, "Jacobi theta series vs triple product", {
-        "theta": Form(("q",), {"tol": 1e-12}, bigfloat=True),
+        "theta": Form(("q",), {"tol": 1e-12}, (BIGFLOAT,)),
     }),
     "duality-check": Command(_cmd_duality, "model-I pmf vs reciprocal model-II pmf", {
         "duality-check without --weights": Form(_URN),
@@ -625,7 +590,7 @@ _COMMANDS = {
         "simulate --weights": Form(_MULTI_URN, _SIMULATION),
     }),
     "compare": Command(_cmd_compare, "closed form vs oracle vs simulation on one spec", {
-        "compare": Form(_URN, _SIMULATION, exact=True),
+        "compare": Form(_URN, _SIMULATION, (RATIONAL,)),
     }),
 }
 
@@ -666,13 +631,14 @@ def _read_form(args) -> None:
     for flag in form.required:
         if flag not in typed:
             raise weights.ParameterError(f"required by {name}", flag)
-    if form.bigfloat and "precision_bits" not in typed:
+    if "precision_bits" in form.reads and "precision_bits" not in typed:
         typed["precision_bits"] = precision_bits()
     for flag, default in {"format": "json", "decimals": None, "precision_bits": None,
                           **form.optional}.items():
         typed.setdefault(flag, default)
     args.params = {flag: typed[flag] for flag in (*form.required, *form.optional)
                    if typed[flag] is not None}
+    args.modes = form.modes
     if args.precision_bits is not None:
         check_precision("precision_bits", args.precision_bits)
     if args.decimals is not None:

@@ -5,14 +5,15 @@ exactly.  The closed forms and the recurrence oracle run in integer
 arithmetic over the weights' int tables (`WeightSequence.int_table`) and
 give each probability as an unreduced int pair (num, den), which
 `pair_sum` adds, as do the contested-fire moment displays; the Pólya
-corollary displays sum `Fraction`s.  A result is then given in one of
-three output modes, each exact pair cast once by its mode's entry in the
-one table `SCALARS`: the exact rational (`fractions.Fraction`), a machine
-float (int true division) or a big-float (`mpmath.mpf`, by `cast_pair`),
-computed and rounded in one context, `working_precision(bits)`, at `bits`
-(default `precision_bits()`) plus GUARD_BITS, `bits` an integer from
-MIN_PRECISION_BITS to MAX_PRECISION_BITS by the one rule `check_precision`;
-the transcendental limit laws compute in big-floats throughout.
+corollary displays sum `Fraction`s.  A result is then cast once, and
+printed, by its output mode's entry in the one table `SCALARS`: the exact
+rational (`fractions.Fraction`, "p/q"), a machine float (int true division,
+`repr`) or a big-float (`cast_pair`, to the digits its bits carry), which
+alone keeps its `bits` (default `precision_bits()`, an integer from
+MIN_PRECISION_BITS to MAX_PRECISION_BITS by the one rule `check_precision`)
+and is computed and rounded in one context, `working_precision(bits)`, at
+`bits` plus GUARD_BITS; the transcendental limit laws compute in
+big-floats throughout.
 
 An integer enters exact arithmetic one way, through `exact_operand`: an
 int or a numpy integer (anything `operator.index` takes) becomes a
@@ -21,17 +22,19 @@ float or a big-float is evaluated as it is.  The integer arguments of the
 primitives here (orders and indices) follow the one integer rule of
 `weights` and are refused with `ParameterError` naming them.
 
-mpmath is imported where a big-float is made (`working_precision`,
-`cast_pair` and `cast_value`), not at module top: the rational routes
-never make one, so a process that stays rational never loads it.
+mpmath is imported where a big-float is made or printed (`working_precision`,
+`cast_pair`, `cast_value`, `render_bigfloat`), not at module top: a process
+that stays rational never loads it.
 """
 
 from __future__ import annotations
 
 import operator
 import os
+import sys
 import threading
-from contextlib import nullcontext
+from collections import namedtuple
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from math import factorial, lcm, perm
 
@@ -290,13 +293,39 @@ def cast_value(x):
     return mpmath.mpf(x)
 
 
-# the one statement of the output modes: each mode's cast of an int pair
-# (num, den), den > 0, the context it rounds in at a law's `bits`, and the
-# zero read off a law's support (a float for big-floats too: it loads no mpmath)
+@contextmanager
+def any_digits():
+    """Lift Python's limit on the digits of an int made a string while an exact
+    result prints (a law at n = m = 120 has terms past 4,300 digits)."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def render_exact(value, bits=None) -> str:
+    f = Fraction(value)
+    with any_digits():
+        return f"{f.numerator}/{f.denominator}"
+
+
+def render_bigfloat(value, bits: int) -> str:
+    import mpmath
+
+    return mpmath.nstr(value, max(1, int(bits * 0.30103)))
+
+
+# the one statement of the output modes: each one's cast of an int pair (num,
+# den), den > 0, the context it rounds in at a law's bits, the zero read off a
+# law's support (a float for big-floats too: it loads no mpmath), its printer
+# of a value at those bits, and whether it keeps them (a law's `bits`)
+Scalar = namedtuple("Scalar", "cast rounding zero render keeps_bits")
 _NO_CONTEXT = nullcontext()  # holds no state, so the casts that need none share it
 SCALARS = {
-    RATIONAL: (Fraction, lambda bits: _NO_CONTEXT, Fraction(0)),
-    FLOAT: (operator.truediv, lambda bits: _NO_CONTEXT, 0.0),
-    BIGFLOAT: (cast_pair, working_precision, 0.0),
+    RATIONAL: Scalar(Fraction, lambda bits: _NO_CONTEXT, Fraction(0), render_exact, False),
+    FLOAT: Scalar(operator.truediv, lambda bits: _NO_CONTEXT, 0.0, lambda x, bits: repr(x), False),
+    BIGFLOAT: Scalar(cast_pair, working_precision, 0.0, render_bigfloat, True),
 }
 MODES = tuple(SCALARS)

@@ -32,7 +32,7 @@ from itertools import product
 from math import gcd, lcm, perm, prod
 from numbers import Rational
 
-from .numerics import BIGFLOAT, MODES, RATIONAL, SCALARS, pair_sum, precision_bits
+from .numerics import MODES, RATIONAL, SCALARS, pair_sum, precision_bits
 from .weights import (
     MODEL_SAMPLING,
     ParameterError,
@@ -51,20 +51,21 @@ MAX_REACH_STATES = 2_000_000
 
 
 class ExactDistribution(Record):
-    """Probabilities over a finite support: 0..n for two colors, the full
-    k-grid for r colors.  Every exact law is held as int pairs `pairs`,
-    {point: (num, den)}, over the law's few denominators, and checked once
-    on them: every point in the support, every numerator >= 0 and the
-    total exactly 1, which over one denominator (every two-color closed
-    form's law, and the oracle's where it reaches every outcome) is one
-    `sum` of the numerators and elsewhere one `pair_sum`, with the same
-    refusals either way.  `probs` is the law in `mode`, each pair cast once
-    by the mode's entry in `numerics.SCALARS`, as are its sums: a reduced
-    `Fraction`, a float, or a big-float at the `bits` the law keeps.  A
-    support point with no pair reads 0.  A rational law may be given as
-    exact rationals (`dataclasses.replace` gives it so), whose numerators
-    and denominators are then its pairs; the producers hand theirs over
-    unreduced (`from_pairs`).
+    """Probabilities over a finite support, held as a tuple of distinct points:
+    0..n for two colors, the full k-grid for r colors.  Every exact law is
+    held as int pairs `pairs`, {point: (num, den)}, over the law's few
+    denominators, and checked once on them: every point in the support,
+    every numerator >= 0 and the total exactly 1, which over one denominator
+    (every two-color closed form's law, and the oracle's where it reaches
+    every outcome) is one `sum` of the numerators and elsewhere one
+    `pair_sum`, with the same refusals either way.  `probs` is the law in
+    `mode`, each pair cast once by the mode's entry in `numerics.SCALARS`,
+    as are its sums: a reduced `Fraction`, a float, or a big-float at the
+    `bits` the law keeps (the entry's `keeps_bits`).  A support point with
+    no pair reads 0.  A rational law may be given as exact rationals
+    (`dataclasses.replace` gives it so), whose numerators and denominators
+    are then its pairs; the producers hand theirs over unreduced
+    (`from_pairs`).
     Two laws are `==` when support, mode and every probability agree."""
 
     __slots__ = ("support", "probs", "mode", "pairs", "bits")
@@ -74,7 +75,7 @@ class ExactDistribution(Record):
                  exact: dict | None = None, bits: int | None = None):
         if mode not in MODES:
             raise ParameterError(f"unknown scalar mode {mode!r}; use one of {MODES}", "mode")
-        cast, rounding, _ = SCALARS[mode]
+        cast, rounding, _, _, keeps_bits = SCALARS[mode]
         if probs is not None:
             if (exact is not None or mode != RATIONAL
                     or not all(isinstance(p, Rational) for p in probs.values())):
@@ -82,10 +83,14 @@ class ExactDistribution(Record):
                                      "build any other from its pairs (`from_pairs`)", "probs")
             # ints of their own, so that no fixed-width (numpy) int enters a sum
             exact = {k: (int(p.numerator), int(p.denominator)) for k, p in probs.items()}
-        # every producer lists its pairs in the order of its support
-        if tuple(exact) != support and not exact.keys() <= (points := set(support)):
-            off = next(k for k in exact if k not in points)
-            raise ParameterError(f"must hold every point of the law, {off!r} too", "support")
+        # every producer lists its pairs in the order of its support, and a
+        # dict's keys are distinct
+        if tuple(exact) != (support := tuple(support)):
+            if len(points := set(support)) < len(support):
+                raise ParameterError("must not repeat a point", "support")
+            if not exact.keys() <= points:
+                off = next(k for k in exact if k not in points)
+                raise ParameterError(f"must hold every point of the law, {off!r} too", "support")
         values = exact.values()
         nums, dens = zip(*values) if values else ((), ())
         # with every numerator >= 0 and the total 1, no entry exceeds 1
@@ -99,7 +104,7 @@ class ExactDistribution(Record):
             num, den = pair_sum(values)
         if num != den:
             raise ValueError(f"probabilities sum to {Fraction(num, den)}, not 1")
-        bits = (precision_bits() if bits is None else bits) if mode == BIGFLOAT else None
+        bits = (precision_bits() if bits is None else bits) if keeps_bits else None
         with rounding(bits):
             probs = {k: cast(num, den) for k, (num, den) in exact.items()}
         self._hold(support, probs, mode, exact, bits)
@@ -113,14 +118,14 @@ class ExactDistribution(Record):
         return cls(support, None, mode or RATIONAL, pairs, bits)
 
     def __getitem__(self, point):
-        return self.probs.get(point, SCALARS[self.mode][2])
+        return self.probs.get(point, SCALARS[self.mode].zero)
 
     def items(self):
         for point in self.support:
             yield point, self[point]
 
     def total(self):
-        with SCALARS[self.mode][1](self.bits):
+        with SCALARS[self.mode].rounding(self.bits):
             return sum(self.probs.values())
 
     def _check_support(self, vectors: bool):
@@ -136,9 +141,9 @@ class ExactDistribution(Record):
         over one denominator are added first, and the one pair they give is
         cast into the law's mode at the end, as its probabilities are."""
         num, den = pair_sum((num * weight(k), den) for k, (num, den) in self.pairs.items())
-        cast, rounding, _ = SCALARS[self.mode]
-        with rounding(self.bits):
-            return cast(num, den)
+        scalar = SCALARS[self.mode]
+        with scalar.rounding(self.bits):
+            return scalar.cast(num, den)
 
     def moment(self, s: int):
         """Raw moment sum(k^s p) over a scalar support."""

@@ -18,7 +18,7 @@ from test_limits import loop_terms  # noqa: F401  (a fixture)
 
 import urnlab
 from urnlab import cli, closedform, limits, moments, oracle, simulate
-from urnlab.numerics import MAX_PRECISION_BITS
+from urnlab.numerics import BIGFLOAT, FLOAT, MAX_PRECISION_BITS, MODES, RATIONAL, SCALARS
 from urnlab.oracle import MAX_REACH_STATES, ExactDistribution, absorption_pmf
 from urnlab.weights import (MODEL_OKCORRAL, ParameterError, check_survivors, linear, square,
                             two_color)
@@ -159,7 +159,7 @@ class TestPmf:
             with mpmath.workprec(bits + 32):
                 rounded = [mpmath.fdiv(exact[k].numerator, exact[k].denominator)
                            for k in range(n + 1)]
-            want = [cli.render_bigfloat(p, bits) for p in rounded]
+            want = [SCALARS[BIGFLOAT].render(p, bits) for p in rounded]
         assert [e["p"] for e in check_json(out)["pmf"]] == want
 
     @pytest.mark.parametrize("model", ["I", "II"])
@@ -442,7 +442,7 @@ class TestTheta:
         product = limits.jacobi_triple_product(q, inner, 256)
         with mpmath.workprec(256 + 32):
             diff = abs(series - product)
-        assert check_json(out)["difference"] == cli.render_bigfloat(diff, 256)
+        assert check_json(out)["difference"] == SCALARS[BIGFLOAT].render(diff, 256)
 
     @pytest.mark.parametrize("bits, tol", [("8", "1e-12"), ("16", "1e-15")])
     def test_tol_finer_than_precision_refused(self, capsys, bits, tol):
@@ -1039,7 +1039,8 @@ class TestLongResults:
         code, out, _ = run_cli(capsys, "limit", "--law", "fixed-blacks-moment",
                                "--m", "3000", "--s", "1")
         assert code == 0
-        assert check_json(out)["value"] == cli.render_exact(limits.fixed_blacks_moment(3000, 1))
+        value = limits.fixed_blacks_moment(3000, 1)
+        assert check_json(out)["value"] == SCALARS[RATIONAL].render(value, None)
         assert sys.get_int_max_str_digits() == limit
         with pytest.raises(ValueError, match="Exceeds the limit"):
             str(10**5000)
@@ -1093,6 +1094,49 @@ class TestPrecisionBits:
         having = {name for name, parser in sub.choices.items()
                   if "precision_bits" in {a.dest for a in parser._actions}}
         assert having == {"pmf", "limit", "theta"}
+
+
+class TestScalarTable:
+    """Every printed scalar goes through its mode's entry in
+    `numerics.SCALARS`, and the entry alone says whether a form reads
+    --precision-bits and whether its payload states `precision_bits`."""
+
+    PMF = ("pmf", *SIM)
+
+    @pytest.mark.parametrize("patched", MODES)
+    def test_each_mode_prints_through_its_entry(self, capsys, monkeypatch, patched):
+        before = {mode: run_cli(capsys, *self.PMF, "--mode", mode)[1] for mode in MODES}
+        entry = SCALARS[patched]
+        monkeypatch.setitem(SCALARS, patched,
+                            entry._replace(render=lambda p, bits: f"<{entry.render(p, bits)}>"))
+        for mode in MODES:
+            code, out, err = run_cli(capsys, *self.PMF, "--mode", mode)
+            assert (code, err) == (0, "")
+            if mode != patched:
+                assert out == before[mode]
+                continue
+            old = [e["p"] for e in json.loads(before[mode])["pmf"]]
+            assert [e["p"] for e in json.loads(out)["pmf"]] == [f"<{p}>" for p in old]
+
+    @pytest.mark.parametrize("argv, mode", [
+        *((("pmf", *SIM, "--mode", mode), mode) for mode in MODES),
+        (("limit", "--law", "fixed-blacks-moment", "--m", "2", "--s", "1"), RATIONAL),
+        (("limit", "--law", "w-moment", "--s", "2"), BIGFLOAT),
+        (("limit", "--law", "w-cdf", "--grid", "0:1:1/2"), BIGFLOAT),
+        (("theta", "--q", "1/2"), BIGFLOAT),
+    ], ids=[*(f"pmf-{mode}" for mode in MODES), "limit-exact", "limit-bigfloat", "limit-grid",
+            "theta"])
+    def test_the_envelope_states_bits_where_the_entry_keeps_them(self, capsys, argv, mode):
+        code, out, _ = run_cli(capsys, *argv)
+        payload = check_json(out)
+        assert (code, payload["mode"]) == (0, mode)
+        assert ("precision_bits" in payload) == SCALARS[mode].keeps_bits
+
+    def test_a_mode_that_keeps_bits_reads_and_states_them(self, capsys, monkeypatch):
+        monkeypatch.setitem(SCALARS, FLOAT, SCALARS[FLOAT]._replace(keeps_bits=True))
+        code, out, err = run_cli(capsys, *self.PMF, "--mode", "float", "--precision-bits", "40")
+        assert (code, err) == (0, "")
+        assert check_json(out)["precision_bits"] == 40
 
 
 class TestDecimals:

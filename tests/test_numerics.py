@@ -340,22 +340,35 @@ class TestScalarModes:
             num, den = x.numerator * 3, x.denominator * 3
             assert SCALARS[RATIONAL][0](num, den) == x
             assert SCALARS[FLOAT][0](num, den) == float(x)
-            cast, rounding, _ = SCALARS[BIGFLOAT]
-            with rounding(64):
-                got = cast(num, den)._mpf_
+            big = SCALARS[BIGFLOAT]
+            with big.rounding(64):
+                got = big.cast(num, den)._mpf_
             assert got == from_rational(num, den, 64 + GUARD_BITS, round_nearest)
+
+    def test_each_entry_prints_its_text_and_only_big_floats_keep_bits(self):
+        # the printers the CLI chose by mode: "p/q" past Python's digit limit,
+        # `repr`, and the decimal digits the bits carry
+        long = Fraction(10**5000 + 1, 3)
+        assert SCALARS[RATIONAL].render(long, None) == "1" + "0" * 4999 + "1/3"
+        assert SCALARS[RATIONAL].render(2, None) == "2/1"
+        assert SCALARS[FLOAT].render(0.1, None) == "0.1"
+        with mpmath.workprec(96):
+            third = mpmath.mpf(1) / 3
+        assert SCALARS[BIGFLOAT].render(third, 64) == "0." + "3" * 19
+        assert SCALARS[BIGFLOAT].render(third, 3) == "0.3"
+        assert [SCALARS[mode].keeps_bits for mode in MODES] == [False, False, True]
 
     @pytest.mark.parametrize("mode", MODES)
     def test_a_law_and_its_sums_read_the_same_entry(self, mode):
         exact = okcorral_distribution(linear(1), square(), 6, 5)
         law = ExactDistribution.from_pairs(exact.support, exact.pairs, mode, 64)
-        cast, rounding, zero = SCALARS[mode]
-        with rounding(64):
-            want = {k: cast(*pair) for k, pair in exact.pairs.items()}
-            mean = cast(exact.mean().numerator, exact.mean().denominator)
+        scalar = SCALARS[mode]
+        with scalar.rounding(64):
+            want = {k: scalar.cast(*pair) for k, pair in exact.pairs.items()}
+            mean = scalar.cast(exact.mean().numerator, exact.mean().denominator)
         assert [(type(p), p) for p in law.probs.values()] == [(type(p), p) for p in want.values()]
         assert type(law.mean()) is type(mean) and law.mean() == mean
-        assert law[99] is zero
+        assert law[99] is scalar.zero
 
 
 def bigfloat_law(bits=256):

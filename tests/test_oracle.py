@@ -601,6 +601,17 @@ class TestExactDistribution:
             assert law[1] == 0 and list(law.probs) == [0, 2]
             assert sum(p for _, p in law.items()) == law.total() == 1
 
+    @pytest.mark.parametrize("support", [[0, 1], range(2)], ids=["list", "range"])
+    @pytest.mark.parametrize("mode", ["rational", "float", "bigfloat"])
+    def test_a_support_is_held_as_a_tuple(self, support, mode):
+        # a law on a list was not `==` the same law on a tuple
+        pairs = {0: (1, 2), 1: (1, 2)}
+        law = ExactDistribution.from_pairs(support, pairs, mode, 64)
+        assert law.support == (0, 1) and type(law.support) is tuple
+        assert law == ExactDistribution.from_pairs((0, 1), pairs, mode, 64)
+        probs = {0: Fraction(1, 2), 1: Fraction(1, 2)}
+        assert ExactDistribution(support, probs) == ExactDistribution((0, 1), probs)
+
     def test_fraction_dict_is_held_as_its_pairs(self):
         probs = {0: Fraction(1, 3), 1: Fraction(2, 3)}
         assert ExactDistribution((0, 1), probs).pairs == {0: (1, 3), 1: (2, 3)}

@@ -419,6 +419,12 @@ CASES += [
     case(lambda: oracle.ExactDistribution.from_pairs(((0,),), {(0,): (1, 1), (1,): (0, 1)},
                                                      "float"), "support",
          id="ExactDistribution.from_pairs-zero-off-support"),
+    # a repeated point was accepted: items summing to 3/2 while the total read 1
+    case(lambda: oracle.ExactDistribution((0, 0, 1), {0: Fraction(1, 2), 1: Fraction(1, 2)}),
+         "support", id="ExactDistribution-repeated-point"),
+    *(case(lambda mode=mode: oracle.ExactDistribution.from_pairs([0, 1, 0], {0: (1, 1)}, mode),
+           "support", id=f"ExactDistribution.from_pairs-repeated-point-{mode}")
+      for mode in ("rational", "float", "bigfloat")),
 ]
 
 
