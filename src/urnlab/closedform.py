@@ -135,7 +135,7 @@ def _two_color(law, A, B, n, m, representation, mode, bits) -> ExactDistribution
     n, m = _check_two_color_counts(n, m)
     alpha, beta = integer_tables(_table(A, n, "A"), _table(B, m, "B"))
     pairs = law(alpha, beta, n, m, representation)
-    return ExactDistribution.from_pairs(tuple(range(n + 1)), dict(enumerate(pairs)), mode, bits)
+    return ExactDistribution.from_pairs(tuple(range(n + 1)), enumerate(pairs), mode, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -628,17 +628,12 @@ def polya_okcorral_consistency(b, c, n, m) -> DiscrepancyReport:
 def multi_okcorral_reading_report(seqs, nvec) -> DiscrepancyReport:
     """Arbitrate the ambiguous inner product of the r-color contested-fire
     closed form against the recurrence oracle, over every all-positive k."""
-    seqs = tuple(seqs)
-    nvec = tuple(nvec)
+    seqs, nvec = tuple(seqs), tuple(nvec)
     oracle_dist = absorption_pmf_multi(UrnSpec("II", seqs, nvec))
-    verdicts = {}
-    for reading in (READING_PRODUCT, READING_PRINTED):
-        ok = True
-        for kvec in product(*[range(1, n + 1) for n in nvec[:-1]]):
-            if okcorral_pmf_multi(seqs, nvec, kvec, reading) != oracle_dist[kvec]:
-                ok = False
-                break
-        verdicts[reading] = ok
+    grid = list(product(*[range(1, n + 1) for n in nvec[:-1]]))
+    verdicts = {reading: all(okcorral_pmf_multi(seqs, nvec, kvec, reading) == oracle_dist[kvec]
+                             for kvec in grid)
+                for reading in (READING_PRODUCT, READING_PRINTED)}
     matches = verdicts[READING_PRODUCT] and not verdicts[READING_PRINTED]
     detail = (
         f"pole-index reading matches oracle: {verdicts[READING_PRODUCT]}; "
@@ -667,7 +662,7 @@ def multi_distribution(spec):
     rows = [range(n + 1) for n in nvec[:-1]]
     support = tuple(product(*rows))
     law = _multi_law(integer_tables(*tables), nvec, rows)
-    return ExactDistribution.from_pairs(support, dict(zip(support, law)))
+    return ExactDistribution.from_pairs(support, zip(support, law))
 
 
 def closed_vs_oracle(spec, representation=BETA_POLES, reference=None):

@@ -53,7 +53,7 @@ from .numerics import (
     cast_value,
     clock_product_blocks,
     exact_operand,
-    stirling_second,
+    stirling_rows,
     working_precision,
 )
 from .weights import (
@@ -243,10 +243,11 @@ def fixed_whites_moment(n: int, s: int, bits=None):
     factorial moment and w_j the sinh weight.  Each coefficient S(s,j) (n)_j
     is an exact integer >= 0, so the sum cancels nothing."""
     n, s = check_count("n", n, 1), check_order("s", s, 1)
+    row = next(itertools.islice(stirling_rows(min(n, s)), s, None))
     with working_precision(bits):
         total = mpmath.mpf(0)
-        for j in range(1, min(n, s) + 1):
-            total += stirling_second(s, j) * perm(n, j) * _sinh_weight(j)
+        for j in range(1, len(row)):
+            total += row[j] * perm(n, j) * _sinh_weight(j)
         return +total
 
 

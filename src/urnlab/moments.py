@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial, perm, prod
 
 from .numerics import (
@@ -34,8 +35,7 @@ from .numerics import (
     pair_sum,
     ramanujan_q,
     ramanujan_q_pair,
-    stirling_first_unsigned,
-    stirling_second,
+    stirling_rows,
 )
 from .oracle import absorption_pmf
 from .weights import (
@@ -73,10 +73,8 @@ def sampling_raw_moment(a, d, n, m, s) -> Fraction:
     the j = s term first: S(s, s) = 1, and that call checks every argument,
     naming the first bad one."""
     top = sampling_factorial_moment(a, d, n, m, s)
-    return top + sum(
-        stirling_second(s, j) * sampling_factorial_moment(a, d, n, m, j)
-        for j in range(s)
-    )
+    row = next(islice(stirling_rows(s), s, None))
+    return top + sum(row[j] * sampling_factorial_moment(a, d, n, m, j) for j in range(s))
 
 
 def mixed_factorial_moment(avec, nvec, svec) -> Fraction:
@@ -278,15 +276,15 @@ def moment_polynomial(s: int) -> Polynomial:
     s = check_order("s", s, 1)
     degree = 2 * s
     scale = factorial(s) * 2**s
-    values = [scale * stirling_second(x + s, x) for x in range(degree + 1)]
+    values = [scale * row[x] for x, row in enumerate(islice(stirling_rows(degree), s, 3 * s + 1))]
     # M_s(X) = sum_j delta_j (X)_j / j!, every term over the one denominator (2s)!
     denominator = factorial(degree)
     numerators = [0] * (degree + 1)
-    for j in range(degree + 1):
+    for j, cycles in enumerate(islice(stirling_rows(degree, first=True), degree + 1)):
         delta = sum((-1) ** (j - x) * comb(j, x) * values[x] for x in range(j + 1))
         weight = delta * (denominator // factorial(j))
         for i in range(j + 1):
-            numerators[i] += (-1) ** (j - i) * weight * stirling_first_unsigned(j, i)
+            numerators[i] += (-1) ** (j - i) * weight * cycles[i]
     return Polynomial(Fraction(num, denominator) for num in numerators)
 
 

@@ -20,7 +20,9 @@ int or a numpy integer (anything `operator.index` takes) becomes a
 `Fraction`, so no fixed-width integer is ever multiplied; a `Fraction`, a
 float or a big-float is evaluated as it is.  The integer arguments of the
 primitives here (orders and indices) follow the one integer rule of
-`weights` and are refused with `ParameterError` naming them.
+`weights` and are refused with `ParameterError` naming them.  Each call
+for Stirling numbers builds, by one generator (`stirling_rows`), only the
+rows it reads, cut to the widest column it reads, and shares or keeps none.
 
 mpmath is imported where a big-float is made or printed (`working_precision`,
 `cast_pair`, `cast_value`, `render_bigfloat`), not at module top: a process
@@ -29,10 +31,10 @@ that stays rational never loads it.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import os
 import sys
-import threading
 from collections import namedtuple
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
@@ -167,42 +169,35 @@ def falling_factorial(x, s: int):
     return acc
 
 
-# Stirling triangles are grown on demand and shared; the lock keeps
-# concurrent growth consistent (reads of finished rows are safe under GIL).
-_stirling_lock = threading.Lock()
-_stirling2_rows: list[list[int]] = [[1]]
-_stirling1_rows: list[list[int]] = [[1]]
+def stirling_rows(width: int, first: bool = False):
+    """Rows 0, 1, ... of the triangle of S(i, j), or with `first` of c(i, j),
+    as lists of the columns 0..width: entry j of row i + 1 is j (S) or i (c)
+    times entry j of row i, plus entry j - 1."""
+    row = [1] + [0] * width
+    for i in itertools.count():
+        yield row
+        steps = itertools.repeat(i) if first else itertools.count(1)
+        row = [0] + [step * up + diag for step, up, diag in zip(steps, row[1:], row)]
 
 
-def _triangle_entry(rows, step, n, k):
-    """Entry (n, k) of a Stirling triangle, 0 when k > n, growing `rows`
-    by `step` up to row n; n and k are refused unless nonnegative integers."""
+def _stirling_entry(n, k, first):
+    """Entry k of row n at width k, 0 when k > n; n and k must be nonnegative."""
     n, k = check_integer("n", n), check_integer("k", k)
     if n < 0 or k < 0:
         raise ParameterError("indices must be nonnegative", "n" if n < 0 else "k")
     if k > n:
         return 0
-    with _stirling_lock:
-        while len(rows) <= n:
-            prev = rows[-1]
-            i = len(rows)
-            row = [0] * (i + 1)
-            for j in range(i + 1):
-                above = prev[j] if j < len(prev) else 0
-                diag = prev[j - 1] if j >= 1 else 0
-                row[j] = step(i, j, above, diag)
-            rows.append(row)
-    return rows[n][k]
+    return next(itertools.islice(stirling_rows(k, first), n, None))[k]
 
 
 def stirling_second(n: int, k: int) -> int:
-    """Stirling number of the second kind S(n, k); 0 when k > n."""
-    return _triangle_entry(_stirling2_rows, lambda i, j, up, dg: j * up + dg, n, k)
+    """Stirling number of the second kind S(n, k), 0 if k > n: O(n k) time, O(k) memory."""
+    return _stirling_entry(n, k, first=False)
 
 
 def stirling_first_unsigned(n: int, k: int) -> int:
-    """Unsigned Stirling number of the first kind c(n, k); 0 when k > n."""
-    return _triangle_entry(_stirling1_rows, lambda i, j, up, dg: (i - 1) * up + dg, n, k)
+    """Unsigned Stirling number of the first kind c(n, k), 0 if k > n: O(n k) time, O(k) memory."""
+    return _stirling_entry(n, k, first=True)
 
 
 def ramanujan_q(n: int) -> Fraction:

@@ -31,6 +31,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, perm, prod
 from numbers import Rational
+from types import MappingProxyType
 
 from .numerics import MODES, RATIONAL, SCALARS, pair_sum, precision_bits
 from .weights import (
@@ -65,8 +66,9 @@ class ExactDistribution(Record):
     no pair reads 0.  A rational law may be given as exact rationals
     (`dataclasses.replace` gives it so), whose numerators and denominators
     are then its pairs; the producers hand theirs over unreduced
-    (`from_pairs`).
-    Two laws are `==` when support, mode and every probability agree."""
+    (`from_pairs`).  `probs` and `pairs` are read-only views of its own dicts.
+    Two laws are `==` when support, mode and every probability agree; a law
+    has no `hash`, as its `probs` hold a dict (`weights.Record`)."""
 
     __slots__ = ("support", "probs", "mode", "pairs", "bits")
     __match_args__ = ("support", "probs", "mode")
@@ -107,15 +109,22 @@ class ExactDistribution(Record):
         bits = (precision_bits() if bits is None else bits) if keeps_bits else None
         with rounding(bits):
             probs = {k: cast(num, den) for k, (num, den) in exact.items()}
-        self._hold(support, probs, mode, exact, bits)
+        self._hold(support, MappingProxyType(probs), mode, MappingProxyType(exact), bits)
+
+    def __reduce__(self):  # a read-only view has no pickle: rebuild the law from its pairs
+        return type(self).from_pairs, (self.support, dict(self.pairs), self.mode, self.bits)
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(support={self.support!r}, "
+                f"probs={dict(self.probs)!r}, mode={self.mode!r})")
 
     @classmethod
-    def from_pairs(cls, support, pairs: dict, mode=None, bits=None) -> "ExactDistribution":
-        """The exact law {point: (num, den)} in `mode` (rational when None),
-        each pair cast once by the mode's entry in `numerics.SCALARS`; a
-        big-float law rounds in `working_precision(bits)` and keeps those
-        bits."""
-        return cls(support, None, mode or RATIONAL, pairs, bits)
+    def from_pairs(cls, support, pairs, mode=None, bits=None) -> "ExactDistribution":
+        """The exact law {point: (num, den)}, a mapping or its items, copied, in
+        `mode` (rational when None), each pair cast once by the mode's entry in
+        `numerics.SCALARS`; a big-float law rounds in `working_precision(bits)`
+        and keeps those bits."""
+        return cls(support, None, mode or RATIONAL, dict(pairs), bits)
 
     def __getitem__(self, point):
         return self.probs.get(point, SCALARS[self.mode].zero)

@@ -81,7 +81,8 @@ class Record:
     every slot once in `__init__` (`_hold`).  `==` holds between records
     of one class whose fields are `==`, `hash` and `repr` read the same
     fields, and a slot that is not a field (a law's `pairs` and `bits`, a
-    configuration's `scales`) is kept aside from all three."""
+    configuration's `scales`) is kept aside from all three; as on a frozen
+    dataclass, `hash` raises `TypeError` where a field holds a dict."""
 
     __slots__ = ()
     __match_args__ = ()

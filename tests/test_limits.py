@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, inf, nan, prod
+from math import comb, factorial, inf, nan, perm, prod
 
 import mpmath
 import pytest
@@ -24,6 +24,7 @@ from urnlab.limits import (
     limit_moment_product,
     theta,
 )
+from urnlab.numerics import working_precision
 from urnlab.oracle import absorption_pmf
 from urnlab.weights import ParameterError, linear, square, two_color
 
@@ -195,6 +196,20 @@ class TestFixedWhitesMoment:
             for bits in (8, 64, 256):
                 got = fixed_whites_moment(n, s, bits)
                 assert abs(got - direct) <= 2.0**-bits * direct, bits
+
+    @pytest.mark.parametrize("bits", [64, 256])
+    def test_far_order_matches_explicit_stirling_numbers(self, bits):
+        # S(s, j) = sum_i (-1)^i C(j, i) (j - i)^s / j!, summed as the law
+        # sums: S(s, j) (n)_j times the sinh weight, j = 1..min(n, s)
+        n, s = 3, 1500
+        with working_precision(bits):
+            total = mpmath.mpf(0)
+            for j in range(1, n + 1):
+                second = sum((-1) ** i * comb(j, i) * (j - i) ** s for i in range(j + 1))
+                x = mpmath.pi * mpmath.sqrt(j)
+                total += second // factorial(j) * perm(n, j) * (x / mpmath.sinh(x))
+            want = +total
+        assert fixed_whites_moment(n, s, bits)._mpf_ == want._mpf_
 
 
 class TestLimitMoment:

@@ -2,6 +2,8 @@ import inspect
 import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -28,6 +30,7 @@ from urnlab.numerics import (
     ramanujan_q,
     pair_sum,
     stirling_first_unsigned,
+    stirling_rows,
     stirling_second,
     working_precision,
 )
@@ -139,6 +142,30 @@ class TestStirling:
                     rising *= x + j
                 assert lhs == rising
 
+    @pytest.mark.parametrize("first", [False, True], ids=["second", "first"])
+    def test_rows_are_cut_to_their_width(self, first):
+        # a narrow row holds the first columns of the full one, 0 past the diagonal
+        entry = stirling_first_unsigned if first else stirling_second
+        for width in range(5):
+            rows = list(itertools.islice(stirling_rows(width, first), 12))
+            assert rows == [[entry(n, k) for k in range(width + 1)] for n in range(12)]
+
+    def test_far_rows_at_narrow_width(self):
+        n = 1500
+        assert stirling_second(n, 1) == 1 and stirling_second(n, 2) == 2 ** (n - 1) - 1
+        assert stirling_first_unsigned(n, 1) == math.factorial(n - 1)
+
+    def test_a_narrow_entry_holds_only_its_width(self):
+        # S(600, 2) = 2^599 - 1 once grew a shared triangle to row 600 at full
+        # width, 40.5 MB; measured in a fresh process, which no call has warmed
+        script = ("import tracemalloc\nfrom urnlab.numerics import stirling_second\n"
+                  "tracemalloc.start()\nassert stirling_second(600, 2) == 2**599 - 1\n"
+                  "print(tracemalloc.get_traced_memory()[1])")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 2**20, proc.stdout
+
 
 class TestFallingFactorial:
     def test_simple(self):
@@ -190,10 +217,10 @@ class TestPolynomial:
         assert Polynomial([0, 0, 3])(2) == 12  # 3X^2
 
 
-class TestConcurrentMemoization:
-    def test_parallel_triangle_growth_is_consistent(self):
-        # hammer the shared Stirling tables from many threads; every reader
-        # must see the same deterministic values
+class TestConcurrentCalls:
+    def test_parallel_calls_agree(self):
+        # each call builds its own Stirling rows and shares nothing: calls
+        # from many threads at once must give the values one thread gives
         from concurrent.futures import ThreadPoolExecutor
 
         def worker(seed):

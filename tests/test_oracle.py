@@ -537,7 +537,27 @@ class TestExactDistribution:
     def test_pair_path_accepts_a_law(self, pairs):
         dist = ExactDistribution.from_pairs(tuple(pairs), pairs)
         assert dist.probs == {k: Fraction(*p) for k, p in pairs.items()}
-        assert dist.pairs is pairs and dist.total() == 1
+        assert dist.pairs == pairs and dist.total() == 1
+
+    @pytest.mark.parametrize("mode", ["rational", "float", "bigfloat"])
+    def test_a_checked_law_cannot_be_changed(self, mode):
+        # a law once took `law.probs[0] = Fraction(7)`: it then read 7 at 0,
+        # a total of 806/105, and was no longer == to a fresh copy
+        law = sampling_distribution(linear(1), square(), 3, 2, mode=mode)
+        fresh = sampling_distribution(linear(1), square(), 3, 2, mode=mode)
+        with pytest.raises(TypeError):
+            law.probs[0] = Fraction(7)
+        with pytest.raises(TypeError):
+            law.pairs[0] = (7, 1)
+        with pytest.raises(TypeError):
+            del law.probs[0]
+        # nor through the dict of pairs it was built from
+        pairs = dict(fresh.pairs)
+        built = ExactDistribution.from_pairs(fresh.support, pairs, mode, fresh.bits)
+        pairs[0] = (7, 1)
+        for kept in (law, built):
+            assert kept == fresh and kept[0] == fresh[0] and kept.total() == fresh.total()
+            assert kept.pairs == fresh.pairs
 
     @pytest.mark.parametrize("pairs", [ONE_DEN, GROUP_DENS], ids=["one-den", "group-dens"])
     def test_pair_path_refuses_a_negative_numerator(self, pairs):
