@@ -248,6 +248,7 @@ def _cmd_pmf_multi(args) -> int:
         kvec = _int_list(args.k, "k")
         weights.check_survivors("k", kvec, spec.counts[:-1])
         points = (kvec,)
+    oracle.check_reach_size(spec)  # both engines' bound, so not reworded below
     if args.engine == "oracle":
         dist = oracle.absorption_pmf_multi(spec)
     else:

@@ -2,11 +2,11 @@
 
 Each probability is available as a sum over the poles contributed by the
 second-color weights ("beta-poles") or by the first-color weights
-("alpha-poles"); the two must agree exactly.  Everything
-here is cross-validated against the recurrence oracle, and the specialized
-linear-weight (Polya) forms are additionally implemented from their own
-displays so that any typographical slip in those displays is detected
-rather than inherited.
+("alpha-poles"); the two must agree exactly.  Everything here is
+cross-validated against the recurrence oracle, and the linear-weight
+(Pólya-Eggenberger) forms are also implemented from their own displays,
+each a scale times one signed pole sum (`numerics.alternating_sum`), so
+that a typographical slip in a display is detected, not inherited.
 
 The two-color laws run on integer-scaled tables: each weight sequence's
 int table (`WeightSequence.int_table`, ints over their least denominator)
@@ -63,7 +63,7 @@ from itertools import product, starmap
 from math import factorial, lcm, prod
 from operator import mul
 
-from .numerics import binom_general, compensated_sum, exact_operand
+from .numerics import alternating_sum, binom_general, exact_operand
 from .oracle import ExactDistribution, absorption_pmf, absorption_pmf_multi, check_reach_size
 from .weights import (
     ALPHA_POLES,
@@ -304,26 +304,13 @@ def polya_sampling_pmf(a, d, n, m, k, representation=BETA_POLES):
     a, d = check_block_size("a", a), check_block_size("d", d)
     n, m = _check_two_color_counts(n, m)
     (k,) = check_survivors("k", (k,), (n,))
-    terms = []
     if representation == BETA_POLES:
-        for ell in range(1, m + 1):
+        def term(ell):
             x = Fraction(ell * d, a)
-            term = (
-                binom_general(m, ell)
-                * binom_general(x + k - 1, k)
-                / binom_general(x + n, n)
-            )
-            terms.append(term if (ell - 1) % 2 == 0 else -term)
-    else:
-        for ell in range(k, n + 1):
-            x = Fraction(ell * a, d)
-            term = (
-                binom_general(n, ell)
-                * binom_general(ell, k)
-                / binom_general(x + m, m)
-            )
-            terms.append(term if (ell - k) % 2 == 0 else -term)
-    return compensated_sum(terms)
+            return binom_general(m, ell) * binom_general(x + k - 1, k) / binom_general(x + n, n)
+        return alternating_sum(range(1, m + 1), 1, term)
+    return alternating_sum(range(k, n + 1), k, lambda ell: binom_general(n, ell)
+                           * binom_general(ell, k) / binom_general(Fraction(ell * a, d) + m, m))
 
 
 def polya_okcorral_pmf(b, c, n, m, k, representation=BETA_POLES):
@@ -338,43 +325,19 @@ def polya_okcorral_pmf(b, c, n, m, k, representation=BETA_POLES):
     b, c = check_block_size("b", b), check_block_size("c", c)
     n, m = _check_two_color_counts(n, m)
     (k,) = check_survivors("k", (k,), (n,))
-    bc = Fraction(b, c)
-    cb = Fraction(c, b)
+    bc, cb = Fraction(b, c), Fraction(c, b)
     if k == 0:
-        terms = []
-        for ell in range(1, m + 1):
-            x = ell * bc
-            term = (
-                binom_general(m - 1, ell - 1)
-                * Fraction(ell) ** (n + m - 1)
-                / binom_general(x + n, n)
-            )
-            terms.append(term if (m - ell) % 2 == 0 else -term)
-        scale = bc**n / (factorial(n) * factorial(m - 1))
-        return scale * compensated_sum(terms)
+        return bc**n / (factorial(n) * factorial(m - 1)) * alternating_sum(
+            range(1, m + 1), m, lambda ell: binom_general(m - 1, ell - 1)
+            * Fraction(ell) ** (n + m - 1) / binom_general(ell * bc + n, n))
     if representation == BETA_POLES:
-        terms = []
-        for ell in range(1, m + 1):
-            x = ell * bc
-            term = (
-                binom_general(m - 1, ell - 1)
-                * Fraction(ell) ** (n + m - 1 - k)
-                / binom_general(x + n, n - k + 1)
-            )
-            terms.append(term if (m - ell) % 2 == 0 else -term)
-        scale = k * bc ** (n - k) / (factorial(n - k + 1) * factorial(m - 1))
-        return scale * compensated_sum(terms)
-    terms = []
-    for ell in range(k, n + 1):  # lower summands vanish: binom(n-k, ell-k) = 0
-        x = ell * cb
-        term = (
-            binom_general(n - k, ell - k)
-            * Fraction(ell) ** (m + n - 1 - k)
-            / binom_general(x + m, m)
-        )
-        terms.append(term if (n - ell) % 2 == 0 else -term)
-    scale = k * cb**m / (factorial(n - k) * factorial(m))
-    return scale * compensated_sum(terms)
+        return k * bc ** (n - k) / (factorial(n - k + 1) * factorial(m - 1)) * alternating_sum(
+            range(1, m + 1), m, lambda ell: binom_general(m - 1, ell - 1)
+            * Fraction(ell) ** (n + m - 1 - k) / binom_general(ell * bc + n, n - k + 1))
+    # the poles ell < k drop out: binom(n-k, ell-k) = 0
+    return k * cb**m / (factorial(n - k) * factorial(m)) * alternating_sum(
+        range(k, n + 1), n, lambda ell: binom_general(n - k, ell - k)
+        * Fraction(ell) ** (m + n - 1 - k) / binom_general(ell * cb + m, m))
 
 
 # ---------------------------------------------------------------------------
@@ -651,10 +614,11 @@ def two_color_distribution(spec, representation=BETA_POLES, mode=None, bits=None
 
 def multi_distribution(spec):
     """The r-color closed form of the spec's model at every point of the
-    survivor grid, in the oracle's grid order, from one sampling
-    contraction (`_multi_law`).  Model II runs it on the reciprocal tables:
-    by the paper's duality that is the contested-fire law, k_j = 0
-    included.  The recurrence oracle is never run."""
+    survivor grid, in the oracle's grid order, from one sampling contraction
+    (`_multi_law`).  Model II runs it on the reciprocal tables: by the
+    paper's duality that is the contested-fire law, k_j = 0 included.  The
+    oracle never runs; its state bound refuses an urn first (`check_reach_size`)."""
+    check_reach_size(spec)
     _, tables = _check_multi_args(spec)
     nvec = spec.counts
     if spec.model != MODEL_SAMPLING:

@@ -7,10 +7,11 @@ converges to a discrete law with sinh weights), and both counts large
 (the survivor fraction converges to a law whose CDF is built from the
 Jacobi theta function, or its triangular / shifted-square analogues).
 
-Exact rational routes are used wherever the quantity is rational (moment
-products, densities at rational points); everything transcendental runs in
-big-float arithmetic at a configurable precision so that alternating sums
-keep far more correct bits than the tolerances demand.
+Exact rational routes are used wherever the quantity is rational (the
+fixed-blacks moment, `numerics.clock_product`, and density at rational
+points, `numerics.alternating_sum`); everything transcendental runs in
+big-float arithmetic at a configurable precision so that alternating
+sums keep far more correct bits than the tolerances demand.
 
 Every truncated series and product runs through one loop, `_sum_until`: it
 rejects a tol that is not finite and > 0 (nan included).  theta, the
@@ -50,7 +51,9 @@ import mpmath
 from mpmath.libmp import mpf_mul, round_nearest
 
 from .numerics import (
+    alternating_sum,
     cast_value,
+    clock_product,
     clock_product_blocks,
     exact_operand,
     stirling_rows,
@@ -129,10 +132,7 @@ def fixed_blacks_moment(m: int, s: int) -> Fraction:
     product of b/(b + s) over the square weights b = ell^2, ell <= m, in
     blocks of exact integer factors."""
     m, s = check_count("m", m, 1), check_order("s", s, 1)
-    num = den = 1
-    for p, q in clock_product_blocks(FAMILIES[SQUARE].int_table(m), s):
-        num, den = num * p, den * q
-    return Fraction(num, den)
+    return Fraction(*clock_product(FAMILIES[SQUARE].int_table(m), s))
 
 
 def fixed_blacks_moment_gammaform(m: int, s: int, bits=None):
@@ -158,13 +158,8 @@ def fixed_blacks_density(m: int, q):
     Exact when q is rational."""
     m, q = check_count("m", m, 1), exact_operand(q)
     _check_point(q)
-    total = 0 * q
-    for ell in range(1, m + 1):
-        term = (
-            Fraction(comb(m, ell), comb(m + ell, m)) * ell * ell * q ** (ell * ell - 1)
-        )
-        total = total + (term if (ell - 1) % 2 == 0 else -term)
-    return 2 * total
+    return 2 * alternating_sum(range(1, m + 1), 1, lambda ell: (
+        Fraction(comb(m, ell), comb(m + ell, m)) * ell * ell * q ** (ell * ell - 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Factorial, raw, and mixed moments for the linear-weight urns.
 
 The sampling moments are int falling factorials times one exponential-clock
-product (`numerics.clock_product_blocks`), folded into one `Fraction`.  The
+product (`numerics.clock_product`), reduced once into a `Fraction`.  The
 contested-fire moments run through the polynomial pair (f_n, g_n) of
 Puyhaubert's construction, n! times the z^n coefficients of two generating
 functions F and G, together with Ramanujan's Q-function.  F and G solve
@@ -31,7 +31,7 @@ from math import comb, factorial, perm, prod
 from .numerics import (
     Polynomial,
     binom_general,
-    clock_product_blocks,
+    clock_product,
     pair_sum,
     ramanujan_q,
     ramanujan_q_pair,
@@ -85,11 +85,9 @@ def mixed_factorial_moment(avec, nvec, svec) -> Fraction:
     svec = tuple(svec)
     check_length("svec", svec, len(avec), "order", but_last=True)
     svec = tuple(check_order("svec", s, 0, color) for color, s in enumerate(svec))
-    num, den = prod(map(perm, nvec, svec)), 1
     x = sum(a * s for a, s in zip(avec, svec))
-    for p, q in clock_product_blocks(linear(avec[-1]).int_table(nvec[-1]), x):
-        num, den = num * p, den * q
-    return Fraction(num, den)
+    num, den = clock_product(linear(avec[-1]).int_table(nvec[-1]), x)
+    return Fraction(prod(map(perm, nvec, svec)) * num, den)
 
 
 # ---------------------------------------------------------------------------

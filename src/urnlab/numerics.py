@@ -4,16 +4,19 @@ Every weight is an exact rational, and every finite law is computed
 exactly.  The closed forms and the recurrence oracle run in integer
 arithmetic over the weights' int tables (`WeightSequence.int_table`) and
 give each probability as an unreduced int pair (num, den), which
-`pair_sum` adds, as do the contested-fire moment displays; the Pólya
-corollary displays sum `Fraction`s.  A result is then cast once, and
-printed, by its output mode's entry in the one table `SCALARS`: the exact
-rational (`fractions.Fraction`, "p/q"), a machine float (int true division,
-`repr`) or a big-float (`cast_pair`, to the digits its bits carry), which
-alone keeps its `bits` (default `precision_bits()`, an integer from
-MIN_PRECISION_BITS to MAX_PRECISION_BITS by the one rule `check_precision`)
-and is computed and rounded in one context, `working_precision(bits)`, at
-`bits` plus GUARD_BITS; the transcendental limit laws compute in
-big-floats throughout.
+`pair_sum` adds, as do the contested-fire moment displays.  Two more exact
+kernels are written once: `alternating_sum`, the signed pole sum of the
+Pólya-Eggenberger displays and the fixed-blacks density, and
+`clock_product`, prod b/(b + x) over a color's weights as one int pair,
+of the sampling and fixed-blacks moments.  A result is then cast once,
+and printed, by its output mode's entry in the one table `SCALARS`: the
+exact rational (`fractions.Fraction`, "p/q"), a machine float (int true
+division, `repr`) or a big-float (`cast_pair`, to the digits its bits
+carry), which alone keeps its `bits` (default `precision_bits()`, an
+integer from MIN_PRECISION_BITS to MAX_PRECISION_BITS by the one rule
+`check_precision`) and is computed and rounded in one context,
+`working_precision(bits)`, at `bits` plus GUARD_BITS; the transcendental
+limit laws compute in big-floats throughout.
 
 An integer enters exact arithmetic one way, through `exact_operand`: an
 int or a numpy integer (anything `operator.index` takes) becomes a
@@ -38,7 +41,7 @@ import sys
 from collections import namedtuple
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
-from math import factorial, lcm, perm
+from math import factorial, lcm, perm, prod
 
 from .weights import ParameterError, Record, check_integer
 
@@ -214,9 +217,15 @@ def ramanujan_q_pair(n: int) -> tuple:
 
 
 def compensated_sum(terms):
-    """The exact sum of a sequence of rationals; `Fraction(0)` when empty.
-    The name outlives its float branch: `bench/tracer.py` wraps it by name."""
+    """The exact sum of rationals, `Fraction(0)` when empty, for `alternating_sum`;
+    `bench/tracer.py` wraps the name, which outlives its float branch."""
     return sum(terms, Fraction(0))
+
+
+def alternating_sum(indices, even, term):
+    """The sum of term(i) over `indices`, negated where i - even is odd, exact
+    on exact terms, taken once over one list of the signed terms."""
+    return compensated_sum([-t if (i - even) % 2 else t for i in indices for t in [term(i)]])
 
 
 def pair_sum(terms) -> tuple:
@@ -250,6 +259,13 @@ def clock_product_blocks(table, x):
             num *= p
             total *= p + step
         yield num, total
+
+
+def clock_product(table, x) -> tuple:
+    """`clock_product_blocks(table, x)` multiplied into one unreduced int pair
+    (num, den), (1, 1) on an empty table, for the caller to reduce once."""
+    nums, dens = zip((1, 1), *clock_product_blocks(table, x))
+    return prod(nums), prod(dens)
 
 
 def cast_pair(num: int, den: int):

@@ -265,12 +265,13 @@ def _outer(vectors) -> list:
 def check_reach_size(spec: UrnSpec) -> None:
     """Refuse an urn with more than MAX_REACH_STATES states, prod(count +
     1), before any table is built, naming the counts (the largest count's
-    color); the forward reach holds one table entry per state."""
+    color); the forward reach holds one table entry per state, and the
+    r-color closed form (`closedform.multi_distribution`) keeps its bound."""
     states = prod(c + 1 for c in spec.counts)
     if states > MAX_REACH_STATES:
         raise ParameterError(
-            f"the recurrence oracle holds one entry per state, and this urn has "
-            f"{states:,} states, above its bound of {MAX_REACH_STATES:,}",
+            f"an urn has prod(count + 1) states, and this one has {states:,} states, "
+            f"above the exact engines' bound of {MAX_REACH_STATES:,}",
             "counts", spec.counts.index(max(spec.counts)))
 
 

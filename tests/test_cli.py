@@ -20,8 +20,8 @@ import urnlab
 from urnlab import cli, closedform, limits, moments, oracle, simulate
 from urnlab.numerics import BIGFLOAT, FLOAT, MAX_PRECISION_BITS, MODES, RATIONAL, SCALARS
 from urnlab.oracle import MAX_REACH_STATES, ExactDistribution, absorption_pmf
-from urnlab.weights import (MODEL_OKCORRAL, ParameterError, check_survivors, linear, square,
-                            two_color)
+from urnlab.weights import (MODEL_OKCORRAL, ParameterError, WeightSequence, check_survivors,
+                            linear, square, two_color)
 
 
 def run_cli(capsys, *argv):
@@ -531,6 +531,10 @@ class TestSizeBounds:
     @pytest.mark.parametrize("argv, flag", [
         (("pmf-multi", "--engine", "oracle", "--weights", "linear:1;linear:2;square",
           "--counts", "3000,3000,3000"), "--counts"),
+        # the closed engine once ran past any timeout here; its refusal is
+        # the oracle engine's, with no hint to switch engines
+        (("pmf-multi", "--engine", "closed", "--weights", "linear:1;linear:2;square",
+          "--counts", "3000,3000,3000"), "--counts"),
         (("pmf-multi", "--engine", "oracle", "--weights", "linear:1;linear:2;square",
           "--counts", "2,0,666666"), "--counts"),
         (("oracle", "--A", "linear:1", "--B", "square", "--n", "2", "--m", "666666"), "--m"),
@@ -545,20 +549,22 @@ class TestSizeBounds:
         # in-process before the state bound refused them
         (("simulate", "--A", "linear:1", "--B", "square", "--n", "2", "--m", "666666"), "--m"),
         (("compare", "--A", "linear:1", "--B", "square", "--n", "2", "--m", "666666"), "--m"),
-    ], ids=["pmf-multi-3000", "pmf-multi", "oracle-m", "oracle-n", "compare", "duality",
-            "duality-multi", "simulate", "simulate-m", "compare-m"])
+    ], ids=["pmf-multi-3000", "pmf-multi-closed-3000", "pmf-multi", "oracle-m", "oracle-n",
+            "compare", "duality", "duality-multi", "simulate", "simulate-m", "compare-m"])
     def test_urn_above_the_oracle_state_bound(self, capsys, monkeypatch, argv, flag):
         # 3000,3000,3000 once ended in a MemoryError traceback; no table is
         # built here, no clock scale, nor does compare run the closed form first
-        def no_table(spec):
-            raise AssertionError(f"table built for {spec.counts}")
+        def no_table(*args):
+            raise AssertionError(f"table built for {args}")
 
         monkeypatch.setattr(oracle, "_coded_urn", no_table)
         monkeypatch.setattr(simulate, "clock_scales", no_table)
         monkeypatch.setattr(closedform, "two_color_distribution", no_table)
+        monkeypatch.setattr(WeightSequence, "int_table", no_table)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), err
         assert err.startswith(f"{flag}: ") and f"bound of {MAX_REACH_STATES:,}\n" in err
+        assert "use --engine oracle" not in err
 
 
 class TestDuality:

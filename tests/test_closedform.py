@@ -529,6 +529,19 @@ class TestPolyaSampling:
             )
 
 
+class TestPolyaDisplayGrid:
+    """Every display of both Pólya-Eggenberger forms, at every block size
+    pair up to 3, n, m <= 5 and every k (k = 0 included), in both
+    representations, `==` the general closed form with linear weights."""
+
+    @pytest.mark.parametrize("first, second", list(product(range(1, 4), repeat=2)))
+    def test_displays_equal_the_general_form(self, first, second):
+        for n, m in product(range(1, 6), repeat=2):
+            for report in (polya_sampling_consistency(first, second, n, m),
+                           polya_okcorral_consistency(first, second, n, m)):
+                assert report.matches, (first, second, n, m, report.detail)
+
+
 class TestPolyaOkcorral:
     def test_eq_reference_reduction(self):
         for n in range(1, 11):
@@ -762,6 +775,21 @@ class TestMultiDistribution:
             calls.clear()
             multi_distribution(spec)
             assert sorted(calls) == [("linear", 4), ("square", 4), ("triangular", 3)], spec.model
+
+    @pytest.mark.parametrize("model", ["I", "II"])
+    def test_an_urn_above_the_state_bound_builds_no_table(self, monkeypatch, model):
+        # the oracle engine's bound: at (3000, 3000, 3000) the contraction
+        # once ran past any timeout instead of refusing.  A table build fails
+        # the test at once rather than running it
+        def no_table(seq, upper):
+            raise AssertionError(f"int table of {seq!r} built to {upper}")
+
+        monkeypatch.setattr(WeightSequence, "int_table", no_table)
+        spec = UrnSpec(model, (linear(1), linear(2), square()), (3000, 3000, 3000))
+        with pytest.raises(ParameterError) as refusal:
+            multi_distribution(spec)
+        assert (refusal.value.param, refusal.value.color) == ("counts", 0)
+        assert "27,027,009,001 states" in str(refusal.value)
 
 
 class TestPartialFractions:

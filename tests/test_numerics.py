@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_rational, round_nearest
 
-from urnlab import limits
+from urnlab import limits, numerics
 from urnlab.closedform import multi_distribution, okcorral_distribution, sampling_distribution
 from urnlab.numerics import (
     BIGFLOAT,
@@ -22,8 +22,11 @@ from urnlab.numerics import (
     RATIONAL,
     SCALARS,
     Polynomial,
+    alternating_sum,
     binom_general,
     cast_pair,
+    clock_product,
+    clock_product_blocks,
     compensated_sum,
     cast_value,
     falling_factorial,
@@ -35,7 +38,9 @@ from urnlab.numerics import (
     working_precision,
 )
 from urnlab.oracle import ExactDistribution
-from urnlab.weights import ParameterError, UrnSpec, linear, square, triangular
+from urnlab.weights import (
+    ParameterError, UrnSpec, custom, linear, reciprocal, square, triangular,
+)
 
 
 def partitions_brute(n, k):
@@ -245,6 +250,20 @@ class TestSummation:
         assert compensated_sum([]) == 0
         assert type(compensated_sum([])) is Fraction
 
+    def test_alternating_sum_hands_every_signed_term_in_one_list(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(numerics, "compensated_sum",
+                            lambda terms: calls.append(terms) or sum(terms, Fraction(0)))
+        terms = {i: Fraction(i * i, i + 1) for i in range(2, 8)}
+        for even in (2, 3, -1):
+            calls.clear()
+            total = alternating_sum(range(2, 8), even, terms.__getitem__)
+            signed = [t if (i - even) % 2 == 0 else -t for i, t in terms.items()]
+            assert calls == [signed] and type(calls[0]) is list
+            assert total == sum(signed)
+        calls.clear()
+        assert alternating_sum(range(0), 0, terms.__getitem__) == 0 and calls == [[]]
+
     def test_pair_sum_is_the_fraction_sum(self):
         # denominators that divide the lcm so far, that extend it, that
         # share only part of it and that repeat, in every order
@@ -259,6 +278,28 @@ class TestSummation:
             # unreduced: over the lcm of the denominators
             assert den == math.lcm(*(d for _, d in terms))
         assert pair_sum([]) == (0, 1)
+
+
+class TestClockProduct:
+    """`clock_product` is one int pair whose ratio is prod b / (b + x) over
+    a table's weights b = p / den; at upper 0 it is the empty product (1, 1)."""
+
+    @pytest.mark.parametrize("seq", [linear(1), linear(3), square(), triangular(),
+                                     custom([Fraction(2 * i + 1, 3) for i in range(130)]),
+                                     reciprocal(square()), reciprocal(linear(2))],
+                             ids=["linear-1", "linear-3", "square", "triangular", "custom",
+                                  "reciprocal-square", "reciprocal-linear-2"])
+    @pytest.mark.parametrize("upper", [0, 1, 4, 64, 65, 130])
+    @pytest.mark.parametrize("x", [0, 1, 5])
+    def test_equals_the_product_of_ratios(self, seq, upper, x):
+        table = seq.int_table(upper)
+        nums, den = table
+        num, total = clock_product(table, x)
+        want = math.prod((Fraction(p, p + x * den) for p in nums[1:]), start=Fraction(1))
+        assert type(num) is int and type(total) is int
+        assert Fraction(num, total) == want
+        assert (num, total) == (math.prod(p for p, _ in clock_product_blocks(table, x)),
+                                math.prod(q for _, q in clock_product_blocks(table, x)))
 
 
 # the working precisions of big-float laws: below, at and above a double,
