@@ -155,9 +155,14 @@ def fixed_blacks_moment_gammaform(m: int, s: int, bits=None):
 def fixed_blacks_density(m: int, q):
     """Density of the limiting survivor fraction at q in [0, 1]:
     2 sum (-1)^(ell-1) C(m,ell)/C(m+ell,m) ell^2 q^(ell^2 - 1).
-    Exact when q is rational."""
+    Exact when q is rational.  A float q is the dyadic rational it holds:
+    the sum is taken exactly and rounded once to a float, since in doubles
+    its terms cancel to noise near q = 1 (a negative density at m = 20,
+    q = 0.99)."""
     m, q = check_count("m", m, 1), exact_operand(q)
     _check_point(q)
+    if isinstance(q, float):
+        return float(fixed_blacks_density(m, Fraction(q)))
     return 2 * alternating_sum(range(1, m + 1), 1, lambda ell: (
         Fraction(comb(m, ell), comb(m + ell, m)) * ell * ell * q ** (ell * ell - 1)))
 

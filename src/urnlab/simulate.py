@@ -18,12 +18,16 @@ from (seed, chunk index).  A chunk draws the last color's clocks, then
 colors 0..r-2, each term-major (one row per ball in leaving order, one
 column per trial) in blocks of at most BLOCK_DOUBLES doubles; running sums
 cross blocks as one row-by-row pass would add them, so counts do not depend
-on the block size.
+on the block size.  Chunks run on a thread pool no larger than the worker
+count, the chunk count and the CPUs the process may run on (its affinity
+set), since each thread holds its own blocks.
 The fixed-blacks sampler draws its m-term exponential series the same
 way: one clock per square weight, exp(-sum_{l<=m} eps_l / l^2).  The
 both-counts-large sampler draws the limit itself by inverting the float
-CDF of its exponent (`limits.limit_exponent_cdf`): no series, no
-truncation.
+CDF of its exponent (`limits.limit_exponent_cdf`) by bisection: no
+series, no truncation.  The bisection's first levels are the same for
+every draw, so each family's G at their midpoints is read from a table
+built once per process (`_bisection_table`).
 
 Float bias: scales are exact rationals rounded once and a running clock
 rounds once per term, so a comparison with T near a tie can flip with
@@ -32,6 +36,7 @@ probability on the order of (n+m) * 2^-52 per trial.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -190,9 +195,10 @@ def simulate_counts(config: SimConfig) -> dict:
         index, size = job
         return _chunk_counts(scales, size, _chunk_rng(config.seed, index))
 
-    # more threads than chunks or CPUs cannot help; the counts do not depend
-    # on the worker count either way
-    workers = min(config.workers, len(jobs), os.cpu_count() or 1)
+    # more threads than chunks, or than the CPUs this process may run on,
+    # cannot help: each holds its own clock blocks, and the counts do not
+    # depend on the worker count either way
+    workers = min(config.workers, len(jobs), _usable_cpus())
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, jobs))
@@ -203,6 +209,14 @@ def simulate_counts(config: SimConfig) -> dict:
     for partial in results:
         merged.update(partial)
     return dict(sorted(merged.items()))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one (a `taskset` or cpuset narrows it), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def simulate_once(spec: UrnSpec, rng: np.random.Generator):
@@ -259,6 +273,10 @@ def _chi2_sf(stat: float, dof: int) -> float:
 # shifted-square's 1 - G(t) ~ (4/pi) e^(-t/4), is below 2^-54 from t = 151
 _EXPONENT_TOP = 1024.0
 
+# levels of the limit sampler's bisection read from `_bisection_table`:
+# 2^13 - 1 midpoints, 128 KB of patterns and G values per family
+TABLE_LEVELS = 13
+
 
 def sample_fixed_blacks(m: int, rng: np.random.Generator, size=None):
     """Draw from the fixed-second-color limit fraction:
@@ -288,19 +306,25 @@ def sample_limit_fraction(
 
     T is found by bisection over the bit patterns of the doubles in
     [0, 1024], which order them as their values, until its bracket is two
-    adjacent doubles; the draw has no truncation.  `truncation` is still checked (an integer at least 1)
-    but no longer changes the draw.
+    adjacent doubles; the draw has no truncation.  A U > 0 starts from the
+    bracket `_bisection_table` holds, and its first TABLE_LEVELS steps read
+    that table's G in place of evaluating it: the same steps, so the same
+    draw.  A U = 0 starts from 0, so that its W is 1.  `truncation` is
+    still checked (an integer at least 1) but no longer changes the draw.
     """
     tag = _family(family)
     _check_truncation(truncation)
     u = rng.random(1 if size is None else size)
-    top = np.float64(_EXPONENT_TOP).view(np.int64)
-    # the first five midpoints, down to the pattern top - top/32 (t = 2e-7),
-    # lie where every family's G is 0.0 (it leaves 0 near t = 0.0033): a
-    # U > 0 starts from there, the same draw five steps sooner; U = 0 starts
-    # from 0, so that its W is 1
-    lo = np.where(u > 0, top - top // 32, np.int64(0))
-    hi = np.full(u.shape, top)
+    edges, cdf = _bisection_table(tag)
+    # index bisection over the table: edges[j + step] is the pattern
+    # midpoint of edges[j] and edges[j + 2 step]
+    j = np.zeros(u.shape, dtype=np.intp)
+    step = len(edges) // 2
+    while step:
+        j += step * (cdf[j + step] < u)
+        step //= 2
+    lo = np.where(u > 0, edges[j], np.int64(0))
+    hi = np.where(u > 0, edges[j + 1], edges[-1])
     while np.any(hi - lo > 1):
         mid = lo + (hi - lo) // 2
         above = limit_exponent_cdf(mid.view(np.float64), tag) >= u
@@ -308,6 +332,33 @@ def sample_limit_fraction(
         lo = np.where(above, lo, mid)
     draws = np.exp(-hi.view(np.float64))
     return float(draws[0]) if size is None else draws
+
+
+@functools.cache
+def _bisection_table(tag):
+    """The limit sampler's first TABLE_LEVELS bisection levels from the
+    bracket every U > 0 starts from, built once per family and read-only:
+    the 2^TABLE_LEVELS + 1 bit patterns that bound the brackets after those
+    levels, in increasing order, and G (`limits.limit_exponent_cdf`, one
+    call) at each.
+
+    That bracket ends at the pattern of 1024.0 and starts at the fifth
+    midpoint from 0, the pattern top - top/32 (t = 2e-7): every midpoint
+    before it lies where each family's G is 0.0 (it leaves 0 near
+    t = 0.0033), so a U > 0 would step past all five."""
+    top = np.float64(_EXPONENT_TOP).view(np.int64)
+    count = 1 << TABLE_LEVELS
+    edges = np.empty(count + 1, dtype=np.int64)
+    edges[0], edges[count] = top - top // 32, top
+    step = count // 2
+    while step:
+        lo = edges[: count - step : 2 * step]
+        edges[step :: 2 * step] = lo + (edges[2 * step :: 2 * step] - lo) // 2
+        step //= 2
+    cdf = limit_exponent_cdf(edges.view(np.float64), tag)
+    edges.setflags(write=False)
+    cdf.setflags(write=False)
+    return edges, cdf
 
 
 def _check_truncation(truncation) -> int:

@@ -118,6 +118,14 @@ class TestFixedBlacksDensity:
         with pytest.raises(ValueError):
             fixed_blacks_density(2, Fraction(11, 10))
 
+    @pytest.mark.parametrize("m, q", [(20, 0.99), (40, 0.99), (30, 0.9), (3, 0.25), (1, 0.0)])
+    def test_float_point_is_the_exact_density_rounded_once(self, m, q):
+        # in doubles the terms cancel to noise near q = 1: -2.69e-15 at
+        # (20, 0.99), where the density at that double is 1.33e-19
+        got = fixed_blacks_density(m, q)
+        assert type(got) is float and got == float(fixed_blacks_density(m, Fraction(q)))
+        assert got >= 0
+
 
 class TestFixedWhitesPmf:
     def test_single_survivor(self):

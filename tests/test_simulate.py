@@ -53,10 +53,23 @@ class TestDeterminism:
         b = simulate_counts(SimConfig(spec, 50_000, seed=2))
         assert a != b
 
+    # (machine CPUs, the affinity set's size or None where the platform has
+    # no affinity call): the pool follows the CPUs the process may run on
     @pytest.mark.parametrize(
-        "workers, cpus, expected", [(10_000, 64, 3), (10_000, 2, 2), (3, 1, None)]
+        "workers, cpus, affinity, expected",
+        [
+            (10_000, 64, 64, 3),
+            (10_000, 2, 2, 2),
+            (3, 1, 1, None),
+            (2, 2, 1, None),
+            (10_000, 64, 2, 2),
+            (10_000, 2, None, 2),
+            (10_000, 1, None, None),
+        ],
     )
-    def test_thread_count_capped_by_chunks_and_cpus(self, monkeypatch, workers, cpus, expected):
+    def test_thread_count_capped_by_chunks_and_cpus(
+        self, monkeypatch, workers, cpus, affinity, expected
+    ):
         # a recording stand-in: no thread is started, whatever workers asks for
         started = []
 
@@ -75,6 +88,12 @@ class TestDeterminism:
 
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+        if affinity is None:
+            monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(
+                simulate.os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False
+            )
         spec = two_color("I", linear(1), linear(1), 1, 1)
         trials = 2 * CHUNK_TRIALS + 5  # three chunks
         base = simulate_counts(SimConfig(spec, trials, seed=3, workers=1))
@@ -446,6 +465,67 @@ class TestLimitExponentSampler:
         u = np.random.default_rng(18).random(1 if size is None else size)
         got = sample_limit_fraction(family, np.random.default_rng(18), size=size)
         assert np.array_equal(np.atleast_1d(got), self.bisected_from_zero(u, family))
+
+    @pytest.mark.parametrize("size", [None, 1, 8192])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_draws_are_those_of_the_bisection_from_zero_over_seeds(self, family, size):
+        # the table's first levels and the loop after them step as the
+        # bisection from 0 does, bit for bit, whatever the uniforms
+        for seed in range(20):
+            u = np.random.default_rng(seed).random(1 if size is None else size)
+            got = sample_limit_fraction(family, np.random.default_rng(seed), size=size)
+            assert np.array_equal(np.atleast_1d(got), self.bisected_from_zero(u, family)), seed
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_uniforms_on_the_table_values_are_drawn_as_from_zero(self, family):
+        # a U equal to G at a table point takes that point as its bracket's
+        # top, as the bisection does; its neighbours just below and above
+        # fall on either side of it
+        _, cdf = simulate._bisection_table(family)
+        g = np.unique(cdf[(cdf > 0) & (cdf < 1)])
+        u = np.concatenate([g, np.nextafter(g, 0), np.nextafter(g, 1)])
+        got = sample_limit_fraction(family, StubRng(u), size=len(u))
+        assert np.array_equal(got, self.bisected_from_zero(u, family))
+
+    def test_table_is_built_once_per_family_and_read_only(self, monkeypatch):
+        points = (1 << simulate.TABLE_LEVELS) + 1
+        calls = []
+
+        def counting_cdf(t, family):
+            calls.append((family, np.size(t)))
+            return limit_exponent_cdf(t, family)
+
+        monkeypatch.setattr(simulate, "limit_exponent_cdf", counting_cdf)
+        simulate._bisection_table.cache_clear()
+        for family in sorted(FAMILIES):
+            for size in (None, 50, 50):
+                sample_limit_fraction(family, np.random.default_rng(19), size=size)
+        assert [c for c in calls if c[1] == points] == [(f, points) for f in sorted(FAMILIES)]
+        for family in sorted(FAMILIES):
+            edges, cdf = simulate._bisection_table(family)
+            assert edges.shape == cdf.shape == (points,)
+            for table in (edges, cdf):
+                assert not table.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    table[1] = 0
+
+    def test_table_holds_the_midpoints_of_the_first_levels(self):
+        # the bracket of a U > 0 is the one after five steps from [0, top]
+        # with G = 0 at each midpoint; the table holds, in increasing order,
+        # the midpoints its next TABLE_LEVELS steps can visit, and G at each
+        top = int(np.float64(1024.0).view(np.int64))
+        lo = 0
+        for _ in range(5):
+            lo += (top - lo) // 2
+        brackets, visited = [(lo, top)], []
+        for _ in range(simulate.TABLE_LEVELS):
+            mids = [a + (b - a) // 2 for a, b in brackets]
+            visited += mids
+            brackets = [half for (a, b), c in zip(brackets, mids) for half in ((a, c), (c, b))]
+        for family in sorted(FAMILIES):
+            edges, cdf = simulate._bisection_table(family)
+            assert edges.tolist() == [lo] + sorted(visited) + [top]
+            assert np.array_equal(cdf, limit_exponent_cdf(edges.view(np.float64), family))
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_tiny_uniforms_are_drawn_as_from_zero(self, family):
